@@ -408,8 +408,8 @@ def run_sweep_uneven(executor: str = "steal", points: int = UNEVEN_POINTS,
 #
 # End-to-end request throughput of the multi-group serve loop: the
 # closed-loop workload, frontend batching, slot derivation and the
-# multiplexed GroupRuntime all sit on the measured path, so this prices
-# the whole service stack, not just the engine underneath. Sized so one
+# run-to-completion GroupRuntime all sit on the measured path, so this
+# prices the whole service stack, not just the engine underneath. Sized so one
 # run costs ~0.5 s: heavy enough to dominate per-call setup, light
 # enough for interleaved repeats.
 
@@ -449,22 +449,12 @@ def run_serve_traced(groups: int = SERVE_GROUPS,
     """``run_serve_multigroup`` with request tracing and the windowed
     metrics registry attached -- the tracing-overhead gate's "on"
     side. Returns committed requests (same unit as the off side)."""
-    report = serve_traced_report(groups=groups, clients=clients,
-                                 shards=shards)
-    return report.requests
-
-
-def serve_traced_report(groups: int = SERVE_GROUPS,
-                        clients: int = SERVE_CLIENTS,
-                        shards: int = 1):
-    """The full traced-serve report (spans + metrics + scheduler
-    profile), for sections that read the overhead fraction."""
     report = run_service(
         _serve_base(), groups=groups, clients=clients, shards=shards,
         requests_per_client=SERVE_REQUESTS_PER_CLIENT,
         trace_requests=True, metrics_window=50.0)
     assert report.failed == 0
-    return report
+    return report.requests
 
 
 def run_spill_probe(n: int = 24, rounds: int = 120,

@@ -47,12 +47,10 @@ gates: 1-group slot-0 byte-identity, zero failed slots, and an
 end-to-end wall request-throughput floor on every cell.
 
 PR 10 additions: ``serve_groups8_traced`` -- the serve workload with
-request tracing (span trees + scheduler profile) and the windowed
+request tracing (span trees + runtime profile) and the windowed
 metrics registry attached -- and a ``tracing`` report section pricing
 request-level observability with the telemetry-gate protocol
-(interleaved off/on repeats, min-of-N, overhead <= 5%) and recording
-the measured cross-group scheduling overhead fraction of
-``GroupRuntime.advance``.
+(interleaved off/on repeats, min-of-N, overhead <= 5%).
 
 "Before" numbers come from, in order of preference:
 
@@ -285,10 +283,7 @@ def tracing_report(repeats: int) -> Optional[dict]:
     tracing + metrics off vs on, interleaved repeats (the
     :func:`telemetry_report` protocol -- min-of-N over off/on/off/on
     so allocator drift cannot masquerade as tracing cost), with the
-    <= 5% gate evaluated inline. Also runs one traced session to
-    read the scheduler profile -- the measured fraction of
-    ``GroupRuntime.advance`` wall time spent *between* engine slices
-    (cross-group scheduling overhead, the ROADMAP number).
+    <= 5% gate evaluated inline.
     ``None`` when the service predates request tracing.
     """
     if not getattr(bench_engine, "HAVE_TRACING", False):
@@ -327,20 +322,12 @@ def tracing_report(repeats: int) -> Optional[dict]:
     median_ratio = ratios[len(ratios) // 2]
     sum_ratio = sum(on_times) / sum(off_times)
     overhead = min(median_ratio, sum_ratio) - 1.0
-    traced = bench_engine.serve_traced_report()
-    totals = ((traced.tracing or {}).get("scheduler") or {}).get(
-        "totals") or {}
-    scheduler = {key: totals.get(key)
-                 for key in ("advance_calls", "advance_seconds",
-                             "engine_seconds", "overhead_seconds",
-                             "overhead_fraction")}
     return {
         "baseline": "serve_groups8",
         "traced": "serve_groups8_traced",
         "rate_off": rate_off,
         "rate_on": rate_on,
         "overhead": round(overhead, 4),
-        "scheduler": scheduler,
         "gates": {"overhead_max": TRACING_OVERHEAD_MAX,
                   "ok": overhead <= TRACING_OVERHEAD_MAX},
     }
@@ -798,7 +785,7 @@ def main(argv=None) -> int:
                              "the unit is committed client requests",
             "serve_groups8_traced": "the serve_groups8 workload with "
                                     "request tracing (span trees, "
-                                    "scheduler profile) and the "
+                                    "runtime profile) and the "
                                     "windowed metrics registry "
                                     "attached; compare against "
                                     "serve_groups8 for the request-"
@@ -807,11 +794,7 @@ def main(argv=None) -> int:
                        "re-measured with interleaved repeats (the "
                        "telemetry-gate protocol), the PR 10 "
                        "acceptance gate (overhead <= 5%) evaluated "
-                       "inline, plus the measured cross-group "
-                       "scheduling overhead: the fraction of "
-                       "GroupRuntime.advance wall time spent between "
-                       "engine slices (heap pops, wakeups, batching) "
-                       "rather than inside them",
+                       "inline",
             "service": "p50/p99 request latency (virtual time) and "
                        "throughput vs offered load over a (groups, "
                        "shards) x clients grid, with the PR 9 "
@@ -880,13 +863,9 @@ def main(argv=None) -> int:
             if args.check or args.check_speedup is not None:
                 return 2
     if tracing is not None:
-        sched = tracing["scheduler"]
-        frac = sched.get("overhead_fraction")
         print(f"  {'tracing':24s} overhead {tracing['overhead']:+.1%} "
               f"(serve {tracing['rate_off']:,.0f} off vs "
-              f"{tracing['rate_on']:,.0f} on req/s), scheduler "
-              f"overhead "
-              f"{frac:.1%} of advance"
+              f"{tracing['rate_on']:,.0f} on req/s)"
               f", gate {'ok' if tracing['gates']['ok'] else 'FAILED'}"
               f" (<= {TRACING_OVERHEAD_MAX:.0%})")
         if not tracing["gates"]["ok"]:

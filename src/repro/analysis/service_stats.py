@@ -234,19 +234,19 @@ def _render_spans(doc: Dict[str, Any]) -> str:
     if scheduler:
         totals = scheduler["totals"]
         srows = [[shard,
-                  prof.get("advance_seconds"),
+                  prof.get("engine_slices"),
                   prof.get("engine_seconds"),
                   prof.get("overhead_seconds"),
                   prof.get("overhead_fraction")]
                  for shard, prof in scheduler["shards"].items()]
-        srows.append(["total", totals.get("advance_seconds"),
+        srows.append(["total", totals.get("engine_slices"),
                       totals.get("engine_seconds"),
                       totals.get("overhead_seconds"),
                       totals.get("overhead_fraction")])
         blocks.append(format_table(
-            ["shard", "advance s", "engine s", "overhead s",
+            ["shard", "engine runs", "engine s", "overhead s",
              "overhead frac"], srows,
-            title="cross-group scheduler overhead (wall clock)"))
+            title="runtime overhead outside the engine (wall clock)"))
     return "\n\n".join(blocks)
 
 

@@ -575,6 +575,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"requests:       {report.requests} committed, "
           f"{report.failed} failed, {report.slots} slots, "
           f"{report.events} engine events")
+    if report.failure_reasons:
+        reasons = ", ".join(
+            f"{reason}={count}" for reason, count
+            in sorted(report.failure_reasons.items()))
+        print(f"failed:         {reasons} "
+              f"(requests by their slot's stop reason)")
     print(f"throughput:     {report.throughput:.3f} req/virtual-time "
           f"over {report.virtual_time:.1f} vt; "
           f"{report.wall_throughput:.0f} req/s wall "
@@ -610,9 +616,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 f"queueing p50={queueing.get('p50', 0.0):.2f} "
                 f"service p50={service_t.get('p50', 0.0):.2f} vt")
         if sched:
-            line += (f"; scheduler overhead "
-                     f"{sched.get('overhead_fraction', 0.0):.1%} of "
-                     f"{sched.get('advance_seconds', 0.0):.3f}s advance")
+            line += (f"; runtime overhead outside the engine "
+                     f"{sched.get('overhead_fraction', 0.0):.1%} "
+                     f"({sched.get('overhead_seconds', 0.0):.3f}s "
+                     f"beside {sched.get('engine_seconds', 0.0):.3f}s "
+                     f"engine)")
         print(line)
         if isinstance(args.trace_requests, str):
             with open(args.trace_requests, "w", encoding="utf-8") as out:
@@ -1122,8 +1130,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None, metavar="OUT.json",
                          help="request-level span tracing (enqueue -> "
                               "batch-admit -> slot-start -> decide -> "
-                              "reply per proposal, plus the cross-"
-                              "group scheduler overhead profile); "
+                              "reply per proposal, plus the runtime's "
+                              "engine/overhead wall-clock split); "
                               "with a path, write the "
                               "service-spans/v1 artifact JSON")
     serve_p.add_argument("--metrics-out", default=None, metavar="FILE",

@@ -3,22 +3,25 @@
 The engine (`repro.macsim`) executes one consensus instance per
 simulator; this package turns it into a long-lived *service* in the
 sense of the fault-tolerant follow-up work (Newport-Robinson,
-arXiv:1810.02848): many independent consensus groups multiplexed over
-shared scheduling, fed by a closed-loop client workload, sharded
-across forked engines one per core.
+arXiv:1810.02848): many independent consensus groups fed by a
+closed-loop client workload, sharded across forked engines one per
+core. The consensus instance is the unit of analysis there and the
+unit of execution here: every slot runs to completion in one engine
+call, and only finished slots are ordered in virtual time.
 
 Layers (bottom up):
 
-* :mod:`.runtime` -- :class:`GroupRuntime`: interleaves many
-  simulators in global virtual-time order with byte-identical
-  per-group traces (1 group == a standalone ``Scenario.simulate()``).
+* :mod:`.runtime` -- :class:`GroupRuntime`: runs each instance to its
+  terminal state when it is registered (byte-identical to a
+  standalone ``simulate()``) and hands finished runs out in
+  ``(finish_time, registration order)``.
 * :mod:`.frontend` -- per-group proposal queues batching client
   requests into consensus *slots*.
 * :mod:`.workload` -- :class:`WorkloadGenerator`: deterministic
   closed-loop clients, Zipf group popularity, lognormal think times.
 * :mod:`.loop` -- :class:`ConsensusService`: the virtual-time serve
-  loop (latency = commit - arrival) with per-group telemetry
-  attribution.
+  loop (latency = commit - arrival) over one resolved scenario
+  template reseeded per slot, with per-group telemetry attribution.
 * :mod:`.placement` -- rendezvous group placement and
   ``NodeChurn``-driven rebalancing.
 * :mod:`.sharded` -- :class:`ShardedService`: fork one engine per

@@ -2,17 +2,28 @@
 
 Ties the pieces together: a :class:`WorkloadGenerator` produces client
 arrivals, the :class:`ServiceFrontend` batches proposals into per-group
-consensus *slots*, and a :class:`GroupRuntime` multiplexes the slots'
-engines over one loop. Each slot is a fresh consensus instance whose
-scenario derives deterministically from the base scenario and the
-``(group, slot)`` coordinate (see :func:`slot_scenario`), so any slot
--- and therefore the whole service run -- is reproducible from the
-seeds alone.
+consensus *slots*, and a :class:`GroupRuntime` runs each slot to
+completion and hands the finished slots back in virtual-time order.
+Each slot is a fresh consensus instance whose scenario derives
+deterministically from the base scenario and the ``(group, slot)``
+coordinate (see :func:`slot_scenario`), so any slot -- and therefore
+the whole service run -- is reproducible from the seeds alone. The
+base is resolved once into a template; a slot only rebuilds what its
+seed feeds (``ResolvedScenario.reseed``).
+
+Running a slot ahead of the virtual clock is unobservable: its batch
+is fixed when it starts, every client is pinned to one group, a group
+runs one slot at a time, and groups share no state -- so the only
+thing the loop needs from a slot is *when* it finished, and it
+commits slots strictly in ``(finish time, start order)``.
 
 A request's end-to-end latency is ``commit - arrival`` in virtual time
 (the engine's ``F_ack`` units): queueing delay behind the group's
 current slot plus the consensus decision time of the slot that carries
-it. Throughput is committed requests per virtual time unit.
+it. Throughput is committed requests per virtual time unit. A slot
+commits only when every correct node decided; one that ran out of
+events or time first fails its whole batch, counted under the engine's
+terminal ``stop_reason``.
 
 Determinism: byte-identity anchor
 ---------------------------------
@@ -100,6 +111,8 @@ class ServiceReport:
     tracing: Optional[Dict[str, Any]] = None
     #: ``service-metrics/v1`` snapshot when the metrics registry was on.
     metrics: Optional[Dict[str, Any]] = None
+    #: Failed requests by the terminal ``stop_reason`` of their slot.
+    failure_reasons: Dict[str, int] = field(default_factory=dict)
 
     @property
     def latency(self) -> Dict[str, Any]:
@@ -143,13 +156,16 @@ class ServiceReport:
             out["tracing"] = self.tracing
         if self.metrics is not None:
             out["metrics"] = self.metrics
+        if self.failure_reasons:
+            out["failure_reasons"] = dict(sorted(
+                self.failure_reasons.items()))
         if include_latencies:
             out["latencies"] = list(self.latencies)
         return out
 
 
 class ConsensusService:
-    """Serve a closed-loop workload over multiplexed consensus groups.
+    """Serve a closed-loop workload over many consensus groups.
 
     Parameters
     ----------
@@ -184,9 +200,9 @@ class ConsensusService:
         dropped (in-flight and queued work still drains).
     tracer:
         Optional :class:`~repro.macsim.service.tracing.RequestTracer`;
-        when set, every committed slot records one span per request
-        and the runtime runs with its scheduler profile on, both
-        landing in ``report.tracing``.
+        when set, every finished slot records one span per request
+        and the runtime runs with its engine/overhead profile on,
+        both landing in ``report.tracing``.
     metrics:
         Optional
         :class:`~repro.macsim.service.tracing.MetricsRegistry`; when
@@ -226,6 +242,13 @@ class ConsensusService:
         wl = self.workload
         tracer = self.tracer
         metrics = self.metrics
+        base = self.base
+        slot_base = base
+        if (self.slot_trace_level is not None
+                and base.trace_level != self.slot_trace_level):
+            slot_base = base.override(
+                {"trace_level": self.slot_trace_level})
+        template = slot_base.resolve()
         frontend = ServiceFrontend(batch_size=self.batch_size)
         runtime = GroupRuntime(profile=tracer is not None)
         served = self.group_ids
@@ -233,6 +256,7 @@ class ConsensusService:
         slot_counts: Dict[int, int] = {g: 0 for g in served}
         busy: Dict[int, bool] = {g: False for g in served}
         latencies: List[float] = []
+        failure_reasons: Dict[str, int] = {}
         tel_groups: Dict[int, Dict[str, Any]] = {}
         committed = 0
         failed = 0
@@ -255,16 +279,16 @@ class ConsensusService:
                 return
             slot = slot_counts[gid]
             slot_counts[gid] = slot + 1
-            scenario = slot_scenario(self.base, gid, slot)
             capture = (gid == capture_group and slot == 0)
-            if (self.slot_trace_level is not None and not capture
-                    and scenario.trace_level != self.slot_trace_level):
-                scenario = scenario.override(
-                    {"trace_level": self.slot_trace_level})
             if capture:
-                self.first_slot_scenario = scenario
+                # The captured slot keeps the base trace level.
+                resolved = slot_scenario(base, gid, slot).resolve()
+                self.first_slot_scenario = resolved.scenario
+            else:
+                resolved = template.reseed(
+                    slot_seed(base.seed, gid, slot))
             tel = True if self.telemetry_enabled else None
-            runtime.add_group(scenario, group_id=gid, start_time=now,
+            runtime.add_group(resolved, group_id=gid, start_time=now,
                               telemetry=tel,
                               context=(batch, slot, capture))
             busy[gid] = True
@@ -276,7 +300,8 @@ class ConsensusService:
             batch, _slot, capture = run.context
             busy[gid] = False
             t_commit = run.finish_time
-            ok = bool(run.result.decisions)
+            ok = run.result.all_decided
+            reason = run.result.stop_reason
             gstats = stats[gid]
             gstats.slots += 1
             gstats.events += run.result.events_processed
@@ -295,7 +320,10 @@ class ConsensusService:
                 tracer.record_slot(group=gid, slot=_slot, batch=batch,
                                    start=run.start_time,
                                    decide=t_decide, reply=t_commit,
-                                   ok=ok)
+                                   ok=ok, stop_reason=reason)
+            if not ok:
+                failure_reasons[reason] = (
+                    failure_reasons.get(reason, 0) + len(batch))
             for req in batch:
                 if ok:
                     committed += 1
@@ -373,6 +401,7 @@ class ConsensusService:
             telemetry=telemetry,
             tracing=tracing,
             metrics=metrics_doc,
+            failure_reasons=failure_reasons,
         )
 
     # ------------------------------------------------------------------

@@ -1,43 +1,46 @@
-"""Multi-group runtime: many consensus instances, one event loop.
+"""Multi-group runtime: run-to-completion consensus slots.
 
-The engine runs one consensus instance per :class:`Simulator`; a
-service runs thousands of *groups* concurrently. :class:`GroupRuntime`
-multiplexes independent simulators over a single virtual-time loop:
-per-group state (graph, processes, queue, trace sink, telemetry) stays
-on each group's own simulator -- built exactly the way
-``ResolvedScenario.simulate()`` builds it -- while the runtime owns
-only the shared schedule: which group's next event is globally
-earliest, and how far that group may advance before another group's
-event is due.
+A service runs many consensus *groups*; each slot of a group is one
+closed consensus instance on its own :class:`Simulator`.
+:class:`GroupRuntime` executes an instance the moment it is
+registered -- one ``Simulator.run`` call from ``on_start`` to the
+terminal state, exactly ``ResolvedScenario.simulate()`` -- and then
+only *schedules the outcome*: finished runs wait in a heap keyed
+``(finish_time, registration order)`` until the caller's virtual
+clock reaches them.
+
+Why no interleaving
+-------------------
+
+Groups share nothing: an instance's events depend only on its own
+scenario (its batch is fixed when it starts, and nothing outside
+reads its state before it finishes), so running group A's events
+before or between group B's cannot change either trace. Only the
+*order in which finished runs are handed out* is observable, and the
+heap fixes that order in global virtual time.
 
 Determinism contract
 --------------------
 
-* Each group is advanced with ``stop_predicate`` time slices, never
-  with ``max_time`` limits (the engine's ``max_time`` check discards
-  the popped heap entry, so it is terminal-only; the predicate is
-  checked *before* the pop and is safe to resume from). The predicate
-  stops a slice once the group's next event would pass the granted
-  window, so slicing never perturbs which events run or in what order.
-* A group's trace is therefore byte-identical to the trace of an
-  unsliced ``scenario.simulate()`` of the same scenario, and its final
-  :class:`RunResult` carries the same decisions, end time, accumulated
-  event count and terminal stop reason. With a single group the
-  runtime degenerates to exactly one uninterrupted engine call.
-* Groups are fully independent: K groups under one runtime produce
-  the same per-group results as K standalone runs, regardless of how
-  the runtime interleaves them.
+* A group's trace and :class:`RunResult` are byte-identical to a
+  standalone ``simulate()`` of the same scenario, for any number of
+  groups and any sink.
+* :meth:`GroupRuntime.advance` returns exactly the runs with
+  ``finish_time <= until``, ordered by ``(finish_time, registration
+  order)``, each once.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..simulator import RunResult, Simulator
+from ...scenario import Scenario
+from ..simulator import RunResult
 from ..telemetry import MonotonicProfile
+from .tracing import overhead_fraction
 
 __all__ = ["GroupRun", "GroupRuntime"]
 
@@ -51,8 +54,8 @@ class GroupRun:
     result: RunResult
     #: Global (service virtual-time) instant the instance started.
     start_time: float
-    #: Engine ``run()`` invocations spent advancing this group.
-    slices: int
+    #: Engine ``run()`` invocations spent on this instance (always 1).
+    slices: int = 1
     #: The group's :class:`~repro.macsim.telemetry.Telemetry`
     #: instance when telemetry was enabled, else ``None``.
     telemetry: Any = None
@@ -66,235 +69,112 @@ class GroupRun:
         return self.start_time + self.result.end_time
 
 
-def _stop_immediately(sim: Simulator) -> bool:
-    return True
-
-
-class _Group:
-    """Per-group bookkeeping the runtime keeps between slices."""
-
-    __slots__ = ("group_id", "order", "scenario", "sim", "offset",
-                 "remaining", "consumed", "slices", "context")
-
-    def __init__(self, group_id: Any, order: int, scenario: Any,
-                 sim: Simulator, offset: float, context: Any) -> None:
-        self.group_id = group_id
-        self.order = order
-        self.scenario = scenario
-        self.sim = sim
-        self.offset = offset
-        self.remaining = scenario.max_events
-        self.consumed = 0
-        self.slices = 0
-        self.context = context
-
-
 class GroupRuntime:
-    """Interleave many independent consensus simulations in global
-    virtual-time order.
+    """Run independent consensus instances to completion and hand the
+    finished runs out in global virtual-time order.
 
-    Groups are registered with :meth:`add_group` (each carries its own
-    :class:`~repro.scenario.Scenario`, optional trace sink and
-    telemetry) and advanced with :meth:`advance`, which processes all
-    pending events up to a global horizon -- always picking the group
-    whose next event is globally earliest -- and returns the groups
-    that ran to completion. ``advance(None)`` drains everything.
+    :meth:`add_group` executes one instance; :meth:`next_time` is the
+    earliest finish not yet handed out; :meth:`advance` pops the runs
+    finishing up to a global horizon (``advance(None)`` pops all).
     """
 
     def __init__(self, *, profile: bool = False) -> None:
-        self._active: List[_Group] = []
-        self._finished: List[GroupRun] = []
+        self._pending: List[Tuple[float, int, GroupRun]] = []
         self._order = 0
-        self._in_advance = False
-        #: Opt-in wall-clock split of :meth:`advance` into time spent
-        #: *inside* engine ``run()`` calls vs the cross-group
-        #: scheduling loop around them -- the number the ROADMAP's
-        #: 10-100x scale item needs. ``None`` (the default) keeps the
+        #: Opt-in wall-clock split of the runtime into time *inside*
+        #: the engine vs around it. ``None`` (the default) keeps the
         #: hot path free of clock reads.
         self.profile: Optional[MonotonicProfile] = (
-            MonotonicProfile(("advance", "engine", "startup"))
+            MonotonicProfile(("add_group", "engine", "advance"))
             if profile else None)
 
     def scheduler_profile(self) -> Optional[Dict[str, Any]]:
-        """Snapshot of the opt-in advance/engine wall-clock split.
+        """Snapshot of the opt-in engine/runtime wall-clock split.
 
-        ``overhead_seconds`` is the time :meth:`advance` spent picking
-        the globally earliest group and computing slice windows --
-        everything *except* the engine calls it issued. ``startup`` is
-        engine time spent outside ``advance`` (the ``on_start`` slices
-        :meth:`add_group` fires). Returns ``None`` when profiling is
-        off.
+        ``engine_*`` times the one ``Simulator.run`` per instance;
+        ``overhead_seconds`` is the rest of :meth:`add_group` and
+        :meth:`advance` (simulator construction and the finish heap),
+        ``overhead_fraction`` its share of the two together. The
+        ``startup_*`` keys of ``service-spans/v1`` read 0: no engine
+        call happens outside the one run. Returns ``None`` when
+        profiling is off.
         """
         if self.profile is None:
             return None
         snap = self.profile.snapshot()
-        advance = snap["advance"]["seconds"]
         engine = snap["engine"]["seconds"]
-        overhead = max(0.0, advance - engine)
+        overhead = max(0.0, snap["add_group"]["seconds"]
+                       + snap["advance"]["seconds"] - engine)
         return {
             "advance_calls": snap["advance"]["calls"],
-            "advance_seconds": advance,
+            "advance_seconds": snap["advance"]["seconds"],
             "engine_slices": snap["engine"]["calls"],
             "engine_seconds": engine,
-            "startup_slices": snap["startup"]["calls"],
-            "startup_seconds": snap["startup"]["seconds"],
+            "startup_slices": 0,
+            "startup_seconds": 0.0,
             "overhead_seconds": overhead,
-            "overhead_fraction": (overhead / advance) if advance > 0.0
-            else 0.0,
+            "overhead_fraction": overhead_fraction(overhead, engine),
         }
 
-    # ------------------------------------------------------------------
-    # Registration
-    # ------------------------------------------------------------------
     def add_group(self, scenario: Any, *, group_id: Any = None,
                   start_time: float = 0.0, trace_sink: Any = None,
                   telemetry: Any = None, context: Any = None) -> None:
-        """Register one consensus instance.
+        """Run one consensus instance to its terminal state.
 
-        ``start_time`` offsets the group's local clock: its events run
-        at global time ``start_time + local_time``. The instance is
-        built from ``scenario`` exactly as ``scenario.simulate()``
-        would build it, and its ``on_start`` hooks fire here (without
-        processing any events), so the group immediately has a defined
-        next-event time for the shared schedule.
-        """
-        if group_id is None:
-            group_id = self._order
-        resolved = scenario.resolve()
-        sim = resolved.build(trace_sink=trace_sink, telemetry=telemetry)
-        group = _Group(group_id, self._order, scenario, sim,
-                       start_time, context)
-        self._order += 1
-        self._active.append(group)
-        # Fire on_start (queueing the initial broadcasts) without
-        # consuming events; the engine checks the predicate before
-        # every pop, so this costs zero events and leaves the trace
-        # exactly as a standalone run's first call would.
-        self._slice(group, local_limit=None,
-                    predicate=_stop_immediately)
-        if group in self._active and sim.next_event_time() is None:
-            # Nothing was scheduled at start: one more call lets the
-            # engine return its own quiescent verdict (zero events).
-            self._slice(group, local_limit=None, predicate=None)
-
-    # ------------------------------------------------------------------
-    # Shared scheduling
-    # ------------------------------------------------------------------
-    def next_time(self) -> Optional[float]:
-        """Global timestamp of the earliest pending event across all
-        active groups, or ``None`` when nothing is left to run."""
-        best: Optional[float] = None
-        for group in self._active:
-            t = group.offset + group.sim.next_event_time()
-            if best is None or t < best:
-                best = t
-        return best
-
-    @property
-    def active_groups(self) -> int:
-        return len(self._active)
-
-    def advance(self, until: Optional[float] = None) -> List[GroupRun]:
-        """Process every pending event with global time ``<= until``
-        (all of them when ``until`` is ``None``), interleaving groups
-        in global time order, ties broken by registration order.
-
-        Returns the :class:`GroupRun` records of groups that reached a
-        terminal state (decided, quiescent, or out of budget) since
-        the previous call.
+        ``scenario`` is a :class:`~repro.scenario.Scenario` or an
+        already resolved one (the serve loop reseeds a template per
+        slot); either way the simulator is built and run exactly as
+        ``simulate()`` would. ``start_time`` offsets the instance's
+        local clock: it finishes at global time ``start_time +
+        end_time``, which is when :meth:`advance` hands it out.
         """
         profile = self.profile
         t_enter = perf_counter() if profile is not None else 0.0
-        self._in_advance = True
-        inf = math.inf
-        while self._active:
-            best: Optional[_Group] = None
-            best_t = inf
-            next_t = inf
-            for group in self._active:
-                t = group.offset + group.sim.next_event_time()
-                if best is None or t < best_t:
-                    if best is not None and best_t < next_t:
-                        next_t = best_t
-                    best, best_t = group, t
-                elif t < next_t:
-                    next_t = t
-            if until is not None and best_t > until:
-                break
-            limit = next_t if until is None else min(next_t, until)
-            if limit is inf:
-                # Last group standing with no horizon: run it to its
-                # terminal state in one uninterrupted engine call --
-                # the single-group path is literally a standalone run.
-                self._slice(best, local_limit=None, predicate=None)
-            else:
-                self._slice(best, local_limit=limit - best.offset,
-                            predicate=None)
-        self._in_advance = False
+        if group_id is None:
+            group_id = self._order
+        resolved = (scenario.resolve() if isinstance(scenario, Scenario)
+                    else scenario)
+        scenario = resolved.scenario
+        sim = resolved.build(trace_sink=trace_sink, telemetry=telemetry)
+        t_run = perf_counter() if profile is not None else 0.0
+        result = sim.run(max_events=scenario.max_events,
+                         max_time=scenario.max_time)
+        if profile is not None:
+            profile.add("engine", perf_counter() - t_run)
+        result.trace.close()
+        run = GroupRun(group_id=group_id, scenario=scenario,
+                       result=result, start_time=start_time,
+                       telemetry=sim.telemetry, context=context)
+        heapq.heappush(self._pending,
+                       (run.finish_time, self._order, run))
+        self._order += 1
+        if profile is not None:
+            profile.add("add_group", perf_counter() - t_enter)
+
+    def next_time(self) -> Optional[float]:
+        """Global finish time of the earliest run not yet handed out,
+        or ``None`` when none is pending."""
+        return self._pending[0][0] if self._pending else None
+
+    @property
+    def active_groups(self) -> int:
+        """Runs registered but not yet returned by :meth:`advance`."""
+        return len(self._pending)
+
+    def advance(self, until: Optional[float] = None) -> List[GroupRun]:
+        """Pop every pending run with ``finish_time <= until`` (all of
+        them when ``until`` is ``None``), ordered by finish time, ties
+        broken by registration order."""
+        profile = self.profile
+        t_enter = perf_counter() if profile is not None else 0.0
+        pending = self._pending
+        finished: List[GroupRun] = []
+        while pending and (until is None or pending[0][0] <= until):
+            finished.append(heapq.heappop(pending)[2])
         if profile is not None:
             profile.add("advance", perf_counter() - t_enter)
-        finished, self._finished = self._finished, []
         return finished
 
     def run(self) -> List[GroupRun]:
-        """Drain every group to completion and return their runs,
-        ordered by completion."""
+        """Hand out every pending run, ordered by completion."""
         return self.advance(None)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _slice(self, group: _Group, *, local_limit: Optional[float],
-               predicate: Optional[Callable[[Simulator], bool]]) -> None:
-        """Advance one group by a bounded engine call and absorb the
-        outcome (event budget, terminal detection)."""
-        sim = group.sim
-        if predicate is None and local_limit is not None:
-            def predicate(s: Simulator, _limit=local_limit) -> bool:
-                t = s.next_event_time()
-                return t is not None and t > _limit
-        profile = self.profile
-        if profile is None:
-            res = sim.run(max_events=group.remaining,
-                          max_time=group.scenario.max_time,
-                          stop_predicate=predicate)
-        else:
-            t_run = perf_counter()
-            res = sim.run(max_events=group.remaining,
-                          max_time=group.scenario.max_time,
-                          stop_predicate=predicate)
-            profile.add("engine" if self._in_advance else "startup",
-                        perf_counter() - t_run)
-        group.consumed += res.events_processed
-        group.remaining -= res.events_processed
-        group.slices += 1
-        if res.stop_reason != "predicate":
-            self._finish(group, res, res.stop_reason)
-        elif group.remaining <= 0:
-            # The slice ended exactly on the scenario's event budget; a
-            # standalone run would have stopped on ``max_events`` at
-            # this same event.
-            self._finish(group, res, "max_events")
-        elif sim.all_decided:
-            # Completion is detected between slices exactly where the
-            # standalone loop would have stopped: before the next event.
-            self._finish(group, res, "all_decided")
-
-    def _finish(self, group: _Group, res: RunResult, reason: str) -> None:
-        final = RunResult(trace=group.sim.trace,
-                          decisions=res.decisions,
-                          decision_times=res.decision_times,
-                          end_time=res.end_time,
-                          events_processed=group.consumed,
-                          stop_reason=reason)
-        final.trace.close()
-        self._active.remove(group)
-        self._finished.append(GroupRun(
-            group_id=group.group_id,
-            scenario=group.scenario,
-            result=final,
-            start_time=group.offset,
-            slices=group.slices,
-            telemetry=group.sim.telemetry,
-            context=group.context,
-        ))

@@ -174,43 +174,54 @@ class ShardedService:
         if _progress_enabled(self.progress):
             reporter = SweepProgress(name="serve", total=len(populated))
         children = []
-        for shard, groups in populated:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_shard_worker,
-                args=(child_conn, shard, self.base, self.workload,
-                      groups, self._service_kwargs,
-                      self.trace_requests, self.metrics_window))
-            proc.start()
-            child_conn.close()
-            children.append((shard, groups, proc, parent_conn))
         shard_reports: List[ServiceReport] = []
         shard_rows: List[Dict[str, Any]] = []
         worker_stats: List[Dict[str, Any]] = []
-        for shard, groups, proc, conn in children:
-            try:
-                status, payload = conn.recv()
-            except EOFError:
-                status, payload = "error", "shard died without a report"
-            proc.join()
-            if status != "ok":
-                raise RuntimeError(
-                    f"service shard {shard} failed: {payload}")
-            report: ServiceReport = payload
-            shard_reports.append(report)
-            shard_rows.append({
-                "shard": shard, "groups": len(groups),
-                "requests": report.requests,
-                "wall_seconds": report.wall_seconds,
-            })
-            worker_stats.append({
-                "worker": shard, "points": len(groups),
-                "chunks": report.slots,
-                "busy_seconds": report.wall_seconds,
-            })
-            if reporter is not None:
-                reporter.point_done(f"shard{shard}",
-                                    report.wall_seconds)
+        try:
+            for shard, groups in populated:
+                parent_conn, child_conn = ctx.Pipe(duplex=False)
+                proc = ctx.Process(
+                    target=_shard_worker,
+                    args=(child_conn, shard, self.base, self.workload,
+                          groups, self._service_kwargs,
+                          self.trace_requests, self.metrics_window))
+                proc.start()
+                child_conn.close()
+                children.append((shard, groups, proc, parent_conn))
+            for shard, groups, proc, conn in children:
+                try:
+                    status, payload = conn.recv()
+                except EOFError:
+                    status, payload = ("error",
+                                       "shard died without a report")
+                proc.join()
+                if status != "ok":
+                    raise RuntimeError(
+                        f"service shard {shard} (groups {groups}) "
+                        f"failed: {payload}")
+                report: ServiceReport = payload
+                shard_reports.append(report)
+                shard_rows.append({
+                    "shard": shard, "groups": len(groups),
+                    "requests": report.requests,
+                    "wall_seconds": report.wall_seconds,
+                })
+                worker_stats.append({
+                    "worker": shard, "points": len(groups),
+                    "chunks": report.slots,
+                    "busy_seconds": report.wall_seconds,
+                })
+                if reporter is not None:
+                    reporter.point_done(f"shard{shard}",
+                                        report.wall_seconds)
+        finally:
+            # A failed shard must not leave its siblings serving into
+            # pipes nobody reads.
+            for _shard, _groups, proc, conn in children:
+                conn.close()
+                if proc.is_alive():
+                    proc.terminate()
+                proc.join()
         walls = sorted(row["wall_seconds"] for row in shard_rows)
         median_wall = walls[len(walls) // 2]
         total_wall = max(walls) if walls else 0.0
@@ -247,9 +258,13 @@ def _merge_reports(workload: WorkloadGenerator,
                      if r.tracing is not None]
     metrics_parts = [r.metrics for r in reports
                      if r.metrics is not None]
+    failure_reasons: Dict[str, int] = {}
     for report in reports:
         per_group.update(report.per_group)
         latencies.extend(report.latencies)
+        for reason, count in report.failure_reasons.items():
+            failure_reasons[reason] = (failure_reasons.get(reason, 0)
+                                       + count)
     telemetry = None
     if telemetry_parts:
         groups: Dict[str, Any] = {}
@@ -289,6 +304,7 @@ def _merge_reports(workload: WorkloadGenerator,
                  if tracing_parts else None),
         metrics=(MetricsRegistry.merge_snapshots(metrics_parts)
                  if metrics_parts else None),
+        failure_reasons=failure_reasons,
     )
 
 

@@ -80,6 +80,13 @@ def latency_summary(latencies: Sequence[float]) -> Dict[str, Any]:
     }
 
 
+def overhead_fraction(overhead: float, engine: float) -> float:
+    """The ``scheduler`` block's ``overhead_fraction``: the share of
+    runtime wall time spent outside the engine."""
+    busy = overhead + engine
+    return overhead / busy if busy > 0.0 else 0.0
+
+
 def _span_sort_key(record: Dict[str, Any]):
     return tuple(record[k] for k in _SPAN_KEY)
 
@@ -87,7 +94,7 @@ def _span_sort_key(record: Dict[str, Any]):
 class RequestTracer:
     """Collect one span record per client proposal.
 
-    The serve loop calls :meth:`record_slot` once per committed slot
+    The serve loop calls :meth:`record_slot` once per finished slot
     (it already holds every timestamp a span needs: the request's
     arrival, the slot's start, the engine's decision time and the
     commit instant), so tracing adds one dict append per request and
@@ -102,13 +109,15 @@ class RequestTracer:
 
     def record_slot(self, *, group: int, slot: int, batch: Iterable[Any],
                     start: float, decide: float, reply: float,
-                    ok: bool) -> None:
+                    ok: bool, stop_reason: str) -> None:
         """Record the spans of every request carried by one slot.
 
         ``start`` is the global instant the slot's engine began (batch
         admission and slot start coincide), ``decide`` the global
         instant the slot's last correct node decided, ``reply`` the
         commit instant the service stamps latencies with.
+        ``stop_reason`` is the engine's terminal verdict for the slot:
+        why a request with ``ok`` false failed.
         """
         shard = self.shard
         for req in batch:
@@ -119,6 +128,7 @@ class RequestTracer:
                 "slot": slot,
                 "shard": shard,
                 "ok": ok,
+                "stop_reason": stop_reason,
                 "enqueue": req.arrival,
                 "batch_admit": start,
                 "slot_start": start,
@@ -174,10 +184,9 @@ class RequestTracer:
                     if key == "overhead_fraction":
                         continue
                     totals[key] = totals.get(key, 0) + value
-            advance = totals.get("advance_seconds", 0.0)
-            totals["overhead_fraction"] = (
-                totals.get("overhead_seconds", 0.0) / advance
-                if advance > 0.0 else 0.0)
+            totals["overhead_fraction"] = overhead_fraction(
+                totals.get("overhead_seconds", 0.0),
+                totals.get("engine_seconds", 0.0))
             doc["scheduler"] = {
                 "shards": {k: sched_shards[k]
                            for k in sorted(sched_shards, key=int)},

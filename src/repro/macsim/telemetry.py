@@ -109,7 +109,7 @@ class MonotonicProfile:
     """Named monotonic wall-clock accumulators.
 
     The phase-profiler primitive behind :attr:`Telemetry.phase_seconds`,
-    factored out so other layers (the service's cross-group scheduler,
+    factored out so other layers (the service's group runtime,
     request tracing) can accumulate coarse-grained wall time without
     carrying a full :class:`Telemetry`. Accumulation is two float adds
     per sample; reading the clock stays the caller's job so disabled

@@ -343,8 +343,8 @@ class ResolvedScenario:
         trace sink, telemetry -- lives on the returned
         :class:`~repro.macsim.simulator.Simulator`, while *when* it
         runs is the caller's business. ``simulate()`` drives it to
-        completion in one call; the multi-group service runtime
-        interleaves many built simulators over one loop.
+        completion in one call, as does the multi-group service
+        runtime for every slot.
 
         ``telemetry`` (a bool or a
         :class:`~repro.macsim.telemetry.Telemetry` to keep a handle
@@ -363,6 +363,19 @@ class ResolvedScenario:
             trace_level=scenario.trace_level, trace_sink=trace_sink,
             telemetry=telemetry)
 
+    def reseed(self, seed: int) -> "ResolvedScenario":
+        """This scenario resolved under another ``seed``, equal to
+        ``scenario.override({"seed": seed}).resolve()``.
+
+        The seed-independent ingredients (``graph``, ``initial_values``;
+        both are only ever read) are shared with ``self``; everything
+        the seed feeds -- and everything stateful -- is built fresh, so
+        one resolved scenario can serve as a template for many runs."""
+        scenario = self.scenario
+        if seed != scenario.seed:
+            scenario = replace(scenario, seed=seed)
+        return _resolve_seeded(scenario, self.graph, self.initial_values)
+
     def simulate(self, *, trace_sink=None, telemetry=None):
         """Run the simulation and return the raw
         :class:`~repro.macsim.simulator.RunResult` (trace included,
@@ -374,6 +387,27 @@ class ResolvedScenario:
                          max_time=scenario.max_time)
         result.trace.close()
         return result
+
+
+def _resolve_seeded(scenario: "Scenario", graph: Any,
+                    initial_values: Dict[Any, int]) -> ResolvedScenario:
+    """Build what ``scenario.seed`` feeds, over a given graph."""
+    seed = scenario.seed
+    fault, overlay, dynamics = (scenario.fault, scenario.overlay,
+                                scenario.dynamics)
+    return ResolvedScenario(
+        scenario=scenario,
+        graph=graph,
+        scheduler=scenario.scheduler.build(seed),
+        factory=scenario.algorithm.build(graph, seed),
+        initial_values=initial_values,
+        fault_model=(fault.build(graph, seed)
+                     if fault is not None else None),
+        unreliable_graph=(overlay.build(graph, seed)
+                          if overlay is not None else None),
+        dynamics=(dynamics.build(graph, seed)
+                  if dynamics is not None else None),
+    )
 
 
 @dataclass(frozen=True)
@@ -434,19 +468,8 @@ class Scenario:
     def resolve(self) -> ResolvedScenario:
         """Build every stateful ingredient, fresh for this call."""
         graph = self.topology.build()
-        return ResolvedScenario(
-            scenario=self,
-            graph=graph,
-            scheduler=self.scheduler.build(self.seed),
-            factory=self.algorithm.build(graph, self.seed),
-            initial_values=VALUES.get(self.values)(graph),
-            fault_model=(self.fault.build(graph, self.seed)
-                         if self.fault is not None else None),
-            unreliable_graph=(self.overlay.build(graph, self.seed)
-                              if self.overlay is not None else None),
-            dynamics=(self.dynamics.build(graph, self.seed)
-                      if self.dynamics is not None else None),
-        )
+        return _resolve_seeded(self, graph,
+                               VALUES.get(self.values)(graph))
 
     def run_kwargs(self) -> Dict[str, Any]:
         """The exact :func:`~repro.analysis.runner.run_consensus`

@@ -7,9 +7,9 @@ The load-bearing contracts:
   trace records across FULL / SPILL / COLUMNAR sinks, identical
   decisions, times and event counts (pinned by a hypothesis property
   over scenario parameters).
-* **Multiplexing is invisible** -- K interleaved groups decide exactly
-  what K standalone runs decide, even though their event loops are
-  time-sliced through one scheduler.
+* **Multiplexing is invisible** -- K groups under one runtime decide
+  exactly what K standalone runs decide, and finished runs are handed
+  out in ``(finish_time, registration order)``.
 * **Sharding is exact** -- a forked :class:`ShardedService` run equals
   the serial run on everything but wall-clock fields.
 * **Placement** -- rendezvous hashing moves only the groups it must
@@ -17,6 +17,8 @@ The load-bearing contracts:
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -26,13 +28,16 @@ from repro.analysis.export import trace_to_json, trace_to_records
 from repro.cli import main
 from repro.macsim.columnar import ColumnarSink, have_numpy
 from repro.macsim.dynamics import NodeChurn
+from repro.macsim.schedulers import SynchronousScheduler
 from repro.macsim.service import (ConsensusService, GroupPlacement,
-                                  GroupRuntime, ShardedService,
-                                  WorkloadGenerator, latency_summary,
+                                  GroupRuntime, RequestTracer,
+                                  ShardedService, WorkloadGenerator,
+                                  latency_summary,
                                   placement_under_churn,
                                   rendezvous_place, run_service,
                                   slot_scenario, slot_seed)
 from repro.macsim.trace import SpillSink
+from repro.registry import SCHEDULERS
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
 from repro.topology import clique
@@ -105,32 +110,42 @@ class TestSingleGroupIdentity:
 
 
 # ----------------------------------------------------------------------
-# Tentpole: K multiplexed groups == K independent runs
+# K groups under one runtime == K independent runs
 # ----------------------------------------------------------------------
 class TestMultiGroupEquivalence:
     SEEDS = (0, 1, 2)
 
-    def test_interleaved_equals_standalone(self):
+    def test_interleaved_equals_standalone(self, tmp_path):
         scenarios = [BASE.override({"seed": seed,
                                     "topology.n": 4 + seed})
                      for seed in self.SEEDS]
-        runtime = GroupRuntime()
-        for gid, scenario in enumerate(scenarios):
-            runtime.add_group(scenario, group_id=gid)
-        runs = {run.group_id: run for run in runtime.run()}
-        assert len(runs) == len(scenarios)
-        interleaved = sum(run.slices > 1 for run in runs.values())
-        assert interleaved >= 2  # real time-slicing, not serial runs
-        for gid, scenario in enumerate(scenarios):
-            standalone = scenario.simulate()
-            result = runs[gid].result
-            assert result.decisions == standalone.decisions
-            assert result.decision_times == standalone.decision_times
-            assert result.end_time == standalone.end_time
-            assert (result.events_processed
-                    == standalone.events_processed)
-            assert (trace_to_json(result.trace)
-                    == trace_to_json(standalone.trace))
+        references = [scenario.simulate() for scenario in scenarios]
+        sink_factories = [
+            lambda gid: None,  # the scenario's own in-memory sink
+            lambda gid: SpillSink(str(tmp_path / f"spill{gid}"),
+                                  chunk_records=64),
+        ]
+        if have_numpy():
+            sink_factories.append(lambda gid: ColumnarSink(
+                str(tmp_path / f"col{gid}"), chunk_records=64))
+        for make_sink in sink_factories:
+            runtime = GroupRuntime()
+            for gid, scenario in enumerate(scenarios):
+                runtime.add_group(scenario, group_id=gid,
+                                  trace_sink=make_sink(gid))
+            runs = {run.group_id: run for run in runtime.run()}
+            assert sorted(runs) == list(range(len(scenarios)))
+            for gid, standalone in enumerate(references):
+                result = runs[gid].result
+                assert result.decisions == standalone.decisions
+                assert (result.decision_times
+                        == standalone.decision_times)
+                assert result.end_time == standalone.end_time
+                assert (result.events_processed
+                        == standalone.events_processed)
+                assert result.stop_reason == standalone.stop_reason
+                assert (trace_to_records(result.trace)
+                        == trace_to_records(standalone.trace))
 
     def test_staggered_starts_offset_times(self):
         runtime = GroupRuntime()
@@ -144,19 +159,27 @@ class TestMultiGroupEquivalence:
                 == runs["b"].result.end_time)
 
     def test_advance_until_is_resumable(self):
-        standalone = BASE.simulate()
+        local = BASE.simulate().end_time
         runtime = GroupRuntime()
-        runtime.add_group(BASE, group_id=0)
-        finished = []
-        horizon = 2.0
-        while runtime.active_groups:
-            finished.extend(runtime.advance(until=horizon))
-            horizon += 2.0
-        (run,) = finished
-        assert run.slices > 1
-        assert run.result.decisions == standalone.decisions
-        assert (trace_to_json(run.result.trace)
-                == trace_to_json(standalone.trace))
+        # "tie-a"/"tie-b" finish at the same instant (same scenario,
+        # same start): registration order must break the tie.
+        runtime.add_group(BASE, group_id="late", start_time=10.0)
+        runtime.add_group(BASE, group_id="tie-a", start_time=4.0)
+        runtime.add_group(BASE, group_id="tie-b", start_time=4.0)
+        runtime.add_group(BASE, group_id="early")
+        assert runtime.next_time() == local
+        assert runtime.advance(until=local - 0.5) == []
+        handed_out = []
+        for horizon in (local, local + 4.0, local + 9.0, local + 10.0,
+                        local + 50.0):
+            runs = runtime.advance(until=horizon)
+            assert all(run.finish_time <= horizon for run in runs)
+            pending = runtime.next_time()
+            assert pending is None or pending > horizon
+            handed_out.append([run.group_id for run in runs])
+        assert handed_out == [["early"], ["tie-a", "tie-b"], [],
+                              ["late"], []]
+        assert runtime.active_groups == 0
 
 
 # ----------------------------------------------------------------------
@@ -232,6 +255,46 @@ class TestConsensusService:
         assert report.latency["count"] == report.requests
         assert all(lat > 0 for lat in report.latencies)
 
+    def test_slots_run_their_slot_scenario(self):
+        # The reseeded template executes exactly what slot_scenario
+        # names: every slot is reproducible standalone from the seeds.
+        base = BASE.override({
+            "scheduler": SchedulerSpec("random", f_ack=1.0)})
+        workload = WorkloadGenerator(groups=2, clients=10, seed=0,
+                                     requests_per_client=2)
+        tracer = RequestTracer()
+        report = ConsensusService(base, workload, tracer=tracer).run()
+        slots = {(r["group"], r["slot"]): r["reply"] - r["slot_start"]
+                 for r in report.tracing["requests"]}
+        assert len(slots) == report.slots > 2
+        for (group, slot), duration in slots.items():
+            standalone = slot_scenario(base, group, slot).simulate()
+            assert duration == pytest.approx(standalone.end_time)
+
+    def test_partly_decided_slot_fails_its_batch(self):
+        # 140 events let exactly one of the five wPAXOS nodes decide.
+        starved = BASE.override({"max_events": 140})
+        partial = starved.simulate()
+        assert len(partial.decisions) == 1
+        assert partial.stop_reason == "max_events"
+        workload = WorkloadGenerator(groups=2, clients=12, seed=0,
+                                     requests_per_client=2)
+        tracer = RequestTracer()
+        report = ConsensusService(starved, workload,
+                                  tracer=tracer).run()
+        total = workload.total_requests()
+        assert report.requests == 0
+        assert report.failed == total
+        assert report.latencies == []
+        assert report.failure_reasons == {"max_events": total}
+        assert report.to_dict()["failure_reasons"] == {
+            "max_events": total}
+        assert sum(g.failed for g in report.per_group.values()) == total
+        spans = report.tracing["requests"]
+        assert len(spans) == total
+        assert all(not r["ok"] and r["stop_reason"] == "max_events"
+                   for r in spans)
+
     def test_telemetry_attribution(self):
         workload = WorkloadGenerator(groups=2, clients=16, seed=0)
         report = ConsensusService(BASE, workload, telemetry=True).run()
@@ -262,6 +325,38 @@ class TestShardedService:
         assert sorted(serial_dict.pop("latencies")) == \
             sorted(sharded_dict.pop("latencies"))
         assert serial_dict == sharded_dict
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_failed_shard_stops_its_siblings(self, monkeypatch):
+        def explode_on(f_ack=1.0, bad_seed=-1, seed=None):
+            """Synchronous scheduler whose builder rejects one seed."""
+            if seed == bad_seed:
+                raise ValueError(f"no scheduler for seed {seed}")
+            return SynchronousScheduler(f_ack)
+
+        monkeypatch.setitem(SCHEDULERS._builders, "explode-on",
+                            explode_on)
+        # Enough work that the healthy shard is still serving when
+        # the bad one reports.
+        workload = WorkloadGenerator(groups=4, clients=64, seed=0,
+                                     zipf_s=0.0,
+                                     requests_per_client=200)
+        placement = ShardedService(BASE, workload, shards=2).placement()
+        first_shard, groups = min(
+            (shard, groups) for shard, groups in placement.items()
+            if groups)
+        # Group 0's first slot runs the base seed, which the template
+        # itself resolves with; any other group's is distinct.
+        bad_group = next(g for g in groups if g != 0)
+        base = BASE.override({"scheduler": SchedulerSpec(
+            "explode-on", bad_seed=slot_seed(BASE.seed, bad_group, 0))})
+        service = ShardedService(base, workload, shards=2)
+        with pytest.raises(RuntimeError) as failure:
+            service.run()
+        message = str(failure.value)
+        assert f"shard {first_shard} (groups {groups})" in message
+        assert "no scheduler for seed" in message
+        assert multiprocessing.active_children() == []
 
     def test_placement_covers_all_groups(self):
         workload = WorkloadGenerator(groups=7, clients=7, seed=0)

@@ -120,7 +120,14 @@ class TestSpanReconciliation:
         report = ConsensusService(BASE, workload, tracer=tracer).run()
         totals = report.tracing["scheduler"]["totals"]
         assert totals["advance_calls"] > 0
-        assert totals["engine_seconds"] <= totals["advance_seconds"]
+        assert totals["advance_seconds"] >= 0.0
+        # Run-to-completion: exactly one engine call per slot, none
+        # outside it.
+        assert totals["engine_slices"] == report.slots
+        assert totals["engine_seconds"] > 0.0
+        assert totals["startup_slices"] == 0
+        assert totals["startup_seconds"] == 0.0
+        assert totals["overhead_seconds"] >= 0.0
         assert 0.0 <= totals["overhead_fraction"] < 1.0
 
 
