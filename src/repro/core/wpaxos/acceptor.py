@@ -144,6 +144,12 @@ class ResponseQueue:
         upper bound on counts); it prevents stale traffic from
         delaying fresh propositions.
         """
+        for entry in self._entries:
+            if entry.proposer != leader or (largest is not None
+                                            and entry.number < largest):
+                break
+        else:
+            return  # nothing stale -- the common case; keep the list
         self._entries = [
             e for e in self._entries
             if e.proposer == leader

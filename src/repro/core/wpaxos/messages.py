@@ -152,7 +152,10 @@ class WMessage:
     parts: Tuple[object, ...]
 
     def id_footprint(self) -> int:
-        return sum(part.id_footprint() for part in self.parts)
+        total = 0
+        for part in self.parts:
+            total += part.id_footprint()
+        return total
 
     def __iter__(self):
         return iter(self.parts)

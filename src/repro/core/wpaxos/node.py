@@ -129,7 +129,8 @@ class WPaxosNode(ConsensusProcess):
         if state != self._last_change_state:
             self._last_change_state = state
             self.change_svc.on_local_change()
-        self._pump()
+        if not self._mac_pending:
+            self._pump()
 
     def _handle_part_fallback(self, part: Any) -> None:
         """isinstance-based dispatch for subclassed message parts."""
@@ -283,22 +284,25 @@ class WPaxosNode(ConsensusProcess):
         if self.decide_queue:
             parts.append(self.decide_queue.pop(0))
         if not self.decided:
-            lead = self.leader_svc.pop()
-            if lead is not None:
-                parts.append(lead)
-            change = self.change_svc.pop()
-            if change is not None:
-                parts.append(change)
+            # The leader and change queues hold at most their
+            # freshest part; read them without the pop() frames.
+            queue = self.leader_svc.queue
+            if queue:
+                parts.append(queue.pop())
+            queue = self.change_svc.queue
+            if queue:
+                parts.append(queue.pop())
             search = self.tree_svc.pop()
             if search is not None:
                 parts.append(search)
             if self.proposer_queue:
                 parts.append(self.proposer_queue.pop(0))
-            response = self.response_queue.pop_route(self._parent_of)
-            if response is not None:
-                parts.append(response)
+            if self.response_queue.has_pending():
+                response = self.response_queue.pop_route(self._parent_of)
+                if response is not None:
+                    parts.append(response)
         if parts:
-            self.broadcast(WMessage(parts=tuple(parts)))
+            self.broadcast(WMessage(tuple(parts)))
 
     # ------------------------------------------------------------------
     def state_fingerprint(self) -> Any:

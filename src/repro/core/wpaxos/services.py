@@ -122,8 +122,10 @@ class TreeService:
         self.prioritize_leader = prioritize_leader
         self.dist: Dict[int, int] = {uid: 0}
         self.parent: Dict[int, int] = {uid: uid}
+        # Insertion-ordered, so the dict *is* the FIFO: replacing a
+        # root's entry keeps its place, popping and re-enqueueing it
+        # moves it to the back.
         self._queued: Dict[int, SearchPart] = {}
-        self._order: List[int] = []
         self._enqueue(SearchPart(root=uid, hops=1, sender=uid))
 
     # ------------------------------------------------------------------
@@ -132,37 +134,31 @@ class TreeService:
         if current is None or part.hops < current:
             self.dist[part.root] = part.hops
             self.parent[part.root] = part.sender
-            self._enqueue(SearchPart(root=part.root, hops=part.hops + 1,
-                                     sender=self.uid))
+            self._enqueue(SearchPart(part.root, part.hops + 1, self.uid))
             self._on_tree_change(part.root)
 
     def _enqueue(self, part: SearchPart) -> None:
         queued = self._queued.get(part.root)
         if queued is not None and queued.hops <= part.hops:
             return  # a fresher (lower hop) message is already queued
-        if queued is None:
-            self._order.append(part.root)
         self._queued[part.root] = part
 
     def pop(self) -> Optional[SearchPart]:
-        if not self._order:
+        queued = self._queued
+        if not queued:
             return None
-        root = None
         if self.prioritize_leader:
-            leader = self._current_leader()
-            if leader in self._queued:
-                root = leader
-        if root is None:
-            root = self._order[0]
-        self._order.remove(root)
-        return self._queued.pop(root)
+            part = queued.pop(self._current_leader(), None)
+            if part is not None:
+                return part
+        return queued.pop(next(iter(queued)))
 
     def has_pending(self) -> bool:
-        return bool(self._order)
+        return bool(self._queued)
 
     def pending_roots(self) -> List[int]:
-        """Roots with queued search messages (leader first if queued)."""
-        return list(self._order)
+        """Roots with queued search messages, in queue order."""
+        return list(self._queued)
 
     def distance_to(self, root: int) -> Optional[int]:
         """Best-known hop distance to ``root`` (None if unheard of)."""

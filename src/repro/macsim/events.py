@@ -21,7 +21,10 @@ The heap stores plain tuples ``(time, priority, seq, kind, node,
 broadcast_id, handle)``. Because ``seq`` is unique, tuple comparison
 always resolves at C speed on the first three fields without touching
 the payload -- this removes the per-comparison Python ``__lt__`` call
-that dominated the seed engine's heap cost.
+that dominated the seed engine's heap cost. The queue never looks at
+``node`` or ``broadcast_id``: the simulator puts the broadcast's
+*record* in the ``broadcast_id`` slot of its own entries, so a record
+stays reachable exactly as long as one of its events is queued.
 
 ``handle`` is an :class:`Event` object, allocated *only* when the
 caller needs to cancel the entry later (:meth:`EventQueue.push`).

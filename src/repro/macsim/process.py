@@ -84,10 +84,12 @@ class Process:
         ``False`` if it was discarded because a broadcast is already in
         flight.
         """
-        self._require_runtime()
+        runtime = self._runtime
+        if runtime is None:
+            self._require_runtime()
         if self.crashed:
             raise ProcessError(f"crashed process {self.label!r} broadcast")
-        return self._runtime.mac_broadcast(self, message)
+        return runtime.mac_broadcast(self, message)
 
     def decide(self, value: Any) -> None:
         """Perform the irrevocable decide action."""

@@ -5,6 +5,10 @@ receives a broadcast after an independent random delay, and the ack
 follows the last delivery after a further random lag, all within
 ``F_ack``. Deterministic under a fixed seed, which the property-based
 tests exploit to explore many interleavings.
+
+Both schedulers draw ``a + (b - a) * rng.random()`` inline -- the
+expression ``Random.uniform(a, b)`` evaluates, so every float is the
+one ``uniform`` would return, without a Python call per draw.
 """
 
 from __future__ import annotations
@@ -43,14 +47,18 @@ class RandomDelayScheduler(Scheduler):
 
     def plan(self, *, sender: Any, message: Any, start_time: float,
              neighbors: tuple) -> DeliveryPlan:
-        lo = self.min_fraction * self.f_ack
-        deliveries = {
-            v: start_time + self._rng.uniform(lo, self.f_ack)
-            for v in neighbors
-        }
-        latest = max(deliveries.values(), default=start_time)
-        ack_time = self._rng.uniform(latest, start_time + self.f_ack)
-        return DeliveryPlan(deliveries=deliveries, ack_time=ack_time)
+        rand = self._rng.random
+        f_ack = self.f_ack
+        lo = self.min_fraction * f_ack
+        width = f_ack - lo
+        deliveries = {}
+        latest = start_time  # no delivery precedes the broadcast
+        for v in neighbors:
+            when = deliveries[v] = start_time + (lo + width * rand())
+            if when > latest:
+                latest = when
+        ack_time = latest + (start_time + f_ack - latest) * rand()
+        return DeliveryPlan(deliveries, ack_time)
 
     def describe(self) -> str:
         return (f"RandomDelayScheduler(f_ack={self.f_ack}, "
@@ -81,17 +89,21 @@ class JitteredRoundScheduler(Scheduler):
 
     def plan(self, *, sender: Any, message: Any, start_time: float,
              neighbors: tuple) -> DeliveryPlan:
+        rand = self._rng.random
         base = start_time + self.round_length * (1.0 - self.jitter)
         span = self.round_length * self.jitter
-        deliveries = {
-            v: base + self._rng.uniform(0.0, span) for v in neighbors
-        }
-        latest = max(deliveries.values(), default=start_time)
-        ack_time = min(latest + self._rng.uniform(0.0, span),
-                       start_time + self.f_ack)
+        # uniform(0.0, span) == 0.0 + (span - 0.0) * random(): the
+        # zero terms are exact, so the draw is span * random().
+        deliveries = {}
+        latest = start_time  # no delivery precedes the broadcast
+        for v in neighbors:
+            when = deliveries[v] = base + span * rand()
+            if when > latest:
+                latest = when
+        ack_time = min(latest + span * rand(), start_time + self.f_ack)
         if ack_time < latest:
             ack_time = latest
-        return DeliveryPlan(deliveries=deliveries, ack_time=ack_time)
+        return DeliveryPlan(deliveries, ack_time)
 
     def describe(self) -> str:
         return (f"JitteredRoundScheduler(round_length={self.round_length}, "

@@ -69,10 +69,22 @@ The main loop is O(1) per event with no per-event scans:
   included), counts as one processed event, and honours
   ``max_events``/``stop_predicate`` exactly as per-receiver entries
   did. Because a broadcast's per-neighbor entries always occupied a
-  contiguous seq block, replacing each same-timestamp group with one
-  entry at the group's first seq preserves exact event order. Crash
-  plans cancel batched receivers through the broadcast record's
-  ``batch_cancelled`` set, filtered at expansion.
+  contiguous seq block and only same-timestamp entries can tie,
+  replacing each same-timestamp group with one entry inside that
+  block preserves exact event order. Crash plans cancel batched
+  receivers through the broadcast record's ``batch_cancelled`` set,
+  filtered at expansion. Plans whose timestamps are all distinct
+  (random delays) build no grouping at all.
+* **Broadcast records live as long as their events.** No table maps
+  broadcast ids to records: a broadcast's ``deliver``/``bdeliver``/
+  ``ack`` heap entries and the batch cursor carry the record itself
+  (cancellation handles carry only the id, so there is no cycle), and
+  ``_inflight`` holds it until the ack. A record is therefore freed,
+  by reference count, when its last event has run -- under every
+  scheduler, trusted or validated, crash plan or dual graph -- and a
+  delivery that a (lying) trusted scheduler or the dual-graph window
+  places after the ack still finds its payload. Long runs keep O(n)
+  records in RAM, not O(broadcasts).
 
 For a fixed scheduler, seed and crash plan, the event order -- and
 therefore the full-level trace -- is identical to the pre-fast-path
@@ -114,29 +126,36 @@ DEFAULT_ID_BUDGET = 24
 
 @dataclass(slots=True)
 class _BroadcastRecord:
-    """Book-keeping for one in-flight broadcast.
+    """Book-keeping for one broadcast.
+
+    Nothing indexes records: the broadcast's ``deliver``/``bdeliver``/
+    ``ack`` heap entries (and a half-consumed batch cursor) carry the
+    record itself, and ``Simulator._inflight`` holds it until the ack,
+    so it is freed when its last event has run -- whatever the
+    scheduler planned, a delivery that lands after the ack included.
 
     The audit sets (``pending``/``delivered``) and the cancellation
-    maps are allocated only on the cancellable (crash-plan) path; on
+    handles are allocated only on the cancellable (crash-plan) path; on
     the crash-free fast path they stay ``None`` so long runs do not
-    pay four containers per broadcast.
+    pay four containers per broadcast. Handles carry the ``bid``, not
+    the record, so a record is never part of a reference cycle.
     """
 
     bid: int
     sender: Any
     payload: Any
     start_time: float
+    # Per-receiver forged payloads / DROPs from the fault model's
+    # broadcast-boundary hook; None on the fault-free fast path.
+    overrides: Optional[dict] = None
     pending: Optional[set] = None
     delivered: Optional[set] = None
     delivery_events: Optional[dict] = None
     ack_event: Optional[Event] = None
-    # Per-receiver forged payloads / DROPs from the fault model's
-    # broadcast-boundary hook; None on the fault-free fast path.
-    overrides: Optional[dict] = None
-    # Receivers scheduled through batched ``bdeliver`` entries (one
-    # per shared timestamp), and the subset a crash plan cancelled
-    # before expansion.
-    batch_receivers: Optional[tuple] = None
+    # Cancellable path only: the ``(time, receivers)`` groups scheduled
+    # as batched ``bdeliver`` entries, and the receivers a crash plan
+    # cancelled before expansion.
+    batches: tuple = ()
     batch_cancelled: Optional[set] = None
     # Set when the sender's process was reset (node-churn rejoin)
     # while this broadcast was in flight: its ack is suppressed so the
@@ -202,11 +221,6 @@ class Simulator:
         A pre-built :class:`~repro.macsim.trace.TraceSink` to emit
         occurrences to (e.g. a :class:`~repro.macsim.trace.SpillSink`
         with a chosen directory). Overrides ``trace_level``.
-    batch_deliveries:
-        Whether same-timestamp broadcast fan-outs are scheduled as
-        expanding ``bdeliver`` entries (the default; one entry per
-        shared timestamp). Event order and traces are identical either
-        way; the flag exists for A/B verification and benchmarking.
     dynamics:
         An optional
         :class:`~repro.macsim.dynamics.base.TopologyDynamics` model
@@ -229,7 +243,6 @@ class Simulator:
                  validate_plans: Optional[bool] = None,
                  trace_level: "TraceLevel | str" = TraceLevel.FULL,
                  trace_sink: Optional[TraceSink] = None,
-                 batch_deliveries: bool = True,
                  dynamics=None,
                  process_factory: Optional[Callable[[Any], Process]]
                  = None,
@@ -277,8 +290,6 @@ class Simulator:
         self._fault_active = (self._fault_send is not None
                               or self._fault_deliver is not None)
 
-        self._batch_deliveries = bool(batch_deliveries)
-
         # Plan validation: trusted built-in schedulers produce correct
         # plans by construction and may skip the O(deg) validate.
         if validate_plans is None:
@@ -302,8 +313,6 @@ class Simulator:
         self._queue = EventQueue()
         self._callbacks: list = []
         self._inflight: dict[Any, _BroadcastRecord] = {}
-        # Broadcast records, indexed by their sequential bid.
-        self._records: list[_BroadcastRecord] = []
         self._next_bid = 0
         self._crashed: set = set()
         self._observers: list = []
@@ -328,7 +337,7 @@ class Simulator:
         # Third-party sinks without the shared dict fall back to the
         # protocol-level bump() at every count site.
         self._kind_counts = getattr(self.trace, "_kind_counts", None)
-        # Mid-expansion delivery-batch cursor: [time, bid, receivers,
+        # Mid-expansion delivery-batch cursor: [time, record, receivers,
         # next_index]. Lives on the instance so a run interrupted by
         # max_events/stop_predicate resumes exactly where it stopped.
         self._pending_batch: Optional[list] = None
@@ -446,30 +455,35 @@ class Simulator:
                 self.trace.bump("discard", sender)
             return False
         if self.strict_sizes:
-            self._check_size(payload)
+            # _check_size's accept test, inlined: the strict-size rule
+            # is checked on every broadcast, without a second frame.
+            footprint = getattr(payload, "id_footprint", None)
+            if footprint is not None and footprint() > self.id_budget:
+                self._check_size(payload)
 
+        now = self.now
         bid = self._next_bid
-        self._next_bid += 1
+        self._next_bid = bid + 1
         neighbors = self._neighbors[sender]
         tel = self.telemetry
         if tel is None:
             plan = self.scheduler.plan(sender=sender, message=payload,
-                                       start_time=self.now,
+                                       start_time=now,
                                        neighbors=neighbors)
             if self._validate_plans:
-                plan.validate(start_time=self.now, neighbors=neighbors,
+                plan.validate(start_time=now, neighbors=neighbors,
                               f_ack=self.scheduler.f_ack)
         else:
             # Phase profiler: per-*broadcast* sampling only, so the
             # perf_counter cost amortizes over the whole fan-out.
             t0 = perf_counter()
             plan = self.scheduler.plan(sender=sender, message=payload,
-                                       start_time=self.now,
+                                       start_time=now,
                                        neighbors=neighbors)
             t1 = perf_counter()
             tel.phase_add("scheduler_plan", t1 - t0)
             if self._validate_plans:
-                plan.validate(start_time=self.now, neighbors=neighbors,
+                plan.validate(start_time=now, neighbors=neighbors,
                               f_ack=self.scheduler.f_ack)
                 tel.phase_add("plan_validate", perf_counter() - t1)
 
@@ -479,12 +493,10 @@ class Simulator:
         fault_send = self._fault_send
         if fault_send is not None:
             if tel is None:
-                overrides = fault_send(sender, payload, neighbors,
-                                       self.now)
+                overrides = fault_send(sender, payload, neighbors, now)
             else:
                 t0 = perf_counter()
-                overrides = fault_send(sender, payload, neighbors,
-                                       self.now)
+                overrides = fault_send(sender, payload, neighbors, now)
                 tel.phase_add("fault_hooks", perf_counter() - t0)
                 if overrides:
                     tel.fault_injections += len(overrides)
@@ -498,130 +510,90 @@ class Simulator:
         # Delivery-batch detection: deliveries sharing a timestamp are
         # scheduled as one ``bdeliver`` entry carrying the receiver
         # tuple -- O(deg) -> O(#distinct timestamps) heap traffic.
-        # Round-structured schedulers hit the all-equal fast path (the
+        # Round-structured schedulers hit the all-equal case (the
         # whole fan-out is one entry); plans with repeated but
         # non-uniform timestamps are grouped per timestamp, receivers
-        # in plan order. Group order and receiver order both preserve
-        # the seq order the per-neighbor entries would have had (a
-        # broadcast's entries always occupy a contiguous seq block),
-        # so event order (and the full trace) is unchanged.
-        deliveries = plan.deliveries
-        schedule = None
-        if self._batch_deliveries and len(deliveries) > 1:
-            times = iter(deliveries.values())
-            first = next(times)
-            for when in times:
-                if when != first:
-                    break
-            else:
-                schedule = ((first, tuple(deliveries)),)
-            if schedule is None:
-                # Non-uniform plan: group receivers per timestamp in
-                # one pass; batch only when some timestamp repeats.
+        # in plan order; all-distinct plans (random delays) build no
+        # grouping at all. A broadcast's entries occupy a contiguous
+        # seq block and seq only orders entries of equal timestamp, so
+        # one entry per timestamp group -- wherever it sits in the
+        # block -- pops exactly where that group's per-neighbor
+        # entries would have (event order and full trace unchanged).
+        singles = plan.deliveries  # receiver -> time, one entry each
+        batches = ()  # (time, receivers) groups, one entry each
+        fanout = len(singles)
+        if fanout > 1:
+            distinct = len(set(singles.values()))
+            if distinct == 1:
+                batches = ((next(iter(singles.values())),
+                            tuple(singles)),)
+                singles = {}
+            elif distinct < fanout:
                 groups: dict = {}
-                for receiver, when in deliveries.items():
-                    bucket = groups.get(when)
-                    if bucket is None:
-                        groups[when] = [receiver]
-                    else:
-                        bucket.append(receiver)
-                if len(groups) < len(deliveries):
-                    schedule = tuple((when, tuple(group))
-                                     for when, group in groups.items())
+                for receiver, when in singles.items():
+                    groups.setdefault(when, []).append(receiver)
+                batches = tuple((when, tuple(group))
+                                for when, group in groups.items()
+                                if len(group) > 1)
+                singles = {group[0]: when
+                           for when, group in groups.items()
+                           if len(group) == 1}
+        if self.unreliable_graph is not None:
+            # Unreliable deliveries never batch and sort after the
+            # reliable ones of the same timestamp.
+            extra = self._plan_unreliable(sender, payload, now,
+                                          plan.ack_time, neighbors)
+            if extra:
+                singles = {**singles, **extra}
 
-        if self._cancellable:
-            record = _BroadcastRecord(
-                bid=bid, sender=sender, payload=payload,
-                start_time=self.now,
-                pending=set(neighbors),
-                delivered=set(),
-                delivery_events={},
-                overrides=overrides,
-            )
-            push = self._queue.push
-            if schedule is not None:
-                # Crash plans cancel batched receivers through
-                # record.batch_cancelled (filtered at expansion), so
-                # batch entries need no cancellation handle; singleton
-                # timestamp groups keep per-receiver handles.
-                delivery_events = record.delivery_events
-                batched: list = []
-                for when, receivers in schedule:
-                    if len(receivers) == 1:
-                        receiver = receivers[0]
-                        delivery_events[receiver] = push(
-                            when, DELIVER_PRIORITY, "deliver",
-                            receiver, bid)
-                    else:
-                        batched.extend(receivers)
-                        self._queue.push_light(when, DELIVER_PRIORITY,
-                                               "bdeliver",
-                                               node=receivers,
-                                               broadcast_id=bid)
-                record.batch_receivers = tuple(batched)
-            else:
-                delivery_events = record.delivery_events
-                for receiver, when in deliveries.items():
-                    delivery_events[receiver] = push(
-                        when, DELIVER_PRIORITY, "deliver", receiver, bid)
-            if self.unreliable_graph is not None:
-                self._schedule_unreliable(record, payload, plan.ack_time,
-                                          set(neighbors))
-            record.ack_event = push(plan.ack_time, ACK_PRIORITY, "ack",
-                                    sender, bid)
-        else:
-            # Crash-free run: plan validation plus the deliver-before-
-            # ack event priority already guarantee every neighbor
-            # receives before the ack fires, so the pending/delivered
-            # audit sets stay None -- nothing can ever remove or miss
-            # a delivery.
-            record = _BroadcastRecord(
-                bid=bid, sender=sender, payload=payload,
-                start_time=self.now,
-                overrides=overrides,
-            )
-            # Inline batch of EventQueue.push_light: one seq/live
-            # update for the whole fan-out (see EventQueue docstring).
-            queue = self._queue
-            heap = queue._heap
-            seq = queue._next_seq
-            if schedule is not None:
-                batched = []
-                for when, receivers in schedule:
-                    if len(receivers) == 1:
-                        heappush(heap, (when, DELIVER_PRIORITY, seq,
-                                        "deliver", receivers[0], bid,
-                                        None))
-                    else:
-                        batched.extend(receivers)
-                        heappush(heap, (when, DELIVER_PRIORITY, seq,
-                                        "bdeliver", receivers, bid,
-                                        None))
-                    seq += 1
-                record.batch_receivers = tuple(batched)
-                queue._live += len(schedule) + 1
-            else:
-                for receiver, when in deliveries.items():
-                    heappush(heap, (when, DELIVER_PRIORITY, seq,
-                                    "deliver", receiver, bid, None))
-                    seq += 1
-                queue._live += len(deliveries) + 1
-            heappush(heap, (plan.ack_time, ACK_PRIORITY, seq, "ack",
-                            sender, bid, None))
-            queue._next_seq = seq + 1
-            if self.unreliable_graph is not None:
-                self._schedule_unreliable(record, payload, plan.ack_time,
-                                          set(neighbors))
+        record = _BroadcastRecord(bid, sender, payload, now, overrides)
+        # Crash plans cancel deliveries and the ack through per-entry
+        # handles, and batched receivers through
+        # record.batch_cancelled (filtered at expansion). Crash-free
+        # runs allocate neither: plan validation plus the deliver-
+        # before-ack event priority already guarantee every neighbor
+        # receives before the ack fires, so nothing can ever remove or
+        # miss a delivery and the audit sets stay None.
+        cancellable = self._cancellable
+        if cancellable:
+            record.pending = set(neighbors)
+            record.delivered = set()
+            delivery_events = record.delivery_events = {}
+            record.batches = batches
+        # Inline batch of EventQueue.push/push_light: one seq/live
+        # update for the whole fan-out (see EventQueue docstring).
+        queue = self._queue
+        heap = queue._heap
+        first_seq = seq = queue._next_seq
+        handle = None
+        for when, receivers in batches:
+            heappush(heap, (when, DELIVER_PRIORITY, seq, "bdeliver",
+                            receivers, record, None))
+            seq += 1
+        for receiver, when in singles.items():
+            if cancellable:
+                handle = delivery_events[receiver] = Event(
+                    when, DELIVER_PRIORITY, seq, "deliver", receiver, bid)
+            heappush(heap, (when, DELIVER_PRIORITY, seq, "deliver",
+                            receiver, record, handle))
+            seq += 1
+        if cancellable:
+            handle = record.ack_event = Event(
+                plan.ack_time, ACK_PRIORITY, seq, "ack", sender, bid)
+        heappush(heap, (plan.ack_time, ACK_PRIORITY, seq, "ack", sender,
+                        record, handle))
+        queue._next_seq = seq + 1
+        queue._live += seq + 1 - first_seq
+
         self._inflight[sender] = record
         process._mac_pending = True
-        self._records.append(record)
         if self._trace_mac:
-            self.trace.record(self.now, "broadcast", sender,
+            self.trace.record(now, "broadcast", sender,
                               broadcast_id=bid, payload=payload)
         else:
             self.trace.bump("broadcast", sender)
         if self._tel_spans is not None:
-            self._tel_spans[bid] = [self.now, -1.0, -1.0]
+            self._tel_spans[bid] = [now, -1.0, -1.0]
         return True
 
     def note_decision(self, process: Process, value: Any) -> None:
@@ -632,45 +604,35 @@ class Simulator:
             self._undecided_alive -= 1
         self.trace.record(self.now, "decide", label, payload=value)
 
-    def _schedule_unreliable(self, record: _BroadcastRecord,
-                             payload: Any, ack_time: float,
-                             reliable: set) -> None:
-        """Schedule deliveries over the dual graph's unreliable links.
+    def _plan_unreliable(self, sender: Any, payload: Any,
+                         start_time: float, ack_time: float,
+                         reliable: tuple) -> Mapping[Any, float]:
+        """Delivery times over the dual graph's unreliable links.
 
-        Unreliable receivers never gate the ack (they are excluded
-        from ``record.pending``); a dropped delivery simply never
-        happens -- the defining behaviour of the model variant.
+        Unreliable receivers never gate the ack (they are not in
+        ``record.pending``); a dropped delivery simply never happens
+        -- the defining behaviour of the model variant.
         """
-        if (self.unreliable_graph is None
-                or not self.unreliable_graph.has_node(record.sender)):
-            return
-        extra = tuple(v for v in
-                      self.unreliable_graph.neighbors(record.sender)
+        if not self.unreliable_graph.has_node(sender):
+            return {}
+        reliable = set(reliable)
+        extra = tuple(v for v in self.unreliable_graph.neighbors(sender)
                       if v not in reliable)
         if not extra:
-            return
+            return {}
         deliveries = self.scheduler.plan_unreliable(
-            sender=record.sender, message=payload,
-            start_time=record.start_time, ack_time=ack_time,
-            neighbors=extra)
+            sender=sender, message=payload, start_time=start_time,
+            ack_time=ack_time, neighbors=extra)
         for receiver, when in deliveries.items():
             if receiver not in extra:
                 raise ModelViolationError(
                     f"unreliable delivery to {receiver!r}, not an "
-                    f"unreliable neighbor of {record.sender!r}")
-            if not record.start_time <= when <= ack_time + 1e-9:
+                    f"unreliable neighbor of {sender!r}")
+            if not start_time <= when <= ack_time + 1e-9:
                 raise ModelViolationError(
                     f"unreliable delivery at {when} outside broadcast "
-                    f"window [{record.start_time}, {ack_time}]")
-            if self._cancellable:
-                event = self._queue.push(when, DELIVER_PRIORITY,
-                                         "deliver", node=receiver,
-                                         broadcast_id=record.bid)
-                record.delivery_events[receiver] = event
-            else:
-                self._queue.push_light(when, DELIVER_PRIORITY, "deliver",
-                                       node=receiver,
-                                       broadcast_id=record.bid)
+                    f"window [{start_time}, {ack_time}]")
+        return deliveries
 
     # ------------------------------------------------------------------
     # Multiplexing API
@@ -739,7 +701,6 @@ class Simulator:
         dispatch_ack = self._dispatch_ack
         dispatch_crash = self._dispatch_crash
         time_hooks = self._time_hooks
-        records = self._records
         processes = self._processes
         kind_counts = self._kind_counts
         trace_bump = self.trace.bump
@@ -777,7 +738,7 @@ class Simulator:
                         raise SimulationLimitError(
                             f"exceeded max_time={max_time}")
                     break
-                bid = batch[1]
+                record = batch[1]
                 receivers = batch[2]
                 i = batch[3]
                 receiver = receivers[i]
@@ -786,14 +747,13 @@ class Simulator:
                     self._pending_batch = None
                 else:
                     batch[3] = i
-                record = records[bid]
                 cancelled = record.batch_cancelled
                 if cancelled is not None and receiver in cancelled:
                     continue
                 if fast_deliver:
                     if trace_mac:
                         trace_record(event_time, "deliver", receiver,
-                                     broadcast_id=bid,
+                                     broadcast_id=record.bid,
                                      peer=record.sender,
                                      payload=record.payload)
                     elif kind_counts is not None:
@@ -801,14 +761,14 @@ class Simulator:
                     else:
                         trace_bump("deliver", receiver)
                     if tel_spans is not None:
-                        span = tel_spans.get(bid)
+                        span = tel_spans.get(record.bid)
                         if span is not None:
                             if span[1] < 0.0:
                                 span[1] = event_time
                             span[2] = event_time
                     processes[receiver].on_receive(record.payload)
                 else:
-                    self._dispatch_delivery(receiver, bid)
+                    self._dispatch_delivery(receiver, record)
                 events_processed += 1
                 if events_processed >= max_events:
                     stop_reason = "max_events"
@@ -863,7 +823,7 @@ class Simulator:
             if kind == "deliver":
                 if fast_deliver:
                     # -- inline _dispatch_delivery, crash-free case ------
-                    record = records[entry[5]]
+                    record = entry[5]
                     receiver = entry[4]
                     if trace_mac:
                         trace_record(event_time, "deliver", receiver,
@@ -875,7 +835,7 @@ class Simulator:
                     else:
                         trace_bump("deliver", receiver)
                     if tel_spans is not None:
-                        span = tel_spans.get(entry[5])
+                        span = tel_spans.get(record.bid)
                         if span is not None:
                             if span[1] < 0.0:
                                 span[1] = event_time
@@ -936,8 +896,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Event dispatch
     # ------------------------------------------------------------------
-    def _dispatch_delivery(self, receiver: Any, bid: int) -> None:
-        record = self._records[bid]
+    def _dispatch_delivery(self, receiver: Any,
+                           record: _BroadcastRecord) -> None:
         if self._cancellable:
             crashed = self._crashed
             if crashed and receiver in crashed:
@@ -991,15 +951,15 @@ class Simulator:
         else:
             self.trace.bump("deliver", receiver)
         if self._tel_spans is not None:
-            span = self._tel_spans.get(bid)
+            span = self._tel_spans.get(record.bid)
             if span is not None:
                 if span[1] < 0.0:
                     span[1] = self.now
                 span[2] = self.now
         self._processes[receiver].on_receive(payload)
 
-    def _dispatch_ack(self, sender: Any, bid: int) -> None:
-        record = self._records[bid]
+    def _dispatch_ack(self, sender: Any,
+                      record: _BroadcastRecord) -> None:
         if record.orphaned:
             # The sender's process was reset (node-churn rejoin) while
             # this broadcast was in flight: no ack is observed.
@@ -1031,22 +991,11 @@ class Simulator:
             # (possible on unreliable-overlay runs) belong to no span --
             # mirroring the invariant checker's replay model so derived
             # and live histograms agree.
-            span = self._tel_spans.pop(bid, None)
+            span = self._tel_spans.pop(record.bid, None)
             if span is not None:
                 self.telemetry.close_span(span[0], span[1], span[2],
                                           self.now)
         self._processes[sender].on_ack()
-        # With validated plans the ack is a broadcast's final event
-        # (deliveries are bounded by the ack time; cancelled ones are
-        # tombstoned before the record is touched), so its book-keeping
-        # can be freed -- long runs keep O(n) broadcast records in RAM,
-        # not O(events). Unvalidated (trusted-scheduler) runs keep the
-        # records: a plan could, in principle, deliver after its ack.
-        # Dual-graph runs keep them too: _schedule_unreliable's window
-        # tolerates deliveries up to ack_time + 1e-9, which sort after
-        # the ack.
-        if self._validate_plans and self.unreliable_graph is None:
-            self._records[bid] = None
 
     def _dispatch_crash(self, node: Any) -> None:
         if node in self._crashed:
@@ -1068,11 +1017,11 @@ class Simulator:
                     self._queue.cancel(delivery)
                     record.delivery_events.pop(receiver, None)
                     record.pending.discard(receiver)
-            if record.batch_receivers is not None:
-                # Batched deliveries have no per-receiver events to
-                # cancel; the expansion cursor filters this set.
-                cancelled = record.batch_cancelled
-                for receiver in record.batch_receivers:
+            # Batched deliveries have no per-receiver events to
+            # cancel; the expansion cursor filters this set.
+            cancelled = record.batch_cancelled
+            for _, receivers in record.batches:
+                for receiver in receivers:
                     if not plan.allows_delivery(receiver):
                         if cancelled is None:
                             cancelled = record.batch_cancelled = set()
@@ -1214,13 +1163,10 @@ class Simulator:
     # ------------------------------------------------------------------
     def _check_size(self, payload: Any) -> None:
         footprint = getattr(payload, "id_footprint", None)
-        if footprint is None:
-            return
-        count = footprint()
-        if count > self.id_budget:
+        if footprint is not None and footprint() > self.id_budget:
             raise ModelViolationError(
-                f"message carries {count} ids, exceeding the O(1) budget "
-                f"of {self.id_budget}: {payload!r}")
+                f"message carries {footprint()} ids, exceeding the O(1) "
+                f"budget of {self.id_budget}: {payload!r}")
 
 
 def build_simulation(graph, process_factory: Callable[[Any], Process],
@@ -1233,7 +1179,6 @@ def build_simulation(graph, process_factory: Callable[[Any], Process],
                      validate_plans: Optional[bool] = None,
                      trace_level: "TraceLevel | str" = TraceLevel.FULL,
                      trace_sink: Optional[TraceSink] = None,
-                     batch_deliveries: bool = True,
                      dynamics=None,
                      telemetry: "Telemetry | bool | None" = None,
                      ) -> Simulator:
@@ -1252,7 +1197,6 @@ def build_simulation(graph, process_factory: Callable[[Any], Process],
                      validate_plans=validate_plans,
                      trace_level=trace_level,
                      trace_sink=trace_sink,
-                     batch_deliveries=batch_deliveries,
                      dynamics=dynamics,
                      process_factory=process_factory,
                      telemetry=telemetry)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+
+from repro.analysis.export import trace_to_json
 from repro.analysis.runner import alternating_values
 from repro.macsim import (build_simulation, check_consensus,
                           check_model_invariants)
@@ -27,3 +30,38 @@ def run_and_check(graph, factory, scheduler, *, initial_values=None,
         assert report.validity
         assert report.termination, f"undecided: {report.undecided[:5]}"
     return result, report
+
+
+def trace_digest(trace) -> str:
+    """sha256 of the trace's inline JSON document (the byte-identity
+    unit of the A/B pins), for goldens committed across commits."""
+    return hashlib.sha256(trace_to_json(trace).encode()).hexdigest()
+
+
+def per_receiver_delivery_order(graph, trace, scheduler):
+    """Reference model of delivery order for a crash-free FULL trace.
+
+    One heap entry per (broadcast, neighbor), ordered by (time,
+    broadcast order, plan order) -- what the engine's batched
+    ``bdeliver`` scheduling must reproduce exactly. ``scheduler`` is a
+    fresh twin of the run's scheduler: replaying the trace's broadcasts
+    in order redraws the same plans. Returns ``(time, receiver, bid)``
+    triples; a run that stopped early delivered a prefix of them.
+    """
+    expected = []
+    for index, rec in enumerate(trace.of_kind("broadcast")):
+        plan = scheduler.plan(sender=rec.node, message=rec.payload,
+                              start_time=rec.time,
+                              neighbors=tuple(graph.neighbors(rec.node)))
+        expected.extend(
+            (when, index, position, receiver, rec.broadcast_id)
+            for position, (receiver, when)
+            in enumerate(plan.deliveries.items()))
+    expected.sort()
+    return [(when, receiver, bid)
+            for when, _, _, receiver, bid in expected]
+
+
+def delivered_order(trace):
+    return [(rec.time, rec.node, rec.broadcast_id)
+            for rec in trace.of_kind("deliver")]

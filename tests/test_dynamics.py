@@ -32,6 +32,8 @@ from repro.scenario import (AlgorithmSpec, DynamicsSpec, Scenario,
                             ScenarioError, SchedulerSpec, TopologySpec,
                             parse_dynamics_spec)
 from repro.topology import clique, line, ring
+from tests.helpers import (delivered_order, per_receiver_delivery_order,
+                           trace_digest)
 
 SETTINGS = dict(max_examples=15, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -497,37 +499,28 @@ class TestMixedTimestampBatching:
     @given(n=st.integers(4, 9), seed=st.integers(0, 10 ** 6))
     @settings(**SETTINGS)
     def test_ab_byte_identity_quantized(self, n, seed):
+        # B side: the reference order of one heap entry per neighbor,
+        # rebuilt from a twin scheduler's plans.
         graph = clique(n)
+        result = _run(graph, _QuantizedScheduler(seed))
+        delivered = delivered_order(result.trace)
+        expected = per_receiver_delivery_order(
+            graph, result.trace, _QuantizedScheduler(seed))
+        assert delivered and delivered == expected[:len(delivered)]
 
-        def run(batch):
-            sim = build_simulation(graph, _wpaxos_factory(graph),
-                                   _QuantizedScheduler(seed),
-                                   batch_deliveries=batch)
-            result = sim.run(max_time=60.0)
-            result.trace.close()
-            return result
-
-        batched, unbatched = run(True), run(False)
-        assert trace_to_json(batched.trace) == trace_to_json(
-            unbatched.trace)
-        assert batched.events_processed == unbatched.events_processed
-
-    def test_ab_byte_identity_with_crash_plans(self, ):
+    def test_ab_byte_identity_with_crash_plans(self):
+        # B side: (events, trace sha256) of this run with
+        # batch_deliveries=False on the last commit that had the
+        # toggle (PR 12, 20c27ed).
         from repro.macsim import crash_plan
         graph = clique(6)
-        crashes = [crash_plan(5, 1.6, {0, 1})]
-
-        def run(batch):
-            sim = build_simulation(graph, _wpaxos_factory(graph),
-                                   _QuantizedScheduler(3),
-                                   crashes=crashes,
-                                   batch_deliveries=batch)
-            result = sim.run(max_time=60.0)
-            result.trace.close()
-            return result
-
-        assert trace_to_json(run(True).trace) == trace_to_json(
-            run(False).trace)
+        sim = build_simulation(graph, _wpaxos_factory(graph),
+                               _QuantizedScheduler(3),
+                               crashes=[crash_plan(5, 1.6, {0, 1})])
+        result = sim.run(max_time=60.0)
+        assert (result.events_processed, trace_digest(result.trace)) == (
+            191, "b316d41f0921f983e57f0427f4e5e835"
+                 "bb85941914ead31676106f2324366a37")
 
     def test_grouped_entries_reduce_heap_traffic(self):
         # Direct check: a 9-receiver plan with 3 distinct timestamps
@@ -546,17 +539,11 @@ class TestMixedTimestampBatching:
 
     def test_random_delay_all_distinct_unchanged(self):
         graph = clique(5)
-
-        def run(batch):
-            sim = build_simulation(graph, _wpaxos_factory(graph),
-                                   RandomDelayScheduler(1.0, seed=7),
-                                   batch_deliveries=batch)
-            result = sim.run(max_time=60.0)
-            result.trace.close()
-            return result
-
-        assert trace_to_json(run(True).trace) == trace_to_json(
-            run(False).trace)
+        result = _run(graph, RandomDelayScheduler(1.0, seed=7))
+        delivered = delivered_order(result.trace)
+        expected = per_receiver_delivery_order(
+            graph, result.trace, RandomDelayScheduler(1.0, seed=7))
+        assert delivered and delivered == expected[:len(delivered)]
 
 
 # ----------------------------------------------------------------------

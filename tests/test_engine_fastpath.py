@@ -1,6 +1,7 @@
 """PR 1 fast-path tests: quiescence counters, trace indexes, levels,
 event-queue compaction, and parallel sweep determinism."""
 
+import gc
 import random
 
 import pytest
@@ -13,10 +14,12 @@ from repro.macsim import (Process, TraceLevel, build_simulation,
                           crash_plan)
 from repro.macsim.events import (ACK_PRIORITY, DELIVER_PRIORITY,
                                  EventQueue)
-from repro.macsim.schedulers import (RandomDelayScheduler,
+from repro.macsim.schedulers import (RandomDelayScheduler, Scheduler,
                                      SynchronousScheduler)
+from repro.macsim.schedulers.base import DeliveryPlan
+from repro.macsim.simulator import _BroadcastRecord
 from repro.macsim.trace import TRACE_KINDS, Trace
-from repro.topology import clique, line
+from repro.topology import Graph, clique, line
 
 
 class Chatter(Process):
@@ -117,6 +120,117 @@ class TestFinishObserverGuard:
         sim.run(max_events=10)
         sim.run(max_events=10)
         assert len(calls) == 1
+
+
+def live_broadcast_records():
+    return sum(isinstance(obj, _BroadcastRecord)
+               for obj in gc.get_objects())
+
+
+class _AckFirstScheduler(Scheduler):
+    """Acks at +0.5; reliable deliveries land ``late`` after the start
+    and unreliable ones 1e-9 after the ack (the edge of the dual-graph
+    window, which sorts after the ack)."""
+
+    f_ack = 1.0
+
+    def __init__(self, late):
+        self.late = late
+
+    def plan(self, *, sender, message, start_time, neighbors):
+        return DeliveryPlan(
+            deliveries={v: start_time + self.late for v in neighbors},
+            ack_time=start_time + 0.5)
+
+    def plan_unreliable(self, *, sender, message, start_time, ack_time,
+                        neighbors):
+        return {v: ack_time + 1e-9 for v in neighbors}
+
+
+class _Hello(Process):
+    def __init__(self, uid):
+        super().__init__(uid=uid, initial_value=0)
+        self.heard = []
+        self.acked_at = None
+
+    def on_start(self):
+        self.broadcast(("hello", self.uid))
+
+    def on_receive(self, message):
+        self.heard.append((self.now(), message))
+
+    def on_ack(self):
+        self.acked_at = self.now()
+
+
+class TestBroadcastRecordLifetime:
+    """A broadcast's record lives exactly as long as an event can
+    reach it: nothing indexes records, so after a long run only the
+    in-flight ones are alive -- for every scheduler, trusted or not,
+    and without the cyclic GC's help."""
+
+    @pytest.fixture(autouse=True)
+    def _refcounts_only(self):
+        gc.collect()
+        gc.disable()
+        try:
+            yield
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("crashes", [
+        (), (crash_plan(0, 3.5, still_delivered=(1,)),
+             crash_plan(5, 40.25)),
+    ], ids=["crash-free", "crash-plan"])
+    @pytest.mark.parametrize("make_scheduler,validate", [
+        (lambda: SynchronousScheduler(1.0), None),
+        (lambda: RandomDelayScheduler(1.0, seed=5), None),
+        (lambda: RandomDelayScheduler(1.0, seed=5), True),
+    ], ids=["synchronous", "random", "random-validated"])
+    def test_only_inflight_records_survive_a_long_run(
+            self, make_scheduler, validate, crashes):
+        graph = clique(8)
+        before = live_broadcast_records()
+        sim = build_simulation(graph, lambda v: Chatter(v),
+                               make_scheduler(), crashes=crashes,
+                               validate_plans=validate,
+                               trace_level=TraceLevel.DECISIONS)
+        result = sim.run(max_events=20_000)
+        assert result.events_processed == 20_000
+        assert sim.trace.broadcast_count() > 2_000
+        alive = live_broadcast_records() - before
+        assert 0 < alive <= graph.n
+        assert alive == len(sim._inflight)
+
+    def test_trusted_scheduler_delivering_after_its_ack(self):
+        scheduler = _AckFirstScheduler(late=2.0)
+        scheduler.trusted = True
+        before = live_broadcast_records()
+        sim = build_simulation(clique(3), _Hello, scheduler)
+        sim.run(max_time=5.0)
+        for v in range(3):
+            process = sim.process_at(v)
+            assert process.acked_at == 0.5
+            assert sorted(process.heard) == [
+                (2.0, ("hello", u)) for u in range(3) if u != v]
+        assert live_broadcast_records() == before
+
+    def test_dual_graph_delivery_just_after_the_ack(self):
+        graph = line(3)  # reliable 0-1-2, unreliable chord 0-2
+        before = live_broadcast_records()
+        sim = build_simulation(
+            graph, _Hello, _AckFirstScheduler(late=0.25),
+            unreliable_graph=Graph([(0, 2)], nodes=graph.nodes))
+        result = sim.run(max_time=5.0)
+        late = 0.5 + 1e-9
+        assert sim.process_at(2).heard == [(0.25, ("hello", 1)),
+                                           (late, ("hello", 0))]
+        assert sim.process_at(0).heard == [(0.25, ("hello", 1)),
+                                           (late, ("hello", 2))]
+        order = [(r.kind, r.node) for r in result.trace
+                 if r.time >= 0.5]
+        assert order.index(("ack", 0)) < order.index(("deliver", 2))
+        assert live_broadcast_records() == before
 
 
 def naive_trace_queries(records):

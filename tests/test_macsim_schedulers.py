@@ -1,5 +1,7 @@
 """Scheduler suite tests: every scheduler honors the model contract."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,6 +78,57 @@ class TestJittered:
     def test_plans_always_valid(self, seed):
         sched = JitteredRoundScheduler(1.0, jitter=0.3, seed=seed)
         plan_of(sched, start=2.0)
+
+
+class TestInlinedDraws:
+    """Both random schedulers spell ``Random.uniform`` inline; the
+    references below are the ``uniform``-calling plans they replaced,
+    and every float must be equal, not close."""
+
+    @staticmethod
+    def _broadcasts(count=1_000):
+        rng = random.Random(99)
+        for _ in range(count):
+            yield (rng.uniform(0.0, 500.0),
+                   tuple(range(rng.randint(0, 6))))
+
+    @pytest.mark.parametrize("seed,min_fraction",
+                             [(0, 0.0), (1, 0.3), (12345, 0.75)])
+    def test_random_delay_equals_uniform_reference(self, seed,
+                                                   min_fraction):
+        f_ack = 1.7
+        sched = RandomDelayScheduler(f_ack, seed=seed,
+                                     min_fraction=min_fraction)
+        rng = random.Random(seed)
+        lo = min_fraction * f_ack
+        for start, neighbors in self._broadcasts():
+            plan = sched.plan(sender="s", message="m", start_time=start,
+                              neighbors=neighbors)
+            deliveries = {v: start + rng.uniform(lo, f_ack)
+                          for v in neighbors}
+            latest = max(deliveries.values(), default=start)
+            ack_time = rng.uniform(latest, start + f_ack)
+            assert dict(plan.deliveries) == deliveries
+            assert plan.ack_time == ack_time
+
+    @pytest.mark.parametrize("seed,jitter", [(0, 0.25), (7, 0.0),
+                                             (31, 0.9)])
+    def test_jittered_equals_uniform_reference(self, seed, jitter):
+        length = 1.3
+        sched = JitteredRoundScheduler(length, jitter=jitter, seed=seed)
+        rng = random.Random(seed)
+        span = length * jitter
+        for start, neighbors in self._broadcasts():
+            plan = sched.plan(sender="s", message="m", start_time=start,
+                              neighbors=neighbors)
+            base = start + length * (1.0 - jitter)
+            deliveries = {v: base + rng.uniform(0.0, span)
+                          for v in neighbors}
+            latest = max(deliveries.values(), default=start)
+            ack_time = max(latest, min(latest + rng.uniform(0.0, span),
+                                       start + sched.f_ack))
+            assert dict(plan.deliveries) == deliveries
+            assert plan.ack_time == ack_time
 
 
 class TestMaxDelay:

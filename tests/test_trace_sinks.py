@@ -28,6 +28,8 @@ from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.macsim.trace import TRACE_KINDS
 from repro.topology import clique, line, star
+from tests.helpers import (delivered_order, per_receiver_delivery_order,
+                           trace_digest)
 
 SETTINGS = dict(max_examples=20, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -215,29 +217,30 @@ class TestSinkPropertyEquivalence:
 
 
 class TestBatchedDeliveryScheduling:
-    """The bdeliver fast path is byte-identical to per-receiver
-    scheduling, crash cancellation included."""
+    """The bdeliver path is byte-identical to per-receiver scheduling,
+    crash cancellation included. The per-receiver side is a committed
+    golden: ``(events, trace sha256)`` of the same runs with
+    ``batch_deliveries=False`` on the last commit that had the toggle
+    (PR 12, 20c27ed)."""
 
-    def _trace_json(self, batch, crashes):
+    @pytest.mark.parametrize("crashes,unbatched", [
+        ([], (72, "b80a05dae119d21528f3cebf7cfb1aa0"
+                  "37de01519b12152dd0c7fb969e05a539")),
+        ([crash_plan(0, 0.5, still_delivered=(1, 2))],
+         (63, "dcb788cb2e869ee31e33c36c69446c14"
+              "ba156ed4e4c43dafe06749a55e0dc948")),
+        ([crash_plan(2, 1.0, still_delivered=()), crash_plan(4, 2.5)],
+         (61, "ffa376d74e37d62ab27650e1c3cfb90e"
+              "97a4b960f33389a2c602e0050a11c325")),
+    ], ids=["clean", "partial", "two-crashes"])
+    def test_batched_equals_unbatched(self, crashes, unbatched):
         graph = clique(6)
         sim = build_simulation(
             graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
-            SynchronousScheduler(1.0), crashes=crashes,
-            batch_deliveries=batch)
+            SynchronousScheduler(1.0), crashes=crashes)
         result = sim.run(max_events=100_000, max_time=100.0)
-        return trace_to_json(sim.trace), result.events_processed
-
-    @pytest.mark.parametrize("crashes", [
-        [],
-        [crash_plan(0, 0.5, still_delivered=(1, 2))],
-        [crash_plan(2, 1.0, still_delivered=()),
-         crash_plan(4, 2.5)],
-    ], ids=["clean", "partial", "two-crashes"])
-    def test_batched_equals_unbatched(self, crashes):
-        batched, ev_b = self._trace_json(True, crashes)
-        unbatched, ev_u = self._trace_json(False, crashes)
-        assert batched == unbatched
-        assert ev_b == ev_u
+        assert (result.events_processed,
+                trace_digest(sim.trace)) == unbatched
 
     def test_batch_entry_per_broadcast_on_dense_clique(self):
         # One bdeliver + one ack per broadcast: heap traffic is O(1)
@@ -273,17 +276,18 @@ class TestBatchedDeliveryScheduling:
 
     def test_random_scheduler_unbatched_path_still_used(self):
         # Distinct per-receiver delivery times: plans fall back to
-        # per-receiver entries and stay byte-identical too.
+        # one entry per receiver (4 deliveries + the ack) and match
+        # the reference order built from the plans.
         graph = clique(5)
-
-        def run(batch):
-            sim = build_simulation(
-                graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
-                RandomDelayScheduler(1.0, seed=3),
-                batch_deliveries=batch)
-            sim.run(max_events=100_000, max_time=100.0)
-            return trace_to_json(sim.trace)
-        assert run(True) == run(False)
+        sim = build_simulation(
+            graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
+            RandomDelayScheduler(1.0, seed=3))
+        sim.run(max_events=100_000, max_time=100.0)
+        assert sim._queue._next_seq == sim.trace.broadcast_count() * 5
+        delivered = delivered_order(sim.trace)
+        expected = per_receiver_delivery_order(
+            graph, sim.trace, RandomDelayScheduler(1.0, seed=3))
+        assert delivered and delivered == expected[:len(delivered)]
 
 
 class TestSpillSink:
