@@ -131,10 +131,8 @@ def _parse_document(text: str) -> dict:
 
 
 def _record_from_dict(rec: Dict[str, Any]) -> TraceRecord:
-    return TraceRecord(
-        time=rec["time"], kind=rec["kind"], node=rec["node"],
-        broadcast_id=rec["broadcast_id"], peer=rec["peer"],
-        payload=rec["payload"])
+    return TraceRecord(rec["time"], rec["kind"], rec["node"],
+                       rec["broadcast_id"], rec["peer"], rec["payload"])
 
 
 def trace_from_json(text: str) -> Trace:

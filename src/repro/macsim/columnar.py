@@ -52,6 +52,17 @@ Chunk blob layout (all little-endian)::
         peers    i4 * n        (-1 encodes None)
         payloads i4 * n        (-1 encodes None)
 
+**A message is serialized once.** The model's one primitive hands
+*one* message to every neighbor, so the payload column's text is taken
+at the ``broadcast`` row and the ``deliver`` rows of that same object
+re-intern it instead of calling ``repr`` once per receiver. A message
+is a value: mutating a shared payload object in place between its
+broadcast and a delivery is invisible here exactly as it already is at
+FULL level (where every record holds the one object). *Substituting*
+the payload -- a fault model's forgery, a ``fault_deliver`` rewrite --
+never is: a delivered object that is not the broadcast's own is
+serialized on its own, so the payload-integrity audit flags it.
+
 Everything numpy-flavoured is gated at call time on the module global
 ``np`` (``None`` when numpy is unavailable or ``MACSIM_NO_NUMPY`` is
 set), so the pure-python fallback is a first-class, tested path.
@@ -178,9 +189,9 @@ class ColumnarChunk:
             peer = peers[i]
             yield TraceRecord(
                 times[i], kind_names[kinds[i]], labels[nodes[i]],
-                broadcast_id=None if bid < 0 else bid,
-                peer=None if peer < 0 else labels[peer],
-                payload=None if pi < 0 else payloads[pi])
+                None if bid < 0 else bid,
+                None if peer < 0 else labels[peer],
+                None if pi < 0 else payloads[pi])
 
 
 def encode_chunk(times, kinds, nodes, bids, peers, payload_idx,
@@ -284,7 +295,17 @@ class ColumnarSink(TraceSink):
 
     ``max_bytes`` optionally bounds the on-disk footprint; exceeding
     it raises :class:`~repro.macsim.trace.SpillBudgetError` at flush
-    time rather than truncating the trace silently.
+    time rather than truncating the trace silently. The record whose
+    flush raised is indexed first, so counters, decisions and the
+    chunks on disk still agree afterwards.
+
+    Payload text is taken per *broadcast*, not per delivery: each
+    ``broadcast`` row stores ``sender -> (broadcast id, payload object,
+    text)`` and a ``deliver`` row naming that sender and id and carrying
+    that very object reuses the text (see the module docstring for why
+    this shows every substitution and no in-place mutation). The
+    model's one-in-flight-broadcast-per-node rule bounds the table at n
+    entries; nothing is evicted.
     """
 
     __slots__ = ("directory", "chunk_records", "max_bytes",
@@ -294,7 +315,8 @@ class ColumnarSink(TraceSink):
                  "_owns_dir", "_finalizer", "_c_times", "_c_kinds",
                  "_c_nodes", "_c_bids", "_c_peers", "_c_payloads",
                  "_label_index", "_labels_packed", "_labels",
-                 "_payload_index", "_payload_table", "__weakref__")
+                 "_payload_index", "_payload_table", "_sent_text",
+                 "__weakref__")
 
     level = TraceLevel.COLUMNAR
     replayable = True
@@ -324,6 +346,10 @@ class ColumnarSink(TraceSink):
         self._decision_times: Dict[Any, float] = {}
         self._kind_counts: Dict[str, int] = {k: 0 for k in TRACE_KINDS}
         self._broadcasts_by_node: Dict[Any, int] = {}
+        #: sender -> (broadcast id, payload object, its ``repr``) of the
+        #: sender's latest ``broadcast`` row; outlives chunk flushes.
+        #: One in-flight broadcast per node bounds it at n entries.
+        self._sent_text: Dict[Any, tuple] = {}
         self._reset_builders()
         if self._owns_dir:
             self._finalizer = weakref.finalize(
@@ -363,34 +389,69 @@ class ColumnarSink(TraceSink):
     def record(self, time: float, kind: str, node: Any, *,
                broadcast_id: Optional[int] = None, peer: Any = None,
                payload: Any = None) -> None:
+        # One straight pass, called once per occurrence of a 10^8-event
+        # run: the intern tables are probed inline (the helpers only
+        # run on a miss) and ``deliver``/``ack`` -- all but a few rows
+        # -- skip the index tail they can never enter.
         code = KIND_CODES.get(kind)
         if code is None:
             raise ValueError(f"unknown trace kind: {kind!r}")
-        self._c_times.append(time)
+        label_index = self._label_index
+        node_id = label_index.get(node)
+        if node_id is None:
+            node_id = self._label_id(node)
+        times = self._c_times
+        times.append(time)
         self._c_kinds.append(code)
-        self._c_nodes.append(self._label_id(node))
+        self._c_nodes.append(node_id)
         self._c_bids.append(-1 if broadcast_id is None else broadcast_id)
-        self._c_peers.append(-1 if peer is None
-                             else self._label_id(peer))
-        self._c_payloads.append(
-            -1 if payload is None else self._payload_id(repr(payload)))
-        if len(self._c_times) >= self.chunk_records:
-            self.flush()
+        if peer is None:
+            self._c_peers.append(-1)
+        else:
+            peer_id = label_index.get(peer)
+            if peer_id is None:
+                peer_id = self._label_id(peer)
+            self._c_peers.append(peer_id)
+        if payload is None:
+            self._c_payloads.append(-1)
+        else:
+            # Text is taken at the ``broadcast`` row; a delivery of
+            # that very object re-interns it (its hash is cached), any
+            # other object is serialized on its own (class docstring).
+            if code == _KIND_DELIVER:
+                sent = self._sent_text.get(peer)
+                if (sent is not None and sent[1] is payload
+                        and sent[0] == broadcast_id):
+                    text = sent[2]
+                else:
+                    text = repr(payload)
+            else:
+                text = repr(payload)
+                if code == _KIND_BROADCAST:
+                    self._sent_text[node] = (broadcast_id, payload, text)
+            payload_id = self._payload_index.get(text)
+            if payload_id is None:
+                payload_id = self._payload_id(text)
+            self._c_payloads.append(payload_id)
+        # Index first, flush last: a flush that raises
+        # SpillBudgetError leaves the counters and the chunk agreeing.
         self._kind_counts[kind] += 1
-        if kind == "decide":
-            if node not in self._decisions:
-                self._decisions[node] = payload
-                self._decision_times[node] = time
-        elif kind == "broadcast":
-            self._broadcasts_by_node[node] = (
-                self._broadcasts_by_node.get(node, 0) + 1)
-        if kind in _ESSENTIAL_KINDS:
-            bucket = self._by_kind_essential.get(kind)
-            if bucket is None:
-                bucket = self._by_kind_essential[kind] = []
-            bucket.append(TraceRecord(time, kind, node,
-                                      broadcast_id=broadcast_id,
-                                      peer=peer, payload=payload))
+        if code != _KIND_DELIVER and code != _KIND_ACK:
+            if kind == "decide":
+                if node not in self._decisions:
+                    self._decisions[node] = payload
+                    self._decision_times[node] = time
+            elif kind == "broadcast":
+                self._broadcasts_by_node[node] = (
+                    self._broadcasts_by_node.get(node, 0) + 1)
+            if kind in _ESSENTIAL_KINDS:
+                bucket = self._by_kind_essential.get(kind)
+                if bucket is None:
+                    bucket = self._by_kind_essential[kind] = []
+                bucket.append(TraceRecord(time, kind, node, broadcast_id,
+                                          peer, payload))
+        if len(times) >= self.chunk_records:
+            self.flush()
 
     def append(self, record: TraceRecord) -> None:
         """Protocol parity with :class:`~repro.macsim.trace.Trace`."""
@@ -416,8 +477,6 @@ class ColumnarSink(TraceSink):
                              else self._label_id(record.peer))
         self._c_payloads.append(
             -1 if payload is None else self._payload_id(payload))
-        if len(self._c_times) >= self.chunk_records:
-            self.flush()
         self._kind_counts[kind] += 1
         node = record.node
         if kind == "decide":
@@ -432,6 +491,8 @@ class ColumnarSink(TraceSink):
             if bucket is None:
                 bucket = self._by_kind_essential[kind] = []
             bucket.append(record)
+        if len(self._c_times) >= self.chunk_records:
+            self.flush()
 
     def bump(self, kind: str, node: Any = None) -> None:
         self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
@@ -578,9 +639,9 @@ class ColumnarSink(TraceSink):
         return TraceRecord(
             float(chunk.times[i]), TRACE_KINDS[chunk.kinds[i]],
             chunk.labels[int(chunk.nodes[i])],
-            broadcast_id=None if bid < 0 else bid,
-            peer=None if peer < 0 else chunk.labels[peer],
-            payload=None if pi < 0 else chunk.payloads[pi])
+            None if bid < 0 else bid,
+            None if peer < 0 else chunk.labels[peer],
+            None if pi < 0 else chunk.payloads[pi])
 
     # -- replay --------------------------------------------------------
     def __len__(self) -> int:

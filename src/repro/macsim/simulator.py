@@ -63,12 +63,17 @@ The main loop is O(1) per event with no per-event scans:
   schedulers collapse the whole fan-out into one entry; plans with
   repeated (but not uniform) timestamps -- e.g. quantized random
   delays -- get one entry per timestamp group, receivers in plan
-  order. Each entry expands at pop time into a per-receiver cursor
-  the main loop consumes before touching the heap again, so every
-  delivery still runs through the normal dispatch (fault-model hooks
-  included), counts as one processed event, and honours
-  ``max_events``/``stop_predicate`` exactly as per-receiver entries
-  did. Because a broadcast's per-neighbor entries always occupied a
+  order. Each entry expands at pop time in one inner loop over its
+  receivers that hoists the broadcast's id, sender, payload and
+  telemetry span once and runs before the heap is touched again;
+  every delivery still runs through the normal dispatch (fault-model
+  hooks included), counts as one processed event, and is preceded by
+  the same ``stop_when_all_decided``/``stop_predicate``/limit checks,
+  in the same order, as per-receiver entries were. The per-receiver
+  cursor (``_pending_batch``) is written only when one of those -- or
+  an exception -- interrupts the loop, and the next ``run()`` resumes
+  at that receiver; while a batch is expanding the cursor is unset.
+  Because a broadcast's per-neighbor entries always occupied a
   contiguous seq block and only same-timestamp entries can tie,
   replacing each same-timestamp group with one entry inside that
   block preserves exact event order. Crash plans cancel batched
@@ -337,9 +342,10 @@ class Simulator:
         # Third-party sinks without the shared dict fall back to the
         # protocol-level bump() at every count site.
         self._kind_counts = getattr(self.trace, "_kind_counts", None)
-        # Mid-expansion delivery-batch cursor: [time, record, receivers,
-        # next_index]. Lives on the instance so a run interrupted by
-        # max_events/stop_predicate resumes exactly where it stopped.
+        # Delivery-batch cursor of an *interrupted* expansion: [time,
+        # record, receivers, next_index]. Lives on the instance so a run
+        # stopped mid-batch (a limit, a stop, an exception) resumes at
+        # exactly that receiver; None while run() itself is expanding.
         self._pending_batch: Optional[list] = None
 
         self._crash_by_node: dict[Any, CrashPlan] = {}
@@ -656,7 +662,9 @@ class Simulator:
         heap), so the value is exact even when a previous ``run`` call
         stopped mid-batch. This is the shared-scheduling hook that lets
         a multi-group runtime interleave several simulators in global
-        time order without reaching into their queues.
+        time order without reaching into their queues. It is a
+        between-``run`` query: from inside a handler or stop predicate
+        the batch being expanded is not on the cursor.
         """
         batch = self._pending_batch
         if batch is not None:
@@ -714,69 +722,90 @@ class Simulator:
 
         events_processed = 0
         stop_reason = "quiescent"
+        # A cursor is only ever left by a run() that was interrupted
+        # mid-batch, so this is the one place it can be found.
+        batch = self._pending_batch
+        self._pending_batch = None
         try:
           while True:
+            # -- delivery-batch expansion --------------------------------
+            # A popped (or resumed) ``bdeliver`` entry is consumed here,
+            # one receiver per inner iteration, before the heap is
+            # touched again. Nothing in the heap can be ordered before
+            # the remaining receivers (they share the popped entry's
+            # key), so this preserves exact event order; each delivery
+            # counts as one processed event and is preceded by the same
+            # stop checks, in the same order, as a heap event. Only an
+            # interruption -- a stop, a limit, an exception out of a
+            # handler or the sink -- writes the cursor back, pointing
+            # at the next receiver.
+            if batch is not None:
+                event_time, record, receivers, i = batch
+                batch = None
+                count = len(receivers)
+                bid = record.bid
+                sender = record.sender
+                payload = record.payload
+                # Crashes are heap events: none can fire mid-batch.
+                cancelled = record.batch_cancelled
+                span = None if tel_spans is None else tel_spans.get(bid)
+                try:
+                    while i < count:
+                        if (stop_when_all_decided
+                                and self._undecided_alive == 0):
+                            stop_reason = "all_decided"
+                            break
+                        if (stop_predicate is not None
+                                and stop_predicate(self)):
+                            stop_reason = "predicate"
+                            break
+                        if event_time > max_time:
+                            # Only a resumed batch can be past the limit.
+                            stop_reason = "max_time"
+                            if raise_on_limit:
+                                raise SimulationLimitError(
+                                    f"exceeded max_time={max_time}")
+                            break
+                        receiver = receivers[i]
+                        i += 1
+                        if cancelled is not None and receiver in cancelled:
+                            continue
+                        if fast_deliver:
+                            if trace_mac:
+                                trace_record(event_time, "deliver",
+                                             receiver, broadcast_id=bid,
+                                             peer=sender, payload=payload)
+                            elif kind_counts is not None:
+                                kind_counts["deliver"] += 1
+                            else:
+                                trace_bump("deliver", receiver)
+                            if span is not None:
+                                if span[1] < 0.0:
+                                    span[1] = event_time
+                                span[2] = event_time
+                            processes[receiver].on_receive(payload)
+                        else:
+                            self._dispatch_delivery(receiver, record)
+                        events_processed += 1
+                        if events_processed >= max_events:
+                            stop_reason = "max_events"
+                            if raise_on_limit:
+                                raise SimulationLimitError(
+                                    f"exceeded max_events={max_events}")
+                            break
+                    else:
+                        continue
+                finally:
+                    if i < count:
+                        self._pending_batch = [event_time, record,
+                                               receivers, i]
+                break
             if stop_when_all_decided and self._undecided_alive == 0:
                 stop_reason = "all_decided"
                 break
             if stop_predicate is not None and stop_predicate(self):
                 stop_reason = "predicate"
                 break
-            # -- delivery-batch cursor -----------------------------------
-            # A popped ``bdeliver`` entry expands here, one receiver per
-            # loop iteration, before the heap is touched again. Nothing
-            # in the heap can be ordered before the remaining receivers
-            # (they share the popped entry's key), so consuming the
-            # cursor first preserves exact event order while each
-            # delivery still counts as one processed event.
-            batch = self._pending_batch
-            if batch is not None:
-                event_time = batch[0]
-                if event_time > max_time:
-                    stop_reason = "max_time"
-                    if raise_on_limit:
-                        raise SimulationLimitError(
-                            f"exceeded max_time={max_time}")
-                    break
-                record = batch[1]
-                receivers = batch[2]
-                i = batch[3]
-                receiver = receivers[i]
-                i += 1
-                if i == len(receivers):
-                    self._pending_batch = None
-                else:
-                    batch[3] = i
-                cancelled = record.batch_cancelled
-                if cancelled is not None and receiver in cancelled:
-                    continue
-                if fast_deliver:
-                    if trace_mac:
-                        trace_record(event_time, "deliver", receiver,
-                                     broadcast_id=record.bid,
-                                     peer=record.sender,
-                                     payload=record.payload)
-                    elif kind_counts is not None:
-                        kind_counts["deliver"] += 1
-                    else:
-                        trace_bump("deliver", receiver)
-                    if tel_spans is not None:
-                        span = tel_spans.get(record.bid)
-                        if span is not None:
-                            if span[1] < 0.0:
-                                span[1] = event_time
-                            span[2] = event_time
-                    processes[receiver].on_receive(record.payload)
-                else:
-                    self._dispatch_delivery(receiver, record)
-                events_processed += 1
-                if events_processed >= max_events:
-                    stop_reason = "max_events"
-                    if raise_on_limit:
-                        raise SimulationLimitError(
-                            f"exceeded max_events={max_events}")
-                    break
-                continue
             # -- inline EventQueue.pop_entry -----------------------------
             entry = None
             while heap:
@@ -844,9 +873,9 @@ class Simulator:
                 else:
                     self._dispatch_delivery(entry[4], entry[5])
             elif kind == "bdeliver":
-                # Expand the batch into the cursor; the deliveries are
-                # processed (and counted) one per iteration above.
-                self._pending_batch = [event_time, entry[5], entry[4], 0]
+                # The deliveries are expanded (and counted) above; the
+                # entry itself is not an event.
+                batch = (event_time, entry[5], entry[4], 0)
                 continue
             elif kind == "ack":
                 dispatch_ack(entry[4], entry[5])

@@ -310,9 +310,8 @@ class Trace(TraceSink):
                 and kind not in _ESSENTIAL_KINDS):
             self.bump(kind, node)
             return
-        self.append(TraceRecord(time, kind, node,
-                                broadcast_id=broadcast_id,
-                                peer=peer, payload=payload))
+        self.append(TraceRecord(time, kind, node, broadcast_id, peer,
+                                payload))
 
     def bump(self, kind: str, node: Any = None) -> None:
         """Count an occurrence without materializing a record."""
@@ -528,8 +527,8 @@ class SpillSink(TraceSink):
             f"{'null' if broadcast_id is None else broadcast_id}, "
             f"{self._label_fragment(peer)}, "
             f"{'null' if payload is None else json.dumps(repr(payload))}]")
-        if len(self._buffer) >= self.chunk_records:
-            self.flush()
+        # Index first, flush last: a flush that raises
+        # SpillBudgetError leaves the counters and the chunk agreeing.
         self._kind_counts[kind] += 1
         if kind == "decide":
             if node not in self._decisions:
@@ -542,9 +541,10 @@ class SpillSink(TraceSink):
             bucket = self._by_kind_essential.get(kind)
             if bucket is None:
                 bucket = self._by_kind_essential[kind] = []
-            bucket.append(TraceRecord(time, kind, node,
-                                      broadcast_id=broadcast_id,
-                                      peer=peer, payload=payload))
+            bucket.append(TraceRecord(time, kind, node, broadcast_id,
+                                      peer, payload))
+        if len(self._buffer) >= self.chunk_records:
+            self.flush()
 
     def append(self, record: TraceRecord) -> None:
         """Protocol parity with :class:`Trace` (used by trace import)."""
@@ -570,8 +570,6 @@ class SpillSink(TraceSink):
             f"{'null' if bid is None else bid}, "
             f"{self._label_fragment(record.peer)}, "
             f"{'null' if payload is None else json.dumps(payload)}]")
-        if len(self._buffer) >= self.chunk_records:
-            self.flush()
         self._kind_counts[kind] += 1
         node = record.node
         if kind == "decide":
@@ -586,6 +584,8 @@ class SpillSink(TraceSink):
             if bucket is None:
                 bucket = self._by_kind_essential[kind] = []
             bucket.append(record)
+        if len(self._buffer) >= self.chunk_records:
+            self.flush()
 
     def bump(self, kind: str, node: Any = None) -> None:
         self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
@@ -645,9 +645,8 @@ class SpillSink(TraceSink):
     def _parse(line: str) -> TraceRecord:
         time, kind, node, bid, peer, payload = json.loads(line)
         return TraceRecord(time, _KIND_INTERN.get(kind, kind),
-                           _unpack_label(node),
-                           broadcast_id=bid, peer=_unpack_label(peer),
-                           payload=payload)
+                           _unpack_label(node), bid, _unpack_label(peer),
+                           payload)
 
     def chunk_paths(self) -> List[str]:
         """Paths of the flushed chunks, in record order."""

@@ -8,6 +8,7 @@ from repro.analysis.export import trace_to_json
 from repro.analysis.runner import alternating_values
 from repro.macsim import (build_simulation, check_consensus,
                           check_model_invariants)
+from repro.macsim.schedulers import DeliveryPlan, Scheduler
 
 
 def run_and_check(graph, factory, scheduler, *, initial_values=None,
@@ -65,3 +66,24 @@ def per_receiver_delivery_order(graph, trace, scheduler):
 def delivered_order(trace):
     return [(rec.time, rec.node, rec.broadcast_id)
             for rec in trace.of_kind("deliver")]
+
+
+class AckFirstScheduler(Scheduler):
+    """Acks at +0.5; reliable deliveries land ``late`` after the start
+    and unreliable ones 1e-9 after the ack (the edge of the dual-graph
+    window, which sorts after the ack -- and after whatever the sender
+    broadcasts from ``on_ack``)."""
+
+    f_ack = 1.0
+
+    def __init__(self, late):
+        self.late = late
+
+    def plan(self, *, sender, message, start_time, neighbors):
+        return DeliveryPlan(
+            deliveries={v: start_time + self.late for v in neighbors},
+            ack_time=start_time + 0.5)
+
+    def plan_unreliable(self, *, sender, message, start_time, ack_time,
+                        neighbors):
+        return {v: ack_time + 1e-9 for v in neighbors}

@@ -9,6 +9,7 @@ traces, schema-v6 export round-trips and CLI replay."""
 import json
 import os
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -18,7 +19,9 @@ from repro.analysis.export import (iter_saved_records, load_metadata,
                                    load_scenario, load_trace, save_trace)
 from repro.cli import main as cli_main
 from repro.core import TwoPhaseConsensus
-from repro.macsim import (ColumnarSink, EdgeChurn, IndexedMemorySink,
+from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
+                          ColumnarSink, CorruptStrategy, EdgeChurn,
+                          EquivocateStrategy, IndexedMemorySink, Process,
                           SpillBudgetError, SpillSink, TraceLevel,
                           build_simulation, check_model_invariants,
                           crash_plan, make_sink)
@@ -28,10 +31,11 @@ from repro.macsim.columnar import (ColumnarChunk, decode_chunk,
                                    try_vectorized_invariants)
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
-from repro.macsim.trace import TRACE_KINDS, _pack_label
+from repro.macsim.trace import TRACE_KINDS, TraceRecord, _pack_label
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
-from repro.topology import clique, line
+from repro.topology import Graph, clique, line
+from tests.helpers import AckFirstScheduler
 
 SETTINGS = dict(max_examples=12, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -269,6 +273,34 @@ class TestSpillBudget:
         assert sink.chunk_paths()
         assert all(os.path.exists(p) for p in sink.chunk_paths())
 
+    @pytest.mark.parametrize("serialized", [False, True],
+                             ids=["record", "append_serialized"])
+    @pytest.mark.parametrize("kind", ["decide", "broadcast"])
+    @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
+                             ids=["jsonl", "columnar"])
+    def test_budget_error_leaves_index_agreeing_with_chunks(
+            self, tmp_path, cls, kind, serialized):
+        # The record whose flush blows the budget is on disk, so it
+        # must be in the counters and the decision index too.
+        sink = cls(str(tmp_path / "s"), chunk_records=4, max_bytes=10)
+        with pytest.raises(SpillBudgetError):
+            for i in range(10):
+                if serialized:
+                    sink.append_serialized(TraceRecord(
+                        float(i), kind, i, i, None, repr(i)))
+                else:
+                    sink.record(float(i), kind, i, broadcast_id=i,
+                                payload=i)
+        counted = sum(sink.count_of_kind(k) for k in TRACE_KINDS)
+        assert len(sink) == counted == len(list(sink)) == 4
+        if kind == "decide":
+            assert sink.decision_times() == {i: float(i)
+                                             for i in range(4)}
+            assert list(sink.decisions()) == [0, 1, 2, 3]
+            assert len(sink.of_kind("decide")) == 4
+        else:
+            assert sink.broadcasts_per_node() == {i: 1 for i in range(4)}
+
     @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
                              ids=["jsonl", "columnar"])
     def test_budget_not_hit_when_under(self, tmp_path, cls):
@@ -278,6 +310,135 @@ class TestSpillBudget:
             sink.record(float(i), "ack", 0, broadcast_id=i)
         sink.close()
         assert 0 < sink.spilled_bytes() <= 10_000_000
+
+
+# ----------------------------------------------------------------------
+# Payload text is taken once per broadcast -- and never hides a
+# substitution
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Msg:
+    """Forgeable payload (``forge_payload`` rewrites ``value``)."""
+
+    origin: int
+    value: object
+
+
+class _Teller(Process):
+    """Three back-to-back ``_Msg`` broadcasts."""
+
+    def __init__(self, uid):
+        super().__init__(uid=uid, initial_value=0)
+        self.sent = 0
+
+    def on_start(self):
+        self.on_ack()
+
+    def on_ack(self):
+        if self.sent < 3:
+            self.sent += 1
+            self.broadcast(_Msg(self.uid, self.sent % 2))
+
+
+def _as_text_rows(trace):
+    """Replay rows with payloads as the sinks serialize them."""
+    preserialized = trace.payloads_preserialized
+    return [(r.time, r.kind, r.node, r.broadcast_id, r.peer,
+             r.payload if preserialized or r.payload is None
+             else repr(r.payload)) for r in trace]
+
+
+def _mutated_bids(report):
+    return sorted(int(v.split()[1]) for v in report.violations
+                  if "delivered mutated payload" in v)
+
+
+class TestPayloadTextMemo:
+    def _byzantine_pair(self, strategy, tmp_path):
+        graph = clique(4)
+        runs = []
+        for sink in (IndexedMemorySink(),
+                     ColumnarSink(str(tmp_path / "c"), chunk_records=16)):
+            model = ByzantineFaultModel(
+                [ByzantinePlan(node=0, strategy=strategy())])
+            sim = build_simulation(graph, _Teller,
+                                   SynchronousScheduler(1.0),
+                                   fault_model=model, trace_sink=sink)
+            sim.run(max_time=10.0)
+            sink.close()
+            runs.append((model, sink))
+        return graph, runs
+
+    @pytest.mark.parametrize("strategy", [
+        CorruptStrategy, EquivocateStrategy,
+        lambda: EquivocateStrategy({1: "x", 2: "y", 3: "z"}),
+    ], ids=["corrupt", "equivocate", "equivocate-assigned"])
+    def test_substitutions_are_flagged_at_columnar_as_at_full(
+            self, strategy, tmp_path):
+        graph, ((model, full), (_, col)) = self._byzantine_pair(
+            strategy, tmp_path)
+        # Forged payloads replay with their own text, not the
+        # broadcast's.
+        assert _as_text_rows(col) == _as_text_rows(full)
+        forged = [r for r in col if r.kind == "deliver" and r.peer == 0]
+        sent = {r.broadcast_id: r.payload for r in col
+                if r.kind == "broadcast" and r.node == 0}
+        assert len(forged) == 9
+        assert any(r.payload != sent[r.broadcast_id] for r in forged)
+        verdicts = []
+        for trace in (full, col):
+            scoped = check_model_invariants(
+                graph, trace, 1.0, faulty=model.faulty_nodes())
+            assert scoped.ok, scoped.violations[:5]
+            unscoped = check_model_invariants(graph, trace, 1.0)
+            assert not unscoped.ok
+            verdicts.append(_mutated_bids(unscoped))
+        assert verdicts[0] == verdicts[1] != []
+        if have_numpy():
+            assert _mutated_bids(try_vectorized_invariants(
+                graph, col, 1.0)) == verdicts[0]
+
+    def test_delivery_after_the_senders_next_broadcast_keeps_old_text(
+            self, tmp_path):
+        graph = line(3)  # reliable 0-1-2, unreliable chord 0-2
+        chord = Graph([(0, 2)], nodes=graph.nodes)
+        rows = []
+        for sink in (IndexedMemorySink(),
+                     ColumnarSink(str(tmp_path / "c"), chunk_records=16)):
+            sim = build_simulation(graph, _Teller,
+                                   AckFirstScheduler(late=0.25),
+                                   unreliable_graph=chord,
+                                   trace_sink=sink)
+            sim.run(max_time=10.0)
+            sink.close()
+            rows.append(_as_text_rows(sink))
+        full, col = rows
+        assert col == full
+        first = next(r for r in col if r[1] == "broadcast" and r[2] == 0)
+        second = next(i for i, r in enumerate(col)
+                      if r[1] == "broadcast" and r[2] == 0
+                      and r[3] != first[3])
+        late = [r for r in col[second:]
+                if r[1] == "deliver" and r[3] == first[3]]
+        assert [(r[2], r[5]) for r in late] == [(2, first[5])]
+        assert first[5] != col[second][5]
+
+    def test_memo_is_bounded_by_the_node_count(self, tmp_path):
+        graph = clique(8)
+
+        class Flood(Process):
+            def on_start(self):
+                self.on_ack()
+
+            def on_ack(self):
+                self.broadcast(("m", self.uid, self.now()))
+
+        sink = ColumnarSink(str(tmp_path / "c"), chunk_records=5000)
+        sim = build_simulation(graph, lambda v: Flood(uid=v),
+                               SynchronousScheduler(1.0), trace_sink=sink)
+        assert sim.run(max_events=20_000).events_processed == 20_000
+        assert sink.broadcast_count() > 2_000
+        assert 0 < len(sink._sent_text) <= graph.n
 
 
 # ----------------------------------------------------------------------

@@ -10,16 +10,17 @@ from repro.analysis import parallel_sweep, run_consensus, sweep
 from repro.analysis.sweeps import default_workers
 from repro.core.twophase import TwoPhaseConsensus
 from repro.core.wpaxos import WPaxosConfig, WPaxosNode
-from repro.macsim import (Process, TraceLevel, build_simulation,
-                          crash_plan)
+from repro.macsim import (OmissionFaultModel, OmissionPlan, Process,
+                          TraceLevel, build_simulation, crash_plan)
+from repro.macsim.errors import SimulationLimitError
 from repro.macsim.events import (ACK_PRIORITY, DELIVER_PRIORITY,
                                  EventQueue)
-from repro.macsim.schedulers import (RandomDelayScheduler, Scheduler,
+from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
-from repro.macsim.schedulers.base import DeliveryPlan
 from repro.macsim.simulator import _BroadcastRecord
 from repro.macsim.trace import TRACE_KINDS, Trace
 from repro.topology import Graph, clique, line
+from tests.helpers import AckFirstScheduler, trace_digest
 
 
 class Chatter(Process):
@@ -127,26 +128,6 @@ def live_broadcast_records():
                for obj in gc.get_objects())
 
 
-class _AckFirstScheduler(Scheduler):
-    """Acks at +0.5; reliable deliveries land ``late`` after the start
-    and unreliable ones 1e-9 after the ack (the edge of the dual-graph
-    window, which sorts after the ack)."""
-
-    f_ack = 1.0
-
-    def __init__(self, late):
-        self.late = late
-
-    def plan(self, *, sender, message, start_time, neighbors):
-        return DeliveryPlan(
-            deliveries={v: start_time + self.late for v in neighbors},
-            ack_time=start_time + 0.5)
-
-    def plan_unreliable(self, *, sender, message, start_time, ack_time,
-                        neighbors):
-        return {v: ack_time + 1e-9 for v in neighbors}
-
-
 class _Hello(Process):
     def __init__(self, uid):
         super().__init__(uid=uid, initial_value=0)
@@ -203,7 +184,7 @@ class TestBroadcastRecordLifetime:
         assert alive == len(sim._inflight)
 
     def test_trusted_scheduler_delivering_after_its_ack(self):
-        scheduler = _AckFirstScheduler(late=2.0)
+        scheduler = AckFirstScheduler(late=2.0)
         scheduler.trusted = True
         before = live_broadcast_records()
         sim = build_simulation(clique(3), _Hello, scheduler)
@@ -219,7 +200,7 @@ class TestBroadcastRecordLifetime:
         graph = line(3)  # reliable 0-1-2, unreliable chord 0-2
         before = live_broadcast_records()
         sim = build_simulation(
-            graph, _Hello, _AckFirstScheduler(late=0.25),
+            graph, _Hello, AckFirstScheduler(late=0.25),
             unreliable_graph=Graph([(0, 2)], nodes=graph.nodes))
         result = sim.run(max_time=5.0)
         late = 0.5 + 1e-9
@@ -400,6 +381,161 @@ class TestEventQueueCompaction:
         order = [queue.pop().node for _ in range(3)]
         assert order == ["light", "heavy", "lite-ack"]
         assert queue.pop() is None
+
+
+# ---------------------------------------------------------------------
+# Delivery-batch expansion: stops and resumes land on the same receiver
+# ---------------------------------------------------------------------
+class _Listener(Process):
+    """Broadcasts back to back; decides on hearing its 12th message
+    (clique-6/synchronous: the second delivery of its third round, so
+    the last decision falls in the middle of a batch)."""
+
+    def __init__(self, uid):
+        super().__init__(uid=uid, initial_value=0)
+        self.sent = 0
+        self.heard = []
+
+    def on_start(self):
+        self.broadcast(("m", self.uid, 0))
+
+    def on_ack(self):
+        self.sent += 1
+        self.broadcast(("m", self.uid, self.sent))
+
+    def on_receive(self, message):
+        self.heard.append((self.now(), message))
+        if len(self.heard) == 12:
+            self.decide(message)
+
+
+_BATCH_VARIANTS = ("crash-free", "crash-plan", "omission")
+_BATCH_LEVELS = (TraceLevel.FULL, TraceLevel.DECISIONS)
+
+#: variant -> (events of the unsliced run, which ``stop_when_all_decided``
+#: ends mid-batch; calls a never-true ``stop_predicate`` receives over
+#: it). Measured on the commit before the inner batch loop (57f7cfd).
+_BATCH_COMMITTED = {
+    "crash-free": (84, 99),
+    "crash-plan": (87, 106),
+    "omission": (166, 195),
+}
+
+
+def _batch_sim(variant, level):
+    kwargs = {}
+    if variant == "crash-plan":
+        # Both die mid-broadcast: node 0's batch loses three receivers
+        # (cancelled, filtered at expansion), node 4's is delivered whole.
+        kwargs["crashes"] = (crash_plan(0, 0.5, still_delivered=(1, 3)),
+                             crash_plan(4, 2.5))
+    elif variant == "omission":
+        kwargs["fault_model"] = OmissionFaultModel([OmissionPlan(
+            node=1, send=True, receive=True, drop_rate=0.5, seed=3)])
+    return build_simulation(clique(6), _Listener,
+                            SynchronousScheduler(1.0),
+                            trace_level=level, **kwargs)
+
+
+def _batch_signature(sim):
+    trace = sim.trace
+    return (trace_digest(trace) if trace.replayable else None,
+            trace.decisions(), trace.decision_times(),
+            {kind: trace.count_of_kind(kind) for kind in TRACE_KINDS},
+            {v: (p.sent, p.heard) for v, p in sim.processes.items()})
+
+
+def _resume_to_completion(sim, **limits):
+    reasons, total = [], 0
+    while True:
+        result = sim.run(**limits)
+        reasons.append(result.stop_reason)
+        total += result.events_processed
+        if result.stop_reason != "max_events":
+            return reasons, total
+
+
+@pytest.mark.parametrize("level", _BATCH_LEVELS, ids=lambda l: l.value)
+@pytest.mark.parametrize("variant", _BATCH_VARIANTS)
+class TestBatchExpansionStopsAndResumes:
+    def _whole(self, variant, level):
+        sim = _batch_sim(variant, level)
+        result = sim.run()
+        assert result.stop_reason == "all_decided"
+        return sim, result
+
+    def test_unsliced_run_ends_mid_batch_on_the_committed_event(
+            self, variant, level):
+        sim, result = self._whole(variant, level)
+        assert sim._pending_batch is not None
+        assert sim.next_event_time() == result.end_time
+        assert result.events_processed == _BATCH_COMMITTED[variant][0]
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_max_events_slices_equal_the_unsliced_run(self, variant,
+                                                      level, k):
+        whole, result = self._whole(variant, level)
+        sliced = _batch_sim(variant, level)
+        reasons, total = _resume_to_completion(sliced, max_events=k)
+        assert total == result.events_processed
+        assert reasons == ["max_events"] * (total // k) + ["all_decided"]
+        assert _batch_signature(sliced) == _batch_signature(whole)
+
+    def test_predicate_is_evaluated_once_per_loop_step(self, variant,
+                                                       level):
+        calls = 0
+
+        def never(sim):
+            nonlocal calls
+            calls += 1
+            return False
+
+        sim = _batch_sim(variant, level)
+        result = sim.run(stop_predicate=never)
+        assert (result.events_processed, calls) == _BATCH_COMMITTED[variant]
+        assert _batch_signature(sim) == _batch_signature(
+            self._whole(variant, level)[0])
+
+    def test_predicate_tripping_mid_batch_resumes_at_next_receiver(
+            self, variant, level):
+        whole, _ = self._whole(variant, level)
+        sim = _batch_sim(variant, level)
+        result = sim.run(
+            stop_predicate=lambda s: s.trace.delivery_count() == 8)
+        assert result.stop_reason == "predicate"
+        assert sim.trace.delivery_count() == 8
+        _, record, receivers, index = sim._pending_batch
+        assert 0 < index < len(receivers)
+        assert sim.next_event_time() == sim.now == 1.0
+        # One more event is the interrupted broadcast reaching (or, for
+        # the omission model, being dropped at) its next receiver.
+        handled = (sim.trace.delivery_count()
+                   + sim.trace.count_of_kind("drop"))
+        assert sim.run(max_events=1).events_processed == 1
+        assert (sim.trace.delivery_count()
+                + sim.trace.count_of_kind("drop")) == handled + 1
+        if level is TraceLevel.FULL:
+            last = sim.trace[len(sim.trace) - 1]
+            assert (last.node, last.broadcast_id) == (receivers[index],
+                                                      record.bid)
+        assert sim.run().stop_reason == "all_decided"
+        assert _batch_signature(sim) == _batch_signature(whole)
+
+    def test_max_time_falling_on_a_resumed_batch(self, variant, level):
+        whole, _ = self._whole(variant, level)
+        sim = _batch_sim(variant, level)
+        assert sim.run(max_events=6).stop_reason == "max_events"
+        cursor = list(sim._pending_batch)
+        assert 0 < cursor[3] < len(cursor[2])
+        result = sim.run(max_time=0.5)
+        assert (result.stop_reason, result.events_processed) == (
+            "max_time", 0)
+        with pytest.raises(SimulationLimitError):
+            sim.run(max_time=0.5, raise_on_limit=True)
+        assert sim._pending_batch == cursor
+        assert sim.next_event_time() == 1.0
+        assert sim.run().stop_reason == "all_decided"
+        assert _batch_signature(sim) == _batch_signature(whole)
 
 
 def _twophase_build(f_ack):
