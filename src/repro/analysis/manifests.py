@@ -10,11 +10,11 @@ from the :class:`~repro.analysis.cache.ResultCache`, resumed after an
 interruption (every completed cell is already on disk) and re-run only
 where a scenario or the cache salt changed.
 
-Migrated drivers (``MANIFEST_SOURCES``) export a ``manifest()``
-function returning their blocks built from the *same* module-level
-scenario definitions their ``run()`` executes -- so ``repro regen E9``
-and ``repro regen --manifest e9.manifest.json`` share cache entries
-cell for cell.
+Migrated drivers (``MANIFEST_SOURCES``) declare their blocks once, in
+``manifest()``, and their ``run()`` executes that manifest
+(:meth:`ExperimentManifest.run`) -- so ``repro regen E9`` and
+``repro regen --manifest e9.manifest.json`` share cache entries cell
+for cell.
 
 :func:`regenerate` renders a deterministic per-block table (no
 timings, no environment) -- two regenerations from the same cells are
@@ -31,8 +31,9 @@ from typing import Any, Dict, List, Optional
 
 from ..scenario import (Scenario, ScenarioError, ScenarioGrid,
                         _from_jsonable, _jsonable)
-from .cache import ResultCache, cached_run
-from .sweeps import SweepPoint, SweepResult
+from .cache import ResultCache
+from .sweeps import (SweepPoint, SweepProgress, SweepResult,
+                     _progress_enabled, parallel_sweep)
 from .tables import format_table
 
 MANIFEST_SCHEMA = "manifest/v1"
@@ -105,22 +106,13 @@ class ManifestBlock:
         return 1 if self.is_single() else len(self.grid())
 
     def scenarios(self) -> List[Scenario]:
-        if self.is_single():
-            return [self.base]
-        return self.grid().scenarios()
+        return [scenario for scenario, _, _ in self.sweep_cells()]
 
-    def run(self, *, cache: Optional[ResultCache] = None,
-            parallel: bool = True, workers: Optional[int] = None,
-            executor: str = "steal",
-            progress: Optional[bool] = None) -> SweepResult:
-        """Execute (or regenerate from cache) every cell."""
+    def sweep_cells(self) -> List[tuple]:
+        """``(scenario, x, key)`` per cell; a single cell has no key."""
         if self.is_single():
-            metrics = cached_run(self.base, cache)
-            point = SweepPoint(x=0.0, metrics=metrics, key=None)
-            return SweepResult(name=self.name, points=[point])
-        return self.grid().run(name=self.name, cache=cache,
-                               parallel=parallel, workers=workers,
-                               executor=executor, progress=progress)
+            return [(self.base, 0.0, None)]
+        return self.grid().sweep_cells()
 
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -161,6 +153,113 @@ class ExperimentManifest:
 
     def cells(self) -> int:
         return sum(block.cells() for block in self.blocks)
+
+    def run(self, *, cache: Optional[ResultCache] = None,
+            workers: Optional[int] = None, parallel: bool = True,
+            executor: str = "steal", progress: Optional[bool] = None,
+            point_timeout: Optional[float] = None,
+            point_retries: int = 0,
+            block_stats: Optional[List[Dict[str, Any]]] = None
+            ) -> Dict[str, SweepResult]:
+        """Execute (or serve from ``cache``) every cell of the
+        experiment; returns ``{block name: SweepResult}``.
+
+        The one way scenario cells run (``ScenarioGrid.run`` is a
+        one-block experiment): the cache-missing cells of *all* blocks
+        share one :func:`~repro.analysis.sweeps.parallel_sweep` pool
+        (``parallel=False`` or ``executor="serial"``: in process), so
+        an experiment pays one fork/join and waits once, on its largest
+        cell. Each cell runs exactly as ``scenario.run()`` would --
+        limits, trace level and ``check_invariants`` are its own.
+
+        ``cache`` serves cells whose scenario digest is stored and
+        persists fresh cells *as they complete*, so an interrupted run
+        resumes where it stopped; a cell equal to an earlier missing
+        one is read back once the pool has stored the first. Metrics
+        are *canonical* (``algorithm`` is the scenario's algorithm
+        name), so entries are shared with ``cached_run`` and
+        ``verify="replay"``. ``block_stats``, when a list and a cache
+        is in use, collects one dict per block (``experiment`` /
+        ``block`` / ``cells`` / ``hits`` / ``misses`` / ``stragglers``,
+        the last flagged against the whole pool's runtimes).
+        """
+        cells = [(block.name, scenario, x, key) for block in self.blocks
+                 for scenario, x, key in block.sweep_cells()]
+        points: List[Optional[SweepPoint]] = [None] * len(cells)
+        hits = {block.name: 0 for block in self.blocks}
+        if len(hits) != len(self.blocks):
+            raise ManifestError(
+                f"manifest {self.experiment!r} repeats a block name")
+
+        def place(slot: int, metrics) -> None:
+            _, _, x, key = cells[slot]
+            points[slot] = SweepPoint(x=x, metrics=metrics, key=key)
+
+        misses: List[int] = []
+        repeats: List[int] = []
+        pending: set = set()
+        for slot, (name, scenario, _, _) in enumerate(cells):
+            if cache is None:
+                misses.append(slot)
+            elif scenario in pending:
+                repeats.append(slot)
+            else:
+                metrics = cache.get(scenario)
+                if metrics is None:
+                    pending.add(scenario)
+                    misses.append(slot)
+                else:
+                    hits[name] += 1
+                    place(slot, metrics)
+        reporter = (SweepProgress(self.experiment, len(cells))
+                    if _progress_enabled(progress) else None)
+        if reporter is not None and cache is not None:
+            reporter.note_cached(len(cells) - len(misses) - len(repeats))
+            reporter.cache_misses = len(misses)
+
+        def build(pool_key: tuple) -> Dict[str, Any]:
+            _, scenario, x, _ = cells[pool_key[0]]
+            return dict(scenario.run_kwargs(), x=x)
+
+        def on_point(point: SweepPoint) -> None:
+            slot = point.key[0]
+            if cache is not None:
+                cache.put(cells[slot][1], point.metrics)
+            place(slot, point.metrics)
+
+        # Pool keys are (slot, block, cell key): the slot finds the
+        # cell, the rest is what heartbeats and stragglers show.
+        fresh = parallel_sweep(
+            self.experiment,
+            [(slot, cells[slot][0], cells[slot][3]) for slot in misses],
+            build, workers=workers,
+            executor=executor if parallel else "serial",
+            point_timeout=point_timeout, point_retries=point_retries,
+            reporter=reporter, on_point=on_point)
+        for slot in repeats:
+            before = cache.hits
+            place(slot, cache.run(cells[slot][1]))
+            hits[cells[slot][0]] += cache.hits - before
+        stats = fresh.executor_stats
+        if reporter is not None:
+            reporter.note_cached(len(repeats))
+            reporter.finish(worker_stats=(stats or {}).get("per_worker"))
+
+        results = {name: SweepResult(name=name) for name in hits}
+        for (name, _, _, _), point in zip(cells, points):
+            results[name].points.append(point)
+        for name, result in results.items():
+            slow = [key for _, owner, key in
+                    (stats or {}).get("stragglers", ()) if owner == name]
+            if stats is not None:
+                result.executor_stats = dict(stats, stragglers=slow)
+            if block_stats is not None and cache is not None:
+                total = len(result.points)
+                block_stats.append({
+                    "experiment": self.experiment, "block": name,
+                    "cells": total, "hits": hits[name],
+                    "misses": total - hits[name], "stragglers": slow})
+        return results
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -209,11 +308,6 @@ class ExperimentManifest:
             handle.write("\n")
 
 
-def available_manifests() -> List[str]:
-    """IDs of the drivers that export manifests."""
-    return list(MANIFEST_SOURCES)
-
-
 def load_manifest(experiment_id: str) -> ExperimentManifest:
     """The manifest a migrated E-driver exports."""
     module_name = MANIFEST_SOURCES.get(experiment_id.upper())
@@ -230,21 +324,13 @@ def write_manifests(directory: str,
     """Write one ``<id>.manifest.json`` per migrated driver."""
     os.makedirs(directory, exist_ok=True)
     paths = []
-    for experiment_id in (ids or available_manifests()):
+    for experiment_id in (ids or MANIFEST_SOURCES):
         manifest = load_manifest(experiment_id)
         path = os.path.join(
             directory, f"{manifest.experiment.lower()}.manifest.json")
         manifest.dump(path)
         paths.append(path)
     return paths
-
-
-def _cell_value(value: Any) -> Any:
-    if value is None:
-        return None
-    if isinstance(value, float):
-        return value
-    return value
 
 
 def block_table(block: ManifestBlock,
@@ -259,51 +345,24 @@ def block_table(block: ManifestBlock,
         rows.append([
             label, point.x, metrics.correct, metrics.agreement,
             metrics.validity, metrics.termination,
-            _cell_value(metrics.last_decision), metrics.events])
+            metrics.last_decision, metrics.events])
     return headers, rows
 
 
-def regenerate(manifest: ExperimentManifest, *,
-               cache: Optional[ResultCache] = None,
-               parallel: bool = True,
-               workers: Optional[int] = None,
-               executor: str = "steal",
-               progress: Optional[bool] = None,
-               block_stats: Optional[List[Dict[str, Any]]] = None) -> str:
+def regenerate(manifest: ExperimentManifest, **run_options: Any) -> str:
     """Regenerate every block table; deterministic text output.
 
-    Cache hits skip execution entirely; fresh cells are persisted as
-    they complete, so an interrupted regeneration resumes from its
-    finished cells on the next invocation.
-
-    ``block_stats``, when a list, collects one per-block cache
-    accounting dict (``experiment`` / ``block`` / ``cells`` /
-    ``hits`` / ``misses`` / ``stragglers``) as blocks execute. The
-    counters live here -- not in the returned text -- so two
-    regenerations from the same cells stay byte-identical (the CI
-    regen-smoke pin) while the caller can still report which blocks
-    were served from cache and which sweep keys straggled
-    (:func:`repro.analysis.sweeps.flag_stragglers`).
+    ``run_options`` go to :meth:`ExperimentManifest.run`: cache hits
+    skip execution, fresh cells are persisted as they complete.
+    Accounting (``block_stats``) lives with the caller, not in the
+    returned text, so two regenerations from the same cells stay
+    byte-identical (the CI regen-smoke pin).
     """
     parts = [f"=== {manifest.experiment}: {manifest.title} "
              f"({manifest.cells()} cells) ==="]
+    results = manifest.run(**run_options)
     for block in manifest.blocks:
-        before = ((cache.hits, cache.misses) if cache is not None
-                  else (0, 0))
-        result = block.run(cache=cache, parallel=parallel,
-                           workers=workers, executor=executor,
-                           progress=progress)
-        if block_stats is not None and cache is not None:
-            stats = result.executor_stats or {}
-            block_stats.append({
-                "experiment": manifest.experiment,
-                "block": block.name,
-                "cells": block.cells(),
-                "hits": cache.hits - before[0],
-                "misses": cache.misses - before[1],
-                "stragglers": list(stats.get("stragglers", ())),
-            })
-        headers, rows = block_table(block, result)
+        headers, rows = block_table(block, results[block.name])
         title = block.name if not block.note else (
             f"{block.name} -- {block.note}")
         parts.append(format_table(headers, rows, title=title))

@@ -7,8 +7,8 @@ from typing import Any, Callable, Dict, Iterable, Optional
 from ..macsim import build_simulation
 from ..macsim.crash import CrashPlan
 from ..macsim.errors import ModelViolationError
-from ..macsim.invariants import check_model_invariants
-from ..macsim.trace import TraceLevel, TraceSink
+from ..macsim.invariants import InvariantAuditor, check_model_invariants
+from ..macsim.trace import TraceLevel, TraceSink, make_sink
 from .metrics import RunMetrics, collect_metrics
 
 #: Factory signature: (label, initial value) -> process.
@@ -52,7 +52,7 @@ def run_consensus(*, algorithm: str, topology: str, graph, scheduler,
        with byte-identical results).
 
     ``factory(label, value)`` builds the process for each node. Model
-    invariants are verified on the trace unless disabled (the replay
+    invariants are verified on every run unless disabled (the audit
     is streaming and O(n) in memory, so it stays cheap even for
     spilled traces).
 
@@ -73,13 +73,16 @@ def run_consensus(*, algorithm: str, topology: str, graph, scheduler,
     :attr:`RunMetrics.extras` automatically.
 
     ``trace_level``/``trace_sink`` select the trace sink (see
-    :mod:`repro.macsim.trace`): invariant replay needs a replayable
-    sink (FULL, SPILL or COLUMNAR), so invariant checking is skipped
-    automatically for counting sinks; consensus checking and all
-    metrics work on every sink (they use the decision/crash records
-    and the exact occurrence counters). COLUMNAR sinks take the
-    vectorized whole-chunk invariant fast path when numpy is
-    installed.
+    :mod:`repro.macsim.trace`). ``check_invariants`` means the same on
+    every sink: a replayable one (FULL, SPILL, COLUMNAR) is replayed
+    through :func:`~repro.macsim.invariants.check_model_invariants`
+    after the run (COLUMNAR on the vectorized path when numpy is
+    installed); a counting one (DECISIONS, or a caller's) is audited
+    online by an :class:`~repro.macsim.invariants.InvariantAuditor`
+    fed from its ``record`` calls; a sink that allows neither raises
+    rather than run unchecked. A violation raises
+    :class:`ModelViolationError` once the run ends. Consensus checking
+    and all metrics work on every sink.
 
     ``probe(sim)`` may harvest algorithm-specific observables from the
     finished simulator (e.g. round counts); its dict lands in
@@ -99,21 +102,25 @@ def run_consensus(*, algorithm: str, topology: str, graph, scheduler,
               else frozenset(fault_model.faulty_nodes()))
     untrusted = (frozenset() if fault_model is None
                  else frozenset(fault_model.lying_nodes()))
+    sink = trace_sink if trace_sink is not None else make_sink(trace_level)
+    auditor = None
+    if check_invariants and not sink.replayable:
+        auditor = InvariantAuditor(graph, scheduler.f_ack,
+                                   unreliable_graph, faulty)
+        sink.attach_auditor(auditor)
     sim = build_simulation(graph, lambda v: factory(v, values[v]),
                            scheduler, fault_model=fault_model,
                            crashes=crashes,
                            unreliable_graph=unreliable_graph,
-                           dynamics=dynamics,
-                           trace_level=trace_level,
-                           trace_sink=trace_sink,
+                           dynamics=dynamics, trace_sink=sink,
                            telemetry=telemetry)
     result = sim.run(max_events=max_events, max_time=max_time)
-    sink = result.trace
     sink.close()
-    if check_invariants and sink.replayable:
-        report = check_model_invariants(graph, sink, scheduler.f_ack,
-                                        unreliable_graph=unreliable_graph,
-                                        faulty=faulty)
+    if check_invariants:
+        report = (auditor.report() if auditor is not None
+                  else check_model_invariants(
+                      graph, sink, scheduler.f_ack,
+                      unreliable_graph=unreliable_graph, faulty=faulty))
         if not report.ok:
             raise ModelViolationError(
                 f"{algorithm} on {topology}: " + "; ".join(

@@ -2,9 +2,6 @@
 
 Thin declarative layer over :func:`repro.analysis.runner.run_consensus`
 for producing the (x, y) series the experiments fit lines through.
-Keeping sweeps in one place makes the E-drivers short and gives users
-a ready-made tool for their own measurements.
-
 Two runners share one point-execution helper:
 
 * :func:`sweep` -- sequential, one consensus execution per key.
@@ -13,6 +10,10 @@ Two runners share one point-execution helper:
   back in the order of ``xs`` regardless of worker completion order,
   and each point is itself deterministic (fixed scheduler/seed), so a
   parallel sweep is byte-for-byte equivalent to the sequential one.
+
+Scenario cells (a ``ScenarioGrid``, an experiment manifest) get here
+through :meth:`repro.analysis.manifests.ExperimentManifest.run`: a
+result cache in front, all of an experiment's blocks in one pool.
 
 Structured sweep keys
 ---------------------
@@ -82,7 +83,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..macsim.trace import TraceLevel
 from .metrics import RunMetrics
-from .runner import ProcessFactory, run_consensus
+from .runner import run_consensus
 from .stats import linear_fit
 
 
@@ -261,17 +262,6 @@ class SweepProgress:
               f"({count} cached point{'s' if count != 1 else ''} "
               f"reused)", file=self.stream, flush=True)
 
-    def note_misses(self, count: int) -> None:
-        """Account ``count`` points a result cache could not serve.
-
-        Silent (the misses' own heartbeats follow as they execute);
-        the counter feeds the closing summary line so a cached sweep
-        reports its hit/miss split explicitly rather than leaving
-        misses to be inferred from the total.
-        """
-        if count > 0:
-            self.cache_misses += count
-
     def finish(self, worker_stats: Optional[List[dict]] = None) -> None:
         """Print the closing summary line after the last heartbeat."""
         elapsed = perf_counter() - self.started
@@ -297,31 +287,29 @@ class SweepProgress:
 
 
 def _run_point(name: str, key: Any,
-               build: Callable[[Any], Dict[str, Any]],
-               max_events: int, max_time: Optional[float],
-               trace_level: "TraceLevel | str") -> SweepPoint:
+               build: Callable[[Any], Dict[str, Any]]) -> SweepPoint:
     """Execute one sweep point; shared by all runners."""
     spec = dict(build(key))
-    graph = spec.pop("graph")
-    scheduler = spec.pop("scheduler")
-    factory: ProcessFactory = spec.pop("factory")
-    topology = spec.pop("topology", f"{name}@{key}")
+    spec.setdefault("algorithm", name)
+    spec.setdefault("topology", f"{name}@{key}")
     x = spec.pop("x", None)
     if x is None:
         x = _scalar_axis(key)
-    metrics = run_consensus(
-        algorithm=name, topology=topology, graph=graph,
-        scheduler=scheduler, factory=factory,
-        max_events=max_events, max_time=max_time,
-        trace_level=trace_level, **spec)
-    return SweepPoint(x=float(x), metrics=metrics, key=key)
+    return SweepPoint(x=float(x), metrics=run_consensus(**spec), key=key)
+
+
+def _with_run_defaults(build: Callable[[Any], Dict[str, Any]],
+                       **defaults: Any) -> Callable[[Any], Dict[str, Any]]:
+    """``build`` with the sweep-wide limits and trace level filled in
+    under whatever a cell declares for itself."""
+    return lambda key: {**defaults, **build(key)}
 
 
 def sweep(name: str, xs: Sequence[Any],
           build: Callable[[Any], Dict[str, Any]],
           *, max_events: int = 20_000_000,
           max_time: Optional[float] = None,
-          trace_level: "TraceLevel | str" = TraceLevel.FULL,
+          trace_level: "TraceLevel | str" = TraceLevel.DECISIONS,
           progress: Optional[bool] = None,
           reporter: Optional[SweepProgress] = None,
           on_point: Optional[Callable[[SweepPoint], None]] = None,
@@ -333,7 +321,13 @@ def sweep(name: str, xs: Sequence[Any],
     ``scheduler``, ``factory`` and optionally ``initial_values`` /
     ``topology`` / ``crashes`` / ``unreliable_graph`` /
     ``check_invariants`` / ``probe``, plus ``x`` to pin the point's
-    scalar axis when the key alone does not determine it.
+    scalar axis when the key alone does not determine it. A cell's own
+    ``algorithm`` label (default: ``name``), ``max_events``,
+    ``max_time`` or ``trace_level`` win over the sweep-wide arguments.
+
+    A :class:`SweepPoint` carries only :class:`RunMetrics`, so cells
+    run at ``TraceLevel.DECISIONS`` by default: no MAC record is kept
+    and the model invariants are audited online (:func:`run_consensus`).
 
     Example::
 
@@ -359,14 +353,15 @@ def sweep(name: str, xs: Sequence[Any],
     ``reporter`` suppresses the summary (the caller finishes it).
     """
     xs = list(xs)
+    build = _with_run_defaults(build, max_events=max_events,
+                               max_time=max_time, trace_level=trace_level)
     owns_reporter = reporter is None
     if owns_reporter and _progress_enabled(progress):
         reporter = SweepProgress(name, len(xs))
     result = SweepResult(name=name)
     for x in xs:
         t0 = perf_counter()
-        point = _run_point(name, x, build, max_events, max_time,
-                           trace_level)
+        point = _run_point(name, x, build)
         if reporter is not None:
             reporter.point_done(point.key, perf_counter() - t0)
         result.points.append(point)
@@ -378,17 +373,16 @@ def sweep(name: str, xs: Sequence[Any],
 
 
 # Sweep specification the forked workers inherit: (name, xs, build,
-# max_events, max_time, trace_level, point_timeout, point_retries).
-# Only valid between fork and executor teardown.
+# point_timeout, point_retries). Only valid between fork and executor
+# teardown.
 _FORK_STATE: Optional[tuple] = None
 
 
 def _sweep_worker(index: int) -> tuple:
     """Legacy pool-executor worker: one task per point index."""
-    name, xs, build, max_events, max_time, trace_level = _FORK_STATE[:6]
+    name, xs, build = _FORK_STATE[:3]
     t0 = perf_counter()
-    point = _run_point(name, xs[index], build, max_events, max_time,
-                       trace_level)
+    point = _run_point(name, xs[index], build)
     # (index, runtime, point): completion order carries the heartbeat;
     # the index restores deterministic xs order afterwards.
     return index, perf_counter() - t0, point
@@ -441,20 +435,17 @@ def _raise_point_timeout(signum, frame):
     raise _PointTimeout()
 
 
-def _run_point_guarded(name: str, key: Any, build, max_events: int,
-                       max_time: Optional[float], trace_level,
+def _run_point_guarded(name: str, key: Any, build,
                        timeout: Optional[float],
                        retries: int) -> SweepPoint:
     """Run one point under an optional wall-clock timeout + retries."""
     if timeout is None:
-        return _run_point(name, key, build, max_events, max_time,
-                          trace_level)
+        return _run_point(name, key, build)
     attempts = max(1, int(retries) + 1)
     for _ in range(attempts):
         signal.setitimer(signal.ITIMER_REAL, float(timeout))
         try:
-            return _run_point(name, key, build, max_events, max_time,
-                              trace_level)
+            return _run_point(name, key, build)
         except _PointTimeout:
             continue
         finally:
@@ -475,8 +466,7 @@ def _steal_worker(worker_id: int, workers: int, total: int,
     ``("done", worker_id, points, chunks, busy_seconds)`` marker
     carries the utilization/steal telemetry.
     """
-    (name, xs, build, max_events, max_time, trace_level,
-     timeout, retries) = _FORK_STATE
+    name, xs, build, timeout, retries = _FORK_STATE
     if timeout is not None:
         signal.signal(signal.SIGALRM, _raise_point_timeout)
     points = chunks = 0
@@ -492,8 +482,7 @@ def _steal_worker(worker_id: int, workers: int, total: int,
                 t0 = perf_counter()
                 try:
                     point = _run_point_guarded(
-                        name, xs[index], build, max_events, max_time,
-                        trace_level, timeout, retries)
+                        name, xs[index], build, timeout, retries)
                 except SweepTimeoutError as exc:
                     results.put(("error", index, "timeout", str(exc)))
                     return
@@ -510,8 +499,7 @@ def _steal_worker(worker_id: int, workers: int, total: int,
         results.put(("done", worker_id, points, chunks, busy))
 
 
-def _run_steal(name: str, xs: list, build, max_events: int,
-               max_time: Optional[float], trace_level, workers: int,
+def _run_steal(name: str, xs: list, build, workers: int,
                reporter: Optional[SweepProgress],
                on_point: Optional[Callable[[SweepPoint], None]],
                point_timeout: Optional[float],
@@ -527,8 +515,7 @@ def _run_steal(name: str, xs: list, build, max_events: int,
     context = multiprocessing.get_context("fork")
     counter = context.Value("l", 0)
     results = context.Queue()
-    _FORK_STATE = (name, xs, build, max_events, max_time, trace_level,
-                   point_timeout, point_retries)
+    _FORK_STATE = (name, xs, build, point_timeout, point_retries)
     procs = [context.Process(target=_steal_worker,
                              args=(i, workers, len(xs), counter,
                                    results),
@@ -595,15 +582,13 @@ def _run_steal(name: str, xs: list, build, max_events: int,
     return ordered, [s for s in stats if s is not None], runtimes
 
 
-def _run_pool(name: str, xs: list, build, max_events: int,
-              max_time: Optional[float], trace_level, workers: int,
+def _run_pool(name: str, xs: list, build, workers: int,
               reporter: Optional[SweepProgress],
               on_point: Optional[Callable[[SweepPoint], None]]):
     """Legacy executor: ``Pool.imap_unordered``, one task per point."""
     global _FORK_STATE
     context = multiprocessing.get_context("fork")
-    _FORK_STATE = (name, xs, build, max_events, max_time, trace_level,
-                   None, 0)
+    _FORK_STATE = (name, xs, build, None, 0)
     ordered: List[Optional[SweepPoint]] = [None] * len(xs)
     runtimes: List[tuple] = []
     try:
@@ -625,7 +610,7 @@ def parallel_sweep(name: str, xs: Sequence[Any],
                    build: Callable[[Any], Dict[str, Any]],
                    *, max_events: int = 20_000_000,
                    max_time: Optional[float] = None,
-                   trace_level: "TraceLevel | str" = TraceLevel.FULL,
+                   trace_level: "TraceLevel | str" = TraceLevel.DECISIONS,
                    workers: Optional[int] = None,
                    progress: Optional[bool] = None,
                    executor: str = "steal",
@@ -683,21 +668,22 @@ def parallel_sweep(name: str, xs: Sequence[Any],
                      progress=progress, reporter=reporter,
                      on_point=on_point)
 
+    build = _with_run_defaults(build, max_events=max_events,
+                               max_time=max_time, trace_level=trace_level)
     owns_reporter = reporter is None
     if owns_reporter and _progress_enabled(progress):
         reporter = SweepProgress(name, len(xs))
     if executor == "pool":
-        ordered, runtimes = _run_pool(
-            name, xs, build, max_events, max_time, trace_level,
-            workers, reporter, on_point)
+        ordered, runtimes = _run_pool(name, xs, build, workers, reporter,
+                                      on_point)
         executor_stats = {"executor": "pool",
                           "workers": min(workers, len(xs)),
                           "stragglers": flag_stragglers(runtimes)}
         worker_stats = None
     else:
         ordered, worker_stats, runtimes = _run_steal(
-            name, xs, build, max_events, max_time, trace_level,
-            workers, reporter, on_point, point_timeout, point_retries)
+            name, xs, build, workers, reporter, on_point, point_timeout,
+            point_retries)
         executor_stats = {"executor": "steal", "workers": workers,
                           "per_worker": worker_stats,
                           "stragglers": flag_stragglers(runtimes)}
@@ -705,3 +691,4 @@ def parallel_sweep(name: str, xs: Sequence[Any],
         reporter.finish(worker_stats=worker_stats)
     return SweepResult(name=name, points=ordered,
                        executor_stats=executor_stats)
+

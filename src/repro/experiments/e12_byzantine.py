@@ -19,12 +19,11 @@ amplification, tolerance bound ``n > 5f``) against the
   in the report -- the measured reason the tolerance bound is not an
   artifact of the analysis.
 
-All within-bound points are one scenario grid per (topology,
+All within-bound points are one manifest block per (topology,
 strategy): the base :class:`~repro.scenario.Scenario` pins the
 uid-proportional RNG construction (``uid_seed_scale`` /
-``plan_seed_scale``) and the grid sweeps ``fault.count`` through
-``parallel_sweep``; each worker builds its own fault model (models
-hold per-run RNG state).
+``plan_seed_scale``) and the block sweeps ``fault.count``; each worker
+builds its own fault model (models hold per-run RNG state).
 """
 
 from __future__ import annotations
@@ -62,23 +61,12 @@ def _base_scenario(topology: TopologySpec, n: int, relay: bool,
         fault=FaultSpec("byzantine", count=0, strategy=strategy,
                         plan_seed_scale=11, budget=f_assumed),
         values="two-thirds-zeros",
+        trace_level="decisions",
         label=("multihop" if relay else "clique") + f"({n})")
 
 
-def _topologies(clique_n: int = CLIQUE_N,
-                multihop_n: int = MULTIHOP_N):
-    """The within-bound (topology, n, relay) rows; one grid per
-    (topology, strategy) pair, shared by ``run()`` and
-    ``manifest()``."""
-    return [
-        (TopologySpec("clique", n=clique_n), clique_n, False),
-        (TopologySpec("random", n=multihop_n,
-                      density=MULTIHOP_EDGE_PROB, seed=MULTIHOP_SEED),
-         multihop_n, True),
-    ]
-
-
-def manifest():
+def manifest(clique_n=CLIQUE_N, multihop_n=MULTIHOP_N,
+             strategies=STRATEGIES):
     """The within-bound grids as a scenario-native manifest.
 
     The past-the-bound violation run is hand-wired (it digs decide
@@ -87,11 +75,15 @@ def manifest():
     """
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
     blocks = []
-    for topology, n, relay in _topologies():
+    for topology, n, relay in (
+            (TopologySpec("clique", n=clique_n), clique_n, False),
+            (TopologySpec("random", n=multihop_n,
+                          density=MULTIHOP_EDGE_PROB, seed=MULTIHOP_SEED),
+             multihop_n, True)):
         f_assumed = max_tolerance(n)
         counts = list(range(f_assumed + 1))
         kind = "multihop" if relay else "clique"
-        for strategy_name in STRATEGIES:
+        for strategy_name in strategies:
             blocks.append(ManifestBlock(
                 f"{kind}-{strategy_name}",
                 _base_scenario(topology, n, relay, strategy_name),
@@ -130,9 +122,10 @@ def _violation_run():
 def run(*, clique_n=CLIQUE_N, multihop_n=MULTIHOP_N,
         strategies=STRATEGIES, cache=None,
         workers=None) -> ExperimentReport:
+    plan = manifest(clique_n, multihop_n, strategies)
     report = ExperimentReport(
         experiment_id="E12",
-        title="Byzantine consensus under the fault-model subsystem",
+        title=plan.title,
         paper_claim=("Tseng-Sardina 2023 / Zhang-Tseng 2024: the "
                      "abstract MAC layer supports Byzantine consensus; "
                      "grading+amplification tolerates f Byzantine "
@@ -144,26 +137,23 @@ def run(*, clique_n=CLIQUE_N, multihop_n=MULTIHOP_N,
 
     # --- within the bound: clique and multi-hop grids ------------------
     all_safe = True
-    for topology, n, relay in _topologies(clique_n, multihop_n):
-        f_assumed = max_tolerance(n)
-        byz_counts = tuple(range(f_assumed + 1))
-        for strategy_name in strategies:
-            base = _base_scenario(topology, n, relay, strategy_name)
-            series = base.grid({"fault.count": list(byz_counts)}).run(
-                name="byzantine", cache=cache, workers=workers)
-            for b, point in zip(byz_counts, series.points):
-                m = point.metrics
-                report.add_row(
-                    m.topology, strategy_name, f_assumed, b,
-                    m.agreement, m.validity, m.termination,
-                    m.last_decision)
-                if not m.correct:
-                    all_safe = False
-                    report.conclude(
-                        f"{m.topology} {strategy_name} b={b}: "
-                        f"agreement={m.agreement} "
-                        f"validity={m.validity} "
-                        f"termination={m.termination}", ok=False)
+    results = plan.run(cache=cache, workers=workers)
+    for block in plan.blocks:
+        strategy_name = block.base.fault.params["strategy"]
+        f_assumed = block.base.fault.params["budget"]
+        for point in results[block.name].points:
+            m, b = point.metrics, point.key
+            report.add_row(
+                m.topology, strategy_name, f_assumed, b,
+                m.agreement, m.validity, m.termination,
+                m.last_decision)
+            if not m.correct:
+                all_safe = False
+                report.conclude(
+                    f"{m.topology} {strategy_name} b={b}: "
+                    f"agreement={m.agreement} "
+                    f"validity={m.validity} "
+                    f"termination={m.termination}", ok=False)
     report.conclude(
         "agreement and validity held among correct nodes, and every "
         "correct node decided, for every strategy and every budget "

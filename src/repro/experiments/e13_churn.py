@@ -21,8 +21,8 @@ how decision latency and the consensus properties respond to churn:
   and network size grow, using ``Scenario.grid``'s zipped correlated
   ``(n, seed)`` axes.
 
-Every point is a scenario-grid cell executed through
-``parallel_sweep``; the ``connectivity`` probe (T-interval
+Every point is a manifest cell executed through one experiment-wide
+sweep pool; the ``connectivity`` probe (T-interval
 connectivity over the run's topology timeline) rides along in
 ``RunMetrics.extras``.
 """
@@ -54,66 +54,53 @@ def _base(algorithm: str, topology: TopologySpec,
         scheduler=SchedulerSpec("synchronous", f_ack=1.0),
         dynamics=dynamics,
         seed=SEED,
+        # Rows read decisions and the ``topo`` timeline; audited online.
+        trace_level="decisions",
         max_time=MAX_TIME,
         label=label)
 
 
-#: Shared block ingredients: ``run()`` and ``manifest()`` build their
-#: scenarios from the same helpers, so both address identical cache
-#: entries cell for cell.
 CHURN0 = DynamicsSpec("edge-churn", rate=0.0, epoch_length=1.0)
-
-
-def _clique_spec(n: int = CLIQUE_N) -> TopologySpec:
-    return TopologySpec("clique", n=n)
-
-
-def _geo_spec(n: int = GEO_N) -> TopologySpec:
-    return TopologySpec("geometric", n=n, radius=GEO_RADIUS, seed=SEED)
-
-
-def _waypoint_scenario(geo_n: int = GEO_N) -> Scenario:
-    return _base(
-        "wpaxos", _geo_spec(geo_n),
-        DynamicsSpec("random-waypoint", radius=GEO_RADIUS, speed=0.06,
-                     epoch_length=1.0),
-        f"geometric({geo_n})")
-
-
-def _node_churn_scenario(clique_n: int = CLIQUE_N) -> Scenario:
-    return _base(
-        "wpaxos", _clique_spec(clique_n),
-        DynamicsSpec("node-churn", leave_rate=0.05, rejoin_rate=0.5,
-                     epoch_length=1.0),
-        f"clique({clique_n})")
-
 
 ZIP_NS = (8, 12, 16)
 ZIP_SEEDS = (SEED, SEED + 1, SEED + 2)
 
 
-def manifest():
+def manifest(rates=RATES, algorithms=ALGORITHMS, clique_n=CLIQUE_N,
+             geo_n=GEO_N):
     """This experiment's row blocks as a scenario-native manifest."""
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
-    rate_axis = {"dynamics.rate": list(RATES)}
+    clique = TopologySpec("clique", n=clique_n)
+    geometric = TopologySpec("geometric", n=geo_n, radius=GEO_RADIUS,
+                             seed=SEED)
+    rate_axis = {"dynamics.rate": list(rates)}
     blocks = [
         ManifestBlock(f"clique-churn-{algorithm}",
-                      _base(algorithm, _clique_spec(), CHURN0,
-                            f"clique({CLIQUE_N})"),
+                      _base(algorithm, clique, CHURN0,
+                            f"clique({clique_n})"),
                       axes=dict(rate_axis))
-        for algorithm in ALGORITHMS
+        for algorithm in algorithms
     ]
     blocks.extend([
         ManifestBlock("geometric-churn",
-                      _base("wpaxos", _geo_spec(), CHURN0,
-                            f"geometric({GEO_N})"),
+                      _base("wpaxos", geometric, CHURN0,
+                            f"geometric({geo_n})"),
                       axes=dict(rate_axis)),
-        ManifestBlock("random-waypoint", _waypoint_scenario(),
+        ManifestBlock("random-waypoint",
+                      _base("wpaxos", geometric,
+                            DynamicsSpec("random-waypoint",
+                                         radius=GEO_RADIUS, speed=0.06,
+                                         epoch_length=1.0),
+                            f"geometric({geo_n})"),
                       note="mobility, not churn: nodes drift"),
-        ManifestBlock("node-churn", _node_churn_scenario(),
+        ManifestBlock("node-churn",
+                      _base("wpaxos", clique,
+                            DynamicsSpec("node-churn", leave_rate=0.05,
+                                         rejoin_rate=0.5,
+                                         epoch_length=1.0),
+                            f"clique({clique_n})"),
                       note="leave/rejoin with state reset"),
-        ManifestBlock("rate-x-n",
-                      _base("wpaxos", _clique_spec(), CHURN0, None),
+        ManifestBlock("rate-x-n", _base("wpaxos", clique, CHURN0, None),
                       axes=dict(rate_axis),
                       zipped={"topology.n": list(ZIP_NS),
                               "seed": list(ZIP_SEEDS)}),
@@ -137,9 +124,10 @@ def _row(report: ExperimentReport, m, dynamics_label: str,
 def run(*, rates=RATES, algorithms=ALGORITHMS,
         clique_n=CLIQUE_N, geo_n=GEO_N, cache=None,
         workers=None) -> ExperimentReport:
+    plan = manifest(rates, algorithms, clique_n, geo_n)
     report = ExperimentReport(
         experiment_id="E13",
-        title="Consensus under topology churn and mobility",
+        title=plan.title,
         paper_claim=("the abstract MAC layer targets mobile ad hoc "
                      "networks; algorithms that only assume local "
                      "broadcast + acks should degrade gracefully "
@@ -150,9 +138,7 @@ def run(*, rates=RATES, algorithms=ALGORITHMS,
                  "decision time", "topologies", "T-interval"],
     )
 
-    # --- churn rate x algorithm on the clique --------------------------
-    clique = _clique_spec(clique_n)
-    churn = CHURN0
+    results = plan.run(cache=cache, workers=workers)
     safety_ok = True
     zero_rate_ok = True
     decided = 0
@@ -167,10 +153,9 @@ def run(*, rates=RATES, algorithms=ALGORITHMS,
         else:
             stalled += 1
 
+    # --- churn rate x algorithm on the clique --------------------------
     for algorithm in algorithms:
-        base = _base(algorithm, clique, churn, f"clique({clique_n})")
-        series = base.grid({"dynamics.rate": list(rates)}).run(
-            name=algorithm, cache=cache, workers=workers)
+        series = results[f"clique-churn-{algorithm}"]
         for rate, point in zip(rates, series.points):
             m = point.metrics
             _row(report, m, "edge-churn", rate)
@@ -182,31 +167,21 @@ def run(*, rates=RATES, algorithms=ALGORITHMS,
         "algorithm decides correctly at rate 0", ok=zero_rate_ok)
 
     # --- wPAXOS on a geometric graph: churn and mobility ---------------
-    from ..analysis.cache import cached_run
-    geometric = _geo_spec(geo_n)
-    base = _base("wpaxos", geometric, churn, f"geometric({geo_n})")
-    series = base.grid({"dynamics.rate": list(rates)}).run(
-        name="wpaxos", cache=cache, workers=workers)
-    for rate, point in zip(rates, series.points):
+    for rate, point in zip(rates, results["geometric-churn"].points):
         m = point.metrics
         _row(report, m, "edge-churn", rate)
         _tally(m)
-    m = cached_run(_waypoint_scenario(geo_n), cache)
+    m = results["random-waypoint"].points[0].metrics
     _row(report, m, "random-waypoint", "-")
     _tally(m)
 
     # --- wPAXOS under node churn (leave/rejoin with state reset) -------
-    m = cached_run(_node_churn_scenario(clique_n), cache)
+    m = results["node-churn"].points[0].metrics
     _row(report, m, "node-churn", 0.05)
     _tally(m)
 
     # --- churn rate x n (zip-mode correlated axes) ---------------------
-    zip_base = _base("wpaxos", clique, churn, None)
-    zip_grid = zip_base.grid(
-        {"dynamics.rate": list(rates)},
-        zipped={"topology.n": list(ZIP_NS),
-                "seed": list(ZIP_SEEDS)})
-    series = zip_grid.run(name="wpaxos", cache=cache, workers=workers)
+    series = results["rate-x-n"]
     latency_by_rate = {}
     for point in series.points:
         rate, (n, _seed) = point.key

@@ -29,14 +29,15 @@ F_SWEEP = (0.5, 1.0, 2.0, 4.0, 8.0)
 RANDOM_SEEDS = (0, 1, 2, 3, 4)
 
 #: Two-Phase with label uids (``uid_base=0``: node label == uid on
-#: cliques, the construction this experiment has always used).
+#: cliques, the construction this experiment has always used). The
+#: table reads decisions and counters only: no MAC records are kept.
 BASE = Scenario(
     algorithm=AlgorithmSpec("two-phase", uid_base=0),
     topology=TopologySpec("clique", n=10),
-    scheduler=SchedulerSpec("synchronous", f_ack=1.0))
+    scheduler=SchedulerSpec("synchronous", f_ack=1.0),
+    trace_level="decisions")
 
-#: Witness-path bases, shared by ``run()`` and ``manifest()`` so the
-#: driver and its manifest address identical cache entries.
+#: Witness-path bases.
 RANDOM_BASE = BASE.override(
     {"scheduler": SchedulerSpec("random", f_ack=2.0),
      "label": "clique(12)"})
@@ -46,7 +47,8 @@ STAGGERED = BASE.override(
      "label": "clique(12)"})
 
 
-def manifest():
+def manifest(n_sweep=N_SWEEP, f_sweep=F_SWEEP,
+             random_seeds=RANDOM_SEEDS):
     """This experiment's row blocks as a scenario-native manifest."""
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
     return ExperimentManifest(
@@ -54,12 +56,12 @@ def manifest():
         title="Two-Phase Consensus in single hop networks",
         blocks=[
             ManifestBlock("time-vs-n", BASE,
-                          axes={"topology.n": list(N_SWEEP)}),
+                          axes={"topology.n": list(n_sweep)}),
             ManifestBlock("time-vs-fack", BASE,
-                          axes={"scheduler.f_ack": list(F_SWEEP)}),
+                          axes={"scheduler.f_ack": list(f_sweep)}),
             ManifestBlock("random-scheduler", RANDOM_BASE,
                           axes={"topology.n": [12],
-                                "scheduler.seed": list(RANDOM_SEEDS)}),
+                                "scheduler.seed": list(random_seeds)}),
             ManifestBlock("staggered", STAGGERED,
                           note="adversarial staggered-start witness"),
         ])
@@ -68,20 +70,20 @@ def manifest():
 def run(*, n_sweep=N_SWEEP, f_sweep=F_SWEEP,
         random_seeds=RANDOM_SEEDS, cache=None,
         workers=None) -> ExperimentReport:
+    plan = manifest(n_sweep, f_sweep, random_seeds)
     report = ExperimentReport(
         experiment_id="E1",
-        title="Two-Phase Consensus in single hop networks",
+        title=plan.title,
         paper_claim=("Theorem 4.1: solves consensus in O(F_ack) time "
                      "with unique ids, no knowledge of n"),
         headers=["scheduler", "n", "F_ack", "correct",
                  "decision time", "time/F_ack"],
     )
+    results = plan.run(cache=cache, workers=workers)
 
     # --- time vs n (fixed F_ack = 1) ---------------------------------
-    n_series = BASE.grid({"topology.n": list(n_sweep)}).run(
-        name="two-phase", parallel=False, cache=cache)
     times_vs_n = []
-    for n, point in zip(n_sweep, n_series.points):
+    for n, point in zip(n_sweep, results["time-vs-n"].points):
         metrics = point.metrics
         times_vs_n.append((n, metrics.last_decision))
         report.add_row("synchronous", n, 1.0, metrics.correct,
@@ -96,10 +98,8 @@ def run(*, n_sweep=N_SWEEP, f_sweep=F_SWEEP,
             f"dependence)", ok=abs(slope) < 0.05)
 
     # --- time vs F_ack (fixed n = 10) ---------------------------------
-    f_series = BASE.grid({"scheduler.f_ack": list(f_sweep)}).run(
-        name="two-phase", parallel=False, cache=cache)
     times_vs_f = []
-    for f_ack, point in zip(f_sweep, f_series.points):
+    for f_ack, point in zip(f_sweep, results["time-vs-fack"].points):
         metrics = point.metrics
         times_vs_f.append((f_ack, metrics.last_decision))
         report.add_row("synchronous", 10, f_ack, metrics.correct,
@@ -112,14 +112,8 @@ def run(*, n_sweep=N_SWEEP, f_sweep=F_SWEEP,
         ok=slope <= 2.0 + 1e-9)
 
     # --- adversarial and random schedulers ----------------------------
-    # The seed-replicated grid fans out across workers: one sweep
-    # point per (n, seed) key, identical results to the old loop.
-    random_series = RANDOM_BASE.grid(
-        {"topology.n": [12],
-         "scheduler.seed": list(random_seeds)},
-    ).run(name="two-phase", cache=cache, workers=workers)
     worst_ratio = 0.0
-    for point in random_series.points:
+    for point in results["random-scheduler"].points:
         metrics = point.metrics
         seed = point.key[1]
         worst_ratio = max(worst_ratio, metrics.normalized_time or 0.0)
@@ -129,8 +123,7 @@ def run(*, n_sweep=N_SWEEP, f_sweep=F_SWEEP,
                            metrics.normalized_time)
         if not metrics.correct:
             report.conclude(f"random seed {seed} failed", ok=False)
-    from ..analysis.cache import cached_run
-    metrics = cached_run(STAGGERED, cache)
+    metrics = results["staggered"].points[0].metrics
     report.add_row("staggered", 12, metrics.f_ack, metrics.correct,
                    metrics.last_decision, metrics.normalized_time)
     report.conclude(

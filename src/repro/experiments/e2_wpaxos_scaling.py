@@ -27,32 +27,19 @@ F_SWEEP = (0.5, 1.0, 2.0, 4.0)
 MESH_SHAPES = ((4, 4), (6, 6), (8, 8))
 RANDOM_SPOTS = ((24, 1), (48, 2))
 
+#: Rows read decisions and counters only: no MAC records are kept.
 BASE = Scenario(
     algorithm=AlgorithmSpec("wpaxos"),
     topology=TopologySpec("line", n=13),
-    scheduler=SchedulerSpec("synchronous", f_ack=1.0))
+    scheduler=SchedulerSpec("synchronous", f_ack=1.0),
+    trace_level="decisions")
 
 CLIQUE_BASE = BASE.override({"topology": TopologySpec("clique", n=4)})
 F_BASE = BASE.override({"label": "line(D=12)"})
 
 
-def _mesh_zip(shapes=MESH_SHAPES):
-    """Correlated (topology, label) axes for the grid spot checks."""
-    return {"topology": [TopologySpec("grid", rows=r, cols=c)
-                         for r, c in shapes],
-            "label": [f"grid({r}x{c})" for r, c in shapes]}
-
-
-def _random_zip(spots=RANDOM_SPOTS):
-    """Correlated (topology, scheduler, label) random spot checks."""
-    return {"topology": [TopologySpec("random", n=n, density=0.08,
-                                      seed=seed) for n, seed in spots],
-            "scheduler": [SchedulerSpec("random", f_ack=1.0, seed=seed)
-                          for n, seed in spots],
-            "label": [f"random({n})" for n, _ in spots]}
-
-
-def manifest():
+def manifest(line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
+             f_sweep=F_SWEEP):
     """This experiment's row blocks as a scenario-native manifest."""
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
     return ExperimentManifest(
@@ -61,36 +48,45 @@ def manifest():
         blocks=[
             ManifestBlock("time-vs-D-lines", BASE,
                           axes={"topology.n": [int(d) + 1 for d
-                                               in LINE_DIAMETERS]}),
+                                               in line_diameters]}),
             ManifestBlock("time-vs-n-cliques", CLIQUE_BASE,
                           axes={"topology.n": [int(n) for n
-                                               in CLIQUE_SIZES]}),
-            ManifestBlock("mesh-grids", BASE, zipped=_mesh_zip()),
-            ManifestBlock("random-graphs", BASE,
-                          zipped=_random_zip()),
+                                               in clique_sizes]}),
+            # Spot checks: correlated (topology[, scheduler], label) axes.
+            ManifestBlock("mesh-grids", BASE, zipped={
+                "topology": [TopologySpec("grid", rows=r, cols=c)
+                             for r, c in MESH_SHAPES],
+                "label": [f"grid({r}x{c})" for r, c in MESH_SHAPES]}),
+            ManifestBlock("random-graphs", BASE, zipped={
+                "topology": [TopologySpec("random", n=n, density=0.08,
+                                          seed=seed)
+                             for n, seed in RANDOM_SPOTS],
+                "scheduler": [SchedulerSpec("random", f_ack=1.0, seed=seed)
+                              for _, seed in RANDOM_SPOTS],
+                "label": [f"random({n})" for n, _ in RANDOM_SPOTS]}),
             ManifestBlock("time-vs-fack", F_BASE,
-                          axes={"scheduler.f_ack": list(F_SWEEP)}),
+                          axes={"scheduler.f_ack": list(f_sweep)}),
         ])
 
 
 def run(*, line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
         f_sweep=F_SWEEP, cache=None,
         workers=None) -> ExperimentReport:
+    plan = manifest(line_diameters, clique_sizes, f_sweep)
     report = ExperimentReport(
         experiment_id="E2",
-        title="wPAXOS scaling in multihop networks",
+        title=plan.title,
         paper_claim=("Theorem 4.6: solves consensus in O(D * F_ack) "
                      "time with unique ids and knowledge of n"),
         headers=["topology", "n", "D", "F_ack", "correct",
                  "decision time", "time/(D*F_ack)"],
     )
+    results = plan.run(cache=cache, workers=workers)
 
-    # --- time vs D on lines (parallel grid) ----------------------------
-    line_series = BASE.grid(
-        {"topology.n": [int(d) + 1 for d in line_diameters]},
-    ).run(name="wpaxos", cache=cache, workers=workers)
+    # --- time vs D on lines --------------------------------------------
     points = []
-    for d, point in zip(line_diameters, line_series.points):
+    for d, point in zip(line_diameters,
+                        results["time-vs-D-lines"].points):
         metrics = point.metrics
         points.append((d, metrics.last_decision))
         report.add_row(f"line", metrics.n, d, 1.0, metrics.correct,
@@ -104,12 +100,10 @@ def run(*, line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
         f"intercept={intercept:.2f} (claim: linear in D; constant "
         f"factor small)", ok=0.5 <= slope <= 12.0)
 
-    # --- time vs n at fixed D (cliques, D=1; parallel grid) ------------
-    clique_series = CLIQUE_BASE.grid(
-        {"topology.n": [int(n) for n in clique_sizes]},
-    ).run(name="wpaxos", cache=cache, workers=workers)
+    # --- time vs n at fixed D (cliques, D=1) ---------------------------
     clique_times = []
-    for n, point in zip(clique_sizes, clique_series.points):
+    for n, point in zip(clique_sizes,
+                        results["time-vs-n-cliques"].points):
         metrics = point.metrics
         clique_times.append((n, metrics.last_decision))
         report.add_row("clique", n, 1, 1.0, metrics.correct,
@@ -121,16 +115,14 @@ def run(*, line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
         f"n dependence beyond D)", ok=abs(slope_n) < 0.1)
 
     # --- grids and random graphs (zipped spot-check grids) -------------
-    mesh_series = BASE.grid(zipped=_mesh_zip()).run(
-        name="wpaxos", cache=cache, workers=workers)
-    for (rows, cols), point in zip(MESH_SHAPES, mesh_series.points):
+    for (rows, cols), point in zip(MESH_SHAPES,
+                                   results["mesh-grids"].points):
         metrics = point.metrics
         report.add_row(f"grid {rows}x{cols}", metrics.n,
                        metrics.diameter, 1.0, metrics.correct,
                        metrics.last_decision, metrics.time_per_diameter)
-    random_series = BASE.grid(zipped=_random_zip()).run(
-        name="wpaxos", cache=cache, workers=workers)
-    for (n, _seed), point in zip(RANDOM_SPOTS, random_series.points):
+    for (n, _seed), point in zip(RANDOM_SPOTS,
+                                 results["random-graphs"].points):
         metrics = point.metrics
         report.add_row(f"random({n})", metrics.n, metrics.diameter,
                        1.0, metrics.correct, metrics.last_decision,
@@ -138,12 +130,9 @@ def run(*, line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
         if not metrics.correct:
             report.conclude(f"random n={n} failed", ok=False)
 
-    # --- time vs F_ack (parallel grid) ---------------------------------
-    f_series = F_BASE.grid(
-        {"scheduler.f_ack": list(f_sweep)}).run(
-        name="wpaxos", cache=cache, workers=workers)
+    # --- time vs F_ack --------------------------------------------------
     f_points = []
-    for f_ack, point in zip(f_sweep, f_series.points):
+    for f_ack, point in zip(f_sweep, results["time-vs-fack"].points):
         metrics = point.metrics
         f_points.append((f_ack, metrics.last_decision))
         report.add_row("line", metrics.n, 12, f_ack, metrics.correct,

@@ -12,15 +12,14 @@ records:
 
 All series are declarative scenario grids: one base
 :class:`~repro.scenario.Scenario` per algorithm over correlated
-``(topology.arms, topology.size)`` axes, so the driver and its
-``manifest()`` address identical cache entries -- ``repro regen E3``
-and ``repro experiments E3`` share cells.
+``(topology.arms, topology.size)`` axes, declared once in
+``manifest()`` -- ``repro regen E3`` and ``repro experiments E3``
+share cells.
 """
 
 from __future__ import annotations
 
 from ..analysis import growth_ratio
-from ..analysis.cache import cached_run
 from ..scenario import AlgorithmSpec, Scenario, SchedulerSpec, TopologySpec
 from ..topology import star_of_cliques
 from .common import ExperimentReport
@@ -31,10 +30,13 @@ ARM_SWEEP = ((4, 6), (6, 8), (8, 10), (10, 12))
 #: factories (uids are label order + 1 on every topology).
 ALGORITHMS = ("wpaxos", "flood-paxos", "gatherall")
 
+#: Rows read decision times and per-node broadcast counts, both exact
+#: at ``decisions``: the 10^5-event flooding cells keep no MAC records.
 BASE = Scenario(
     algorithm=AlgorithmSpec("wpaxos"),
     topology=TopologySpec("star-of-cliques", arms=4, size=6),
-    scheduler=SchedulerSpec("synchronous", f_ack=1.0))
+    scheduler=SchedulerSpec("synchronous", f_ack=1.0),
+    trace_level="decisions")
 
 #: A plain star (hub bottleneck, D=2) for good measure.
 STAR_BASE = BASE.override({"topology": TopologySpec("star", n=41),
@@ -46,21 +48,16 @@ def _algo(base: Scenario, name: str) -> Scenario:
     return base.override({"algorithm": AlgorithmSpec(name)})
 
 
-def _soc_zip(arm_sweep=ARM_SWEEP):
-    """Correlated (arms, size, label) axes for the bottleneck sweep."""
-    return {
-        "topology.arms": [int(arms) for arms, _ in arm_sweep],
-        "topology.size": [int(size) for _, size in arm_sweep],
-        "label": [f"star_of_cliques({arms},{size})"
-                  for arms, size in arm_sweep],
-    }
-
-
-def manifest():
+def manifest(arm_sweep=ARM_SWEEP):
     """This experiment's row blocks as a scenario-native manifest."""
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
+    # Correlated (arms, size, label) axes for the bottleneck sweep.
+    soc = {"topology.arms": [int(arms) for arms, _ in arm_sweep],
+           "topology.size": [int(size) for _, size in arm_sweep],
+           "label": [f"star_of_cliques({arms},{size})"
+                     for arms, size in arm_sweep]}
     blocks = [ManifestBlock(f"soc-{name}", _algo(BASE, name),
-                            zipped=_soc_zip())
+                            zipped=dict(soc))
               for name in ALGORITHMS]
     blocks += [ManifestBlock(f"star-{name}", _algo(STAR_BASE, name),
                              note="hub bottleneck, D=2")
@@ -73,9 +70,10 @@ def manifest():
 
 def run(*, arm_sweep=ARM_SWEEP, cache=None,
         workers=None) -> ExperimentReport:
+    plan = manifest(arm_sweep)
     report = ExperimentReport(
         experiment_id="E3",
-        title="wPAXOS vs flooding baselines at bottlenecks",
+        title=plan.title,
         paper_claim=("Section 4.2: PAXOS + basic flooding costs "
                      "O(n * F_ack); aggregation trees reduce this to "
                      "O(D * F_ack)"),
@@ -83,22 +81,17 @@ def run(*, arm_sweep=ARM_SWEEP, cache=None,
                  "decision time", "max bcasts/node"],
     )
 
-    # One grid per algorithm over the zipped (arms, size) points; rows
-    # are then emitted in the original per-topology order. Diameters
-    # are structural, so they are computed once here rather than in
-    # the sweep workers.
+    # One block per algorithm over the zipped (arms, size) points; rows
+    # are emitted per topology. Diameters are structural, so they are
+    # computed once here rather than in the sweep workers.
     diameters = [star_of_cliques(arms, size).diameter()
                  for arms, size in arm_sweep]
-    sweeps = {
-        name: _algo(BASE, name).grid(zipped=_soc_zip(arm_sweep)).run(
-            name=name, cache=cache, workers=workers)
-        for name in ALGORITHMS
-    }
+    results = plan.run(cache=cache, workers=workers)
     series: dict = {name: [] for name in ALGORITHMS}
     for index, (arms, size) in enumerate(arm_sweep):
         diameter = diameters[index]
         for name in ALGORITHMS:
-            metrics = sweeps[name].points[index].metrics
+            metrics = results[f"soc-{name}"].points[index].metrics
             n = metrics.n
             series[name].append((n, metrics.last_decision,
                                  metrics.max_broadcasts_per_node))
@@ -109,7 +102,7 @@ def run(*, arm_sweep=ARM_SWEEP, cache=None,
                 report.conclude(f"{name} on n={n} failed", ok=False)
 
     for name in STAR_ALGORITHMS:
-        metrics = cached_run(_algo(STAR_BASE, name), cache)
+        metrics = results[f"star-{name}"].points[0].metrics
         report.add_row("star(41)", metrics.n, 2, name, metrics.correct,
                        metrics.last_decision,
                        metrics.max_broadcasts_per_node)

@@ -32,8 +32,8 @@ PROBS = (0.0, 0.25, 0.5, 0.75, 1.0)
 SEEDS = range(5)
 CUTOFFS = (5.0, 10.0, 20.0)
 
-#: Reliable line(12) plus 15%-density unreliable chords; invariant
-#: replay is off because deadlocking runs hit the time limit mid-ack.
+#: Reliable line(12) plus 15%-density unreliable chords; the invariant
+#: audit is off because deadlocking runs hit the time limit mid-ack.
 BASE = Scenario(
     algorithm=AlgorithmSpec("wpaxos"),
     topology=TopologySpec("line", n=12),
@@ -42,19 +42,19 @@ BASE = Scenario(
         "bernoulli-unreliable", p=1.0, seed=0,
         inner=SchedulerSpec("synchronous", f_ack=1.0)),
     label="line(12)+overlay",
+    trace_level="decisions",
     check_invariants=False,
     max_events=5_000_000,
     max_time=2_000.0)
 
-#: Links work, then vanish at a cutoff time; shared by ``run()`` and
-#: ``manifest()`` so both address identical cache entries.
+#: Links work, then vanish at a cutoff time.
 ADVERSARIAL_BASE = BASE.override(
     {"scheduler": SchedulerSpec(
         "adversarial-unreliable", cutoff=5.0,
         inner=SchedulerSpec("synchronous", f_ack=1.0))})
 
 
-def manifest():
+def manifest(probs=PROBS, seeds=SEEDS):
     """This experiment's row blocks as a scenario-native manifest."""
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
     return ExperimentManifest(
@@ -62,8 +62,8 @@ def manifest():
         title="wPAXOS over unreliable links (dual-graph model)",
         blocks=[
             ManifestBlock("bernoulli", BASE,
-                          axes={"scheduler.p": list(PROBS),
-                                "scheduler.seed": list(SEEDS)},
+                          axes={"scheduler.p": list(probs),
+                                "scheduler.seed": list(seeds)},
                           note="deadlock-prone cells at mid p"),
             ManifestBlock("adversarial", ADVERSARIAL_BASE,
                           axes={"scheduler.cutoff": list(CUTOFFS)}),
@@ -72,9 +72,10 @@ def manifest():
 
 def run(*, probs=PROBS, seeds=SEEDS, cache=None,
         workers=None) -> ExperimentReport:
+    plan = manifest(probs, seeds)
     report = ExperimentReport(
         experiment_id="E9",
-        title="wPAXOS over unreliable links (dual-graph model)",
+        title=plan.title,
         paper_claim=("Section 5 open question: the paper's upper "
                      "bounds are not established for models with "
                      "unreliable links"),
@@ -84,9 +85,8 @@ def run(*, probs=PROBS, seeds=SEEDS, cache=None,
 
     # The full (prob, seed) grid fans out across workers -- every
     # replica is one sweep point, grouped back per probability below.
-    bernoulli = BASE.grid({"scheduler.p": list(probs),
-                           "scheduler.seed": list(seeds)}).run(
-        name="wpaxos-unreliable", cache=cache, workers=workers)
+    results = plan.run(cache=cache, workers=workers)
+    bernoulli = results["bernoulli"]
 
     liveness_ever_lost = False
     total = len(list(seeds))
@@ -106,9 +106,7 @@ def run(*, probs=PROBS, seeds=SEEDS, cache=None,
             liveness_ever_lost = True
 
     # Adversarial policy: links work, then vanish.
-    adversarial = ADVERSARIAL_BASE.grid(
-        {"scheduler.cutoff": list(CUTOFFS)},
-    ).run(name="wpaxos-unreliable-adv", cache=cache, workers=workers)
+    adversarial = results["adversarial"]
     agree = sum(p.metrics.agreement and p.metrics.validity
                 for p in adversarial.points)
     finished = sum(p.metrics.termination for p in adversarial.points)

@@ -26,8 +26,8 @@ from .faults import (DROP, ByzantineFaultModel, ByzantinePlan,
 from .dynamics import (EdgeChurn, NodeChurn, RandomWaypoint,
                        ScriptedDynamics, TopologyDelta, TopologyDynamics,
                        connectivity_report)
-from .invariants import (ConsensusReport, InvariantReport, check_consensus,
-                         check_model_invariants)
+from .invariants import (ConsensusReport, InvariantAuditor, InvariantReport,
+                         check_consensus, check_model_invariants)
 from .process import Process
 from .simulator import RunResult, Simulator, build_simulation
 from .telemetry import Telemetry
@@ -75,6 +75,7 @@ __all__ = [
     "InvariantReport",
     "ConsensusReport",
     "check_model_invariants",
+    "InvariantAuditor",
     "check_consensus",
     "schedulers",
     "dynamics",

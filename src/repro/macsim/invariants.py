@@ -1,25 +1,27 @@
-"""Post-hoc model and consensus invariant checking.
+"""Model and consensus invariant checking.
 
-These functions replay a trace sink and verify that an execution
-respected the abstract MAC layer contract (Section 2) and, where
-applicable, the three consensus properties (agreement, validity,
-termination). The test-suite runs them over every simulation it
-performs; the hypothesis property tests run them over thousands of
-randomized schedules.
+:class:`InvariantAuditor` verifies, one occurrence at a time, that an
+execution respected the abstract MAC layer contract (Section 2);
+:func:`check_consensus` checks agreement, validity and termination.
+The test-suite runs them over every simulation it performs; the
+hypothesis property tests over thousands of randomized schedules.
 
-Bounded-memory replay
----------------------
-:func:`check_model_invariants` consumes the trace as a single forward
-stream (plus the O(crashes) crash index), and *evicts* a broadcast's
-audit state -- payload, delivered set, last-delivery time -- as soon as
-its ack has been checked: after the ack no further event may
-legitimately reference the broadcast, and at most one broadcast per
-node is in flight. Peak memory is therefore O(n + crashes), not
-O(trace), which is what lets a
+One audit, two feeds
+--------------------
+The auditor observes the event stream. A counting sink feeds it from
+``record`` *during* the run (:meth:`repro.macsim.trace.Trace.attach_auditor`),
+so a ``DECISIONS``-level run is audited without keeping one MAC record;
+:func:`check_model_invariants` feeds it a completed replayable trace.
+Both reach the same verdict and violation list (pinned by
+``tests/test_invariant_auditor.py``). A broadcast's audit state --
+payload, delivered set, last-delivery time -- is *evicted* once its ack
+has been checked: no later event may legitimately reference it and at
+most one broadcast per node is in flight, so memory is O(n + crashes),
+not O(trace) -- which is what lets a
 :class:`~repro.macsim.trace.SpillSink` replay a 10^7+-event run
-without materializing it. (On a malformed trace, an event arriving
-after its broadcast's ack is reported as referencing an unknown
-broadcast -- still a violation, just attributed differently.)
+without materializing it. (An event arriving after its broadcast's ack
+is reported as referencing an unknown broadcast -- still a violation,
+just attributed differently.)
 
 Correct-node scoping
 --------------------
@@ -60,14 +62,26 @@ class InvariantReport:
             raise ModelViolationError("; ".join(self.violations[:10]))
 
 
-def check_model_invariants(graph, trace: TraceSink,
-                           f_ack: Optional[float] = None,
-                           unreliable_graph=None,
-                           faulty: FrozenSet[Any] = frozenset()
-                           ) -> InvariantReport:
-    """Verify the MAC-layer contract over a completed trace.
+@dataclass(slots=True)
+class _OpenBroadcast:
+    """Audit state of one unacked broadcast."""
 
-    Checks, per broadcast:
+    start: float
+    sender: Any
+    payload: Any
+    #: The sender's reliable neighbors as of the broadcast: ordered, as a set.
+    obligated: Any
+    reach: frozenset
+    as_of_broadcast: bool
+    delivered: set = field(default_factory=set)
+    last: float = float("-inf")
+
+
+class InvariantAuditor:
+    """The MAC-layer contract, checked one occurrence at a time.
+
+    :meth:`feed` takes the fields of one trace occurrence in stream
+    order; :meth:`report` returns the verdict so far. Per broadcast:
 
     * deliveries only to graph neighbors of the sender (or unreliable
       neighbors, in dual-graph runs);
@@ -84,27 +98,184 @@ def check_model_invariants(graph, trace: TraceSink,
       neighbors (their deliveries may be legitimately dropped).
 
     Dynamic-topology runs (:mod:`repro.macsim.dynamics`) are audited
-    against the graph **as of each broadcast**: ``topo`` records in
-    the stream update a live adjacency, each broadcast snapshots its
-    sender's neighbor set at that moment, and the delivery-target and
+    against the graph **as of each broadcast**: ``topo`` occurrences
+    update a live adjacency, each broadcast snapshots its sender's
+    neighbor set at that moment, and the delivery-target and
     ack-coverage checks use the snapshot -- a delivery scheduled over
     an edge that later churned away is legitimate; one over an edge
-    absent at broadcast time is a violation. Traces without ``topo``
-    records take the original static-graph path untouched.
+    absent at broadcast time is a violation. Streams without ``topo``
+    occurrences take the static-graph path untouched.
 
-    ``trace`` is any replayable :class:`~repro.macsim.trace.TraceSink`
-    (or a plain iterable of records); the replay runs in O(n + crashes)
-    memory -- see the module docstring (per-broadcast neighbor
-    snapshots add O(deg) per in-flight broadcast on dynamic runs,
-    evicted at ack like the rest).
+    Crash times are the audit's one look-ahead: a neighbor is excused
+    from an ack's coverage when it crashed *at or before* the ack's
+    timestamp. Fed live, none is needed: the engine orders events of
+    one timestamp by priority and ``CRASH_PRIORITY`` sorts before
+    ``ACK_PRIORITY`` (:mod:`repro.macsim.events`), so a crash at *t* is
+    always recorded before an ack at *t*. A replay of a stored trace
+    may not assume that order and pre-seeds the crash times
+    (:func:`check_model_invariants`).
+    """
+
+    def __init__(self, graph, f_ack: Optional[float] = None,
+                 unreliable_graph=None,
+                 faulty: FrozenSet[Any] = frozenset()) -> None:
+        self.graph = graph
+        self.f_ack = f_ack
+        self.unreliable_graph = unreliable_graph
+        self.faulty = faulty
+        self._report = InvariantReport(ok=True)
+        self._add = self._report.add
+        self._open: dict[int, _OpenBroadcast] = {}
+        self._crash_time: dict[Any, float] = {}
+        #: sender -> (neighbor tuple, neighbor set) of the static graph.
+        self._static: dict[Any, tuple] = {}
+        # Live adjacency of a dynamic-topology run, built at the first
+        # topo occurrence; None => every broadcast sees the graph.
+        self._adjacency: Optional[dict] = None
+
+    def report(self) -> InvariantReport:
+        return self._report
+
+    def feed(self, time: float, kind: str, node: Any,
+             bid: Optional[int] = None, peer: Any = None,
+             payload: Any = None) -> None:
+        """Audit one occurrence (:class:`~repro.macsim.trace.TraceRecord`
+        fields). One flat dispatch, most frequent kind first: an online
+        audit pays this once per engine event."""
+        if kind == "deliver":
+            state = self._open.get(bid)
+            if state is None:
+                self._add(f"delivery for unknown or closed (already "
+                          f"acked) broadcast {bid}")
+                return
+            if node not in state.reach and not (
+                    self.unreliable_graph is not None
+                    and self.unreliable_graph.has_edge(state.sender,
+                                                       node)):
+                suffix = (" (as of the broadcast)"
+                          if state.as_of_broadcast else "")
+                self._add(f"broadcast {bid} delivered to non-neighbor "
+                          f"{node!r} of {state.sender!r}{suffix}")
+            delivered = state.delivered
+            if node in delivered:
+                self._add(f"duplicate delivery of broadcast {bid} to "
+                          f"{node!r}")
+            if time < state.start:
+                self._add(f"delivery of broadcast {bid} precedes its "
+                          f"start")
+            if self._crash_time:
+                crashed_at = self._crash_time.get(node)
+                if crashed_at is not None and time > crashed_at:
+                    self._add(f"delivery to crashed node {node!r}")
+            sent = state.payload
+            if (payload is not sent and payload != sent
+                    and state.sender not in self.faulty):
+                self._add(f"broadcast {bid} of correct node "
+                          f"{state.sender!r} delivered mutated payload "
+                          f"to {node!r}")
+            delivered.add(node)
+            if time > state.last:
+                state.last = time
+        elif kind == "ack":
+            # The ack closes the broadcast: its audit state is evicted
+            # so memory stays O(in-flight), not O(stream).
+            state = self._open.pop(bid, None)
+            if state is None:
+                self._add(f"ack for unknown or closed broadcast {bid}")
+                return
+            sender = state.sender
+            if node != sender:
+                self._add(f"ack for broadcast {bid} went to {node!r} "
+                          f"instead of sender {sender!r}")
+            if time < state.last - 1e-9:
+                self._add(f"ack for broadcast {bid} precedes its last "
+                          f"delivery")
+            f_ack = self.f_ack
+            if f_ack is not None and time - state.start > f_ack + 1e-6:
+                self._add(f"ack for broadcast {bid} took "
+                          f"{time - state.start} > F_ack={f_ack}")
+            # (A faulty sender's broadcast may be partially or wholly
+            # suppressed; its ack gates nothing.) The coverage
+            # obligation is the sender's neighbor set as of the
+            # broadcast, not as of the ack.
+            delivered = state.delivered
+            if (sender in self.faulty
+                    or delivered.issuperset(state.obligated)):
+                return
+            for neighbor in state.obligated:
+                if neighbor in delivered or neighbor in self.faulty:
+                    continue
+                crashed_at = self._crash_time.get(neighbor)
+                if crashed_at is None or crashed_at > time:
+                    self._add(f"ack for broadcast {bid} of {sender!r} "
+                              f"before non-faulty neighbor {neighbor!r} "
+                              f"received")
+        elif kind == "broadcast":
+            adjacency = self._adjacency
+            if adjacency is not None:
+                obligated = reach = frozenset(adjacency.get(node, ()))
+            else:
+                static = self._static.get(node)
+                if static is None:
+                    neighbors = (self.graph.neighbors(node)
+                                 if self.graph.has_node(node) else ())
+                    static = self._static[node] = (neighbors,
+                                                   frozenset(neighbors))
+                obligated, reach = static
+            self._open[bid] = _OpenBroadcast(
+                time, node, payload, obligated, reach,
+                adjacency is not None)
+            crashed_at = self._crash_time.get(node)
+            if crashed_at is not None and time > crashed_at:
+                self._add(f"crashed node {node!r} broadcast at {time}")
+        elif kind == "drop":
+            state = self._open.get(bid)
+            if state is None:
+                self._add(f"drop for unknown or closed broadcast {bid}")
+                return
+            if state.sender not in self.faulty and node not in self.faulty:
+                self._add(f"broadcast {bid} dropped between correct "
+                          f"nodes {state.sender!r} -> {node!r}")
+            state.delivered.add(node)
+        elif kind == "crash":
+            self._crash_time.setdefault(node, time)
+        elif kind == "topo" and bid in (TOPO_EDGE_UP, TOPO_EDGE_DOWN):
+            # (Node leave/join markers carry no edges.)
+            adjacency = self._adjacency
+            if adjacency is None:
+                adjacency = self._adjacency = {
+                    v: set(self.graph.neighbors(v))
+                    for v in self.graph.nodes}
+            us = adjacency.setdefault(node, set())
+            vs = adjacency.setdefault(peer, set())
+            if bid == TOPO_EDGE_UP:
+                us.add(peer)
+                vs.add(node)
+            else:
+                us.discard(peer)
+                vs.discard(node)
+
+
+def check_model_invariants(graph, trace: TraceSink,
+                           f_ack: Optional[float] = None,
+                           unreliable_graph=None,
+                           faulty: FrozenSet[Any] = frozenset()
+                           ) -> InvariantReport:
+    """Verify the MAC-layer contract over a completed trace.
+
+    The checks are :class:`InvariantAuditor`'s; this entry point
+    pre-seeds its crash times and feeds it every record. ``trace`` is
+    any replayable :class:`~repro.macsim.trace.TraceSink` (or a plain
+    iterable of records); the replay runs in O(n + crashes) memory
+    (plus O(deg) per in-flight broadcast on dynamic runs).
 
     Columnar traces (:class:`~repro.macsim.columnar.ColumnarSink`)
     take a vectorized fast path when numpy is available: the same
     audit expressed as whole-column passes, ~an order of magnitude
     faster, with O(broadcasts) memory. The fast path covers the
     static-topology non-Byzantine shapes and silently falls back to
-    this reference loop on anything else; verdict equivalence between
-    the two is pinned by the test-suite.
+    the auditor on anything else; verdict equivalence between the two
+    is pinned by the test-suite.
     """
     if getattr(trace, "columnar", False) and not faulty \
             and unreliable_graph is None:
@@ -112,18 +283,8 @@ def check_model_invariants(graph, trace: TraceSink,
         fast_report = try_vectorized_invariants(graph, trace, f_ack)
         if fast_report is not None:
             return fast_report
-    report = InvariantReport(ok=True)
-    starts: dict[int, tuple[float, Any]] = {}
-    payloads: dict[int, Any] = {}
-    delivered: dict[int, set] = {}
-    delivery_last: dict[int, float] = {}
-    crash_time: dict[Any, float] = {}
-    # Dynamic-topology state: a live adjacency built lazily at the
-    # first topo record, plus the per-broadcast snapshot of the
-    # sender's neighbors as of the broadcast (None => initial graph).
-    adjacency: Optional[dict] = None
-    neighbors_at_start: dict[int, frozenset] = {}
-
+    auditor = InvariantAuditor(graph, f_ack, unreliable_graph, faulty)
+    feed = auditor.feed
     # Crash times come from the sink's essential-kind index when it
     # has one (every sink does). A plain iterable is materialized
     # once so the pre-scan does not exhaust a generator before the
@@ -135,120 +296,11 @@ def check_model_invariants(graph, trace: TraceSink,
         trace = list(trace)
         crash_records = [r for r in trace if r.kind == "crash"]
     for rec in crash_records:
-        crash_time.setdefault(rec.node, rec.time)
-
+        feed(rec.time, "crash", rec.node)
     for rec in trace:
-        if rec.kind == "topo":
-            if rec.broadcast_id not in (TOPO_EDGE_UP, TOPO_EDGE_DOWN):
-                continue  # node leave/join markers carry no edges
-            if adjacency is None:
-                adjacency = {v: set(graph.neighbors(v))
-                             for v in graph.nodes}
-            us = adjacency.setdefault(rec.node, set())
-            vs = adjacency.setdefault(rec.peer, set())
-            if rec.broadcast_id == TOPO_EDGE_UP:
-                us.add(rec.peer)
-                vs.add(rec.node)
-            else:
-                us.discard(rec.peer)
-                vs.discard(rec.node)
-        elif rec.kind == "broadcast":
-            starts[rec.broadcast_id] = (rec.time, rec.node)
-            payloads[rec.broadcast_id] = rec.payload
-            delivered[rec.broadcast_id] = set()
-            if adjacency is not None:
-                neighbors_at_start[rec.broadcast_id] = frozenset(
-                    adjacency.get(rec.node, ()))
-            if rec.node in crash_time and rec.time > crash_time[rec.node]:
-                report.add(f"crashed node {rec.node!r} broadcast at "
-                           f"{rec.time}")
-        elif rec.kind == "drop":
-            bid = rec.broadcast_id
-            if bid not in starts:
-                report.add(f"drop for unknown or closed broadcast {bid}")
-                continue
-            _, sender = starts[bid]
-            if sender not in faulty and rec.node not in faulty:
-                report.add(
-                    f"broadcast {bid} dropped between correct nodes "
-                    f"{sender!r} -> {rec.node!r}")
-            delivered[bid].add(rec.node)
-        elif rec.kind == "deliver":
-            bid = rec.broadcast_id
-            if bid not in starts:
-                report.add(f"delivery for unknown or closed (already acked) broadcast {bid}")
-                continue
-            start_time, sender = starts[bid]
-            snapshot = neighbors_at_start.get(bid)
-            if snapshot is not None:
-                reachable = rec.node in snapshot
-            else:
-                reachable = graph.has_edge(sender, rec.node)
-            reachable = reachable or (
-                unreliable_graph is not None
-                and unreliable_graph.has_edge(sender, rec.node))
-            if not reachable:
-                suffix = (" (as of the broadcast)"
-                          if snapshot is not None else "")
-                report.add(f"broadcast {bid} delivered to non-neighbor "
-                           f"{rec.node!r} of {sender!r}{suffix}")
-            if rec.node in delivered[bid]:
-                report.add(f"duplicate delivery of broadcast {bid} to "
-                           f"{rec.node!r}")
-            if rec.time < start_time:
-                report.add(f"delivery of broadcast {bid} precedes its "
-                           f"start")
-            if rec.node in crash_time and rec.time > crash_time[rec.node]:
-                report.add(f"delivery to crashed node {rec.node!r}")
-            if sender not in faulty and rec.payload != payloads.get(bid):
-                report.add(
-                    f"broadcast {bid} of correct node {sender!r} "
-                    f"delivered mutated payload to {rec.node!r}")
-            delivered[bid].add(rec.node)
-            delivery_last[bid] = max(delivery_last.get(bid, rec.time),
-                                     rec.time)
-        elif rec.kind == "ack":
-            bid = rec.broadcast_id
-            if bid not in starts:
-                report.add(f"ack for unknown or closed broadcast {bid}")
-                continue
-            start_time, sender = starts[bid]
-            if rec.node != sender:
-                report.add(f"ack for broadcast {bid} went to {rec.node!r} "
-                           f"instead of sender {sender!r}")
-            if bid in delivery_last and rec.time < delivery_last[bid] - 1e-9:
-                report.add(f"ack for broadcast {bid} precedes its last "
-                           f"delivery")
-            if f_ack is not None and rec.time - start_time > f_ack + 1e-6:
-                report.add(f"ack for broadcast {bid} took "
-                           f"{rec.time - start_time} > F_ack={f_ack}")
-            if sender not in faulty:
-                # (A faulty sender's broadcast may be partially or
-                # wholly suppressed; its ack gates nothing.) The
-                # coverage obligation is the sender's neighbor set as
-                # of the broadcast, not as of the ack.
-                snapshot = neighbors_at_start.get(bid)
-                obligated = (snapshot if snapshot is not None
-                             else graph.neighbors(sender))
-                for neighbor in obligated:
-                    neighbor_crashed = (
-                        neighbor in crash_time
-                        and crash_time[neighbor] <= rec.time)
-                    if (neighbor not in delivered[bid]
-                            and not neighbor_crashed
-                            and neighbor not in faulty):
-                        report.add(
-                            f"ack for broadcast {bid} of {sender!r} "
-                            f"before non-faulty neighbor {neighbor!r} "
-                            f"received")
-            # The ack closes the broadcast: evict its audit state so
-            # replay memory stays O(in-flight), not O(trace).
-            del starts[bid]
-            del delivered[bid]
-            payloads.pop(bid, None)
-            delivery_last.pop(bid, None)
-            neighbors_at_start.pop(bid, None)
-    return report
+        feed(rec.time, rec.kind, rec.node, rec.broadcast_id, rec.peer,
+             rec.payload)
+    return auditor.report()
 
 
 @dataclass

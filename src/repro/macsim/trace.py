@@ -8,9 +8,10 @@ serve three purposes in this reproduction:
 
 1. **Metrics** -- decision times and message counts for the experiment
    harness (`repro.analysis.metrics`).
-2. **Model invariants** -- `repro.macsim.invariants` replays a trace and
-   checks the abstract MAC layer contract (exactly-once delivery to each
-   non-faulty neighbor, acks after deliveries, acks within ``F_ack``).
+2. **Model invariants** -- `repro.macsim.invariants` checks the abstract
+   MAC layer contract (exactly-once delivery to each non-faulty
+   neighbor, acks after deliveries, acks within ``F_ack``), replaying a
+   stored trace or fed by a counting sink as the run goes.
 3. **Indistinguishability** -- the lower-bound experiments compare
    per-node event sequences across executions in different networks
    (`repro.lowerbounds.indist`).
@@ -32,7 +33,8 @@ Four sinks ship behind the protocol (:func:`make_sink` maps a
   the occurrence *counters* (so ``broadcast_count()``,
   ``delivery_count()`` and per-node broadcast counts stay exact) but no
   record object is allocated. The sweep/benchmark mode: consensus
-  checking and metrics work, full-trace replays do not.
+  checking and metrics work, full-trace replays do not -- invariants
+  are audited *online* instead (:meth:`Trace.attach_auditor`).
 * :class:`SpillSink` (``TraceLevel.SPILL``) -- full-level records
   stream to chunked JSONL files on disk while decisions, crashes and
   all counters stay in an in-RAM index. Replay-style consumers
@@ -57,7 +59,8 @@ Sink capability flags drive the harness:
 * ``replayable`` -- iterating the sink yields every occurrence, so
   model-invariant replay is possible (FULL and SPILL, not DECISIONS);
 * ``materializes_mac`` -- the engine must call :meth:`TraceSink.record`
-  for MAC-level kinds (vs. the counter-only ``bump`` fast path);
+  for MAC-level kinds (vs. the counter-only ``bump`` fast path); also
+  true of a counting sink while an auditor is attached;
 * ``payloads_preserialized`` -- replayed payloads are already ``repr``
   strings (SPILL), so exporters must not re-``repr`` them.
 """
@@ -84,6 +87,8 @@ _TRACE_KIND_SET = frozenset(TRACE_KINDS)
 #: replay of dynamic-topology runs) can read the epoch timeline from
 #: any sink -- there is at most a handful of records per epoch.
 _ESSENTIAL_KINDS = frozenset(("decide", "crash", "topo"))
+#: The MAC-level kinds a counting sink counts without a record.
+_COUNTED_KINDS = _TRACE_KIND_SET - _ESSENTIAL_KINDS
 
 #: ``broadcast_id`` codes of ``topo`` records (dynamic-topology runs;
 #: see :mod:`repro.macsim.dynamics`). Edge events carry the endpoints
@@ -186,6 +191,13 @@ class TraceSink:
         """Count an occurrence without materializing a record."""
         raise NotImplementedError
 
+    def attach_auditor(self, auditor) -> None:
+        """Feed every occurrence to ``auditor`` as it is recorded: how
+        a sink that is not ``replayable`` gets its run audited."""
+        raise NotImplementedError(
+            f"{type(self).__name__} can be neither replayed nor fed to "
+            f"an auditor: pass check_invariants=False to run unchecked")
+
     # -- queries (shared contract; see Trace for semantics) ------------
     def of_kind(self, kind: str) -> List[TraceRecord]:
         raise NotImplementedError
@@ -242,7 +254,7 @@ class Trace(TraceSink):
 
     __slots__ = ("level", "_records", "_by_kind", "_by_node",
                  "_decisions", "_decision_times", "_kind_counts",
-                 "_broadcasts_by_node")
+                 "_broadcasts_by_node", "_feed")
 
     def __init__(self, level: "TraceLevel | str" = TraceLevel.FULL) -> None:
         self.level = TraceLevel.coerce(level)
@@ -256,6 +268,8 @@ class Trace(TraceSink):
         #: so hot paths may increment without a .get() dance.
         self._kind_counts: Dict[str, int] = {k: 0 for k in TRACE_KINDS}
         self._broadcasts_by_node: Dict[Any, int] = {}
+        #: The attached auditor's ``feed``, if any.
+        self._feed = None
 
     @property
     def replayable(self) -> bool:
@@ -263,7 +277,17 @@ class Trace(TraceSink):
 
     @property
     def materializes_mac(self) -> bool:
-        return self.level is TraceLevel.FULL
+        return self.level is TraceLevel.FULL or self._feed is not None
+
+    def attach_auditor(self, auditor) -> None:
+        """Feed every occurrence to ``auditor.feed(time, kind, node,
+        broadcast_id, peer, payload)`` as it is recorded
+        (:class:`repro.macsim.invariants.InvariantAuditor`). Attach
+        before the simulator is built: an audited sink reports
+        ``materializes_mac``, so the engine routes MAC-level kinds
+        through :meth:`record` instead of the counter-only fast path.
+        """
+        self._feed = auditor.feed
 
     def __len__(self) -> int:
         return len(self._records)
@@ -304,12 +328,18 @@ class Trace(TraceSink):
         At :attr:`TraceLevel.DECISIONS`, MAC-level kinds are counted but
         not materialized.
         """
+        feed = self._feed
+        if feed is not None:
+            feed(time, kind, node, broadcast_id, peer, payload)
+        if kind in _COUNTED_KINDS and self.level is TraceLevel.DECISIONS:
+            # bump(), inlined: an audited run pays this per delivery.
+            self._kind_counts[kind] += 1
+            if kind == "broadcast":
+                self._broadcasts_by_node[node] = (
+                    self._broadcasts_by_node.get(node, 0) + 1)
+            return
         if kind not in _TRACE_KIND_SET:
             raise ValueError(f"unknown trace kind: {kind!r}")
-        if (self.level is TraceLevel.DECISIONS
-                and kind not in _ESSENTIAL_KINDS):
-            self.bump(kind, node)
-            return
         self.append(TraceRecord(time, kind, node, broadcast_id, peer,
                                 payload))
 

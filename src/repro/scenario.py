@@ -483,6 +483,9 @@ class Scenario:
             factory=resolved.factory,
             initial_values=resolved.initial_values,
             check_invariants=self.check_invariants,
+            max_events=self.max_events,
+            max_time=self.max_time,
+            trace_level=self.trace_level,
         )
         if resolved.fault_model is not None:
             out["fault_model"] = resolved.fault_model
@@ -502,12 +505,8 @@ class Scenario:
         from .analysis.runner import run_consensus
         if telemetry is None:
             telemetry = self.telemetry
-        return run_consensus(max_events=self.max_events,
-                             max_time=self.max_time,
-                             trace_level=self.trace_level,
-                             trace_sink=trace_sink, probe=probe,
-                             telemetry=telemetry,
-                             **self.run_kwargs())
+        return run_consensus(trace_sink=trace_sink, probe=probe,
+                             telemetry=telemetry, **self.run_kwargs())
 
     def simulate(self, *, trace_sink=None):
         """Execute once and return the raw run result (with trace)."""
@@ -816,12 +815,7 @@ class ScenarioGrid:
         return [self.scenario_at(key) for key in self.keys()]
 
     def __len__(self) -> int:
-        total = 1
-        for values in self.axes.values():
-            total *= len(values)
-        if self.zipped:
-            total *= len(next(iter(self.zipped.values())))
-        return total
+        return len(self.keys())
 
     def __iter__(self) -> Iterator[Scenario]:
         return iter(self.scenarios())
@@ -836,12 +830,10 @@ class ScenarioGrid:
             # the cell's position is the plotting axis.
             return float(self._key_index(key))
 
-    def _point_kwargs(self, key: Any) -> Dict[str, Any]:
-        """Sweep ``build(key)`` hook: the run kwargs for one cell."""
-        kwargs = self.scenario_at(key).run_kwargs()
-        kwargs.pop("algorithm")   # sweep passes its own name
-        kwargs["x"] = self._point_x(key)
-        return kwargs
+    def sweep_cells(self) -> List[tuple]:
+        """One ``(scenario, x, key)`` triple per grid cell."""
+        return [(self.scenario_at(key), self._point_x(key), key)
+                for key in self.keys()]
 
     def run(self, *, name: Optional[str] = None, parallel: bool = True,
             workers: Optional[int] = None, cache=None,
@@ -852,93 +844,27 @@ class ScenarioGrid:
         """Execute the whole grid and return a
         :class:`~repro.analysis.sweeps.SweepResult`.
 
-        ``parallel=True`` (default) fans cells out over
-        :func:`~repro.analysis.sweeps.parallel_sweep` workers
-        (``executor`` selects work stealing vs the legacy pool);
-        results are byte-identical to the sequential path either way.
-
-        ``cache`` (a :class:`repro.analysis.cache.ResultCache`) serves
-        cells whose scenario digest is already stored and persists
-        fresh cells *as they complete*, so an interrupted grid resumes
-        where it stopped and overlapping grids dedup their shared
-        cells. Cached metrics are stored in *canonical* form -- the
-        ``algorithm`` field carries the scenario's algorithm name, as
-        ``Scenario.run()`` would report it, not this grid's display
-        ``name`` -- and are relabeled on the way out, so entries are
-        shared across differently-named grids, single-cell
-        ``cached_run`` calls and ``verify="replay"`` re-executions.
+        The grid runs as a one-block experiment
+        (:meth:`repro.analysis.manifests.ExperimentManifest.run`, which
+        documents ``parallel``/``executor``/``cache``): every cell runs
+        as its own scenario says (limits, trace level,
+        ``check_invariants``), results are byte-identical across
+        executors, and cache entries are stored under the scenario's
+        own algorithm name -- ``name`` only labels the returned points
+        -- so they are shared across differently-named grids.
         """
-        from dataclasses import replace
-
-        from .analysis.sweeps import (SweepPoint, SweepProgress,
-                                      SweepResult, _progress_enabled,
-                                      parallel_sweep, sweep)
-        base = self.base
-        label = name or base.algorithm.name
-        keys = self.keys()
-        run_kwargs = dict(max_events=base.max_events,
-                          max_time=base.max_time,
-                          trace_level=base.trace_level)
-        if cache is None:
-            if parallel:
-                return parallel_sweep(
-                    label, keys, self._point_kwargs,
-                    workers=workers, executor=executor,
-                    progress=progress, point_timeout=point_timeout,
-                    point_retries=point_retries, **run_kwargs)
-            return sweep(label, keys, self._point_kwargs,
-                         progress=progress, **run_kwargs)
-
-        points: List[Optional[SweepPoint]] = [None] * len(keys)
-        miss_keys: List[Any] = []
-        miss_slots: List[int] = []
-        for slot, key in enumerate(keys):
-            scenario = self.scenario_at(key)
-            metrics = cache.get(scenario)
-            if metrics is not None:
-                if metrics.algorithm != label:
-                    metrics = replace(metrics, algorithm=label)
-                points[slot] = SweepPoint(x=self._point_x(key),
-                                          metrics=metrics, key=key)
-            else:
-                miss_keys.append(key)
-                miss_slots.append(slot)
-        reporter = (SweepProgress(label, len(keys))
-                    if _progress_enabled(progress) else None)
-        if reporter is not None:
-            reporter.note_cached(len(keys) - len(miss_keys))
-            reporter.note_misses(len(miss_keys))
-        worker_stats = None
-        executor_stats = None
-        if miss_keys:
-            def _store(point) -> None:
-                scenario = self.scenario_at(point.key)
-                canonical = point.metrics
-                if canonical.algorithm != scenario.algorithm.name:
-                    canonical = replace(
-                        canonical, algorithm=scenario.algorithm.name)
-                cache.put(scenario, canonical)
-
-            if parallel:
-                fresh = parallel_sweep(
-                    label, miss_keys, self._point_kwargs,
-                    workers=workers, executor=executor,
-                    point_timeout=point_timeout,
-                    point_retries=point_retries, reporter=reporter,
-                    on_point=_store, **run_kwargs)
-            else:
-                fresh = sweep(label, miss_keys, self._point_kwargs,
-                              reporter=reporter, on_point=_store,
-                              **run_kwargs)
-            for slot, point in zip(miss_slots, fresh.points):
-                points[slot] = point
-            executor_stats = fresh.executor_stats
-            if executor_stats is not None:
-                worker_stats = executor_stats.get("per_worker")
-        if reporter is not None:
-            reporter.finish(worker_stats=worker_stats)
-        return SweepResult(name=label, points=points,
-                           executor_stats=executor_stats)
+        from .analysis.manifests import ExperimentManifest, ManifestBlock
+        label = name or self.base.algorithm.name
+        block = ManifestBlock(label, self.base, self.axes, self.zipped)
+        result = ExperimentManifest(label, blocks=[block]).run(
+            cache=cache, parallel=parallel, workers=workers,
+            executor=executor, progress=progress,
+            point_timeout=point_timeout,
+            point_retries=point_retries)[label]
+        for point in result.points:
+            if point.metrics.algorithm != label:
+                point.metrics = replace(point.metrics, algorithm=label)
+        return result
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ digest.
 One cache serves both halves, which also pins the cache contract: the
 cold driver pass records one miss and one store per cell and no hit,
 and ``regenerate`` over the same cache is answered entirely from it
-(drivers and manifests address identical cells).
+(drivers and manifests address identical cells). The cells keep no MAC
+records (``trace_level="decisions"``), so the same pass counts auditor
+attachments: every cell that declares ``check_invariants`` is audited
+online, none silently skipped.
 
 Regenerate only for an intended table change:
 ``PYTHONPATH=src:. python tests/test_regen_golden.py``.
@@ -25,8 +28,12 @@ import pytest
 from repro.analysis.cache import ResultCache
 from repro.analysis.manifests import (MANIFEST_SOURCES, load_manifest,
                                       regenerate)
+from repro.macsim.trace import Trace, TraceLevel
 
 CELLS = 125
+#: E9's dual-graph cells declare ``check_invariants=False`` (deadlocks
+#: hit the time limit mid-ack); every other cell is audited.
+UNCHECKED_CELLS = 28
 
 #: sha256 over ``"\n".join(run(...).render())`` sorted by id, first 16
 #: hex digits.
@@ -56,18 +63,37 @@ def driver_tables(cache) -> dict:
 @pytest.fixture(scope="module")
 def cold(tmp_path_factory):
     cache = ResultCache(str(tmp_path_factory.mktemp("regen-golden")))
-    tables = driver_tables(cache)
-    return cache, tables, (cache.hits, cache.misses, cache.stores)
+    attached = []
+    attach = Trace.attach_auditor
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Trace, "attach_auditor",
+                      lambda sink, auditor: (attached.append(sink.level),
+                                             attach(sink, auditor)))
+        tables = driver_tables(cache)
+    return (cache, tables, (cache.hits, cache.misses, cache.stores),
+            attached)
 
 
 def test_driver_tables_match_committed_digest(cold):
-    _, tables, _ = cold
+    tables = cold[1]
     assert _digest("\n".join(tables[eid] for eid in sorted(tables))) \
         == TABLES_DIGEST
 
 
 def test_cold_pass_is_one_miss_and_one_store_per_cell(cold):
     assert cold[2] == (0, CELLS, CELLS)
+
+
+def test_every_checked_cell_is_audited_online(cold):
+    scenarios = [scenario for eid in MANIFEST_SOURCES
+                 for block in load_manifest(eid).blocks
+                 for scenario in block.scenarios()]
+    assert len(scenarios) == CELLS
+    assert {s.trace_level for s in scenarios} == {"decisions"}
+    unchecked = [s for s in scenarios if not s.check_invariants]
+    assert len(unchecked) == UNCHECKED_CELLS
+    assert all(s.overlay is not None for s in unchecked)    # E9
+    assert cold[3] == [TraceLevel.DECISIONS] * (CELLS - UNCHECKED_CELLS)
 
 
 @pytest.mark.parametrize("experiment_id", sorted(REGEN_DIGESTS))

@@ -509,6 +509,117 @@ class TestManifests:
         assert first_cache.misses == 2
         assert "=== T: tiny (3 cells) ===" in first
 
+    def test_shipped_manifests_are_what_the_exporter_writes(
+            self, tmp_path):
+        """The smoke manifest CI regenerates is in export form and at
+        the table level; so is every driver's ``--write-manifests``
+        file."""
+        shipped = os.path.join(os.path.dirname(__file__), os.pardir,
+                               "examples", "regen_smoke.manifest.json")
+        paths = [shipped] + write_manifests(str(tmp_path))
+        for path, source in zip(paths[1:], MANIFEST_SOURCES):
+            assert (ExperimentManifest.from_file(path)
+                    == load_manifest(source))
+        for path in paths:
+            manifest = ExperimentManifest.from_file(path)
+            with open(path, encoding="utf-8") as handle:
+                assert handle.read() == manifest.to_json() + "\n"
+            assert {block.base.trace_level
+                    for block in manifest.blocks} == {"decisions"}
+
+
+# ----------------------------------------------------------------------
+# One steal pool per experiment
+# ----------------------------------------------------------------------
+class TestExperimentRun:
+    BASE = TestScenarioDigest.BASE
+
+    def _manifest(self):
+        return ExperimentManifest(
+            experiment="T", title="tiny",
+            blocks=[
+                ManifestBlock("grid", self.BASE,
+                              axes={"topology.n": [4, 5, 6, 7]}),
+                ManifestBlock("seeds", self.BASE,
+                              axes={"seed": [1, 2, 3]}),
+                ManifestBlock("solo", self.BASE.override(seed=9)),
+            ])
+
+    def test_cold_run_is_one_miss_and_one_store_per_cell(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        stats = []
+        results = self._manifest().run(cache=cache, workers=2,
+                                       block_stats=stats)
+        assert (cache.hits, cache.misses, cache.stores) == (0, 8, 8)
+        assert list(results) == ["grid", "seeds", "solo"]
+        assert [p.key for p in results["grid"].points] == [4, 5, 6, 7]
+        assert [p.x for p in results["seeds"].points] == [1.0, 2.0, 3.0]
+        assert results["solo"].points[0].key is None
+        assert [(s["block"], s["cells"], s["hits"], s["misses"],
+                 s["stragglers"]) for s in stats] == [
+            ("grid", 4, 0, 4, []), ("seeds", 3, 0, 3, []),
+            ("solo", 1, 0, 1, [])]
+        warm, again = ResultCache(str(tmp_path)), []
+        rerun = self._manifest().run(cache=warm, workers=2,
+                                     block_stats=again)
+        assert (warm.hits, warm.misses, warm.stores) == (8, 0, 0)
+        assert [(s["hits"], s["misses"]) for s in again] \
+            == [(4, 0), (3, 0), (1, 0)]
+        assert {name: _points_json(result)
+                for name, result in rerun.items()} \
+            == {name: _points_json(result)
+                for name, result in results.items()}
+
+    def test_all_blocks_share_one_pool(self, monkeypatch):
+        from repro.analysis import sweeps
+        pools = []
+        run_steal = sweeps._run_steal
+        monkeypatch.setattr(
+            sweeps, "_run_steal",
+            lambda name, xs, *args, **kwargs: (
+                pools.append((name, len(xs))),
+                run_steal(name, xs, *args, **kwargs))[1])
+        results = self._manifest().run(workers=2)
+        assert pools == [("T", 8)]
+        serial = self._manifest().run(parallel=False)
+        assert {name: _points_json(result)
+                for name, result in results.items()} \
+            == {name: _points_json(result)
+                for name, result in serial.items()}
+
+    def test_cells_run_under_their_own_limits_and_level(
+            self, monkeypatch):
+        """``max_events``/``max_time``/``trace_level`` are the cell's:
+        two blocks of one pool can disagree."""
+        from repro.analysis import runner
+        levels = []
+        make_sink = runner.make_sink
+        monkeypatch.setattr(
+            runner, "make_sink",
+            lambda level: (levels.append(level), make_sink(level))[1])
+        results = ExperimentManifest(
+            experiment="T", blocks=[
+                ManifestBlock("capped", self.BASE.override(
+                    max_events=10, trace_level="decisions")),
+                ManifestBlock("free", self.BASE),
+            ]).run(parallel=False)
+        assert levels == ["decisions", "full"]
+        assert results["capped"].points[0].metrics.events == 10
+        assert not results["capped"].points[0].metrics.termination
+        assert results["free"].points[0].metrics.termination
+
+    def test_metrics_carry_the_scenarios_algorithm_name(self):
+        results = self._manifest().run(parallel=False)
+        assert {p.metrics.algorithm for r in results.values()
+                for p in r.points} == {"wpaxos"}
+
+    def test_repeated_block_name_rejected(self):
+        manifest = ExperimentManifest(
+            experiment="T", blocks=[ManifestBlock("a", self.BASE),
+                                    ManifestBlock("a", self.BASE)])
+        with pytest.raises(ManifestError, match="repeats a block name"):
+            manifest.run(parallel=False)
+
 
 # ----------------------------------------------------------------------
 # Satellite 5 counterpart: the CLI regen path
