@@ -63,6 +63,26 @@ the payload -- a fault model's forgery, a ``fault_deliver`` rewrite --
 never is: a delivered object that is not the broadcast's own is
 serialized on its own, so the payload-integrity audit flags it.
 
+**A fan-out is one row.** The same primitive means the ``deliver``
+rows of one same-timestamp fan-out differ only in the receiver, so the
+engine hands them over as one run
+(:meth:`ColumnarSink.record_deliveries`) and the sink appends a run to
+each column: ``column.frombytes(packed_value * k)`` for the shared
+time, id, sender and payload, the receivers' label ids for the node
+column. The bytes are those of one ``record`` call per receiver, which
+fixes two details. A run that straddles ``chunk_records`` is *split*
+there, so every chunk holds exactly the rows it always held. And the
+per-chunk label table interns in row order -- the run's first
+receiver, then the sender, then the remaining receivers -- which only
+shows right after a flush, when the table starts empty.
+
+**Typed builders.** The sink's pending chunk is built in the types it
+is written in: ``array('d')`` times, a ``bytearray`` of kinds,
+``array`` i4 node, peer and payload ids. The broadcast-id column starts
+each chunk as i4 and is promoted to i8 by the first id that does not
+fit; the column's width *is* the chunk's wide flag, so ``flush`` scans
+nothing and ``encode_chunk`` takes each column's ``tobytes()``.
+
 Everything numpy-flavoured is gated at call time on the module global
 ``np`` (``None`` when numpy is unavailable or ``MACSIM_NO_NUMPY`` is
 set), so the pure-python fallback is a first-class, tested path.
@@ -122,10 +142,21 @@ _BIG_ENDIAN = sys.byteorder == "big"
 
 _I4_MIN, _I4_MAX = -(2 ** 31), 2 ** 31 - 1
 
+#: One value of a typed builder column as native bytes; a run lands as
+#: ``column.frombytes(packed * k)``.
+_F8_PACK = struct.Struct("=d").pack
+_I4_PACK = struct.Struct("=i").pack
+_I8_PACK = struct.Struct("=q").pack
+_DELIVER_BYTE = bytes((_KIND_DELIVER,))
+
 
 def _column_bytes(typecode: str, values) -> bytes:
-    arr = array(typecode, values)
+    """Little-endian bytes of a column: a typed column of the right
+    width as it is, any other int/float sequence converted first."""
+    typed = isinstance(values, array) and values.typecode == typecode
+    arr = values if typed else array(typecode, values)
     if _BIG_ENDIAN:  # pragma: no cover - little-endian on-disk format
+        arr = array(typecode, arr)
         arr.byteswap()
     return arr.tobytes()
 
@@ -169,8 +200,9 @@ class ColumnarChunk:
         order (the reference / compatibility path; the fast paths use
         the columns directly)."""
         # tolist() converts numpy scalars to plain Python objects in
-        # one C pass; array.array supports it identically. Pending
-        # (not yet flushed) chunks carry plain builder lists.
+        # one C pass; array.array supports it identically. A pending
+        # (not yet flushed) chunk carries the sink's typed builders,
+        # whose kind column is a bytearray.
         def as_list(column):
             return (column.tolist() if hasattr(column, "tolist")
                     else list(column))
@@ -199,16 +231,20 @@ def encode_chunk(times, kinds, nodes, bids, peers, payload_idx,
                  payload_table: List[str]) -> bytes:
     """Pack one chunk's columns into a compressed binary blob.
 
-    ``kinds`` is a ``bytearray`` of kind codes; the id columns are
-    plain int sequences with ``-1`` for ``None``; ``packed_labels``
-    are already :func:`~repro.macsim.trace._pack_label`-packed.
+    ``kinds`` is a ``bytearray`` of kind codes; the other columns are
+    typed ``array`` columns (written out as they are) or plain number
+    sequences, ids with ``-1`` for ``None``; ``packed_labels`` are
+    already :func:`~repro.macsim.trace._pack_label`-packed. The
+    broadcast-id column's width is the wide flag: an i8 ``array`` is
+    written wide, a plain sequence is narrow unless a value overflows.
     """
     n = len(times)
-    flags = 0
-    bid_code = _I4
-    if bids and not (_I4_MIN <= min(bids) and max(bids) <= _I4_MAX):
-        flags |= _FLAG_WIDE_BIDS
-        bid_code = _I8
+    if not isinstance(bids, array):
+        try:
+            bids = array(_I4, bids)
+        except OverflowError:
+            bids = array(_I8, bids)
+    flags = _FLAG_WIDE_BIDS if bids.itemsize == 8 else 0
     label_blob = json.dumps(packed_labels,
                             separators=(",", ":")).encode("utf-8")
     payload_blob = json.dumps(payload_table,
@@ -219,7 +255,7 @@ def encode_chunk(times, kinds, nodes, bids, peers, payload_idx,
         _column_bytes("d", times),
         bytes(kinds),
         _column_bytes(_I4, nodes),
-        _column_bytes(bid_code, bids),
+        _column_bytes(bids.typecode, bids),
         _column_bytes(_I4, peers),
         _column_bytes(_I4, payload_idx),
     ))
@@ -306,6 +342,14 @@ class ColumnarSink(TraceSink):
     this shows every substitution and no in-place mutation). The
     model's one-in-flight-broadcast-per-node rule bounds the table at n
     entries; nothing is evicted.
+
+    Rows arrive one at a time (:meth:`record`) or as the run of one
+    fan-out (:meth:`record_deliveries`: the same rows, the same bytes,
+    split at the chunk boundary, labels interned in row order). The
+    pending chunk lives in typed column builders -- ``array``/
+    ``bytearray``, never Python lists -- whose broadcast-id column is
+    promoted from i4 to i8 by the first id that needs it; an unflushed
+    tail is replayed from those builders directly, without a copy.
     """
 
     __slots__ = ("directory", "chunk_records", "max_bytes",
@@ -358,12 +402,13 @@ class ColumnarSink(TraceSink):
             self._finalizer = None
 
     def _reset_builders(self) -> None:
-        self._c_times: List[float] = []
+        self._c_times = array("d")
         self._c_kinds = bytearray()
-        self._c_nodes: List[int] = []
-        self._c_bids: List[int] = []
-        self._c_peers: List[int] = []
-        self._c_payloads: List[int] = []
+        self._c_nodes = array(_I4)
+        #: i4 until a row's id does not fit; see :meth:`_widen_bids`.
+        self._c_bids = array(_I4)
+        self._c_peers = array(_I4)
+        self._c_payloads = array(_I4)
         self._label_index: Dict[Any, int] = {}
         self._labels_packed: List[Any] = []
         self._labels: List[Any] = []
@@ -386,6 +431,12 @@ class ColumnarSink(TraceSink):
             self._payload_table.append(text)
         return idx
 
+    def _widen_bids(self) -> array:
+        """Promote this chunk's broadcast-id column to i8: called for
+        the first id outside i4, and what flags the chunk wide."""
+        wide = self._c_bids = array(_I8, self._c_bids)
+        return wide
+
     def record(self, time: float, kind: str, node: Any, *,
                broadcast_id: Optional[int] = None, peer: Any = None,
                payload: Any = None) -> None:
@@ -396,6 +447,13 @@ class ColumnarSink(TraceSink):
         code = KIND_CODES.get(kind)
         if code is None:
             raise ValueError(f"unknown trace kind: {kind!r}")
+        # The one append that can refuse a well-typed value goes first,
+        # so the columns never end up of different lengths.
+        try:
+            self._c_bids.append(-1 if broadcast_id is None
+                                else broadcast_id)
+        except OverflowError:
+            self._widen_bids().append(broadcast_id)
         label_index = self._label_index
         node_id = label_index.get(node)
         if node_id is None:
@@ -404,7 +462,6 @@ class ColumnarSink(TraceSink):
         times.append(time)
         self._c_kinds.append(code)
         self._c_nodes.append(node_id)
-        self._c_bids.append(-1 if broadcast_id is None else broadcast_id)
         if peer is None:
             self._c_peers.append(-1)
         else:
@@ -453,6 +510,65 @@ class ColumnarSink(TraceSink):
         if len(times) >= self.chunk_records:
             self.flush()
 
+    def record_deliveries(self, time: float, broadcast_id: int,
+                          sender: Any, payload: Any,
+                          receivers: tuple) -> None:
+        """Append the run to each column: the rows (and the bytes)
+        that one ``record("deliver", ...)`` per receiver writes."""
+        text = None
+        if payload is not None:
+            # Payload text: once per run, from the broadcast's own row
+            # when this is its very object (see record()).
+            sent = self._sent_text.get(sender)
+            if (sent is not None and sent[1] is payload
+                    and sent[0] == broadcast_id):
+                text = sent[2]
+            else:
+                text = repr(payload)
+        packed_time = _F8_PACK(time)
+        chunk_records = self.chunk_records
+        start = 0
+        total = len(receivers)
+        while start < total:
+            # A run that straddles the chunk boundary is split there,
+            # so every chunk holds exactly the rows it always held.
+            times = self._c_times
+            count = min(total - start, chunk_records - len(times))
+            part = receivers[start:start + count]
+            start += count
+            label_index = self._label_index
+            try:
+                node_ids = [label_index[v] for v in part]
+                peer_id = label_index[sender]
+            except KeyError:
+                # The label table interns in row order: the first
+                # receiver, then the sender, then the other receivers.
+                self._label_id(part[0])
+                peer_id = self._label_id(sender)
+                node_ids = [self._label_id(v) for v in part]
+            if text is None:
+                payload_id = -1
+            else:
+                payload_id = self._payload_index.get(text)
+                if payload_id is None:
+                    payload_id = self._payload_id(text)
+            bids = self._c_bids
+            if bids.itemsize == 4 and not (
+                    _I4_MIN <= broadcast_id <= _I4_MAX):
+                bids = self._widen_bids()
+            packed_bid = (_I4_PACK if bids.itemsize == 4
+                          else _I8_PACK)(broadcast_id)
+            times.frombytes(packed_time * count)
+            self._c_kinds += _DELIVER_BYTE * count
+            self._c_nodes.fromlist(node_ids)
+            bids.frombytes(packed_bid * count)
+            self._c_peers.frombytes(_I4_PACK(peer_id) * count)
+            self._c_payloads.frombytes(_I4_PACK(payload_id) * count)
+            # Index first, flush last (as in record()).
+            self._kind_counts["deliver"] += count
+            if len(times) >= chunk_records:
+                self.flush()
+
     def append(self, record: TraceRecord) -> None:
         """Protocol parity with :class:`~repro.macsim.trace.Trace`."""
         self.record(record.time, record.kind, record.node,
@@ -468,11 +584,14 @@ class ColumnarSink(TraceSink):
         if code is None:
             raise ValueError(f"unknown trace kind: {kind!r}")
         payload = record.payload
+        try:
+            self._c_bids.append(-1 if record.broadcast_id is None
+                                else record.broadcast_id)
+        except OverflowError:
+            self._widen_bids().append(record.broadcast_id)
         self._c_times.append(record.time)
         self._c_kinds.append(code)
         self._c_nodes.append(self._label_id(record.node))
-        self._c_bids.append(-1 if record.broadcast_id is None
-                            else record.broadcast_id)
         self._c_peers.append(-1 if record.peer is None
                              else self._label_id(record.peer))
         self._c_payloads.append(
@@ -500,15 +619,18 @@ class ColumnarSink(TraceSink):
             self._broadcasts_by_node[node] = (
                 self._broadcasts_by_node.get(node, 0) + 1)
 
+    def _encode_builders(self) -> bytes:
+        return encode_chunk(self._c_times, self._c_kinds, self._c_nodes,
+                            self._c_bids, self._c_peers,
+                            self._c_payloads, self._labels_packed,
+                            self._payload_table)
+
     def flush(self) -> None:
         """Encode and write the buffered tail as a new chunk file."""
         count = len(self._c_times)
         if not count:
             return
-        blob = encode_chunk(self._c_times, self._c_kinds, self._c_nodes,
-                            self._c_bids, self._c_peers,
-                            self._c_payloads, self._labels_packed,
-                            self._payload_table)
+        blob = self._encode_builders()
         path = os.path.join(self.directory,
                             f"chunk-{len(self._chunk_paths):05d}.colb")
         with open(path, "wb") as handle:
@@ -651,14 +773,17 @@ class ColumnarSink(TraceSink):
         return self.iter_records()
 
     def _pending_chunk(self) -> Optional[ColumnarChunk]:
+        """The unflushed tail as a chunk over the typed builders
+        themselves -- no copy. They only ever grow, and a flush starts
+        new ones, so the chunk's first ``n`` rows stay what they were;
+        a numpy view is left to the consumer, because a view held
+        across a later append would pin the builder's buffer."""
         if not self._c_times:
             return None
         return ColumnarChunk(
-            len(self._c_times), list(self._c_times),
-            bytes(self._c_kinds), list(self._c_nodes),
-            list(self._c_bids), list(self._c_peers),
-            list(self._c_payloads), list(self._labels),
-            list(self._payload_table))
+            len(self._c_times), self._c_times, self._c_kinds,
+            self._c_nodes, self._c_bids, self._c_peers,
+            self._c_payloads, self._labels, self._payload_table)
 
     def _iter_file_chunks(self) -> Iterator[ColumnarChunk]:
         for path in self._chunk_paths:
@@ -684,13 +809,8 @@ class ColumnarSink(TraceSink):
         for path in self._chunk_paths:
             with open(path, "rb") as handle:
                 yield handle.read()
-        pending = self._pending_chunk()
-        if pending is not None:
-            yield encode_chunk(
-                pending.times, bytearray(pending.kinds), pending.nodes,
-                pending.bids, pending.peers, pending.payload_idx,
-                [_pack_label(v) for v in pending.labels],
-                pending.payloads)
+        if self._c_times:
+            yield self._encode_builders()
 
     def chunk_paths(self) -> List[str]:
         """Paths of the flushed chunks, in record order."""

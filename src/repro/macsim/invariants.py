@@ -10,7 +10,10 @@ One audit, two feeds
 --------------------
 The auditor observes the event stream. A counting sink feeds it from
 ``record`` *during* the run (:meth:`repro.macsim.trace.Trace.attach_auditor`),
-so a ``DECISIONS``-level run is audited without keeping one MAC record;
+so a ``DECISIONS``-level run is audited without keeping one MAC record
+-- a same-timestamp fan-out arrives as one run
+(:meth:`InvariantAuditor.feed_deliveries`) and, when clean, is cleared
+with set operations instead of row by row;
 :func:`check_model_invariants` feeds it a completed replayable trace.
 Both reach the same verdict and violation list (pinned by
 ``tests/test_invariant_auditor.py``). A broadcast's audit state --
@@ -254,6 +257,35 @@ class InvariantAuditor:
             else:
                 us.discard(peer)
                 vs.discard(node)
+
+
+    def feed_deliveries(self, time: float, bid: int, sender: Any,
+                        payload: Any, receivers: tuple) -> None:
+        """Audit a run -- one broadcast delivered to ``receivers``, in
+        order, at ``time`` -- as :meth:`feed` would row by row.
+
+        A run that is clean on every per-delivery check is cleared with
+        set operations; anything else is replayed through :meth:`feed`,
+        so each violation message and its position stay what they are.
+        """
+        state = self._open.get(bid)
+        if (state is not None and payload is state.payload
+                and time >= state.start and not self._crash_time
+                and state.reach.issuperset(receivers)):
+            delivered = state.delivered
+            if delivered.isdisjoint(receivers):
+                before = len(delivered)
+                delivered.update(receivers)
+                if len(delivered) - before == len(receivers):
+                    if time > state.last:
+                        state.last = time
+                    return
+                # A receiver repeats inside the run (the sets were
+                # disjoint, so this undoes the update exactly).
+                delivered.difference_update(receivers)
+        feed = self.feed
+        for receiver in receivers:
+            feed(time, "deliver", receiver, bid, sender, payload)
 
 
 def check_model_invariants(graph, trace: TraceSink,

@@ -30,7 +30,12 @@ of Section 2 of the paper:
   applied epoch recomputes the cached neighbor tuples, invalidates
   pooled scheduler plans via ``Scheduler.on_topology_change`` and
   emits JSON-lossless ``topo`` trace records; nodes rejoining after
-  churn are rebuilt fresh from the process factory (state reset).
+  churn are rebuilt fresh from the process factory (state reset). A
+  rejoining node starts -- and broadcasts -- at its epoch's timestamp,
+  which under a continuous-delay scheduler schedules deliveries
+  *before* the event ``run()`` popped to find the epoch due: after
+  each epoch the held event goes back on the heap if the head now
+  sorts before it, so time never runs backwards.
 * **Bounded messages.** In strict mode, each payload's ``id_footprint()``
   must stay below a constant, enforcing the paper's O(1)-ids rule.
 
@@ -80,6 +85,24 @@ The main loop is O(1) per event with no per-event scans:
   receivers through the broadcast record's ``batch_cancelled`` set,
   filtered at expansion. Plans whose timestamps are all distinct
   (random delays) build no grouping at all.
+* **A fan-out is one row.** The deliveries of a batch differ only in
+  the receiver, so on the crash-free, hook-free fast path the
+  expansion does not call ``trace.record`` per receiver: it keeps an
+  *open run* ``[first unwritten, next receiver]`` over the batch
+  (``_open_run``) and hands it to the sink in one
+  ``TraceSink.record_deliveries(time, bid, sender, payload,
+  receivers)`` call. Row order is pinned byte for byte, and a handler
+  can write rows mid-batch, so the run is written at three points,
+  before anything else can reach or read the sink: (1) in
+  ``mac_broadcast`` and ``note_decision``, before the ``discard`` /
+  ``broadcast`` / ``decide`` row of a call made from inside
+  ``on_receive``; (2) before every ``stop_predicate`` call (predicates
+  read the sink); (3) in the batch loop's ``finally`` -- a completed
+  batch, a stop, a limit, an exception -- which also drops the run
+  (and with it the broadcast record). The sink is therefore whole
+  whenever control leaves the engine. ``_dispatch_delivery`` (crash
+  plans, fault hooks: the payload can differ per receiver) and single
+  ``deliver`` entries keep per-row ``record``.
 * **Broadcast records live as long as their events.** No table maps
   broadcast ids to records: a broadcast's ``deliver``/``bdeliver``/
   ``ack`` heap entries and the batch cursor carry the record itself
@@ -347,6 +370,11 @@ class Simulator:
         # stopped mid-batch (a limit, a stop, an exception) resumes at
         # exactly that receiver; None while run() itself is expanding.
         self._pending_batch: Optional[list] = None
+        # The delivery run run() is expanding whose rows the sink has
+        # not been handed yet: [first unwritten index, next receiver
+        # index, time, record, receivers]; None outside a fast-path
+        # batch (see "A fan-out is one row" above).
+        self._open_run: Optional[list] = None
 
         self._crash_by_node: dict[Any, CrashPlan] = {}
         for plan in fault_model.crash_plans():
@@ -455,6 +483,8 @@ class Simulator:
             return False
         if sender in self._inflight:
             if self._trace_mac:
+                if self._open_run is not None:
+                    self._write_run(self._open_run)
                 self.trace.record(self.now, "discard", sender,
                                   payload=payload)
             else:
@@ -594,6 +624,10 @@ class Simulator:
         self._inflight[sender] = record
         process._mac_pending = True
         if self._trace_mac:
+            if self._open_run is not None:
+                # Called from on_receive mid-batch: the deliveries made
+                # so far precede this broadcast's row.
+                self._write_run(self._open_run)
             self.trace.record(now, "broadcast", sender,
                               broadcast_id=bid, payload=payload)
         else:
@@ -608,7 +642,20 @@ class Simulator:
             label = self._labels[id(process)]
         if label not in self._crashed:
             self._undecided_alive -= 1
+        if self._open_run is not None:
+            self._write_run(self._open_run)
         self.trace.record(self.now, "decide", label, payload=value)
+
+    def _write_run(self, run: list) -> None:
+        """Hand the sink the deliveries ``run`` made since its last
+        write, as one row. The run is advanced first, so a sink that
+        raises (a spill budget) is not handed the same rows again."""
+        first, end = run[0], run[1]
+        if first < end:
+            run[0] = end
+            record = run[3]
+            self.trace.record_deliveries(run[2], record.bid, record.sender,
+                                         record.payload, run[4][first:end])
 
     def _plan_unreliable(self, sender: Any, payload: Any,
                          start_time: float, ack_time: float,
@@ -715,6 +762,9 @@ class Simulator:
         trace_record = self.trace.record
         trace_mac = self._trace_mac
         fast_deliver = not self._cancellable and not self._fault_active
+        # Into a sink that takes MAC rows the fast path hands a batch's
+        # deliveries over as runs, not one by one.
+        run_rows = fast_deliver and trace_mac
         dynamics_on = self.dynamics is not None
         tel = self.telemetry
         tel_spans = self._tel_spans
@@ -743,22 +793,28 @@ class Simulator:
                 event_time, record, receivers, i = batch
                 batch = None
                 count = len(receivers)
-                bid = record.bid
-                sender = record.sender
                 payload = record.payload
                 # Crashes are heap events: none can fire mid-batch.
                 cancelled = record.batch_cancelled
-                span = None if tel_spans is None else tel_spans.get(bid)
+                span = (None if tel_spans is None
+                        else tel_spans.get(record.bid))
+                open_run = None
+                if run_rows:
+                    open_run = self._open_run = [i, i, event_time, record,
+                                                 receivers]
                 try:
                     while i < count:
                         if (stop_when_all_decided
                                 and self._undecided_alive == 0):
                             stop_reason = "all_decided"
                             break
-                        if (stop_predicate is not None
-                                and stop_predicate(self)):
-                            stop_reason = "predicate"
-                            break
+                        if stop_predicate is not None:
+                            if open_run is not None:
+                                # Predicates read the sink.
+                                self._write_run(open_run)
+                            if stop_predicate(self):
+                                stop_reason = "predicate"
+                                break
                         if event_time > max_time:
                             # Only a resumed batch can be past the limit.
                             stop_reason = "max_time"
@@ -771,10 +827,8 @@ class Simulator:
                         if cancelled is not None and receiver in cancelled:
                             continue
                         if fast_deliver:
-                            if trace_mac:
-                                trace_record(event_time, "deliver",
-                                             receiver, broadcast_id=bid,
-                                             peer=sender, payload=payload)
+                            if open_run is not None:
+                                open_run[1] = i
                             elif kind_counts is not None:
                                 kind_counts["deliver"] += 1
                             else:
@@ -799,6 +853,11 @@ class Simulator:
                     if i < count:
                         self._pending_batch = [event_time, record,
                                                receivers, i]
+                    if open_run is not None:
+                        # However the batch ended, the sink is whole
+                        # when control leaves the loop.
+                        self._open_run = None
+                        self._write_run(open_run)
                 break
             if stop_when_all_decided and self._undecided_alive == 0:
                 stop_reason = "all_decided"
@@ -840,8 +899,13 @@ class Simulator:
                 if dynamics_on:
                     next_epoch = self._next_epoch
                     if next_epoch is not None \
-                            and next_epoch <= event_time:
-                        self._advance_topology(event_time)
+                            and next_epoch <= event_time \
+                            and self._advance_topology(entry):
+                        # An epoch scheduled something that sorts
+                        # before the held entry: that runs first.
+                        heappush(heap, entry)
+                        queue._live += 1
+                        continue
                 if event_time > self.now:
                     if time_hooks:
                         for hook in time_hooks:
@@ -1060,21 +1124,28 @@ class Simulator:
     # ------------------------------------------------------------------
     # Topology dynamics
     # ------------------------------------------------------------------
-    def _advance_topology(self, up_to: float) -> None:
-        """Apply every topology epoch at or before ``up_to``.
+    def _advance_topology(self, held: tuple) -> bool:
+        """Apply the topology epochs at or before the popped heap
+        entry ``held``; true when the caller must re-queue it.
 
         Simulated time advances *to each epoch* (firing time-advance
         observers) before its delta is applied, so processes reset by
         the epoch start -- and broadcast -- at the epoch's own
-        timestamp.
+        timestamp. Under a continuous-delay scheduler such a broadcast
+        is delivered before ``held``'s time, so the heap is checked
+        after *each* epoch: once its head sorts before ``held`` no
+        later epoch is applied (time would pass the new event) and the
+        caller puts ``held`` back.
         """
         dynamics = self.dynamics
         time_hooks = self._time_hooks
         tel = self.telemetry
+        heap = self._queue._heap
+        up_to = held[0]
         while True:
             when = self._next_epoch
             if when is None or when > up_to:
-                return
+                return False
             if when > self.now:
                 if time_hooks:
                     for hook in time_hooks:
@@ -1098,6 +1169,8 @@ class Simulator:
                     f"non-advancing epoch time {following} after "
                     f"{when}")
             self._next_epoch = following
+            if heap and heap[0] < held:
+                return True
 
     def _apply_topology_delta(self, when: float, delta) -> None:
         """Rewrite the live graph and every topology-derived cache."""

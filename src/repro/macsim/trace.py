@@ -54,13 +54,30 @@ Four sinks ship behind the protocol (:func:`make_sink` maps a
 DECISIONS levels) for backwards compatibility; ``IndexedMemorySink``
 and ``DecisionsSink`` are thin level-pinning subclasses.
 
+The protocol has two write doors. :meth:`TraceSink.record` takes one
+occurrence. :meth:`TraceSink.record_deliveries` takes a *run*: the
+model's one primitive hands one message to every neighbor, so the
+deliveries of a fan-out that share a timestamp differ only in the
+receiver, and the engine's crash-free, hook-free fast path hands them
+over as one ``(time, broadcast_id, sender, payload, receivers)`` call
+per expanded delivery batch -- cut wherever a handler, a stop
+predicate or the end of a ``run()`` slice has to see the sink whole, so
+rows always land in event order. The base class defines the run as the
+loop over ``record`` (that loop is what the row *means*; ``SpillSink``
+and third-party sinks inherit it); :class:`Trace` and ``ColumnarSink``
+write the same rows natively. Everything else -- broadcasts, acks,
+decisions, single deliveries (random delays), and every delivery under
+a crash plan or a fault model, where the payload can differ per
+receiver -- arrives through ``record``.
+
 Sink capability flags drive the harness:
 
 * ``replayable`` -- iterating the sink yields every occurrence, so
   model-invariant replay is possible (FULL and SPILL, not DECISIONS);
 * ``materializes_mac`` -- the engine must call :meth:`TraceSink.record`
-  for MAC-level kinds (vs. the counter-only ``bump`` fast path); also
-  true of a counting sink while an auditor is attached;
+  / :meth:`TraceSink.record_deliveries` for MAC-level kinds (vs. the
+  counter-only ``bump`` fast path); also true of a counting sink while
+  an auditor is attached;
 * ``payloads_preserialized`` -- replayed payloads are already ``repr``
   strings (SPILL), so exporters must not re-``repr`` them.
 """
@@ -159,15 +176,18 @@ class TraceRecord:
 class TraceSink:
     """Protocol for execution-trace consumers.
 
-    The simulator emits every occurrence through :meth:`record` (or
-    :meth:`bump` when the sink does not materialize MAC-level kinds);
-    the analysis layer reads results back through the query API. All
-    query methods must stay exact regardless of what is materialized --
-    counters count every reported occurrence.
+    The simulator emits every occurrence through :meth:`record` or,
+    for a same-timestamp fan-out on its fast path,
+    :meth:`record_deliveries` (or :meth:`bump` when the sink does not
+    materialize MAC-level kinds); the analysis layer reads results back
+    through the query API. All query methods must stay exact regardless
+    of what is materialized -- counters count every reported
+    occurrence.
 
     Subclasses must implement :meth:`record`, :meth:`bump` and the
-    queries; the capability flags (class attributes here) tell the
-    engine and harness what the sink supports.
+    queries (:meth:`record_deliveries` is inherited as the loop over
+    :meth:`record`); the capability flags (class attributes here) tell
+    the engine and harness what the sink supports.
     """
 
     __slots__ = ()
@@ -186,6 +206,18 @@ class TraceSink:
                payload: Any = None) -> None:
         """Consume one occurrence."""
         raise NotImplementedError
+
+    def record_deliveries(self, time: float, broadcast_id: int,
+                          sender: Any, payload: Any,
+                          receivers: tuple) -> None:
+        """Consume a *run*: broadcast ``broadcast_id`` of ``sender``
+        delivered ``payload`` to each of ``receivers``, in that order,
+        at ``time``. This loop is what the row means; a sink overrides
+        it only to write the same rows faster."""
+        record = self.record
+        for receiver in receivers:
+            record(time, "deliver", receiver, broadcast_id=broadcast_id,
+                   peer=sender, payload=payload)
 
     def bump(self, kind: str, node: Any = None) -> None:
         """Count an occurrence without materializing a record."""
@@ -254,7 +286,7 @@ class Trace(TraceSink):
 
     __slots__ = ("level", "_records", "_by_kind", "_by_node",
                  "_decisions", "_decision_times", "_kind_counts",
-                 "_broadcasts_by_node", "_feed")
+                 "_broadcasts_by_node", "_feed", "_feed_deliveries")
 
     def __init__(self, level: "TraceLevel | str" = TraceLevel.FULL) -> None:
         self.level = TraceLevel.coerce(level)
@@ -268,8 +300,9 @@ class Trace(TraceSink):
         #: so hot paths may increment without a .get() dance.
         self._kind_counts: Dict[str, int] = {k: 0 for k in TRACE_KINDS}
         self._broadcasts_by_node: Dict[Any, int] = {}
-        #: The attached auditor's ``feed``, if any.
+        #: The attached auditor's ``feed`` / ``feed_deliveries``, if any.
         self._feed = None
+        self._feed_deliveries = None
 
     @property
     def replayable(self) -> bool:
@@ -281,13 +314,16 @@ class Trace(TraceSink):
 
     def attach_auditor(self, auditor) -> None:
         """Feed every occurrence to ``auditor.feed(time, kind, node,
-        broadcast_id, peer, payload)`` as it is recorded
+        broadcast_id, peer, payload)`` as it is recorded, and every
+        run to ``auditor.feed_deliveries``
         (:class:`repro.macsim.invariants.InvariantAuditor`). Attach
         before the simulator is built: an audited sink reports
         ``materializes_mac``, so the engine routes MAC-level kinds
-        through :meth:`record` instead of the counter-only fast path.
+        through :meth:`record` / :meth:`record_deliveries` instead of
+        the counter-only fast path.
         """
         self._feed = auditor.feed
+        self._feed_deliveries = auditor.feed_deliveries
 
     def __len__(self) -> int:
         return len(self._records)
@@ -342,6 +378,32 @@ class Trace(TraceSink):
             raise ValueError(f"unknown trace kind: {kind!r}")
         self.append(TraceRecord(time, kind, node, broadcast_id, peer,
                                 payload))
+
+    def record_deliveries(self, time: float, broadcast_id: int,
+                          sender: Any, payload: Any,
+                          receivers: tuple) -> None:
+        """The run's rows in one local loop; at
+        :attr:`TraceLevel.DECISIONS` one audit call and one count."""
+        feed_deliveries = self._feed_deliveries
+        if feed_deliveries is not None:
+            feed_deliveries(time, broadcast_id, sender, payload, receivers)
+        self._kind_counts["deliver"] += len(receivers)
+        if self.level is TraceLevel.DECISIONS:
+            return
+        records = self._records
+        by_node = self._by_node
+        by_kind = self._by_kind.get("deliver")
+        if by_kind is None:
+            by_kind = self._by_kind["deliver"] = []
+        for receiver in receivers:
+            record = TraceRecord(time, "deliver", receiver, broadcast_id,
+                                 sender, payload)
+            records.append(record)
+            by_kind.append(record)
+            bucket = by_node.get(receiver)
+            if bucket is None:
+                bucket = by_node[receiver] = []
+            bucket.append(record)
 
     def bump(self, kind: str, node: Any = None) -> None:
         """Count an occurrence without materializing a record."""

@@ -31,7 +31,8 @@ from repro.macsim.columnar import (ColumnarChunk, decode_chunk,
                                    try_vectorized_invariants)
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
-from repro.macsim.trace import TRACE_KINDS, TraceRecord, _pack_label
+from repro.macsim.trace import (TRACE_KINDS, TraceRecord, TraceSink,
+                                _pack_label)
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
 from repro.topology import Graph, clique, line
@@ -303,6 +304,22 @@ class TestSpillBudget:
 
     @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
                              ids=["jsonl", "columnar"])
+    def test_budget_error_inside_a_run_leaves_index_agreeing(
+            self, tmp_path, cls):
+        # The flush at the chunk boundary a run straddles raises: the
+        # rows up to the boundary are on disk and counted, the rest of
+        # the run was never written anywhere.
+        sink = cls(str(tmp_path / "s"), chunk_records=4, max_bytes=10)
+        sink.record(0.0, "broadcast", 0, broadcast_id=0, payload="m")
+        with pytest.raises(SpillBudgetError):
+            sink.record_deliveries(1.0, 0, 0, "m", (1, 2, 3, 4, 5, 6))
+        counted = sum(sink.count_of_kind(k) for k in TRACE_KINDS)
+        assert len(sink) == counted == len(list(sink)) == 4
+        assert [r.node for r in sink] == [0, 1, 2, 3]
+        assert sink.delivery_count() == 3
+
+    @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
+                             ids=["jsonl", "columnar"])
     def test_budget_not_hit_when_under(self, tmp_path, cls):
         sink = cls(str(tmp_path / "s"), chunk_records=8,
                    max_bytes=10_000_000)
@@ -439,6 +456,138 @@ class TestPayloadTextMemo:
         assert sim.run(max_events=20_000).events_processed == 20_000
         assert sink.broadcast_count() > 2_000
         assert 0 < len(sink._sent_text) <= graph.n
+
+
+# ----------------------------------------------------------------------
+# Run rows and typed builders: one call per fan-out, the same bytes
+# ----------------------------------------------------------------------
+class _RowByRowSink(ColumnarSink):
+    """The reference: a run is the base class's loop over ``record``."""
+
+    record_deliveries = TraceSink.record_deliveries
+
+
+class _Gossip(Process):
+    """Back-to-back broadcasts; a relay from inside ``on_receive`` on
+    every fourth message; decides on its 14th."""
+
+    def __init__(self, uid):
+        super().__init__(uid=uid, initial_value=0)
+        self.heard = 0
+
+    def on_start(self):
+        self.broadcast(("m", self.uid, 0))
+
+    def on_ack(self):
+        self.broadcast(("m", self.uid, self.heard))
+
+    def on_receive(self, message):
+        self.heard += 1
+        if self.heard % 4 == 0:
+            self.broadcast(("relay", self.uid))
+        if self.heard == 14:
+            self.decide(message[1])
+
+
+def _chunk_bytes(sink):
+    blobs = []
+    for path in sink.chunk_paths():
+        with open(path, "rb") as handle:
+            blobs.append(handle.read())
+    return blobs
+
+
+class TestRunRows:
+    @pytest.mark.parametrize("chunk_records", [7, 23, 5000])
+    def test_a_run_writes_the_bytes_its_rows_write(self, tmp_path,
+                                                   chunk_records):
+        # 7 and 23 are coprime to the fan-out of 5, so runs straddle
+        # chunk boundaries -- where the label table starts over.
+        written = []
+        for name, cls in (("run", ColumnarSink), ("rows", _RowByRowSink)):
+            sink = cls(str(tmp_path / name), chunk_records=chunk_records)
+            sim = build_simulation(clique(6), _Gossip,
+                                   SynchronousScheduler(1.0),
+                                   trace_sink=sink)
+            assert sim.run().stop_reason == "all_decided"
+            before_close = list(sink.iter_chunk_blobs())
+            sink.close()
+            assert _chunk_bytes(sink) == before_close
+            written.append((len(sink), _chunk_bytes(sink)))
+        assert written[0] == written[1]
+        assert written[0][0] > 100
+
+    def test_label_table_interns_in_row_order(self, tmp_path):
+        sink = ColumnarSink(str(tmp_path / "c"), chunk_records=4)
+        sink.record(0.0, "broadcast", "s", broadcast_id=0, payload="m")
+        sink.record_deliveries(1.0, 0, "s", "m",
+                               ("a", "b", "c", "d", "e", "f", "g"))
+        sink.close()
+        assert [chunk.labels for chunk in sink.iter_chunks()] == [
+            ["s", "a", "b", "c"], ["d", "s", "e", "f", "g"]]
+        assert [(r.node, r.peer, r.payload) for r in sink][1:] == [
+            (v, "s", repr("m")) for v in "abcdefg"]
+
+    @pytest.mark.parametrize("how", ["record", "append_serialized", "run"])
+    def test_wide_bid_mid_chunk_promotes_the_column(self, tmp_path, how):
+        wide = 2 ** 40 + 3
+        sink = ColumnarSink(str(tmp_path / "c"), chunk_records=6)
+        # Two chunks: the wide id arrives third in the first; the
+        # second starts narrow again.
+        for bid in (0, 1, wide, 2, 3, 4, 5, 6):
+            if bid != wide or how == "record":
+                sink.record(float(bid), "ack", 0, broadcast_id=bid)
+            elif how == "append_serialized":
+                sink.append_serialized(TraceRecord(
+                    float(bid), "ack", 0, bid, None, None))
+            else:
+                sink.record_deliveries(float(bid), bid, 1, None, (0,))
+            if bid == wide:
+                assert sink._c_bids.itemsize == 8
+                assert list(sink._c_bids) == [0, 1, wide]
+        sink.close()
+        flags = []
+        for path in sink.chunk_paths():
+            with open(path, "rb") as handle:
+                flags.append(columnar_mod._HEADER_STRUCT.unpack_from(
+                    handle.read())[2])
+        assert flags == [columnar_mod._FLAG_WIDE_BIDS, 0]
+        assert [(r.time, r.kind, r.node, r.broadcast_id) for r in sink] \
+            == [(float(bid), "deliver" if bid == wide and how == "run"
+                 else "ack", 0, bid)
+                for bid in (0, 1, wide, 2, 3, 4, 5, 6)]
+
+    def test_pending_tail_is_the_typed_builders_not_a_copy(self, tmp_path):
+        sink = ColumnarSink(str(tmp_path / "c"), chunk_records=100)
+        _fill(sink, _sample_records())
+        (pending,) = sink.iter_chunks()
+        assert pending.times is sink._c_times
+        assert pending.payload_idx is sink._c_payloads
+        as_read = _tuples(pending.records())
+        assert as_read == _tuples(sink) and len(as_read) == 6
+        # Recording on while a chunk is held neither fails nor moves
+        # the rows it holds.
+        sink.record(3.0, "ack", 0, broadcast_id=9)
+        assert _tuples(pending.records()) == as_read
+        sink.close()
+        assert _tuples(sink)[:6] == as_read
+
+    @pytest.mark.skipif(not have_numpy(), reason="needs numpy")
+    def test_vectorized_audit_reads_an_unflushed_tail(self, tmp_path):
+        graph = clique(4)
+        sink = ColumnarSink(str(tmp_path / "c"), chunk_records=30)
+        sim = build_simulation(graph, lambda v: TwoPhaseConsensus(v + 1,
+                                                                  v % 2),
+                               SynchronousScheduler(1.0), trace_sink=sink)
+        sim.run()
+        assert sink.chunk_paths() and len(sink._c_times)
+        report = try_vectorized_invariants(graph, sink, 1.0)
+        assert report is not None and report.ok, report
+        bad = ColumnarSink(str(tmp_path / "bad"), chunk_records=30)
+        for r in sink:
+            bad.append_serialized(r)
+        bad.record(9.0, "deliver", 0, broadcast_id=0, peer=1, payload="x")
+        assert not try_vectorized_invariants(graph, bad, 1.0).ok
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 event-queue compaction, and parallel sweep determinism."""
 
 import gc
+import hashlib
 import random
 
 import pytest
@@ -10,15 +11,16 @@ from repro.analysis import parallel_sweep, run_consensus, sweep
 from repro.analysis.sweeps import default_workers
 from repro.core.twophase import TwoPhaseConsensus
 from repro.core.wpaxos import WPaxosConfig, WPaxosNode
-from repro.macsim import (OmissionFaultModel, OmissionPlan, Process,
-                          TraceLevel, build_simulation, crash_plan)
+from repro.macsim import (ColumnarSink, OmissionFaultModel, OmissionPlan,
+                          Process, TraceLevel, build_simulation,
+                          crash_plan)
 from repro.macsim.errors import SimulationLimitError
 from repro.macsim.events import (ACK_PRIORITY, DELIVER_PRIORITY,
                                  EventQueue)
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.macsim.simulator import _BroadcastRecord
-from repro.macsim.trace import TRACE_KINDS, Trace
+from repro.macsim.trace import TRACE_KINDS, Trace, TraceSink
 from repro.topology import Graph, clique, line
 from tests.helpers import AckFirstScheduler, trace_digest
 
@@ -422,8 +424,7 @@ _BATCH_COMMITTED = {
 }
 
 
-def _batch_sim(variant, level):
-    kwargs = {}
+def _batch_sim(variant, level, **kwargs):
     if variant == "crash-plan":
         # Both die mid-broadcast: node 0's batch loses three receivers
         # (cancelled, filtered at expansion), node 4's is delivered whole.
@@ -602,3 +603,147 @@ class TestParallelSweep:
 
     def test_default_workers_positive(self):
         assert default_workers() >= 1
+
+
+# ---------------------------------------------------------------------
+# Run rows: one sink call per fan-out writes the rows one call per
+# receiver wrote, in the same places
+# ---------------------------------------------------------------------
+class _Interjector(Process):
+    """Writes every kind of row a handler can from inside
+    ``on_receive``, mid-batch: on every third message it broadcasts (a
+    ``broadcast`` row when idle, a ``discard`` row when not) and
+    broadcasts again at once (always a ``discard`` row); it decides on
+    its eleventh message."""
+
+    def __init__(self, uid):
+        super().__init__(uid=uid, initial_value=0)
+        self.heard = 0
+
+    def on_start(self):
+        if self.uid % 2 == 0:
+            self.broadcast(("start", self.uid))
+
+    def on_receive(self, message):
+        self.heard += 1
+        if self.heard % 3 == 1:
+            self.broadcast(("relay", self.uid, self.heard))
+            self.broadcast(("again", self.uid, self.heard))
+        if self.heard == 11:
+            self.decide(message)
+
+
+def _colb_digest(sink):
+    digest = hashlib.sha256()
+    for path in sink.chunk_paths():
+        with open(path, "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()
+
+
+class _RowsOnlySink(TraceSink):
+    """A third-party sink: ``record``/``bump`` and the queries the
+    engine reads, nothing else."""
+
+    materializes_mac = True
+
+    def __init__(self):
+        self.rows = []
+
+    def record(self, time, kind, node, *, broadcast_id=None, peer=None,
+               payload=None):
+        self.rows.append((time, kind, node, broadcast_id, peer, payload))
+
+    def bump(self, kind, node=None):
+        raise AssertionError("a MAC-materializing sink is never bumped")
+
+    def decisions(self):
+        return {}
+
+    def decision_times(self):
+        return {}
+
+
+class TestRunRows:
+    #: Generated on the commit before run rows (1a4866e): the FULL
+    #: trace (``helpers.trace_digest``) and, at ``chunk_records=7``,
+    #: the concatenated ``.colb`` files.
+    INTERJECTOR_ROWS = 135
+    INTERJECTOR_FULL = (
+        "f37affe04d859d618b15778b8a35b0d0dc033ab6f4c5e1c91d6c133835256e07")
+    INTERJECTOR_COLB = (
+        "9566c2d0a9e7f0b51a6af00ff5d9fcdef3a2aea6321ae0436c00efd3d2fc97c9")
+
+    def _interjector(self, **kwargs):
+        return build_simulation(clique(6), _Interjector,
+                                SynchronousScheduler(1.0), **kwargs)
+
+    def test_rows_written_from_inside_on_receive_keep_their_place(
+            self, tmp_path):
+        sim = self._interjector()
+        assert sim.run().stop_reason == "all_decided"
+        trace = sim.trace
+        # Each kind really does land between two deliveries of one
+        # batch, or this pins nothing.
+        for kind in ("broadcast", "discard", "decide"):
+            assert any(
+                before.kind == "deliver" and row.kind == kind
+                and any(later.kind == "deliver"
+                        and later.broadcast_id == before.broadcast_id
+                        for later in trace[i + 1:i + 8])
+                for i, (before, row) in enumerate(zip(trace, trace[1:]),
+                                                  start=1)), kind
+        assert (len(trace), trace_digest(trace)) == (
+            self.INTERJECTOR_ROWS, self.INTERJECTOR_FULL)
+        sink = ColumnarSink(str(tmp_path), chunk_records=7)
+        assert self._interjector(
+            trace_sink=sink).run().stop_reason == "all_decided"
+        sink.close()
+        assert (len(sink), _colb_digest(sink)) == (
+            self.INTERJECTOR_ROWS, self.INTERJECTOR_COLB)
+
+    @pytest.mark.parametrize("level", [TraceLevel.FULL,
+                                       TraceLevel.COLUMNAR],
+                             ids=lambda l: l.value)
+    def test_stop_predicate_sees_every_delivery_made_so_far(self, level):
+        sim = self._interjector(trace_level=level)
+        sink = sim.trace
+        calls = 0
+
+        def watching(sim):
+            nonlocal calls
+            calls += 1
+            heard = sum(p.heard for p in sim.processes.values())
+            assert sink.delivery_count() == heard
+            assert len(sink) == heard + sum(
+                sink.count_of_kind(kind) for kind in TRACE_KINDS
+                if kind != "deliver")
+            return False
+
+        assert sim.run(stop_predicate=watching).stop_reason == "all_decided"
+        assert calls > sink.delivery_count() == 66
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    @pytest.mark.parametrize("variant", _BATCH_VARIANTS)
+    def test_max_events_slices_write_the_unsliced_chunk_bytes(
+            self, variant, k, tmp_path):
+        digests = []
+        for name, limits in (("whole", {}), ("sliced", {"max_events": k})):
+            sink = ColumnarSink(str(tmp_path / name), chunk_records=7)
+            sim = _batch_sim(variant, TraceLevel.FULL, trace_sink=sink)
+            reasons, _ = _resume_to_completion(sim, **limits)
+            assert reasons[-1] == "all_decided"
+            sink.close()
+            digests.append((len(sink), len(sink.chunk_paths()),
+                            _colb_digest(sink)))
+        assert digests[0] == digests[1]
+
+    def test_third_party_sink_sees_one_record_per_delivery_in_order(self):
+        reference = self._interjector()
+        reference.run()
+        sink = _RowsOnlySink()
+        result = self._interjector(trace_sink=sink).run()
+        assert result.events_processed == 78
+        assert sink.rows == [
+            (r.time, r.kind, r.node, r.broadcast_id, r.peer, r.payload)
+            for r in reference.trace]

@@ -1,7 +1,8 @@
 """The online MAC-invariant audit: one implementation, two feeds.
 
 ``InvariantAuditor`` is fed either live -- by the counting sink's
-``record`` during a ``DECISIONS``-level run -- or post hoc, by
+``record`` / ``record_deliveries`` during a ``DECISIONS``-level run --
+or post hoc, by
 ``check_model_invariants`` replaying a FULL trace. Pinned here:
 
 * **no silent skip** -- ``check_invariants=True`` raises on a violating
@@ -12,6 +13,10 @@
   scheduler x fault x dynamics (and over schedulers that lie), plus a
   table of hand-injected violations, one per class the audit reports:
   same ``ok``, same violation list, from both entry points;
+* **run == rows** -- a fan-out handed over as one run
+  (``feed_deliveries``) is cleared with set operations when clean and
+  otherwise reports what its rows, fed one by one, report: one table
+  row per violation a delivery can commit;
 * **the one look-ahead** -- a neighbor crashing at exactly an ack's
   timestamp is excused by both: the engine records the crash first.
 """
@@ -36,7 +41,7 @@ from repro.macsim.trace import (TOPO_EDGE_DOWN, TOPO_EDGE_UP, Trace,
 from repro.scenario import (AlgorithmSpec, DynamicsSpec, FaultSpec,
                             OverlaySpec, Scenario, SchedulerSpec,
                             TopologySpec)
-from repro.topology import clique, line
+from repro.topology import Graph, clique, line
 
 
 def _wpaxos_run(graph, scheduler, **kwargs):
@@ -182,13 +187,6 @@ class TestOnlineEqualsPostHoc:
            seed=st.integers(min_value=0, max_value=5))
     def test_honest_runs(self, topology, scheduler, fault, dynamics,
                          seed):
-        if dynamics is not None and dynamics.name == "node-churn":
-            # A rejoining node broadcasts at its epoch's timestamp;
-            # under a continuous-delay scheduler the engine can then
-            # pop an event from before the one it already holds ("time
-            # went backwards", on the parent commit too). Not this
-            # test's subject: keep rejoins on round boundaries.
-            scheduler = SCHEDULERS[0]
         scenario = Scenario(
             algorithm=AlgorithmSpec("wpaxos"), topology=topology,
             scheduler=scheduler, fault=fault, dynamics=dynamics,
@@ -376,18 +374,40 @@ LICENCES = {
 }
 
 
+def _rows(stream):
+    """``stream`` with each run row ``(time, "run", receivers, bid,
+    sender, payload)`` expanded into its deliveries."""
+    out = []
+    for row in stream:
+        if row[1] == "run":
+            time, _, receivers, bid, sender, payload = row
+            out.extend((time, "deliver", v, bid, sender, payload)
+                       for v in receivers)
+        else:
+            out.append(row)
+    return out
+
+
 def _audit_both(graph, stream, kwargs):
+    """(live, post hoc) reports of ``stream``; the live sink is handed
+    run rows whole (``record_deliveries``), the replay their rows."""
     kwargs = dict({"f_ack": 1.0}, **kwargs)
+    rows = _rows(stream)
     post_hoc = check_model_invariants(
-        graph, [TraceRecord(*row) for row in stream], **kwargs)
+        graph, [TraceRecord(*row) for row in rows], **kwargs)
     auditor = InvariantAuditor(graph, kwargs["f_ack"],
                                faulty=kwargs.get("faulty", frozenset()))
     sink = Trace("decisions")
     sink.attach_auditor(auditor)
     for time, kind, node, bid, peer, payload in stream:
-        sink.record(time, kind, node, broadcast_id=bid, peer=peer,
-                    payload=payload)
-    assert len(sink) == sum(row[1] in ("crash", "topo") for row in stream)
+        if kind == "run":
+            sink.record_deliveries(time, bid, peer, payload, node)
+        else:
+            sink.record(time, kind, node, broadcast_id=bid, peer=peer,
+                        payload=payload)
+    assert len(sink) == sum(row[1] in ("crash", "topo") for row in rows)
+    assert sink.delivery_count() == sum(row[1] == "deliver"
+                                        for row in rows)
     return auditor.report(), post_hoc
 
 
@@ -404,6 +424,122 @@ class TestInjectedViolations:
         live, post_hoc = _audit_both(*LICENCES[name])
         assert live.violations == post_hoc.violations == []
         assert live.ok and post_hoc.ok
+
+
+# ----------------------------------------------------------------------
+# Audited run == audited rows
+# ----------------------------------------------------------------------
+def _run(time, receivers, payload="m", bid=0, sender=0):
+    """A run row: one broadcast delivered to ``receivers`` at once."""
+    return (time, "run", receivers, bid, sender, payload)
+
+
+_BROADCAST, _ACK = CLEAN[0], CLEAN[3]
+
+#: name -> (graph, stream with run rows, audit kwargs, expected
+#: messages): every violation a delivery can commit, inside a run.
+RUN_MUTATIONS = {
+    "non-neighbour": (
+        line(3), [_BROADCAST, _run(1.0, (1, 2)), _ACK], {},
+        ["broadcast 0 delivered to non-neighbor 2 of 0"]),
+    "duplicate-across-runs": (
+        clique(3), [_BROADCAST, _run(0.5, (1,)), _run(1.0, (1, 2)), _ACK],
+        {}, ["duplicate delivery of broadcast 0 to 1"]),
+    "duplicate-within-one-run": (
+        clique(3), [_BROADCAST, _run(1.0, (1, 2, 1)), _ACK], {},
+        ["duplicate delivery of broadcast 0 to 1"]),
+    "delivery-before-start": (
+        clique(3), [(1.0, "broadcast", 0, 0, None, "m"),
+                    _run(0.5, (1, 2)), (2.0, "ack", 0, 0, None, None)],
+        {}, ["delivery of broadcast 0 precedes its start"] * 2),
+    "delivery-to-crashed-node": (
+        clique(3), [_BROADCAST, (0.5, "crash", 1, None, None, None),
+                    _run(1.0, (1, 2)), _ACK],
+        {}, ["delivery to crashed node 1"]),
+    "mutated-payload-correct-sender": (
+        clique(3), [_BROADCAST, _run(1.0, (1, 2), payload="forged"), _ACK],
+        {"faulty": frozenset({2})},
+        ["broadcast 0 of correct node 0 delivered mutated payload to 1",
+         "broadcast 0 of correct node 0 delivered mutated payload to 2"]),
+    "run-on-closed-broadcast": (
+        clique(3), CLEAN + [_run(1.5, (1, 2))], {"f_ack": 2.0},
+        ["delivery for unknown or closed (already acked) broadcast 0"]
+        * 2),
+}
+
+#: Runs that must stay clean.
+RUN_LICENCES = {
+    "whole-fan-out": (clique(3), [_BROADCAST, _run(1.0, (1, 2)), _ACK],
+                      {}),
+    "split-fan-out": (clique(4), [_BROADCAST, _run(1.0, (1,)),
+                                  _run(1.0, (2, 3)), _ACK], {}),
+    "equal-payload-of-another-identity": (
+        clique(3), [(0.0, "broadcast", 0, 0, None, ("m", 1)),
+                    _run(1.0, (1, 2), payload=tuple(["m", 1])), _ACK],
+        {}),
+    "faulty-sender-may-mutate": (
+        clique(3), [(0.0, "broadcast", 2, 0, None, "m"),
+                    _run(1.0, (0, 1), payload="forged", sender=2),
+                    (1.0, "ack", 2, 0, None, None)],
+        {"faulty": frozenset({2})}),
+    "crashed-receiver-before-its-crash": (
+        clique(3), [_BROADCAST, _run(1.0, (1, 2)), _ACK,
+                    (2.0, "crash", 1, None, None, None),
+                    (2.0, "broadcast", 0, 1, None, "m"),
+                    _run(3.0, (2,), bid=1),
+                    (3.0, "ack", 0, 1, None, None)], {}),
+}
+
+
+class TestRunsAuditedAsTheirRows:
+    @pytest.mark.parametrize("name", sorted(RUN_MUTATIONS))
+    def test_same_messages_per_run_per_row_and_post_hoc(self, name):
+        graph, stream, kwargs, messages = RUN_MUTATIONS[name]
+        per_run, _ = _audit_both(graph, stream, kwargs)
+        per_row, post_hoc = _audit_both(graph, _rows(stream), kwargs)
+        assert (per_run.violations == per_row.violations
+                == post_hoc.violations == messages)
+        assert not per_run.ok
+
+    @pytest.mark.parametrize("name", sorted(RUN_LICENCES))
+    def test_licensed_runs_stay_clean(self, name):
+        graph, stream, kwargs = RUN_LICENCES[name]
+        per_run, _ = _audit_both(graph, stream, kwargs)
+        per_row, post_hoc = _audit_both(graph, _rows(stream), kwargs)
+        assert (per_run.violations == per_row.violations
+                == post_hoc.violations == [])
+        assert per_run.ok
+
+    def test_dual_graph_run_over_an_unreliable_link_is_clean(self):
+        graph = line(3)
+        auditor = InvariantAuditor(
+            graph, 1.0, unreliable_graph=Graph([(0, 2)], nodes=graph.nodes))
+        auditor.feed(0.0, "broadcast", 0, 0, None, "m")
+        auditor.feed_deliveries(1.0, 0, 0, "m", (1, 2))
+        auditor.feed(1.0, "ack", 0, 0)
+        assert auditor.report().ok
+
+    def test_the_engine_feeds_synchronous_fan_outs_whole(self):
+        """What the property above relies on: under the synchronous
+        scheduler the audited sink is handed runs longer than one."""
+        graph = clique(5)
+        lengths = []
+
+        class Spy(InvariantAuditor):
+            def feed_deliveries(self, time, bid, sender, payload,
+                                receivers):
+                lengths.append(len(receivers))
+                super().feed_deliveries(time, bid, sender, payload,
+                                        receivers)
+
+        auditor = Spy(graph, 1.0)
+        sink = Trace("decisions")
+        sink.attach_auditor(auditor)
+        counted = _wpaxos_run(graph, SynchronousScheduler(1.0),
+                              trace_sink=sink, check_invariants=False)
+        assert auditor.report().ok
+        assert sum(lengths) == counted.deliveries == sink.delivery_count()
+        assert max(lengths) == graph.n - 1 and min(lengths) >= 1
 
 
 # ----------------------------------------------------------------------
