@@ -312,7 +312,7 @@ def run_churn_clique(n: int = 24, rounds: int = 40,
     """The E13-shaped dynamic-topology workload: an echo flood on a
     clique under per-epoch edge churn (spanning-tree floor). Measures
     the cost of epoch application -- per-epoch graph rebuild, neighbor
-    recomputation, plan-pool invalidation, topo trace records -- on
+    recomputation, scheduler hook, topo trace records -- on
     top of the normal delivery path. Returns events processed."""
     graph = clique(n)
     sim = build_simulation(

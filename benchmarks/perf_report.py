@@ -725,7 +725,7 @@ def main(argv=None) -> int:
             "e13_churn": "the dense echo flood under per-epoch edge "
                          "churn (spanning-tree floor): epoch "
                          "application cost -- graph rebuild, neighbor "
-                         "recompute, plan-pool invalidation, topo "
+                         "recompute, scheduler hook, topo "
                          "records -- on top of the delivery path (no "
                          "seed counterpart)",
             "columnar_clique24": "the spill_clique24 workload writing "

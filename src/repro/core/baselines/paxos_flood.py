@@ -105,18 +105,37 @@ class PaxosFloodNode(ConsensusProcess):
         self._pump()
 
     def on_receive(self, message: Any) -> None:
-        if not isinstance(message, FloodMessage):
+        if (message.__class__ is not FloodMessage
+                and not isinstance(message, FloodMessage)):
             return
-        for part in message:
-            if isinstance(part, LeaderPart):
-                self._handle_leader(part)
-            elif isinstance(part, ProposerPart):
-                self._handle_proposer_part(part)
-            elif isinstance(part, FloodedResponse):
+        # Exact-class dispatch, responses first: a bottleneck node
+        # forwards Theta(n) of them for every other part it sees.
+        for part in message.parts:
+            cls = part.__class__
+            if cls is FloodedResponse:
                 self._handle_response(part)
-            elif isinstance(part, DecidePart):
+            elif cls is LeaderPart:
+                if part.leader > self.leader:
+                    self._handle_leader(part)
+            elif cls is ProposerPart:
+                self._handle_proposer_part(part)
+            elif cls is DecidePart:
                 self._handle_decide(part)
-        self._pump()
+            else:
+                self._handle_part_fallback(part)
+        if not self._mac_pending:
+            self._pump()
+
+    def _handle_part_fallback(self, part: Any) -> None:
+        """isinstance-based dispatch for subclassed message parts."""
+        if isinstance(part, LeaderPart):
+            self._handle_leader(part)
+        elif isinstance(part, ProposerPart):
+            self._handle_proposer_part(part)
+        elif isinstance(part, FloodedResponse):
+            self._handle_response(part)
+        elif isinstance(part, DecidePart):
+            self._handle_decide(part)
 
     def on_ack(self) -> None:
         self._pump()
@@ -257,7 +276,9 @@ class PaxosFloodNode(ConsensusProcess):
     # Broadcast multiplexer (one part per queue, like Algorithm 5)
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        if self.crashed or self.ack_pending:
+        # _mac_pending is the engine-maintained mirror behind the
+        # ack_pending property; read it directly in this hot path.
+        if self.crashed or self._mac_pending:
             return
         parts: List[object] = []
         if self.decide_queue:

@@ -8,7 +8,7 @@ simulator consults the model at **epoch boundaries**: whenever
 simulated time is about to advance past the model's next epoch time,
 the engine asks it for a :class:`TopologyDelta` and applies it --
 rewriting the live graph, recomputing the cached neighbor tuples,
-invalidating pooled scheduler plans and emitting ``topo`` trace
+calling ``Scheduler.on_topology_change`` and emitting ``topo`` trace
 records -- before any event at or after the epoch executes.
 
 Semantics (the *graph-as-of-broadcast* rule):

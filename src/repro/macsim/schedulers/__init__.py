@@ -5,7 +5,7 @@ flows through it. See :mod:`repro.macsim.schedulers.base` for the
 contract, and the paper's Section 2 for the model definition.
 """
 
-from .base import DeliveryPlan, Scheduler
+from .base import DeliveryPlan, Scheduler, UniformPlan
 from .synchronous import SynchronousScheduler
 from .random_delay import JitteredRoundScheduler, RandomDelayScheduler
 from .adversarial import (MaxDelayScheduler, PartitionScheduler,
@@ -20,6 +20,7 @@ __all__ = [
     "AdversarialUnreliableScheduler",
     "EagerDeliveryScheduler",
     "DeliveryPlan",
+    "UniformPlan",
     "Scheduler",
     "SynchronousScheduler",
     "RandomDelayScheduler",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from .base import DeliveryPlan, Scheduler
+from .base import DeliveryPlan, Plan, Scheduler, UniformPlan
 from .synchronous import SynchronousScheduler
 
 
@@ -38,12 +38,9 @@ class MaxDelayScheduler(Scheduler):
         self.f_ack = float(f_ack)
 
     def plan(self, *, sender: Any, message: Any, start_time: float,
-             neighbors: tuple) -> DeliveryPlan:
+             neighbors: tuple) -> UniformPlan:
         deadline = start_time + self.f_ack
-        return DeliveryPlan(
-            deliveries={v: deadline for v in neighbors},
-            ack_time=deadline,
-        )
+        return UniformPlan(neighbors, deadline, deadline)
 
 
 class SilencingScheduler(Scheduler):
@@ -78,13 +75,10 @@ class SilencingScheduler(Scheduler):
         return release + self.inner.f_ack
 
     def plan(self, *, sender: Any, message: Any, start_time: float,
-             neighbors: tuple) -> DeliveryPlan:
+             neighbors: tuple) -> Plan:
         if sender in self.silenced and start_time < self.release_time:
             when = self._release_boundary(start_time)
-            return DeliveryPlan(
-                deliveries={v: when for v in neighbors},
-                ack_time=when,
-            )
+            return UniformPlan(neighbors, when, when)
         return self.inner.plan(sender=sender, message=message,
                                start_time=start_time, neighbors=neighbors)
 
@@ -151,7 +145,7 @@ class PartitionScheduler(Scheduler):
         return (sender in self.side_a) != (receiver in self.side_a)
 
     def plan(self, *, sender: Any, message: Any, start_time: float,
-             neighbors: tuple) -> DeliveryPlan:
+             neighbors: tuple) -> Plan:
         base = self.inner.plan(sender=sender, message=message,
                                start_time=start_time, neighbors=neighbors)
         if start_time >= self.release_time:

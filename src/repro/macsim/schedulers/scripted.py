@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError
-from .base import DeliveryPlan, Scheduler
+from .base import DeliveryPlan, Plan, Scheduler, UniformPlan
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class ScriptedScheduler(Scheduler):
                         f"own ack")
 
     def plan(self, *, sender: Any, message: Any, start_time: float,
-             neighbors: tuple) -> DeliveryPlan:
+             neighbors: tuple) -> Plan:
         index = self._progress.get(sender, 0)
         steps = self.scripts.get(sender, ())
         if index < len(steps):
@@ -87,5 +87,4 @@ class ScriptedScheduler(Scheduler):
                                       neighbors=neighbors)
         # Default: complete promptly, one time unit after start.
         deadline = start_time + 1.0
-        return DeliveryPlan(deliveries={v: deadline for v in neighbors},
-                            ack_time=deadline)
+        return UniformPlan(neighbors, deadline, deadline)

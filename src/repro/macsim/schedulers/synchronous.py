@@ -22,28 +22,23 @@ from __future__ import annotations
 import math
 from typing import Any
 
-from .base import DeliveryPlan, Scheduler
+from .base import Scheduler, UniformPlan
 
 #: Tolerance used when snapping times to round boundaries.
 _EPS = 1e-9
 
 
-#: Plan-pool eviction bound; the pool is cleared wholesale when full
-#: (time moves forward, so old boundaries never recur anyway).
-_PLAN_POOL_MAX = 1024
-
-
 class SynchronousScheduler(Scheduler):
     """Lock-step round delivery.
 
-    Plans are *pooled*: every broadcast landing in the same round gets
-    ``{neighbor: boundary}`` deliveries and ``ack_time = boundary``, so
-    the plan is fully determined by ``(neighbors, boundary)`` -- one
-    frozen :class:`DeliveryPlan` is built per such pair and shared
-    across senders and re-broadcasts (``DeliveryPlan`` is immutable and
-    the engine only reads it). The scheduler is also ``trusted``:
-    pooled plans are correct by construction, so the engine skips the
-    O(deg) ``validate`` per broadcast.
+    A broadcast's plan is the next round boundary and the sender's
+    neighbor tuple as the engine passed it: one
+    :class:`~repro.macsim.schedulers.base.UniformPlan`, nothing built
+    per neighbor and nothing remembered between broadcasts (a sender's
+    neighbor tuple is its own and every round has a new boundary, so
+    there is nothing to share). The scheduler is ``trusted``: such a
+    plan is correct by construction, so the engine skips ``validate``
+    unless asked to run it.
 
     Parameters
     ----------
@@ -59,7 +54,6 @@ class SynchronousScheduler(Scheduler):
             raise ValueError("round_length must be positive")
         self.round_length = float(round_length)
         self.f_ack = float(round_length)
-        self._plan_pool: dict = {}
 
     def next_boundary(self, after: float) -> float:
         """The first round boundary strictly later than ``after``."""
@@ -71,26 +65,9 @@ class SynchronousScheduler(Scheduler):
         return int(round(time / self.round_length))
 
     def plan(self, *, sender: Any, message: Any, start_time: float,
-             neighbors: tuple) -> DeliveryPlan:
+             neighbors: tuple) -> UniformPlan:
         boundary = self.next_boundary(start_time)
-        key = (neighbors, boundary)
-        plan = self._plan_pool.get(key)
-        if plan is None:
-            if len(self._plan_pool) >= _PLAN_POOL_MAX:
-                self._plan_pool.clear()
-            plan = DeliveryPlan(
-                deliveries=dict.fromkeys(neighbors, boundary),
-                ack_time=boundary,
-            )
-            self._plan_pool[key] = plan
-        return plan
-
-    def on_topology_change(self) -> None:
-        """Drop pooled plans: their neighbor-tuple keys may describe
-        edges that no longer exist. (Keys would differ for the new
-        tuples anyway, but stale entries must not accumulate across
-        the epochs of a long dynamic run.)"""
-        self._plan_pool.clear()
+        return UniformPlan(neighbors, boundary, boundary)
 
     def describe(self) -> str:
         return f"SynchronousScheduler(round_length={self.round_length})"

@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from typing import Any, Mapping, Optional
 
-from .base import DeliveryPlan, Scheduler
+from .base import Plan, Scheduler
 
 
 class _Wrapper(Scheduler):
@@ -31,7 +31,7 @@ class _Wrapper(Scheduler):
         self.f_ack = inner.f_ack
 
     def plan(self, *, sender: Any, message: Any, start_time: float,
-             neighbors: tuple) -> DeliveryPlan:
+             neighbors: tuple) -> Plan:
         return self.inner.plan(sender=sender, message=message,
                                start_time=start_time,
                                neighbors=neighbors)

@@ -9,8 +9,10 @@ of Section 2 of the paper:
   further ``broadcast()`` calls are discarded until the ack. Every
   non-faulty neighbor receives the message before the ack fires.
 * **Scheduler-driven non-determinism.** All timing comes from the
-  scheduler's :class:`~repro.macsim.schedulers.base.DeliveryPlan`, which
-  the engine validates (deliveries before ack, ack within ``F_ack``).
+  scheduler's plan (:class:`~repro.macsim.schedulers.base.DeliveryPlan`
+  or :class:`~repro.macsim.schedulers.base.UniformPlan`), which the
+  engine validates (deliveries before ack, ack within ``F_ack``, every
+  time a number).
 * **Zero-time computation.** Handlers run atomically at event times.
 * **Crashes mid-broadcast.** A :class:`~repro.macsim.crash.CrashPlan`
   may cut off part of an in-flight broadcast's audience.
@@ -27,9 +29,10 @@ of Section 2 of the paper:
   advance past them -- before any event at or after the epoch runs --
   so a broadcast always uses the topology in force at its start time
   (deliveries already in flight complete on the old topology). Each
-  applied epoch recomputes the cached neighbor tuples, invalidates
-  pooled scheduler plans via ``Scheduler.on_topology_change`` and
-  emits JSON-lossless ``topo`` trace records; nodes rejoining after
+  applied epoch recomputes the cached neighbor tuples, tells the
+  scheduler via ``Scheduler.on_topology_change`` (a no-op for the
+  built-ins, which keep nothing between broadcasts) and emits
+  JSON-lossless ``topo`` trace records; nodes rejoining after
   churn are rebuilt fresh from the process factory (state reset). A
   rejoining node starts -- and broadcasts -- at its epoch's timestamp,
   which under a continuous-delay scheduler schedules deliveries
@@ -65,12 +68,16 @@ The main loop is O(1) per event with no per-event scans:
   share a timestamp are scheduled as a single ``bdeliver`` heap entry
   carrying the receiver tuple instead of one entry per neighbor --
   O(deg) -> O(#distinct timestamps) heap traffic. Round-structured
-  schedulers collapse the whole fan-out into one entry; plans with
-  repeated (but not uniform) timestamps -- e.g. quantized random
-  delays -- get one entry per timestamp group, receivers in plan
-  order. Each entry expands at pop time in one inner loop over its
-  receivers that hoists the broadcast's id, sender, payload and
-  telemetry span once and runs before the heap is touched again;
+  schedulers say "every neighbor at one instant" with a
+  :class:`~repro.macsim.schedulers.base.UniformPlan`, whose receiver
+  tuple (the engine's own cached neighbor tuple, handed through) is
+  the batch as it stands: one entry, nothing rebuilt per neighbor.
+  Mapping plans with repeated timestamps -- quantized random delays,
+  a hand-built all-equal ``DeliveryPlan`` -- get one entry per
+  timestamp group, receivers in plan order. Each entry expands at
+  pop time in one inner loop over its receivers that hoists the
+  broadcast's id, sender, payload and telemetry span once and runs
+  before the heap is touched again;
   every delivery still runs through the normal dispatch (fault-model
   hooks included), counts as one processed event, and is preceded by
   the same ``stop_when_all_decided``/``stop_predicate``/limit checks,
@@ -84,7 +91,8 @@ The main loop is O(1) per event with no per-event scans:
   block preserves exact event order. Crash plans cancel batched
   receivers through the broadcast record's ``batch_cancelled`` set,
   filtered at expansion. Plans whose timestamps are all distinct
-  (random delays) build no grouping at all.
+  (random delays) build no grouping at all, and a fan-out of one is a
+  plain ``deliver`` entry under either plan form.
 * **A fan-out is one row.** The deliveries of a batch differ only in
   the receiver, so on the crash-free, hook-free fast path the
   expansion does not call ``trace.record`` per receiver: it keeps an
@@ -136,7 +144,7 @@ from .events import (ACK_PRIORITY, CRASH_PRIORITY, DELIVER_PRIORITY,
 from .faults.base import DROP, FaultModel
 from .faults.crash import CrashFaultModel
 from .process import Process
-from .schedulers.base import Scheduler
+from .schedulers.base import Scheduler, UniformPlan
 from .telemetry import Telemetry
 from .trace import (TOPO_EDGE_DOWN, TOPO_EDGE_UP, TOPO_NODE_DOWN,
                     TOPO_NODE_UP, Trace, TraceLevel, TraceSink, make_sink)
@@ -545,26 +553,29 @@ class Simulator:
 
         # Delivery-batch detection: deliveries sharing a timestamp are
         # scheduled as one ``bdeliver`` entry carrying the receiver
-        # tuple -- O(deg) -> O(#distinct timestamps) heap traffic.
-        # Round-structured schedulers hit the all-equal case (the
-        # whole fan-out is one entry); plans with repeated but
-        # non-uniform timestamps are grouped per timestamp, receivers
-        # in plan order; all-distinct plans (random delays) build no
-        # grouping at all. A broadcast's entries occupy a contiguous
-        # seq block and seq only orders entries of equal timestamp, so
-        # one entry per timestamp group -- wherever it sits in the
-        # block -- pops exactly where that group's per-neighbor
-        # entries would have (event order and full trace unchanged).
-        singles = plan.deliveries  # receiver -> time, one entry each
+        # tuple -- O(deg) -> O(#distinct timestamps) heap traffic. A
+        # UniformPlan says "every neighbor at one instant" itself, so
+        # its receiver tuple *is* the batch; a mapping plan with
+        # repeated timestamps is grouped per timestamp, receivers in
+        # plan order (all-equal times give the same single batch);
+        # all-distinct plans (random delays) build no grouping at all.
+        # A broadcast's entries occupy a contiguous seq block and seq
+        # only orders entries of equal timestamp, so one entry per
+        # timestamp group -- wherever it sits in the block -- pops
+        # exactly where that group's per-neighbor entries would have
+        # (event order and full trace unchanged).
         batches = ()  # (time, receivers) groups, one entry each
-        fanout = len(singles)
-        if fanout > 1:
-            distinct = len(set(singles.values()))
-            if distinct == 1:
-                batches = ((next(iter(singles.values())),
-                            tuple(singles)),)
-                singles = {}
-            elif distinct < fanout:
+        if type(plan) is UniformPlan:
+            receivers = plan.receivers
+            if len(receivers) > 1:
+                batches = ((plan.when, receivers),)
+                singles = {}  # receiver -> time, one entry each
+            else:
+                singles = dict.fromkeys(receivers, plan.when)
+        else:
+            singles = plan.deliveries
+            fanout = len(singles)
+            if fanout > 1 and len(set(singles.values())) < fanout:
                 groups: dict = {}
                 for receiver, when in singles.items():
                     groups.setdefault(when, []).append(receiver)

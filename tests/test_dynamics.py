@@ -1,6 +1,6 @@
 """Dynamic-topology subsystem tests: zero-churn byte-identity across
 all three sinks (hypothesis property), graph-as-of-broadcast
-invariants, plan-pool invalidation across topology epochs, node-churn
+invariants, post-epoch plans use the post-epoch neighbors, node-churn
 state reset, connectivity metrics, mixed-timestamp delivery batching
 A/B, the new scheduler registry entries, zip-mode scenario grids, CLI
 ``--dynamics`` and schema-v5 replay."""
@@ -195,29 +195,36 @@ class TestEngineEpochs:
         assert not report.ok
         assert any("neighbor 2" in v for v in report.violations)
 
-    def test_plan_pool_invalidated_across_epoch(self):
-        # Unit level: on_topology_change drops pooled plans.
-        scheduler = SynchronousScheduler(1.0)
-        scheduler.plan(sender=0, message="m", start_time=0.0,
-                       neighbors=(1, 2))
-        assert scheduler._plan_pool
-        scheduler.on_topology_change()
-        assert not scheduler._plan_pool
-        # Engine level: the pool is flushed at the epoch, so every
-        # surviving entry was (re)built afterwards -- its round
-        # boundary postdates the epoch -- and the run still satisfies
-        # the as-of-broadcast invariants.
+    def test_plans_after_an_epoch_use_the_post_epoch_neighbors(self):
+        # A broadcast is planned over the topology in force at its
+        # start: once the epoch at 2.5 has removed 0-1 and 2-3, every
+        # plan's receivers are the sender's new neighbor tuple (the
+        # engine's own object), and the run satisfies the
+        # as-of-broadcast invariants.
         graph = clique(4)
+        before = {v: tuple(graph.neighbors(v)) for v in graph.nodes}
+        after = {0: (2, 3), 1: (2, 3), 2: (0, 1), 3: (0, 1)}
+        planned = []
+
+        class Recording(SynchronousScheduler):
+            def plan(self, *, sender, message, start_time, neighbors):
+                plan = super().plan(sender=sender, message=message,
+                                    start_time=start_time,
+                                    neighbors=neighbors)
+                assert plan.receivers is neighbors
+                planned.append((start_time, sender, plan.receivers))
+                return plan
+
         dynamics = ScriptedDynamics(
             timeline=[{"time": 2.5, "remove": [[0, 1], [2, 3]]}])
-        scheduler = SynchronousScheduler(1.0)
-        result = _run(graph, scheduler, dynamics=dynamics,
+        result = _run(graph, Recording(1.0), dynamics=dynamics,
                       max_time=30.0)
         assert result.end_time > 2.5
         assert check_model_invariants(graph, result.trace, 1.0).ok
-        assert scheduler._plan_pool  # broadcasts happened post-epoch
-        for _neighbors, boundary in scheduler._plan_pool:
-            assert boundary > 2.5
+        assert {start < 2.5 for start, _, _ in planned} == {True, False}
+        for start, sender, receivers in planned:
+            expected = before if start < 2.5 else after
+            assert receivers == expected[sender], (start, sender)
 
     def test_epochs_do_not_keep_a_quiescent_run_alive(self):
         # Pull-based epochs: once the protocol quiesces, an infinite

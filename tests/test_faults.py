@@ -4,8 +4,8 @@ Covers the adversary interface end to end: crash-model equivalence
 with the legacy ``crashes=`` path (byte-identical full traces, both on
 fixed scenarios and under hypothesis-generated random crash plans),
 omission and Byzantine hook-point semantics, correct-node scoping of
-the invariant checkers, trusted-scheduler plan validation, plan
-pooling, and `CrashPlan` round-tripping.
+the invariant checkers, trusted-scheduler plan validation, the
+synchronous scheduler's plans, and `CrashPlan` round-tripping.
 """
 
 import random
@@ -27,7 +27,8 @@ from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
 from repro.macsim.errors import ConfigurationError, ModelViolationError
 from repro.macsim.faults import DROP, FaultModel, forge_payload
 from repro.macsim.schedulers import (DeliveryPlan, RandomDelayScheduler,
-                                     Scheduler, SynchronousScheduler)
+                                     Scheduler, SynchronousScheduler,
+                                     UniformPlan)
 from repro.topology import clique, line, random_connected, star
 
 SETTINGS = dict(max_examples=20, deadline=None,
@@ -360,7 +361,7 @@ class TestByzantineModel:
 
 
 # ---------------------------------------------------------------------------
-# Trusted schedulers and plan pooling
+# Trusted schedulers and their plans
 # ---------------------------------------------------------------------------
 class _EvilScheduler(Scheduler):
     """Produces a plan violating the model (delivery after ack)."""
@@ -400,22 +401,37 @@ class TestTrustedSchedulers:
         assert SynchronousScheduler(1.0).trusted
         assert RandomDelayScheduler(1.0, seed=0).trusted
 
-    def test_plan_pooling_shares_frozen_plans(self):
+    def test_synchronous_plans_are_the_round_and_the_neighbor_tuple(self):
         scheduler = SynchronousScheduler(1.0)
         neighbors = (1, 2, 3)
         plan_a = scheduler.plan(sender=0, message="x", start_time=0.2,
                                 neighbors=neighbors)
         plan_b = scheduler.plan(sender=9, message="y", start_time=0.7,
                                 neighbors=neighbors)
-        assert plan_a is plan_b  # same (neighbors, boundary) pool slot
+        # Same round, same neighbors: equal plans, nothing remembered.
+        assert plan_a == plan_b == UniformPlan(neighbors, 1.0, 1.0)
+        assert plan_a.receivers is neighbors
+        assert dict(plan_a.deliveries) == {1: 1.0, 2: 1.0, 3: 1.0}
         plan_c = scheduler.plan(sender=0, message="x", start_time=1.2,
                                 neighbors=neighbors)
-        assert plan_c is not plan_a
-        assert plan_c.ack_time == 2.0
+        assert (plan_c.when, plan_c.ack_time) == (2.0, 2.0)
+        assert set(plan_c.deliveries.values()) == {2.0}
         plan_d = scheduler.plan(sender=0, message="x", start_time=0.2,
                                 neighbors=(1, 2))
-        assert plan_d is not plan_a
+        assert plan_d.receivers == (1, 2)
         assert set(plan_d.deliveries) == {1, 2}
+        assert vars(scheduler) == {"round_length": 1.0, "f_ack": 1.0}
+
+    def test_a_plan_cannot_be_mutated(self):
+        plan = SynchronousScheduler(1.0).plan(
+            sender=0, message="x", start_time=0.2, neighbors=(1, 2, 3))
+        with pytest.raises(AttributeError):
+            plan.when = 5.0
+        with pytest.raises(AttributeError):
+            plan.receivers = (1,)
+        with pytest.raises(TypeError):
+            plan.deliveries[1] = 5.0
+        assert plan == UniformPlan((1, 2, 3), 1.0, 1.0)
 
     def test_pooled_plans_validate(self):
         scheduler = SynchronousScheduler(0.5)
