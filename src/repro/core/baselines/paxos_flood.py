@@ -62,9 +62,6 @@ class FloodMessage:
     def id_footprint(self) -> int:
         return sum(part.id_footprint() for part in self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
 
 class PaxosFloodNode(ConsensusProcess):
     """PAXOS over naive flooding (the E3 baseline)."""

@@ -83,9 +83,14 @@ each chunk as i4 and is promoted to i8 by the first id that does not
 fit; the column's width *is* the chunk's wide flag, so ``flush`` scans
 nothing and ``encode_chunk`` takes each column's ``tobytes()``.
 
-Everything numpy-flavoured is gated at call time on the module global
-``np`` (``None`` when numpy is unavailable or ``MACSIM_NO_NUMPY`` is
-set), so the pure-python fallback is a first-class, tested path.
+Everything numpy-flavoured is gated at call time on
+:func:`have_numpy`, which imports numpy the first time it is asked and
+binds it to the module global ``np`` (``None`` when numpy is
+unavailable or ``MACSIM_NO_NUMPY`` is set -- the only place that
+switch is read), so the pure-python fallback is a first-class, tested
+path and a process that never decodes a chunk never loads numpy. The
+write path (``record`` / ``record_deliveries`` / ``flush``) builds
+``array`` / ``bytearray`` columns and does not ask.
 """
 
 from __future__ import annotations
@@ -105,17 +110,26 @@ from .trace import (DEFAULT_CHUNK_RECORDS, TRACE_KINDS, SpillBudgetError,
                     TraceLevel, TraceRecord, TraceSink, _ESSENTIAL_KINDS,
                     _TRACE_KIND_SET, _pack_label, _unpack_label)
 
-if os.environ.get("MACSIM_NO_NUMPY"):  # pragma: no cover - CI fallback leg
-    np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised on bare installs
-        np = None
+#: numpy once :func:`have_numpy` has resolved it: ``False`` until the
+#: first call, ``None`` when it is not installed or switched off.
+np: Any = False
 
 
 def have_numpy() -> bool:
-    """Whether the vectorized fast paths are available right now."""
+    """Whether the vectorized fast paths are available right now.
+
+    The first call imports numpy (or decides not to: ``MACSIM_NO_NUMPY``
+    set to anything but ``""``/``"0"``, or no numpy installed).
+    """
+    global np
+    if np is False:
+        if os.environ.get("MACSIM_NO_NUMPY", "0") in ("", "0"):
+            try:
+                import numpy as np
+            except ImportError:  # pragma: no cover - bare installs
+                np = None
+        else:
+            np = None
     return np is not None
 
 
@@ -286,7 +300,7 @@ def decode_chunk(blob: bytes) -> ColumnarChunk:
     labels = [_unpack_label(v) for v in packed_labels]
     bid_wide = bool(flags & _FLAG_WIDE_BIDS)
     bid_size = 8 if bid_wide else 4
-    if np is not None:
+    if have_numpy():
         times = np.frombuffer(body, "<f8", n, off)
         kinds = np.frombuffer(body, np.uint8, n, off + 8 * n)
         nodes = np.frombuffer(body, "<i4", n, off + 9 * n)
@@ -714,7 +728,7 @@ class ColumnarSink(TraceSink):
         chunk_counts: List[int] = []
         for chunk in self._iter_file_chunks():
             chunk_counts.append(chunk.n)
-            if np is not None:
+            if have_numpy():
                 kinds = np.asarray(chunk.kinds)
                 hist = np.bincount(kinds, minlength=len(TRACE_KINDS))
                 for code, c in enumerate(hist.tolist()):
@@ -908,7 +922,9 @@ def try_vectorized_invariants(graph, trace, f_ack=None):
     reference checker's on every trace the fast path accepts;
     violation *messages* are summarized per category.
     """
-    if np is None or not getattr(trace, "columnar", False):
+    # Columnar first: a trace that declines anyway must not pay the
+    # numpy import.
+    if not getattr(trace, "columnar", False) or not have_numpy():
         return None
     if not hasattr(trace, "iter_chunks"):
         return None

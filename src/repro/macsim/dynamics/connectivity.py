@@ -18,25 +18,12 @@ dynamic run.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
 from ..trace import TOPO_EDGE_DOWN, TOPO_EDGE_UP, TraceSink
 from .base import edge_key
 
-if os.environ.get("MACSIM_NO_NUMPY"):  # pragma: no cover - CI leg
-    np = None
-else:
-    try:
-        import numpy as np
-    except ImportError:  # pragma: no cover - exercised on bare installs
-        np = None
-
 Edge = Tuple[Any, Any]
-
-#: Snapshot count below which the vectorized window path is not worth
-#: building its presence matrix.
-_VECTOR_MIN_SNAPSHOTS = 32
 
 
 def edge_timeline(graph, trace: TraceSink) -> List[Tuple[float,
@@ -71,68 +58,22 @@ def is_connected(nodes: Sequence[Any], edges: FrozenSet[Edge]) -> bool:
     return len(edge_components(nodes, edges)) <= 1
 
 
-class _Presence:
-    """Edge-presence cumulative sums over the snapshot sequence.
-
-    ``cum[i][e]`` counts snapshots ``< i`` containing edge ``e``, so a
-    window of ``t`` snapshots ending at ``i`` intersects to exactly
-    the edges with ``cum[i+1] - cum[i+1-t] == t`` -- every window of
-    every ``t`` falls out of one O(S x E) matrix, which is what makes
-    the binary search in :func:`max_t_interval` cheap on numpy.
-    """
-
-    __slots__ = ("edges", "cum")
-
-    def __init__(self, edge_sets: Sequence[FrozenSet[Edge]]):
-        index: Dict[Edge, int] = {}
-        for edges in edge_sets:
-            for e in edges:
-                if e not in index:
-                    index[e] = len(index)
-        self.edges = list(index)
-        present = np.zeros((len(edge_sets), len(index)), dtype=bool)
-        for i, edges in enumerate(edge_sets):
-            if edges:
-                present[i, [index[e] for e in edges]] = True
-        self.cum = np.zeros((len(edge_sets) + 1, len(index)),
-                            dtype=np.int32)
-        np.cumsum(present, axis=0, out=self.cum[1:])
-
-    def windows(self, t: int):
-        """Boolean (S - t + 1) x E matrix: edge in *every* snapshot of
-        the window ending at row offset + t - 1."""
-        return (self.cum[t:] - self.cum[:-t]) == t
-
-
 def t_interval_connected(edge_sets: Sequence[FrozenSet[Edge]],
-                         nodes: Sequence[Any], t: int,
-                         _presence: Optional[_Presence] = None) -> bool:
+                         nodes: Sequence[Any], t: int) -> bool:
     """Whether every window of ``t`` consecutive snapshots has a
     connected intersection.
 
     One pass over the sequence maintaining each edge's consecutive
     presence run: the window ending at snapshot ``i`` intersects to
     exactly the edges whose run length is >= ``t``, so the cost is
-    O(S * (E + n)), never O(S * T * E) re-intersections. With numpy
-    installed and enough snapshots the run bookkeeping is replaced by
-    cumulative-sum windows over an edge-presence matrix
-    (:class:`_Presence`) -- same windows, same answer, one C pass.
+    O(S * (E + n)), never O(S * T * E) re-intersections. Pure Python
+    on purpose: the connectivity test per window dominates, and a
+    numpy edge-presence matrix read only x1.05-1.13 against this loop.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
     if t > len(edge_sets):
         return False
-    if _presence is None and np is not None \
-            and len(edge_sets) >= _VECTOR_MIN_SNAPSHOTS:
-        _presence = _Presence(edge_sets)
-    if _presence is not None:
-        edge_list = _presence.edges
-        for row in _presence.windows(t):
-            window = frozenset(
-                edge_list[j] for j in np.flatnonzero(row))
-            if not is_connected(nodes, window):
-                return False
-        return True
     runs: Dict[Edge, int] = {}
     for i, edges in enumerate(edge_sets):
         runs = {e: runs.get(e, 0) + 1 for e in edges}
@@ -153,18 +94,12 @@ def max_t_interval(edge_sets: Sequence[FrozenSet[Edge]],
     is a subset of some T-window, whose intersection it therefore
     contains), so the answer is a binary search: O(log S) passes of
     the linear-time window check above -- auto-attached probes stay
-    cheap even for thousand-epoch runs. The edge-presence matrix is
-    built once and shared across the search when the vectorized path
-    applies.
+    cheap even for thousand-epoch runs.
     """
-    presence = None
-    if np is not None and len(edge_sets) >= _VECTOR_MIN_SNAPSHOTS:
-        presence = _Presence(edge_sets)
     lo, hi = 0, len(edge_sets)
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if t_interval_connected(edge_sets, nodes, mid,
-                                _presence=presence):
+        if t_interval_connected(edge_sets, nodes, mid):
             lo = mid
         else:
             hi = mid - 1

@@ -6,6 +6,7 @@ A/B, the new scheduler registry entries, zip-mode scenario grids, CLI
 ``--dynamics`` and schema-v5 replay."""
 
 import json
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -24,6 +25,7 @@ from repro.macsim.dynamics import (TOPO_EDGE_DOWN, TOPO_EDGE_UP,
                                    edge_timeline, max_t_interval,
                                    spanning_tree_edges,
                                    t_interval_connected)
+from repro.macsim.dynamics.connectivity import is_connected
 from repro.macsim.errors import ConfigurationError
 from repro.macsim.schedulers import (RandomDelayScheduler, Scheduler,
                                      SynchronousScheduler)
@@ -461,6 +463,25 @@ class TestModels:
 # ----------------------------------------------------------------------
 # Connectivity metrics
 # ----------------------------------------------------------------------
+def _churned_ring(seed, snapshots, n, chords):
+    """``snapshots`` edge sets over ``n`` nodes: a ring plus ``chords``
+    random chords, one random edge flipped per snapshot unless the flip
+    would disconnect the graph."""
+    rng = random.Random(seed)
+    nodes = list(range(n))
+    universe = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = {(i, i + 1) for i in range(n - 1)} | {(0, n - 1)}
+    while len(edges) < n + chords:
+        edges.add(universe[int(rng.random() * len(universe))])
+    edge_sets = []
+    for _ in range(snapshots):
+        trial = edges ^ {universe[int(rng.random() * len(universe))]}
+        if is_connected(nodes, frozenset(trial)):
+            edges = trial
+        edge_sets.append(frozenset(edges))
+    return nodes, edge_sets
+
+
 class TestConnectivity:
     def test_t_interval_basics(self):
         graph = line(3)
@@ -504,6 +525,40 @@ class TestConnectivity:
         assert conn["always_connected"] is True  # spanning-tree floor
         assert conn["topologies"] >= 1
         assert conn["max_t_interval"] == conn["topologies"]
+
+    # The numpy edge-presence fork of these two functions is deleted;
+    # the literals below are what it returned at b64f69e on sequences
+    # long enough (>= 32 snapshots) to take it.
+    @pytest.mark.parametrize("args, edges_seen, expected", [
+        ((7, 77, 12, 30), 62, 24),
+        ((11, 500, 16, 95), 120, 52),
+    ])
+    def test_long_sequences_match_deleted_vectorized_path(
+            self, args, edges_seen, expected):
+        nodes, edge_sets = _churned_ring(*args)
+        assert len({e for edges in edge_sets for e in edges}) \
+            == edges_seen
+        assert max_t_interval(edge_sets, nodes) == expected
+        for t in (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64):
+            assert t_interval_connected(edge_sets, nodes, t) \
+                is (t <= expected)
+
+    def test_e13_node_churn_cell_matches_deleted_vectorized_path(self):
+        from repro.experiments.e13_churn import manifest
+        block = next(b for b in manifest().blocks
+                     if b.name == "node-churn")
+        (scenario,) = block.scenarios()
+        resolved = scenario.resolve()
+        result = resolved.simulate()
+        report = connectivity_report(resolved.graph, result.trace)
+        assert report == {
+            "topologies": 77, "topo_events": 1383,
+            "connected_fraction": 0.1429, "always_connected": False,
+            "max_t_interval": 0, "min_edges": 28, "max_edges": 66}
+        edge_sets = [edges for _, edges
+                     in edge_timeline(resolved.graph, result.trace)]
+        assert not t_interval_connected(edge_sets,
+                                        resolved.graph.nodes, 1)
 
 
 # ----------------------------------------------------------------------

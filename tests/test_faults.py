@@ -433,7 +433,7 @@ class TestTrustedSchedulers:
             plan.deliveries[1] = 5.0
         assert plan == UniformPlan((1, 2, 3), 1.0, 1.0)
 
-    def test_pooled_plans_validate(self):
+    def test_synchronous_plan_validates(self):
         scheduler = SynchronousScheduler(0.5)
         neighbors = (1, 2)
         plan = scheduler.plan(sender=0, message="m", start_time=0.1,
