@@ -1,1 +1,1 @@
-"""Benchmark suite (pytest-benchmark tests + the perf_report harness)."""
+"""Benchmarks: the perf ledger (``python -m benchmarks.ledger``)."""

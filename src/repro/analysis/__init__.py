@@ -7,8 +7,7 @@ from .runner import (alternating_values, run_consensus, split_values)
 from .stats import correlation, growth_ratio, linear_fit, mean, stdev
 from .sweeps import (SweepError, SweepPoint, SweepProgress,
                      SweepResult, SweepTimeoutError, SweepWorkerError,
-                     default_workers, parallel_sweep,
-                     saturating_workers, sweep)
+                     parallel_sweep, saturating_workers, sweep)
 from .stats_report import (derive_spans, render_stats,
                            stats_from_file)
 from .tables import format_markdown_table, format_table
@@ -38,7 +37,6 @@ __all__ = [
     "SweepError",
     "SweepTimeoutError",
     "SweepWorkerError",
-    "default_workers",
     "saturating_workers",
     "ResultCache",
     "CacheError",

@@ -155,8 +155,8 @@ class ExperimentManifest:
         return sum(block.cells() for block in self.blocks)
 
     def run(self, *, cache: Optional[ResultCache] = None,
-            workers: Optional[int] = None, parallel: bool = True,
-            executor: str = "steal", progress: Optional[bool] = None,
+            workers: Optional[int] = None,
+            progress: Optional[bool] = None,
             point_timeout: Optional[float] = None,
             point_retries: int = 0,
             block_stats: Optional[List[Dict[str, Any]]] = None
@@ -166,9 +166,9 @@ class ExperimentManifest:
 
         The one way scenario cells run (``ScenarioGrid.run`` is a
         one-block experiment): the cache-missing cells of *all* blocks
-        share one :func:`~repro.analysis.sweeps.parallel_sweep` pool
-        (``parallel=False`` or ``executor="serial"``: in process), so
-        an experiment pays one fork/join and waits once, on its largest
+        share one :func:`~repro.analysis.sweeps.parallel_sweep` pool of
+        ``workers`` processes (``workers=1``: in process), so an
+        experiment pays one fork/join and waits once, on its largest
         cell. Each cell runs exactly as ``scenario.run()`` would --
         limits, trace level and ``check_invariants`` are its own.
 
@@ -232,10 +232,9 @@ class ExperimentManifest:
         fresh = parallel_sweep(
             self.experiment,
             [(slot, cells[slot][0], cells[slot][3]) for slot in misses],
-            build, workers=workers,
-            executor=executor if parallel else "serial",
-            point_timeout=point_timeout, point_retries=point_retries,
-            reporter=reporter, on_point=on_point)
+            build, workers=workers, point_timeout=point_timeout,
+            point_retries=point_retries, reporter=reporter,
+            on_point=on_point)
         for slot in repeats:
             before = cache.hits
             place(slot, cache.run(cells[slot][1]))

@@ -26,32 +26,24 @@ scalar axis is the first numeric leaf of the key, unless ``build``
 returns an explicit ``x`` entry; :meth:`SweepResult.by_x` regroups the
 replicas for aggregation.
 
-Executors
----------
-``parallel_sweep`` takes ``executor=``:
+Executor
+--------
+``parallel_sweep`` has one executor: a persistent fork-based worker
+pool whose workers *pull* point indexes from a shared counter in small
+chunks (guided self-scheduling: chunk size shrinks toward 1 near the
+tail), so an uneven grid -- E9/E13's deadlocking cells run orders of
+magnitude slower than their neighbors -- keeps every core busy instead
+of idling behind stragglers. ``workers`` defaults to one per core
+(:func:`saturating_workers`); ``workers=1`` is the sequential path. An
+optional per-point wall-clock ``point_timeout`` with ``point_retries``
+(SIGALRM-based) bounds deadlock-prone cells; deterministic
+non-termination is better bounded with ``max_time``/``max_events``.
 
-* ``"steal"`` (default) -- a persistent fork-based worker pool whose
-  workers *pull* point indexes from a shared counter in small chunks
-  (guided self-scheduling: chunk size shrinks toward 1 near the tail),
-  so an uneven grid -- E9/E13's deadlocking cells run orders of
-  magnitude slower than their neighbors -- keeps every core busy
-  instead of idling behind stragglers. Defaults to one worker per
-  core (:func:`saturating_workers`). Supports an optional per-point
-  wall-clock ``point_timeout`` with ``point_retries`` (SIGALRM-based,
-  for deadlock-prone cells; deterministic non-termination is better
-  bounded with ``max_time``/``max_events``).
-* ``"pool"`` -- the pre-PR-8 ``multiprocessing.Pool.imap_unordered``
-  path, one task per point, half-the-cores default
-  (:func:`default_workers`). Kept as a comparison baseline and proof
-  that all executors produce byte-identical results.
-* ``"serial"`` -- force the sequential path.
-
-All executors use the ``fork`` start method so the (typically
-unpicklable) ``build`` closures never cross a process boundary: workers
-inherit them via fork and receive only point indexes; only the
-:class:`SweepPoint` results (plain dataclasses of floats/strings) are
-pickled back. On platforms without ``fork``, or inside daemon workers,
-both transparently degrade to the sequential path.
+Workers are forked, so the (typically unpicklable) ``build`` closures
+never cross a process boundary: workers inherit them and receive only
+point indexes; only the :class:`SweepPoint` results (plain dataclasses
+of floats/strings) are pickled back. On platforms without ``fork``, or
+inside daemon workers, the sweep transparently runs in process.
 
 Progress telemetry
 ------------------
@@ -378,21 +370,6 @@ def sweep(name: str, xs: Sequence[Any],
 _FORK_STATE: Optional[tuple] = None
 
 
-def _sweep_worker(index: int) -> tuple:
-    """Legacy pool-executor worker: one task per point index."""
-    name, xs, build = _FORK_STATE[:3]
-    t0 = perf_counter()
-    point = _run_point(name, xs[index], build)
-    # (index, runtime, point): completion order carries the heartbeat;
-    # the index restores deterministic xs order afterwards.
-    return index, perf_counter() - t0, point
-
-
-def default_workers() -> int:
-    """Pool-executor worker count (half the cores, >= 1)."""
-    return max(1, (os.cpu_count() or 2) // 2)
-
-
 def saturating_workers() -> int:
     """Work-stealing worker count: one per *available* core."""
     try:
@@ -582,30 +559,6 @@ def _run_steal(name: str, xs: list, build, workers: int,
     return ordered, [s for s in stats if s is not None], runtimes
 
 
-def _run_pool(name: str, xs: list, build, workers: int,
-              reporter: Optional[SweepProgress],
-              on_point: Optional[Callable[[SweepPoint], None]]):
-    """Legacy executor: ``Pool.imap_unordered``, one task per point."""
-    global _FORK_STATE
-    context = multiprocessing.get_context("fork")
-    _FORK_STATE = (name, xs, build, None, 0)
-    ordered: List[Optional[SweepPoint]] = [None] * len(xs)
-    runtimes: List[tuple] = []
-    try:
-        with context.Pool(processes=min(workers, len(xs))) as pool:
-            for index, seconds, point in pool.imap_unordered(
-                    _sweep_worker, range(len(xs))):
-                ordered[index] = point
-                runtimes.append((point.key, seconds))
-                if on_point is not None:
-                    on_point(point)
-                if reporter is not None:
-                    reporter.point_done(point.key, seconds)
-    finally:
-        _FORK_STATE = None
-    return ordered, runtimes
-
-
 def parallel_sweep(name: str, xs: Sequence[Any],
                    build: Callable[[Any], Dict[str, Any]],
                    *, max_events: int = 20_000_000,
@@ -613,7 +566,6 @@ def parallel_sweep(name: str, xs: Sequence[Any],
                    trace_level: "TraceLevel | str" = TraceLevel.DECISIONS,
                    workers: Optional[int] = None,
                    progress: Optional[bool] = None,
-                   executor: str = "steal",
                    point_timeout: Optional[float] = None,
                    point_retries: int = 0,
                    reporter: Optional[SweepProgress] = None,
@@ -625,17 +577,15 @@ def parallel_sweep(name: str, xs: Sequence[Any],
     come back tagged with their input index and are reassembled into
     ``xs`` order, and each point's execution is fully determined by
     its scheduler and seed. Structured ``(x, seed)`` keys fan every
-    replica out as its own worker task. Falls back to the sequential
-    path when parallelism is unavailable (no ``fork``; nested inside
-    a daemon worker) or not worth it (fewer than two points,
-    ``workers=1``).
+    replica out as its own worker task.
 
-    ``executor`` selects the fan-out strategy (module docstring):
-    ``"steal"`` (chunked work stealing over all cores, the default),
-    ``"pool"`` (the pre-PR-8 one-task-per-point pool at half the
-    cores) or ``"serial"``. ``point_timeout``/``point_retries`` bound
-    a point's wall clock on the stealing executor; exhausting the
-    retries raises :class:`SweepTimeoutError`.
+    Points are work-stolen by ``workers`` forked processes (default:
+    one per available core, :func:`saturating_workers`). The sweep runs
+    in process -- it *is* :func:`sweep` -- when ``workers <= 1``, with
+    fewer than two points, or where forking is unavailable (no
+    ``fork``; nested inside a daemon worker). ``point_timeout``/
+    ``point_retries`` bound a forked point's wall clock; exhausting
+    the retries raises :class:`SweepTimeoutError`.
 
     ``progress`` (or ``MACSIM_SWEEP_PROGRESS=1``) heartbeats each
     point to stderr *as it completes* -- completion order, not input
@@ -647,17 +597,10 @@ def parallel_sweep(name: str, xs: Sequence[Any],
     summary (the caller finishes it).
     """
     xs = list(xs)
-    if executor not in ("steal", "pool", "serial"):
-        raise ValueError(
-            f"unknown sweep executor {executor!r} "
-            f"(expected 'steal', 'pool' or 'serial')")
     if workers is None:
-        pool_size = (saturating_workers() if executor == "steal"
-                     else default_workers())
-        workers = min(pool_size, len(xs)) if xs else 1
+        workers = min(saturating_workers(), len(xs)) if xs else 1
     use_parallel = (
-        executor != "serial"
-        and len(xs) > 1
+        len(xs) > 1
         and workers > 1
         and "fork" in multiprocessing.get_all_start_methods()
         and not multiprocessing.current_process().daemon
@@ -673,20 +616,12 @@ def parallel_sweep(name: str, xs: Sequence[Any],
     owns_reporter = reporter is None
     if owns_reporter and _progress_enabled(progress):
         reporter = SweepProgress(name, len(xs))
-    if executor == "pool":
-        ordered, runtimes = _run_pool(name, xs, build, workers, reporter,
-                                      on_point)
-        executor_stats = {"executor": "pool",
-                          "workers": min(workers, len(xs)),
-                          "stragglers": flag_stragglers(runtimes)}
-        worker_stats = None
-    else:
-        ordered, worker_stats, runtimes = _run_steal(
-            name, xs, build, workers, reporter, on_point, point_timeout,
-            point_retries)
-        executor_stats = {"executor": "steal", "workers": workers,
-                          "per_worker": worker_stats,
-                          "stragglers": flag_stragglers(runtimes)}
+    ordered, worker_stats, runtimes = _run_steal(
+        name, xs, build, workers, reporter, on_point, point_timeout,
+        point_retries)
+    executor_stats = {"workers": workers,
+                      "per_worker": worker_stats,
+                      "stragglers": flag_stragglers(runtimes)}
     if owns_reporter and reporter is not None:
         reporter.finish(worker_stats=worker_stats)
     return SweepResult(name=name, points=ordered,

@@ -386,8 +386,8 @@ def cmd_regen(args: argparse.Namespace) -> int:
     """Regenerate experiment tables through the sweep fabric.
 
     Cells are served from the scenario-hash result cache when their
-    digest is already stored; fresh cells run through the selected
-    sweep executor and are persisted as they complete, so an
+    digest is already stored; fresh cells run through the sweep
+    executor and are persisted as they complete, so an
     interrupted regeneration resumes and only invalidated cells
     (changed scenario or cache salt) re-run.
     """
@@ -425,7 +425,6 @@ def cmd_regen(args: argparse.Namespace) -> int:
                 raise SystemExit(f"{path}: {exc}") from None
             print(regenerate(manifest, cache=cache,
                              workers=args.workers,
-                             executor=args.executor,
                              block_stats=block_stats))
             print()
     else:
@@ -1063,11 +1062,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="re-execute every cache hit and fail "
                               "on divergence (replay verification)")
     regen_p.add_argument("--workers", type=int, default=None,
-                         help="sweep worker count (default: all "
-                              "cores for the stealing executor)")
-    regen_p.add_argument("--executor", default="steal",
-                         choices=("steal", "pool", "serial"),
-                         help="sweep executor (default: steal)")
+                         help="sweep worker count (default: one per "
+                              "core; 1 runs in process)")
     regen_p.add_argument("--progress", action="store_true",
                          help="heartbeat sweep progress to stderr")
     regen_p.add_argument("--markdown", action="store_true")

@@ -23,8 +23,11 @@ Both observers follow the telemetry subsystem's design contract:
   loop's event order; a serve run with tracing on produces traces and
   reports identical to tracing off (pinned by the test suite).
 * **No-op fast path.** Disabled observers cost the serve loop one
-  ``is None`` check per arrival/commit; the overhead gate in
-  ``BENCH_PR10.json`` pins the enabled cost at <= 5%.
+  ``is None`` check per arrival/commit. No timing gate holds the
+  enabled cost today: the <= 5% gate lived in the retired legacy bench
+  harness (CHANGES.md) and waits for the perf ledger's paired on/off
+  estimator (ROADMAP item 7). What guards the behaviour is the
+  on == off identity tests.
 * **Shard-exact merging.** Span records are pure virtual time, so the
   merge of per-shard snapshots is *identical* (modulo the wall-clock
   ``scheduler`` section) to a serial run's snapshot: records sort on a

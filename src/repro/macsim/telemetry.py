@@ -25,7 +25,10 @@ Design constraints, in priority order:
   per delivery and one close per ack; the wall-clock profiler samples
   only at per-*broadcast* granularity (scheduler plan/validate, fault
   send hooks) and per-epoch granularity (dynamics), never per event.
-  The overhead gate in ``BENCH_PR7.json`` pins the total at <= 5%.
+  No timing gate holds the overhead today: the <= 5% gate lived in the
+  retired legacy bench harness (CHANGES.md) and waits for the perf
+  ledger's paired on/off estimator (ROADMAP item 7). What guards the
+  behaviour is the on == off byte-identity tests.
 * **Abort-safe.** Engine-raised exceptions
   (:class:`~repro.macsim.trace.SpillBudgetError`, a crashing process
   handler) flush a partial snapshot -- marked ``aborted`` with the
@@ -179,7 +182,8 @@ class Telemetry:
         self.error: Optional[str] = None
         #: Best-effort snapshot destination for :meth:`record_abort`
         #: (set it when a crash of the host process would otherwise
-        #: lose the snapshot, e.g. ``spill_smoke --telemetry-out``).
+        #: lose the snapshot, e.g. a long spilling run under a disk
+        #: budget).
         self.out_path = out_path
 
     # -- engine hooks ---------------------------------------------------

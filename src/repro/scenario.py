@@ -835,9 +835,8 @@ class ScenarioGrid:
         return [(self.scenario_at(key), self._point_x(key), key)
                 for key in self.keys()]
 
-    def run(self, *, name: Optional[str] = None, parallel: bool = True,
+    def run(self, *, name: Optional[str] = None,
             workers: Optional[int] = None, cache=None,
-            executor: str = "steal",
             progress: Optional[bool] = None,
             point_timeout: Optional[float] = None,
             point_retries: int = 0):
@@ -846,19 +845,19 @@ class ScenarioGrid:
 
         The grid runs as a one-block experiment
         (:meth:`repro.analysis.manifests.ExperimentManifest.run`, which
-        documents ``parallel``/``executor``/``cache``): every cell runs
-        as its own scenario says (limits, trace level,
-        ``check_invariants``), results are byte-identical across
-        executors, and cache entries are stored under the scenario's
-        own algorithm name -- ``name`` only labels the returned points
-        -- so they are shared across differently-named grids.
+        documents ``workers``/``cache``): every cell runs as its own
+        scenario says (limits, trace level, ``check_invariants``),
+        results are byte-identical for every ``workers`` count
+        (``workers=1`` runs in process), and cache entries are stored
+        under the scenario's own algorithm name -- ``name`` only labels
+        the returned points -- so they are shared across
+        differently-named grids.
         """
         from .analysis.manifests import ExperimentManifest, ManifestBlock
         label = name or self.base.algorithm.name
         block = ManifestBlock(label, self.base, self.axes, self.zipped)
         result = ExperimentManifest(label, blocks=[block]).run(
-            cache=cache, parallel=parallel, workers=workers,
-            executor=executor, progress=progress,
+            cache=cache, workers=workers, progress=progress,
             point_timeout=point_timeout,
             point_retries=point_retries)[label]
         for point in result.points:

@@ -733,7 +733,7 @@ class TestZipGrids:
     def test_zip_grid_runs(self):
         grid = self._base().grid(zipped={"topology.n": [4, 5],
                                          "seed": [0, 1]})
-        series = grid.run(parallel=False)
+        series = grid.run(workers=1)
         assert [p.key for p in series.points] == [(4, 0), (5, 1)]
         assert series.all_correct()
         assert [p.x for p in series.points] == [4.0, 5.0]

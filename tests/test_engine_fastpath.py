@@ -8,7 +8,6 @@ import random
 import pytest
 
 from repro.analysis import parallel_sweep, run_consensus, sweep
-from repro.analysis.sweeps import default_workers
 from repro.core.twophase import TwoPhaseConsensus
 from repro.core.wpaxos import WPaxosConfig, WPaxosNode
 from repro.macsim import (ColumnarSink, OmissionFaultModel, OmissionPlan,
@@ -600,9 +599,6 @@ class TestParallelSweep:
         fast = parallel_sweep("levels", xs, _twophase_build,
                               trace_level="decisions", workers=2)
         assert _points_signature(fast) == _points_signature(full)
-
-    def test_default_workers_positive(self):
-        assert default_workers() >= 1
 
 
 # ---------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_every_checked_cell_is_audited_online(cold):
 def test_regenerate_matches_committed_digest(cold, experiment_id):
     cache = ResultCache(cold[0].directory)
     text = regenerate(load_manifest(experiment_id), cache=cache,
-                      parallel=False)
+                      workers=1)
     assert _digest(text) == REGEN_DIGESTS[experiment_id]
     assert cache.misses == 0 and cache.stores == 0
 
@@ -118,5 +118,5 @@ if __name__ == "__main__":
             "\n".join(tables[eid] for eid in sorted(tables))))
         for eid in MANIFEST_SOURCES:
             text = regenerate(load_manifest(eid), cache=cache,
-                              parallel=False)
+                              workers=1)
             print(f'    "{eid}": "{_digest(text)}",')

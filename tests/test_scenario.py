@@ -528,8 +528,8 @@ class TestScenarioGrid:
 
     def test_parallel_equals_sequential(self):
         g = self.BASE.grid({"scheduler.seed": [0, 1, 2]})
-        par = g.run(name="wpaxos", parallel=True)
-        seq = g.run(name="wpaxos", parallel=False)
+        par = g.run(name="wpaxos", workers=2)
+        seq = g.run(name="wpaxos", workers=1)
         assert [p.metrics for p in par.points] \
             == [p.metrics for p in seq.points]
 

@@ -364,42 +364,3 @@ class TestFlagStragglers:
         runtimes = [("a", 0.01), ("b", 0.01), ("c", 0.01),
                     ("d", 0.01), ("e", 0.3)]
         assert flag_stragglers(runtimes) == []
-
-
-# ----------------------------------------------------------------------
-# Satellite: bench trajectory report
-# ----------------------------------------------------------------------
-class TestBenchHistory:
-    def _write(self, tmp_path, pr, rates):
-        doc = {"pr": pr, "after": {
-            name: {"events": 1, "events_per_sec": rate}
-            for name, rate in rates.items()}}
-        (tmp_path / f"BENCH_PR{pr}.json").write_text(json.dumps(doc))
-
-    def test_trajectory_and_regression_flag(self, tmp_path):
-        from benchmarks.bench_history import (build_history,
-                                              render_history)
-        self._write(tmp_path, 1, {"w": 100.0, "steady": 50.0})
-        self._write(tmp_path, 2, {"w": 200.0, "steady": 51.0})
-        self._write(tmp_path, 3, {"w": 120.0, "steady": 49.0})
-        history = build_history(str(tmp_path))
-        assert history["prs"] == [1, 2, 3]
-        w = history["workloads"]["w"]
-        assert w["best_pr"] == 2 and w["latest_pr"] == 3
-        assert w["regressed"]  # 120/200 = 60% of best
-        assert not history["workloads"]["steady"]["regressed"]
-        text = render_history(history)
-        assert "** regressed" in text
-        markdown = render_history(history, markdown=True)
-        assert markdown.startswith("| workload |")
-
-    def test_committed_snapshots_parse(self):
-        from benchmarks.bench_history import build_history
-        history = build_history(".")
-        assert 1 in history["prs"]
-        assert "wpaxos_clique32" in history["workloads"]
-
-    def test_missing_directory_raises(self, tmp_path):
-        from benchmarks.bench_history import build_history
-        with pytest.raises(FileNotFoundError):
-            build_history(str(tmp_path))

@@ -2,9 +2,9 @@
 
 The PR 8 contract, pinned from four directions:
 
-* **Executor equivalence** -- the sequential path, the legacy pool
-  executor and the work-stealing executor produce byte-identical
-  point lists on the same grid; the stealing executor also reports
+* **Executor equivalence** -- the sequential path (``workers=1``) and
+  the work-stealing executor produce byte-identical point lists on the
+  same grid; the stealing executor also reports
   per-worker utilization/steal telemetry and surfaces worker failures
   and per-point timeouts as typed errors.
 * **Cache correctness** -- the scenario digest is stable, moves when
@@ -39,7 +39,8 @@ from repro.analysis.manifests import (MANIFEST_SOURCES,
                                       regenerate, write_manifests)
 from repro.analysis.sweeps import (SweepProgress, SweepTimeoutError,
                                    SweepWorkerError, _progress_enabled,
-                                   parallel_sweep, sweep)
+                                   parallel_sweep, saturating_workers,
+                                   sweep)
 from repro.cli import main as cli_main
 from repro.macsim.schedulers import SynchronousScheduler
 from repro.scenario import (AlgorithmSpec, FaultSpec, Scenario,
@@ -142,36 +143,18 @@ class TestSweepSummary:
 # Tentpole: executor equivalence and telemetry
 # ----------------------------------------------------------------------
 class TestExecutors:
-    def test_three_executors_byte_identical(self):
+    def test_steal_matches_sequential(self):
         xs = (4, 5, 6, 7, 8, 9)
         sequential = sweep("fabric", xs, _wpaxos_build)
-        pooled = parallel_sweep("fabric", xs, _wpaxos_build,
-                                workers=2, executor="pool")
-        stolen = parallel_sweep("fabric", xs, _wpaxos_build,
-                                workers=2, executor="steal")
-        assert (_points_json(sequential) == _points_json(pooled)
-                == _points_json(stolen))
-
-    def test_serial_executor_forces_sequential(self):
-        result = parallel_sweep("fabric", (4, 5), _wpaxos_build,
-                                workers=2, executor="serial")
-        assert result.executor_stats is None
-        assert _points_json(result) == _points_json(
-            sweep("fabric", (4, 5), _wpaxos_build))
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="unknown sweep executor"):
-            parallel_sweep("fabric", (4, 5), _wpaxos_build,
-                           executor="fibers")
+        stolen = parallel_sweep("fabric", xs, _wpaxos_build, workers=2)
+        assert _points_json(sequential) == _points_json(stolen)
 
     def test_steal_stats_account_every_point(self):
         xs = (4, 5, 6, 7, 8)
-        result = parallel_sweep("fabric", xs, _wpaxos_build,
-                                workers=2, executor="steal")
+        result = parallel_sweep("fabric", xs, _wpaxos_build, workers=2)
         if result.executor_stats is None:  # no fork on this platform
             pytest.skip("parallel path unavailable")
         stats = result.executor_stats
-        assert stats["executor"] == "steal"
         assert stats["workers"] == 2
         per_worker = stats["per_worker"]
         assert sum(w["points"] for w in per_worker) == len(xs)
@@ -180,9 +163,37 @@ class TestExecutors:
 
     def test_single_worker_falls_back(self):
         result = parallel_sweep("fabric", (4, 5), _wpaxos_build,
-                                workers=1, executor="steal")
+                                workers=1)
         assert result.executor_stats is None
-        assert len(result.points) == 2
+        assert _points_json(result) == _points_json(
+            sweep("fabric", (4, 5), _wpaxos_build))
+
+    def test_single_point_runs_in_process(self):
+        result = parallel_sweep("fabric", (4,), _wpaxos_build, workers=2)
+        assert result.executor_stats is None
+        assert _points_json(result) == _points_json(
+            sweep("fabric", (4,), _wpaxos_build))
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        import multiprocessing
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        result = parallel_sweep("fabric", (4, 5), _wpaxos_build,
+                                workers=2)
+        assert result.executor_stats is None
+        assert _points_json(result) == _points_json(
+            sweep("fabric", (4, 5), _wpaxos_build))
+
+    def test_unset_workers_saturate_cores(self):
+        xs = (4, 5, 6)
+        result = parallel_sweep("fabric", xs, _wpaxos_build)
+        expected = min(saturating_workers(), len(xs))
+        if expected <= 1:
+            assert result.executor_stats is None
+        else:
+            assert result.executor_stats["workers"] == expected
+        assert _points_json(result) == _points_json(
+            sweep("fabric", xs, _wpaxos_build))
 
     def test_worker_exception_is_typed(self):
         def bad_build(n):
@@ -192,7 +203,7 @@ class TestExecutors:
 
         with pytest.raises(SweepWorkerError, match="boom at 6"):
             parallel_sweep("fabric", (4, 5, 6, 7), bad_build,
-                           workers=2, executor="steal")
+                           workers=2)
 
     def test_point_timeout_is_typed(self):
         def slow_build(n):
@@ -202,8 +213,7 @@ class TestExecutors:
 
         with pytest.raises(SweepTimeoutError, match="point_timeout"):
             parallel_sweep("fabric", (4, 5), slow_build, workers=2,
-                           executor="steal", point_timeout=0.2,
-                           point_retries=1)
+                           point_timeout=0.2, point_retries=1)
 
 
 # ----------------------------------------------------------------------
@@ -388,21 +398,21 @@ class TestCachedGrid:
         grid = _grid()
         first_cache = ResultCache(str(tmp_path))
         first = grid.run(name="fabric", cache=first_cache,
-                         parallel=False)
+                         workers=1)
         assert first_cache.stores == len(grid)
         second_cache = ResultCache(str(tmp_path))
         second = grid.run(name="fabric", cache=second_cache,
-                          parallel=False)
+                          workers=1)
         assert second_cache.hits == len(grid)
         assert second_cache.misses == 0
         assert _points_json(first) == _points_json(second)
 
     def test_cached_equals_uncached(self, tmp_path):
         grid = _grid()
-        plain = grid.run(name="fabric", parallel=False)
-        cached = grid.run(name="fabric", parallel=False,
+        plain = grid.run(name="fabric", workers=1)
+        cached = grid.run(name="fabric", workers=1,
                           cache=ResultCache(str(tmp_path)))
-        rehit = grid.run(name="fabric", parallel=False,
+        rehit = grid.run(name="fabric", workers=1,
                          cache=ResultCache(str(tmp_path)))
         assert _points_json(plain) == _points_json(cached)
         assert _points_json(plain) == _points_json(rehit)
@@ -415,13 +425,13 @@ class TestCachedGrid:
         for scenario in scenarios[:3]:
             warm.run(scenario)
         resume = ResultCache(str(tmp_path))
-        result = grid.run(name="fabric", cache=resume, parallel=False)
+        result = grid.run(name="fabric", cache=resume, workers=1)
         assert resume.hits == 3
         assert resume.misses == len(grid) - 3
         assert resume.stores == len(grid) - 3
         assert len(result.points) == len(grid)
         assert _points_json(result) == _points_json(
-            grid.run(name="fabric", parallel=False))
+            grid.run(name="fabric", workers=1))
 
     def test_cached_parallel_grid(self, tmp_path):
         grid = _grid()
@@ -434,9 +444,9 @@ class TestCachedGrid:
     def test_cached_progress_reports_hits(self, tmp_path, capsys):
         grid = _grid((4, 5))
         grid.run(name="fabric", cache=ResultCache(str(tmp_path)),
-                 parallel=False)
+                 workers=1)
         grid.run(name="fabric", cache=ResultCache(str(tmp_path)),
-                 parallel=False, progress=True)
+                 workers=1, progress=True)
         err = capsys.readouterr().err
         assert "(2 cached points reused)" in err
         assert "cache 2/2 hits, 0 misses [100%]" in err
@@ -496,10 +506,10 @@ class TestManifests:
                 ManifestBlock("solo", TestScenarioDigest.BASE),
             ])
         first_cache = ResultCache(str(tmp_path))
-        first = regenerate(manifest, cache=first_cache, parallel=False)
+        first = regenerate(manifest, cache=first_cache, workers=1)
         second_cache = ResultCache(str(tmp_path))
         second = regenerate(manifest, cache=second_cache,
-                            parallel=False)
+                            workers=1)
         assert first == second
         assert second_cache.misses == 0
         assert second_cache.hits == 3
@@ -581,7 +591,7 @@ class TestExperimentRun:
                 run_steal(name, xs, *args, **kwargs))[1])
         results = self._manifest().run(workers=2)
         assert pools == [("T", 8)]
-        serial = self._manifest().run(parallel=False)
+        serial = self._manifest().run(workers=1)
         assert {name: _points_json(result)
                 for name, result in results.items()} \
             == {name: _points_json(result)
@@ -602,14 +612,14 @@ class TestExperimentRun:
                 ManifestBlock("capped", self.BASE.override(
                     max_events=10, trace_level="decisions")),
                 ManifestBlock("free", self.BASE),
-            ]).run(parallel=False)
+            ]).run(workers=1)
         assert levels == ["decisions", "full"]
         assert results["capped"].points[0].metrics.events == 10
         assert not results["capped"].points[0].metrics.termination
         assert results["free"].points[0].metrics.termination
 
     def test_metrics_carry_the_scenarios_algorithm_name(self):
-        results = self._manifest().run(parallel=False)
+        results = self._manifest().run(workers=1)
         assert {p.metrics.algorithm for r in results.values()
                 for p in r.points} == {"wpaxos"}
 
@@ -618,7 +628,15 @@ class TestExperimentRun:
             experiment="T", blocks=[ManifestBlock("a", self.BASE),
                                     ManifestBlock("a", self.BASE)])
         with pytest.raises(ManifestError, match="repeats a block name"):
-            manifest.run(parallel=False)
+            manifest.run(workers=1)
+
+    @pytest.mark.parametrize("knob, value", [("parallel", False),
+                                             ("executor", "serial")])
+    def test_workers_is_the_only_knob(self, knob, value):
+        with pytest.raises(TypeError):
+            self._manifest().run(**{knob: value})
+        with pytest.raises(TypeError):
+            _grid((4, 5)).run(name="fabric", **{knob: value})
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +659,7 @@ class TestRegenCLI:
         manifest_path.write_text(json.dumps(self.MANIFEST))
         cache_dir = str(tmp_path / "cache")
         argv = ["regen", "--manifest", str(manifest_path),
-                "--cache", cache_dir, "--executor", "serial"]
+                "--cache", cache_dir, "--workers", "1"]
         assert cli_main(argv) == 0
         first = capsys.readouterr().out
         assert cli_main(argv) == 0
@@ -651,6 +669,19 @@ class TestRegenCLI:
             if not line.startswith("cache:"))
         assert strip(first) == strip(second)
         assert "0 misses (100.0% hit rate)" in second
+
+    def test_regen_serial_equals_parallel(self, tmp_path, capsys):
+        manifest_path = tmp_path / "smoke.manifest.json"
+        manifest_path.write_text(json.dumps(self.MANIFEST))
+        tables = []
+        for workers in ("2", "1"):
+            assert cli_main(["regen", "--manifest", str(manifest_path),
+                             "--cache", str(tmp_path / "cache"),
+                             "--fresh", "--workers", workers]) == 0
+            tables.append("\n".join(
+                line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith(("cache:", "stragglers:"))))
+        assert tables[0] == tables[1]
 
     def test_regen_unknown_id_fails(self, capsys):
         with pytest.raises(SystemExit):

@@ -307,8 +307,8 @@ class TestAbortSnapshot:
 
 
 class TestResumableRuns:
-    """Slicing a run into max_events resumptions (the spill_smoke
-    heartbeat loop) is telemetry- and trace-identical to one run."""
+    """Slicing a run into max_events resumptions (a heartbeat loop
+    over a long run) is telemetry- and trace-identical to one run."""
 
     def test_sliced_equals_single(self):
         graph = clique(6)
