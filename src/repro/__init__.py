@@ -21,8 +21,8 @@ Quick start::
     print(result.decisions)                       # everyone agrees
     print(check_consensus(result.trace, values).ok)  # True
 
-See README.md for the architecture tour and DESIGN.md / EXPERIMENTS.md
-for the reproduction methodology and measured results.
+See README.md for the architecture tour; ``repro regen`` and
+``python -m repro experiments`` regenerate the measured results.
 """
 
 from .macsim import (CrashPlan, EdgeChurn, NodeChurn, Process,

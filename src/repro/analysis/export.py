@@ -1,11 +1,11 @@
 """Trace export/import.
 
 Execution traces are the ground truth of every experiment; exporting
-them lets users diff runs, archive experiment evidence next to
-EXPERIMENTS.md, or analyse executions with external tooling. Payloads
-are stored as ``repr`` strings: traces round-trip structurally
-(times, kinds, nodes, broadcast ids) with payloads preserved for
-human inspection rather than re-execution.
+them lets users diff runs, archive experiment evidence next to the
+``repro regen`` tables, or analyse executions with external tooling.
+Payloads are stored as ``repr`` strings: traces round-trip
+structurally (times, kinds, nodes, broadcast ids) with payloads
+preserved for human inspection rather than re-execution.
 
 Streaming (schema v6)
 ---------------------
@@ -16,18 +16,18 @@ record stream in one of two chunked layouts, declared by the header's
 
 * ``jsonl-chunks`` -- one JSON array of records per line, serialized
   straight off the sink's iterator (the v3-v5 layout, still the
-  default). Exporting a :class:`~repro.macsim.trace.SpillSink` run of
-  10^7+ events never materializes the record list.
+  default for in-memory :class:`~repro.macsim.trace.Trace` runs and
+  any third-party sink); the record list is never materialized.
 * ``columnar-chunks`` (new in v6) -- written automatically for
   :class:`~repro.macsim.columnar.ColumnarSink` traces: the sink's
   binary chunk blobs are copied verbatim after the header
   (length-prefixed, zero-length sentinel, then a JSON chunk manifest
-  line), so the export is a near-memcpy of the spill directory and
-  stays 5-10x smaller than JSONL.
+  line), so the export is a near-memcpy of the chunk directory and
+  stays ~50x smaller than JSONL.
 
 :func:`load_trace` streams either layout back -- into any
-:class:`~repro.macsim.trace.TraceSink` (pass ``sink=SpillSink(...)``
-or a ``ColumnarSink`` to keep the reload bounded too) -- and still
+:class:`~repro.macsim.trace.TraceSink` (pass
+``sink=ColumnarSink(...)`` to keep the reload bounded too) -- and still
 reads the v1-v5 exports of earlier PRs. A file whose header embeds a
 scenario can rebuild and re-execute the exact run
 (:func:`load_scenario`); ``repro replay`` works on both layouts.
@@ -95,7 +95,7 @@ def record_to_dict(record: TraceRecord, *,
 def iter_trace_dicts(trace: TraceSink) -> Iterator[Dict[str, Any]]:
     """Stream a sink's records as JSON-serializable dicts, in order.
 
-    Sinks that replay ``repr``-serialized payloads (``SpillSink``)
+    Sinks that replay ``repr``-serialized payloads (``ColumnarSink``)
     are passed through without a second ``repr``.
     """
     preserialized = getattr(trace, "payloads_preserialized", False)
@@ -165,11 +165,10 @@ def save_trace(trace: TraceSink, path: str, *,
 
     JSONL layout: records are written ``chunk_records`` at a time
     straight off the sink's iterator -- peak memory is O(chunk)
-    regardless of trace length, which is what makes exporting a
-    :class:`~repro.macsim.trace.SpillSink` run feasible. Columnar
-    sinks instead get the binary ``columnar-chunks`` layout: their
-    encoded chunk blobs are copied into the file verbatim, so the
-    export costs one sequential read of the spill directory.
+    regardless of trace length. Columnar sinks instead get the binary
+    ``columnar-chunks`` layout: their encoded chunk blobs are copied
+    into the file verbatim, so the export costs one sequential read
+    of the chunk directory.
 
     ``scenario`` (a :class:`~repro.scenario.Scenario`, or anything
     with a compatible ``to_dict``) embeds the declarative run
@@ -280,13 +279,14 @@ def load_trace(path: str, *, sink: Optional[TraceSink] = None) -> TraceSink:
     """Read a trace export from ``path`` (any schema version).
 
     ``sink`` receives the records (default: a fresh in-memory
-    :class:`Trace`); pass a :class:`~repro.macsim.trace.SpillSink` to
-    keep a huge reload in bounded memory. v3 files are streamed chunk
+    :class:`Trace`); pass a
+    :class:`~repro.macsim.columnar.ColumnarSink` to keep a huge reload
+    in bounded memory. v3 files are streamed chunk
     by chunk; v1/v2 single documents are parsed whole.
     """
     trace = sink if sink is not None else Trace()
     # Exported payloads are already repr strings; sinks that
-    # re-serialize on ingest (SpillSink) take their serialized-append
+    # re-serialize on ingest (ColumnarSink) take their serialized-append
     # path so reload -> re-export round-trips without double-repr.
     append = getattr(trace, "append_serialized", trace.append)
     header = _read_header(path)

@@ -83,7 +83,7 @@ def collect_metrics(*, algorithm: str, topology: str, graph,
     Pass either a live ``result`` (the simulation path) or a bare
     ``trace`` sink without one (the disk-replay path: a reloaded
     export or a reopened :class:`~repro.macsim.columnar.ColumnarSink`
-    spill directory). Every field then comes from the sink's
+    chunk directory). Every field then comes from the sink's
     counters/decision index -- O(1) on every sink -- with ``events``
     and ``stop_reason`` taken from the keyword defaults since the
     engine loop is not around to report them.

@@ -54,7 +54,7 @@ def run_consensus(*, algorithm: str, topology: str, graph, scheduler,
     ``factory(label, value)`` builds the process for each node. Model
     invariants are verified on every run unless disabled (the audit
     is streaming and O(n) in memory, so it stays cheap even for
-    spilled traces).
+    columnar traces on disk).
 
     ``fault_model`` is an optional
     :class:`~repro.macsim.faults.base.FaultModel` adversary; when
@@ -74,7 +74,7 @@ def run_consensus(*, algorithm: str, topology: str, graph, scheduler,
 
     ``trace_level``/``trace_sink`` select the trace sink (see
     :mod:`repro.macsim.trace`). ``check_invariants`` means the same on
-    every sink: a replayable one (FULL, SPILL, COLUMNAR) is replayed
+    every sink: a replayable one (FULL, COLUMNAR) is replayed
     through :func:`~repro.macsim.invariants.check_model_invariants`
     after the run (COLUMNAR on the vectorized path when numpy is
     installed); a counting one (DECISIONS, or a caller's) is audited

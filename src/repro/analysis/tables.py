@@ -1,7 +1,7 @@
 """ASCII table rendering for experiment reports.
 
-The experiment drivers print the same rows that EXPERIMENTS.md records;
-this module keeps the formatting consistent and dependency-free.
+The experiment drivers and ``repro regen`` print their rows through
+this module, which keeps the formatting consistent and dependency-free.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
 
 def format_markdown_table(headers: Sequence[str],
                           rows: Sequence[Sequence[Any]]) -> str:
-    """Render a GitHub-flavoured markdown table (for EXPERIMENTS.md)."""
+    """Render a GitHub-flavoured markdown table (``--markdown``)."""
     cells = [[format_cell(v) for v in row] for row in rows]
     lines = ["| " + " | ".join(headers) + " |",
              "|" + "|".join("---" for _ in headers) + "|"]

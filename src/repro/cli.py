@@ -971,19 +971,17 @@ def build_parser() -> argparse.ArgumentParser:
                             "at --trace-level columnar; see "
                             "'repro replay')")
     run_p.add_argument("--trace-level", default=None,
-                       choices=("full", "decisions", "spill",
-                                "columnar"),
+                       choices=("full", "decisions", "columnar"),
                        help="trace sink: 'full' keeps every record "
                             "in RAM (default; replayable, exact); "
                             "'decisions' keeps only decisions/crashes "
                             "plus exact counters (fastest, for sweeps "
-                            "and metrics-only runs); 'spill' streams "
-                            "full records to chunked JSONL on disk "
-                            "with an in-RAM index (replayable at "
-                            "10^7+ events in bounded memory); "
-                            "'columnar' streams binary struct-packed "
-                            "column chunks instead (~5-10x smaller, "
-                            "vectorized replay; the 10^8-event mode)")
+                            "and metrics-only runs); 'columnar' "
+                            "streams every record to binary column "
+                            "chunks on disk with an in-RAM index "
+                            "(~1 B/record, replayable in bounded "
+                            "memory, vectorized replay; the "
+                            "10^8-event mode)")
     run_p.add_argument("--byzantine", type=int, default=0,
                        metavar="K",
                        help="make the last K nodes Byzantine")

@@ -14,7 +14,8 @@
   ``"learned"`` retries as long as each rejection reveals a strictly
   larger committed proposal number (the reading that makes the Lemma
   4.5 liveness argument airtight when several stale high promises
-  hide in different majorities; see DESIGN.md).
+  hide in different majorities; E8,
+  :mod:`repro.experiments.e8_ablations`, compares the two).
 
 :class:`SafetyMonitor` implements Lemma 4.2's conservation check as a
 runtime invariant: for every proposition ``p``, the count of

@@ -12,7 +12,7 @@ narrow callbacks so each can be unit-tested in isolation.
   generation. A *change* is an update of the pair ``(Omega_u,
   dist[Omega_u])`` -- the node's leader and its distance to it -- which
   is what makes the paper's Lemma 4.5 "final change by GST" argument
-  go through (see DESIGN.md).
+  go through (the proposer side is :mod:`repro.core.wpaxos.proposer`).
 * :class:`TreeService` -- Bellman-Ford shortest-path trees for every
   root, with the crucial optimization that the current leader's search
   messages jump to the front of the queue, so the leader's tree

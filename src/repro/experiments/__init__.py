@@ -1,8 +1,9 @@
 """Experiment drivers regenerating the paper's results (E1-E8).
 
 Run everything with ``python -m repro.experiments``, or one at a time
-with ``python -m repro.experiments.e1_single_hop`` etc. EXPERIMENTS.md
-records the tables these produce.
+with ``python -m repro.experiments.e1_single_hop`` etc.; the
+manifest-migrated drivers also run through ``repro regen`` (README
+"Sweep fabric").
 """
 
 from . import (e1_single_hop, e2_wpaxos_scaling, e3_baselines,

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.experiments            # all, ASCII tables
-    python -m repro.experiments --markdown # markdown (EXPERIMENTS.md)
+    python -m repro.experiments --markdown # markdown tables
     python -m repro.experiments E3 E4      # a subset
 """
 

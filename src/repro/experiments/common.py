@@ -3,7 +3,7 @@
 Every experiment driver (``e1_single_hop`` ... ``e8_ablations``)
 produces an :class:`ExperimentReport`: a titled table plus free-text
 conclusions. ``python -m repro.experiments`` runs them all and prints
-the tables EXPERIMENTS.md records.
+their tables.
 """
 
 from __future__ import annotations

@@ -32,9 +32,8 @@ from .process import Process
 from .simulator import RunResult, Simulator, build_simulation
 from .telemetry import Telemetry
 from .columnar import ColumnarSink
-from .trace import (DecisionsSink, IndexedMemorySink, SpillBudgetError,
-                    SpillSink, Trace, TraceLevel, TraceRecord, TraceSink,
-                    make_sink)
+from .trace import (SpillBudgetError, Trace, TraceLevel, TraceRecord,
+                    TraceSink, make_sink)
 from . import dynamics, faults, schedulers
 
 __all__ = [
@@ -66,9 +65,6 @@ __all__ = [
     "TraceLevel",
     "TraceRecord",
     "TraceSink",
-    "IndexedMemorySink",
-    "DecisionsSink",
-    "SpillSink",
     "ColumnarSink",
     "SpillBudgetError",
     "make_sink",

@@ -1,26 +1,24 @@
 """Binary columnar trace format: struct-packed chunks, vectorized replay.
 
-:class:`~repro.macsim.trace.SpillSink` proved that full-level traces
-can stream to disk in bounded memory, but its JSONL chunks cost
-~100 bytes per record and replay re-parses every record into a Python
-object. This module is the next order of magnitude: records are packed
-into typed *columns* (fixed-width little-endian arrays for
-time/kind/ids, per-chunk interned string tables for node labels and
-payload ``repr`` strings), compressed per chunk with zlib, and read
-back as whole-column views -- numpy arrays when numpy is installed
-(the ``[fast]`` extra), ``array.array`` otherwise.
+The one disk trace format. Full-level traces stream to disk in
+bounded memory: records are packed into typed *columns* (fixed-width
+little-endian arrays for time/kind/ids, per-chunk interned string
+tables for node labels and payload ``repr`` strings), compressed per
+chunk with zlib (~1 byte per record), and read back as whole-column
+views -- numpy arrays when numpy is installed (the ``[fast]`` extra),
+``array.array`` otherwise. This module is the only one that knows the
+format, label packing (:func:`_pack_label`) included.
 
 Three layers live here:
 
 * the chunk codec (:func:`encode_chunk` / :func:`decode_chunk` and
   :class:`ColumnarChunk`) -- self-contained blobs, JSON-lossless on
-  round-trip with exactly the :class:`~repro.macsim.trace.SpillSink`
-  serialization convention (labels losslessly, payloads as ``repr``
-  strings);
+  round-trip with the export serialization convention (labels
+  losslessly, payloads as ``repr`` strings);
 * :class:`ColumnarSink` (``TraceLevel.COLUMNAR``) -- the streaming
-  sink: chunked ``.colb`` files plus the same in-RAM
-  decision/counter index as ``SpillSink``, a ``manifest.json``, and
-  :meth:`ColumnarSink.load` which reopens a spill directory and
+  sink: chunked ``.colb`` files plus an exact in-RAM
+  decision/counter index, a ``manifest.json``, and
+  :meth:`ColumnarSink.load` which reopens a chunk directory and
   rebuilds decisions/counters from the columns (numpy ``bincount``
   over whole chunks -- the vectorized *metrics replay*);
 * the vectorized model-invariant checker
@@ -106,9 +104,34 @@ import zlib
 from array import array
 from typing import Any, Dict, Iterator, List, Optional
 
-from .trace import (DEFAULT_CHUNK_RECORDS, TRACE_KINDS, SpillBudgetError,
-                    TraceLevel, TraceRecord, TraceSink, _ESSENTIAL_KINDS,
-                    _TRACE_KIND_SET, _pack_label, _unpack_label)
+from .trace import (TRACE_KINDS, SpillBudgetError, TraceLevel,
+                    TraceRecord, TraceSink, _ESSENTIAL_KINDS,
+                    _TRACE_KIND_SET)
+
+#: Records per chunk file; bounds replay memory and buffer size.
+DEFAULT_CHUNK_RECORDS = 50_000
+
+_TUPLE_TAG = "__t__"
+
+
+def _pack_label(value: Any) -> Any:
+    """JSON-lossless packing for node/peer labels (ints, strings,
+    floats, None, and tuples thereof); anything else falls back to
+    ``repr``."""
+    if value is None or isinstance(value, (int, str, float)):
+        return value
+    if isinstance(value, tuple):
+        return [_TUPLE_TAG] + [_pack_label(v) for v in value]
+    return repr(value)
+
+
+def _unpack_label(value: Any) -> Any:
+    if isinstance(value, list):
+        if value and value[0] == _TUPLE_TAG:
+            return tuple(_unpack_label(v) for v in value[1:])
+        return [_unpack_label(v) for v in value]
+    return value
+
 
 #: numpy once :func:`have_numpy` has resolved it: ``False`` until the
 #: first call, ``None`` when it is not installed or switched off.
@@ -248,7 +271,7 @@ def encode_chunk(times, kinds, nodes, bids, peers, payload_idx,
     ``kinds`` is a ``bytearray`` of kind codes; the other columns are
     typed ``array`` columns (written out as they are) or plain number
     sequences, ids with ``-1`` for ``None``; ``packed_labels`` are
-    already :func:`~repro.macsim.trace._pack_label`-packed. The
+    already :func:`_pack_label`-packed. The
     broadcast-id column's width is the wide flag: an i8 ``array`` is
     written wide, a plain sequence is narrow unless a value overflows.
     """
@@ -326,17 +349,16 @@ def decode_chunk(blob: bytes) -> ColumnarChunk:
 class ColumnarSink(TraceSink):
     """Full-level trace packed into binary columnar chunks on disk.
 
-    The streaming contract matches :class:`~repro.macsim.trace
-    .SpillSink` exactly -- every occurrence lands in the current chunk,
-    chunks flush to ``chunk-NNNNN.colb`` every ``chunk_records``
-    records, decisions/crashes/counters stay in an exact in-RAM index,
-    and iterating replays the records in order with O(chunk) memory --
-    but the on-disk format is the struct-packed columnar codec above:
-    ~5-10x smaller than the JSONL chunks and decoded back as whole
-    columns instead of per-record parses. ``close()`` additionally
-    writes a ``manifest.json`` chunk manifest next to the chunks.
+    Every occurrence lands in the current chunk, chunks flush to
+    ``chunk-NNNNN.colb`` every ``chunk_records`` records,
+    decisions/crashes/counters stay in an exact in-RAM index, and
+    iterating replays the records in order with O(chunk) memory. The
+    on-disk format is the struct-packed columnar codec above, decoded
+    back as whole columns instead of per-record parses. ``close()``
+    additionally writes a ``manifest.json`` chunk manifest next to the
+    chunks.
 
-    :meth:`load` reopens a previously written spill directory without
+    :meth:`load` reopens a previously written chunk directory without
     re-running the simulation: the decision/counter index is rebuilt
     from the columns (vectorized with numpy when available), so
     consensus checking and metrics replay at column speed. Payloads in
@@ -692,7 +714,7 @@ class ColumnarSink(TraceSink):
     # -- reopening -----------------------------------------------------
     @classmethod
     def load(cls, directory: str) -> "ColumnarSink":
-        """Reopen a written columnar spill directory for replay.
+        """Reopen a written columnar chunk directory for replay.
 
         Chunk files are discovered through ``manifest.json`` (or a
         sorted glob when the manifest is missing) and the

@@ -10,7 +10,7 @@ churn-tolerant protocols lean on.
 
 :func:`connectivity_report` reconstructs the topology timeline from a
 run's ``topo`` trace records (an essential kind, so this works on
-every sink including :class:`~repro.macsim.trace.DecisionsSink`) and
+every sink including a ``TraceLevel.DECISIONS`` trace) and
 reports the run's connectivity profile; the consensus runner attaches
 it to :attr:`~repro.analysis.metrics.RunMetrics.extras` for every
 dynamic run.

@@ -21,7 +21,7 @@ payload, delivered set, last-delivery time -- is *evicted* once its ack
 has been checked: no later event may legitimately reference it and at
 most one broadcast per node is in flight, so memory is O(n + crashes),
 not O(trace) -- which is what lets a
-:class:`~repro.macsim.trace.SpillSink` replay a 10^7+-event run
+:class:`~repro.macsim.columnar.ColumnarSink` replay a 10^7+-event run
 without materializing it. (An event arriving after its broadcast's ack
 is reported as referencing an unknown broadcast -- still a violation,
 just attributed differently.)

@@ -255,8 +255,9 @@ class Simulator:
         ``trace_sink`` is given.
     trace_sink:
         A pre-built :class:`~repro.macsim.trace.TraceSink` to emit
-        occurrences to (e.g. a :class:`~repro.macsim.trace.SpillSink`
-        with a chosen directory). Overrides ``trace_level``.
+        occurrences to (e.g. a
+        :class:`~repro.macsim.columnar.ColumnarSink` with a chosen
+        directory). Overrides ``trace_level``.
     dynamics:
         An optional
         :class:`~repro.macsim.dynamics.base.TopologyDynamics` model

@@ -18,41 +18,31 @@ serve three purposes in this reproduction:
 
 Choosing a sink
 ---------------
-Four sinks ship behind the protocol (:func:`make_sink` maps a
-:class:`TraceLevel` to one):
+Two classes ship behind the protocol, one in RAM and one on disk
+(:func:`make_sink` maps a :class:`TraceLevel` to one):
 
-* :class:`IndexedMemorySink` (``TraceLevel.FULL``, the default) --
-  every occurrence is stored in RAM as a :class:`TraceRecord`, with
-  every query backed by an index maintained incrementally at append
-  time. Byte-identical to the pre-pipeline engine; required by the
-  indistinguishability experiments and anything that touches original
-  payload objects. Memory is O(events) -- fine up to a few million
-  records.
-* :class:`DecisionsSink` (``TraceLevel.DECISIONS``) -- only ``decide``
-  and ``crash`` records are stored. MAC-level occurrences still update
-  the occurrence *counters* (so ``broadcast_count()``,
-  ``delivery_count()`` and per-node broadcast counts stay exact) but no
-  record object is allocated. The sweep/benchmark mode: consensus
-  checking and metrics work, full-trace replays do not -- invariants
-  are audited *online* instead (:meth:`Trace.attach_auditor`).
-* :class:`SpillSink` (``TraceLevel.SPILL``) -- full-level records
-  stream to chunked JSONL files on disk while decisions, crashes and
-  all counters stay in an in-RAM index. Replay-style consumers
-  (model-invariant checking, export) iterate the chunks back in order
-  with O(chunk) memory, so 10^7+-event runs complete in bounded RAM.
-  Replayed payloads come back as ``repr`` strings (the export
-  convention); decisions/counters keep original objects.
-* :class:`repro.macsim.columnar.ColumnarSink`
-  (``TraceLevel.COLUMNAR``) -- same streaming contract as ``SPILL``
-  but chunks are binary struct-packed *columns* (typed arrays plus
-  per-chunk interned label/payload tables, zlib-compressed): ~5-10x
-  smaller on disk, and replay consumers with a columnar fast path
-  (invariants, metrics rebuild) read whole chunks as numpy views
-  instead of parsing records. The 10^8-event mode.
-
-``Trace`` remains the concrete in-memory implementation (both FULL and
-DECISIONS levels) for backwards compatibility; ``IndexedMemorySink``
-and ``DecisionsSink`` are thin level-pinning subclasses.
+* :class:`Trace` in RAM, at one of two levels.
+  ``TraceLevel.FULL`` (the default) stores every occurrence as a
+  :class:`TraceRecord`, with every query backed by an index maintained
+  incrementally at append time. Required by the indistinguishability
+  experiments and anything that touches original payload objects.
+  Memory is O(events) -- fine up to a few million records.
+  ``TraceLevel.DECISIONS`` stores only ``decide``/``crash``/``topo``
+  records; MAC-level occurrences still update the occurrence
+  *counters* (so ``broadcast_count()``, ``delivery_count()`` and
+  per-node broadcast counts stay exact) but no record object is
+  allocated. The sweep/benchmark mode: consensus checking and metrics
+  work, full-trace replays do not -- invariants are audited *online*
+  instead (:meth:`Trace.attach_auditor`).
+* :class:`repro.macsim.columnar.ColumnarSink` on disk
+  (``TraceLevel.COLUMNAR``) -- every occurrence is packed into binary
+  *column* chunks (typed arrays plus per-chunk interned label/payload
+  tables, zlib-compressed, ~1 B/record) while decisions, crashes and
+  all counters stay in an in-RAM index. Replay consumers iterate the
+  chunks back in order with O(chunk) memory, and those with a columnar
+  fast path (invariants, metrics rebuild) read whole chunks as numpy
+  views. Replayed payloads come back as ``repr`` strings (the export
+  convention). The 10^8-event mode.
 
 The protocol has two write doors. :meth:`TraceSink.record` takes one
 occurrence. :meth:`TraceSink.record_deliveries` takes a *run*: the
@@ -63,34 +53,29 @@ over as one ``(time, broadcast_id, sender, payload, receivers)`` call
 per expanded delivery batch -- cut wherever a handler, a stop
 predicate or the end of a ``run()`` slice has to see the sink whole, so
 rows always land in event order. The base class defines the run as the
-loop over ``record`` (that loop is what the row *means*; ``SpillSink``
-and third-party sinks inherit it); :class:`Trace` and ``ColumnarSink``
-write the same rows natively. Everything else -- broadcasts, acks,
-decisions, single deliveries (random delays), and every delivery under
-a crash plan or a fault model, where the payload can differ per
-receiver -- arrives through ``record``.
+loop over ``record`` (that loop is what the row *means*; third-party
+sinks inherit it); :class:`Trace` and ``ColumnarSink`` write the same
+rows natively. Everything else -- broadcasts, acks, decisions, single
+deliveries (random delays), and every delivery under a crash plan or a
+fault model, where the payload can differ per receiver -- arrives
+through ``record``.
 
 Sink capability flags drive the harness:
 
 * ``replayable`` -- iterating the sink yields every occurrence, so
-  model-invariant replay is possible (FULL and SPILL, not DECISIONS);
+  model-invariant replay is possible (FULL and COLUMNAR, not
+  DECISIONS);
 * ``materializes_mac`` -- the engine must call :meth:`TraceSink.record`
   / :meth:`TraceSink.record_deliveries` for MAC-level kinds (vs. the
   counter-only ``bump`` fast path); also true of a counting sink while
   an auditor is attached;
 * ``payloads_preserialized`` -- replayed payloads are already ``repr``
-  strings (SPILL), so exporters must not re-``repr`` them.
+  strings (COLUMNAR), so exporters must not re-``repr`` them.
 """
 
 from __future__ import annotations
 
 import enum
-import io
-import json
-import os
-import shutil
-import tempfile
-import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -124,12 +109,10 @@ class TraceLevel(enum.Enum):
     FULL = "full"
     #: Store only decisions and crashes; count everything else.
     DECISIONS = "decisions"
-    #: Store every occurrence, streamed to chunked JSONL on disk with
-    #: an in-RAM decisions/counter index (bounded-memory full traces).
-    SPILL = "spill"
-    #: Like SPILL but chunks are binary struct-packed columns (typed
-    #: arrays + interned string tables, zlib): ~5-10x smaller spills
-    #: and vectorized whole-chunk replay. See
+    #: Store every occurrence on disk as binary struct-packed columns
+    #: (typed arrays + interned string tables, zlib) with an in-RAM
+    #: decisions/counter index: bounded-memory full traces with
+    #: vectorized whole-chunk replay. See
     #: :class:`repro.macsim.columnar.ColumnarSink`.
     COLUMNAR = "columnar"
 
@@ -460,37 +443,10 @@ class Trace(TraceSink):
         return {r.node for r in self._by_kind.get("crash", ())}
 
 
-class IndexedMemorySink(Trace):
-    """The default sink: today's fully indexed in-RAM trace."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(TraceLevel.FULL)
-
-
-class DecisionsSink(Trace):
-    """Counting sink: decide/crash records only, exact counters."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        super().__init__(TraceLevel.DECISIONS)
-
-
-# ----------------------------------------------------------------------
-# Spill-to-disk sink
-# ----------------------------------------------------------------------
-#: Records per JSONL chunk file; bounds replay memory and buffer size.
-DEFAULT_CHUNK_RECORDS = 50_000
-
-_TUPLE_TAG = "__t__"
-
-
 class SpillBudgetError(RuntimeError):
     """A disk-spilling sink exceeded its configured byte budget.
 
-    Raised at flush time by :class:`SpillSink` /
+    Raised at flush time by
     :class:`repro.macsim.columnar.ColumnarSink` when ``max_bytes`` is
     set and the chunk files have grown past it. The run fails loudly
     instead of silently truncating the trace; everything spilled so
@@ -498,304 +454,17 @@ class SpillBudgetError(RuntimeError):
     """
 
 
-def _pack_label(value: Any) -> Any:
-    """JSON-lossless packing for node/peer labels (ints, strings,
-    floats, None, and tuples thereof); anything else falls back to
-    ``repr``."""
-    if value is None or isinstance(value, (int, str, float)):
-        return value
-    if isinstance(value, tuple):
-        return [_TUPLE_TAG] + [_pack_label(v) for v in value]
-    return repr(value)
-
-
-def _unpack_label(value: Any) -> Any:
-    if isinstance(value, list):
-        if value and value[0] == _TUPLE_TAG:
-            return tuple(_unpack_label(v) for v in value[1:])
-        return [_unpack_label(v) for v in value]
-    return value
-
-
-#: Kind string -> pre-encoded JSON fragment; saves re-encoding the
-#: same eight literals hundreds of millions of times on the hot spill
-#: path. Doubles as the validity check (``.get`` returns ``None`` for
-#: unknown kinds).
-_KIND_JSON = {k: json.dumps(k) for k in TRACE_KINDS}
-
-#: Kind string replay-interning table: ``_parse`` maps the parsed kind
-#: through this so replayed records share the eight canonical string
-#: objects instead of allocating a fresh one per record.
-_KIND_INTERN = {k: k for k in TRACE_KINDS}
-
-
-class SpillSink(TraceSink):
-    """Full-level trace streamed to chunked JSONL files on disk.
-
-    Every occurrence is serialized into the current chunk buffer and
-    flushed to ``chunk-NNNNN.jsonl`` every ``chunk_records`` records;
-    decisions, crashes and all occurrence counters additionally stay in
-    an in-RAM index, so metrics and consensus checking never touch the
-    disk. Iterating the sink replays the records in order, one chunk at
-    a time -- O(chunk) memory however long the run -- which is what
-    :func:`repro.macsim.invariants.check_model_invariants` and the
-    streaming exporter consume.
-
-    Serialization follows the export convention: node labels
-    round-trip losslessly (ints/strings/floats/tuples), payloads come
-    back as their ``repr`` strings. The in-RAM decision index keeps the
-    *original* payload objects, so ``decisions()`` (and therefore
-    consensus checking) is exact.
-
-    The sink owns its directory when none is supplied (a fresh temp
-    dir, removed on :meth:`cleanup` or garbage collection). ``close()``
-    flushes the tail chunk; queries and iteration stay valid after it.
-    ``max_bytes`` optionally bounds the on-disk footprint: exceeding
-    it raises :class:`SpillBudgetError` at flush time instead of
-    silently truncating the trace.
-    """
-
-    __slots__ = ("directory", "chunk_records", "max_bytes",
-                 "_chunk_paths", "_buffer", "_spilled", "_spilled_bytes",
-                 "_label_json", "_by_kind_essential", "_decisions",
-                 "_decision_times", "_kind_counts", "_broadcasts_by_node",
-                 "_owns_dir", "_finalizer", "__weakref__")
-
-    level = TraceLevel.SPILL
-    replayable = True
-    materializes_mac = True
-    payloads_preserialized = True
-
-    def __init__(self, directory: Optional[str] = None, *,
-                 chunk_records: int = DEFAULT_CHUNK_RECORDS,
-                 max_bytes: Optional[int] = None) -> None:
-        if chunk_records <= 0:
-            raise ValueError("chunk_records must be positive")
-        self._owns_dir = directory is None
-        if directory is None:
-            directory = tempfile.mkdtemp(prefix="macsim-spill-")
-        else:
-            os.makedirs(directory, exist_ok=True)
-        self.directory = directory
-        self.chunk_records = chunk_records
-        self.max_bytes = max_bytes
-        self._chunk_paths: List[str] = []
-        self._buffer: List[str] = []
-        self._spilled = 0
-        self._spilled_bytes = 0
-        #: label -> pre-encoded JSON fragment (labels repeat per node).
-        self._label_json: Dict[Any, str] = {None: "null"}
-        self._by_kind_essential: Dict[str, List[TraceRecord]] = {}
-        self._decisions: Dict[Any, Any] = {}
-        self._decision_times: Dict[Any, float] = {}
-        self._kind_counts: Dict[str, int] = {k: 0 for k in TRACE_KINDS}
-        self._broadcasts_by_node: Dict[Any, int] = {}
-        if self._owns_dir:
-            self._finalizer = weakref.finalize(
-                self, shutil.rmtree, directory, True)
-        else:
-            self._finalizer = None
-
-    # -- ingestion -----------------------------------------------------
-    def _label_fragment(self, label: Any) -> str:
-        fragment = self._label_json.get(label)
-        if fragment is None:
-            fragment = self._label_json[label] = json.dumps(
-                _pack_label(label), separators=(",", ":"))
-        return fragment
-
-    def record(self, time: float, kind: str, node: Any, *,
-               broadcast_id: Optional[int] = None, peer: Any = None,
-               payload: Any = None) -> None:
-        kind_json = _KIND_JSON.get(kind)
-        if kind_json is None:
-            raise ValueError(f"unknown trace kind: {kind!r}")
-        # Hand-assembled JSON array, json.loads-compatible with the
-        # previous json.dumps output: labels and kinds come from the
-        # intern caches, only time and payload are encoded per record.
-        self._buffer.append(
-            f"[{json.dumps(time)}, {kind_json}, "
-            f"{self._label_fragment(node)}, "
-            f"{'null' if broadcast_id is None else broadcast_id}, "
-            f"{self._label_fragment(peer)}, "
-            f"{'null' if payload is None else json.dumps(repr(payload))}]")
-        # Index first, flush last: a flush that raises
-        # SpillBudgetError leaves the counters and the chunk agreeing.
-        self._kind_counts[kind] += 1
-        if kind == "decide":
-            if node not in self._decisions:
-                self._decisions[node] = payload
-                self._decision_times[node] = time
-        elif kind == "broadcast":
-            self._broadcasts_by_node[node] = (
-                self._broadcasts_by_node.get(node, 0) + 1)
-        if kind in _ESSENTIAL_KINDS:
-            bucket = self._by_kind_essential.get(kind)
-            if bucket is None:
-                bucket = self._by_kind_essential[kind] = []
-            bucket.append(TraceRecord(time, kind, node, broadcast_id,
-                                      peer, payload))
-        if len(self._buffer) >= self.chunk_records:
-            self.flush()
-
-    def append(self, record: TraceRecord) -> None:
-        """Protocol parity with :class:`Trace` (used by trace import)."""
-        self.record(record.time, record.kind, record.node,
-                    broadcast_id=record.broadcast_id, peer=record.peer,
-                    payload=record.payload)
-
-    def append_serialized(self, record: TraceRecord) -> None:
-        """Append a record whose payload is *already* a ``repr`` string
-        (the replay/import path: reloading a v3 export or another
-        sink's replay stream). Skips the second ``repr`` that
-        :meth:`record` would apply, so reload -> re-export round-trips
-        byte-identically."""
-        kind = record.kind
-        kind_json = _KIND_JSON.get(kind)
-        if kind_json is None:
-            raise ValueError(f"unknown trace kind: {kind!r}")
-        bid = record.broadcast_id
-        payload = record.payload
-        self._buffer.append(
-            f"[{json.dumps(record.time)}, {kind_json}, "
-            f"{self._label_fragment(record.node)}, "
-            f"{'null' if bid is None else bid}, "
-            f"{self._label_fragment(record.peer)}, "
-            f"{'null' if payload is None else json.dumps(payload)}]")
-        self._kind_counts[kind] += 1
-        node = record.node
-        if kind == "decide":
-            if node not in self._decisions:
-                self._decisions[node] = record.payload
-                self._decision_times[node] = record.time
-        elif kind == "broadcast":
-            self._broadcasts_by_node[node] = (
-                self._broadcasts_by_node.get(node, 0) + 1)
-        if kind in _ESSENTIAL_KINDS:
-            bucket = self._by_kind_essential.get(kind)
-            if bucket is None:
-                bucket = self._by_kind_essential[kind] = []
-            bucket.append(record)
-        if len(self._buffer) >= self.chunk_records:
-            self.flush()
-
-    def bump(self, kind: str, node: Any = None) -> None:
-        self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-        if kind == "broadcast":
-            self._broadcasts_by_node[node] = (
-                self._broadcasts_by_node.get(node, 0) + 1)
-
-    def flush(self) -> None:
-        """Write the buffered tail out as a new chunk file."""
-        if not self._buffer:
-            return
-        path = os.path.join(self.directory,
-                            f"chunk-{len(self._chunk_paths):05d}.jsonl")
-        body = ("\n".join(self._buffer) + "\n").encode("utf-8")
-        with open(path, "wb") as handle:
-            handle.write(body)
-        self._chunk_paths.append(path)
-        self._spilled += len(self._buffer)
-        self._spilled_bytes += len(body)
-        self._buffer = []
-        if (self.max_bytes is not None
-                and self._spilled_bytes > self.max_bytes):
-            raise SpillBudgetError(
-                f"JSONL spill exceeded its disk budget: "
-                f"{self._spilled_bytes:,} bytes > {self.max_bytes:,} "
-                f"({self._spilled:,} records in {self.directory})")
-
-    def close(self) -> None:
-        self.flush()
-
-    def cleanup(self) -> None:
-        """Remove the spill directory (only if this sink created it)."""
-        if self._finalizer is not None:
-            self._finalizer()
-
-    def spilled_bytes(self) -> int:
-        """Total bytes written to chunk files so far."""
-        return self._spilled_bytes
-
-    # -- replay --------------------------------------------------------
-    def __len__(self) -> int:
-        return self._spilled + len(self._buffer)
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return self.iter_records()
-
-    def iter_records(self) -> Iterator[TraceRecord]:
-        """Replay every record in order, one chunk at a time."""
-        for path in self._chunk_paths:
-            with io.open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    yield self._parse(line)
-        for line in self._buffer:
-            yield self._parse(line)
-
-    @staticmethod
-    def _parse(line: str) -> TraceRecord:
-        time, kind, node, bid, peer, payload = json.loads(line)
-        return TraceRecord(time, _KIND_INTERN.get(kind, kind),
-                           _unpack_label(node), bid, _unpack_label(peer),
-                           payload)
-
-    def chunk_paths(self) -> List[str]:
-        """Paths of the flushed chunks, in record order."""
-        return list(self._chunk_paths)
-
-    # -- queries -------------------------------------------------------
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All records of ``kind``.
-
-        O(1) for decide/crash (RAM index, original payloads); a full
-        streaming scan -- materializing the answer -- for MAC-level
-        kinds. Prefer :meth:`iter_records` for bounded-memory scans.
-        """
-        if kind in _ESSENTIAL_KINDS:
-            return list(self._by_kind_essential.get(kind, ()))
-        return [r for r in self.iter_records() if r.kind == kind]
-
-    def for_node(self, node: Any) -> List[TraceRecord]:
-        return [r for r in self.iter_records() if r.node == node]
-
-    def decisions(self) -> Dict[Any, Any]:
-        return dict(self._decisions)
-
-    def decision_times(self) -> Dict[Any, float]:
-        return dict(self._decision_times)
-
-    def broadcast_count(self, node: Any = None) -> int:
-        if node is None:
-            return self._kind_counts.get("broadcast", 0)
-        return self._broadcasts_by_node.get(node, 0)
-
-    def broadcasts_per_node(self) -> Dict[Any, int]:
-        return dict(self._broadcasts_by_node)
-
-    def count_of_kind(self, kind: str) -> int:
-        return self._kind_counts.get(kind, 0)
-
-    def crashed_nodes(self) -> set:
-        return {r.node for r in self._by_kind_essential.get("crash", ())}
-
-
 def make_sink(level: "TraceLevel | str", **spill_kwargs) -> TraceSink:
     """Construct the sink for a :class:`TraceLevel`.
 
     ``spill_kwargs`` (``directory``, ``chunk_records``, ``max_bytes``)
-    apply only to the disk-spilling levels (:attr:`TraceLevel.SPILL`
-    and :attr:`TraceLevel.COLUMNAR`).
+    apply only to the disk level (:attr:`TraceLevel.COLUMNAR`).
     """
     level = TraceLevel.coerce(level)
-    if level is TraceLevel.SPILL:
-        return SpillSink(**spill_kwargs)
     if level is TraceLevel.COLUMNAR:
         # Deferred import: columnar.py imports from this module.
         from .columnar import ColumnarSink
         return ColumnarSink(**spill_kwargs)
     if spill_kwargs:
         raise ValueError(f"spill options are invalid for {level}")
-    if level is TraceLevel.DECISIONS:
-        return DecisionsSink()
-    return IndexedMemorySink()
+    return Trace(level)

@@ -16,8 +16,8 @@ Three constructions are implemented:
   from the paper's description.
 
 **Documented substitution.** The arXiv source of Figure 1 is
-ASCII-mangled, so the exact gadget wiring is not recoverable; DESIGN.md
-Section 4 records the substitution. Our gadget puts three triangles
+ASCII-mangled, so the exact gadget wiring is not recoverable; this
+docstring records the substitution. Our gadget puts three triangles
 ``c - a+j - a1`` at the top (a covering of a tree is a forest, so the
 cycles are *necessary* for ``B`` to be connected), a chain
 ``a1 - a2 - ... - ad`` below, and ``k`` leaves on ``a(d-1)``. ``B`` is

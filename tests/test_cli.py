@@ -72,15 +72,14 @@ class TestRunCommand:
         from repro.analysis.export import load_trace
         assert len(load_trace(str(out_path))) > 0
 
-    def test_trace_level_spill_runs_and_exports(self, tmp_path, capsys):
-        out_path = tmp_path / "spill.json"
-        code = main(["run", "--algorithm", "gatherall", "--topology",
-                     "clique:4", "--scheduler", "synchronous",
-                     "--trace-level", "spill",
-                     "--trace-out", str(out_path)])
-        assert code == 0
-        from repro.analysis.export import load_trace
-        assert len(load_trace(str(out_path))) > 0
+    def test_trace_level_spill_is_rejected(self, capsys):
+        # The JSONL disk sink is gone; 'columnar' is the disk level.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algorithm", "gatherall", "--topology",
+                  "clique:4", "--scheduler", "synchronous",
+                  "--trace-level", "spill"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'spill'" in capsys.readouterr().err
 
     def test_trace_level_decisions_runs(self, capsys):
         code = main(["run", "--algorithm", "wpaxos", "--topology",

@@ -1,10 +1,10 @@
 """PR 6 columnar trace engine tests: chunk codec round-trips (numpy
 and pure-python), ColumnarSink behaviour + reopen (``load``), loud
-disk budgets (``SpillBudgetError``) on both spill sinks, the
-columnar<->JSONL equivalence property (invariant verdicts, RunMetrics
-and decision sequences across static / crash-fault / churn traces),
-vectorized-vs-reference invariant verdicts on crafted malformed
-traces, schema-v6 export round-trips and CLI replay."""
+disk budgets (``SpillBudgetError``), the columnar<->FULL equivalence
+property (invariant verdicts, RunMetrics and decision sequences across
+static / crash-fault / churn traces), vectorized-vs-reference
+invariant verdicts on crafted malformed traces, schema-v6 export
+round-trips and CLI replay."""
 
 import json
 import os
@@ -22,18 +22,16 @@ from repro.cli import main as cli_main
 from repro.core import TwoPhaseConsensus
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
                           ColumnarSink, CorruptStrategy, EdgeChurn,
-                          EquivocateStrategy, IndexedMemorySink, Process,
-                          SpillBudgetError, SpillSink, TraceLevel,
-                          build_simulation, check_model_invariants,
-                          crash_plan, make_sink)
+                          EquivocateStrategy, Process, SpillBudgetError,
+                          Trace, TraceLevel, build_simulation,
+                          check_model_invariants, crash_plan, make_sink)
 from repro.macsim import columnar as columnar_mod
-from repro.macsim.columnar import (ColumnarChunk, decode_chunk,
-                                   encode_chunk, have_numpy,
+from repro.macsim.columnar import (ColumnarChunk, _pack_label,
+                                   decode_chunk, encode_chunk, have_numpy,
                                    try_vectorized_invariants)
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
-from repro.macsim.trace import (TRACE_KINDS, TraceRecord, TraceSink,
-                                _pack_label)
+from repro.macsim.trace import TRACE_KINDS, TraceRecord, TraceSink
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
 from repro.topology import Graph, clique, line
@@ -63,6 +61,13 @@ def _sample_records():
 def _tuples(records):
     return [(r.time, r.kind, r.node, r.broadcast_id, r.peer, r.payload)
             for r in records]
+
+
+def _jsonl_bytes(trace, tmp_path):
+    """Size of the ``jsonl-chunks`` export of a FULL trace."""
+    path = str(tmp_path / "full.trace")
+    save_trace(trace, path)
+    return os.path.getsize(path)
 
 
 # ----------------------------------------------------------------------
@@ -146,10 +151,21 @@ class TestColumnarSink:
         sink.record(2.0, "crash", 1)
         assert sink.decisions() == {0: value}
         assert sink.decisions()[0] is value
+        assert sink.of_kind("decide")[0].payload is value
         assert sink.decision_times() == {0: 1.0}
         assert sink.crashed_nodes() == {1}
         assert [r.payload for r in sink if r.kind == "decide"] \
             == [repr(value)]
+
+    def test_tuple_labels_round_trip(self, tmp_path):
+        sink = ColumnarSink(str(tmp_path / "c"))
+        sink.record(0.0, "deliver", (1, 2), broadcast_id=0,
+                    peer=(0, 0), payload="x")
+        sink.close()
+        rec = next(iter(sink))
+        assert rec.node == (1, 2)
+        assert rec.peer == (0, 0)
+        assert sink.for_node((1, 2)) == [rec]
 
     def test_unknown_kind_rejected(self, tmp_path):
         sink = ColumnarSink(str(tmp_path / "c"))
@@ -242,29 +258,43 @@ class TestColumnarSink:
                 == sink.count_of_kind(kind), kind
 
     def test_columnar_at_most_quarter_of_jsonl(self, tmp_path):
-        # The acceptance bytes gate, pinned at test scale too.
+        # The acceptance bytes gate, pinned at test scale too: the
+        # chunks against the JSONL export of the same run's FULL trace.
         graph = clique(8)
-        sizes = {}
-        for name, cls in (("jsonl", SpillSink), ("col", ColumnarSink)):
-            sink = cls(str(tmp_path / name), chunk_records=256)
+        sinks = (Trace(), ColumnarSink(str(tmp_path / "c"),
+                                       chunk_records=256))
+        for sink in sinks:
             sim = build_simulation(
                 graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
                 SynchronousScheduler(1.0), trace_sink=sink)
             sim.run(max_events=100_000, max_time=100.0)
             sink.close()
-            sizes[name] = sink.spilled_bytes()
-        assert sizes["col"] * 4 <= sizes["jsonl"]
+        full, col = sinks
+        assert col.spilled_bytes() * 4 <= _jsonl_bytes(full, tmp_path)
 
 
 # ----------------------------------------------------------------------
 # Loud disk budgets (satellite: no silent truncation)
 # ----------------------------------------------------------------------
 class TestSpillBudget:
-    @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
-                             ids=["jsonl", "columnar"])
-    def test_budget_exceeded_raises_loudly(self, tmp_path, cls):
-        sink = cls(str(tmp_path / "s"), chunk_records=50,
-                   max_bytes=200)
+    # The index is read from the live sink, or from the prefix on disk
+    # reopened the way a post-mortem would (no manifest: the run never
+    # closed), with the numpy and the pure-python index rebuild.
+    READERS = ["live", "reloaded", "reloaded-pure-python"]
+
+    @staticmethod
+    def _read_back(sink, reader, monkeypatch):
+        if reader == "live":
+            return sink
+        assert not os.path.exists(
+            os.path.join(sink.directory, "manifest.json"))
+        if reader == "reloaded-pure-python":
+            monkeypatch.setattr(columnar_mod, "np", None)
+        return ColumnarSink.load(sink.directory)
+
+    def test_budget_exceeded_raises_loudly(self, tmp_path):
+        sink = ColumnarSink(str(tmp_path / "s"), chunk_records=50,
+                            max_bytes=200)
         with pytest.raises(SpillBudgetError) as err:
             for i in range(10_000):
                 sink.record(float(i), "deliver", i % 4,
@@ -278,13 +308,13 @@ class TestSpillBudget:
     @pytest.mark.parametrize("serialized", [False, True],
                              ids=["record", "append_serialized"])
     @pytest.mark.parametrize("kind", ["decide", "broadcast"])
-    @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
-                             ids=["jsonl", "columnar"])
+    @pytest.mark.parametrize("reader", READERS)
     def test_budget_error_leaves_index_agreeing_with_chunks(
-            self, tmp_path, cls, kind, serialized):
+            self, tmp_path, monkeypatch, reader, kind, serialized):
         # The record whose flush blows the budget is on disk, so it
         # must be in the counters and the decision index too.
-        sink = cls(str(tmp_path / "s"), chunk_records=4, max_bytes=10)
+        sink = ColumnarSink(str(tmp_path / "s"), chunk_records=4,
+                            max_bytes=10)
         with pytest.raises(SpillBudgetError):
             for i in range(10):
                 if serialized:
@@ -293,6 +323,7 @@ class TestSpillBudget:
                 else:
                     sink.record(float(i), kind, i, broadcast_id=i,
                                 payload=i)
+        sink = self._read_back(sink, reader, monkeypatch)
         counted = sum(sink.count_of_kind(k) for k in TRACE_KINDS)
         assert len(sink) == counted == len(list(sink)) == 4
         if kind == "decide":
@@ -303,27 +334,26 @@ class TestSpillBudget:
         else:
             assert sink.broadcasts_per_node() == {i: 1 for i in range(4)}
 
-    @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
-                             ids=["jsonl", "columnar"])
+    @pytest.mark.parametrize("reader", READERS)
     def test_budget_error_inside_a_run_leaves_index_agreeing(
-            self, tmp_path, cls):
+            self, tmp_path, monkeypatch, reader):
         # The flush at the chunk boundary a run straddles raises: the
         # rows up to the boundary are on disk and counted, the rest of
         # the run was never written anywhere.
-        sink = cls(str(tmp_path / "s"), chunk_records=4, max_bytes=10)
+        sink = ColumnarSink(str(tmp_path / "s"), chunk_records=4,
+                            max_bytes=10)
         sink.record(0.0, "broadcast", 0, broadcast_id=0, payload="m")
         with pytest.raises(SpillBudgetError):
             sink.record_deliveries(1.0, 0, 0, "m", (1, 2, 3, 4, 5, 6))
+        sink = self._read_back(sink, reader, monkeypatch)
         counted = sum(sink.count_of_kind(k) for k in TRACE_KINDS)
         assert len(sink) == counted == len(list(sink)) == 4
         assert [r.node for r in sink] == [0, 1, 2, 3]
         assert sink.delivery_count() == 3
 
-    @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
-                             ids=["jsonl", "columnar"])
-    def test_budget_not_hit_when_under(self, tmp_path, cls):
-        sink = cls(str(tmp_path / "s"), chunk_records=8,
-                   max_bytes=10_000_000)
+    def test_budget_not_hit_when_under(self, tmp_path):
+        sink = ColumnarSink(str(tmp_path / "s"), chunk_records=8,
+                            max_bytes=10_000_000)
         for i in range(100):
             sink.record(float(i), "ack", 0, broadcast_id=i)
         sink.close()
@@ -358,50 +388,66 @@ class _Flood(Process):
 class TestFloodSpillBounded:
     """A clique(12) flood at FULL level, 25 and 100 rounds (3 600 and
     14 400 events): Python heap held by ``sim.run`` + ``close`` stays
-    flat as the trace grows 4x, the spilled trace passes the invariant
-    audit, and the columnar spill is a fraction of the JSONL one."""
+    flat as the trace grows 4x, the columnar trace passes the invariant
+    audit, and its chunks are a fraction of the JSONL export of the
+    same run's FULL trace."""
 
     ROUNDS = (25, 100)
+
+    @staticmethod
+    def _sim(graph, rounds, sink):
+        return build_simulation(graph, lambda v: _Flood(v, rounds),
+                                SynchronousScheduler(1.0),
+                                trace_sink=sink, validate_plans=True)
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
         graph = clique(12)
         out = {}
-        for cls in (SpillSink, ColumnarSink):
-            for rounds in self.ROUNDS:
-                directory = str(tmp_path_factory.mktemp("flood"))
-                sink = cls(directory, chunk_records=1000)
-                sim = build_simulation(
-                    graph, lambda v: _Flood(v, rounds),
-                    SynchronousScheduler(1.0), trace_sink=sink,
-                    validate_plans=True)
-                tracemalloc.start()
-                try:
-                    sim.run(max_events=1_000_000,
-                            max_time=rounds + 10.0)
-                    sink.close()
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                report = check_model_invariants(graph, sink, 1.0)
-                out[cls, rounds] = (directory, sink, peak, report)
+        for rounds in self.ROUNDS:
+            directory = str(tmp_path_factory.mktemp("flood"))
+            sink = ColumnarSink(directory, chunk_records=1000)
+            sim = self._sim(graph, rounds, sink)
+            tracemalloc.start()
+            try:
+                sim.run(max_events=1_000_000, max_time=rounds + 10.0)
+                sink.close()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            report = check_model_invariants(graph, sink, 1.0)
+            out[rounds] = (directory, sink, peak, report)
         return out
 
-    @pytest.mark.parametrize("cls", [SpillSink, ColumnarSink],
-                             ids=["jsonl", "columnar"])
-    def test_flood_spill_is_bounded(self, runs, cls):
-        small, large = (runs[cls, rounds] for rounds in self.ROUNDS)
+    def test_flood_spill_is_bounded(self, runs, tmp_path):
+        small, large = (runs[rounds] for rounds in self.ROUNDS)
         directory, sink, peak, report = large
         assert peak <= 1.25 * small[2]
         assert report.ok, report.violations[:3]
-        if cls is ColumnarSink:
-            jsonl = runs[SpillSink, self.ROUNDS[-1]][1]
-            assert sink.spilled_bytes() <= 0.25 * jsonl.spilled_bytes()
-            reopened = ColumnarSink.load(directory)
-            assert len(reopened) == len(sink)
-            assert reopened.broadcast_count() == sink.broadcast_count()
-            assert reopened.delivery_count() == sink.delivery_count()
-            assert reopened.decision_times() == sink.decision_times()
+        full = Trace()
+        self._sim(clique(12), self.ROUNDS[-1], full).run(
+            max_events=1_000_000, max_time=self.ROUNDS[-1] + 10.0)
+        assert len(full) == len(sink)
+        assert sink.spilled_bytes() <= 0.25 * _jsonl_bytes(full, tmp_path)
+        reopened = ColumnarSink.load(directory)
+        assert len(reopened) == len(sink)
+        assert reopened.broadcast_count() == sink.broadcast_count()
+        assert reopened.delivery_count() == sink.delivery_count()
+        assert reopened.decision_times() == sink.decision_times()
+
+    def test_flood_spill_audit_pure_python(self, runs, monkeypatch):
+        # The reference replay the pure-python leg runs over the
+        # multi-chunk disk trace gives the vectorized verdict, and the
+        # pure-python index rebuild the same counters.
+        directory, sink, _, report = runs[self.ROUNDS[-1]]
+        monkeypatch.setattr(columnar_mod, "np", None)
+        reference = check_model_invariants(clique(12), sink, 1.0)
+        assert reference.ok and report.ok
+        assert reference.violations == report.violations
+        reopened = ColumnarSink.load(directory)
+        assert reopened.broadcast_count() == sink.broadcast_count()
+        assert reopened.delivery_count() == sink.delivery_count()
+        assert reopened.decision_times() == sink.decision_times()
 
 
 # ----------------------------------------------------------------------
@@ -449,7 +495,7 @@ class TestPayloadTextMemo:
     def _byzantine_pair(self, strategy, tmp_path):
         graph = clique(4)
         runs = []
-        for sink in (IndexedMemorySink(),
+        for sink in (Trace(),
                      ColumnarSink(str(tmp_path / "c"), chunk_records=16)):
             model = ByzantineFaultModel(
                 [ByzantinePlan(node=0, strategy=strategy())])
@@ -495,7 +541,7 @@ class TestPayloadTextMemo:
         graph = line(3)  # reliable 0-1-2, unreliable chord 0-2
         chord = Graph([(0, 2)], nodes=graph.nodes)
         rows = []
-        for sink in (IndexedMemorySink(),
+        for sink in (Trace(),
                      ColumnarSink(str(tmp_path / "c"), chunk_records=16)):
             sim = build_simulation(graph, _Teller,
                                    AckFirstScheduler(late=0.25),
@@ -666,20 +712,21 @@ class TestRunRows:
 
 
 # ----------------------------------------------------------------------
-# Columnar <-> JSONL equivalence property (satellite: hypothesis)
+# Columnar <-> FULL equivalence property (satellite: hypothesis)
 # ----------------------------------------------------------------------
-class TestColumnarJsonlEquivalence:
-    """The same execution spilled through SpillSink and ColumnarSink
-    must agree on everything observable: the replayed record stream,
-    decision sequences, RunMetrics, and the invariant verdict --
-    which, for the columnar static/crash traces, also pins the
-    vectorized checker against the reference loop."""
+class TestColumnarFullEquivalence:
+    """The same execution traced by a FULL ``Trace`` and by a
+    ColumnarSink must agree on everything observable: the replayed
+    record stream (FULL payloads ``repr``'d), decision sequences,
+    RunMetrics, and the invariant verdict -- which, for the columnar
+    static/crash traces, also pins the vectorized checker against the
+    reference loop."""
 
     def _run_both(self, tmp, graph, sched_factory, *, crashes=(),
                   dynamics_factory=None):
         out = []
-        for name, cls in (("jsonl", SpillSink), ("col", ColumnarSink)):
-            sink = cls(str(tmp / name), chunk_records=128)
+        for sink in (Trace(), ColumnarSink(str(tmp / "col"),
+                                           chunk_records=128)):
             sim = build_simulation(
                 graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
                 sched_factory(), crashes=list(crashes),
@@ -692,11 +739,11 @@ class TestColumnarJsonlEquivalence:
         return out
 
     def _assert_equivalent(self, graph, runs):
-        (res_j, jsonl), (res_c, col) = runs
-        assert _tuples(jsonl) == _tuples(col)
-        assert res_j.decisions == res_c.decisions
-        assert res_j.decision_times == res_c.decision_times
-        assert [(r.time, r.node) for r in jsonl.of_kind("decide")] \
+        (res_f, full), (res_c, col) = runs
+        assert _as_text_rows(full) == _as_text_rows(col)
+        assert res_f.decisions == res_c.decisions
+        assert res_f.decision_times == res_c.decision_times
+        assert [(r.time, r.node) for r in full.of_kind("decide")] \
             == [(r.time, r.node) for r in col.of_kind("decide")]
         values = {v: v % 2 for v in graph.nodes}
         metrics = [collect_metrics(
@@ -704,10 +751,10 @@ class TestColumnarJsonlEquivalence:
             scheduler=SynchronousScheduler(1.0), result=res,
             initial_values=values) for res, _ in runs]
         assert metrics[0] == metrics[1]
-        report_j = check_model_invariants(graph, jsonl, 1.0)
+        report_f = check_model_invariants(graph, full, 1.0)
         report_c = check_model_invariants(graph, col, 1.0)
-        assert report_j.ok == report_c.ok
-        assert report_j.ok
+        assert report_f.ok == report_c.ok
+        assert report_f.ok
 
     @given(n=st.integers(3, 7), seed=st.integers(0, 10 ** 6),
            synchronous=st.booleans())
@@ -752,13 +799,13 @@ class TestColumnarJsonlEquivalence:
         runs = self._run_both(
             tmp, graph, lambda: RandomDelayScheduler(1.0, seed=seed),
             dynamics_factory=lambda: EdgeChurn(rate=rate, seed=seed))
-        (res_j, jsonl), (res_c, col) = runs
-        assert _tuples(jsonl) == _tuples(col)
-        assert res_j.decisions == res_c.decisions
-        assert res_j.decision_times == res_c.decision_times
-        report_j = check_model_invariants(graph, jsonl, 1.0)
+        (res_f, full), (res_c, col) = runs
+        assert _as_text_rows(full) == _as_text_rows(col)
+        assert res_f.decisions == res_c.decisions
+        assert res_f.decision_times == res_c.decision_times
+        report_f = check_model_invariants(graph, full, 1.0)
         report_c = check_model_invariants(graph, col, 1.0)
-        assert report_j.ok == report_c.ok
+        assert report_f.ok == report_c.ok
 
 
 # ----------------------------------------------------------------------
@@ -895,9 +942,10 @@ class TestVectorizedVsReference:
 # Schema v6 export + CLI replay
 # ----------------------------------------------------------------------
 class TestColumnarExport:
-    def _sample(self, tmp_path, cls=ColumnarSink):
+    def _sample(self, tmp_path, full=False):
         graph = clique(4)
-        sink = cls(str(tmp_path / "sink"), chunk_records=32)
+        sink = Trace() if full else ColumnarSink(str(tmp_path / "sink"),
+                                                 chunk_records=32)
         sim = build_simulation(
             graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
             SynchronousScheduler(1.0), trace_sink=sink)
@@ -922,7 +970,7 @@ class TestColumnarExport:
 
     def test_columnar_export_much_smaller_than_jsonl(self, tmp_path):
         col = self._sample(tmp_path)
-        jsonl = self._sample(tmp_path / "j", cls=SpillSink)
+        jsonl = self._sample(tmp_path, full=True)
         col_path = str(tmp_path / "c.trace")
         jsonl_path = str(tmp_path / "j.trace")
         save_trace(col, col_path)
@@ -934,8 +982,8 @@ class TestColumnarExport:
             == _tuples(iter_saved_records(jsonl_path))
 
     def test_reexport_of_reloaded_trace_roundtrips(self, tmp_path):
-        # Like the PR 3 SpillSink regression: reloading into a
-        # preserialized sink must not double-repr payloads, and the
+        # Reloading into a preserialized sink must not double-repr
+        # payloads, and the
         # re-export carries the identical record stream.
         sink = self._sample(tmp_path)
         first = str(tmp_path / "first.trace")
@@ -964,7 +1012,7 @@ class TestColumnarExport:
     def test_v5_jsonl_exports_still_load(self, tmp_path):
         # A pre-PR 6 export is byte-wise a schema-5 jsonl-chunks file;
         # synthesize one from the current writer and check it loads.
-        sink = self._sample(tmp_path, cls=SpillSink)
+        sink = self._sample(tmp_path, full=True)
         path = str(tmp_path / "new.trace")
         save_trace(sink, path)
         with open(path, encoding="utf-8") as fh:
@@ -978,7 +1026,7 @@ class TestColumnarExport:
             fh.writelines(lines[1:])
         reloaded = load_trace(legacy)
         assert len(reloaded) == len(sink)
-        assert _tuples(iter_saved_records(legacy)) == _tuples(sink)
+        assert _tuples(iter_saved_records(legacy)) == _as_text_rows(sink)
 
     def test_cli_run_and_replay_columnar(self, tmp_path, capsys):
         path = str(tmp_path / "cli.trace")

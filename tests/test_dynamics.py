@@ -16,8 +16,8 @@ from repro.analysis.export import (load_scenario, save_trace,
                                    trace_to_json)
 from repro.cli import main as cli_main
 from repro.core import WPaxosConfig, WPaxosNode
-from repro.macsim import (DecisionsSink, EdgeChurn, NodeChurn,
-                          RandomWaypoint, ScriptedDynamics, SpillSink,
+from repro.macsim import (ColumnarSink, EdgeChurn, NodeChurn,
+                          RandomWaypoint, ScriptedDynamics,
                           Trace, TraceRecord, build_simulation,
                           check_model_invariants, connectivity_report)
 from repro.macsim.dynamics import (TOPO_EDGE_DOWN, TOPO_EDGE_UP,
@@ -82,24 +82,23 @@ class TestZeroChurnIdentity:
         assert trace_to_json(dynamic.trace) == trace_to_json(
             static.trace)
         assert dynamic.events_processed == static.events_processed
-        # SPILL sink: replayed record stream must match too.
-        spill = SpillSink(chunk_records=200)
+        # COLUMNAR sink: replayed record stream must match too.
+        disk = ColumnarSink(chunk_records=200)
         try:
-            spilled = _run(graph, RandomDelayScheduler(1.0, seed=seed),
-                           dynamics=zero_dynamics(), sink=spill)
-            assert ([json.loads(json.dumps(r.time))
-                     for r in spilled.trace] ==
+            replayed = _run(graph, RandomDelayScheduler(1.0, seed=seed),
+                            dynamics=zero_dynamics(), sink=disk)
+            assert ([r.time for r in replayed.trace] ==
                     [r.time for r in static.trace])
             assert ([(r.kind, r.node, r.broadcast_id)
-                     for r in spilled.trace] ==
+                     for r in replayed.trace] ==
                     [(r.kind, r.node, r.broadcast_id)
                      for r in static.trace])
         finally:
-            spill.cleanup()
+            disk.cleanup()
         # DECISIONS sink: decisions, times and exact counters match.
         counting = _run(graph, RandomDelayScheduler(1.0, seed=seed),
                         dynamics=zero_dynamics(),
-                        sink=DecisionsSink())
+                        sink=Trace("decisions"))
         assert counting.decisions == static.decisions
         assert counting.decision_times == static.decision_times
         for kind in ("broadcast", "deliver", "ack", "decide", "topo"):

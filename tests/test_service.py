@@ -4,7 +4,7 @@ The load-bearing contracts:
 
 * **Byte-identity** -- a 1-group :class:`GroupRuntime` run produces
   the *same bytes* as the scenario's own ``simulate()``: identical
-  trace records across FULL / SPILL / COLUMNAR sinks, identical
+  trace records across FULL / COLUMNAR sinks, identical
   decisions, times and event counts (pinned by a hypothesis property
   over scenario parameters).
 * **Multiplexing is invisible** -- K groups under one runtime decide
@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.export import trace_to_json, trace_to_records
 from repro.cli import main
-from repro.macsim.columnar import ColumnarSink, have_numpy
+from repro.macsim.columnar import ColumnarSink
 from repro.macsim.dynamics import NodeChurn
 from repro.macsim.schedulers import SynchronousScheduler
 from repro.macsim.service import (ConsensusService, GroupPlacement,
@@ -36,7 +36,6 @@ from repro.macsim.service import (ConsensusService, GroupPlacement,
                                   placement_under_churn,
                                   rendezvous_place, run_service,
                                   slot_scenario, slot_seed)
-from repro.macsim.trace import SpillSink
 from repro.registry import SCHEDULERS
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
@@ -89,16 +88,6 @@ class TestSingleGroupIdentity:
         assert (trace_to_json(run.result.trace)
                 == trace_to_json(standalone.trace))
 
-    def test_byte_identity_spill_sink(self, tmp_path):
-        reference = BASE.simulate()
-        runtime = GroupRuntime()
-        runtime.add_group(BASE, trace_sink=SpillSink(
-            str(tmp_path / "svc"), chunk_records=64))
-        (run,) = runtime.run()
-        assert (trace_to_records(run.result.trace)
-                == trace_to_records(reference.trace))
-
-    @pytest.mark.skipif(not have_numpy(), reason="numpy unavailable")
     def test_byte_identity_columnar_sink(self, tmp_path):
         reference = BASE.simulate()
         runtime = GroupRuntime()
@@ -107,6 +96,21 @@ class TestSingleGroupIdentity:
         (run,) = runtime.run()
         assert (trace_to_records(run.result.trace)
                 == trace_to_records(reference.trace))
+
+    def test_columnar_sink_reloads_to_the_same_stream(self, tmp_path):
+        # The chunks a service group leaves on disk reopen to the
+        # standalone run's record stream and decisions.
+        reference = BASE.simulate()
+        sink = ColumnarSink(str(tmp_path / "svc"), chunk_records=64)
+        runtime = GroupRuntime()
+        runtime.add_group(BASE, trace_sink=sink)
+        runtime.run()
+        sink.close()
+        reopened = ColumnarSink.load(str(tmp_path / "svc"))
+        assert len(reopened.chunk_paths()) > 1
+        assert (trace_to_records(reopened)
+                == trace_to_records(reference.trace))
+        assert reopened.decision_times() == reference.decision_times
 
 
 # ----------------------------------------------------------------------
@@ -122,12 +126,9 @@ class TestMultiGroupEquivalence:
         references = [scenario.simulate() for scenario in scenarios]
         sink_factories = [
             lambda gid: None,  # the scenario's own in-memory sink
-            lambda gid: SpillSink(str(tmp_path / f"spill{gid}"),
-                                  chunk_records=64),
+            lambda gid: ColumnarSink(str(tmp_path / f"col{gid}"),
+                                     chunk_records=64),
         ]
-        if have_numpy():
-            sink_factories.append(lambda gid: ColumnarSink(
-                str(tmp_path / f"col{gid}"), chunk_records=64))
         for make_sink in sink_factories:
             runtime = GroupRuntime()
             for gid, scenario in enumerate(scenarios):

@@ -373,7 +373,7 @@ def _property_scenario(trace_level, fault, n, seed):
 class TestCachedEqualsFresh:
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(trace_level=st.sampled_from(["full", "spill", "columnar"]),
+    @given(trace_level=st.sampled_from(["full", "decisions", "columnar"]),
            fault=st.sampled_from([None, "crash", "omission"]),
            n=st.integers(min_value=4, max_value=7),
            seed=st.integers(min_value=0, max_value=3))

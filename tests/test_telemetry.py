@@ -22,9 +22,8 @@ from repro.core import (GatherAllConsensus, TwoPhaseConsensus,
                         WPaxosConfig, WPaxosNode)
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
                           ColumnarSink, CorruptStrategy, CrashFaultModel,
-                          DecisionsSink, IndexedMemorySink,
                           OmissionFaultModel, OmissionPlan,
-                          SpillBudgetError, SpillSink, Telemetry,
+                          SpillBudgetError, Telemetry, Trace,
                           build_simulation, crash_plan)
 from repro.macsim.columnar import KIND_CODES
 from repro.macsim.events import DELIVER_PRIORITY, EventQueue
@@ -82,10 +81,8 @@ def _fault_scenarios():
 
 def _sink_factories(tmp_path, tag):
     return [
-        ("full", IndexedMemorySink),
-        ("decisions", DecisionsSink),
-        ("spill", lambda: SpillSink(str(tmp_path / f"sp-{tag}"),
-                                    chunk_records=256)),
+        ("full", Trace),
+        ("decisions", lambda: Trace("decisions")),
         ("columnar", lambda: ColumnarSink(str(tmp_path / f"co-{tag}"),
                                           chunk_records=256)),
     ]
@@ -110,8 +107,7 @@ class TestCountersMatchTrace:
     def test_all_sinks(self, tmp_path, name, graph, factory, sched,
                        model):
         # Reference counts from an untelemetered full-trace run.
-        _, ref = _run(graph, factory, sched, model,
-                      IndexedMemorySink())
+        _, ref = _run(graph, factory, sched, model, Trace())
         for sink_name, sink_cls in _sink_factories(tmp_path, name):
             telemetry = Telemetry()
             sim, result = _run(graph, factory, sched, model,
@@ -149,10 +145,9 @@ class TestCountersMatchTrace:
         }
         model = models[fault]
         telemetry = Telemetry()
-        _, plain = _run(graph, factory, sched, model,
-                        IndexedMemorySink())
+        _, plain = _run(graph, factory, sched, model, Trace())
         _, telem = _run(graph, factory, sched, model,
-                        IndexedMemorySink(), telemetry=telemetry)
+                        Trace(), telemetry=telemetry)
         # Byte-identity: telemetry must not perturb the trace.
         assert trace_to_json(telem.trace) == trace_to_json(plain.trace)
         for counter, kind in COUNTER_KINDS.items():
@@ -167,16 +162,18 @@ class TestCountersMatchTrace:
 
 
 class TestByteIdentityOnDisk:
-    """Spill-format exports are byte-identical with telemetry on/off."""
+    """Exports in both layouts -- ``jsonl-chunks`` from a FULL trace,
+    ``columnar-chunks`` from a ColumnarSink -- are byte-identical with
+    telemetry on/off."""
 
-    @pytest.mark.parametrize("fmt,cls", [("spill", SpillSink),
-                                         ("columnar", ColumnarSink)])
-    def test_export_bytes(self, tmp_path, fmt, cls):
+    @pytest.mark.parametrize("fmt", ["full", "columnar"])
+    def test_export_bytes(self, tmp_path, fmt):
         graph = clique(6)
         paths = []
         for tag in ("off", "on"):
-            sink = cls(str(tmp_path / f"{fmt}-{tag}"),
-                       chunk_records=128)
+            sink = (Trace() if fmt == "full" else
+                    ColumnarSink(str(tmp_path / f"{fmt}-{tag}"),
+                                 chunk_records=128))
             telemetry = Telemetry() if tag == "on" else None
             _run(graph, _wpaxos_factory(graph),
                  lambda: RandomDelayScheduler(1.0, seed=9),
@@ -200,7 +197,7 @@ class TestHistogramIdentity:
 
     def test_live_vs_jsonl_vs_columnar(self, tmp_path):
         telemetry = Telemetry()
-        _, result = self._seeded_run(IndexedMemorySink(), telemetry)
+        _, result = self._seeded_run(Trace(), telemetry)
         live = telemetry.snapshot()["spans"]
         assert live["f_ack"]["count"] > 0
         assert live["f_prog"]["count"] > 0
@@ -223,7 +220,7 @@ class TestHistogramIdentity:
 
     def test_embedded_snapshot_preferred(self, tmp_path):
         telemetry = Telemetry(label="pinned")
-        _, result = self._seeded_run(IndexedMemorySink(), telemetry)
+        _, result = self._seeded_run(Trace(), telemetry)
         path = str(tmp_path / "embedded.trace")
         save_trace(result.trace, path,
                    metadata={"telemetry": telemetry.snapshot()})
@@ -238,7 +235,7 @@ class TestHistogramIdentity:
     def test_render_stats_smoke(self, tmp_path):
         from repro.analysis.stats_report import _doc_from_snapshot
         telemetry = Telemetry(label="render")
-        self._seeded_run(IndexedMemorySink(), telemetry)
+        self._seeded_run(Trace(), telemetry)
         text = render_stats(_doc_from_snapshot(
             telemetry.snapshot(), "<live>", "telemetry"))
         assert "f_ack" in text
@@ -269,8 +266,8 @@ class TestAbortSnapshot:
         out_path = str(tmp_path / "abort.json")
         telemetry = Telemetry(label="budget", out_path=out_path)
         graph = clique(8)
-        sink = SpillSink(str(tmp_path / "sp"), chunk_records=64,
-                         max_bytes=8_000)
+        sink = ColumnarSink(str(tmp_path / "sp"), chunk_records=64,
+                            max_bytes=1_000)
         sim = build_simulation(
             graph, _wpaxos_factory(graph), SynchronousScheduler(1.0),
             trace_sink=sink, telemetry=telemetry)

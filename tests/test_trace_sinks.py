@@ -1,7 +1,7 @@
 """PR 3 trace-pipeline tests: sink equivalence (FULL / DECISIONS /
-SPILL) under fault models, batched delivery scheduling byte-identity,
-SpillSink replay + bounded queries, streaming export (schema v3 with
-v1/v2 compat), and structured sweep keys."""
+COLUMNAR) under fault models, batched delivery scheduling
+byte-identity, disk-sink replay and reload, streaming export (schema
+v3 with v1/v2 compat), and structured sweep keys."""
 
 import json
 import os
@@ -17,10 +17,9 @@ from repro.analysis.export import (iter_saved_records, load_crashes,
 from repro.core import (BenOrConsensus, GatherAllConsensus,
                         TwoPhaseConsensus, WPaxosConfig, WPaxosNode)
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
-                          CorruptStrategy, CrashFaultModel,
-                          DecisionsSink, EquivocateStrategy,
-                          IndexedMemorySink, OmissionFaultModel,
-                          OmissionPlan, SilentStrategy, SpillSink, Trace,
+                          ColumnarSink, CorruptStrategy, CrashFaultModel,
+                          EquivocateStrategy, OmissionFaultModel,
+                          OmissionPlan, SilentStrategy, Trace,
                           TraceLevel, build_simulation, check_consensus,
                           check_model_invariants, crash_plan, make_sink)
 from repro.macsim import TraceSink as TraceSinkBase
@@ -113,16 +112,15 @@ class TestSinkEquivalenceUnderFaults:
         _fault_scenarios(), ids=[s[0] for s in _fault_scenarios()])
     def test_counters_and_verdicts_match_full(
             self, tmp_path, name, graph, factory, sched, model):
-        full = _run_with_sink(graph, factory, sched, model,
-                              IndexedMemorySink())
+        full = _run_with_sink(graph, factory, sched, model, Trace())
         fast = _run_with_sink(graph, factory, sched, model,
-                              DecisionsSink())
-        spill = _run_with_sink(
+                              Trace("decisions"))
+        disk = _run_with_sink(
             graph, factory, sched, model,
-            SpillSink(str(tmp_path / name), chunk_records=512))
+            ColumnarSink(str(tmp_path / name), chunk_records=512))
 
         reference = full.trace
-        for result in (fast, spill):
+        for result in (fast, disk):
             trace = result.trace
             assert result.decisions == full.decisions
             assert result.decision_times == full.decision_times
@@ -142,12 +140,11 @@ class TestSinkEquivalenceUnderFaults:
     @pytest.mark.parametrize(
         "name,graph,factory,sched,model",
         _fault_scenarios(), ids=[s[0] for s in _fault_scenarios()])
-    def test_spill_replay_matches_full_structurally(
+    def test_columnar_replay_matches_full_structurally(
             self, tmp_path, name, graph, factory, sched, model):
-        full = _run_with_sink(graph, factory, sched, model,
-                              IndexedMemorySink())
-        sink = SpillSink(str(tmp_path / name), chunk_records=256)
-        spill = _run_with_sink(graph, factory, sched, model, sink)
+        full = _run_with_sink(graph, factory, sched, model, Trace())
+        sink = ColumnarSink(str(tmp_path / name), chunk_records=256)
+        disk = _run_with_sink(graph, factory, sched, model, sink)
         assert len(sink) == len(full.trace)
         for mine, ref in zip(sink, full.trace):
             assert (mine.time, mine.kind, mine.node, mine.broadcast_id,
@@ -155,14 +152,14 @@ class TestSinkEquivalenceUnderFaults:
                                    ref.broadcast_id, ref.peer)
             expected = None if ref.payload is None else repr(ref.payload)
             assert mine.payload == expected
-        # The streaming invariant replay accepts the spilled trace
+        # The streaming invariant replay accepts the disk trace
         # exactly like the in-RAM one.
         faulty = frozenset(model().faulty_nodes())
         for trace in (full.trace, sink):
             report = check_model_invariants(graph, trace, 1.0,
                                             faulty=faulty)
             assert report.ok, (name, report.violations[:3])
-        assert spill.events_processed == full.events_processed
+        assert disk.events_processed == full.events_processed
 
 
 class TestSinkPropertyEquivalence:
@@ -193,10 +190,11 @@ class TestSinkPropertyEquivalence:
                     else RandomDelayScheduler(1.0, seed=seed))
 
         outcomes = []
-        for level in ("full", "decisions", "spill"):
-            if level == "spill":
+        for level in ("full", "decisions", "columnar"):
+            if level == "columnar":
                 base = tmp_path_factory.mktemp("sink-prop")
-                sink = SpillSink(str(base / "s"), chunk_records=128)
+                sink = make_sink(level, directory=str(base / "s"),
+                                 chunk_records=128)
             else:
                 sink = make_sink(level)
             sim = build_simulation(graph, factory, sched(),
@@ -290,69 +288,28 @@ class TestBatchedDeliveryScheduling:
         assert delivered and delivered == expected[:len(delivered)]
 
 
-class TestSpillSink:
-    def test_chunking_and_len(self, tmp_path):
-        sink = SpillSink(str(tmp_path / "s"), chunk_records=10)
-        for i in range(35):
-            sink.record(float(i), "deliver", i % 4, broadcast_id=i,
-                        peer=(i + 1) % 4, payload=("m", i))
-        assert len(sink.chunk_paths()) == 3  # 30 spilled, 5 buffered
-        assert len(sink) == 35
-        sink.close()
-        assert len(sink.chunk_paths()) == 4
-        records = list(sink)
-        assert len(records) == 35
-        assert [r.broadcast_id for r in records] == list(range(35))
-        assert records[0].payload == repr(("m", 0))
+class TestTraceLevels:
+    """Three levels, two sink classes: ``Trace`` keeps a run in RAM at
+    ``full`` or ``decisions``, ``ColumnarSink`` writes it to disk."""
 
-    def test_tuple_labels_round_trip(self, tmp_path):
-        sink = SpillSink(str(tmp_path / "s"))
-        sink.record(0.0, "deliver", (1, 2), broadcast_id=0,
-                    peer=(0, 0), payload="x")
-        sink.close()
-        rec = next(iter(sink))
-        assert rec.node == (1, 2)
-        assert rec.peer == (0, 0)
-        assert sink.for_node((1, 2)) == [rec]
+    def test_levels_are_full_decisions_columnar(self):
+        assert [level.value for level in TraceLevel] \
+            == ["full", "decisions", "columnar"]
 
-    def test_essential_kinds_keep_original_payloads(self, tmp_path):
-        sink = SpillSink(str(tmp_path / "s"))
-        value = ("decision", 1)
-        sink.record(1.0, "decide", 0, payload=value)
-        sink.record(2.0, "crash", 1)
-        assert sink.decisions() == {0: value}  # original object
-        assert sink.decision_times() == {0: 1.0}
-        assert sink.crashed_nodes() == {1}
-        assert sink.of_kind("decide")[0].payload is value
-        # ... while the replay stream carries the repr.
-        assert [r.payload for r in sink if r.kind == "decide"] \
-            == [repr(value)]
+    @pytest.mark.parametrize("level", ["full", "decisions"])
+    def test_memory_levels_build_a_trace(self, level):
+        sink = make_sink(level)
+        assert type(sink) is Trace
+        assert sink.level is TraceLevel(level)
 
-    def test_owned_tempdir_cleanup(self):
-        sink = SpillSink(chunk_records=2)
-        for i in range(5):
-            sink.record(float(i), "ack", 0, broadcast_id=i)
-        sink.close()
-        directory = sink.directory
-        assert os.path.isdir(directory)
-        sink.cleanup()
-        assert not os.path.isdir(directory)
+    @pytest.mark.parametrize("level", ["full", "decisions"])
+    def test_memory_levels_reject_spill_options(self, tmp_path, level):
+        with pytest.raises(ValueError, match="spill options"):
+            make_sink(level, directory=str(tmp_path / "s"))
 
-    def test_unknown_kind_rejected(self, tmp_path):
-        sink = SpillSink(str(tmp_path / "s"))
+    def test_spill_is_not_a_level(self):
         with pytest.raises(ValueError):
-            sink.record(0.0, "nope", 0)
-
-    def test_run_consensus_checks_invariants_on_spill(self, tmp_path):
-        graph = clique(6)
-        metrics = run_consensus(
-            algorithm="two-phase", topology="clique(6)", graph=graph,
-            scheduler=SynchronousScheduler(1.0),
-            factory=lambda v, val: TwoPhaseConsensus(v + 1, val),
-            trace_sink=SpillSink(str(tmp_path / "s"),
-                                 chunk_records=64))
-        assert metrics.correct
-        assert metrics.broadcasts > 0
+            make_sink("spill")
 
 
 class TestStreamingExport:
@@ -400,32 +357,33 @@ class TestStreamingExport:
         assert load_crashes(path) == plans
         assert load_metadata(path) == {"legacy": True}
 
-    def test_spill_sink_exports_without_double_repr(self, tmp_path):
+    def test_columnar_sink_exports_without_double_repr(self, tmp_path):
         graph = clique(4)
-        sink = SpillSink(str(tmp_path / "s"), chunk_records=16)
+        sink = ColumnarSink(str(tmp_path / "s"), chunk_records=16)
         ref = self._sample()
         sim = build_simulation(
             graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
             SynchronousScheduler(1.0), trace_sink=sink)
         sim.run()
         sink.close()
-        spill_path = str(tmp_path / "spill.json")
+        disk_path = str(tmp_path / "disk.json")
         full_path = str(tmp_path / "full.json")
-        save_trace(sink, spill_path)
+        save_trace(sink, disk_path)
         save_trace(ref, full_path)
-        spill_recs = list(iter_saved_records(spill_path))
+        disk_recs = list(iter_saved_records(disk_path))
         full_recs = list(iter_saved_records(full_path))
-        assert [(r.kind, r.node, r.payload) for r in spill_recs] \
+        assert [(r.kind, r.node, r.payload) for r in disk_recs] \
             == [(r.kind, r.node, r.payload) for r in full_recs]
 
-    def test_load_into_spill_sink_is_streamed(self, tmp_path):
+    def test_load_into_columnar_sink_is_streamed(self, tmp_path):
         trace = self._sample()
         path = str(tmp_path / "t.json")
         save_trace(trace, path, chunk_records=5)
-        sink = load_trace(path, sink=SpillSink(str(tmp_path / "s"),
-                                               chunk_records=5))
+        sink = load_trace(path, sink=ColumnarSink(str(tmp_path / "s"),
+                                                  chunk_records=5))
         sink.close()
-        assert isinstance(sink, SpillSink)
+        assert isinstance(sink, ColumnarSink)
+        assert len(sink.chunk_paths()) > 1
         assert len(sink) == len(trace)
         assert sink.broadcast_count() == trace.broadcast_count()
 
@@ -433,7 +391,8 @@ class TestStreamingExport:
 class TestReviewRegressions:
     """Fixes pinned from the PR 3 review pass."""
 
-    def test_reload_into_spill_sink_does_not_double_repr(self, tmp_path):
+    def test_reload_into_columnar_sink_does_not_double_repr(self,
+                                                            tmp_path):
         graph = clique(4)
         sim = build_simulation(
             graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
@@ -442,8 +401,8 @@ class TestReviewRegressions:
         original = str(tmp_path / "orig.json")
         save_trace(sim.trace, original)
         reloaded = load_trace(original,
-                              sink=SpillSink(str(tmp_path / "s"),
-                                             chunk_records=8))
+                              sink=ColumnarSink(str(tmp_path / "s"),
+                                                chunk_records=8))
         reloaded.close()
         # Payloads come back as the *single* repr from the export...
         by_payload = [r.payload for r in reloaded if r.kind == "broadcast"]
@@ -454,7 +413,8 @@ class TestReviewRegressions:
         # ...and re-exporting the reloaded sink round-trips.
         reexport = str(tmp_path / "again.json")
         save_trace(reloaded, reexport)
-        assert list(open(original))[1:] == list(open(reexport))[1:]
+        assert list(iter_saved_records(original)) \
+            == list(iter_saved_records(reexport))
 
     def test_third_party_sink_only_needs_the_protocol(self):
         class CountingSink(TraceSinkBase):
