@@ -29,8 +29,7 @@ from .macsim import (CrashPlan, EdgeChurn, NodeChurn, Process,
                      RandomWaypoint, RunResult, ScriptedDynamics,
                      Simulator, TopologyDelta, TopologyDynamics,
                      build_simulation, check_consensus,
-                     check_model_invariants, connectivity_report,
-                     crash_plan)
+                     check_model_invariants, connectivity_report)
 from .macsim.schedulers import (AdversarialUnreliableScheduler,
                                 BernoulliUnreliableScheduler,
                                 JitteredRoundScheduler,
@@ -65,7 +64,6 @@ __all__ = [
     "RunResult",
     "Process",
     "CrashPlan",
-    "crash_plan",
     "check_consensus",
     "check_model_invariants",
     # schedulers

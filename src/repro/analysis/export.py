@@ -37,7 +37,8 @@ in-memory diff/archival format for small traces (and what the
 byte-identity tests compare).
 
 Crash *scenarios* round-trip losslessly: ``save_trace(...,
-crashes=plans)`` serializes each :class:`~repro.macsim.crash.CrashPlan`
+crashes=plans)`` serializes each
+:class:`~repro.macsim.faults.crash.CrashPlan`
 via its ``to_dict`` (the None / empty / subset distinction of
 ``still_delivered`` survives -- frozen sets no longer stringify), and
 :func:`load_crashes` rebuilds equal plans that can re-drive a
@@ -50,7 +51,7 @@ import json
 import struct
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from ..macsim.crash import CrashPlan
+from ..macsim.faults import CrashPlan
 from ..macsim.trace import Trace, TraceRecord, TraceSink
 
 #: Schema version stamped into streamed file exports.

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..macsim import build_simulation
-from ..macsim.crash import CrashPlan
 from ..macsim.errors import ModelViolationError
 from ..macsim.invariants import InvariantAuditor, check_model_invariants
 from ..macsim.trace import TraceLevel, TraceSink, make_sink
@@ -34,7 +33,6 @@ def run_consensus(*, algorithm: str, topology: str, graph, scheduler,
                   max_time: Optional[float] = None,
                   check_invariants: bool = True,
                   fault_model=None,
-                  crashes: Iterable[CrashPlan] = (),
                   unreliable_graph=None,
                   dynamics=None,
                   trace_level: "TraceLevel | str" = TraceLevel.FULL,
@@ -57,12 +55,14 @@ def run_consensus(*, algorithm: str, topology: str, graph, scheduler,
     columnar traces on disk).
 
     ``fault_model`` is an optional
-    :class:`~repro.macsim.faults.base.FaultModel` adversary; when
-    present, invariants and consensus properties are scoped to its
-    correct (non-faulty) nodes. ``crashes`` is the legacy crash-plan
-    API (crashed nodes execute their program correctly, so they are
-    *not* treated as faulty for validity); the two are mutually
-    exclusive. ``unreliable_graph`` runs the dual-graph model variant.
+    :class:`~repro.macsim.faults.base.FaultModel` adversary, the one
+    way to inject faults; invariants and consensus properties are
+    scoped to its correct nodes (the complement of
+    ``faulty_nodes()``). Crash plans arrive as a
+    :class:`~repro.macsim.faults.crash.CrashFaultModel`, which names no
+    faulty node: a crashed node runs its program correctly until it
+    stops, and the trace's ``crash`` records tell the checkers who
+    stopped. ``unreliable_graph`` runs the dual-graph model variant.
 
     ``dynamics`` is an optional
     :class:`~repro.macsim.dynamics.base.TopologyDynamics` model: the
@@ -110,7 +110,6 @@ def run_consensus(*, algorithm: str, topology: str, graph, scheduler,
         sink.attach_auditor(auditor)
     sim = build_simulation(graph, lambda v: factory(v, values[v]),
                            scheduler, fault_model=fault_model,
-                           crashes=crashes,
                            unreliable_graph=unreliable_graph,
                            dynamics=dynamics, trace_sink=sink,
                            telemetry=telemetry)

@@ -311,7 +311,7 @@ def sweep(name: str, xs: Sequence[Any],
     ``build(key)`` returns the keyword arguments for
     :func:`run_consensus` at that sweep point: ``graph``,
     ``scheduler``, ``factory`` and optionally ``initial_values`` /
-    ``topology`` / ``crashes`` / ``unreliable_graph`` /
+    ``topology`` / ``fault_model`` / ``unreliable_graph`` /
     ``check_invariants`` / ``probe``, plus ``x`` to pin the point's
     scalar axis when the key alone does not determine it. A cell's own
     ``algorithm`` label (default: ``name``), ``max_events``,

@@ -16,7 +16,7 @@ Subcommands::
 ``run`` executes one consensus instance and prints its metrics; every
 flag combination is internally a :class:`repro.scenario.Scenario`, so
 ``--dump-scenario`` prints the equivalent JSON description and
-``--scenario`` executes one from a file. Exported traces (schema v5)
+``--scenario`` executes one from a file. Exported traces (schema v6)
 embed the scenario, and ``replay`` re-executes a saved trace's
 embedded scenario and verifies the records match byte for byte.
 ``--list-algorithms`` / ``--list-topologies`` / ``--list-schedulers``
@@ -47,18 +47,17 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Optional
 
 from .analysis.export import (iter_saved_records, iter_trace_dicts,
                               load_scenario, record_to_dict, save_trace)
-from .analysis.metrics import collect_metrics
-from .macsim import check_consensus
+from .analysis.runner import run_consensus
+from .macsim.errors import ModelViolationError
+from .macsim.trace import make_sink
 from .registry import (ALGORITHMS, DYNAMICS, SCHEDULERS, TOPOLOGIES,
                        UnknownNameError)
-from .scenario import (BYZANTINE_STRATEGIES, AlgorithmSpec, FaultSpec,
-                       Scenario, ScenarioError, SchedulerSpec,
-                       TopologySpec, parse_dynamics_spec,
-                       parse_topology_spec)
+from .scenario import (BYZANTINE_STRATEGIES, AlgorithmSpec, DynamicsSpec,
+                       FaultSpec, Scenario, ScenarioError, SchedulerSpec,
+                       parse_spec, parse_topology_spec)
 
 #: Flag defaults, applied after ``--scenario`` merging so an explicit
 #: flag overrides the scenario file while an omitted one defers to it.
@@ -92,40 +91,6 @@ def _scheduler_accepts(name: str, param: str) -> bool:
 def make_scheduler(name: str, f_ack: float, seed: int):
     params = {"f_ack": f_ack} if _scheduler_accepts(name, "f_ack") else {}
     return SchedulerSpec(name, **params).build(seed=seed)
-
-
-def _fault_spec_from_args(args: argparse.Namespace) -> Optional[FaultSpec]:
-    """The fault model requested by the ``run`` flags, as a spec.
-
-    The faulty nodes are taken from the *end* of the canonical node
-    order, so ``--byzantine 2`` on ``clique:8`` makes nodes 6 and 7
-    Byzantine. Only one fault family may be active per run.
-    """
-    if args.byzantine < 0 or args.omission < 0:
-        raise SystemExit("--byzantine/--omission take a non-negative "
-                         "node count")
-    requested = [name for name, flag in
-                 (("byzantine", args.byzantine),
-                  ("omission", args.omission),
-                  ("crash", args.crash)) if flag]
-    if len(requested) > 1:
-        raise SystemExit("choose one of --byzantine/--omission/--crash")
-    if args.byzantine:
-        return FaultSpec("byzantine", count=args.byzantine,
-                         strategy=args.byz_strategy)
-    if args.omission:
-        return FaultSpec("omission", count=args.omission, send=True,
-                         receive=False)
-    if args.crash:
-        node, _, when = args.crash.partition("@")
-        label = int(node) if node.isdigit() else node
-        try:
-            time = float(when) if when else 1.0
-        except ValueError:
-            raise SystemExit(f"--crash: TIME must be a number, got "
-                             f"{when!r}")
-        return FaultSpec("crash", node=label, time=time)
-    return None
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
@@ -174,12 +139,12 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
             base = base.override({"trace_level": args.trace_level})
         if args.max_time is not None:
             base = base.override({"max_time": args.max_time})
-        fault = _fault_spec_from_args(args)
-        if fault is not None:
-            base = base.override({"fault": fault})
+        if args.fault is not None:
+            base = base.override(
+                {"fault": parse_spec(args.fault, FaultSpec)})
         if args.dynamics is not None:
             base = base.override(
-                {"dynamics": parse_dynamics_spec(args.dynamics)})
+                {"dynamics": parse_spec(args.dynamics, DynamicsSpec)})
         if args.telemetry is not None:
             base = base.override({"telemetry": True})
         return base
@@ -202,8 +167,9 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         algorithm=AlgorithmSpec(algorithm),
         topology=parse_topology_spec(topology),
         scheduler=scheduler_spec,
-        fault=_fault_spec_from_args(args),
-        dynamics=(parse_dynamics_spec(args.dynamics)
+        fault=(parse_spec(args.fault, FaultSpec)
+               if args.fault else None),
+        dynamics=(parse_spec(args.dynamics, DynamicsSpec)
                   if args.dynamics else None),
         seed=seed,
         trace_level=trace_level,
@@ -250,50 +216,52 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        resolved = scenario.resolve()
+        kwargs = scenario.run_kwargs()
     except (ScenarioError, UnknownNameError, ValueError,
             TypeError) as exc:
         raise SystemExit(str(exc)) from None
-    graph = resolved.graph
-    scheduler = resolved.scheduler
-    fault_model = resolved.fault_model
-    values = resolved.initial_values
+    graph = kwargs["graph"]
+    scheduler = kwargs["scheduler"]
+    fault_model = kwargs.get("fault_model")
+    dynamics = kwargs.get("dynamics")
     faulty = (frozenset() if fault_model is None
               else frozenset(fault_model.faulty_nodes()))
-    untrusted = (frozenset() if fault_model is None
-                 else frozenset(fault_model.lying_nodes()))
     telemetry = None
     if scenario.telemetry:
         from .macsim.telemetry import Telemetry
         telemetry = Telemetry(label=scenario.display_label())
-    result = resolved.simulate(telemetry=telemetry)
-    report = check_consensus(result.trace, values, faulty=faulty,
-                             untrusted=untrusted)
-    topology_display = scenario.display_label()
-    metrics = collect_metrics(
-        algorithm=scenario.algorithm.name, topology=topology_display,
-        graph=graph, scheduler=scheduler, result=result,
-        initial_values=values, faulty=faulty, untrusted=untrusted)
+    sink = make_sink(scenario.trace_level)
+    try:
+        metrics = run_consensus(trace_sink=sink, telemetry=telemetry,
+                                **kwargs)
+    except ModelViolationError as exc:
+        print(f"invariants:     VIOLATED: {exc}")
+        # The run that broke the model is the one most worth replaying.
+        if args.trace_out:
+            _write_run_trace(args.trace_out, sink, scenario, kwargs,
+                             telemetry)
+        return 1
 
     print(f"algorithm:      {scenario.algorithm.name}")
-    print(f"topology:       {topology_display} "
+    print(f"topology:       {metrics.topology} "
           f"(n={graph.n}, D={metrics.diameter})")
     print(f"scheduler:      {scheduler.describe()}")
     if fault_model is not None:
         print(f"fault model:    {fault_model.describe()} "
               f"(faulty: {sorted(map(str, faulty))})")
-    if resolved.dynamics is not None:
-        from .macsim.dynamics import connectivity_report
-        conn = connectivity_report(graph, result.trace)
-        print(f"dynamics:       {resolved.dynamics.describe()} "
+    if dynamics is not None:
+        conn = metrics.extras["connectivity"]
+        print(f"dynamics:       {dynamics.describe()} "
               f"({conn['topologies']} topologies, "
               f"{conn['topo_events']} topo events, "
               f"T-interval connectivity {conn['max_t_interval']})")
     scope = " (among correct nodes)" if faulty else ""
-    print(f"consensus:      agreement={report.agreement} "
-          f"validity={report.validity} "
-          f"termination={report.termination}{scope}")
-    print(f"decision:       {sorted(set(report.decisions.values()))}")
+    decided = {value for node, value in sink.decisions().items()
+               if node not in faulty}
+    print(f"consensus:      agreement={metrics.agreement} "
+          f"validity={metrics.validity} "
+          f"termination={metrics.termination}{scope}")
+    print(f"decision:       {sorted(decided)}")
     print(f"decision time:  {metrics.last_decision} "
           f"({metrics.normalized_time} x F_ack)")
     print(f"broadcasts:     {metrics.broadcasts} "
@@ -301,7 +269,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if telemetry is not None:
         telemetry.context.update(
             algorithm=scenario.algorithm.name,
-            topology=topology_display,
+            topology=metrics.topology,
             scheduler=scheduler.describe(), seed=scenario.seed,
             fault_model=(fault_model.describe()
                          if fault_model is not None else None))
@@ -314,23 +282,31 @@ def cmd_run(args: argparse.Namespace) -> int:
             telemetry.write(args.telemetry)
             print(f"telemetry written: {args.telemetry}")
     if args.trace_out:
-        crashes = (fault_model.crash_plans()
-                   if fault_model is not None else ())
-        metadata = {
-            "algorithm": scenario.algorithm.name,
-            "topology": topology_display,
-            "scheduler": scheduler.describe(), "seed": scenario.seed,
-            "fault_model": (fault_model.describe()
-                            if fault_model is not None else None)}
-        if telemetry is not None:
-            # `repro stats` on this export reads the live snapshot
-            # instead of re-deriving spans from the records.
-            metadata["telemetry"] = telemetry.snapshot()
-        save_trace(result.trace, args.trace_out, metadata=metadata,
-                   crashes=crashes, scenario=scenario)
-        print(f"trace written:  {args.trace_out} "
-              f"({len(result.trace)} records)")
-    return 0 if report.ok else 1
+        _write_run_trace(args.trace_out, sink, scenario, kwargs,
+                         telemetry)
+    return 0 if metrics.correct else 1
+
+
+def _write_run_trace(path: str, sink, scenario: Scenario, kwargs: dict,
+                     telemetry) -> None:
+    """Export ``repro run``'s closed trace sink with its scenario."""
+    fault_model = kwargs.get("fault_model")
+    metadata = {
+        "algorithm": scenario.algorithm.name,
+        "topology": kwargs["topology"],
+        "scheduler": kwargs["scheduler"].describe(),
+        "seed": scenario.seed,
+        "fault_model": (fault_model.describe()
+                        if fault_model is not None else None)}
+    if telemetry is not None:
+        # `repro stats` on this export reads the live snapshot
+        # instead of re-deriving spans from the records.
+        metadata["telemetry"] = telemetry.snapshot()
+    save_trace(sink, path, metadata=metadata,
+               crashes=(fault_model.crash_plans()
+                        if fault_model is not None else ()),
+               scenario=scenario)
+    print(f"trace written:  {path} ({len(sink)} records)")
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
@@ -513,8 +489,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         scenario=args.scenario, algorithm=args.algorithm,
         topology=args.topology, scheduler=args.scheduler,
         f_ack=args.f_ack, seed=args.seed, trace_level=None,
-        max_time=args.max_time, byzantine=0, omission=0, crash=None,
-        byz_strategy="corrupt", dynamics=None, telemetry=None)
+        max_time=args.max_time, fault=None, dynamics=None,
+        telemetry=None)
     try:
         base = _scenario_from_args(scenario_ns)
     except (ScenarioError, UnknownNameError, ValueError) as exc:
@@ -982,17 +958,16 @@ def build_parser() -> argparse.ArgumentParser:
                             "(~1 B/record, replayable in bounded "
                             "memory, vectorized replay; the "
                             "10^8-event mode)")
-    run_p.add_argument("--byzantine", type=int, default=0,
-                       metavar="K",
-                       help="make the last K nodes Byzantine")
-    run_p.add_argument("--byz-strategy", default="corrupt",
-                       choices=sorted(BYZANTINE_STRATEGIES),
-                       help="Byzantine strategy (with --byzantine)")
-    run_p.add_argument("--omission", type=int, default=0, metavar="K",
-                       help="make the last K nodes send-omission "
-                            "faulty")
-    run_p.add_argument("--crash", default=None, metavar="NODE[@TIME]",
-                       help="crash NODE at TIME (default 1.0)")
+    run_p.add_argument("--fault", default=None,
+                       metavar="NAME[:K=V,...]",
+                       help="inject a fault model: "
+                            "crash:node=N,time=T (T defaults to "
+                            "1.0), omission:K (the last K nodes "
+                            "send-omission faulty), "
+                            "byzantine:count=K,strategy=S (the last "
+                            "K nodes; S one of "
+                            f"{', '.join(sorted(BYZANTINE_STRATEGIES))}"
+                            ", default corrupt)")
     run_p.add_argument("--telemetry", nargs="?", const=True,
                        default=None, metavar="OUT.json",
                        help="collect run telemetry (engine counters, "

@@ -17,7 +17,7 @@ from __future__ import annotations
 from ..analysis import parallel_sweep
 from ..core.randomized import BenOrConsensus
 from ..core.twophase import TwoPhaseConsensus
-from ..macsim import build_simulation, check_consensus, crash_plan
+from ..macsim import CrashFaultModel, CrashPlan, check_consensus
 from ..macsim.schedulers import RandomDelayScheduler
 from ..topology import clique
 from .common import ExperimentReport
@@ -31,8 +31,7 @@ def _build_point(key):
     (n, f), seed = key
     graph = clique(n)
     values = {v: v % 2 for v in graph.nodes}
-    crash_count = min(f, 1)
-    crashes = [crash_plan(0, 1.5, still_delivered=frozenset({1}))]
+    crashes = [CrashPlan(0, 1.5, still_delivered={1})][:min(f, 1)]
 
     def factory(v, val):
         return BenOrConsensus(v + 1, val, n, f, seed=seed * 31 + v)
@@ -44,7 +43,7 @@ def _build_point(key):
     return dict(graph=graph,
                 scheduler=RandomDelayScheduler(1.0, seed=seed),
                 factory=factory, initial_values=values,
-                crashes=crashes[:crash_count],
+                fault_model=CrashFaultModel(crashes),
                 topology=f"clique({n})", check_invariants=False,
                 probe=probe, x=n)
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Any, FrozenSet, Optional, Tuple
 
 from ..core.twophase import BIVALENT, Phase1Message, Phase2Message
-from ..macsim import CrashPlan, Simulator, build_simulation
+from ..macsim import (CrashFaultModel, CrashPlan, Simulator,
+                      build_simulation)
 from ..macsim.schedulers import ScriptedScheduler, ScriptedStep
 from ..topology import clique
 from .steps import StepAlgorithm
@@ -193,11 +194,10 @@ def build_witness_deadlock_execution() -> Simulator:
         ],
     }
     scheduler = ScriptedScheduler(scripts, f_ack=100.0)
-    crashes = [CrashPlan(node=0, time=3.0,
-                         still_delivered=frozenset())]
     return build_simulation(
         graph,
         lambda v: TwoPhaseConsensus(uid=v, initial_value=values[v]),
         scheduler,
-        crashes=crashes,
+        fault_model=CrashFaultModel(
+            [CrashPlan(node=0, time=3.0, still_delivered=())]),
     )

@@ -16,13 +16,12 @@ Entry points:
 * :mod:`repro.macsim.invariants` -- post-hoc model/consensus checking.
 """
 
-from .crash import CrashPlan, crash_plan
 from .errors import (ConfigurationError, MacSimError, ModelViolationError,
                      ProcessError, SimulationLimitError)
 from .faults import (DROP, ByzantineFaultModel, ByzantinePlan,
                      ByzantineStrategy, CorruptStrategy, CrashFaultModel,
-                     EquivocateStrategy, FaultModel, OmissionFaultModel,
-                     OmissionPlan, SilentStrategy)
+                     CrashPlan, EquivocateStrategy, FaultModel,
+                     OmissionFaultModel, OmissionPlan, SilentStrategy)
 from .dynamics import (EdgeChurn, NodeChurn, RandomWaypoint,
                        ScriptedDynamics, TopologyDelta, TopologyDynamics,
                        connectivity_report)
@@ -38,7 +37,6 @@ from . import dynamics, faults, schedulers
 
 __all__ = [
     "CrashPlan",
-    "crash_plan",
     "DROP",
     "FaultModel",
     "CrashFaultModel",

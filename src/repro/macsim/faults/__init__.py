@@ -21,10 +21,11 @@ Hook points
   model may act whenever simulated time advances, e.g. forge a
   Byzantine node's decision.
 
-Crash semantics ride on the engine's original crash machinery via
-``FaultModel.crash_plans`` -- :class:`CrashFaultModel` is a thin
-wrapper whose executions are byte-identical to the legacy ``crashes=``
-API (which the simulator now normalizes into it).
+Crash semantics ride on the engine's own crash machinery via
+``FaultModel.crash_plans``: :class:`CrashFaultModel` wraps
+:class:`CrashPlan` instances and intercepts nothing. A fault model is
+the one way to inject a fault (``Simulator(..., fault_model=...)``, or
+a ``FaultSpec`` in a scenario).
 
 Fast-path contract
 ------------------
@@ -37,21 +38,25 @@ hot path bit-for-bit.
 Correct-node scoping
 --------------------
 ``FaultModel.faulty_nodes()`` names every node the model may make
-deviate. The checkers in :mod:`repro.macsim.invariants` take that set
-via their ``faulty=`` parameter: under Byzantine faults, agreement and
-validity are only meaningful *among correct (non-Byzantine) nodes* --
-a Byzantine node may "decide" anything, deliver corrupted payloads,
-and skip the ack coverage rule for its own broadcasts, none of which
-counts against the protocol. Omission/crash drops are additionally
-audited: a ``drop`` trace record whose sender *and* receiver are both
-correct is a model violation.
+deviate from its program. The checkers in
+:mod:`repro.macsim.invariants` take that set via their ``faulty=``
+parameter: under Byzantine faults, agreement and validity are only
+meaningful *among correct (non-Byzantine) nodes* -- a Byzantine node
+may "decide" anything, deliver corrupted payloads, and skip the ack
+coverage rule for its own broadcasts, none of which counts against the
+protocol. A crashed node is *not* faulty in this sense: it runs its
+program correctly until it stops, and the trace's ``crash`` records
+tell the checkers who stopped, so :class:`CrashFaultModel` names no
+faulty node and crash runs get the full audit. Omission drops are
+additionally audited: a ``drop`` trace record whose sender *and*
+receiver are both correct is a model violation.
 """
 
 from .base import (DROP, FaultModel, forge_payload, payload_value)
 from .byzantine import (ByzantineFaultModel, ByzantinePlan,
                         ByzantineStrategy, CorruptStrategy,
                         EquivocateStrategy, SilentStrategy)
-from .crash import CrashFaultModel
+from .crash import CrashFaultModel, CrashPlan
 from .omission import OmissionFaultModel, OmissionPlan
 
 __all__ = [
@@ -60,6 +65,7 @@ __all__ = [
     "forge_payload",
     "payload_value",
     "CrashFaultModel",
+    "CrashPlan",
     "OmissionFaultModel",
     "OmissionPlan",
     "ByzantineFaultModel",

@@ -16,11 +16,11 @@ simulator consults the model at three boundaries:
   register simulator observers and act whenever simulated time
   advances (e.g. forge a Byzantine node's decision).
 
-Crash semantics stay on the engine's existing crash machinery: a model
-contributes :class:`~repro.macsim.crash.CrashPlan` instances through
-:meth:`FaultModel.crash_plans` and the engine schedules/cancels events
-exactly as it always has, so the crash-only path is byte-identical to
-the legacy ``crashes=`` API.
+Crash semantics stay on the engine's own crash machinery: a model
+contributes :class:`~repro.macsim.faults.crash.CrashPlan` instances
+through :meth:`FaultModel.crash_plans` and the engine schedules the
+crash events and cancels the deliveries they cut off. A model is the
+only way a crash reaches the engine.
 
 Hook discipline: both hooks return ``None`` from the base class, which
 tells the simulator the model never intercepts that boundary -- the
@@ -41,9 +41,11 @@ time, and crash plans cancel batched receivers individually.
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass, replace
-from typing import Any, Callable, FrozenSet, Iterable, Optional
+from typing import (TYPE_CHECKING, Any, Callable, FrozenSet, Iterable,
+                    Optional)
 
-from ..crash import CrashPlan
+if TYPE_CHECKING:
+    from .crash import CrashPlan
 
 
 class _Drop:
@@ -99,8 +101,8 @@ class FaultModel:
     def lying_nodes(self) -> FrozenSet[Any]:
         """Nodes whose *claims* (including inputs) cannot be trusted.
 
-        Distinct from :meth:`faulty_nodes`: crash- and omission-faulty
-        nodes execute their program correctly -- their inputs remain
+        Distinct from :meth:`faulty_nodes`: omission-faulty nodes
+        execute their program correctly -- their inputs remain
         legitimate decision values under the standard crash-fault
         validity -- whereas a Byzantine node's input is whatever the
         adversary claims it is. Validity checking excludes only the

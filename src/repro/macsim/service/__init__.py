@@ -22,8 +22,7 @@ Layers (bottom up):
 * :mod:`.loop` -- :class:`ConsensusService`: the virtual-time serve
   loop (latency = commit - arrival) over one resolved scenario
   template reseeded per slot, with per-group telemetry attribution.
-* :mod:`.placement` -- rendezvous group placement and
-  ``NodeChurn``-driven rebalancing.
+* :mod:`.placement` -- rendezvous-hash group placement.
 * :mod:`.sharded` -- :class:`ShardedService`: fork one engine per
   core, aggregate exactly.
 * :mod:`.tracing` -- :class:`RequestTracer` span trees
@@ -35,9 +34,7 @@ Layers (bottom up):
 from .frontend import Request, ServiceFrontend
 from .loop import (ConsensusService, GroupStats, ServiceReport,
                    latency_summary, slot_scenario, slot_seed)
-from .placement import (GroupPlacement, PlacementMove,
-                        placement_under_churn, rendezvous_host,
-                        rendezvous_place)
+from .placement import rendezvous_host, rendezvous_place
 from .runtime import GroupRun, GroupRuntime
 from .sharded import ShardedService, run_service
 from .tracing import (METRICS_SCHEMA, SPAN_SCHEMA, SPAN_STAGES,
@@ -46,13 +43,11 @@ from .workload import WorkloadGenerator
 
 __all__ = [
     "ConsensusService",
-    "GroupPlacement",
     "GroupRun",
     "GroupRuntime",
     "GroupStats",
     "METRICS_SCHEMA",
     "MetricsRegistry",
-    "PlacementMove",
     "Request",
     "RequestTracer",
     "SPAN_SCHEMA",
@@ -63,7 +58,6 @@ __all__ = [
     "WorkloadGenerator",
     "latency_summary",
     "prometheus_text",
-    "placement_under_churn",
     "rendezvous_host",
     "rendezvous_place",
     "run_service",

@@ -1,33 +1,20 @@
-"""Group placement and churn-driven rebalancing.
+"""Group placement by rendezvous hashing.
 
 Groups are pinned to hosts (engine shards, in this repo's deployment)
 with **rendezvous hashing** (highest random weight): each
 ``(group, host)`` pair gets a deterministic sha256 score and the group
-lives on its highest-scoring live host. Rendezvous gives the two
-properties a consensus service needs from placement for free:
-
-* **Determinism** -- the assignment is a pure function of the group
-  and host ids, identical on every machine and every run.
-* **Minimal movement** -- when a host departs, exactly the groups it
-  held move (each to its next-best survivor); when a host arrives,
-  the only groups that move are those whose top score the newcomer
-  now holds. Nothing else is shuffled.
-
-:class:`GroupPlacement` tracks the live host set and exposes
-``rebalance`` for deltas; :func:`placement_under_churn` drives it from
-the existing :class:`~repro.macsim.dynamics.NodeChurn` model over a
-host graph, so service placement composes with the same churn
-machinery the engine's dynamic topologies use.
+lives on its highest-scoring host. The assignment is a pure function
+of the group and host ids, identical on every machine and every run;
+:meth:`~repro.macsim.service.sharded.ShardedService.placement` pins
+groups to shards with it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Sequence
 
-__all__ = ["GroupPlacement", "PlacementMove", "placement_under_churn",
-           "rendezvous_host", "rendezvous_place"]
+__all__ = ["rendezvous_host", "rendezvous_place"]
 
 
 def _score(group: Any, host: Any) -> int:
@@ -48,122 +35,3 @@ def rendezvous_place(groups: Iterable[Any],
     """Deterministic group -> host assignment over the host set."""
     hosts = list(hosts)
     return {group: rendezvous_host(group, hosts) for group in groups}
-
-
-@dataclass(frozen=True)
-class PlacementMove:
-    """One group migration caused by a rebalance."""
-
-    group: Any
-    #: ``None`` when the group was previously unplaced (new group) or
-    #: its host departed taking the assignment with it.
-    source: Optional[Any]
-    target: Any
-
-
-@dataclass
-class GroupPlacement:
-    """Live assignment of groups to hosts with delta rebalancing."""
-
-    hosts: List[Any]
-    groups: List[Any] = field(default_factory=list)
-    assignment: Dict[Any, Any] = field(default_factory=dict)
-    moves_applied: int = 0
-
-    def __post_init__(self) -> None:
-        self.hosts = list(self.hosts)
-        if not self.hosts:
-            raise ValueError("placement needs at least one host")
-        self.groups = list(self.groups)
-        if self.groups and not self.assignment:
-            self.assignment = rendezvous_place(self.groups, self.hosts)
-
-    # ------------------------------------------------------------------
-    def place(self, groups: Iterable[Any]) -> List[PlacementMove]:
-        """Add (and place) new groups; returns their placement moves."""
-        moves = []
-        for group in groups:
-            if group in self.assignment:
-                continue
-            self.groups.append(group)
-            target = rendezvous_host(group, self.hosts)
-            self.assignment[group] = target
-            moves.append(PlacementMove(group, None, target))
-        return moves
-
-    def hosted_by(self, host: Any) -> List[Any]:
-        return [g for g in self.groups if self.assignment.get(g) == host]
-
-    def load(self) -> Dict[Any, int]:
-        """Groups per live host (hosts with zero groups included)."""
-        counts = {host: 0 for host in self.hosts}
-        for host in self.assignment.values():
-            counts[host] += 1
-        return counts
-
-    # ------------------------------------------------------------------
-    def rebalance(self, *, departed: Iterable[Any] = (),
-                  arrived: Iterable[Any] = ()) -> List[PlacementMove]:
-        """Apply a host-set delta and migrate the minimal group set.
-
-        Departed hosts evict their groups to each group's best
-        surviving host; an arriving host pulls exactly the groups
-        whose rendezvous winner it now is. Returns the migrations in
-        deterministic (group registration) order.
-        """
-        departed = [h for h in departed if h in self.hosts]
-        arrived = [h for h in arrived if h not in self.hosts]
-        if not departed and not arrived:
-            return []
-        survivors = [h for h in self.hosts if h not in set(departed)]
-        new_hosts = survivors + list(arrived)
-        if not new_hosts:
-            raise ValueError("rebalance would leave zero hosts")
-        gone = set(departed)
-        moves: List[PlacementMove] = []
-        for group in self.groups:
-            old = self.assignment.get(group)
-            new = rendezvous_host(group, new_hosts)
-            if old == new:
-                continue
-            # Either the old host departed, or the arriving host won
-            # the group's rendezvous; survivors never trade groups
-            # among themselves.
-            source = None if old in gone else old
-            moves.append(PlacementMove(group, source, new))
-            self.assignment[group] = new
-        self.hosts = new_hosts
-        self.moves_applied += len(moves)
-        return moves
-
-
-def placement_under_churn(placement: GroupPlacement, churn: Any,
-                          host_graph: Any, *, epochs: int,
-                          ) -> List[Tuple[float, List[PlacementMove]]]:
-    """Drive a placement from :class:`NodeChurn` epochs on a host
-    graph.
-
-    ``churn`` is bound to the host graph (a shim exposing ``.graph``
-    is enough for :meth:`NodeChurn.bind`) and advanced epoch by
-    epoch; each delta's ``departed``/``arrived`` hosts feed
-    :meth:`GroupPlacement.rebalance`. Returns the per-epoch timeline
-    of migrations -- epochs with no topology change contribute empty
-    move lists, so the timeline length always equals ``epochs``.
-    """
-
-    class _Shim:
-        def __init__(self, graph: Any) -> None:
-            self.graph = graph
-
-    churn.bind(_Shim(host_graph))
-    timeline: List[Tuple[float, List[PlacementMove]]] = []
-    t = 0.0
-    for _ in range(epochs):
-        t = churn.next_epoch_time(t)
-        delta = churn.advance(t, host_graph)
-        moves: List[PlacementMove] = []
-        if delta is not None and (delta.departed or delta.arrived):
-            moves = placement.rebalance(departed=delta.departed,
-                                        arrived=delta.arrived)
-        timeline.append((t, moves))
-    return timeline

@@ -14,8 +14,10 @@ of Section 2 of the paper:
   engine validates (deliveries before ack, ack within ``F_ack``, every
   time a number).
 * **Zero-time computation.** Handlers run atomically at event times.
-* **Crashes mid-broadcast.** A :class:`~repro.macsim.crash.CrashPlan`
-  may cut off part of an in-flight broadcast's audience.
+* **Crashes mid-broadcast.** A
+  :class:`~repro.macsim.faults.crash.CrashPlan`, injected through a
+  :class:`~repro.macsim.faults.crash.CrashFaultModel`, may cut off part
+  of an in-flight broadcast's audience.
 * **Pluggable fault models.** A
   :class:`~repro.macsim.faults.base.FaultModel` adversary (crash,
   omission, Byzantine) is consulted at the broadcast, delivery and
@@ -133,16 +135,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
-from .crash import CrashPlan
 from .dynamics.base import edge_key as _edge_key
 from .errors import (ConfigurationError, ModelViolationError,
                      SimulationLimitError)
 from .events import (ACK_PRIORITY, CRASH_PRIORITY, DELIVER_PRIORITY,
                      WAKEUP_PRIORITY, Event, EventQueue)
 from .faults.base import DROP, FaultModel
-from .faults.crash import CrashFaultModel
+from .faults.crash import CrashPlan
 from .process import Process
 from .schedulers.base import Scheduler, UniformPlan
 from .telemetry import Telemetry
@@ -231,14 +232,12 @@ class Simulator:
         Mapping from graph node label to the bound :class:`Process`.
     scheduler:
         The message scheduler controlling all timing.
-    crashes:
-        Optional iterable of :class:`CrashPlan` (legacy API;
-        normalized into a
-        :class:`~repro.macsim.faults.crash.CrashFaultModel`).
     fault_model:
         A :class:`~repro.macsim.faults.base.FaultModel` adversary
-        consulted at the broadcast, delivery and step boundaries.
-        Mutually exclusive with ``crashes``.
+        consulted at the broadcast, delivery and step boundaries, and
+        the one way to inject a fault: crash plans arrive as a
+        :class:`~repro.macsim.faults.crash.CrashFaultModel`. ``None``
+        (default) is the fault-free base model.
     validate_plans:
         Whether scheduler plans are validated against the model
         contract. ``None`` (default) validates unless the scheduler
@@ -272,7 +271,6 @@ class Simulator:
 
     def __init__(self, graph, processes: Mapping[Any, Process],
                  scheduler: Scheduler, *,
-                 crashes: Iterable[CrashPlan] = (),
                  fault_model: Optional[FaultModel] = None,
                  strict_sizes: bool = True,
                  id_budget: int = DEFAULT_ID_BUDGET,
@@ -309,16 +307,8 @@ class Simulator:
             self.telemetry = None
             self._tel_spans = None
 
-        # Normalize the legacy crashes= API into the fault-model
-        # subsystem: crash plans become a CrashFaultModel, whose
-        # execution is byte-identical (it feeds the same machinery).
-        crashes = tuple(crashes)
-        if fault_model is not None and crashes:
-            raise ConfigurationError(
-                "pass crash plans via the fault model, not both "
-                "crashes= and fault_model=")
         if fault_model is None:
-            fault_model = CrashFaultModel(crashes)
+            fault_model = FaultModel()
         self.fault_model = fault_model
         self._fault_send = fault_model.send_hook()
         self._fault_deliver = fault_model.deliver_hook()
@@ -1285,7 +1275,6 @@ class Simulator:
 
 def build_simulation(graph, process_factory: Callable[[Any], Process],
                      scheduler: Scheduler, *,
-                     crashes: Iterable[CrashPlan] = (),
                      fault_model: Optional[FaultModel] = None,
                      strict_sizes: bool = True,
                      id_budget: int = DEFAULT_ID_BUDGET,
@@ -1304,7 +1293,7 @@ def build_simulation(graph, process_factory: Callable[[Any], Process],
     so topology-dynamics models can rebuild a process on node rejoin.
     """
     processes = {label: process_factory(label) for label in graph.nodes}
-    return Simulator(graph, processes, scheduler, crashes=crashes,
+    return Simulator(graph, processes, scheduler,
                      fault_model=fault_model,
                      strict_sizes=strict_sizes, id_budget=id_budget,
                      unreliable_graph=unreliable_graph,

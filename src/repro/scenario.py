@@ -981,33 +981,37 @@ def _literal(raw: str) -> Any:
     return raw
 
 
-def parse_dynamics_spec(text: str) -> DynamicsSpec:
-    """Parse ``name[:k=v,...]`` dynamics shorthands into a spec.
+def parse_spec(text: str, spec_cls: type) -> Spec:
+    """Parse a ``name[:k=v,...]`` shorthand into a ``spec_cls`` spec.
 
-    The CLI syntax of ``--dynamics``: ``edge-churn:rate=0.05``,
-    ``random-waypoint:radius=0.3,speed=0.1``, or a bare ``name``.
-    Underscores in the name are accepted for the hyphenated built-ins
-    (``edge_churn`` == ``edge-churn``). A bare ``name:value`` binds
-    the builder's first parameter. Unknown names raise
-    :class:`UnknownNameError` listing the live registry.
+    The CLI syntax of ``--dynamics`` (:class:`DynamicsSpec`:
+    ``edge-churn:rate=0.05``, ``random-waypoint:radius=0.3,speed=0.1``)
+    and ``--fault`` (:class:`FaultSpec`: ``crash:node=0,time=1.5``,
+    ``byzantine:2``), or a bare ``name``; both registries' builders
+    take ``(graph, seed, ...)``. Underscores in the name are accepted for
+    hyphenated registrations (``edge_churn`` == ``edge-churn``). A
+    bare ``name:value`` binds the builder's first parameter after
+    ``(graph, seed)``. Unknown names raise :class:`UnknownNameError`
+    listing the live registry.
     """
+    registry, kind = spec_cls.registry, spec_cls.kind
     name, _, args = text.partition(":")
-    if name not in DYNAMICS and "_" in name \
-            and name.replace("_", "-") in DYNAMICS:
+    if name not in registry and "_" in name \
+            and name.replace("_", "-") in registry:
         name = name.replace("_", "-")
-    builder = DYNAMICS.get(name)   # raises UnknownNameError
+    builder = registry.get(name)   # raises UnknownNameError
     if not args:
-        return DynamicsSpec(name)
+        return spec_cls(name)
     if "=" in args:
         params: Dict[str, Any] = {}
         for pair in args.split(","):
             key, eq, raw = pair.partition("=")
             if not eq:
                 raise ScenarioError(
-                    f"bad dynamics param {pair!r} in {text!r} "
+                    f"bad {kind} param {pair!r} in {text!r} "
                     f"(expected k=v)")
             params[key.strip()] = _literal(raw.strip())
-        return DynamicsSpec(name, **params)
+        return spec_cls(name, **params)
     # Bare positional shorthand: value binds the builder's first
     # parameter after the (graph, seed) contract arguments.
     signature = iter(inspect.signature(builder).parameters)
@@ -1016,8 +1020,8 @@ def parse_dynamics_spec(text: str) -> DynamicsSpec:
     first = next(signature, None)
     if first is None:
         raise ScenarioError(
-            f"dynamics {name!r} takes no parameters, got {args!r}")
-    return DynamicsSpec(name, **{first: _literal(args)})
+            f"{kind} {name!r} takes no parameters, got {args!r}")
+    return spec_cls(name, **{first: _literal(args)})
 
 
 # ===========================================================================
@@ -1031,9 +1035,8 @@ def parse_dynamics_spec(text: str) -> DynamicsSpec:
 from .core import (BenOrConsensus, ByzantineConsensus,  # noqa: E402
                    GatherAllConsensus, PaxosFloodNode, TwoPhaseConsensus,
                    WPaxosConfig, WPaxosNode, max_tolerance)
-from .macsim.crash import CrashPlan, crash_plan  # noqa: E402
 from .macsim.faults import (ByzantineFaultModel, ByzantinePlan,  # noqa: E402
-                            CorruptStrategy, CrashFaultModel,
+                            CorruptStrategy, CrashFaultModel, CrashPlan,
                             EquivocateStrategy, OmissionFaultModel,
                             OmissionPlan, SilentStrategy)
 from .macsim.dynamics import (EdgeChurn, NodeChurn,  # noqa: E402
@@ -1049,7 +1052,7 @@ from .macsim.schedulers import (AdversarialUnreliableScheduler,  # noqa: E402
 from .topology import standard as _topo  # noqa: E402
 
 #: Byzantine strategy names accepted by the ``byzantine`` fault model
-#: (and the CLI's ``--byz-strategy``).
+#: (``--fault byzantine:strategy=S`` on the CLI).
 BYZANTINE_STRATEGIES = {
     "silent": SilentStrategy,
     "corrupt": CorruptStrategy,
@@ -1370,8 +1373,12 @@ def _f_crash(graph, seed: int, node=None, time: float = 1.0,
         raise ScenarioError("crash fault model needs node= or plans=")
     if not graph.has_node(node):
         raise ScenarioError(f"crash fault model: unknown node {node!r}")
-    return CrashFaultModel([crash_plan(node, float(time),
-                                       still_delivered)])
+    try:
+        time = float(time)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"crash fault model: time must be a number, "
+                            f"got {time!r}") from None
+    return CrashFaultModel([CrashPlan(node, time, still_delivered)])
 
 
 @register_fault_model("omission")

@@ -91,8 +91,7 @@ class TestRunCommand:
     def test_byzantine_run_with_adversary(self, capsys):
         code = main(["run", "--algorithm", "byzantine", "--topology",
                      "clique:11", "--scheduler", "synchronous",
-                     "--byzantine", "2", "--byz-strategy",
-                     "equivocate"])
+                     "--fault", "byzantine:count=2,strategy=equivocate"])
         assert code == 0
         out = capsys.readouterr().out
         assert "byzantine(f=2" in out
@@ -102,39 +101,61 @@ class TestRunCommand:
     def test_omission_run(self, capsys):
         code = main(["run", "--algorithm", "gatherall", "--topology",
                      "clique:5", "--scheduler", "synchronous",
-                     "--omission", "1", "--max-time", "30"])
+                     "--fault", "omission:1", "--max-time", "30"])
         # The non-tolerant baseline legitimately loses termination;
         # the CLI reports it and exits nonzero.
         out = capsys.readouterr().out
         assert "omission" in out
         assert code == 1
 
+    @pytest.mark.parametrize("fault,described", [
+        # A bare value binds the family's first parameter; the rest
+        # take the registry defaults (corrupt strategy, send omission).
+        ("byzantine:2", "byzantine(f=2, strategies=['corrupt'])"),
+        ("omission:1", "omission(send=['4'], receive=[])"),
+        ("crash:node=0,time=1.5", "crash(f=1)"),
+    ], ids=["byzantine", "omission", "crash"])
+    def test_fault_flag_resolves_each_family(self, capsys, fault,
+                                             described):
+        main(["run", "--algorithm", "wpaxos", "--topology", "clique:5",
+              "--scheduler", "synchronous", "--max-time", "30",
+              "--fault", fault])
+        assert f"fault model:    {described} (" in \
+            capsys.readouterr().out
+
     def test_crash_flag_exports_scenario(self, tmp_path, capsys):
         out_path = tmp_path / "t.json"
         code = main(["run", "--algorithm", "wpaxos", "--topology",
                      "clique:5", "--scheduler", "synchronous",
-                     "--crash", "2@1.5", "--trace-out",
+                     "--fault", "crash:node=2,time=1.5", "--trace-out",
                      str(out_path)])
         assert code == 0
         from repro.analysis.export import load_crashes
         plans = load_crashes(str(out_path))
         assert [(p.node, p.time) for p in plans] == [(2, 1.5)]
 
-    def test_fault_families_are_exclusive(self):
-        with pytest.raises(SystemExit):
-            main(["run", "--algorithm", "wpaxos", "--topology",
-                  "clique:5", "--byzantine", "1", "--omission", "1"])
-
     def test_negative_fault_counts_rejected(self):
-        for flag in ("--byzantine", "--omission"):
+        for fault in ("byzantine:-2", "omission:count=-2"):
             with pytest.raises(SystemExit):
                 main(["run", "--algorithm", "wpaxos", "--topology",
-                      "clique:5", flag, "-2"])
+                      "clique:5", "--fault", fault])
 
     def test_non_numeric_crash_time_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="time must be a number"):
             main(["run", "--algorithm", "wpaxos", "--topology",
-                  "clique:5", "--crash", "2@soon"])
+                  "clique:5", "--fault", "crash:node=2,time=soon"])
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--crash", "2:1.5"), ("--byzantine", "2"),
+        ("--byz-strategy", "equivocate"), ("--omission", "1"),
+    ], ids=["crash", "byzantine", "byz-strategy", "omission"])
+    def test_old_fault_flags_are_rejected(self, capsys, flag, value):
+        # ``--fault NAME[:K=V,...]`` is the one fault flag.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--algorithm", "wpaxos", "--topology",
+                  "clique:5", flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_crash_run_keeps_validity(self, capsys):
         # GatherAll on clique:2 decides node 0's input, which no other
@@ -142,9 +163,34 @@ class TestRunCommand:
         # validity (crash faults are benign: lying_nodes is empty).
         code = main(["run", "--algorithm", "gatherall", "--topology",
                      "clique:2", "--scheduler", "synchronous",
-                     "--crash", "0@1.5"])
+                     "--fault", "crash:node=0,time=1.5"])
         assert code == 0
         assert "validity=True" in capsys.readouterr().out
+
+    def test_model_violation_exits_nonzero(self, tmp_path, capsys,
+                                           monkeypatch):
+        # A trusted scheduler's plans skip validation, so only the
+        # post-run audit can catch one that acks before delivering.
+        # The violating run still exports its trace for inspection.
+        from repro.analysis.export import load_scenario
+        from repro.macsim.schedulers import (SynchronousScheduler,
+                                             UniformPlan)
+
+        def ack_first(self, *, sender, message, start_time, neighbors):
+            boundary = self.next_boundary(start_time)
+            return UniformPlan(neighbors, boundary + 0.5, boundary)
+
+        monkeypatch.setattr(SynchronousScheduler, "plan", ack_first)
+        out_path = tmp_path / "violation.json"
+        code = main(["run", "--algorithm", "wpaxos", "--topology",
+                     "clique:4", "--scheduler", "synchronous",
+                     "--trace-out", str(out_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "invariants:     VIOLATED" in out
+        assert "before non-faulty neighbor 1 received" in out
+        assert f"trace written:  {out_path}" in out
+        assert load_scenario(str(out_path)).algorithm.name == "wpaxos"
 
 
 class TestExperimentsCommand:
@@ -260,7 +306,8 @@ class TestReplayCommand:
         trace = str(tmp_path / "trace.json")
         assert main(["run", "--algorithm", "wpaxos", "--topology",
                      "clique:5", "--scheduler", "random", "--seed",
-                     "2", "--crash", "1@1.0", "--trace-out",
+                     "2", "--fault", "crash:node=1,time=1.0",
+                     "--trace-out",
                      trace]) == 0
         capsys.readouterr()
         assert main(["replay", trace]) == 0

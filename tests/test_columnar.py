@@ -21,10 +21,11 @@ from repro.analysis.export import (iter_saved_records, load_metadata,
 from repro.cli import main as cli_main
 from repro.core import TwoPhaseConsensus
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
-                          ColumnarSink, CorruptStrategy, EdgeChurn,
-                          EquivocateStrategy, Process, SpillBudgetError,
-                          Trace, TraceLevel, build_simulation,
-                          check_model_invariants, crash_plan, make_sink)
+                          ColumnarSink, CorruptStrategy, CrashFaultModel,
+                          CrashPlan, EdgeChurn, EquivocateStrategy,
+                          Process, SpillBudgetError, Trace, TraceLevel,
+                          build_simulation, check_model_invariants,
+                          make_sink)
 from repro.macsim import columnar as columnar_mod
 from repro.macsim.columnar import (ColumnarChunk, _pack_label,
                                    decode_chunk, encode_chunk, have_numpy,
@@ -729,7 +730,7 @@ class TestColumnarFullEquivalence:
                                            chunk_records=128)):
             sim = build_simulation(
                 graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
-                sched_factory(), crashes=list(crashes),
+                sched_factory(), fault_model=CrashFaultModel(crashes),
                 dynamics=(dynamics_factory() if dynamics_factory
                           else None),
                 trace_sink=sink)
@@ -780,8 +781,8 @@ class TestColumnarFullEquivalence:
                                  min(crash_count, n - 2)):
             others = [v for v in graph.nodes if v != victim]
             survivors = rng.sample(others, rng.randint(0, len(others)))
-            plans.append(crash_plan(victim, rng.uniform(0.0, 4.0),
-                                    still_delivered=survivors))
+            plans.append(CrashPlan(victim, rng.uniform(0.0, 4.0),
+                                   still_delivered=survivors))
         tmp = tmp_path_factory.mktemp("col-eq-crash")
         self._assert_equivalent(
             graph, self._run_both(

@@ -13,8 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (BenOrConsensus, GatherAllConsensus,
                         TwoPhaseConsensus, WPaxosConfig, WPaxosNode)
-from repro.macsim import build_simulation, check_consensus, \
-    check_model_invariants, crash_plan
+from repro.macsim import CrashFaultModel, CrashPlan, build_simulation, \
+    check_consensus, check_model_invariants
 from repro.macsim.schedulers import RandomDelayScheduler
 from repro.topology import clique, random_connected
 
@@ -30,8 +30,8 @@ def random_crashes(rng, nodes, count):
         others = [v for v in nodes if v != victim]
         survivors = frozenset(rng.sample(
             others, rng.randint(0, len(others))))
-        plans.append(crash_plan(victim, when,
-                                still_delivered=survivors))
+        plans.append(CrashPlan(victim, when,
+                               still_delivered=survivors))
     return plans
 
 
@@ -42,7 +42,7 @@ def run_with_crashes(graph, factory, seed, crash_count):
     scheduler = RandomDelayScheduler(1.0, seed=seed)
     sim = build_simulation(graph,
                            lambda v: factory(v, values[v]),
-                           scheduler, crashes=crashes)
+                           scheduler, fault_model=CrashFaultModel(crashes))
     result = sim.run(max_events=2_000_000, max_time=2_000.0)
     invariants = check_model_invariants(graph, result.trace,
                                         scheduler.f_ack)

@@ -32,7 +32,7 @@ from repro.macsim.schedulers import (RandomDelayScheduler, Scheduler,
 from repro.macsim.schedulers.base import DeliveryPlan
 from repro.scenario import (AlgorithmSpec, DynamicsSpec, Scenario,
                             ScenarioError, SchedulerSpec, TopologySpec,
-                            parse_dynamics_spec)
+                            parse_spec)
 from repro.topology import clique, line, ring
 from tests.helpers import (delivered_order, per_receiver_delivery_order,
                            trace_digest)
@@ -599,11 +599,12 @@ class TestMixedTimestampBatching:
         # B side: (events, trace sha256) of this run with
         # batch_deliveries=False on the last commit that had the
         # toggle (PR 12, 20c27ed).
-        from repro.macsim import crash_plan
+        from repro.macsim import CrashFaultModel, CrashPlan
         graph = clique(6)
         sim = build_simulation(graph, _wpaxos_factory(graph),
                                _QuantizedScheduler(3),
-                               crashes=[crash_plan(5, 1.6, {0, 1})])
+                               fault_model=CrashFaultModel(
+                                   [CrashPlan(5, 1.6, {0, 1})]))
         result = sim.run(max_time=60.0)
         assert (result.events_processed, trace_digest(result.trace)) == (
             191, "b316d41f0921f983e57f0427f4e5e835"
@@ -769,15 +770,15 @@ class TestScenarioIntegration:
         assert trace_to_json(first.trace) == trace_to_json(second.trace)
 
     def test_parse_dynamics_spec(self):
-        spec = parse_dynamics_spec("edge_churn:rate=0.05")
+        spec = parse_spec("edge_churn:rate=0.05", DynamicsSpec)
         assert spec == DynamicsSpec("edge-churn", rate=0.05)
-        assert parse_dynamics_spec("edge-churn") == \
+        assert parse_spec("edge-churn", DynamicsSpec) == \
             DynamicsSpec("edge-churn")
-        assert parse_dynamics_spec("edge-churn:0.2") == \
+        assert parse_spec("edge-churn:0.2", DynamicsSpec) == \
             DynamicsSpec("edge-churn", rate=0.2)
         from repro.registry import UnknownNameError
         with pytest.raises(UnknownNameError):
-            parse_dynamics_spec("teleportation")
+            parse_spec("teleportation", DynamicsSpec)
 
     def test_cli_dynamics_run_and_replay(self, tmp_path, capsys):
         path = tmp_path / "churn.json"

@@ -10,9 +10,9 @@ import pytest
 from repro.analysis import parallel_sweep, run_consensus, sweep
 from repro.core.twophase import TwoPhaseConsensus
 from repro.core.wpaxos import WPaxosConfig, WPaxosNode
-from repro.macsim import (ColumnarSink, OmissionFaultModel, OmissionPlan,
-                          Process, TraceLevel, build_simulation,
-                          crash_plan)
+from repro.macsim import (ColumnarSink, CrashFaultModel, CrashPlan,
+                          OmissionFaultModel, OmissionPlan, Process,
+                          TraceLevel, build_simulation)
 from repro.macsim.errors import SimulationLimitError
 from repro.macsim.events import (ACK_PRIORITY, DELIVER_PRIORITY,
                                  EventQueue)
@@ -57,8 +57,8 @@ class TestQuiescenceCounter:
         sim = build_simulation(
             graph, lambda v: Chatter(v, decide_after[v]),
             SynchronousScheduler(1.0),
-            crashes=[crash_plan(5, 3.5, still_delivered=()),
-                     crash_plan(0, 4.5)])
+            fault_model=CrashFaultModel([
+                CrashPlan(5, 3.5, still_delivered=()), CrashPlan(0, 4.5)]))
         checks = []
 
         def predicate(s):
@@ -80,7 +80,7 @@ class TestQuiescenceCounter:
             graph, lambda v: Chatter(v, 1),
             SynchronousScheduler(1.0),
             # Node 0 decides at t=1, crashes at t=2.5.
-            crashes=[crash_plan(0, 2.5)])
+            fault_model=CrashFaultModel([CrashPlan(0, 2.5)]))
         result = sim.run(stop_when_all_decided=False, max_time=6.0)
         assert sim._undecided_alive == 0
         assert oracle_all_alive_decided(sim)
@@ -100,7 +100,8 @@ class TestQuiescenceCounter:
         sim = build_simulation(
             graph, lambda v: Chatter(v, None),
             SynchronousScheduler(1.0),
-            crashes=[crash_plan(0, 1.5), crash_plan(1, 1.5)])
+            fault_model=CrashFaultModel([CrashPlan(0, 1.5),
+                                         CrashPlan(1, 1.5)]))
         sim.run(max_time=5.0)
         assert sim._undecided_alive == 0
         assert oracle_all_alive_decided(sim)  # vacuous truth
@@ -161,8 +162,8 @@ class TestBroadcastRecordLifetime:
             gc.enable()
 
     @pytest.mark.parametrize("crashes", [
-        (), (crash_plan(0, 3.5, still_delivered=(1,)),
-             crash_plan(5, 40.25)),
+        (), (CrashPlan(0, 3.5, still_delivered=(1,)),
+             CrashPlan(5, 40.25)),
     ], ids=["crash-free", "crash-plan"])
     @pytest.mark.parametrize("make_scheduler,validate", [
         (lambda: SynchronousScheduler(1.0), None),
@@ -174,7 +175,8 @@ class TestBroadcastRecordLifetime:
         graph = clique(8)
         before = live_broadcast_records()
         sim = build_simulation(graph, lambda v: Chatter(v),
-                               make_scheduler(), crashes=crashes,
+                               make_scheduler(),
+                               fault_model=CrashFaultModel(crashes),
                                validate_plans=validate,
                                trace_level=TraceLevel.DECISIONS)
         result = sim.run(max_events=20_000)
@@ -359,7 +361,8 @@ class TestEventQueueCompaction:
             # Hub crashes mid-broadcast, cancelling all ~100 pending
             # deliveries plus its ack: well past the compaction
             # threshold, while later events are already scheduled.
-            crashes=[crash_plan(0, 0.5, still_delivered=(1,))])
+            fault_model=CrashFaultModel(
+                [CrashPlan(0, 0.5, still_delivered=(1,))]))
         result = sim.run(max_time=10.0)
         queue = sim._queue
         assert len(queue) == 0, "live events left behind after run"
@@ -427,8 +430,8 @@ def _batch_sim(variant, level, **kwargs):
     if variant == "crash-plan":
         # Both die mid-broadcast: node 0's batch loses three receivers
         # (cancelled, filtered at expansion), node 4's is delivered whole.
-        kwargs["crashes"] = (crash_plan(0, 0.5, still_delivered=(1, 3)),
-                             crash_plan(4, 2.5))
+        kwargs["fault_model"] = CrashFaultModel([
+            CrashPlan(0, 0.5, still_delivered=(1, 3)), CrashPlan(4, 2.5)])
     elif variant == "omission":
         kwargs["fault_model"] = OmissionFaultModel([OmissionPlan(
             node=1, send=True, receive=True, drop_rate=0.5, seed=3)])

@@ -1,38 +1,40 @@
 """Fault-model subsystem tests.
 
-Covers the adversary interface end to end: crash-model equivalence
-with the legacy ``crashes=`` path (byte-identical full traces, both on
-fixed scenarios and under hypothesis-generated random crash plans),
+Covers the adversary interface end to end: crash runs (six fixed
+scenarios pinned by trace digest, crashed nodes never scoped out as
+faulty, the vectorized columnar audit on a ``FaultSpec`` crash run),
 omission and Byzantine hook-point semantics, correct-node scoping of
 the invariant checkers, trusted-scheduler plan validation, the
 synchronous scheduler's plans, and `CrashPlan` round-tripping.
 """
 
+import hashlib
 import random
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.export import (crashes_from_json, load_crashes,
                                    save_trace, trace_to_json)
+from repro.analysis.runner import run_consensus
 from repro.core import (BenOrConsensus, GatherAllConsensus,
                         TwoPhaseConsensus, WPaxosConfig, WPaxosNode)
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
-                          CorruptStrategy, CrashFaultModel, CrashPlan,
-                          EquivocateStrategy, OmissionFaultModel,
-                          OmissionPlan, Process, SilentStrategy,
-                          build_simulation, check_consensus,
-                          check_model_invariants, crash_plan)
+                          ColumnarSink, CorruptStrategy, CrashFaultModel,
+                          CrashPlan, EquivocateStrategy,
+                          OmissionFaultModel, OmissionPlan, Process,
+                          SilentStrategy, Simulator, build_simulation,
+                          check_consensus, check_model_invariants)
+from repro.macsim import columnar as columnar_mod
+from repro.macsim.columnar import have_numpy
 from repro.macsim.errors import ConfigurationError, ModelViolationError
 from repro.macsim.faults import DROP, FaultModel, forge_payload
 from repro.macsim.schedulers import (DeliveryPlan, RandomDelayScheduler,
                                      Scheduler, SynchronousScheduler,
                                      UniformPlan)
+from repro.scenario import (AlgorithmSpec, FaultSpec, Scenario,
+                            SchedulerSpec, TopologySpec)
 from repro.topology import clique, line, random_connected, star
-
-SETTINGS = dict(max_examples=20, deadline=None,
-                suppress_health_check=[HealthCheck.too_slow])
 
 
 @dataclass(frozen=True)
@@ -44,12 +46,10 @@ class Payload:
 
 
 # ---------------------------------------------------------------------------
-# CrashFaultModel equivalence with the legacy crashes= path
+# Crash runs: pinned traces and the full audit
 # ---------------------------------------------------------------------------
-def _run_trace(graph, factory, scheduler_factory, *, crashes=None,
-               fault_model=None):
+def _run_trace(graph, factory, scheduler_factory, fault_model):
     sim = build_simulation(graph, factory, scheduler_factory(),
-                           crashes=crashes or (),
                            fault_model=fault_model)
     sim.run(max_events=500_000, max_time=500.0)
     return trace_to_json(sim.trace)
@@ -75,73 +75,119 @@ def _scenarios():
         ("twophase-sync-partial", g1,
          lambda v: TwoPhaseConsensus(v + 1, v % 2),
          lambda: SynchronousScheduler(1.0),
-         [crash_plan(0, 0.5, still_delivered=(1, 2)),
-          crash_plan(5, 2.5)]),
+         [CrashPlan(0, 0.5, still_delivered=(1, 2)),
+          CrashPlan(5, 2.5)]),
         ("wpaxos-line-random", g2, _wpaxos_factory(g2),
          lambda: RandomDelayScheduler(1.0, seed=11),
-         [crash_plan(3, 4.25)]),
+         [CrashPlan(3, 4.25)]),
         ("gatherall-random-two", g3,
          lambda v: GatherAllConsensus(v + 1, v % 2, 5),
          lambda: RandomDelayScheduler(1.0, seed=2),
-         [crash_plan(1, 0.75, still_delivered=()),
-          crash_plan(4, 1.5, still_delivered=(0,))]),
+         [CrashPlan(1, 0.75, still_delivered=()),
+          CrashPlan(4, 1.5, still_delivered=(0,))]),
         ("wpaxos-star-hub", g4, _wpaxos_factory(g4),
          lambda: SynchronousScheduler(1.0),
-         [crash_plan(0, 1.0, still_delivered=(1, 2, 3))]),
+         [CrashPlan(0, 1.0, still_delivered=(1, 2, 3))]),
         ("wpaxos-random-late", g5, _wpaxos_factory(g5),
          lambda: RandomDelayScheduler(1.0, seed=9),
-         [crash_plan(list(g5.nodes)[2], 9.0)]),
+         [CrashPlan(list(g5.nodes)[2], 9.0)]),
         ("benor-sync", g6,
          lambda v: BenOrConsensus(v + 1, v % 2, 4, 1, seed=v),
          lambda: SynchronousScheduler(1.0),
-         [crash_plan(2, 1.5, still_delivered=(0,))]),
+         [CrashPlan(2, 1.5, still_delivered=(0,))]),
     ]
 
 
-class TestCrashModelEquivalence:
+#: sha256 of each scenario's ``trace_to_json``: pins the engine's
+#: crash machinery (cancellation, partial delivery) byte for byte.
+CRASH_TRACE_SHA256 = {
+    "twophase-sync-partial":
+        "d0097dcabeadd93b797a8cb00a8184f408d33978e92cf1a5544c8e416dc73da2",
+    "wpaxos-line-random":
+        "d4cc8ddc8f2ebb03c10fea01ee954df8e05a6a1f460f0bf305ff651db5d695c1",
+    "gatherall-random-two":
+        "173c1b6d799e89390bdbfbf66d44c245d4bc7708f73ef4f6a0b713eeefc4c5a3",
+    "wpaxos-star-hub":
+        "b3569a188b03f1534facee18d737abc12b2f50244e9846520d822da32a0d79a6",
+    "wpaxos-random-late":
+        "ddf54152f3203166abdab551d058fcd4e1a6f7a94817438e88d82aa925fef96e",
+    "benor-sync":
+        "0f3be954e8ee67e91734bf3cd51195910b275b35f86451160e5656ebbb06c64e",
+}
+
+
+class TestCrashModelTraces:
     @pytest.mark.parametrize(
         "name,graph,factory,sched,plans",
         _scenarios(), ids=[s[0] for s in _scenarios()])
-    def test_byte_identical_traces_on_pr1_scenarios(
+    def test_crash_scenarios_match_pinned_digests(
             self, name, graph, factory, sched, plans):
-        legacy = _run_trace(graph, factory, sched, crashes=plans)
-        modeled = _run_trace(graph, factory, sched,
-                             fault_model=CrashFaultModel(plans))
-        assert legacy == modeled
-
-    @given(n=st.integers(3, 8), seed=st.integers(0, 10 ** 6),
-           crash_count=st.integers(1, 3))
-    @settings(**SETTINGS)
-    def test_byte_identical_traces_property(self, n, seed, crash_count):
-        rng = random.Random(seed)
-        graph = clique(n)
-        plans = []
-        for victim in rng.sample(list(graph.nodes),
-                                 min(crash_count, n)):
-            others = [v for v in graph.nodes if v != victim]
-            survivors = frozenset(
-                rng.sample(others, rng.randint(0, len(others))))
-            plans.append(crash_plan(victim, rng.uniform(0.0, 6.0),
-                                    still_delivered=survivors))
-        factory = lambda v: TwoPhaseConsensus(v + 1, v % 2)
-        sched = lambda: RandomDelayScheduler(1.0, seed=seed)
-        legacy = _run_trace(graph, factory, sched, crashes=plans)
-        modeled = _run_trace(graph, factory, sched,
-                             fault_model=CrashFaultModel(plans))
-        assert legacy == modeled
-
-    def test_crashes_and_fault_model_are_exclusive(self):
-        graph = clique(3)
-        with pytest.raises(ConfigurationError):
-            build_simulation(
-                graph, lambda v: GatherAllConsensus(v + 1, 0, 3),
-                SynchronousScheduler(1.0),
-                crashes=[crash_plan(0, 1.0)],
-                fault_model=CrashFaultModel([crash_plan(1, 1.0)]))
+        text = _run_trace(graph, factory, sched, CrashFaultModel(plans))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == CRASH_TRACE_SHA256[name]
 
     def test_duplicate_plans_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CrashFaultModel([crash_plan(0, 1.0), crash_plan(0, 2.0)])
+        with pytest.raises(ConfigurationError,
+                           match="multiple crash plans for node 0"):
+            build_simulation(
+                clique(3), lambda v: TwoPhaseConsensus(v + 1, v % 2),
+                SynchronousScheduler(1.0),
+                fault_model=CrashFaultModel([CrashPlan(0, 1.0),
+                                             CrashPlan(0, 2.0)]))
+
+    @pytest.mark.parametrize("entry", ["Simulator", "build_simulation",
+                                       "run_consensus"])
+    def test_crashes_keyword_is_gone(self, entry):
+        # ``fault_model=`` is the one way to inject a crash.
+        graph = clique(3)
+        factory = lambda v: TwoPhaseConsensus(v + 1, v % 2)
+        plans = [CrashPlan(0, 0.5)]
+        calls = {
+            "Simulator": lambda: Simulator(
+                graph, {v: factory(v) for v in graph.nodes},
+                SynchronousScheduler(1.0), crashes=plans),
+            "build_simulation": lambda: build_simulation(
+                graph, factory, SynchronousScheduler(1.0),
+                crashes=plans),
+            "run_consensus": lambda: run_consensus(
+                algorithm="two-phase", topology="clique:3", graph=graph,
+                scheduler=SynchronousScheduler(1.0),
+                factory=lambda v, x: TwoPhaseConsensus(v + 1, x),
+                crashes=plans),
+        }
+        with pytest.raises(TypeError,
+                           match="unexpected keyword argument 'crashes'"):
+            calls[entry]()
+
+    @pytest.mark.skipif(not have_numpy(),
+                        reason="vectorized audit needs numpy")
+    def test_crash_spec_run_takes_the_vectorized_audit(
+            self, tmp_path, monkeypatch):
+        fast_reports = []
+        real = columnar_mod.try_vectorized_invariants
+
+        def spy(*args, **kwargs):
+            report = real(*args, **kwargs)
+            fast_reports.append(report)
+            return report
+
+        monkeypatch.setattr(columnar_mod, "try_vectorized_invariants",
+                            spy)
+        scenario = Scenario(
+            algorithm=AlgorithmSpec("two-phase"),
+            topology=TopologySpec("clique", n=6),
+            scheduler=SchedulerSpec("synchronous", f_ack=1.0),
+            fault=FaultSpec("crash", node=0, time=0.5,
+                            still_delivered=[1, 2]),
+            trace_level="columnar", max_time=40.0)
+        sink = ColumnarSink(str(tmp_path / "col"), chunk_records=64)
+        scenario.run(trace_sink=sink)
+        assert sink.crashed_nodes() == {0}
+        assert len(fast_reports) == 1 and fast_reports[0] is not None
+        reference = check_model_invariants(
+            scenario.topology.build(), iter(list(sink)), 1.0)
+        assert fast_reports[0].ok == reference.ok
+        assert reference.ok, reference.violations[:5]
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +379,10 @@ class TestByzantineModel:
             assert len({m.value for m in overrides.values()}) == 1
 
     def test_lying_nodes_distinguishes_benign_models(self):
-        crash_model = CrashFaultModel([crash_plan(0, 1.0)])
-        assert crash_model.faulty_nodes() == {0}
+        # A crashed node runs its program correctly until it stops;
+        # the trace's crash records tell the checkers who stopped.
+        crash_model = CrashFaultModel([CrashPlan(0, 1.0)])
+        assert crash_model.faulty_nodes() == frozenset()
         assert crash_model.lying_nodes() == frozenset()
         omission = OmissionFaultModel([OmissionPlan(node=1)])
         assert omission.lying_nodes() == frozenset()
@@ -349,7 +397,8 @@ class TestByzantineModel:
         values = {0: 1, 1: 0, 2: 0}
         sim = build_simulation(
             graph, lambda v: GatherAllConsensus(v + 1, values[v], 3),
-            SynchronousScheduler(1.0), crashes=[crash_plan(0, 1.5)])
+            SynchronousScheduler(1.0),
+            fault_model=CrashFaultModel([CrashPlan(0, 1.5)]))
         sim.run(max_time=30.0)
         assert 1 in set(sim.trace.decisions().values())
         benign = check_consensus(sim.trace, values, faulty={0},
@@ -447,19 +496,19 @@ class TestTrustedSchedulers:
 # ---------------------------------------------------------------------------
 class TestCrashPlanRoundTrip:
     def test_repr_is_deterministic_and_eval_round_trips(self):
-        plan = crash_plan(3, 1.5, still_delivered=(5, 1, 2))
+        plan = CrashPlan(3, 1.5, still_delivered=(5, 1, 2))
         assert repr(plan) == ("CrashPlan(node=3, time=1.5, "
                               "still_delivered={1, 2, 5})")
         assert eval(repr(plan), {"CrashPlan": CrashPlan}) == plan
-        assert repr(crash_plan(0, 2.0)) == (
+        assert repr(CrashPlan(0, 2.0)) == (
             "CrashPlan(node=0, time=2.0, still_delivered=None)")
-        assert repr(crash_plan(0, 2.0, still_delivered=())) == (
+        assert repr(CrashPlan(0, 2.0, still_delivered=())) == (
             "CrashPlan(node=0, time=2.0, still_delivered=frozenset())")
 
     def test_dict_round_trip_preserves_subset_semantics(self):
-        plans = [crash_plan("a", 1.0),
-                 crash_plan("b", 2.0, still_delivered=()),
-                 crash_plan("c", 3.0, still_delivered=("a", "b"))]
+        plans = [CrashPlan("a", 1.0),
+                 CrashPlan("b", 2.0, still_delivered=()),
+                 CrashPlan("c", 3.0, still_delivered=("a", "b"))]
         for plan in plans:
             again = CrashPlan.from_dict(plan.to_dict())
             assert again == plan
@@ -467,11 +516,12 @@ class TestCrashPlanRoundTrip:
 
     def test_export_round_trip_through_json(self, tmp_path):
         graph = clique(4)
-        plans = [crash_plan(0, 0.5, still_delivered=(1, 3)),
-                 crash_plan(2, 2.0)]
+        plans = [CrashPlan(0, 0.5, still_delivered=(1, 3)),
+                 CrashPlan(2, 2.0)]
         sim = build_simulation(
             graph, lambda v: GatherAllConsensus(v + 1, v % 2, 4),
-            SynchronousScheduler(1.0), crashes=plans)
+            SynchronousScheduler(1.0),
+            fault_model=CrashFaultModel(plans))
         sim.run(max_time=20.0)
         path = tmp_path / "run.json"
         save_trace(sim.trace, str(path), metadata={"seed": 0},
@@ -481,7 +531,8 @@ class TestCrashPlanRoundTrip:
         # The reloaded scenario can re-drive an identical simulation.
         sim2 = build_simulation(
             graph, lambda v: GatherAllConsensus(v + 1, v % 2, 4),
-            SynchronousScheduler(1.0), crashes=reloaded)
+            SynchronousScheduler(1.0),
+            fault_model=CrashFaultModel(reloaded))
         sim2.run(max_time=20.0)
         assert trace_to_json(sim2.trace) == trace_to_json(sim.trace)
 

@@ -13,7 +13,8 @@ from repro.analysis import run_consensus
 from repro.core import (BenOrConsensus, GatherAllConsensus,
                         PaxosFloodNode, TwoPhaseConsensus, WPaxosConfig,
                         WPaxosNode)
-from repro.macsim import build_simulation, check_consensus, crash_plan
+from repro.macsim import (CrashFaultModel, CrashPlan, build_simulation,
+                          check_consensus)
 from repro.macsim.schedulers import (BernoulliUnreliableScheduler,
                                      JitteredRoundScheduler,
                                      RandomDelayScheduler,
@@ -70,11 +71,11 @@ class TestLayeredAdversaries:
         values = {v: v % 2 for v in graph.nodes}
         scheduler = SilencingScheduler(SynchronousScheduler(1.0),
                                        silenced=[3], release_time=15.0)
-        crashes = [crash_plan(5, 4.5, still_delivered=frozenset())]
+        crashes = [CrashPlan(5, 4.5, still_delivered=frozenset())]
         sim = build_simulation(
             graph,
             lambda v: GatherAllConsensus(v + 1, values[v], graph.n),
-            scheduler, crashes=crashes)
+            scheduler, fault_model=CrashFaultModel(crashes))
         result = sim.run(max_time=200.0)
         report = check_consensus(result.trace, values)
         # Node 5 crashed; GatherAll waits for n pairs, so nodes

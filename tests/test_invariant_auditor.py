@@ -31,8 +31,8 @@ from hypothesis import strategies as st
 from repro.analysis.runner import run_consensus
 from repro.analysis.sweeps import parallel_sweep, sweep
 from repro.core import WPaxosConfig, WPaxosNode
-from repro.macsim.crash import crash_plan
 from repro.macsim.errors import ModelViolationError
+from repro.macsim.faults import CrashFaultModel, CrashPlan
 from repro.macsim.invariants import (InvariantAuditor,
                                      check_model_invariants)
 from repro.macsim.schedulers import DeliveryPlan, SynchronousScheduler
@@ -552,7 +552,8 @@ class TestSameTimestampCrashAndAck:
 
     def _run(self, **kwargs):
         return _wpaxos_run(clique(4), SynchronousScheduler(1.0),
-                           crashes=[crash_plan(2, 1.0)], **kwargs)
+                           fault_model=CrashFaultModel([CrashPlan(2, 1.0)]),
+                           **kwargs)
 
     def test_engine_records_the_crash_before_the_acks(self):
         sink = Trace("full")

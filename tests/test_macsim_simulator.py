@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.macsim import (CrashPlan, ConfigurationError,
+from repro.macsim import (ConfigurationError, CrashFaultModel, CrashPlan,
                           ModelViolationError, Process, Simulator,
-                          build_simulation, crash_plan)
+                          build_simulation)
 from repro.macsim.schedulers import (RandomDelayScheduler, Scheduler,
                                      SynchronousScheduler)
 from repro.macsim.schedulers.base import DeliveryPlan
@@ -104,12 +104,17 @@ class TestBroadcastSemantics:
         assert sim.process_at(0).ok is True
 
 
+def crash_model(*plans):
+    """A crash fault model from ``(node, time[, still_delivered])``."""
+    return CrashFaultModel([CrashPlan(*plan) for plan in plans])
+
+
 class TestCrashes:
     def test_crashed_node_stops_receiving_and_sending(self):
         graph = clique(3)
         sim = build_simulation(graph, lambda v: Echo(v, count=5),
                                SynchronousScheduler(1.0),
-                               crashes=[crash_plan(0, 2.5)])
+                               fault_model=crash_model((0, 2.5)))
         sim.run()
         crashed = sim.process_at(0)
         alive = sim.process_at(1)
@@ -125,7 +130,7 @@ class TestCrashes:
         sim = build_simulation(
             graph, lambda v: Echo(v),
             SynchronousScheduler(1.0),
-            crashes=[crash_plan(0, 0.5, still_delivered=())])
+            fault_model=crash_model((0, 0.5, ())))
         sim.run()
         for v in (1, 2):
             senders = [m[1] for m in sim.process_at(v).received]
@@ -136,7 +141,7 @@ class TestCrashes:
         sim = build_simulation(
             graph, lambda v: Echo(v),
             SynchronousScheduler(1.0),
-            crashes=[crash_plan(0, 0.5, still_delivered={1})])
+            fault_model=crash_model((0, 0.5, {1})))
         sim.run()
         assert 0 in [m[1] for m in sim.process_at(1).received]
         assert 0 not in [m[1] for m in sim.process_at(2).received]
@@ -147,7 +152,7 @@ class TestCrashes:
         sim = build_simulation(
             graph, lambda v: Echo(v, count=3),
             SynchronousScheduler(1.0),
-            crashes=[crash_plan(1, 1.5, still_delivered=())])
+            fault_model=crash_model((1, 1.5, ())))
         sim.run()
         assert sim.process_at(0).acks == 3
         assert sim.process_at(2).acks == 3
@@ -156,14 +161,14 @@ class TestCrashes:
         with pytest.raises(ConfigurationError):
             build_simulation(clique(2), lambda v: Echo(v),
                              SynchronousScheduler(1.0),
-                             crashes=[crash_plan(99, 1.0)])
+                             fault_model=crash_model((99, 1.0)))
 
     def test_duplicate_crash_plans_rejected(self):
         with pytest.raises(ConfigurationError):
             build_simulation(clique(2), lambda v: Echo(v),
                              SynchronousScheduler(1.0),
-                             crashes=[crash_plan(0, 1.0),
-                                      crash_plan(0, 2.0)])
+                             fault_model=crash_model((0, 1.0),
+                                                     (0, 2.0)))
 
 
 class TestSchedulerValidation:

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from tests.helpers import run_and_check
 from repro.core.randomized import BenOrConsensus, BenOrMessage
-from repro.macsim import build_simulation, check_consensus, crash_plan
+from repro.macsim import (CrashFaultModel, CrashPlan, build_simulation,
+                          check_consensus)
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.topology import clique
@@ -60,11 +61,12 @@ class TestCrashTolerance:
         n, f = 5, 2
         graph = clique(n)
         values = {v: v % 2 for v in graph.nodes}
-        crashes = [crash_plan(0, 1.5, still_delivered=frozenset({1}))]
+        crashes = [CrashPlan(0, 1.5, still_delivered=frozenset({1}))]
         sim = build_simulation(
             graph, lambda v: BenOrConsensus(v + 1, values[v], n, f,
                                             seed=seed * 7 + v),
-            RandomDelayScheduler(1.0, seed=seed), crashes=crashes)
+            RandomDelayScheduler(1.0, seed=seed),
+            fault_model=CrashFaultModel(crashes))
         result = sim.run(max_events=3_000_000, max_time=5_000.0)
         report = check_consensus(result.trace, values)
         assert report.agreement and report.validity
@@ -74,12 +76,13 @@ class TestCrashTolerance:
         n, f = 7, 3
         graph = clique(n)
         values = {v: v % 2 for v in graph.nodes}
-        crashes = [crash_plan(v, 1.5 + v, still_delivered=frozenset())
+        crashes = [CrashPlan(v, 1.5 + v, still_delivered=frozenset())
                    for v in range(f)]
         sim = build_simulation(
             graph, lambda v: BenOrConsensus(v + 1, values[v], n, f,
                                             seed=v),
-            RandomDelayScheduler(1.0, seed=11), crashes=crashes)
+            RandomDelayScheduler(1.0, seed=11),
+            fault_model=CrashFaultModel(crashes))
         result = sim.run(max_events=3_000_000, max_time=5_000.0)
         report = check_consensus(result.trace, values)
         assert report.agreement and report.validity
@@ -89,11 +92,12 @@ class TestCrashTolerance:
         n, f = 5, 1
         graph = clique(n)
         values = {v: v % 2 for v in graph.nodes}
-        crashes = [crash_plan(0, 1.5), crash_plan(1, 2.5)]
+        crashes = [CrashPlan(0, 1.5), CrashPlan(1, 2.5)]
         sim = build_simulation(
             graph, lambda v: BenOrConsensus(v + 1, values[v], n, f,
                                             seed=v),
-            SynchronousScheduler(1.0), crashes=crashes)
+            SynchronousScheduler(1.0),
+            fault_model=CrashFaultModel(crashes))
         result = sim.run(max_events=1_000_000, max_time=500.0)
         report = check_consensus(result.trace, values)
         assert report.agreement and report.validity

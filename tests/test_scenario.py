@@ -26,10 +26,10 @@ from repro.core import (BenOrConsensus, ByzantineConsensus,
                         GatherAllConsensus, TwoPhaseConsensus,
                         WPaxosConfig, WPaxosNode)
 from repro.macsim import build_simulation
-from repro.macsim.crash import crash_plan
 from repro.macsim.faults import (ByzantineFaultModel, ByzantinePlan,
                                  CorruptStrategy, CrashFaultModel,
-                                 OmissionFaultModel, OmissionPlan)
+                                 CrashPlan, OmissionFaultModel,
+                                 OmissionPlan)
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.registry import TOPOLOGIES, UnknownNameError
@@ -296,7 +296,7 @@ def _ab_cases():
         dict(graph=g1, scheduler=lambda: SynchronousScheduler(1.0),
              factory=lambda v, val: TwoPhaseConsensus(v + 1, val),
              fault_model=CrashFaultModel(
-                 [crash_plan(0, 0.5, still_delivered=(1, 2))]))))
+                 [CrashPlan(0, 0.5, still_delivered=(1, 2))]))))
 
     g2 = line(8)
     cases.append((
@@ -305,11 +305,11 @@ def _ab_cases():
                  topology=TopologySpec("line", n=8),
                  scheduler=SchedulerSpec("random", f_ack=1.0, seed=11),
                  fault=FaultSpec("crash", plans=[
-                     crash_plan(3, 4.25).to_dict()]),
+                     CrashPlan(3, 4.25).to_dict()]),
                  check_invariants=False),
         dict(graph=g2, scheduler=lambda: RandomDelayScheduler(1.0, seed=11),
              factory=wpaxos_factory(g2),
-             fault_model=CrashFaultModel([crash_plan(3, 4.25)]))))
+             fault_model=CrashFaultModel([CrashPlan(3, 4.25)]))))
 
     g3 = grid(3, 4)
     cases.append((
@@ -372,7 +372,7 @@ def _ab_cases():
              factory=lambda v, val: BenOrConsensus(
                  uid6[v], val, 4, 1, seed=3 * 101 + uid6[v]),
              fault_model=CrashFaultModel(
-                 [crash_plan(2, 1.5, still_delivered=(0,))]))))
+                 [CrashPlan(2, 1.5, still_delivered=(0,))]))))
     # Bound every run the way test_faults does: one case (the line
     # crash) disconnects the graph and legitimately never terminates.
     return [(name,

@@ -12,8 +12,7 @@ The load-bearing contracts:
   out in ``(finish_time, registration order)``.
 * **Sharding is exact** -- a forked :class:`ShardedService` run equals
   the serial run on everything but wall-clock fields.
-* **Placement** -- rendezvous hashing moves only the groups it must
-  under churn, and composes with :class:`NodeChurn` deterministically.
+* **Placement** -- rendezvous hashing is deterministic and total.
 """
 
 import json
@@ -27,19 +26,15 @@ from hypothesis import strategies as st
 from repro.analysis.export import trace_to_json, trace_to_records
 from repro.cli import main
 from repro.macsim.columnar import ColumnarSink
-from repro.macsim.dynamics import NodeChurn
 from repro.macsim.schedulers import SynchronousScheduler
-from repro.macsim.service import (ConsensusService, GroupPlacement,
-                                  GroupRuntime, RequestTracer,
-                                  ShardedService, WorkloadGenerator,
-                                  latency_summary,
-                                  placement_under_churn,
+from repro.macsim.service import (ConsensusService, GroupRuntime,
+                                  RequestTracer, ShardedService,
+                                  WorkloadGenerator, latency_summary,
                                   rendezvous_place, run_service,
                                   slot_scenario, slot_seed)
 from repro.registry import SCHEDULERS
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
-from repro.topology import clique
 
 BASE = Scenario(
     algorithm=AlgorithmSpec("wpaxos"),
@@ -392,7 +387,7 @@ class TestLatencySummary:
 
 
 # ----------------------------------------------------------------------
-# Placement and rebalancing under churn
+# Placement
 # ----------------------------------------------------------------------
 class TestPlacement:
     HOSTS = ["h0", "h1", "h2", "h3"]
@@ -404,49 +399,6 @@ class TestPlacement:
         assert a == b
         assert sorted(a) == self.GROUPS
         assert set(a.values()) <= set(self.HOSTS)
-
-    def test_departure_moves_only_orphans(self):
-        placement = GroupPlacement(hosts=list(self.HOSTS),
-                                   groups=list(self.GROUPS))
-        before = dict(placement.assignment)
-        orphans = {g for g, h in before.items() if h == "h1"}
-        moves = placement.rebalance(departed=["h1"])
-        assert {move.group for move in moves} == orphans
-        for group, host in placement.assignment.items():
-            if group not in orphans:
-                assert host == before[group]
-
-    def test_arrival_steals_minimally(self):
-        placement = GroupPlacement(hosts=list(self.HOSTS),
-                                   groups=list(self.GROUPS))
-        before = dict(placement.assignment)
-        moves = placement.rebalance(arrived=["h9"])
-        # Rendezvous: every move lands on the new host, nothing else
-        # shuffles.
-        assert all(move.target == "h9" for move in moves)
-        for group, host in placement.assignment.items():
-            if host != "h9":
-                assert host == before[group]
-
-    def test_churn_timeline_is_deterministic(self):
-        graph = clique(6)
-
-        def timeline():
-            placement = GroupPlacement(
-                hosts=sorted(graph.nodes), groups=list(range(12)))
-            churn = NodeChurn(leave_rate=0.3, rejoin_rate=0.5,
-                              epoch_length=5.0, seed=4)
-            return placement_under_churn(placement, churn, graph,
-                                         epochs=5)
-
-        def flat(entries):
-            return [(t, [(m.group, m.source, m.target) for m in moves])
-                    for t, moves in entries]
-
-        first, second = timeline(), timeline()
-        assert len(first) == 5
-        assert flat(first) == flat(second)
-        assert any(moves for _, moves in first)
 
 
 # ----------------------------------------------------------------------

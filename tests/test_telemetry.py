@@ -22,9 +22,9 @@ from repro.core import (GatherAllConsensus, TwoPhaseConsensus,
                         WPaxosConfig, WPaxosNode)
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
                           ColumnarSink, CorruptStrategy, CrashFaultModel,
-                          OmissionFaultModel, OmissionPlan,
+                          CrashPlan, OmissionFaultModel, OmissionPlan,
                           SpillBudgetError, Telemetry, Trace,
-                          build_simulation, crash_plan)
+                          build_simulation)
 from repro.macsim.columnar import KIND_CODES
 from repro.macsim.events import DELIVER_PRIORITY, EventQueue
 from repro.macsim.schedulers import (RandomDelayScheduler,
@@ -65,8 +65,8 @@ def _fault_scenarios():
         ("crash", g1, lambda v: TwoPhaseConsensus(v + 1, v % 2),
          lambda: SynchronousScheduler(1.0),
          lambda: CrashFaultModel([
-             crash_plan(0, 0.5, still_delivered=(1, 2)),
-             crash_plan(5, 2.5)])),
+             CrashPlan(0, 0.5, still_delivered=(1, 2)),
+             CrashPlan(5, 2.5)])),
         ("omission", g2, _wpaxos_factory(g2),
          lambda: RandomDelayScheduler(1.0, seed=11),
          lambda: OmissionFaultModel([
@@ -136,7 +136,7 @@ class TestCountersMatchTrace:
         sched = lambda: RandomDelayScheduler(1.0, seed=seed)
         models = {
             "none": lambda: None,
-            "crash": lambda: CrashFaultModel([crash_plan(0, 1.5)]),
+            "crash": lambda: CrashFaultModel([CrashPlan(0, 1.5)]),
             "omission": lambda: OmissionFaultModel([
                 OmissionPlan(node=n - 1, send=True, start=1.0)]),
             "byzantine": lambda: ByzantineFaultModel([

@@ -18,10 +18,11 @@ from repro.core import (BenOrConsensus, GatherAllConsensus,
                         TwoPhaseConsensus, WPaxosConfig, WPaxosNode)
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
                           ColumnarSink, CorruptStrategy, CrashFaultModel,
-                          EquivocateStrategy, OmissionFaultModel,
-                          OmissionPlan, SilentStrategy, Trace,
-                          TraceLevel, build_simulation, check_consensus,
-                          check_model_invariants, crash_plan, make_sink)
+                          CrashPlan, EquivocateStrategy,
+                          OmissionFaultModel, OmissionPlan,
+                          SilentStrategy, Trace, TraceLevel,
+                          build_simulation, check_consensus,
+                          check_model_invariants, make_sink)
 from repro.macsim import TraceSink as TraceSinkBase
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
@@ -55,8 +56,8 @@ def _fault_scenarios():
          lambda v: TwoPhaseConsensus(v + 1, v % 2),
          lambda: SynchronousScheduler(1.0),
          lambda: CrashFaultModel([
-             crash_plan(0, 0.5, still_delivered=(1, 2)),
-             crash_plan(5, 2.5)])),
+             CrashPlan(0, 0.5, still_delivered=(1, 2)),
+             CrashPlan(5, 2.5)])),
         ("omission-send", g2, _wpaxos_factory(g2),
          lambda: RandomDelayScheduler(1.0, seed=11),
          lambda: OmissionFaultModel([OmissionPlan(node=3, send=True)])),
@@ -180,8 +181,8 @@ class TestSinkPropertyEquivalence:
             others = [v for v in graph.nodes if v != victim]
             survivors = frozenset(
                 rng.sample(others, rng.randint(0, len(others))))
-            plans.append(crash_plan(victim, rng.uniform(0.0, 4.0),
-                                    still_delivered=survivors))
+            plans.append(CrashPlan(victim, rng.uniform(0.0, 4.0),
+                                   still_delivered=survivors))
         factory = lambda v: TwoPhaseConsensus(v + 1, v % 2)
         values = {v: v % 2 for v in graph.nodes}
 
@@ -224,10 +225,10 @@ class TestBatchedDeliveryScheduling:
     @pytest.mark.parametrize("crashes,unbatched", [
         ([], (72, "b80a05dae119d21528f3cebf7cfb1aa0"
                   "37de01519b12152dd0c7fb969e05a539")),
-        ([crash_plan(0, 0.5, still_delivered=(1, 2))],
+        ([CrashPlan(0, 0.5, still_delivered=(1, 2))],
          (63, "dcb788cb2e869ee31e33c36c69446c14"
               "ba156ed4e4c43dafe06749a55e0dc948")),
-        ([crash_plan(2, 1.0, still_delivered=()), crash_plan(4, 2.5)],
+        ([CrashPlan(2, 1.0, still_delivered=()), CrashPlan(4, 2.5)],
          (61, "ffa376d74e37d62ab27650e1c3cfb90e"
               "97a4b960f33389a2c602e0050a11c325")),
     ], ids=["clean", "partial", "two-crashes"])
@@ -235,7 +236,8 @@ class TestBatchedDeliveryScheduling:
         graph = clique(6)
         sim = build_simulation(
             graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
-            SynchronousScheduler(1.0), crashes=crashes)
+            SynchronousScheduler(1.0),
+            fault_model=CrashFaultModel(crashes))
         result = sim.run(max_events=100_000, max_time=100.0)
         assert (result.events_processed,
                 trace_digest(sim.trace)) == unbatched
@@ -339,14 +341,14 @@ class TestStreamingExport:
 
     def test_v3_crash_scenario_roundtrip(self, tmp_path):
         trace = self._sample()
-        plans = [crash_plan(1, 2.0, still_delivered=(0, 2))]
+        plans = [CrashPlan(1, 2.0, still_delivered=(0, 2))]
         path = str(tmp_path / "t.json")
         save_trace(trace, path, crashes=plans)
         assert load_crashes(path) == plans
 
     def test_v2_documents_still_load(self, tmp_path):
         trace = self._sample()
-        plans = [crash_plan(0, 1.0)]
+        plans = [CrashPlan(0, 1.0)]
         path = str(tmp_path / "old.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(trace_to_json(trace, indent=2,

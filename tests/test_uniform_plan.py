@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan, ColumnarSink,
-                          EquivocateStrategy, Process, build_simulation,
-                          crash_plan)
+                          CrashFaultModel, CrashPlan, EquivocateStrategy,
+                          Process, build_simulation)
 from repro.macsim.dynamics import NodeChurn
 from repro.macsim.errors import ModelViolationError
 from repro.macsim.schedulers import (AdversarialUnreliableScheduler,
@@ -224,8 +224,9 @@ SCENARIOS = {
         dict, {0, 2}),
     "crash-cuts-a-batch": (
         clique(6), _synchronous,
-        lambda: dict(crashes=[crash_plan(2, 1.5, still_delivered=(0, 4)),
-                              crash_plan(3, 2.0, still_delivered=())]),
+        lambda: dict(fault_model=CrashFaultModel([
+            CrashPlan(2, 1.5, still_delivered=(0, 4)),
+            CrashPlan(3, 2.0, still_delivered=())])),
         {5}),
     "byzantine-sender": (
         clique(5), _synchronous,
