@@ -171,7 +171,8 @@ def build_witness_deadlock_execution() -> Simulator:
             ScriptedStep(delivery_offsets={1: 1.0, 2: 1.0},
                          ack_offset=1.0),
             # phase 2 (starts t=1): node 1 gets it at t=2; node 2's
-            # delivery is scheduled late and cancelled by the crash.
+            # delivery is scheduled late and pruned when planned (the
+            # crash at t=3 cuts it).
             ScriptedStep(delivery_offsets={1: 1.0, 2: 90.0},
                          ack_offset=90.0),
         ],
@@ -180,7 +181,8 @@ def build_witness_deadlock_execution() -> Simulator:
             ScriptedStep(delivery_offsets={0: 6.0, 2: 6.0},
                          ack_offset=6.0),
             # phase 2 (starts t=6): deliveries at t=7.5 (node 0 is
-            # crashed by then; its delivery is skipped), ack t=7.5.
+            # crashed by then; its delivery is pruned when planned),
+            # ack t=7.5.
             ScriptedStep(delivery_offsets={0: 1.5, 2: 1.5},
                          ack_offset=1.5),
         ],

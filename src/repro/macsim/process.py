@@ -115,9 +115,7 @@ class Process:
         """The graph node this process is bound to (None before binding)."""
         if self._runtime is None:
             return self.uid
-        if self._label is not None:
-            return self._label
-        return self._runtime.label_of(self)
+        return self._label
 
     @property
     def ack_pending(self) -> bool:

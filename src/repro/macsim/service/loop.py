@@ -377,9 +377,7 @@ class ConsensusService:
             metrics.add_counter("slots_committed", total_slots)
             metrics.add_counter("engine_events", total_events)
             if telemetry is not None:
-                heap_keys = ("events_pushed", "events_popped",
-                             "events_cancelled", "heap_compactions",
-                             "heap_compacted_entries")
+                heap_keys = ("events_pushed", "events_popped")
                 counters = telemetry["totals"]["counters"]
                 for key in heap_keys:
                     if key in counters:

@@ -17,7 +17,19 @@ of Section 2 of the paper:
 * **Crashes mid-broadcast.** A
   :class:`~repro.macsim.faults.crash.CrashPlan`, injected through a
   :class:`~repro.macsim.faults.crash.CrashFaultModel`, may cut off part
-  of an in-flight broadcast's audience.
+  of an in-flight broadcast's audience. Crashing is a scheduler power
+  fixed before the run starts, so the cut is part of the schedule:
+  ``mac_broadcast`` leaves out of the plan a delivery ``(r, t)`` whose
+  receiver crashes at some ``c_r <= t``, and, when the sender crashes
+  at some ``c_s <= ack_time``, the ack and every delivery at
+  ``t >= c_s`` that the plan's ``still_delivered`` does not allow.
+  Crash events sort before deliveries and acks of equal time, so the
+  trace is exactly what cancelling at the crash would give; a pruned
+  delivery is simply never popped (it is not an event, and does not
+  advance the clock). The one difference: the cut also applies to a
+  broadcast orphaned by a node-churn reset before its sender's crash.
+  The crash event itself only records ``crash``, marks the process
+  and frees its MAC.
 * **Pluggable fault models.** A
   :class:`~repro.macsim.faults.base.FaultModel` adversary (crash,
   omission, Byzantine) is consulted at the broadcast, delivery and
@@ -90,14 +102,15 @@ The main loop is O(1) per event with no per-event scans:
   Because a broadcast's per-neighbor entries always occupied a
   contiguous seq block and only same-timestamp entries can tie,
   replacing each same-timestamp group with one entry inside that
-  block preserves exact event order. Crash plans cancel batched
-  receivers through the broadcast record's ``batch_cancelled`` set,
-  filtered at expansion. Plans whose timestamps are all distinct
-  (random delays) build no grouping at all, and a fan-out of one is a
-  plain ``deliver`` entry under either plan form.
+  block preserves exact event order. A crash plan filters a batch's
+  receiver tuple when the broadcast is planned (a tuple that lost
+  nobody stays the same object; an emptied batch pushes no entry).
+  Plans whose timestamps are all distinct (random delays) build no
+  grouping at all, and a fan-out of one is a plain ``deliver`` entry
+  under either plan form.
 * **A fan-out is one row.** The deliveries of a batch differ only in
-  the receiver, so on the crash-free, hook-free fast path the
-  expansion does not call ``trace.record`` per receiver: it keeps an
+  the receiver, so on the hook-free fast path (crash plans included)
+  the expansion does not call ``trace.record`` per receiver: it keeps an
   *open run* ``[first unwritten, next receiver]`` over the batch
   (``_open_run``) and hands it to the sink in one
   ``TraceSink.record_deliveries(time, bid, sender, payload,
@@ -110,19 +123,18 @@ The main loop is O(1) per event with no per-event scans:
   read the sink); (3) in the batch loop's ``finally`` -- a completed
   batch, a stop, a limit, an exception -- which also drops the run
   (and with it the broadcast record). The sink is therefore whole
-  whenever control leaves the engine. ``_dispatch_delivery`` (crash
-  plans, fault hooks: the payload can differ per receiver) and single
-  ``deliver`` entries keep per-row ``record``.
+  whenever control leaves the engine. ``_dispatch_delivery`` (fault
+  hooks: the payload can differ per receiver) and single ``deliver``
+  entries keep per-row ``record``.
 * **Broadcast records live as long as their events.** No table maps
   broadcast ids to records: a broadcast's ``deliver``/``bdeliver``/
-  ``ack`` heap entries and the batch cursor carry the record itself
-  (cancellation handles carry only the id, so there is no cycle), and
-  ``_inflight`` holds it until the ack. A record is therefore freed,
-  by reference count, when its last event has run -- under every
-  scheduler, trusted or validated, crash plan or dual graph -- and a
-  delivery that a (lying) trusted scheduler or the dual-graph window
-  places after the ack still finds its payload. Long runs keep O(n)
-  records in RAM, not O(broadcasts).
+  ``ack`` heap entries and the batch cursor carry the record itself,
+  and ``_inflight`` holds it until the ack (or the sender's crash). A
+  record is therefore freed, by reference count, when its last event
+  has run -- under every scheduler, trusted or validated, crash plan
+  or dual graph -- and a delivery that a (lying) trusted scheduler or
+  the dual-graph window places after the ack still finds its payload.
+  Long runs keep O(n) records in RAM, not O(broadcasts).
 
 For a fixed scheduler, seed and crash plan, the event order -- and
 therefore the full-level trace -- is identical to the pre-fast-path
@@ -132,7 +144,7 @@ per-neighbor entries it replaces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Mapping, Optional
@@ -141,7 +153,7 @@ from .dynamics.base import edge_key as _edge_key
 from .errors import (ConfigurationError, ModelViolationError,
                      SimulationLimitError)
 from .events import (ACK_PRIORITY, CRASH_PRIORITY, DELIVER_PRIORITY,
-                     WAKEUP_PRIORITY, Event, EventQueue)
+                     WAKEUP_PRIORITY, EventQueue)
 from .faults.base import DROP, FaultModel
 from .faults.crash import CrashPlan
 from .process import Process
@@ -167,33 +179,19 @@ class _BroadcastRecord:
 
     Nothing indexes records: the broadcast's ``deliver``/``bdeliver``/
     ``ack`` heap entries (and a half-consumed batch cursor) carry the
-    record itself, and ``Simulator._inflight`` holds it until the ack,
-    so it is freed when its last event has run -- whatever the
-    scheduler planned, a delivery that lands after the ack included.
-
-    The audit sets (``pending``/``delivered``) and the cancellation
-    handles are allocated only on the cancellable (crash-plan) path; on
-    the crash-free fast path they stay ``None`` so long runs do not
-    pay four containers per broadcast. Handles carry the ``bid``, not
-    the record, so a record is never part of a reference cycle.
+    record itself, and ``Simulator._inflight`` holds it until the ack
+    or the sender's crash, so it is freed when its last event has run
+    -- whatever the scheduler planned, a delivery that lands after the
+    ack included. A crash plan needs nothing here: what a crash cuts
+    was left out of the schedule when the broadcast was planned.
     """
 
     bid: int
     sender: Any
     payload: Any
-    start_time: float
     # Per-receiver forged payloads / DROPs from the fault model's
     # broadcast-boundary hook; None on the fault-free fast path.
     overrides: Optional[dict] = None
-    pending: Optional[set] = None
-    delivered: Optional[set] = None
-    delivery_events: Optional[dict] = None
-    ack_event: Optional[Event] = None
-    # Cancellable path only: the ``(time, receivers)`` groups scheduled
-    # as batched ``bdeliver`` entries, and the receivers a crash plan
-    # cancelled before expansion.
-    batches: tuple = ()
-    batch_cancelled: Optional[set] = None
     # Set when the sender's process was reset (node-churn rejoin)
     # while this broadcast was in flight: its ack is suppressed so the
     # fresh process never sees an ack for a broadcast it did not send.
@@ -215,9 +213,6 @@ class RunResult:
     def all_decided(self) -> bool:
         """Whether every non-crashed process decided."""
         return self.stop_reason in ("all_decided", "quiescent_all_decided")
-
-    def decision_values(self) -> set:
-        return set(self.decisions.values())
 
 
 class Simulator:
@@ -324,14 +319,12 @@ class Simulator:
         self._validate_plans = bool(validate_plans)
 
         self._processes: dict[Any, Process] = {}
-        self._labels: dict[int, Any] = {}
         for label, process in processes.items():
             if not graph.has_node(label):
                 raise ConfigurationError(
                     f"process bound to unknown node {label!r}")
             process._bind(self, label)
             self._processes[label] = process
-            self._labels[id(process)] = label
         missing = [v for v in graph.nodes if v not in self._processes]
         if missing:
             raise ConfigurationError(
@@ -375,6 +368,9 @@ class Simulator:
         # batch (see "A fan-out is one row" above).
         self._open_run: Optional[list] = None
 
+        # Every crash plan is known up front: mac_broadcast prunes what
+        # a crash will cut from each plan (see _prune_crashed), so a
+        # crash-free run pays one falsy check per broadcast.
         self._crash_by_node: dict[Any, CrashPlan] = {}
         for plan in fault_model.crash_plans():
             if not graph.has_node(plan.node):
@@ -384,12 +380,8 @@ class Simulator:
                 raise ConfigurationError(
                     f"multiple crash plans for node {plan.node!r}")
             self._crash_by_node[plan.node] = plan
-            self._queue.push(plan.time, CRASH_PRIORITY, "crash",
-                             node=plan.node)
-
-        # Without crash plans nothing can ever cancel a delivery or an
-        # ack, so the queue may skip allocating cancellation handles.
-        self._cancellable = bool(self._crash_by_node)
+            self._queue.push_light(plan.time, CRASH_PRIORITY, "crash",
+                                   node=plan.node)
 
         # Step-boundary behaviour (observers, target validation).
         fault_model.attach(self)
@@ -423,12 +415,6 @@ class Simulator:
 
     def process_at(self, label: Any) -> Process:
         return self._processes[label]
-
-    def label_of(self, process: Process) -> Any:
-        return self._labels[id(process)]
-
-    def is_crashed(self, label: Any) -> bool:
-        return label in self._crashed
 
     def alive_nodes(self) -> list:
         return [v for v in self.graph.nodes if v not in self._crashed]
@@ -468,16 +454,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Runtime services used by Process
     # ------------------------------------------------------------------
-    def mac_busy(self, process: Process) -> bool:
-        label = process._label
-        if label is None:
-            label = self._labels[id(process)]
-        return label in self._inflight
-
     def mac_broadcast(self, process: Process, payload: Any) -> bool:
         sender = process._label
-        if sender is None:
-            sender = self._labels[id(process)]
         if sender in self._crashed:
             return False
         if sender in self._inflight:
@@ -583,45 +561,30 @@ class Simulator:
                                           plan.ack_time, neighbors)
             if extra:
                 singles = {**singles, **extra}
+        ack_time = plan.ack_time
+        if self._crash_by_node:
+            batches, singles, ack_time = self._prune_crashed(
+                sender, batches, singles, ack_time)
 
-        record = _BroadcastRecord(bid, sender, payload, now, overrides)
-        # Crash plans cancel deliveries and the ack through per-entry
-        # handles, and batched receivers through
-        # record.batch_cancelled (filtered at expansion). Crash-free
-        # runs allocate neither: plan validation plus the deliver-
-        # before-ack event priority already guarantee every neighbor
-        # receives before the ack fires, so nothing can ever remove or
-        # miss a delivery and the audit sets stay None.
-        cancellable = self._cancellable
-        if cancellable:
-            record.pending = set(neighbors)
-            record.delivered = set()
-            delivery_events = record.delivery_events = {}
-            record.batches = batches
-        # Inline batch of EventQueue.push/push_light: one seq/live
-        # update for the whole fan-out (see EventQueue docstring).
+        record = _BroadcastRecord(bid, sender, payload, overrides)
+        # Inline batch of EventQueue.push_light: one seq update for the
+        # whole fan-out (see EventQueue docstring).
         queue = self._queue
         heap = queue._heap
-        first_seq = seq = queue._next_seq
-        handle = None
+        seq = queue._next_seq
         for when, receivers in batches:
             heappush(heap, (when, DELIVER_PRIORITY, seq, "bdeliver",
-                            receivers, record, None))
+                            receivers, record))
             seq += 1
         for receiver, when in singles.items():
-            if cancellable:
-                handle = delivery_events[receiver] = Event(
-                    when, DELIVER_PRIORITY, seq, "deliver", receiver, bid)
             heappush(heap, (when, DELIVER_PRIORITY, seq, "deliver",
-                            receiver, record, handle))
+                            receiver, record))
             seq += 1
-        if cancellable:
-            handle = record.ack_event = Event(
-                plan.ack_time, ACK_PRIORITY, seq, "ack", sender, bid)
-        heappush(heap, (plan.ack_time, ACK_PRIORITY, seq, "ack", sender,
-                        record, handle))
-        queue._next_seq = seq + 1
-        queue._live += seq + 1 - first_seq
+        if ack_time is not None:
+            heappush(heap, (ack_time, ACK_PRIORITY, seq, "ack", sender,
+                            record))
+            seq += 1
+        queue._next_seq = seq
 
         self._inflight[sender] = record
         process._mac_pending = True
@@ -640,13 +603,47 @@ class Simulator:
 
     def note_decision(self, process: Process, value: Any) -> None:
         label = process._label
-        if label is None:
-            label = self._labels[id(process)]
         if label not in self._crashed:
             self._undecided_alive -= 1
         if self._open_run is not None:
             self._write_run(self._open_run)
         self.trace.record(self.now, "decide", label, payload=value)
+
+    def _prune_crashed(self, sender: Any, batches: tuple, singles: dict,
+                       ack_time: float) -> tuple:
+        """Leave out of one broadcast's schedule what a crash cuts.
+
+        A delivery ``(r, t)`` is dropped when ``r`` crashes at some
+        ``c_r <= t``. When the sender crashes at some ``c_s <=
+        ack_time``, the ack is dropped (``None`` is returned for its
+        time) and so is every delivery at ``t >= c_s`` to a receiver
+        the crash plan does not allow. Crash events sort before
+        deliveries and acks of the same timestamp, so these are exactly
+        the entries that, popped after the crash, would do nothing.
+        Batch tuples that lose nobody are returned as the same object;
+        emptied batches are dropped.
+        """
+        crashes = self._crash_by_node
+        cut = crashes.get(sender)
+        if cut is not None and cut.time > ack_time:
+            cut = None
+
+        def kept(receiver: Any, when: float) -> bool:
+            crash = crashes.get(receiver)
+            if crash is not None and crash.time <= when:
+                return False
+            return (cut is None or when < cut.time
+                    or cut.allows_delivery(receiver))
+
+        pruned = []
+        for when, receivers in batches:
+            survivors = tuple(r for r in receivers if kept(r, when))
+            if len(survivors) == len(receivers):
+                survivors = receivers
+            if survivors:
+                pruned.append((when, survivors))
+        singles = {r: when for r, when in singles.items() if kept(r, when)}
+        return tuple(pruned), singles, (ack_time if cut is None else None)
 
     def _write_run(self, run: list) -> None:
         """Hand the sink the deliveries ``run`` made since its last
@@ -664,9 +661,9 @@ class Simulator:
                          reliable: tuple) -> Mapping[Any, float]:
         """Delivery times over the dual graph's unreliable links.
 
-        Unreliable receivers never gate the ack (they are not in
-        ``record.pending``); a dropped delivery simply never happens
-        -- the defining behaviour of the model variant.
+        Unreliable receivers never gate the ack; a dropped delivery
+        simply never happens -- the defining behaviour of the model
+        variant.
         """
         if not self.unreliable_graph.has_node(sender):
             return {}
@@ -748,12 +745,10 @@ class Simulator:
                     process.on_start()
 
         # Hot loop: everything per-event is O(1); hoist lookups once.
-        # The queue pop and the crash-free delivery dispatch are
-        # inlined (see EventQueue's docstring): accounting is updated
-        # on the queue object at each step, so any observer or stop
+        # The queue pop and the hook-free delivery dispatch are inlined
+        # (see EventQueue's docstring), so any observer or stop
         # predicate sees a consistent engine mid-run.
-        queue = self._queue
-        heap = queue._heap
+        heap = self._queue._heap
         heappop_ = heappop
         dispatch_ack = self._dispatch_ack
         dispatch_crash = self._dispatch_crash
@@ -763,7 +758,7 @@ class Simulator:
         trace_bump = self.trace.bump
         trace_record = self.trace.record
         trace_mac = self._trace_mac
-        fast_deliver = not self._cancellable and not self._fault_active
+        fast_deliver = not self._fault_active
         # Into a sink that takes MAC rows the fast path hands a batch's
         # deliveries over as runs, not one by one.
         run_rows = fast_deliver and trace_mac
@@ -796,8 +791,6 @@ class Simulator:
                 batch = None
                 count = len(receivers)
                 payload = record.payload
-                # Crashes are heap events: none can fire mid-batch.
-                cancelled = record.batch_cancelled
                 span = (None if tel_spans is None
                         else tel_spans.get(record.bid))
                 open_run = None
@@ -826,8 +819,6 @@ class Simulator:
                             break
                         receiver = receivers[i]
                         i += 1
-                        if cancelled is not None and receiver in cancelled:
-                            continue
                         if fast_deliver:
                             if open_run is not None:
                                 open_run[1] = i
@@ -867,22 +858,12 @@ class Simulator:
             if stop_predicate is not None and stop_predicate(self):
                 stop_reason = "predicate"
                 break
-            # -- inline EventQueue.pop_entry -----------------------------
-            entry = None
-            while heap:
-                entry = heappop_(heap)
-                handle = entry[6]
-                if handle is not None and handle.cancelled:
-                    queue._dead -= 1
-                    entry = None
-                    continue
-                queue._live -= 1
-                break
-            if entry is None:
+            if not heap:
                 stop_reason = ("quiescent_all_decided"
                                if self._undecided_alive == 0
                                else "quiescent")
                 break
+            entry = heappop_(heap)
             event_time = entry[0]
             if event_time > max_time:
                 stop_reason = "max_time"
@@ -906,7 +887,6 @@ class Simulator:
                         # An epoch scheduled something that sorts
                         # before the held entry: that runs first.
                         heappush(heap, entry)
-                        queue._live += 1
                         continue
                 if event_time > self.now:
                     if time_hooks:
@@ -917,7 +897,7 @@ class Simulator:
             kind = entry[3]
             if kind == "deliver":
                 if fast_deliver:
-                    # -- inline _dispatch_delivery, crash-free case ------
+                    # -- inline _dispatch_delivery, hook-free case -------
                     record = entry[5]
                     receiver = entry[4]
                     if trace_mac:
@@ -993,50 +973,37 @@ class Simulator:
     # ------------------------------------------------------------------
     def _dispatch_delivery(self, receiver: Any,
                            record: _BroadcastRecord) -> None:
-        if self._cancellable:
-            crashed = self._crashed
-            if crashed and receiver in crashed:
-                record.pending.discard(receiver)
-                return
-            # (Deliveries from a crashed sender were re-validated at
-            # crash time; reaching here means this one was allowed.)
+        """One delivery through the fault model's delivery boundary
+        (the run loop inlines the hook-free case)."""
+        # Apply the sender-side override map, then give the model a
+        # chance to drop/substitute on the receiver side (receive
+        # omission).
         payload = record.payload
-        if self._fault_active:
-            # Delivery boundary: apply the sender-side override map,
-            # then give the model a chance to drop/substitute on the
-            # receiver side (receive omission).
-            overrides = record.overrides
-            if overrides is not None:
-                payload = overrides.get(receiver, payload)
-            fault_deliver = self._fault_deliver
-            if fault_deliver is not None and payload is not DROP:
-                tel = self.telemetry
-                if tel is None:
-                    payload = fault_deliver(record.sender, receiver,
-                                            payload, self.now)
-                else:
-                    t0 = perf_counter()
-                    fault_payload = fault_deliver(record.sender, receiver,
-                                                  payload, self.now)
-                    tel.phase_add("fault_hooks", perf_counter() - t0)
-                    if fault_payload is not payload:
-                        tel.fault_injections += 1
-                    payload = fault_payload
-            if payload is DROP:
-                # The drop never gates the sender's ack: the faulty
-                # endpoint is exempt from the coverage rule.
-                if self._cancellable:
-                    record.pending.discard(receiver)
-                    record.delivery_events.pop(receiver, None)
-                self.trace.record(self.now, "drop", receiver,
-                                  broadcast_id=record.bid,
-                                  peer=record.sender,
-                                  payload=record.payload)
-                return
-        if self._cancellable:
-            record.pending.discard(receiver)
-            record.delivered.add(receiver)
-            record.delivery_events.pop(receiver, None)
+        overrides = record.overrides
+        if overrides is not None:
+            payload = overrides.get(receiver, payload)
+        fault_deliver = self._fault_deliver
+        if fault_deliver is not None and payload is not DROP:
+            tel = self.telemetry
+            if tel is None:
+                payload = fault_deliver(record.sender, receiver,
+                                        payload, self.now)
+            else:
+                t0 = perf_counter()
+                fault_payload = fault_deliver(record.sender, receiver,
+                                              payload, self.now)
+                tel.phase_add("fault_hooks", perf_counter() - t0)
+                if fault_payload is not payload:
+                    tel.fault_injections += 1
+                payload = fault_payload
+        if payload is DROP:
+            # The drop never gates the sender's ack: the faulty
+            # endpoint is exempt from the coverage rule.
+            self.trace.record(self.now, "drop", receiver,
+                              broadcast_id=record.bid,
+                              peer=record.sender,
+                              payload=record.payload)
+            return
         if self._trace_mac:
             self.trace.record(self.now, "deliver", receiver,
                               broadcast_id=record.bid, peer=record.sender,
@@ -1059,21 +1026,11 @@ class Simulator:
             # The sender's process was reset (node-churn rejoin) while
             # this broadcast was in flight: no ack is observed.
             return
-        crashed = self._crashed
-        if crashed and sender in crashed:
-            return
-        if record.pending:
-            outstanding = {v for v in record.pending if v not in crashed}
-            if outstanding:
-                raise ModelViolationError(
-                    f"ack for broadcast {record.bid} of {sender!r} before "
-                    f"non-faulty neighbors "
-                    f"{sorted(map(str, outstanding))} received")
         # Free the MAC layer before the handler so the process can
         # immediately start its next broadcast from within on_ack().
-        if self._inflight.get(sender) is record:
-            del self._inflight[sender]
-            self._processes[sender]._mac_pending = False
+        # (A crash that would beat the ack pruned it when planned.)
+        del self._inflight[sender]
+        self._processes[sender]._mac_pending = False
         if self._trace_mac:
             self.trace.record(self.now, "ack", sender,
                               broadcast_id=record.bid)
@@ -1093,35 +1050,16 @@ class Simulator:
         self._processes[sender].on_ack()
 
     def _dispatch_crash(self, node: Any) -> None:
-        if node in self._crashed:
-            return
-        plan = self._crash_by_node[node]
+        # What the crash cuts of this node's broadcasts, and of the
+        # deliveries to it, was pruned when they were planned.
+        process = self._processes[node]
         self._crashed.add(node)
-        if not self._processes[node].decided:
+        if not process.decided:
             self._undecided_alive -= 1
         self.trace.record(self.now, "crash", node)
-        self._processes[node].crashed = True
-
-        record = self._inflight.pop(node, None)
-        if record is not None:
-            self._processes[node]._mac_pending = False
-            if record.ack_event is not None:
-                self._queue.cancel(record.ack_event)
-            for receiver, delivery in list(record.delivery_events.items()):
-                if not plan.allows_delivery(receiver):
-                    self._queue.cancel(delivery)
-                    record.delivery_events.pop(receiver, None)
-                    record.pending.discard(receiver)
-            # Batched deliveries have no per-receiver events to
-            # cancel; the expansion cursor filters this set.
-            cancelled = record.batch_cancelled
-            for _, receivers in record.batches:
-                for receiver in receivers:
-                    if not plan.allows_delivery(receiver):
-                        if cancelled is None:
-                            cancelled = record.batch_cancelled = set()
-                        cancelled.add(receiver)
-                        record.pending.discard(receiver)
+        process.crashed = True
+        if self._inflight.pop(node, None) is not None:
+            process._mac_pending = False
 
     # ------------------------------------------------------------------
     # Topology dynamics
@@ -1236,7 +1174,9 @@ class Simulator:
         created from the factory, bound and started. An in-flight
         broadcast of the old process is orphaned (its scheduled
         deliveries still complete -- they were covered by the topology
-        as of the broadcast -- but no ack is observed).
+        as of the broadcast -- but no ack is observed). A later crash
+        of the node still cuts it: the cut was pruned from the
+        schedule when the broadcast was planned.
         """
         if label in self._crashed:
             return
@@ -1253,8 +1193,6 @@ class Simulator:
         fresh = factory(label)
         fresh._bind(self, label)
         self._processes[label] = fresh
-        del self._labels[id(old)]
-        self._labels[id(fresh)] = label
         if old.decided:
             # The node is undecided again; note_decision will balance
             # this when (if) the fresh process decides.

@@ -8,11 +8,10 @@ stated against them. A :class:`Telemetry` object threaded through
 into first-class observables: per-broadcast **causal spans**
 (open -> first delivery -> last delivery -> ack) reduced into
 empirical F_ack/F_prog/F_cover histograms, plus engine counters
-(heap pushes/pops/cancellations, tombstone compactions, broadcasts
-opened/acked, deliveries, drops, topology epochs, fault injections,
-sink bytes/flushes) and a monotonic wall-clock profile of the
-engine's phases (scheduler planning, plan validation, fault hooks,
-dynamics epochs).
+(heap pushes/pops, broadcasts opened/acked, deliveries, drops,
+topology epochs, fault injections, sink bytes/flushes) and a
+monotonic wall-clock profile of the engine's phases (scheduler
+planning, plan validation, fault hooks, dynamics epochs).
 
 Design constraints, in priority order:
 
@@ -218,17 +217,13 @@ class Telemetry:
         """
         queue = sim._queue
         pushed = queue._next_seq
-        compacted = getattr(queue, "_compacted_entries", 0)
         sink = sim.trace
         counters: Dict[str, Any] = {
             # Heap-entry accounting: one batched `bdeliver` entry
             # covers a whole fan-out, so pushes count heap entries,
             # not logical occurrences.
             "events_pushed": pushed,
-            "events_popped": pushed - len(queue._heap) - compacted,
-            "events_cancelled": getattr(queue, "_cancelled_total", 0),
-            "heap_compactions": getattr(queue, "_compactions", 0),
-            "heap_compacted_entries": compacted,
+            "events_popped": pushed - len(queue),
             "events_processed": self.events_processed,
             "broadcasts_opened": _sink_count(sink, "broadcast"),
             "broadcasts_acked": _sink_count(sink, "ack"),

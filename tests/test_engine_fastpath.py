@@ -1,5 +1,5 @@
 """PR 1 fast-path tests: quiescence counters, trace indexes, levels,
-event-queue compaction, and parallel sweep determinism."""
+crash pruning, and parallel sweep determinism."""
 
 import gc
 import hashlib
@@ -14,8 +14,6 @@ from repro.macsim import (ColumnarSink, CrashFaultModel, CrashPlan,
                           OmissionFaultModel, OmissionPlan, Process,
                           TraceLevel, build_simulation)
 from repro.macsim.errors import SimulationLimitError
-from repro.macsim.events import (ACK_PRIORITY, DELIVER_PRIORITY,
-                                 EventQueue)
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.macsim.simulator import _BroadcastRecord
@@ -297,41 +295,25 @@ class TestTraceIndexes:
         assert Trace("decisions").level is TraceLevel.DECISIONS
 
 
-class TestEventQueueCompaction:
-    def test_mass_cancellation_preserves_order(self):
-        queue = EventQueue()
-        events = [queue.push(float(i % 31), DELIVER_PRIORITY, "deliver",
-                             node=i) for i in range(500)]
-        keep = [e for i, e in enumerate(events) if i % 7 == 0]
-        for i, event in enumerate(events):
-            if i % 7 != 0:
-                queue.cancel(event)
-        assert len(queue) == len(keep)
-        popped = []
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            popped.append(event)
-        assert popped == sorted(keep, key=lambda e: e.sort_key)
+class _Once(Process):
+    """Broadcasts once at start; remembers what it hears."""
 
-    def test_peek_time_skips_cancelled_run(self):
-        queue = EventQueue()
-        early = [queue.push(1.0, DELIVER_PRIORITY, "deliver", node=i)
-                 for i in range(10)]
-        queue.push(2.0, ACK_PRIORITY, "ack", node="x")
-        for event in early:
-            queue.cancel(event)
-        assert queue.peek_time() == 2.0
-        assert queue.pop().node == "x"
-        assert queue.peek_time() is None
+    def __init__(self, uid):
+        super().__init__(uid=uid, initial_value=0)
+        self.heard = []
 
-    def test_mid_run_compaction_does_not_orphan_the_heap(self):
-        # Regression: _compact() must keep the heap *list object*
-        # (in-place slice assignment), because Simulator.run() holds a
-        # direct reference across dispatches. A crash cancelling >= 64
-        # pending deliveries triggers compaction mid-run; everything
-        # scheduled afterwards must still be processed.
+    def on_start(self):
+        self.broadcast(("hello", self.uid))
+
+    def on_receive(self, message):
+        self.heard.append((self.now(), message))
+
+
+class TestCrashPruning:
+    def test_hub_crash_prunes_its_fanout_and_the_run_goes_on(self):
+        # A hub crashing mid-broadcast loses ~100 pending deliveries
+        # and its ack while later events are already scheduled; the
+        # run must still process everything scheduled afterwards.
         from repro.topology import star
 
         graph = star(101)  # hub 0, leaves 1..100
@@ -358,33 +340,83 @@ class TestEventQueueCompaction:
 
         sim = build_simulation(
             graph, lambda v: HubTalker(v), SynchronousScheduler(1.0),
-            # Hub crashes mid-broadcast, cancelling all ~100 pending
-            # deliveries plus its ack: well past the compaction
-            # threshold, while later events are already scheduled.
             fault_model=CrashFaultModel(
                 [CrashPlan(0, 0.5, still_delivered=(1,))]))
         result = sim.run(max_time=10.0)
         queue = sim._queue
         assert len(queue) == 0, "live events left behind after run"
-        assert queue._dead == 0
         # Leaf 1 received the hub's partial broadcast, and its own
-        # follow-up broadcast -- scheduled *after* the compaction --
-        # must still have been acked (pre-fix the run went quiescent
-        # with those events stranded in an orphaned heap list).
+        # follow-up broadcast -- scheduled after the crash -- was acked.
         assert sim.process_at(1).received == [("hub", 0)]
         assert sim.process_at(1).acks == 1
         deliveries = result.trace.of_kind("deliver")
         assert [(r.node, r.broadcast_id) for r in deliveries] == [(1, 0)]
 
-    def test_push_light_interleaves_deterministically(self):
-        queue = EventQueue()
-        queue.push(2.0, DELIVER_PRIORITY, "deliver", node="heavy")
-        queue.push_light(1.0, DELIVER_PRIORITY, "deliver", node="light")
-        queue.push_light(2.0, ACK_PRIORITY, "ack", node="lite-ack")
-        assert len(queue) == 3
-        order = [queue.pop().node for _ in range(3)]
-        assert order == ["light", "heavy", "lite-ack"]
-        assert queue.pop() is None
+    def test_crash_plan_run_takes_the_fast_path(self, monkeypatch):
+        # The cut is in the schedule, so a crash run's batches reach
+        # the sink as runs and no delivery goes through the slow
+        # per-receiver dispatch.
+        from repro.macsim import Simulator
+
+        class SpySink(Trace):
+            def __init__(self):
+                super().__init__()
+                self.runs = []
+
+            def record_deliveries(self, time, broadcast_id, sender,
+                                  payload, receivers):
+                self.runs.append((time, sender, tuple(receivers)))
+                super().record_deliveries(time, broadcast_id, sender,
+                                          payload, receivers)
+
+        def slow_path(self, receiver, record):
+            raise AssertionError("_dispatch_delivery entered")
+
+        monkeypatch.setattr(Simulator, "_dispatch_delivery", slow_path)
+        sink = SpySink()
+        sim = build_simulation(
+            clique(6), lambda v: TwoPhaseConsensus(v + 1, v % 2),
+            SynchronousScheduler(1.0), trace_sink=sink,
+            fault_model=CrashFaultModel(
+                [CrashPlan(0, 0.5, still_delivered=(1, 2))]))
+        sim.run()
+        assert sink.crashed_nodes() == {0}
+        # Node 0's cut broadcast is one run of the two allowed
+        # receivers; every later batch skips the crashed node 0.
+        assert (1.0, 0, (1, 2)) in sink.runs
+        assert all(0 not in receivers for _, _, receivers in sink.runs)
+        assert sum(len(r) for _, _, r in sink.runs) == \
+            sink.delivery_count()
+
+    def test_a_crash_cuts_a_broadcast_orphaned_by_a_reset(self):
+        # Node 0's first broadcast reaches node 1 at 0.5 and is due at
+        # node 2 at 3.0. A churn reset at 1.5 orphans it, and node 0
+        # crashes at 2.0 allowing nobody: the crash cuts the orphaned
+        # broadcast's delivery at 3.0 too.
+        from repro.macsim.dynamics import ScriptedDynamics
+        from repro.macsim.schedulers import ScriptedScheduler, ScriptedStep
+
+        scheduler = ScriptedScheduler(
+            {0: [ScriptedStep({1: 0.5, 2: 3.0}, ack_offset=3.0)]},
+            fallback=SynchronousScheduler(1.0), f_ack=4.0)
+        sim = build_simulation(
+            clique(3), _Once, scheduler,
+            dynamics=ScriptedDynamics([{"time": 1.0, "leave": [0]},
+                                       {"time": 1.5, "join": [0]}]),
+            fault_model=CrashFaultModel(
+                [CrashPlan(0, 2.0, still_delivered=())]))
+        result = sim.run(stop_when_all_decided=False, max_time=20.0)
+        first = [(r.time, r.node) for r in result.trace.of_kind("deliver")
+                 if r.broadcast_id == 0]
+        assert first == [(0.5, 1)]
+        assert ("hello", 0) not in [m for _, m in sim.process_at(2).heard]
+        # The reset's own broadcast (bid 3, due at 2.5) is cut as well.
+        assert [r.node for r in result.trace.of_kind("broadcast")
+                if r.broadcast_id == 3] == [0]
+        assert not [r for r in result.trace.of_kind("deliver")
+                    if r.broadcast_id == 3]
+        assert result.trace.crashed_nodes() == {0}
+        assert len(sim._queue) == 0
 
 
 # ---------------------------------------------------------------------
@@ -419,9 +451,13 @@ _BATCH_LEVELS = (TraceLevel.FULL, TraceLevel.DECISIONS)
 #: variant -> (events of the unsliced run, which ``stop_when_all_decided``
 #: ends mid-batch; calls a never-true ``stop_predicate`` receives over
 #: it). Measured on the commit before the inner batch loop (57f7cfd).
+#: There the crash-plan run also popped 18 deliveries to crashed nodes
+#: that did nothing, and asked the predicate before each of the three
+#: batch receivers the crash had cut; a crash now prunes all of those
+#: when they are planned.
 _BATCH_COMMITTED = {
     "crash-free": (84, 99),
-    "crash-plan": (87, 106),
+    "crash-plan": (87 - 18, 106 - 18 - 3),
     "omission": (166, 195),
 }
 
@@ -429,7 +465,7 @@ _BATCH_COMMITTED = {
 def _batch_sim(variant, level, **kwargs):
     if variant == "crash-plan":
         # Both die mid-broadcast: node 0's batch loses three receivers
-        # (cancelled, filtered at expansion), node 4's is delivered whole.
+        # (pruned when planned), node 4's is delivered whole.
         kwargs["fault_model"] = CrashFaultModel([
             CrashPlan(0, 0.5, still_delivered=(1, 3)), CrashPlan(4, 2.5)])
     elif variant == "omission":

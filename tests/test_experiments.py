@@ -4,6 +4,8 @@ The heavier drivers are run with reduced sweeps where parameters
 allow; the assertions are the experiments' own pass/fail conclusions.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments import (e1_single_hop, e2_wpaxos_scaling,
@@ -11,6 +13,17 @@ from repro.experiments import (e1_single_hop, e2_wpaxos_scaling,
                                e5_anonymous, e6_unknown_n, e7_flp,
                                e8_ablations)
 from repro.experiments.common import ExperimentReport
+
+#: sha256 of the default ``run().render()`` of the two crash-plan
+#: experiments.
+E7_RENDER_SHA256 = (
+    "c6944473488d2977ae1e49d18792ad8a2807c1f31ff044de1b88d66a30d328ad")
+E10_RENDER_SHA256 = (
+    "22e9474811232c0f7e887a8f768547447dec0153300b0b9b31f0800ed1a44ebc")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestReportPlumbing:
@@ -66,6 +79,9 @@ class TestExperimentDrivers:
     def test_e7(self):
         report = e7_flp.run()
         assert report.passed, report.render()
+        # The FLP witness runs crash plans through the engine: its
+        # whole report is pinned byte for byte.
+        assert _sha256(report.render()) == E7_RENDER_SHA256
 
     def test_e8(self):
         report = e8_ablations.run()
@@ -84,6 +100,11 @@ class TestExtensionExperiments:
         report = e10_randomized.run(configs=((3, 1), (5, 2)),
                                     seeds=range(3))
         assert report.passed, report.render()
+
+    def test_e10_default_render_is_pinned(self):
+        # Ben-Or under crash plans, the default sweep, byte for byte.
+        from repro.experiments import e10_randomized
+        assert _sha256(e10_randomized.run().render()) == E10_RENDER_SHA256
 
     def test_e11(self):
         from repro.experiments import e11_fprog

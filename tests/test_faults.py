@@ -1,6 +1,6 @@
 """Fault-model subsystem tests.
 
-Covers the adversary interface end to end: crash runs (six fixed
+Covers the adversary interface end to end: crash runs (nine fixed
 scenarios pinned by trace digest, crashed nodes never scoped out as
 faulty, the vectorized columnar audit on a ``FaultSpec`` crash run),
 omission and Byzantine hook-point semantics, correct-node scoping of
@@ -29,7 +29,8 @@ from repro.macsim import columnar as columnar_mod
 from repro.macsim.columnar import have_numpy
 from repro.macsim.errors import ConfigurationError, ModelViolationError
 from repro.macsim.faults import DROP, FaultModel, forge_payload
-from repro.macsim.schedulers import (DeliveryPlan, RandomDelayScheduler,
+from repro.macsim.schedulers import (AdversarialUnreliableScheduler,
+                                     DeliveryPlan, RandomDelayScheduler,
                                      Scheduler, SynchronousScheduler,
                                      UniformPlan)
 from repro.scenario import (AlgorithmSpec, FaultSpec, Scenario,
@@ -48,9 +49,9 @@ class Payload:
 # ---------------------------------------------------------------------------
 # Crash runs: pinned traces and the full audit
 # ---------------------------------------------------------------------------
-def _run_trace(graph, factory, scheduler_factory, fault_model):
+def _run_trace(graph, factory, scheduler_factory, fault_model, **build):
     sim = build_simulation(graph, factory, scheduler_factory(),
-                           fault_model=fault_model)
+                           fault_model=fault_model, **build)
     sim.run(max_events=500_000, max_time=500.0)
     return trace_to_json(sim.trace)
 
@@ -61,9 +62,14 @@ def _wpaxos_factory(graph):
                                 WPaxosConfig())
 
 
-#: The six scenarios of PR 1's byte-identity verification: a spread of
+#: The engine's original six byte-identity scenarios -- a spread of
 #: algorithms, topologies, schedulers and crash shapes (mid-broadcast
-#: partial delivery included).
+#: partial delivery included) -- then three shapes on the boundaries of
+#: the crash rule: a crash at time 0 of a node whose ``on_start``
+#: broadcast is in flight, a sender crash while unreliable (dual-graph)
+#: deliveries are pending, and a synchronous crash at the very instant
+#: of a round's deliveries and acks. The last field of each tuple holds
+#: extra ``build_simulation`` keywords.
 def _scenarios():
     g1 = clique(6)
     g2 = line(8)
@@ -71,35 +77,51 @@ def _scenarios():
     g4 = star(9)
     g5 = random_connected(10, 0.3, seed=5)
     g6 = clique(4)
+    g7 = clique(5)
+    g8 = line(5)
+    g9 = clique(4)
     return [
         ("twophase-sync-partial", g1,
          lambda v: TwoPhaseConsensus(v + 1, v % 2),
          lambda: SynchronousScheduler(1.0),
          [CrashPlan(0, 0.5, still_delivered=(1, 2)),
-          CrashPlan(5, 2.5)]),
+          CrashPlan(5, 2.5)], {}),
         ("wpaxos-line-random", g2, _wpaxos_factory(g2),
          lambda: RandomDelayScheduler(1.0, seed=11),
-         [CrashPlan(3, 4.25)]),
+         [CrashPlan(3, 4.25)], {}),
         ("gatherall-random-two", g3,
          lambda v: GatherAllConsensus(v + 1, v % 2, 5),
          lambda: RandomDelayScheduler(1.0, seed=2),
          [CrashPlan(1, 0.75, still_delivered=()),
-          CrashPlan(4, 1.5, still_delivered=(0,))]),
+          CrashPlan(4, 1.5, still_delivered=(0,))], {}),
         ("wpaxos-star-hub", g4, _wpaxos_factory(g4),
          lambda: SynchronousScheduler(1.0),
-         [CrashPlan(0, 1.0, still_delivered=(1, 2, 3))]),
+         [CrashPlan(0, 1.0, still_delivered=(1, 2, 3))], {}),
         ("wpaxos-random-late", g5, _wpaxos_factory(g5),
          lambda: RandomDelayScheduler(1.0, seed=9),
-         [CrashPlan(list(g5.nodes)[2], 9.0)]),
+         [CrashPlan(list(g5.nodes)[2], 9.0)], {}),
         ("benor-sync", g6,
          lambda v: BenOrConsensus(v + 1, v % 2, 4, 1, seed=v),
          lambda: SynchronousScheduler(1.0),
-         [CrashPlan(2, 1.5, still_delivered=(0,))]),
+         [CrashPlan(2, 1.5, still_delivered=(0,))], {}),
+        ("twophase-crash-at-zero", g7,
+         lambda v: TwoPhaseConsensus(v + 1, v % 2),
+         lambda: SynchronousScheduler(1.0),
+         [CrashPlan(0, 0.0, still_delivered=(1, 2))], {}),
+        ("wpaxos-unreliable-sender", g8, _wpaxos_factory(g8),
+         lambda: AdversarialUnreliableScheduler(
+             RandomDelayScheduler(1.0, seed=3), cutoff=100.0),
+         [CrashPlan(2, 2.3, still_delivered=(0, 3))],
+         {"unreliable_graph": clique(5)}),
+        ("wpaxos-sync-crash-at-round", g9, _wpaxos_factory(g9),
+         lambda: SynchronousScheduler(1.0),
+         [CrashPlan(1, 2.0, still_delivered=(2,))], {}),
     ]
 
 
 #: sha256 of each scenario's ``trace_to_json``: pins the engine's
-#: crash machinery (cancellation, partial delivery) byte for byte.
+#: crash machinery (cut deliveries and acks, partial delivery) byte
+#: for byte.
 CRASH_TRACE_SHA256 = {
     "twophase-sync-partial":
         "d0097dcabeadd93b797a8cb00a8184f408d33978e92cf1a5544c8e416dc73da2",
@@ -113,16 +135,23 @@ CRASH_TRACE_SHA256 = {
         "ddf54152f3203166abdab551d058fcd4e1a6f7a94817438e88d82aa925fef96e",
     "benor-sync":
         "0f3be954e8ee67e91734bf3cd51195910b275b35f86451160e5656ebbb06c64e",
+    "twophase-crash-at-zero":
+        "b995351bec3e9a310503636fab4ee700eb502f13a69bc4fe31b04d7832427a7e",
+    "wpaxos-unreliable-sender":
+        "37f628a450429311c8c777c238f547b5815d6af6029f7287902759420648fc2d",
+    "wpaxos-sync-crash-at-round":
+        "dbd9c8841430ec08cb034a3e063935a263b5463dea2c2e18625f8d61440d39bd",
 }
 
 
 class TestCrashModelTraces:
     @pytest.mark.parametrize(
-        "name,graph,factory,sched,plans",
+        "name,graph,factory,sched,plans,build",
         _scenarios(), ids=[s[0] for s in _scenarios()])
     def test_crash_scenarios_match_pinned_digests(
-            self, name, graph, factory, sched, plans):
-        text = _run_trace(graph, factory, sched, CrashFaultModel(plans))
+            self, name, graph, factory, sched, plans, build):
+        text = _run_trace(graph, factory, sched, CrashFaultModel(plans),
+                          **build)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == CRASH_TRACE_SHA256[name]
 

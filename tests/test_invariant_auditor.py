@@ -547,7 +547,7 @@ class TestRunsAuditedAsTheirRows:
 # ----------------------------------------------------------------------
 class TestSameTimestampCrashAndAck:
     """Node 2 crashes at t=1.0, exactly when round 1's deliveries and
-    acks fire. Its delivery is cancelled, so every ack at 1.0 lacks it:
+    acks fire. Its delivery is cut, so every ack at 1.0 lacks it:
     the audit must already know about the crash."""
 
     def _run(self, **kwargs):

@@ -6,79 +6,79 @@ from repro.macsim.events import (ACK_PRIORITY, CRASH_PRIORITY,
                                  DELIVER_PRIORITY, EventQueue)
 
 
+def _drain(q):
+    entries = []
+    while True:
+        entry = q.pop_entry()
+        if entry is None:
+            return entries
+        entries.append(entry)
+
+
 class TestEventQueueOrdering:
     def test_orders_by_time(self):
         q = EventQueue()
-        q.push(3.0, DELIVER_PRIORITY, "deliver", node="c")
-        q.push(1.0, DELIVER_PRIORITY, "deliver", node="a")
-        q.push(2.0, DELIVER_PRIORITY, "deliver", node="b")
-        assert [q.pop().node for _ in range(3)] == ["a", "b", "c"]
+        q.push_light(3.0, DELIVER_PRIORITY, "deliver", node="c")
+        q.push_light(1.0, DELIVER_PRIORITY, "deliver", node="a")
+        q.push_light(2.0, DELIVER_PRIORITY, "deliver", node="b")
+        assert [entry[4] for entry in _drain(q)] == ["a", "b", "c"]
 
     def test_priority_breaks_time_ties(self):
         q = EventQueue()
-        q.push(1.0, ACK_PRIORITY, "ack", node="ack")
-        q.push(1.0, CRASH_PRIORITY, "crash", node="crash")
-        q.push(1.0, DELIVER_PRIORITY, "deliver", node="deliver")
-        kinds = [q.pop().kind for _ in range(3)]
+        q.push_light(1.0, ACK_PRIORITY, "ack", node="ack")
+        q.push_light(1.0, CRASH_PRIORITY, "crash", node="crash")
+        q.push_light(1.0, DELIVER_PRIORITY, "deliver", node="deliver")
+        kinds = [entry[3] for entry in _drain(q)]
         assert kinds == ["crash", "deliver", "ack"]
 
     def test_insertion_order_breaks_full_ties(self):
         q = EventQueue()
-        first = q.push(1.0, DELIVER_PRIORITY, "deliver", node="x")
-        second = q.push(1.0, DELIVER_PRIORITY, "deliver", node="y")
-        assert q.pop() is first
-        assert q.pop() is second
+        q.push_light(1.0, DELIVER_PRIORITY, "deliver", node="x")
+        q.push_light(1.0, DELIVER_PRIORITY, "deliver", node="y")
+        assert [entry[4] for entry in _drain(q)] == ["x", "y"]
 
     def test_deliveries_precede_acks_at_same_time(self):
         # The synchronous scheduler's "deliver all, then ack all".
         q = EventQueue()
-        q.push(5.0, ACK_PRIORITY, "ack", node=1)
-        q.push(5.0, DELIVER_PRIORITY, "deliver", node=2)
-        assert q.pop().kind == "deliver"
-        assert q.pop().kind == "ack"
+        q.push_light(5.0, ACK_PRIORITY, "ack", node=1)
+        q.push_light(5.0, DELIVER_PRIORITY, "deliver", node=2)
+        assert [entry[3] for entry in _drain(q)] == ["deliver", "ack"]
 
-
-class TestEventQueueCancellation:
-    def test_cancelled_events_are_skipped(self):
+    def test_interleaved_pushes_pop_deterministically(self):
         q = EventQueue()
-        keep = q.push(1.0, DELIVER_PRIORITY, "deliver", node="keep")
-        drop = q.push(0.5, DELIVER_PRIORITY, "deliver", node="drop")
-        q.cancel(drop)
-        assert q.pop() is keep
-        assert q.pop() is None
-
-    def test_cancel_is_idempotent(self):
-        q = EventQueue()
-        event = q.push(1.0, DELIVER_PRIORITY, "deliver")
-        q.cancel(event)
-        q.cancel(event)
-        assert len(q) == 0
-
-    def test_len_tracks_live_events(self):
-        q = EventQueue()
-        events = [q.push(float(i), DELIVER_PRIORITY, "deliver")
-                  for i in range(5)]
-        assert len(q) == 5
-        q.cancel(events[2])
-        assert len(q) == 4
-        q.pop()
+        q.push_light(2.0, DELIVER_PRIORITY, "deliver", node="second")
+        q.push_light(1.0, DELIVER_PRIORITY, "deliver", node="first")
+        q.push_light(2.0, ACK_PRIORITY, "ack", node="ack")
         assert len(q) == 3
+        assert [entry[4] for entry in _drain(q)] == [
+            "first", "second", "ack"]
 
-    def test_bool_reflects_liveness(self):
+    def test_entries_are_six_tuples(self):
         q = EventQueue()
-        assert not q
-        event = q.push(1.0, DELIVER_PRIORITY, "deliver")
-        assert q
-        q.cancel(event)
-        assert not q
+        q.push_light(1.5, ACK_PRIORITY, "ack", node="n", broadcast_id=7)
+        assert q.pop_entry() == (1.5, ACK_PRIORITY, 0, "ack", "n", 7)
 
 
 class TestEventQueueMisc:
-    def test_peek_time_skips_cancelled(self):
+    def test_len_and_bool_track_queued_events(self):
         q = EventQueue()
-        early = q.push(1.0, DELIVER_PRIORITY, "deliver")
-        q.push(2.0, DELIVER_PRIORITY, "deliver")
-        q.cancel(early)
+        assert not q
+        for i in range(5):
+            q.push_light(float(i), DELIVER_PRIORITY, "deliver")
+        assert q and len(q) == 5
+        q.pop_entry()
+        assert len(q) == 4
+        _drain(q)
+        assert not q and len(q) == 0
+        # The seq counter doubles as the lifetime push count.
+        assert q._next_seq == 5
+
+    def test_peek_time(self):
+        q = EventQueue()
+        q.push_light(2.0, DELIVER_PRIORITY, "deliver")
+        q.push_light(1.0, DELIVER_PRIORITY, "deliver")
+        assert q.peek_time() == 1.0
+        q.pop_entry()
         assert q.peek_time() == 2.0
 
     def test_peek_time_empty(self):
@@ -86,7 +86,7 @@ class TestEventQueueMisc:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            EventQueue().push(1.0, DELIVER_PRIORITY, "bogus")
+            EventQueue().push_light(1.0, DELIVER_PRIORITY, "bogus")
 
     def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
+        assert EventQueue().pop_entry() is None

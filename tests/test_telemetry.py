@@ -26,7 +26,6 @@ from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
                           SpillBudgetError, Telemetry, Trace,
                           build_simulation)
 from repro.macsim.columnar import KIND_CODES
-from repro.macsim.events import DELIVER_PRIORITY, EventQueue
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.macsim.telemetry import (PHASES, quantile, summarize_samples)
@@ -119,12 +118,8 @@ class TestCountersMatchTrace:
             assert counters["events_processed"] == \
                 result.events_processed == ref.events_processed
             # Engine heap accounting must balance: every pushed entry
-            # was popped, compacted away, or is still pending.
-            assert counters["events_popped"] + \
-                counters["heap_compacted_entries"] <= \
-                counters["events_pushed"]
-            assert counters["events_cancelled"] >= \
-                counters["heap_compacted_entries"]
+            # was popped or is still pending.
+            assert counters["events_popped"] <= counters["events_pushed"]
 
     @given(n=st.integers(3, 7), seed=st.integers(0, 50),
            fault=st.sampled_from(["none", "crash", "omission",
@@ -395,24 +390,6 @@ class TestRunnerAndScenario:
                             topology=TopologySpec("clique", n=5))
         assert "telemetry" not in scenario.to_dict()
         assert Scenario.from_dict(scenario.to_dict()).telemetry is False
-
-
-class TestEventQueueCounters:
-    def test_cancel_and_compaction_counters(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), DELIVER_PRIORITY, "deliver",
-                             node=i) for i in range(300)]
-        assert queue._next_seq == 300
-        for event in events[:200]:
-            queue.cancel(event)
-        assert queue._cancelled_total == 200
-        # 200 dead out of 300 crosses the half-dead threshold, so a
-        # batch compaction must have run and reclaimed tombstones.
-        assert queue._compactions >= 1
-        assert queue._compacted_entries > 0
-        assert len(queue) == 100
-        queue.cancel(events[0])  # idempotent: no double-count
-        assert queue._cancelled_total == 200
 
 
 class TestCliStats:
