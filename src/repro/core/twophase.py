@@ -29,8 +29,8 @@ violation. The proof of Theorem 4.1 ("it will therefore see that u has
 a status of decided(0)") makes the intent clear: the decision check
 must range over ``R1 union R2``. We implement the corrected check by
 default and keep the literal behaviour behind
-``literal_r2_check=True`` so the regression test can demonstrate the
-erratum (see ``tests/test_twophase_erratum.py`` and E1,
+``literal_r2_check=True`` so the regression tests can demonstrate the
+erratum (``TestErratum`` in ``tests/test_twophase.py`` and E1,
 :mod:`repro.experiments.e1_single_hop`).
 """
 

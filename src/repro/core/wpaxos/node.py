@@ -67,19 +67,19 @@ class WPaxosNode(ConsensusProcess):
         self.leader_svc = LeaderElectionService(
             uid, on_leader_change=self._on_leader_change)
         self.tree_svc = TreeService(
-            uid, current_leader=lambda: self.leader_svc.leader,
+            uid, current_leader=self._current_leader,
             on_tree_change=self._on_tree_change,
             prioritize_leader=self.config.tree_priority)
         self.change_svc = ChangeService(
             uid, clock=self.now,
-            is_leader=lambda: self.leader_svc.leader == uid,
+            is_leader=self._is_leader,
             generate_proposal=self._generate_proposal)
         self.acceptor = AcceptorState(uid)
         self.response_queue = ResponseQueue(
             aggregation=self.config.aggregation)
         self.proposer = Proposer(
             uid, initial_value, n, self.config,
-            is_leader=lambda: self.leader_svc.leader == uid,
+            is_leader=self._is_leader,
             flood=self._handle_proposer_part,
             on_chosen=self._on_chosen)
 
@@ -151,8 +151,14 @@ class WPaxosNode(ConsensusProcess):
         self._pump()
 
     # ------------------------------------------------------------------
-    # Service callbacks
+    # Service callbacks (bound methods: a deep copy rebinds them)
     # ------------------------------------------------------------------
+    def _current_leader(self) -> int:
+        return self.leader_svc.leader
+
+    def _is_leader(self) -> bool:
+        return self.leader_svc.leader == self.uid
+
     def _on_leader_change(self, old: int, new: int) -> None:
         if old == self.uid:
             self.proposer.abdicate()

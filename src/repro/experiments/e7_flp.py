@@ -4,7 +4,7 @@ Three executable artifacts:
 
 1. **Bivalent initial configurations exist** (the FLP "Lemma 2"
    analog): exhaustive valency classification of every binary input
-   vector for Two-Phase Consensus on the 2-clique.
+   vector for the registered ``two-phase`` processes on the 2-clique.
 2. **The Lemma 3.1 dichotomy**: for the (non-crash-tolerant) Two-Phase
    algorithm the lemma's extension exists for some nodes and provably
    fails for others -- the exit FLP denies to any algorithm that *is*
@@ -17,14 +17,14 @@ Three executable artifacts:
 
 from __future__ import annotations
 
-from ..lowerbounds.flp import (StepTwoPhase,
-                               build_witness_deadlock_execution)
+from ..lowerbounds.flp import build_witness_deadlock_execution
 from ..lowerbounds.steps import StepSystem
 from ..lowerbounds.valency import (ValencyAnalyzer,
                                    bivalent_initial_configurations,
                                    find_crash_termination_violation,
                                    verify_lemma_31)
 from ..macsim import check_consensus
+from ..scenario import AlgorithmSpec
 from ..topology import clique
 from .common import ExperimentReport
 
@@ -39,7 +39,9 @@ def run() -> ExperimentReport:
     )
 
     # 1. Exhaustive valency classification, n = 2, crash budget 1.
-    system = StepSystem(clique(2), StepTwoPhase(), crash_budget=1)
+    graph = clique(2)
+    system = StepSystem(graph, AlgorithmSpec("two-phase").build(graph),
+                        crash_budget=1)
     analyzer = ValencyAnalyzer(system)
     bivalent = bivalent_initial_configurations(system, analyzer)
     bivalent_inputs = [values for values, _ in bivalent]

@@ -1,14 +1,13 @@
 """Executable reproductions of the paper's lower bounds (Section 3)."""
 
 from .anonymity import AnonymityDemoResult, run_anonymity_demo
-from .flp import (NoopMessage, StepTwoPhase, TPState,
-                  build_witness_deadlock_execution)
+from .flp import build_witness_deadlock_execution
 from .indist import FingerprintObserver, LockstepReport, compare_lockstep
 from .partition import (EagerMinFlood, KDDemoResult, TimingResult,
                         ViolationResult, eager_violation_demo,
                         isolated_line_success, kd_violation_demo,
                         measure_decision_time)
-from .steps import Configuration, Step, StepAlgorithm, StepSystem
+from .steps import Configuration, Step, StepSystem
 from .valency import (ExplorationResult, Lemma31Witness,
                       TerminationViolation, ValencyAnalyzer,
                       bivalent_initial_configurations,
@@ -18,9 +17,6 @@ from .valency import (ExplorationResult, Lemma31Witness,
 __all__ = [
     "run_anonymity_demo",
     "AnonymityDemoResult",
-    "StepTwoPhase",
-    "TPState",
-    "NoopMessage",
     "build_witness_deadlock_execution",
     "FingerprintObserver",
     "LockstepReport",
@@ -33,7 +29,6 @@ __all__ = [
     "TimingResult",
     "ViolationResult",
     "KDDemoResult",
-    "StepAlgorithm",
     "StepSystem",
     "Step",
     "Configuration",

@@ -1,144 +1,23 @@
-"""Theorem 3.2 reproduction: consensus fails with one crash.
+"""Theorem 3.2 reproduction: the timed crash execution.
 
-Two executable artifacts back the theorem:
-
-1. :class:`StepTwoPhase` -- Algorithm 1 re-expressed in the pure
-   valid-step interface, so the valency machinery can exhaustively
-   analyse it: a bivalent initial configuration exists, and with a
-   crash budget of one the algorithm has reachable configurations in
-   which some non-crashed node can never decide.
-2. :func:`build_witness_deadlock_execution` -- the concrete timed
-   execution in which a mid-broadcast crash deadlocks Two-Phase
-   Consensus's witness wait: ``u`` (status ``decided(0)``) crashes
-   after its phase-2 message reaches ``v`` but not ``w``; ``w`` holds
-   ``u`` in its witness set and blocks forever. One crash, termination
-   violated -- exactly the failure mode Theorem 3.2 proves is
-   unavoidable for *every* deterministic algorithm.
+:func:`build_witness_deadlock_execution` is the concrete timed
+execution in which a mid-broadcast crash deadlocks Two-Phase
+Consensus's witness wait: ``u`` (status ``decided(0)``) crashes after
+its phase-2 message reaches ``v`` but not ``w``; ``w`` holds ``u`` in
+its witness set and blocks forever. One crash, termination violated --
+exactly the failure mode Theorem 3.2 proves is unavoidable for *every*
+deterministic algorithm. The exhaustive step-model side of the theorem
+runs the shipped :class:`~repro.core.twophase.TwoPhaseConsensus`
+through :class:`~repro.lowerbounds.steps.StepSystem`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, FrozenSet, Optional, Tuple
-
-from ..core.twophase import BIVALENT, Phase1Message, Phase2Message
+from ..core.twophase import TwoPhaseConsensus
 from ..macsim import (CrashFaultModel, CrashPlan, Simulator,
                       build_simulation)
 from ..macsim.schedulers import ScriptedScheduler, ScriptedStep
 from ..topology import clique
-from .steps import StepAlgorithm
-
-
-@dataclass(frozen=True)
-class NoopMessage:
-    """Placeholder message sent by nodes that finished the protocol.
-
-    The valid-step model assumes nodes always send; terminated nodes
-    cycle on noops, which the valency explorer's memoization folds
-    into finitely many configurations.
-    """
-
-    sender: int
-
-    def id_footprint(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class TPState:
-    """Hashable Two-Phase node state for the step model."""
-
-    uid: int
-    value: int
-    phase: str  # "phase1" | "phase2" | "witness" | "done"
-    status: Any
-    r1: FrozenSet[Any]
-    r2: FrozenSet[Any]
-    witnesses: FrozenSet[int]
-    decision: Optional[int]
-
-
-class StepTwoPhase(StepAlgorithm):
-    """Algorithm 1 as a pure :class:`StepAlgorithm`.
-
-    Mirrors :class:`repro.core.twophase.TwoPhaseConsensus` with the
-    corrected (R1 union R2) decision check and early decide; the
-    equivalence of the two implementations is covered by tests that
-    run both under matching schedules.
-    """
-
-    def initial_state(self, uid: int, value: int) -> TPState:
-        own = Phase1Message(sender=uid, value=value)
-        return TPState(uid=uid, value=value, phase="phase1",
-                       status=None, r1=frozenset([own]), r2=frozenset(),
-                       witnesses=frozenset(), decision=None)
-
-    # ------------------------------------------------------------------
-    def message(self, state: TPState) -> Any:
-        if state.phase == "phase1":
-            return Phase1Message(sender=state.uid, value=state.value)
-        if state.phase == "phase2":
-            return Phase2Message(sender=state.uid, status=state.status)
-        return NoopMessage(sender=state.uid)
-
-    # ------------------------------------------------------------------
-    def on_receive(self, state: TPState, message: Any) -> TPState:
-        if isinstance(message, NoopMessage):
-            return state
-        if state.phase == "phase1":
-            return _replace(state, r1=state.r1 | {message})
-        if state.phase == "phase2":
-            return _replace(state, r2=state.r2 | {message})
-        if state.phase == "witness" and isinstance(message, Phase2Message):
-            return self._check_witnesses(
-                _replace(state, r2=state.r2 | {message}))
-        return state
-
-    def on_ack(self, state: TPState) -> TPState:
-        if state.phase == "phase1":
-            other = 1 - state.value
-            saw_other = any(isinstance(m, Phase1Message)
-                            and m.value == other for m in state.r1)
-            saw_bivalent = any(isinstance(m, Phase2Message)
-                               and m.is_bivalent for m in state.r1)
-            status = (BIVALENT if saw_other or saw_bivalent
-                      else ("decided", state.value))
-            own = Phase2Message(sender=state.uid, status=status)
-            return _replace(state, phase="phase2", status=status,
-                            r2=state.r2 | {own})
-        if state.phase == "phase2":
-            if state.status != BIVALENT:
-                return _replace(state, phase="done",
-                                decision=state.status[1])
-            witnesses = frozenset(
-                m.sender for m in state.r1 | state.r2
-                if isinstance(m, (Phase1Message, Phase2Message)))
-            return self._check_witnesses(
-                _replace(state, phase="witness", witnesses=witnesses))
-        return state
-
-    def decision(self, state: TPState) -> Optional[int]:
-        return state.decision
-
-    # ------------------------------------------------------------------
-    def _check_witnesses(self, state: TPState) -> TPState:
-        heard = state.r1 | state.r2
-        phase2_senders = {m.sender for m in heard
-                          if isinstance(m, Phase2Message)}
-        if not state.witnesses <= phase2_senders:
-            return state
-        decided_zero = any(isinstance(m, Phase2Message)
-                           and m.decided_value() == 0 for m in heard)
-        return _replace(state, phase="done",
-                        decision=0 if decided_zero else 1)
-
-
-def _replace(state: TPState, **kwargs) -> TPState:
-    fields = dict(uid=state.uid, value=state.value, phase=state.phase,
-                  status=state.status, r1=state.r1, r2=state.r2,
-                  witnesses=state.witnesses, decision=state.decision)
-    fields.update(kwargs)
-    return TPState(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +40,6 @@ def build_witness_deadlock_execution() -> Simulator:
     Run the returned simulator and check: node 1 decides 0, node 2
     never decides -- a termination violation caused by a single crash.
     """
-    from ..core.twophase import TwoPhaseConsensus
-
     graph = clique(3)
     values = {0: 0, 1: 1, 2: 1}
     scripts = {

@@ -99,9 +99,8 @@ class ValencyAnalyzer:
                                   List[Tuple[Step, Configuration]]]
     ) -> Dict[Configuration, FrozenSet[int]]:
         """Backward-propagate decided values until stable."""
-        algorithm = self.system.algorithm
         values: Dict[Configuration, set] = {
-            c: set(c.decided_values(algorithm)) for c in reachable
+            c: set(c.decided_values()) for c in reachable
         }
         changed = True
         while changed:
@@ -236,7 +235,6 @@ def find_crash_termination_violation(
     space, so a ``None`` result means the algorithm tolerates the
     crash budget on this instance.
     """
-    algorithm = result.system.algorithm
     for config in result.reachable:
         if not config.crashed:
             continue
@@ -244,8 +242,7 @@ def find_crash_termination_violation(
                  if i not in config.crashed]
         closure = _forward_closure(result, config)
         for node in alive:
-            if all(algorithm.decision(c.states[node]) is None
-                   for c in closure):
+            if not any(c.processes[node].decided for c in closure):
                 return TerminationViolation(config=config,
                                             stuck_node=node,
                                             reachable_size=len(closure))

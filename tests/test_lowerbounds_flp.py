@@ -1,8 +1,11 @@
-"""Theorem 3.2 artifacts: step adapter equivalence + timed deadlock."""
+"""Theorem 3.2 artifacts: Two-Phase in both models + timed deadlock."""
+
+import itertools
+
+import pytest
 
 from repro.core.twophase import TwoPhaseConsensus
-from repro.lowerbounds.flp import (StepTwoPhase,
-                                   build_witness_deadlock_execution)
+from repro.lowerbounds.flp import build_witness_deadlock_execution
 from repro.lowerbounds.steps import StepSystem
 from repro.macsim import build_simulation, check_consensus, \
     check_model_invariants
@@ -10,44 +13,27 @@ from repro.macsim.schedulers import SynchronousScheduler
 from repro.topology import clique
 
 
-class TestStepTwoPhaseAdapter:
-    """The step-model adapter must agree with the timed algorithm."""
+@pytest.mark.parametrize("values",
+                         list(itertools.product((0, 1), repeat=3)))
+def test_two_phase_all_inputs_n3(values):
+    """The shipped class decides consistently on every n = 3 input in
+    the timed model and in the step model's round-robin execution."""
+    graph = clique(3)
+    sim = build_simulation(
+        graph, lambda v: TwoPhaseConsensus(uid=v, initial_value=values[v]),
+        SynchronousScheduler(1.0))
+    timed = set(sim.run().decisions.values())
 
-    def _timed_decisions(self, values):
-        graph = clique(len(values))
-        value_map = {v: values[v] for v in graph.nodes}
-        sim = build_simulation(
-            graph,
-            lambda v: TwoPhaseConsensus(uid=v,
-                                        initial_value=value_map[v]),
-            SynchronousScheduler(1.0))
-        return sim.run().decisions
+    system = StepSystem(graph, TwoPhaseConsensus)
+    final = system.run_round_robin(system.initial_configuration(values))
+    assert final.all_alive_decided()
+    stepped = final.decided_values()
 
-    def _step_decisions(self, values):
-        system = StepSystem(clique(len(values)), StepTwoPhase())
-        config = system.initial_configuration(values)
-        final = system.run_round_robin(config)
-        return {i: system.algorithm.decision(final.states[i])
-                for i in range(len(values))}
-
-    def test_agree_on_all_inputs_n3(self):
-        import itertools
-        for values in itertools.product((0, 1), repeat=3):
-            timed = self._timed_decisions(values)
-            stepped = self._step_decisions(values)
-            # Both correct: agreement + validity.
-            assert len(set(timed.values())) == 1
-            assert len(set(stepped.values())) == 1
-            assert set(stepped.values()) <= set(values)
-            assert set(timed.values()) <= set(values)
-
-    def test_unanimous_match_exactly(self):
-        for value in (0, 1):
-            values = (value, value, value)
-            assert set(self._timed_decisions(values).values()) == {
-                value}
-            assert set(self._step_decisions(values).values()) == {
-                value}
+    for decided in (timed, stepped):
+        assert len(decided) == 1  # agreement
+        assert decided <= set(values)  # validity
+    if len(set(values)) == 1:
+        assert timed == stepped == set(values)
 
 
 class TestWitnessDeadlock:

@@ -1,37 +1,60 @@
 """Valid-step execution model tests (Section 3.1 semantics)."""
 
+import copy
+
 import pytest
 
-from repro.lowerbounds.flp import StepTwoPhase
-from repro.lowerbounds.steps import Step, StepAlgorithm, StepSystem
+from repro.lowerbounds.steps import Step, StepSystem, canonical_key
+from repro.macsim.process import Process
+from repro.scenario import AlgorithmSpec
 from repro.topology import clique, line
 
 
-class CountingAlgorithm(StepAlgorithm):
-    """Trivial algorithm: decide own value after first ack."""
+class CountingAlgorithm(Process):
+    """Trivial algorithm: rebroadcast on every ack, decide own value at
+    the first."""
 
-    def initial_state(self, uid, value):
-        return (uid, value, 0, None)  # uid, value, acks, decision
+    def on_start(self):
+        self.broadcast(("msg", self.uid))
 
-    def message(self, state):
-        return ("msg", state[0])
+    def on_ack(self):
+        self.decide(self.initial_value)  # a no-op after the first ack
+        self.broadcast(("msg", self.uid))
 
-    def on_receive(self, state, message):
-        return state
 
-    def on_ack(self, state):
-        uid, value, acks, decision = state
-        if decision is None:
-            decision = value
-        return (uid, value, acks + 1, decision)
+class Listener(Process):
+    """Idle until it hears a message, then echoes it."""
 
-    def decision(self, state):
-        return state[3]
+    def on_receive(self, message):
+        self.heard_at = self.now()
+        self.broadcast(("echo", message))
+
+
+class TestNoopRules:
+    def test_idle_process_sends_noops_and_holds_its_broadcast(self):
+        system = StepSystem(clique(2), lambda label, value: (
+            CountingAlgorithm if label == 0 else Listener)(label, value))
+        config = system.initial_configuration((0, 1))
+        assert config.messages == (("msg", 0), None)  # 1 sends a noop
+
+        config = system.apply(config, Step("receive", 0, receiver=1))
+        assert config.processes[1].heard_at == 0.0
+        # Made during the noop, the echo waits for the noop's ack.
+        assert config.messages[1] is None
+        assert config.held[1] == ("echo", ("msg", 0))
+
+        # A noop's delivery and its ack call no handler.
+        before = config.processes
+        config = system.apply(config, Step("receive", 1, receiver=0))
+        config = system.apply(config, Step("ack", 1))
+        assert config.processes == before
+        assert config.messages[1] == ("echo", ("msg", 0))
+        assert config.held[1] is None
 
 
 class TestValidSteps:
     def setup_method(self):
-        self.system = StepSystem(clique(3), CountingAlgorithm())
+        self.system = StepSystem(clique(3), CountingAlgorithm)
         self.config = self.system.initial_configuration((0, 1, 0))
 
     def test_initial_receives_target_smallest(self):
@@ -78,13 +101,13 @@ class TestValidSteps:
         assert config.received[0] == frozenset()
 
     def test_crash_budget_controls_crash_steps(self):
-        no_crash = StepSystem(clique(2), CountingAlgorithm(),
+        no_crash = StepSystem(clique(2), CountingAlgorithm,
                               crash_budget=0)
         config = no_crash.initial_configuration((0, 1))
         kinds = {s.kind for s in no_crash.valid_steps(config)}
         assert "crash" not in kinds
 
-        with_crash = StepSystem(clique(2), CountingAlgorithm(),
+        with_crash = StepSystem(clique(2), CountingAlgorithm,
                                 crash_budget=1)
         config = with_crash.initial_configuration((0, 1))
         crashes = [s for s in with_crash.valid_steps(config)
@@ -95,7 +118,7 @@ class TestValidSteps:
                        for s in with_crash.valid_steps(after))
 
     def test_crashed_node_excluded_from_validity(self):
-        system = StepSystem(clique(3), CountingAlgorithm(),
+        system = StepSystem(clique(3), CountingAlgorithm,
                             crash_budget=1)
         config = system.initial_configuration((0, 1, 0))
         config = system.apply(config, Step("crash", 1))
@@ -110,7 +133,7 @@ class TestValidSteps:
         from repro.topology import Graph
         graph = Graph([("a", "b")])
         with pytest.raises(ValueError):
-            StepSystem(graph, CountingAlgorithm())
+            StepSystem(graph, CountingAlgorithm)
 
     def test_wrong_value_count_rejected(self):
         with pytest.raises(ValueError):
@@ -119,25 +142,32 @@ class TestValidSteps:
 
 class TestRoundRobinExecution:
     def test_all_decide(self):
-        system = StepSystem(clique(3), CountingAlgorithm())
+        system = StepSystem(clique(3), CountingAlgorithm)
         config = system.initial_configuration((0, 1, 0))
         final = system.run_round_robin(config)
-        assert final.all_alive_decided(system.algorithm)
-        assert final.decided_values(system.algorithm) <= {0, 1}
+        assert final.all_alive_decided()
+        assert final.decided_values() <= {0, 1}
 
     def test_two_phase_round_robin_terminates(self):
-        system = StepSystem(clique(3), StepTwoPhase())
+        graph = clique(3)
+        system = StepSystem(graph, AlgorithmSpec("two-phase").build(graph))
         config = system.initial_configuration((0, 1, 1))
         final = system.run_round_robin(config)
-        assert final.all_alive_decided(system.algorithm)
-        decided = final.decided_values(system.algorithm)
+        assert final.all_alive_decided()
+        decided = final.decided_values()
         assert len(decided) == 1  # agreement
 
+    def test_max_steps_caps_every_step(self):
+        system = StepSystem(clique(3), CountingAlgorithm)
+        config = system.initial_configuration((0, 1, 0))
+        final = system.run_round_robin(config, max_steps=1)
+        assert final.received == (frozenset({1}), frozenset(), frozenset())
+
     def test_line_topology(self):
-        system = StepSystem(line(3), CountingAlgorithm())
+        system = StepSystem(line(3), CountingAlgorithm)
         config = system.initial_configuration((1, 1, 1))
         final = system.run_round_robin(config)
-        assert final.decided_values(system.algorithm) == {1}
+        assert final.decided_values() == {1}
 
 
 class TestStepDescriptions:
@@ -145,3 +175,40 @@ class TestStepDescriptions:
         assert "receives" in Step("receive", 0, receiver=1).describe()
         assert "acked" in Step("ack", 2).describe()
         assert "crashes" in Step("crash", 1).describe()
+
+
+class TestCanonicalKey:
+    """The configuration key must merge deep copies and nothing else."""
+
+    def test_random_state_is_keyed(self):
+        # random.Random's __dict__ holds only gauss_next: keying its
+        # attributes would merge processes whose coins differ.
+        make = AlgorithmSpec("byzantine").build(clique(2))
+        process = make(0, 1)
+        snapshot = copy.deepcopy(process)
+        assert canonical_key(snapshot) == canonical_key(process)
+        snapshot.rng.random()
+        assert vars(snapshot.rng) == vars(process.rng)
+        assert canonical_key(snapshot) != canonical_key(process)
+
+    def test_bound_method_keys_by_function_and_owner(self):
+        # wPAXOS stores the bound method self.now; bound methods
+        # compare their __self__ by identity, so a deep copy's differs.
+        make = AlgorithmSpec("wpaxos").build(clique(2))
+        node = make(0, 1)
+        twin = copy.deepcopy(node)
+        assert twin.change_svc._clock != node.change_svc._clock
+        assert canonical_key(twin) == canonical_key(node)
+
+    def test_uncanonicalizable_attribute_raises(self):
+        class Closure(CountingAlgorithm):
+            def __init__(self, uid, value):
+                super().__init__(uid, value)
+                # A deep copy shares a function's closure, so the copy
+                # would read the original's state.
+                self.hook = lambda: self.decided
+
+        with pytest.raises(TypeError, match=r"process\.hook"):
+            canonical_key(Closure(0, 1))
+        with pytest.raises(TypeError, match=r"process\.hook"):
+            StepSystem(clique(2), Closure).initial_configuration((0, 1))

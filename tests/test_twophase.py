@@ -1,11 +1,15 @@
 """Two-Phase Consensus tests (Theorem 4.1) including the erratum."""
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.helpers import run_and_check
 from repro.core.twophase import (BIVALENT, Phase1Message, Phase2Message,
                                  TwoPhaseConsensus)
+from repro.lowerbounds.steps import StepSystem
+from repro.lowerbounds.valency import ValencyAnalyzer
 from repro.macsim import build_simulation, check_consensus
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      ScriptedScheduler, ScriptedStep,
@@ -150,6 +154,21 @@ class TestErratum:
         _, report = run_and_check(clique(6), literal_factory,
                                   SynchronousScheduler(1.0))
         assert report.ok
+
+    @pytest.mark.parametrize("literal, violating", [(True, 12),
+                                                    (False, 0)])
+    def test_exhaustive_search_finds_the_erratum(self, literal,
+                                                 violating):
+        # Search finds the schedule without being handed it: every
+        # crash-free valid-step configuration from inputs (0, 1).
+        system = StepSystem(clique(2), functools.partial(
+            TwoPhaseConsensus, literal_r2_check=literal))
+        result = ValencyAnalyzer(system).explore(
+            system.initial_configuration((0, 1)))
+        split = [c for c in result.reachable
+                 if len({p.decision for p in c.processes
+                         if p.decided}) > 1]
+        assert (result.config_count, len(split)) == (168, violating)
 
 
 class TestWitnessMechanism:
