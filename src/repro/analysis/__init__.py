@@ -11,10 +11,9 @@ from .sweeps import (SweepError, SweepPoint, SweepProgress,
 from .stats_report import (derive_spans, render_stats,
                            stats_from_file)
 from .tables import format_markdown_table, format_table
-from .export import (crashes_from_json, iter_saved_records,
-                     iter_trace_dicts, load_crashes, load_metadata,
-                     load_scenario, load_trace, save_trace,
-                     trace_from_json, trace_to_json, trace_to_records)
+from .export import (iter_saved_records, iter_trace_dicts, load_metadata,
+                     load_scenario, load_trace, save_trace, trace_to_json,
+                     trace_to_records)
 
 __all__ = [
     "RunMetrics",
@@ -45,12 +44,9 @@ __all__ = [
     "default_cache_dir",
     "save_trace",
     "load_trace",
-    "load_crashes",
     "load_metadata",
     "load_scenario",
-    "crashes_from_json",
     "trace_to_json",
-    "trace_from_json",
     "trace_to_records",
     "iter_trace_dicts",
     "iter_saved_records",

@@ -7,74 +7,40 @@ Payloads are stored as ``repr`` strings: traces round-trip
 structurally (times, kinds, nodes, broadcast ids) with payloads
 preserved for human inspection rather than re-execution.
 
-Streaming (schema v6)
----------------------
-:func:`save_trace` writes a header line (schema / metadata / crash
-scenario / embedded :class:`~repro.scenario.Scenario`) followed by the
-record stream in one of two chunked layouts, declared by the header's
-``format`` field:
+One layout: :func:`save_trace` writes a JSON header line (schema 6,
+format ``columnar-chunks``, metadata, the embedded
+:class:`~repro.scenario.Scenario`), then the chunk blobs of
+:mod:`repro.macsim.columnar`, each length-prefixed, a zero-length
+sentinel and a JSON chunk manifest line. A ``ColumnarSink``'s blobs
+are copied verbatim; any other sink is packed into a temporary one
+first, so a FULL :class:`~repro.macsim.trace.Trace` and a columnar run
+of one execution write the same bytes after the header.
+:func:`load_trace` streams the records back into any sink;
+:func:`load_scenario` rebuilds the run (``repro replay``). Any other
+file raises :class:`ValueError` naming it.
 
-* ``jsonl-chunks`` -- one JSON array of records per line, serialized
-  straight off the sink's iterator (the v3-v5 layout, still the
-  default for in-memory :class:`~repro.macsim.trace.Trace` runs and
-  any third-party sink); the record list is never materialized.
-* ``columnar-chunks`` (new in v6) -- written automatically for
-  :class:`~repro.macsim.columnar.ColumnarSink` traces: the sink's
-  binary chunk blobs are copied verbatim after the header
-  (length-prefixed, zero-length sentinel, then a JSON chunk manifest
-  line), so the export is a near-memcpy of the chunk directory and
-  stays ~50x smaller than JSONL.
-
-:func:`load_trace` streams either layout back -- into any
-:class:`~repro.macsim.trace.TraceSink` (pass
-``sink=ColumnarSink(...)`` to keep the reload bounded too) -- and still
-reads the v1-v5 exports of earlier PRs. A file whose header embeds a
-scenario can rebuild and re-execute the exact run
-(:func:`load_scenario`); ``repro replay`` works on both layouts.
-
-:func:`trace_to_json` keeps the v2 single-document layout: it is the
-in-memory diff/archival format for small traces (and what the
-byte-identity tests compare).
-
-Crash *scenarios* round-trip losslessly: ``save_trace(...,
-crashes=plans)`` serializes each
-:class:`~repro.macsim.faults.crash.CrashPlan`
-via its ``to_dict`` (the None / empty / subset distinction of
-``still_delivered`` survives -- frozen sets no longer stringify), and
-:func:`load_crashes` rebuilds equal plans that can re-drive a
-simulation.
+:func:`trace_to_json` is the in-memory digest of a trace, not a file
+layout: golden pins hash its exact bytes, and nothing loads it back.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
-from ..macsim.faults import CrashPlan
+from ..macsim.columnar import ColumnarSink, decode_chunk
 from ..macsim.trace import Trace, TraceRecord, TraceSink
 
-#: Schema version stamped into streamed file exports.
-#: v4 added the embedded :class:`~repro.scenario.Scenario` (the full
-#: declarative run description, so a trace file can rebuild and
-#: re-execute the exact run); v5 extends the embedded scenario with
-#: the optional ``dynamics`` spec and the record stream with
-#: JSON-lossless ``topo`` records, so dynamic-topology runs replay
-#: byte-identically too; v6 adds the binary ``columnar-chunks``
-#: layout (``format`` header field) for
-#: :class:`~repro.macsim.columnar.ColumnarSink` traces. v1-v5 files
-#: still load.
+#: Schema version stamped into file exports (the only one read back).
 SCHEMA_VERSION = 6
 
-#: Length prefix of each binary chunk blob in columnar exports (a
-#: zero length terminates the stream; the chunk manifest follows).
+#: The one body layout, named by the header's ``format`` field.
+FORMAT = "columnar-chunks"
+
+#: Length prefix of each binary chunk blob (a zero length terminates
+#: the stream; the chunk manifest follows).
 _CHUNK_LEN = struct.Struct("<Q")
-
-#: Schema of the single-document layout (:func:`trace_to_json`).
-INLINE_SCHEMA_VERSION = 2
-
-#: Records per chunk line in v3 exports.
-EXPORT_CHUNK_RECORDS = 50_000
 
 
 def record_to_dict(record: TraceRecord, *,
@@ -110,101 +76,45 @@ def trace_to_records(trace: TraceSink) -> List[Dict[str, Any]]:
 
 
 def trace_to_json(trace: TraceSink, *, indent: Optional[int] = None,
-                  metadata: Optional[Dict[str, Any]] = None,
-                  crashes: Iterable[CrashPlan] = ()) -> str:
-    """Serialize a trace (plus metadata and crash scenario) to a v2
-    single-document JSON string (in-memory diff format)."""
+                  metadata: Optional[Dict[str, Any]] = None) -> str:
+    """A trace (plus metadata) as one JSON document: the in-memory
+    digest format. Its bytes are pinned, so the ``schema`` 2 and the
+    empty ``crashes`` key stay."""
     document = {
-        "schema": INLINE_SCHEMA_VERSION,
+        "schema": 2,
         "metadata": metadata or {},
-        "crashes": [plan.to_dict() for plan in crashes],
+        "crashes": [],
         "records": trace_to_records(trace),
     }
     return json.dumps(document, indent=indent)
 
 
-def _parse_document(text: str) -> dict:
-    document = json.loads(text)
-    if document.get("schema") not in (1, INLINE_SCHEMA_VERSION):
-        raise ValueError(
-            f"unsupported trace schema: {document.get('schema')!r}")
-    return document
-
-
-def _record_from_dict(rec: Dict[str, Any]) -> TraceRecord:
-    return TraceRecord(rec["time"], rec["kind"], rec["node"],
-                       rec["broadcast_id"], rec["peer"], rec["payload"])
-
-
-def trace_from_json(text: str) -> Trace:
-    """Rebuild a structural trace from a v1/v2 JSON document.
-
-    Payloads come back as their ``repr`` strings; all timing/topology
-    queries (decision times, counts, crashed nodes) work as on the
-    original.
-    """
-    document = _parse_document(text)
-    trace = Trace()
-    for rec in document["records"]:
-        trace.append(_record_from_dict(rec))
-    return trace
-
-
-def crashes_from_json(text: str) -> List[CrashPlan]:
-    """The crash scenario stored in an export (empty for v1 files)."""
-    document = _parse_document(text)
-    return [CrashPlan.from_dict(entry)
-            for entry in document.get("crashes", ())]
-
-
 def save_trace(trace: TraceSink, path: str, *,
                metadata: Optional[Dict[str, Any]] = None,
-               crashes: Iterable[CrashPlan] = (),
-               scenario=None,
-               chunk_records: int = EXPORT_CHUNK_RECORDS) -> None:
-    """Write a streamed (schema v6) trace export.
+               scenario=None) -> None:
+    """Write a schema-6 ``columnar-chunks`` trace export.
 
-    JSONL layout: records are written ``chunk_records`` at a time
-    straight off the sink's iterator -- peak memory is O(chunk)
-    regardless of trace length. Columnar sinks instead get the binary
-    ``columnar-chunks`` layout: their encoded chunk blobs are copied
-    into the file verbatim, so the export costs one sequential read
-    of the chunk directory.
-
-    ``scenario`` (a :class:`~repro.scenario.Scenario`, or anything
-    with a compatible ``to_dict``) embeds the declarative run
-    description in the header; :func:`load_scenario` reads it back so
-    the exact execution can be rebuilt and replayed.
+    A columnar sink's chunk blobs are copied verbatim; any other sink
+    is packed record by record into a temporary
+    :class:`~repro.macsim.columnar.ColumnarSink`, so peak memory is
+    O(chunk). ``scenario`` (a :class:`~repro.scenario.Scenario`)
+    embeds the run description that :func:`load_scenario` reads back.
     """
-    columnar = getattr(trace, "columnar", False)
+    if not getattr(trace, "columnar", False):
+        packed = ColumnarSink()
+        try:
+            for record in trace:
+                packed.append(record)
+            save_trace(packed, path, metadata=metadata, scenario=scenario)
+        finally:
+            packed.cleanup()
+        return
     header = {
         "schema": SCHEMA_VERSION,
-        "format": "columnar-chunks" if columnar else "jsonl-chunks",
+        "format": FORMAT,
         "metadata": metadata or {},
-        "crashes": [plan.to_dict() for plan in crashes],
         "scenario": scenario.to_dict() if scenario is not None else None,
     }
-    if columnar:
-        _save_columnar(trace, path, header)
-        return
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(header))
-        handle.write("\n")
-        chunk: List[Dict[str, Any]] = []
-        for rec in iter_trace_dicts(trace):
-            chunk.append(rec)
-            if len(chunk) >= chunk_records:
-                handle.write(json.dumps(chunk))
-                handle.write("\n")
-                chunk = []
-        if chunk:
-            handle.write(json.dumps(chunk))
-            handle.write("\n")
-
-
-def _save_columnar(trace: TraceSink, path: str, header: dict) -> None:
-    """Binary ``columnar-chunks`` body: header line, length-prefixed
-    chunk blobs copied verbatim, zero sentinel, chunk manifest line."""
     chunks = 0
     total = 0
     with open(path, "wb") as handle:
@@ -222,7 +132,27 @@ def _save_columnar(trace: TraceSink, path: str, header: dict) -> None:
         handle.write(b"\n")
 
 
+def _read_header(path: str) -> dict:
+    """The header line of an export, or :class:`ValueError`. Opens in
+    binary: compressed chunk blobs follow the (utf-8 JSON) line."""
+    with open(path, "rb") as handle:
+        first = handle.readline()
+    try:
+        header = json.loads(first)
+    except ValueError:
+        header = None
+    got = header if isinstance(header, dict) else {}
+    if (got.get("schema"), got.get("format")) != (SCHEMA_VERSION, FORMAT):
+        raise ValueError(
+            f"not a schema-{SCHEMA_VERSION} {FORMAT} trace export: {path} "
+            f"(schema {got.get('schema')!r}, format {got.get('format')!r})")
+    return header
+
+
 def _iter_columnar_blobs(path: str) -> Iterator[bytes]:
+    """The chunk blobs of an export, in order, after checking its
+    header."""
+    _read_header(path)
     with open(path, "rb") as handle:
         handle.readline()  # header
         while True:
@@ -238,94 +168,38 @@ def _iter_columnar_blobs(path: str) -> Iterator[bytes]:
             yield blob
 
 
-def _read_header(path: str) -> Optional[dict]:
-    """The v3+ header line, or ``None`` for v1/v2 single documents.
-
-    Opens in binary: v6 columnar exports carry compressed chunk blobs
-    after the (utf-8 JSON) header line.
-    """
-    with open(path, "rb") as handle:
-        first = handle.readline()
-    try:
-        header = json.loads(first)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if isinstance(header, dict) and header.get("schema", 0) >= 3:
-        if header["schema"] > SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported trace schema: {header['schema']!r}")
-        return header
-    return None
-
-
 def iter_saved_records(path: str) -> Iterator[TraceRecord]:
-    """Stream the records of a v3+ export without materializing them
-    (either chunk layout)."""
-    header = _read_header(path)
-    if header is not None and header.get("format") == "columnar-chunks":
-        from ..macsim.columnar import decode_chunk
-        for blob in _iter_columnar_blobs(path):
-            yield from decode_chunk(blob).records()
-        return
-    with open(path, encoding="utf-8") as handle:
-        handle.readline()  # header
-        for line in handle:
-            if not line.strip():
-                continue
-            for rec in json.loads(line):
-                yield _record_from_dict(rec)
+    """Stream the records of an export without materializing them."""
+    for blob in _iter_columnar_blobs(path):
+        yield from decode_chunk(blob).records()
 
 
 def load_trace(path: str, *, sink: Optional[TraceSink] = None) -> TraceSink:
-    """Read a trace export from ``path`` (any schema version).
+    """Read a trace export from ``path``, chunk by chunk.
 
     ``sink`` receives the records (default: a fresh in-memory
     :class:`Trace`); pass a
     :class:`~repro.macsim.columnar.ColumnarSink` to keep a huge reload
-    in bounded memory. v3 files are streamed chunk
-    by chunk; v1/v2 single documents are parsed whole.
+    in bounded memory.
     """
     trace = sink if sink is not None else Trace()
     # Exported payloads are already repr strings; sinks that
     # re-serialize on ingest (ColumnarSink) take their serialized-append
     # path so reload -> re-export round-trips without double-repr.
     append = getattr(trace, "append_serialized", trace.append)
-    header = _read_header(path)
-    if header is None:
-        with open(path, encoding="utf-8") as handle:
-            document = _parse_document(handle.read())
-        for rec in document["records"]:
-            append(_record_from_dict(rec))
-        return trace
     for record in iter_saved_records(path):
         append(record)
     return trace
 
 
-def load_crashes(path: str) -> List[CrashPlan]:
-    """Read the crash scenario back from an export, losslessly."""
-    header = _read_header(path)
-    if header is not None:
-        return [CrashPlan.from_dict(entry)
-                for entry in header.get("crashes", ())]
-    with open(path, encoding="utf-8") as handle:
-        return crashes_from_json(handle.read())
-
-
 def load_scenario(path: str):
     """The embedded :class:`~repro.scenario.Scenario` of an export.
 
-    Returns ``None`` for exports that carry no scenario (schema v1-v3
-    files, or v4 files saved without one). The rebuilt scenario
-    re-executes to a byte-identical trace -- ``repro replay`` is built
-    on this.
+    Returns ``None`` for an export saved without one. The rebuilt
+    scenario re-executes to a byte-identical trace -- ``repro replay``
+    is built on this.
     """
-    header = _read_header(path)
-    if header is not None:
-        data = header.get("scenario")
-    else:
-        with open(path, encoding="utf-8") as handle:
-            data = _parse_document(handle.read()).get("scenario")
+    data = _read_header(path).get("scenario")
     if not data:
         return None
     from ..scenario import Scenario
@@ -333,12 +207,8 @@ def load_scenario(path: str):
 
 
 def load_metadata(path: str) -> Dict[str, Any]:
-    """The metadata block of an export (any schema version)."""
-    header = _read_header(path)
-    if header is not None:
-        return dict(header.get("metadata") or {})
-    with open(path, encoding="utf-8") as handle:
-        return dict(_parse_document(handle.read()).get("metadata") or {})
+    """The metadata block of an export."""
+    return dict(_read_header(path).get("metadata") or {})
 
 
 def _label(value: Any) -> Any:

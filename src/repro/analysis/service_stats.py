@@ -27,7 +27,6 @@ Span anatomy (all virtual time, see
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..macsim.service.tracing import (METRICS_SCHEMA, SPAN_SCHEMA,
@@ -37,7 +36,7 @@ from .tables import format_table
 __all__ = ["SERVICE_SCHEMAS", "SERVICE_STATS_SCHEMA",
            "SERVICE_TELEMETRY_SCHEMA", "reduce_spans", "reduce_metrics",
            "reduce_service_telemetry", "service_doc",
-           "service_doc_from_file", "render_service_stats"]
+           "render_service_stats"]
 
 SERVICE_TELEMETRY_SCHEMA = "service-telemetry/v1"
 #: Schema of the reduced (renderable) document this module produces.
@@ -182,14 +181,6 @@ def service_doc(document: Dict[str, Any],
             f"got {schema!r})")
     doc["source"] = path or "<doc>"
     return doc
-
-
-def service_doc_from_file(path: str) -> Dict[str, Any]:
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict):
-        raise ValueError(f"not a service artifact: {path}")
-    return service_doc(document, path)
 
 
 # ----------------------------------------------------------------------

@@ -3,24 +3,27 @@ artifact.
 
 The paper states every algorithm's time bound against the abstract
 MAC layer's ack/progress parameters; this module turns a finished run
-back into those empirical distributions. It accepts three inputs and
+back into those empirical distributions. It accepts two inputs and
 summarizes them identically:
 
 * a ``--telemetry`` snapshot JSON (schema ``telemetry/v1``),
-* a streamed trace export (schema v3-v6, JSONL or columnar chunks)
-  whose header may embed a telemetry snapshot in its metadata,
-* a v1/v2 single-document trace JSON.
+* a trace export (schema 6, ``columnar-chunks``) whose header may
+  embed a telemetry snapshot in its metadata.
 
-When no telemetry blob is present (all pre-PR7 exports), spans are
-*derived* from the records by replaying the same eviction-at-ack
-model the live engine uses: a span opens at ``broadcast``, tracks the
-first/last ``deliver``, closes at ``ack``; deliveries after the ack
-belong to no span and unacked broadcasts emit nothing. Because
+It also renders the ``repro serve`` artifacts
+(:mod:`repro.analysis.service_stats`).
+
+When no telemetry blob is embedded, spans are *derived* from the
+records by replaying the same eviction-at-ack model the live engine
+uses: a span opens at ``broadcast``, tracks the first/last
+``deliver``, closes at ``ack``; deliveries after the ack belong to no
+span and unacked broadcasts emit nothing. The derivation runs over
+whole columns with numpy (:func:`derive_spans_columnar`) and falls
+back to the record stream (:func:`derive_spans`, the no-numpy path and
+the reference the vectorized one is tested against). Because
 summaries are computed order-insensitively
-(:func:`repro.macsim.telemetry.summarize_samples`), live telemetry,
-streamed JSONL derivation and the vectorized columnar derivation of
-one seeded run report identical histograms -- the acceptance test
-pins all three.
+(:func:`repro.macsim.telemetry.summarize_samples`), live telemetry and
+both derivations of one seeded run report identical histograms.
 
 :data:`SPAN_RULES` maps every registered trace kind to its role in
 span derivation; the guard test asserts it (and the columnar kind
@@ -297,85 +300,52 @@ def stats_from_file(path: str, *, derive: bool = False) -> Dict[str, Any]:
     the export header embeds a live telemetry snapshot (the identity
     acceptance test compares the two).
     """
-    # Telemetry snapshots and v1/v2 single documents are probed
-    # *before* the streamed-export header parse: a single-line
-    # telemetry JSON has a string ``schema``, which the v3+ header
-    # reader would choke on.
+    # Snapshots are probed *before* the export header check: their
+    # first line is the whole document, or does not parse alone.
     with open(path, "rb") as handle:
         first = handle.readline()
-    first_doc: Optional[Any] = None
     try:
-        first_doc = json.loads(first)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        first_doc = None
-    if first_doc is None or not isinstance(first_doc, dict):
-        # Indented JSON (``Telemetry.write``, ``trace_to_json`` with
-        # indent): the first line alone does not parse.
+        document = json.loads(first)
+    except ValueError:
+        document = None
+    if not isinstance(document, dict):
+        # Indented JSON (``Telemetry.write``, a service artifact).
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
-        return _stats_from_inline(document, path, derive=derive)
-    if first_doc.get("schema") == TELEMETRY_SCHEMA:
-        return _doc_from_snapshot(first_doc, path, "telemetry")
-    if first_doc.get("schema") in SERVICE_SCHEMAS:
-        # Compact (single-line) service artifact: the first line is
-        # the whole document.
-        return service_doc(first_doc, path)
-    if first_doc.get("schema") in (1, _export.INLINE_SCHEMA_VERSION) \
-            and "records" in first_doc:
-        return _stats_from_inline(first_doc, path, derive=derive)
-    if isinstance(first_doc.get("schema"), str):
-        # An unrecognized *named* schema would crash the export
-        # header parser (integer versions only) -- fail here, naming
-        # what this command can ingest.
-        raise ValueError(_unsupported_artifact(path,
-                                               first_doc["schema"]))
-    return _stats_from_export(path, derive=derive)
-
-
-def _stats_from_inline(document: Dict[str, Any], path: str, *,
-                       derive: bool) -> Dict[str, Any]:
-    if document.get("schema") == TELEMETRY_SCHEMA:
+    schema = document.get("schema") if isinstance(document, dict) else None
+    if schema == TELEMETRY_SCHEMA:
         return _doc_from_snapshot(document, path, "telemetry")
-    if document.get("schema") in SERVICE_SCHEMAS:
+    if schema in SERVICE_SCHEMAS:
         return service_doc(document, path)
-    if "records" not in document:
-        raise ValueError(_unsupported_artifact(path, document.get("schema")))
-    embedded = (document.get("metadata") or {}).get("telemetry")
-    if embedded and not derive:
-        return _doc_from_snapshot(embedded, path, "embedded-telemetry")
-    records = (_export._record_from_dict(rec)
-               for rec in document["records"])
-    samples, counts = derive_spans(records)
-    return _doc_from_derivation(samples, counts, path, "derived-inline")
+    try:
+        header = _export._read_header(path)
+    except ValueError:
+        raise ValueError(_unsupported_artifact(path, schema)) from None
+    return _stats_from_export(path, header, derive=derive)
 
 
 def _unsupported_artifact(path: str, schema: Any = None) -> str:
     """Error text naming every schema ``repro stats`` understands."""
     got = f" (schema: {schema!r})" if schema is not None else ""
     return (f"not a stats-able artifact: {path}{got}; expected a "
-            f"trace export (v1-v{_export.SCHEMA_VERSION}, JSONL or "
-            f"columnar), a {TELEMETRY_SCHEMA} snapshot, or one of: "
+            f"schema-{_export.SCHEMA_VERSION} {_export.FORMAT} trace "
+            f"export, a {TELEMETRY_SCHEMA} snapshot, or one of: "
             + ", ".join(SERVICE_SCHEMAS))
 
 
-def _stats_from_export(path: str, *, derive: bool) -> Dict[str, Any]:
-    header = _export._read_header(path)
-    if header is None:
-        raise ValueError(_unsupported_artifact(path))
+def _stats_from_export(path: str, header: Dict[str, Any], *,
+                       derive: bool) -> Dict[str, Any]:
     embedded = (header.get("metadata") or {}).get("telemetry")
     if embedded and not derive:
         return _doc_from_snapshot(embedded, path, "embedded-telemetry")
-    if header.get("format") == "columnar-chunks":
-        vectorized = derive_spans_columnar(path)
-        if vectorized is not None:
-            samples, counts = vectorized
-            return _doc_from_derivation(samples, counts, path,
-                                        "derived-columnar")
-        source = "derived-columnar-stream"
-    else:
-        source = "derived-jsonl"
+    vectorized = derive_spans_columnar(path)
+    if vectorized is not None:
+        samples, counts = vectorized
+        return _doc_from_derivation(samples, counts, path,
+                                    "derived-columnar")
     samples, counts = derive_spans(_export.iter_saved_records(path))
-    return _doc_from_derivation(samples, counts, path, source)
+    return _doc_from_derivation(samples, counts, path,
+                                "derived-columnar-stream")
 
 
 # ---------------------------------------------------------------------------

@@ -302,25 +302,28 @@ def _write_run_trace(path: str, sink, scenario: Scenario, kwargs: dict,
         # `repro stats` on this export reads the live snapshot
         # instead of re-deriving spans from the records.
         metadata["telemetry"] = telemetry.snapshot()
-    save_trace(sink, path, metadata=metadata,
-               crashes=(fault_model.crash_plans()
-                        if fault_model is not None else ()),
-               scenario=scenario)
+    save_trace(sink, path, metadata=metadata, scenario=scenario)
     print(f"trace written:  {path} ({len(sink)} records)")
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Re-execute a saved trace's embedded scenario and verify it."""
-    scenario = load_scenario(args.trace)
+    try:
+        return _replay(args.trace)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{args.trace}: {exc}") from None
+
+
+def _replay(path: str) -> int:
+    scenario = load_scenario(path)
     if scenario is None:
-        raise SystemExit(
-            f"{args.trace}: no embedded scenario (only schema v4+ "
-            f"exports embedding one can replay)")
+        raise SystemExit(f"{path}: no embedded scenario (only exports "
+                         f"saved with one can replay)")
     print(f"scenario:       {scenario.algorithm.name} on "
           f"{scenario.display_label()}, seed={scenario.seed}")
     result = scenario.simulate()
     saved = (record_to_dict(rec, preserialized=True)
-             for rec in iter_saved_records(args.trace))
+             for rec in iter_saved_records(path))
     replayed = iter_trace_dicts(result.trace)
     count = 0
     for old, new in itertools.zip_longest(saved, replayed):
@@ -942,10 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(--list-dynamics for the catalogue)")
     run_p.add_argument("--trace-out", default=None,
                        help="write the execution trace "
-                            "(streamed chunks, schema v6 with the "
-                            "embedded scenario; binary columnar body "
-                            "at --trace-level columnar; see "
-                            "'repro replay')")
+                            "(columnar chunks, schema 6 with the "
+                            "embedded scenario; see 'repro replay')")
     run_p.add_argument("--trace-level", default=None,
                        choices=("full", "decisions", "columnar"),
                        help="trace sink: 'full' keeps every record "
@@ -981,8 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p = sub.add_parser(
         "replay", help="re-execute a saved trace's embedded scenario "
                        "and verify byte-identity")
-    replay_p.add_argument("trace", help="a schema-v4+ trace export "
-                                        "written by run --trace-out")
+    replay_p.add_argument("trace", help="a trace export written by "
+                                        "run --trace-out")
     replay_p.set_defaults(func=cmd_replay)
 
     stats_p = sub.add_parser(
@@ -990,9 +991,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "from a trace export or telemetry snapshot, or "
                       "service tables from serve artifacts")
     stats_p.add_argument("artifact",
-                         help="a trace export (any schema, JSONL or "
-                              "columnar), a --telemetry JSON file, or "
-                              "a serve artifact (service-telemetry/v1, "
+                         help="a trace export, a --telemetry JSON "
+                              "file, or a serve artifact "
+                              "(service-telemetry/v1, "
                               "service-spans/v1, service-metrics/v1)")
     stats_p.add_argument("--derive", action="store_true",
                          help="re-derive spans from the records even "

@@ -20,7 +20,8 @@ invariant checkers who stopped, and the full audit (vectorized on
 columnar traces) applies.
 
 Plans serialize losslessly (:meth:`CrashPlan.to_dict` /
-:meth:`CrashPlan.from_dict`, used by :mod:`repro.analysis.export`) and
+:meth:`CrashPlan.from_dict`, the ``plans=`` entries of a
+``FaultSpec("crash", ...)``, so an exported scenario carries them) and
 have a deterministic ``repr``.
 """
 

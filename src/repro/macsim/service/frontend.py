@@ -62,9 +62,6 @@ class ServiceFrontend:
         queue = self._queues.get(group)
         return len(queue) if queue is not None else 0
 
-    def total_pending(self) -> int:
-        return sum(len(q) for q in self._queues.values())
-
     def next_batch(self, group: int) -> List[Request]:
         """Pop the oldest ``batch_size`` proposals queued for
         ``group`` (possibly fewer; empty when the queue is idle)."""

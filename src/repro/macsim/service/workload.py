@@ -121,16 +121,6 @@ class WorkloadGenerator:
         return [c for c in range(self.clients)
                 if self.client_group(c) in wanted]
 
-    def expected_share(self, group: int) -> float:
-        """The Zipf probability mass of ``group`` -- the expected
-        fraction of clients (hence closed-loop traffic) pinned to it.
-        The observability surfaces show it next to the *observed*
-        share so placement skew reads directly off `repro top`."""
-        if not 0 <= group < self.groups:
-            return 0.0
-        lo = self._cdf[group - 1] if group > 0 else 0.0
-        return self._cdf[group] - lo
-
     def total_requests(self,
                        groups: Optional[Sequence[int]] = None) -> int:
         """Requests the workload will submit (optionally restricted to

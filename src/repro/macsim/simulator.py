@@ -689,16 +689,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Multiplexing API
     # ------------------------------------------------------------------
-    @property
-    def all_decided(self) -> bool:
-        """Whether every non-crashed process has decided.
-
-        Mirrors the ``stop_when_all_decided`` condition checked at the
-        top of :meth:`run`'s loop, so external multiplexers can detect
-        completion between time slices without spending a ``run`` call.
-        """
-        return self._undecided_alive == 0
-
     def next_event_time(self) -> Optional[float]:
         """Timestamp of the earliest pending event, or ``None`` when
         the simulation is quiescent.

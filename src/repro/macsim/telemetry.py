@@ -39,8 +39,9 @@ exactly: a span opens at the ``broadcast`` record, tracks the first
 and last ``deliver`` times, and closes (emitting its samples) at the
 ``ack`` -- deliveries after the ack (possible on unreliable-overlay
 runs) belong to no span. :mod:`repro.analysis.stats_report` derives
-the same spans from saved trace records, so live telemetry, JSONL
-replay and columnar replay of one seeded run summarize identically.
+the same spans from saved trace records, so live telemetry and both
+of its derivations (record stream, whole columns) of one seeded run
+summarize identically.
 
 Summaries are computed from *sorted* samples with ``math.fsum`` for
 the mean, so they are order-insensitive: any producer of the same
@@ -54,7 +55,7 @@ import json
 import math
 from array import array
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 __all__ = ["Telemetry", "TELEMETRY_SCHEMA", "PHASES", "quantile",
            "summarize_samples", "MonotonicProfile"]
@@ -264,11 +265,6 @@ class Telemetry:
                 pass
 
     # -- reporting ------------------------------------------------------
-    def span_samples(self) -> Dict[str, List[float]]:
-        """The raw span samples (``f_ack``/``f_prog``/``f_cover``)."""
-        return {"f_ack": list(self.f_ack), "f_prog": list(self.f_prog),
-                "f_cover": list(self.f_cover)}
-
     def snapshot(self) -> Dict[str, Any]:
         """The full JSON-serializable telemetry snapshot."""
         phase_total = math.fsum(self.phase_seconds.values())

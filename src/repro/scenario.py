@@ -10,7 +10,7 @@ be **named** (specs), **built** (resolved through the
 :mod:`repro.registry` registries), **run** (wrapping
 :func:`repro.analysis.runner.run_consensus`), **swept**
 (:meth:`Scenario.grid` feeding ``sweep``/``parallel_sweep``) and
-**replayed** (embedded in schema-v4 trace exports)::
+**replayed** (embedded in trace exports)::
 
     from repro.scenario import (AlgorithmSpec, FaultSpec, Scenario,
                                 SchedulerSpec, TopologySpec)

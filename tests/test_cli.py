@@ -124,15 +124,39 @@ class TestRunCommand:
             capsys.readouterr().out
 
     def test_crash_flag_exports_scenario(self, tmp_path, capsys):
+        from repro.analysis.export import load_scenario, trace_to_json
+        from repro.macsim import CrashPlan
+        from repro.scenario import (AlgorithmSpec, FaultSpec, Scenario,
+                                    SchedulerSpec, TopologySpec)
         out_path = tmp_path / "t.json"
         code = main(["run", "--algorithm", "wpaxos", "--topology",
                      "clique:5", "--scheduler", "synchronous",
                      "--fault", "crash:node=2,time=1.5", "--trace-out",
                      str(out_path)])
         assert code == 0
-        from repro.analysis.export import load_crashes
-        plans = load_crashes(str(out_path))
+        plans = load_scenario(str(out_path)).resolve() \
+            .fault_model.crash_plans()
         assert [(p.node, p.time) for p in plans] == [(2, 1.5)]
+        # Plans given as a list ride the embedded FaultSpec, None /
+        # empty / subset ``still_delivered`` included, and re-drive
+        # the same run.
+        plans = [CrashPlan(2, 1.5), CrashPlan(3, 2.0, still_delivered=()),
+                 CrashPlan(4, 0.5, still_delivered=(0, 1))]
+        scenario = Scenario(
+            algorithm=AlgorithmSpec("wpaxos"),
+            topology=TopologySpec("clique", n=5),
+            scheduler=SchedulerSpec("synchronous"),
+            fault=FaultSpec("crash",
+                            plans=[plan.to_dict() for plan in plans]))
+        scenario_path = str(tmp_path / "s.json")
+        scenario.dump(scenario_path)
+        main(["run", "--scenario", scenario_path, "--trace-out",
+              str(out_path)])
+        loaded = load_scenario(str(out_path))
+        assert loaded == scenario
+        assert list(loaded.resolve().fault_model.crash_plans()) == plans
+        assert (trace_to_json(loaded.simulate().trace)
+                == trace_to_json(scenario.simulate().trace))
 
     def test_negative_fault_counts_rejected(self):
         for fault in ("byzantine:-2", "omission:count=-2"):
@@ -316,21 +340,26 @@ class TestReplayCommand:
         assert "byte-identical" in out
 
     def test_replay_detects_divergence(self, tmp_path, capsys):
-        import json
+        import dataclasses
+        from repro.analysis.export import (iter_saved_records,
+                                           load_scenario, save_trace)
+        from repro.macsim import ColumnarSink
         trace = str(tmp_path / "trace.json")
         assert main(["run", "--algorithm", "wpaxos", "--topology",
                      "clique:4", "--scheduler", "synchronous",
                      "--trace-out", trace]) == 0
         capsys.readouterr()
-        with open(trace) as fh:
-            lines = fh.readlines()
-        records = json.loads(lines[1])
-        records[0]["time"] += 0.5   # tamper
-        lines[1] = json.dumps(records) + "\n"
-        with open(trace, "w") as fh:
-            fh.writelines(lines)
+        # Tamper: save the run with its first record shifted, under
+        # the original scenario.
+        tampered = ColumnarSink()
+        for i, rec in enumerate(iter_saved_records(trace)):
+            if i == 0:
+                rec = dataclasses.replace(rec, time=rec.time + 0.5)
+            tampered.append_serialized(rec)
+        save_trace(tampered, trace, scenario=load_scenario(trace))
+        tampered.cleanup()
         assert main(["replay", trace]) == 1
-        assert "DIVERGED" in capsys.readouterr().out
+        assert "DIVERGED at record 0" in capsys.readouterr().out
 
     def test_replay_without_scenario_errors(self, tmp_path):
         import pytest as _pytest
@@ -344,6 +373,34 @@ class TestReplayCommand:
         save_trace(result.trace, path)
         with _pytest.raises(SystemExit):
             main(["replay", path])
+
+    def test_replay_of_a_missing_file_exits_naming_it(self, tmp_path):
+        path = str(tmp_path / "absent.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", path])
+        assert str(exc.value.code).startswith(f"{path}: ")
+        assert "No such file" in str(exc.value.code)
+
+    @pytest.mark.parametrize("indent,schema", [
+        (None, "'telemetry/v1'"), (2, "None"),
+    ], ids=["single-line", "indented"])
+    def test_replay_of_a_telemetry_snapshot_exits_naming_it(
+            self, tmp_path, capsys, indent, schema):
+        import json
+        snapshot = str(tmp_path / "tel.json")
+        assert main(["run", "--algorithm", "wpaxos", "--topology",
+                     "clique:4", "--telemetry", snapshot]) == 0
+        capsys.readouterr()
+        with open(snapshot) as fh:
+            document = json.load(fh)
+        path = str(tmp_path / "snapshot.json")
+        with open(path, "w") as fh:
+            json.dump(document, fh, indent=indent)
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", path])
+        assert exc.value.code == (
+            f"{path}: not a schema-6 columnar-chunks trace export: "
+            f"{path} (schema {schema}, format None)")
 
 
 class TestReviewRegressions:

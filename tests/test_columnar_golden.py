@@ -1,7 +1,7 @@
 """Cross-commit golden chunk bytes for the columnar sink.
 
 The columnar twin of ``tests/test_wpaxos_golden.py``. The in-tree pins
-compare two paths of one commit (columnar vs JSONL, sliced vs
+compare two paths of one commit (columnar vs FULL, sliced vs
 unsliced), so a change to the engine's delivery loop or to
 ``ColumnarSink.record`` that moves both sides passes them. These
 digests were generated on the commit before the per-broadcast payload

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.analysis.export import (crashes_from_json, load_crashes,
-                                   save_trace, trace_to_json)
+from repro.analysis.export import load_scenario, save_trace, trace_to_json
 from repro.analysis.runner import run_consensus
 from repro.core import (BenOrConsensus, GatherAllConsensus,
                         TwoPhaseConsensus, WPaxosConfig, WPaxosNode)
@@ -544,28 +543,24 @@ class TestCrashPlanRoundTrip:
             assert again.still_delivered == plan.still_delivered
 
     def test_export_round_trip_through_json(self, tmp_path):
-        graph = clique(4)
+        # The plans travel inside the embedded ``FaultSpec``: the None /
+        # empty / subset forms of ``still_delivered`` all survive.
         plans = [CrashPlan(0, 0.5, still_delivered=(1, 3)),
-                 CrashPlan(2, 2.0)]
-        sim = build_simulation(
-            graph, lambda v: GatherAllConsensus(v + 1, v % 2, 4),
-            SynchronousScheduler(1.0),
-            fault_model=CrashFaultModel(plans))
-        sim.run(max_time=20.0)
+                 CrashPlan(2, 2.0),
+                 CrashPlan(3, 1.5, still_delivered=())]
+        scenario = Scenario(
+            algorithm=AlgorithmSpec("gatherall"),
+            topology=TopologySpec("clique", n=4),
+            fault=FaultSpec("crash",
+                            plans=[plan.to_dict() for plan in plans]),
+            max_time=20.0)
+        first = scenario.simulate()
         path = tmp_path / "run.json"
-        save_trace(sim.trace, str(path), metadata={"seed": 0},
-                   crashes=plans)
-        reloaded = load_crashes(str(path))
-        assert reloaded == plans
-        # The reloaded scenario can re-drive an identical simulation.
-        sim2 = build_simulation(
-            graph, lambda v: GatherAllConsensus(v + 1, v % 2, 4),
-            SynchronousScheduler(1.0),
-            fault_model=CrashFaultModel(reloaded))
-        sim2.run(max_time=20.0)
-        assert trace_to_json(sim2.trace) == trace_to_json(sim.trace)
-
-    def test_v1_documents_still_load(self):
-        import json
-        doc = json.dumps({"schema": 1, "metadata": {}, "records": []})
-        assert crashes_from_json(doc) == []
+        save_trace(first.trace, str(path), metadata={"seed": 0},
+                   scenario=scenario)
+        reloaded = load_scenario(str(path))
+        assert reloaded == scenario
+        assert list(reloaded.resolve().fault_model.crash_plans()) == plans
+        # The reloaded scenario re-drives an identical simulation.
+        again = reloaded.simulate()
+        assert trace_to_json(again.trace) == trace_to_json(first.trace)

@@ -9,7 +9,7 @@ Three pillars:
   ``Scenario.run()`` must equal the legacy hand-wired
   ``run_consensus`` call and ``Scenario.simulate()`` must produce the
   byte-identical FULL trace.
-* **Replay** -- a schema-v4 export's embedded scenario rebuilds and
+* **Replay** -- an export's embedded scenario rebuilds and
   re-executes the exact run.
 """
 
@@ -561,7 +561,7 @@ class TestScenarioGrid:
 
 
 # ---------------------------------------------------------------------------
-# v4 export embedding + replay
+# Export embedding + replay
 # ---------------------------------------------------------------------------
 
 class TestScenarioReplay:
@@ -588,13 +588,6 @@ class TestScenarioReplay:
         path = str(tmp_path / "bare.json")
         result = self.SCENARIO.simulate()
         save_trace(result.trace, path)
-        assert load_scenario(path) is None
-
-    def test_v2_inline_documents_load_none(self, tmp_path):
-        path = str(tmp_path / "v2.json")
-        result = self.SCENARIO.simulate()
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(trace_to_json(result.trace))
         assert load_scenario(path) is None
 
 

@@ -1,6 +1,7 @@
 """PR 7 observability tests: telemetry counters vs full-trace counts
 across sinks and fault models, trace byte-identity with telemetry on
-vs off, live/derived F_ack histogram identity (JSONL and columnar),
+vs off, live/derived F_ack histogram identity (record stream and
+columns),
 abort-snapshot flushing, the phase profiler, span/kind registry
 guards, and sweep progress heartbeats."""
 
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import run_consensus
-from repro.analysis.export import save_trace, trace_to_json
+from repro.analysis.export import (iter_saved_records, save_trace,
+                                   trace_to_json)
 from repro.analysis.stats_report import (KIND_TO_COUNTER, SPAN_RULES,
                                          derive_spans, render_stats,
                                          stats_from_file)
@@ -25,7 +27,7 @@ from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
                           CrashPlan, OmissionFaultModel, OmissionPlan,
                           SpillBudgetError, Telemetry, Trace,
                           build_simulation)
-from repro.macsim.columnar import KIND_CODES
+from repro.macsim.columnar import KIND_CODES, have_numpy
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.macsim.telemetry import (PHASES, quantile, summarize_samples)
@@ -157,9 +159,8 @@ class TestCountersMatchTrace:
 
 
 class TestByteIdentityOnDisk:
-    """Exports in both layouts -- ``jsonl-chunks`` from a FULL trace,
-    ``columnar-chunks`` from a ColumnarSink -- are byte-identical with
-    telemetry on/off."""
+    """Exports of a FULL trace and of a ColumnarSink are each
+    byte-identical with telemetry on/off."""
 
     @pytest.mark.parametrize("fmt", ["full", "columnar"])
     def test_export_bytes(self, tmp_path, fmt):
@@ -180,9 +181,9 @@ class TestByteIdentityOnDisk:
 
 
 class TestHistogramIdentity:
-    """Live telemetry, JSONL replay and columnar replay of one seeded
-    run summarize F_ack/F_prog identically (the tentpole acceptance
-    property)."""
+    """Live telemetry, the vectorized columnar derivation and the
+    record-stream derivation of one seeded run summarize F_ack/F_prog
+    identically."""
 
     def _seeded_run(self, sink, telemetry=None):
         graph = clique(8)
@@ -191,27 +192,23 @@ class TestHistogramIdentity:
                     lambda: None, sink, telemetry=telemetry)
 
     def test_live_vs_jsonl_vs_columnar(self, tmp_path):
+        # Three span sets on the FULL trace's export: live, derived
+        # from the columns, and derived from the record stream.
         telemetry = Telemetry()
         _, result = self._seeded_run(Trace(), telemetry)
         live = telemetry.snapshot()["spans"]
         assert live["f_ack"]["count"] > 0
         assert live["f_prog"]["count"] > 0
 
-        jsonl_path = str(tmp_path / "run.trace")
-        save_trace(result.trace, jsonl_path)
-        derived = stats_from_file(jsonl_path, derive=True)
-        assert derived["source"] == "derived-jsonl"
+        path = str(tmp_path / "run.trace")
+        save_trace(result.trace, path)
+        derived = stats_from_file(path, derive=True)
+        assert derived["source"] == ("derived-columnar" if have_numpy()
+                                     else "derived-columnar-stream")
         assert derived["spans"] == live
-
-        col_sink = ColumnarSink(str(tmp_path / "col"),
-                                chunk_records=256)
-        self._seeded_run(col_sink)
-        col_path = str(tmp_path / "run_col.trace")
-        save_trace(col_sink, col_path)
-        col = stats_from_file(col_path, derive=True)
-        assert col["source"] in ("derived-columnar",
-                                 "derived-columnar-stream")
-        assert col["spans"] == live
+        samples, _ = derive_spans(iter_saved_records(path))
+        assert {name: summarize_samples(values)
+                for name, values in samples.items()} == live
 
     def test_embedded_snapshot_preferred(self, tmp_path):
         telemetry = Telemetry(label="pinned")

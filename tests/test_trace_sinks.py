@@ -1,7 +1,7 @@
 """PR 3 trace-pipeline tests: sink equivalence (FULL / DECISIONS /
 COLUMNAR) under fault models, batched delivery scheduling
 byte-identity, disk-sink replay and reload, streaming export (schema
-v3 with v1/v2 compat), and structured sweep keys."""
+6), and structured sweep keys."""
 
 import json
 import os
@@ -11,9 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis import parallel_sweep, run_consensus, sweep
-from repro.analysis.export import (iter_saved_records, load_crashes,
-                                   load_metadata, load_trace, save_trace,
-                                   trace_to_json)
+from repro.analysis.export import (iter_saved_records, load_metadata,
+                                   load_trace, save_trace, trace_to_json)
 from repro.core import (BenOrConsensus, GatherAllConsensus,
                         TwoPhaseConsensus, WPaxosConfig, WPaxosNode)
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
@@ -328,9 +327,8 @@ class TestStreamingExport:
     def test_v3_roundtrip_structure(self, tmp_path):
         trace = self._sample()
         path = str(tmp_path / "t.json")
-        save_trace(trace, path, metadata={"seed": 9},
-                   chunk_records=7)
-        with open(path, encoding="utf-8") as fh:
+        save_trace(trace, path, metadata={"seed": 9})
+        with open(path, "rb") as fh:
             header = json.loads(fh.readline())
         assert header["schema"] == 6
         reloaded = load_trace(path)
@@ -340,26 +338,6 @@ class TestStreamingExport:
         assert load_metadata(path) == {"seed": 9}
         assert [r.kind for r in iter_saved_records(path)] \
             == [r.kind for r in trace]
-
-    def test_v3_crash_scenario_roundtrip(self, tmp_path):
-        trace = self._sample()
-        plans = [CrashPlan(1, 2.0, still_delivered=(0, 2))]
-        path = str(tmp_path / "t.json")
-        save_trace(trace, path, crashes=plans)
-        assert load_crashes(path) == plans
-
-    def test_v2_documents_still_load(self, tmp_path):
-        trace = self._sample()
-        plans = [CrashPlan(0, 1.0)]
-        path = str(tmp_path / "old.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(trace_to_json(trace, indent=2,
-                                   metadata={"legacy": True},
-                                   crashes=plans))
-        reloaded = load_trace(path)
-        assert len(reloaded) == len(trace)
-        assert load_crashes(path) == plans
-        assert load_metadata(path) == {"legacy": True}
 
     def test_columnar_sink_exports_without_double_repr(self, tmp_path):
         graph = clique(4)
@@ -382,7 +360,7 @@ class TestStreamingExport:
     def test_load_into_columnar_sink_is_streamed(self, tmp_path):
         trace = self._sample()
         path = str(tmp_path / "t.json")
-        save_trace(trace, path, chunk_records=5)
+        save_trace(trace, path)
         sink = load_trace(path, sink=ColumnarSink(str(tmp_path / "s"),
                                                   chunk_records=5))
         sink.close()
