@@ -21,113 +21,61 @@ Quick start::
     print(result.decisions)                       # everyone agrees
     print(check_consensus(result.trace, values).ok)  # True
 
-See README.md for the architecture tour; ``repro regen`` and
-``python -m repro experiments`` regenerate the measured results.
+Importing the package loads none of this: every name below is
+resolved on first use (:mod:`repro._lazy`), so a process compiles only
+the modules its path runs -- ``from repro import WPaxosNode`` loads
+wPAXOS, not the baselines. See README.md for the architecture tour;
+``repro regen`` and ``python -m repro experiments`` regenerate the
+measured results.
 """
 
-from .macsim import (CrashPlan, EdgeChurn, NodeChurn, Process,
-                     RandomWaypoint, RunResult, ScriptedDynamics,
-                     Simulator, TopologyDelta, TopologyDynamics,
-                     build_simulation, check_consensus,
-                     check_model_invariants, connectivity_report)
-from .macsim.schedulers import (AdversarialUnreliableScheduler,
-                                BernoulliUnreliableScheduler,
-                                JitteredRoundScheduler,
-                                MaxDelayScheduler, PartitionScheduler,
-                                RandomDelayScheduler, Scheduler,
-                                ScriptedScheduler, SilencingScheduler,
-                                StaggeredScheduler, SynchronousScheduler)
-from .topology import (Graph, clique, grid, kd_network, line,
-                       network_a, network_b, random_connected,
-                       random_geometric, ring, star, star_of_cliques,
-                       torus, verify_figure1)
-from .topology.standard import unreliable_overlay
-from .core import (AnonymousMinFlood, BenOrConsensus,
-                   ConsensusProcess, GatherAllConsensus,
-                   NoSizeMinIdFlood, PaxosFloodNode, SafetyMonitor,
-                   TwoPhaseConsensus, WPaxosConfig, WPaxosNode)
-from .registry import (register_algorithm, register_dynamics,
-                       register_fault_model, register_overlay,
-                       register_scheduler, register_topology,
-                       register_values)
-from .scenario import (AlgorithmSpec, DynamicsSpec, FaultSpec,
-                       OverlaySpec, Scenario, ScenarioError,
-                       ScenarioGrid, SchedulerSpec, TopologySpec)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
     # substrate
-    "Simulator",
-    "build_simulation",
-    "RunResult",
-    "Process",
-    "CrashPlan",
-    "check_consensus",
-    "check_model_invariants",
+    "macsim.simulator": "Simulator build_simulation RunResult",
+    "macsim.process": "Process",
+    "macsim.faults.crash": "CrashPlan",
+    "macsim.invariants": "check_consensus check_model_invariants",
     # schedulers
-    "Scheduler",
-    "SynchronousScheduler",
-    "RandomDelayScheduler",
-    "JitteredRoundScheduler",
-    "MaxDelayScheduler",
-    "SilencingScheduler",
-    "StaggeredScheduler",
-    "PartitionScheduler",
-    "ScriptedScheduler",
-    "BernoulliUnreliableScheduler",
-    "AdversarialUnreliableScheduler",
+    "macsim.schedulers.base": "Scheduler",
+    "macsim.schedulers.synchronous": "SynchronousScheduler",
+    "macsim.schedulers.random_delay":
+        "RandomDelayScheduler JitteredRoundScheduler",
+    "macsim.schedulers.adversarial": "MaxDelayScheduler SilencingScheduler "
+                                     "StaggeredScheduler PartitionScheduler",
+    "macsim.schedulers.scripted": "ScriptedScheduler",
+    "macsim.schedulers.unreliable":
+        "BernoulliUnreliableScheduler AdversarialUnreliableScheduler",
     # topologies
-    "Graph",
-    "clique",
-    "line",
-    "ring",
-    "star",
-    "grid",
-    "torus",
-    "star_of_cliques",
-    "random_connected",
-    "random_geometric",
-    "network_a",
-    "network_b",
-    "kd_network",
-    "verify_figure1",
-    "unreliable_overlay",
+    "topology.graphs": "Graph",
+    "topology.standard": "clique line ring star grid torus star_of_cliques "
+                         "random_connected random_geometric "
+                         "unreliable_overlay",
+    "topology.gadgets": "network_a network_b kd_network verify_figure1",
     # algorithms
-    "ConsensusProcess",
-    "TwoPhaseConsensus",
-    "WPaxosNode",
-    "WPaxosConfig",
-    "SafetyMonitor",
-    "GatherAllConsensus",
-    "PaxosFloodNode",
-    "AnonymousMinFlood",
-    "NoSizeMinIdFlood",
-    "BenOrConsensus",
+    "core.base": "ConsensusProcess",
+    "core.twophase": "TwoPhaseConsensus",
+    "core.wpaxos.node": "WPaxosNode",
+    "core.wpaxos.config": "WPaxosConfig SafetyMonitor",
+    "core.baselines.gatherall": "GatherAllConsensus",
+    "core.baselines.paxos_flood": "PaxosFloodNode",
+    "core.heuristics.stability": "AnonymousMinFlood NoSizeMinIdFlood",
+    "core.randomized": "BenOrConsensus",
     # dynamics
-    "TopologyDynamics",
-    "TopologyDelta",
-    "EdgeChurn",
-    "NodeChurn",
-    "RandomWaypoint",
-    "ScriptedDynamics",
-    "connectivity_report",
+    "macsim.dynamics.base": "TopologyDynamics TopologyDelta",
+    "macsim.dynamics.churn": "EdgeChurn NodeChurn",
+    "macsim.dynamics.mobility": "RandomWaypoint",
+    "macsim.dynamics.scripted": "ScriptedDynamics",
+    "macsim.dynamics.connectivity": "connectivity_report",
     # scenarios
-    "Scenario",
-    "ScenarioError",
-    "ScenarioGrid",
-    "AlgorithmSpec",
-    "TopologySpec",
-    "SchedulerSpec",
-    "FaultSpec",
-    "OverlaySpec",
-    "DynamicsSpec",
-    "register_algorithm",
-    "register_topology",
-    "register_scheduler",
-    "register_fault_model",
-    "register_dynamics",
-    "register_overlay",
-    "register_values",
-]
+    "scenario": "Scenario ScenarioError ScenarioGrid AlgorithmSpec "
+                "TopologySpec SchedulerSpec FaultSpec OverlaySpec "
+                "DynamicsSpec",
+    "registry": "register_algorithm register_topology register_scheduler "
+                "register_fault_model register_dynamics register_overlay "
+                "register_values",
+})
+__all__.insert(0, "__version__")

@@ -27,14 +27,15 @@ import importlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..scenario import (Scenario, ScenarioError, ScenarioGrid,
                         _from_jsonable, _jsonable)
-from .cache import ResultCache
-from .sweeps import (SweepPoint, SweepProgress, SweepResult,
-                     _progress_enabled, parallel_sweep)
 from .tables import format_table
+
+if TYPE_CHECKING:
+    from .cache import ResultCache
+    from .sweeps import SweepResult
 
 MANIFEST_SCHEMA = "manifest/v1"
 
@@ -183,6 +184,8 @@ class ExperimentManifest:
         ``block`` / ``cells`` / ``hits`` / ``misses`` / ``stragglers``,
         the last flagged against the whole pool's runtimes).
         """
+        from .sweeps import (SweepPoint, SweepProgress, SweepResult,
+                             _progress_enabled, parallel_sweep)
         cells = [(block.name, scenario, x, key) for block in self.blocks
                  for scenario, x, key in block.sweep_cells()]
         points: List[Optional[SweepPoint]] = [None] * len(cells)
@@ -216,6 +219,20 @@ class ExperimentManifest:
         if reporter is not None and cache is not None:
             reporter.note_cached(len(cells) - len(misses) - len(repeats))
             reporter.cache_misses = len(misses)
+
+        # Resolving imports the classes a scenario names: one missing
+        # cell per distinct set of spec names resolves here, so every
+        # forked worker inherits those modules instead of compiling
+        # its own copy.
+        primed = set()
+        for slot in misses:
+            scenario = cells[slot][1]
+            names = tuple(getattr(getattr(scenario, axis), "name", None)
+                          for axis in ("algorithm", "scheduler", "fault",
+                                       "overlay", "dynamics"))
+            if names not in primed:
+                primed.add(names)
+                scenario.resolve()
 
         def build(pool_key: tuple) -> Dict[str, Any]:
             _, scenario, x, _ = cells[pool_key[0]]

@@ -5,12 +5,8 @@ distributed systems; this package provides the canonical one -- a
 replicated command log (multi-decree wPAXOS).
 """
 
-from .replicated_log import (LogMessage, ReplicatedLogNode, SlotDecide,
-                             SlotMessage)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ReplicatedLogNode",
-    "LogMessage",
-    "SlotMessage",
-    "SlotDecide",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "replicated_log": "ReplicatedLogNode LogMessage SlotMessage SlotDecide",
+})

@@ -48,9 +48,6 @@ import itertools
 import json
 import sys
 
-from .analysis.export import (iter_saved_records, iter_trace_dicts,
-                              load_scenario, record_to_dict, save_trace)
-from .analysis.runner import run_consensus
 from .macsim.errors import ModelViolationError
 from .macsim.trace import make_sink
 from .registry import (ALGORITHMS, DYNAMICS, SCHEDULERS, TOPOLOGIES,
@@ -230,6 +227,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if scenario.telemetry:
         from .macsim.telemetry import Telemetry
         telemetry = Telemetry(label=scenario.display_label())
+    from .analysis.runner import run_consensus
     sink = make_sink(scenario.trace_level)
     try:
         metrics = run_consensus(trace_sink=sink, telemetry=telemetry,
@@ -290,6 +288,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _write_run_trace(path: str, sink, scenario: Scenario, kwargs: dict,
                      telemetry) -> None:
     """Export ``repro run``'s closed trace sink with its scenario."""
+    from .analysis.export import save_trace
     fault_model = kwargs.get("fault_model")
     metadata = {
         "algorithm": scenario.algorithm.name,
@@ -315,6 +314,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _replay(path: str) -> int:
+    from .analysis.export import (iter_saved_records, iter_trace_dicts,
+                                  load_scenario, record_to_dict)
     scenario = load_scenario(path)
     if scenario is None:
         raise SystemExit(f"{path}: no embedded scenario (only exports "
@@ -616,6 +617,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 out.write("\n")
         print(f"metrics written: {args.metrics_out}")
     if capture:
+        from .analysis.export import save_trace
         save_trace(service.first_slot_trace, args.trace_out,
                    metadata={"service": "slot(group=0, slot=0)"},
                    scenario=service.first_slot_scenario)

@@ -9,30 +9,21 @@
 * :mod:`repro.core.byzantine` -- Byzantine-tolerant grading +
   amplification consensus (the Tseng-Sardina direction), paired with
   the :mod:`repro.macsim.faults` adversary subsystem.
+
+Importing the package loads none of them: each name is resolved on
+first use (:mod:`repro._lazy`).
 """
 
-from .base import ConsensusProcess, VALUES
-from .twophase import Phase1Message, Phase2Message, TwoPhaseConsensus
-from .wpaxos import SafetyMonitor, WPaxosConfig, WPaxosNode
-from .baselines import GatherAllConsensus, PaxosFloodNode
-from .heuristics import AnonymousMinFlood, NoSizeMinIdFlood
-from .randomized import BenOrConsensus
-from .byzantine import ByzantineConsensus, max_tolerance
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ConsensusProcess",
-    "VALUES",
-    "ByzantineConsensus",
-    "max_tolerance",
-    "TwoPhaseConsensus",
-    "Phase1Message",
-    "Phase2Message",
-    "WPaxosNode",
-    "WPaxosConfig",
-    "SafetyMonitor",
-    "GatherAllConsensus",
-    "PaxosFloodNode",
-    "AnonymousMinFlood",
-    "NoSizeMinIdFlood",
-    "BenOrConsensus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "ConsensusProcess VALUES",
+    "byzantine": "ByzantineConsensus max_tolerance",
+    "twophase": "TwoPhaseConsensus Phase1Message Phase2Message",
+    "wpaxos.node": "WPaxosNode",
+    "wpaxos.config": "WPaxosConfig SafetyMonitor",
+    "baselines.gatherall": "GatherAllConsensus",
+    "baselines.paxos_flood": "PaxosFloodNode",
+    "heuristics.stability": "AnonymousMinFlood NoSizeMinIdFlood",
+    "randomized": "BenOrConsensus",
+})

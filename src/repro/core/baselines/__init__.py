@@ -1,12 +1,8 @@
 """Baseline consensus algorithms the paper compares against."""
 
-from .gatherall import GatherAllConsensus, PairMessage
-from .paxos_flood import FloodedResponse, FloodMessage, PaxosFloodNode
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "GatherAllConsensus",
-    "PairMessage",
-    "PaxosFloodNode",
-    "FloodMessage",
-    "FloodedResponse",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "gatherall": "GatherAllConsensus PairMessage",
+    "paxos_flood": "PaxosFloodNode FloodMessage FloodedResponse",
+})

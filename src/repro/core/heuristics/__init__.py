@@ -1,11 +1,8 @@
 """Heuristic algorithms used to exhibit the paper's impossibilities."""
 
-from .stability import (AnonymousMinFlood, KnownSetMessage,
-                        NoSizeMinIdFlood, ValueSetMessage)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "AnonymousMinFlood",
-    "NoSizeMinIdFlood",
-    "ValueSetMessage",
-    "KnownSetMessage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "stability": "AnonymousMinFlood NoSizeMinIdFlood ValueSetMessage "
+                 "KnownSetMessage",
+})

@@ -7,44 +7,16 @@ building, broadcast multiplexing), achieving consensus in
 (Theorem 4.6).
 """
 
-from .config import (RETRY_LEARNED, RETRY_PAPER, SafetyMonitor,
-                     WPaxosConfig)
-from .messages import (ACCEPTED, ChangePart, DecidePart, LeaderPart,
-                       PREPARE, PROMISE, PROPOSE, ProposalNumber,
-                       ProposerPart, REJECT_PREPARE, REJECT_PROPOSE,
-                       ResponsePart, SearchPart, WMessage,
-                       proposition_key)
-from .acceptor import AcceptorState, ResponseQueue, ResponseSeed
-from .proposer import Proposer
-from .services import ChangeService, LeaderElectionService, TreeService
-from .node import WPaxosNode
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "WPaxosNode",
-    "WPaxosConfig",
-    "SafetyMonitor",
-    "RETRY_PAPER",
-    "RETRY_LEARNED",
-    "Proposer",
-    "AcceptorState",
-    "ResponseQueue",
-    "ResponseSeed",
-    "LeaderElectionService",
-    "ChangeService",
-    "TreeService",
-    "WMessage",
-    "LeaderPart",
-    "ChangePart",
-    "SearchPart",
-    "ProposerPart",
-    "ResponsePart",
-    "DecidePart",
-    "ProposalNumber",
-    "proposition_key",
-    "PREPARE",
-    "PROPOSE",
-    "PROMISE",
-    "ACCEPTED",
-    "REJECT_PREPARE",
-    "REJECT_PROPOSE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "node": "WPaxosNode",
+    "config": "WPaxosConfig SafetyMonitor RETRY_PAPER RETRY_LEARNED",
+    "proposer": "Proposer",
+    "acceptor": "AcceptorState ResponseQueue ResponseSeed",
+    "services": "LeaderElectionService ChangeService TreeService",
+    "messages": "WMessage LeaderPart ChangePart SearchPart ProposerPart "
+                "ResponsePart DecidePart ProposalNumber proposition_key "
+                "PREPARE PROPOSE PROMISE ACCEPTED REJECT_PREPARE "
+                "REJECT_PROPOSE",
+})

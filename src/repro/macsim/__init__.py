@@ -14,70 +14,32 @@ Entry points:
 * :mod:`repro.macsim.schedulers` -- the scheduler suite, including the
   adversaries used by the paper's lower bounds.
 * :mod:`repro.macsim.invariants` -- post-hoc model/consensus checking.
+
+Every name is resolved on first use (:mod:`repro._lazy`).
 """
 
-from .errors import (ConfigurationError, MacSimError, ModelViolationError,
-                     ProcessError, SimulationLimitError)
-from .faults import (DROP, ByzantineFaultModel, ByzantinePlan,
-                     ByzantineStrategy, CorruptStrategy, CrashFaultModel,
-                     CrashPlan, EquivocateStrategy, FaultModel,
-                     OmissionFaultModel, OmissionPlan, SilentStrategy)
-from .dynamics import (EdgeChurn, NodeChurn, RandomWaypoint,
-                       ScriptedDynamics, TopologyDelta, TopologyDynamics,
-                       connectivity_report)
-from .invariants import (ConsensusReport, InvariantAuditor, InvariantReport,
-                         check_consensus, check_model_invariants)
-from .process import Process
-from .simulator import RunResult, Simulator, build_simulation
-from .telemetry import Telemetry
-from .columnar import ColumnarSink
-from .trace import (SpillBudgetError, Trace, TraceLevel, TraceRecord,
-                    TraceSink, make_sink)
-from . import dynamics, faults, schedulers
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CrashPlan",
-    "DROP",
-    "FaultModel",
-    "CrashFaultModel",
-    "OmissionFaultModel",
-    "OmissionPlan",
-    "ByzantineFaultModel",
-    "ByzantinePlan",
-    "ByzantineStrategy",
-    "SilentStrategy",
-    "CorruptStrategy",
-    "EquivocateStrategy",
-    "faults",
-    "MacSimError",
-    "ConfigurationError",
-    "ModelViolationError",
-    "ProcessError",
-    "SimulationLimitError",
-    "Process",
-    "Simulator",
-    "RunResult",
-    "build_simulation",
-    "Telemetry",
-    "Trace",
-    "TraceLevel",
-    "TraceRecord",
-    "TraceSink",
-    "ColumnarSink",
-    "SpillBudgetError",
-    "make_sink",
-    "InvariantReport",
-    "ConsensusReport",
-    "check_model_invariants",
-    "InvariantAuditor",
-    "check_consensus",
-    "schedulers",
-    "dynamics",
-    "TopologyDynamics",
-    "TopologyDelta",
-    "EdgeChurn",
-    "NodeChurn",
-    "RandomWaypoint",
-    "ScriptedDynamics",
-    "connectivity_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "errors": "MacSimError ConfigurationError ModelViolationError "
+              "ProcessError SimulationLimitError",
+    "faults.base": "DROP FaultModel",
+    "faults.crash": "CrashFaultModel CrashPlan",
+    "faults.omission": "OmissionFaultModel OmissionPlan",
+    "faults.byzantine": "ByzantineFaultModel ByzantinePlan ByzantineStrategy "
+                        "SilentStrategy CorruptStrategy EquivocateStrategy",
+    "process": "Process",
+    "simulator": "Simulator RunResult build_simulation",
+    "telemetry": "Telemetry",
+    "trace": "Trace TraceLevel TraceRecord TraceSink SpillBudgetError "
+             "make_sink",
+    "columnar": "ColumnarSink",
+    "invariants": "InvariantReport ConsensusReport check_model_invariants "
+                  "InvariantAuditor check_consensus",
+    "dynamics.base": "TopologyDynamics TopologyDelta",
+    "dynamics.churn": "EdgeChurn NodeChurn",
+    "dynamics.mobility": "RandomWaypoint",
+    "dynamics.scripted": "ScriptedDynamics",
+    "dynamics.connectivity": "connectivity_report",
+    "": "dynamics faults schedulers",
+})

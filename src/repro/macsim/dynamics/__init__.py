@@ -27,31 +27,14 @@ Scenario integration (``DynamicsSpec`` / ``@register_dynamics`` /
 ``--dynamics``) lives in :mod:`repro.scenario`.
 """
 
-from .base import (TOPO_EDGE_DOWN, TOPO_EDGE_UP, TOPO_NODE_DOWN,
-                   TOPO_NODE_UP, PeriodicDynamics, TopologyDelta,
-                   TopologyDynamics, edge_key)
-from .churn import EdgeChurn, NodeChurn, spanning_tree_edges
-from .connectivity import (connectivity_report, edge_timeline,
-                           max_t_interval, t_interval_connected)
-from .mobility import RandomWaypoint
-from .scripted import ScriptedDynamics
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "TopologyDynamics",
-    "PeriodicDynamics",
-    "TopologyDelta",
-    "EdgeChurn",
-    "NodeChurn",
-    "RandomWaypoint",
-    "ScriptedDynamics",
-    "spanning_tree_edges",
-    "edge_key",
-    "connectivity_report",
-    "edge_timeline",
-    "max_t_interval",
-    "t_interval_connected",
-    "TOPO_EDGE_DOWN",
-    "TOPO_EDGE_UP",
-    "TOPO_NODE_DOWN",
-    "TOPO_NODE_UP",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "TopologyDynamics PeriodicDynamics TopologyDelta edge_key "
+            "TOPO_EDGE_DOWN TOPO_EDGE_UP TOPO_NODE_DOWN TOPO_NODE_UP",
+    "churn": "EdgeChurn NodeChurn spanning_tree_edges",
+    "mobility": "RandomWaypoint",
+    "scripted": "ScriptedDynamics",
+    "connectivity": "connectivity_report edge_timeline max_t_interval "
+                    "t_interval_connected",
+})

@@ -52,26 +52,12 @@ additionally audited: a ``drop`` trace record whose sender *and*
 receiver are both correct is a model violation.
 """
 
-from .base import (DROP, FaultModel, forge_payload, payload_value)
-from .byzantine import (ByzantineFaultModel, ByzantinePlan,
-                        ByzantineStrategy, CorruptStrategy,
-                        EquivocateStrategy, SilentStrategy)
-from .crash import CrashFaultModel, CrashPlan
-from .omission import OmissionFaultModel, OmissionPlan
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "DROP",
-    "FaultModel",
-    "forge_payload",
-    "payload_value",
-    "CrashFaultModel",
-    "CrashPlan",
-    "OmissionFaultModel",
-    "OmissionPlan",
-    "ByzantineFaultModel",
-    "ByzantinePlan",
-    "ByzantineStrategy",
-    "SilentStrategy",
-    "CorruptStrategy",
-    "EquivocateStrategy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "DROP FaultModel forge_payload payload_value",
+    "crash": "CrashFaultModel CrashPlan",
+    "omission": "OmissionFaultModel OmissionPlan",
+    "byzantine": "ByzantineFaultModel ByzantinePlan ByzantineStrategy "
+                 "SilentStrategy CorruptStrategy EquivocateStrategy",
+})

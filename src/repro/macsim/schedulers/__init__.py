@@ -5,30 +5,16 @@ flows through it. See :mod:`repro.macsim.schedulers.base` for the
 contract, and the paper's Section 2 for the model definition.
 """
 
-from .base import DeliveryPlan, Scheduler, UniformPlan
-from .synchronous import SynchronousScheduler
-from .random_delay import JitteredRoundScheduler, RandomDelayScheduler
-from .adversarial import (MaxDelayScheduler, PartitionScheduler,
-                          SilencingScheduler, StaggeredScheduler)
-from .scripted import ScriptedScheduler, ScriptedStep
-from .unreliable import (AdversarialUnreliableScheduler,
-                         BernoulliUnreliableScheduler)
-from .fprog import EagerDeliveryScheduler
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "BernoulliUnreliableScheduler",
-    "AdversarialUnreliableScheduler",
-    "EagerDeliveryScheduler",
-    "DeliveryPlan",
-    "UniformPlan",
-    "Scheduler",
-    "SynchronousScheduler",
-    "RandomDelayScheduler",
-    "JitteredRoundScheduler",
-    "MaxDelayScheduler",
-    "SilencingScheduler",
-    "StaggeredScheduler",
-    "PartitionScheduler",
-    "ScriptedScheduler",
-    "ScriptedStep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": "DeliveryPlan UniformPlan Scheduler",
+    "synchronous": "SynchronousScheduler",
+    "random_delay": "RandomDelayScheduler JitteredRoundScheduler",
+    "adversarial": "MaxDelayScheduler SilencingScheduler StaggeredScheduler "
+                   "PartitionScheduler",
+    "scripted": "ScriptedScheduler ScriptedStep",
+    "unreliable": "BernoulliUnreliableScheduler "
+                  "AdversarialUnreliableScheduler",
+    "fprog": "EagerDeliveryScheduler",
+})

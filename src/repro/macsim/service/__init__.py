@@ -31,36 +31,16 @@ Layers (bottom up):
   ``--metrics-out`` / ``repro top``.
 """
 
-from .frontend import Request, ServiceFrontend
-from .loop import (ConsensusService, GroupStats, ServiceReport,
-                   latency_summary, slot_scenario, slot_seed)
-from .placement import rendezvous_host, rendezvous_place
-from .runtime import GroupRun, GroupRuntime
-from .sharded import ShardedService, run_service
-from .tracing import (METRICS_SCHEMA, SPAN_SCHEMA, SPAN_STAGES,
-                      MetricsRegistry, RequestTracer, prometheus_text)
-from .workload import WorkloadGenerator
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "ConsensusService",
-    "GroupRun",
-    "GroupRuntime",
-    "GroupStats",
-    "METRICS_SCHEMA",
-    "MetricsRegistry",
-    "Request",
-    "RequestTracer",
-    "SPAN_SCHEMA",
-    "SPAN_STAGES",
-    "ServiceFrontend",
-    "ServiceReport",
-    "ShardedService",
-    "WorkloadGenerator",
-    "latency_summary",
-    "prometheus_text",
-    "rendezvous_host",
-    "rendezvous_place",
-    "run_service",
-    "slot_scenario",
-    "slot_seed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "loop": "ConsensusService GroupStats ServiceReport latency_summary "
+            "slot_scenario slot_seed",
+    "runtime": "GroupRun GroupRuntime",
+    "frontend": "Request ServiceFrontend",
+    "tracing": "METRICS_SCHEMA SPAN_SCHEMA SPAN_STAGES MetricsRegistry "
+               "RequestTracer prometheus_text",
+    "sharded": "ShardedService run_service",
+    "workload": "WorkloadGenerator",
+    "placement": "rendezvous_host rendezvous_place",
+})

@@ -23,8 +23,6 @@ import os
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
-from ...analysis.sweeps import (STRAGGLER_FACTOR, SweepProgress,
-                                _progress_enabled, saturating_workers)
 from .loop import ConsensusService, GroupStats, ServiceReport
 from .placement import rendezvous_place
 from .tracing import MetricsRegistry, RequestTracer
@@ -97,6 +95,7 @@ class ShardedService:
             group_ids = range(workload.groups)
         self.group_ids = sorted(group_ids)
         if shards is None:
+            from ...analysis.sweeps import saturating_workers
             shards = max(1, min(len(self.group_ids),
                                 saturating_workers()))
         self.shards = max(1, int(shards))
@@ -169,6 +168,12 @@ class ShardedService:
 
     def _run_forked(self, populated) -> ServiceReport:
         import multiprocessing as mp
+
+        from ...analysis.sweeps import (STRAGGLER_FACTOR, SweepProgress,
+                                        _progress_enabled)
+        # Resolving imports the classes the scenario names: once here,
+        # and every shard inherits them instead of compiling its own.
+        self.base.resolve()
         ctx = mp.get_context("fork")
         reporter = None
         if _progress_enabled(self.progress):

@@ -37,9 +37,13 @@ Builder contracts (enforced by convention, resolved by
 * **values** -- ``builder(graph) -> {label: value}`` initial values.
 
 The built-in entries live at the bottom of :mod:`repro.scenario`
-(which imports this module first, then registers the catalogue);
-``repro/__init__`` imports it eagerly, so the registries are always
-populated by the time user code can query them.
+(which imports this module first, then registers the catalogue), and
+this module imports :mod:`repro.scenario` at its end: whichever of the
+two a process imports first, the built-ins are registered before user
+code can register or look up a name, so a user registration always
+shadows the built-in of the same name. Registering a built-in imports
+nothing it builds; each builder imports its class when a scenario
+resolves it.
 """
 
 from __future__ import annotations
@@ -130,3 +134,6 @@ register_fault_model = FAULT_MODELS.register
 register_dynamics = DYNAMICS.register
 register_overlay = OVERLAYS.register
 register_values = VALUES.register
+
+# Last, so the names above exist when the catalogue registers into them.
+from . import scenario  # noqa: E402,F401

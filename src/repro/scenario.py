@@ -1030,33 +1030,20 @@ def parse_spec(text: str, spec_cls: type) -> Spec:
 # These registrations subsume the string tables the CLI, runner and
 # experiment drivers used to duplicate. Parameter names and defaults
 # deliberately mirror the legacy factories so scenarios resolve to
-# byte-identical executions (pinned by tests/test_scenario.py).
+# byte-identical executions (pinned by tests/test_scenario.py). Each
+# builder imports the class it builds, so registering the catalogue
+# loads no algorithm, scheduler, fault or dynamics module: resolving a
+# scenario loads the ones it names.
 
-from .core import (BenOrConsensus, ByzantineConsensus,  # noqa: E402
-                   GatherAllConsensus, PaxosFloodNode, TwoPhaseConsensus,
-                   WPaxosConfig, WPaxosNode, max_tolerance)
-from .macsim.faults import (ByzantineFaultModel, ByzantinePlan,  # noqa: E402
-                            CorruptStrategy, CrashFaultModel, CrashPlan,
-                            EquivocateStrategy, OmissionFaultModel,
-                            OmissionPlan, SilentStrategy)
-from .macsim.dynamics import (EdgeChurn, NodeChurn,  # noqa: E402
-                              RandomWaypoint, ScriptedDynamics)
-from .macsim.schedulers import (AdversarialUnreliableScheduler,  # noqa: E402
-                                BernoulliUnreliableScheduler,
-                                EagerDeliveryScheduler,
-                                JitteredRoundScheduler, MaxDelayScheduler,
-                                PartitionScheduler, RandomDelayScheduler,
-                                ScriptedScheduler, ScriptedStep,
-                                SilencingScheduler, StaggeredScheduler,
-                                SynchronousScheduler)
 from .topology import standard as _topo  # noqa: E402
 
 #: Byzantine strategy names accepted by the ``byzantine`` fault model
-#: (``--fault byzantine:strategy=S`` on the CLI).
+#: (``--fault byzantine:strategy=S`` on the CLI), mapped to their
+#: classes in :mod:`repro.macsim.faults.byzantine`.
 BYZANTINE_STRATEGIES = {
-    "silent": SilentStrategy,
-    "corrupt": CorruptStrategy,
-    "equivocate": EquivocateStrategy,
+    "silent": "SilentStrategy",
+    "corrupt": "CorruptStrategy",
+    "equivocate": "EquivocateStrategy",
 }
 
 
@@ -1163,6 +1150,7 @@ def _t_geometric(n: int = 24, radius: float = 0.3, seed: int = 0):
 @register_scheduler("synchronous")
 def _s_synchronous(f_ack: float = 1.0):
     """Lock-step rounds of length f_ack."""
+    from .macsim.schedulers.synchronous import SynchronousScheduler
     return SynchronousScheduler(f_ack)
 
 
@@ -1170,6 +1158,7 @@ def _s_synchronous(f_ack: float = 1.0):
 def _s_random(f_ack: float = 1.0, seed: Optional[int] = None,
               min_fraction: float = 0.0):
     """Uniformly random delivery/ack delays within f_ack."""
+    from .macsim.schedulers.random_delay import RandomDelayScheduler
     return RandomDelayScheduler(f_ack, seed=seed,
                                 min_fraction=min_fraction)
 
@@ -1177,6 +1166,7 @@ def _s_random(f_ack: float = 1.0, seed: Optional[int] = None,
 @register_scheduler("max-delay")
 def _s_max_delay(f_ack: float = 1.0):
     """Adversarial: every delivery and ack at the last legal moment."""
+    from .macsim.schedulers.adversarial import MaxDelayScheduler
     return MaxDelayScheduler(f_ack)
 
 
@@ -1184,6 +1174,7 @@ def _s_max_delay(f_ack: float = 1.0):
 def _s_jittered(round_length: float = 1.0, jitter: float = 0.25,
                 seed: Optional[int] = None):
     """TDMA-like rounds with bounded per-delivery jitter."""
+    from .macsim.schedulers.random_delay import JitteredRoundScheduler
     return JitteredRoundScheduler(round_length, jitter, seed=seed)
 
 
@@ -1191,6 +1182,7 @@ def _s_jittered(round_length: float = 1.0, jitter: float = 0.25,
 def _s_staggered(step: float = 1.0, max_degree: int = 64,
                  reverse: bool = False):
     """Serialized one-at-a-time deliveries (FLP-style orderings)."""
+    from .macsim.schedulers.adversarial import StaggeredScheduler
     return StaggeredScheduler(step, max_degree=max_degree,
                               reverse=reverse)
 
@@ -1199,25 +1191,34 @@ def _s_staggered(step: float = 1.0, max_degree: int = 64,
 def _s_eager(f_prog: float = 0.5, f_ack: float = 1.0,
              seed: Optional[int] = None, worst_case_acks: bool = True):
     """Fast deliveries (F_prog) under a slack ack bound (F_ack)."""
+    from .macsim.schedulers.fprog import EagerDeliveryScheduler
     return EagerDeliveryScheduler(f_prog, f_ack, seed=seed,
                                   worst_case_acks=worst_case_acks)
+
+
+def _inner_or_synchronous(inner, round_length: float = 1.0):
+    """A wrapper's inner scheduler: ``inner`` when given, else
+    synchronous rounds of ``round_length``."""
+    from .macsim.schedulers.synchronous import SynchronousScheduler
+    return inner if inner is not None else SynchronousScheduler(
+        round_length)
 
 
 @register_scheduler("bernoulli-unreliable")
 def _s_bernoulli(p: float = 0.5, seed: Optional[int] = None,
                  inner=None):
     """Dual-graph wrapper: each unreliable link delivers w.p. p."""
-    return BernoulliUnreliableScheduler(
-        inner if inner is not None else SynchronousScheduler(1.0),
-        p, seed=seed)
+    from .macsim.schedulers.unreliable import BernoulliUnreliableScheduler
+    return BernoulliUnreliableScheduler(_inner_or_synchronous(inner), p,
+                                        seed=seed)
 
 
 @register_scheduler("adversarial-unreliable")
 def _s_adversarial_unreliable(cutoff: float = 10.0, inner=None):
     """Dual-graph wrapper: unreliable links die at the cutoff."""
-    return AdversarialUnreliableScheduler(
-        inner if inner is not None else SynchronousScheduler(1.0),
-        cutoff)
+    from .macsim.schedulers.unreliable import AdversarialUnreliableScheduler
+    return AdversarialUnreliableScheduler(_inner_or_synchronous(inner),
+                                          cutoff)
 
 
 def _spec_label(key: Any) -> Any:
@@ -1240,9 +1241,10 @@ def _s_silencing(silenced=(), release_time: float = 4.0, inner=None):
     ``inner`` an optional nested scheduler spec (default: synchronous
     rounds of length 1).
     """
-    return SilencingScheduler(
-        inner if inner is not None else SynchronousScheduler(1.0),
-        [_spec_label(v) for v in silenced], release_time)
+    from .macsim.schedulers.adversarial import SilencingScheduler
+    return SilencingScheduler(_inner_or_synchronous(inner),
+                              [_spec_label(v) for v in silenced],
+                              release_time)
 
 
 @register_scheduler("partition")
@@ -1255,9 +1257,10 @@ def _s_partition(side_a=(), release_time: float = 4.0,
     complement. The inner scheduler must be synchronous (pass
     ``round_length`` instead of a nested spec in the common case).
     """
-    if inner is None:
-        inner = SynchronousScheduler(round_length)
-    elif not isinstance(inner, SynchronousScheduler):
+    from .macsim.schedulers.adversarial import PartitionScheduler
+    from .macsim.schedulers.synchronous import SynchronousScheduler
+    inner = _inner_or_synchronous(inner, round_length)
+    if not isinstance(inner, SynchronousScheduler):
         raise ScenarioError(
             "partition scheduler requires a synchronous inner "
             "scheduler")
@@ -1277,6 +1280,7 @@ def _s_scripted(scripts=None, f_ack: float = 100.0, fallback=None):
     where digit-like. ``fallback`` is an optional nested scheduler
     spec for unscripted broadcasts.
     """
+    from .macsim.schedulers.scripted import ScriptedScheduler, ScriptedStep
     table = {}
     for node_key, steps in (scripts or {}).items():
         parsed = []
@@ -1295,6 +1299,7 @@ def _s_scripted(scripts=None, f_ack: float = 100.0, fallback=None):
 @register_algorithm("two-phase")
 def _a_two_phase(graph, seed: int, uid_base: int = 1):
     """Two-Phase Consensus (Theorem 4.1; single hop only)."""
+    from .core.twophase import TwoPhaseConsensus
     _require_single_hop(graph, "two-phase")
     uid = _uid_map(graph, uid_base)
     return lambda label, value: TwoPhaseConsensus(uid[label], value)
@@ -1305,6 +1310,8 @@ def _a_wpaxos(graph, seed: int, tree_priority: bool = True,
               aggregation: bool = True, retry_policy: str = "paper",
               attempts_per_change: int = 2):
     """wPAXOS (Theorem 4.6; any connected topology)."""
+    from .core.wpaxos.config import WPaxosConfig
+    from .core.wpaxos.node import WPaxosNode
     uid = _uid_map(graph)
     n = graph.n
 
@@ -1320,6 +1327,7 @@ def _a_wpaxos(graph, seed: int, tree_priority: bool = True,
 @register_algorithm("gatherall")
 def _a_gatherall(graph, seed: int):
     """GatherAll baseline (O(n * F_ack), Section 4.2)."""
+    from .core.baselines.gatherall import GatherAllConsensus
     uid = _uid_map(graph)
     n = graph.n
     return lambda label, value: GatherAllConsensus(uid[label], value, n)
@@ -1328,6 +1336,7 @@ def _a_gatherall(graph, seed: int):
 @register_algorithm("flood-paxos")
 def _a_flood_paxos(graph, seed: int):
     """Flooding-PAXOS baseline (O(n * F_ack), Section 4.2)."""
+    from .core.baselines.paxos_flood import PaxosFloodNode
     uid = _uid_map(graph)
     n = graph.n
     return lambda label, value: PaxosFloodNode(uid[label], value, n)
@@ -1337,6 +1346,7 @@ def _a_flood_paxos(graph, seed: int):
 def _a_ben_or(graph, seed: int, f: Optional[int] = None,
               seed_scale: int = 101, uid_seed_scale: int = 1):
     """Ben-Or randomized consensus (single hop, crash minority)."""
+    from .core.randomized import BenOrConsensus
     _require_single_hop(graph, "ben-or")
     uid = _uid_map(graph)
     n = graph.n
@@ -1351,6 +1361,7 @@ def _a_byzantine(graph, seed: int, f: Optional[int] = None,
                  relay: Optional[bool] = None, seed_scale: int = 101,
                  uid_seed_scale: int = 1):
     """Grading+amplification Byzantine consensus (n > 5f)."""
+    from .core.byzantine import ByzantineConsensus, max_tolerance
     uid = _uid_map(graph)
     n = graph.n
     tolerance = max_tolerance(n) if f is None else f
@@ -1367,6 +1378,7 @@ def _a_byzantine(graph, seed: int, f: Optional[int] = None,
 def _f_crash(graph, seed: int, node=None, time: float = 1.0,
              still_delivered=None, plans=None):
     """Fail-stop: crash one node (or a ``plans`` list of dicts)."""
+    from .macsim.faults.crash import CrashFaultModel, CrashPlan
     if plans is not None:
         return CrashFaultModel([CrashPlan.from_dict(p) for p in plans])
     if node is None:
@@ -1386,6 +1398,7 @@ def _f_omission(graph, seed: int, count: int = 1, send: bool = True,
                 receive: bool = False, start: float = 0.0,
                 drop_rate: float = 1.0, nodes=None):
     """Send/receive omission on the last ``count`` nodes."""
+    from .macsim.faults.omission import OmissionFaultModel, OmissionPlan
     targets = _tail_nodes(graph, count, nodes, "omission")
     return OmissionFaultModel([
         OmissionPlan(node=v, send=send, receive=receive, start=start,
@@ -1405,8 +1418,9 @@ def _f_byzantine(graph, seed: int, count: int = 1,
     (``seed * 13 + i``) to uid-proportional seeds
     (``plan_seed_scale * uid``, the E12 construction).
     """
+    from .macsim.faults import byzantine
     try:
-        strategy_cls = BYZANTINE_STRATEGIES[strategy]
+        strategy_cls = getattr(byzantine, BYZANTINE_STRATEGIES[strategy])
     except KeyError:
         raise UnknownNameError("byzantine strategy", strategy,
                                sorted(BYZANTINE_STRATEGIES)) from None
@@ -1419,9 +1433,9 @@ def _f_byzantine(graph, seed: int, count: int = 1,
         strat = (strategy_cls(strategy_value)
                  if strategy == "corrupt" and strategy_value is not None
                  else strategy_cls())
-        plans.append(ByzantinePlan(node=v, strategy=strat,
-                                   seed=plan_seed))
-    return ByzantineFaultModel(plans, budget=budget)
+        plans.append(byzantine.ByzantinePlan(node=v, strategy=strat,
+                                             seed=plan_seed))
+    return byzantine.ByzantineFaultModel(plans, budget=budget)
 
 
 # -- dynamics ---------------------------------------------------------------
@@ -1436,6 +1450,7 @@ def _d_edge_churn(graph, seed: int, rate: float = 0.05,
                   epoch_length: float = 1.0,
                   floor: str = "spanning-tree"):
     """Seeded per-epoch link add/remove churn with a protected floor."""
+    from .macsim.dynamics.churn import EdgeChurn
     return EdgeChurn(rate=rate, add_rate=add_rate,
                      epoch_length=epoch_length, floor=floor,
                      seed=seed * 7919 + 11)
@@ -1446,6 +1461,7 @@ def _d_node_churn(graph, seed: int, leave_rate: float = 0.05,
                   rejoin_rate: float = 0.5, epoch_length: float = 1.0,
                   protect: int = 1):
     """Node leave/join churn with process-state reset on rejoin."""
+    from .macsim.dynamics.churn import NodeChurn
     return NodeChurn(leave_rate=leave_rate, rejoin_rate=rejoin_rate,
                      epoch_length=epoch_length, protect=protect,
                      seed=seed * 7919 + 13)
@@ -1456,6 +1472,7 @@ def _d_random_waypoint(graph, seed: int, radius: float = 0.35,
                        speed: float = 0.08, epoch_length: float = 1.0,
                        stitch: bool = True):
     """Unit-square random-waypoint mobility with geometric links."""
+    from .macsim.dynamics.mobility import RandomWaypoint
     return RandomWaypoint(radius=radius, speed=speed,
                           epoch_length=epoch_length, stitch=stitch,
                           seed=seed * 7919 + 17)
@@ -1464,6 +1481,7 @@ def _d_random_waypoint(graph, seed: int, radius: float = 0.35,
 @register_dynamics("scripted")
 def _d_scripted(graph, seed: int, timeline=None):
     """Explicit topology timeline (JSON add/remove/leave/join)."""
+    from .macsim.dynamics.scripted import ScriptedDynamics
     return ScriptedDynamics(timeline or ())
 
 

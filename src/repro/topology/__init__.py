@@ -1,37 +1,12 @@
 """Network topologies: graph type, standard builders, paper gadgets."""
 
-from .graphs import Graph, label_sort_key
-from .standard import (balanced_tree, barbell, clique, grid, line,
-                       random_connected, random_geometric, ring, star,
-                       star_of_cliques, torus)
-from .gadgets import (Figure1Report, GadgetSpec, KDNetwork, NetworkA,
-                      NetworkB, check_covering, figure1_parameters, gadget,
-                      kd_network, network_a, network_b, verify_figure1)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Graph",
-    "label_sort_key",
-    "clique",
-    "line",
-    "ring",
-    "star",
-    "grid",
-    "torus",
-    "balanced_tree",
-    "barbell",
-    "star_of_cliques",
-    "random_connected",
-    "random_geometric",
-    "GadgetSpec",
-    "NetworkA",
-    "NetworkB",
-    "KDNetwork",
-    "Figure1Report",
-    "gadget",
-    "network_a",
-    "network_b",
-    "kd_network",
-    "check_covering",
-    "verify_figure1",
-    "figure1_parameters",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "graphs": "Graph label_sort_key",
+    "standard": "clique line ring star grid torus balanced_tree barbell "
+                "star_of_cliques random_connected random_geometric",
+    "gadgets": "GadgetSpec NetworkA NetworkB KDNetwork Figure1Report gadget "
+               "network_a network_b kd_network check_covering "
+               "verify_figure1 figure1_parameters",
+})
