@@ -57,9 +57,9 @@ re-intern it instead of calling ``repr`` once per receiver. A message
 is a value: mutating a shared payload object in place between its
 broadcast and a delivery is invisible here exactly as it already is at
 FULL level (where every record holds the one object). *Substituting*
-the payload -- a fault model's forgery, a ``fault_deliver`` rewrite --
-never is: a delivered object that is not the broadcast's own is
-serialized on its own, so the payload-integrity audit flags it.
+the payload -- a fault model's forgery -- never is: a delivered object
+that is not the broadcast's own is serialized on its own, so the
+payload-integrity audit flags it.
 
 **A fan-out is one row.** The same primitive means the ``deliver``
 rows of one same-timestamp fan-out differ only in the receiver, so the

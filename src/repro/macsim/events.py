@@ -45,8 +45,10 @@ WAKEUP_PRIORITY = 3
 #: Valid event kinds. ``bdeliver`` is a *delivery batch*: one entry for
 #: a whole broadcast fan-out whose deliveries share a timestamp; the
 #: simulator expands it into per-receiver deliveries at pop time (its
-#: ``node`` slot carries the receiver tuple).
-_EVENT_KINDS = frozenset(("crash", "deliver", "bdeliver", "ack", "wakeup"))
+#: ``node`` slot carries the receiver tuple). ``drop`` is a delivery
+#: the fault model dropped when the broadcast was planned.
+_EVENT_KINDS = frozenset(("crash", "deliver", "bdeliver", "ack", "drop",
+                          "wakeup"))
 
 
 class EventQueue:

@@ -2,38 +2,37 @@
 
 The seed reproduced Newport's PODC 2014 results under crash faults
 only. This package generalizes crash injection into an *adversary
-interface* the simulator consults at three hook points, opening the
-fault-tolerance axis the follow-on papers explore (Tseng & Sardina
-2023, Byzantine consensus in the abstract MAC layer; Zhang & Tseng
-2024, the abstract MAC layer from a fault-tolerance perspective):
+interface*, opening the fault-tolerance axis the follow-on papers
+explore (Tseng & Sardina 2023, Byzantine consensus in the abstract MAC
+layer; Zhang & Tseng 2024, the abstract MAC layer from a
+fault-tolerance perspective).
 
-Hook points
------------
-* **Broadcast boundary** (``FaultModel.send_hook``): when a faulty
-  node starts a broadcast, the model may rewrite the payload per
-  receiver (Byzantine corruption / equivocation) or drop individual
-  deliveries (send omission). The engine applies the returned
-  override map when each delivery fires.
-* **Delivery boundary** (``FaultModel.deliver_hook``): just before a
-  receiver's ``on_receive``, the model may drop or substitute the
-  payload (receive omission).
-* **Step boundary** (``FaultModel.attach`` + simulator observers): the
-  model may act whenever simulated time advances, e.g. forge a
-  Byzantine node's decision.
+Every fault is planned
+----------------------
+A faulty node is still bound by the MAC layer: its broadcasts are
+scheduled, delivered and acked like anyone else's. Everything the
+adversary may decide about a broadcast -- the sender, the receivers,
+the payload, the send time, each delivery time -- is therefore known
+when the broadcast is planned, and that is when it is decided:
 
-Crash semantics ride on the engine's own crash machinery via
-``FaultModel.crash_plans``: :class:`CrashFaultModel` wraps
-:class:`CrashPlan` instances and intercepts nothing. A fault model is
-the one way to inject a fault (``Simulator(..., fault_model=...)``, or
-a ``FaultSpec`` in a scenario).
+* **Crashes** (``FaultModel.crash_plans``): :class:`CrashFaultModel`
+  wraps :class:`CrashPlan` instances; the engine leaves out of each
+  broadcast's schedule what a crash cuts.
+* **Delivery outcomes** (``FaultModel.outcomes``): once per
+  broadcast, after the crash cuts, the model maps each planned
+  delivery to one outcome -- deliver the payload, deliver a forged
+  payload (Byzantine corruption / equivocation), or drop it (send or
+  receive omission). The engine turns the outcomes into heap entries
+  (a drop writes its ``drop`` record at the delivery's time), so
+  every delivery takes the engine's one delivery path.
+* **Step behaviour** (``FaultModel.attach``): the model may register
+  observers or schedule callbacks, e.g. forge a Byzantine node's
+  decision at a fixed time.
 
-Fast-path contract
-------------------
-Models report interception by returning callables from
-``send_hook``/``deliver_hook`` *once at construction*; returning
-``None`` (the default) tells the engine that boundary is never
-intercepted, and fault-free and crash-only runs keep the PR 1 inlined
-hot path bit-for-bit.
+A fault model is the one way to inject a fault
+(``Simulator(..., fault_model=...)``, or a ``FaultSpec`` in a
+scenario). A model that names no faulty node (fault-free, crash-only)
+is never asked for outcomes.
 
 Correct-node scoping
 --------------------
@@ -55,7 +54,7 @@ receiver are both correct is a model violation.
 from ..._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "base": "DROP FaultModel forge_payload payload_value",
+    "base": "DROP FaultModel forge_payload",
     "crash": "CrashFaultModel CrashPlan",
     "omission": "OmissionFaultModel OmissionPlan",
     "byzantine": "ByzantineFaultModel ByzantinePlan ByzantineStrategy "

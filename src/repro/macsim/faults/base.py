@@ -2,47 +2,18 @@
 
 A :class:`FaultModel` is the engine's second adversary, orthogonal to
 the message scheduler: the scheduler controls *when* things happen,
-the fault model controls *which nodes misbehave and how*. The
-simulator consults the model at three boundaries:
-
-* **Broadcast boundary** -- when a faulty node starts a broadcast, the
-  model may rewrite the payload per receiver (Byzantine corruption and
-  equivocation) or suppress individual deliveries (send omission) via
-  :meth:`FaultModel.send_hook`.
-* **Delivery boundary** -- just before a payload reaches a receiver's
-  ``on_receive``, the model may drop or substitute it
-  (:meth:`FaultModel.deliver_hook`), e.g. receive omission.
-* **Step boundary** -- via :meth:`FaultModel.attach` a model may
-  register simulator observers and act whenever simulated time
-  advances (e.g. forge a Byzantine node's decision).
-
-Crash semantics stay on the engine's own crash machinery: a model
-contributes :class:`~repro.macsim.faults.crash.CrashPlan` instances
-through :meth:`FaultModel.crash_plans` and the engine schedules the
-crash events and cancels the deliveries they cut off. A model is the
-only way a crash reaches the engine.
-
-Hook discipline: both hooks return ``None`` from the base class, which
-tells the simulator the model never intercepts that boundary -- the
-engine then keeps PR 1's inlined fast path. A model that *does*
-intercept returns a callable once, at construction time; the engine
-caches it so the hot loop pays one attribute test, never a dispatch
-through the model object.
-
-Batched delivery scheduling (PR 3) does not change the contract: a
-broadcast whose fan-out shares one timestamp is *scheduled* as a
-single heap entry, but it still expands into per-receiver dispatches,
-so :meth:`FaultModel.deliver_hook` fires once per (sender, receiver)
-delivery and ``drop``/substitution semantics are unchanged. The
-send-hook override map is likewise applied per receiver at expansion
-time, and crash plans cancel batched receivers individually.
+the fault model *which nodes misbehave and how*. It contributes crash
+plans (:meth:`FaultModel.crash_plans`) and the outcome of each planned
+delivery (:meth:`FaultModel.outcomes`: deliver, forge or
+:data:`DROP`), both applied when a broadcast is planned (see
+:mod:`repro.macsim.faults`), plus step behaviour
+(:meth:`FaultModel.attach`).
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass, replace
-from typing import (TYPE_CHECKING, Any, Callable, FrozenSet, Iterable,
-                    Optional)
+from typing import TYPE_CHECKING, Any, FrozenSet, Iterable, Optional
 
 if TYPE_CHECKING:
     from .crash import CrashPlan
@@ -57,26 +28,15 @@ class _Drop:
         return "DROP"
 
 
-#: Returned by send/deliver hooks (or stored in a send-override map) to
-#: drop a delivery instead of rewriting it.
+#: The outcome that drops a delivery instead of rewriting it.
 DROP = _Drop()
-
-#: Send hook signature: (sender, payload, neighbors, now) ->
-#: ``None`` (send untouched) or a mapping receiver -> forged payload
-#: (or :data:`DROP`). Receivers absent from the mapping get the
-#: original payload.
-SendHook = Callable[[Any, Any, tuple, float], Optional[dict]]
-
-#: Deliver hook signature: (sender, receiver, payload, now) -> payload
-#: to deliver, or :data:`DROP`.
-DeliverHook = Callable[[Any, Any, Any, float], Any]
 
 
 class FaultModel:
     """Base class for pluggable fault models.
 
     The default implementation is the fault-free model: no crash plans,
-    no faulty nodes, no interception at any boundary. Subclasses
+    no faulty nodes, every delivery as planned. Subclasses
     override exactly the surface they need; see
     :class:`~repro.macsim.faults.crash.CrashFaultModel`,
     :class:`~repro.macsim.faults.omission.OmissionFaultModel` and
@@ -110,12 +70,20 @@ class FaultModel:
         """
         return frozenset()
 
-    def send_hook(self) -> Optional[SendHook]:
-        """Broadcast-boundary interceptor, or ``None`` (fast path)."""
-        return None
+    def outcomes(self, bid: int, sender: Any, payload: Any,
+                 neighbors: tuple, now: float,
+                 planned: tuple) -> Optional[dict]:
+        """What the adversary does to broadcast ``bid``: ``None`` when
+        nothing, else a mapping receiver -> forged payload or
+        :data:`DROP` (unnamed receivers get ``payload``; keys that are
+        not planned receivers are ignored).
 
-    def deliver_hook(self) -> Optional[DeliverHook]:
-        """Delivery-boundary interceptor, or ``None`` (fast path)."""
+        ``neighbors`` is the sender's (reliable) neighbor tuple and
+        ``planned`` the schedule left after the crash cuts: ``(time,
+        receivers)`` groups, every delivery -- dual-graph ones too --
+        in exactly one. Called once per broadcast, and only when
+        :meth:`faulty_nodes` is non-empty.
+        """
         return None
 
     def attach(self, sim) -> None:
@@ -150,8 +118,3 @@ def forge_payload(payload: Any, value: Any) -> Any:
         if any(f.name == "value" for f in fields(payload)):
             return replace(payload, value=value)
     return payload
-
-
-def payload_value(payload: Any) -> Any:
-    """The adversary's read of a payload's value field (or ``None``)."""
-    return getattr(payload, "value", None)

@@ -35,31 +35,25 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
 from ..errors import ConfigurationError, ProcessError
-from .base import (DROP, DeliverHook, FaultModel, SendHook, forge_payload,
-                   payload_value)
+from .base import DROP, FaultModel, forge_payload
 
 
 class ByzantineStrategy:
-    """How one Byzantine node rewrites each outgoing delivery.
+    """How one Byzantine node rewrites each broadcast.
 
-    ``mutate_all`` is called once per broadcast with the full receiver
-    tuple and returns the per-receiver override map; the default
-    delegates to ``mutate`` per (broadcast, receiver) pair, which
-    returns the payload that receiver should observe, or :data:`DROP`.
-    Strategies must be deterministic given ``rng`` (a per-node seeded
-    generator) so executions stay reproducible.
+    ``mutate_all`` is called once per broadcast with the sender's full
+    neighbor tuple and returns the per-receiver outcome map: the
+    payload that receiver should observe, or :data:`DROP`; a receiver
+    the map does not name observes ``payload``. The base strategy
+    forges nothing. Strategies must be deterministic given ``rng`` (a
+    per-node seeded generator) so executions stay reproducible.
     """
 
     name = "byzantine"
 
-    def mutate(self, sender: Any, receiver: Any, payload: Any,
-               now: float, rng: random.Random) -> Any:
-        return payload
-
     def mutate_all(self, sender: Any, receivers: tuple, payload: Any,
                    now: float, rng: random.Random) -> dict:
-        return {v: self.mutate(sender, v, payload, now, rng)
-                for v in receivers}
+        return {}
 
     def describe(self) -> str:
         return self.name
@@ -70,8 +64,8 @@ class SilentStrategy(ByzantineStrategy):
 
     name = "silent"
 
-    def mutate(self, sender, receiver, payload, now, rng):
-        return DROP
+    def mutate_all(self, sender, receivers, payload, now, rng):
+        return dict.fromkeys(receivers, DROP)
 
 
 class CorruptStrategy(ByzantineStrategy):
@@ -91,19 +85,16 @@ class CorruptStrategy(ByzantineStrategy):
     def _forged_value(self, payload, rng):
         if self.value is not None:
             return self.value
-        current = payload_value(payload)
+        current = getattr(payload, "value", None)
         if current in (0, 1):
             return 1 - current
         return rng.randint(0, 1)
-
-    def mutate(self, sender, receiver, payload, now, rng):
-        return forge_payload(payload, self._forged_value(payload, rng))
 
     def mutate_all(self, sender, receivers, payload, now, rng):
         # One draw per broadcast: every receiver sees the same forgery
         # (non-equivocation), even for payloads without a binary value.
         forged = forge_payload(payload, self._forged_value(payload, rng))
-        return {v: forged for v in receivers}
+        return dict.fromkeys(receivers, forged)
 
 
 class EquivocateStrategy(ByzantineStrategy):
@@ -134,18 +125,6 @@ class EquivocateStrategy(ByzantineStrategy):
         ordered = sorted(receivers, key=self._sort_key)
         return {v: forge_payload(payload, index % 2)
                 for index, v in enumerate(ordered)}
-
-    def mutate(self, sender, receiver, payload, now, rng):
-        # Single-receiver fallback (the model always calls
-        # mutate_all); without the full tuple, split on the label's
-        # own parity via a stable, unsalted key.
-        if self.assignment is not None:
-            value = self.assignment.get(receiver, 0)
-        elif isinstance(receiver, int):
-            value = receiver % 2
-        else:
-            value = len(repr(receiver)) % 2
-        return forge_payload(payload, value)
 
 
 @dataclass
@@ -224,24 +203,18 @@ class ByzantineFaultModel(FaultModel):
     def lying_nodes(self) -> FrozenSet[Any]:
         return frozenset(self._by_node)
 
-    def send_hook(self) -> Optional[SendHook]:
-        if not self._by_node:
+    def outcomes(self, bid: int, sender: Any, payload: Any,
+                 neighbors: tuple, now: float,
+                 planned: tuple) -> Optional[dict]:
+        plan = self._by_node.get(sender)
+        if plan is None:
             return None
-        by_node = self._by_node
-        rngs = self._rngs
-
-        def on_send(sender: Any, payload: Any, neighbors: tuple,
-                    now: float) -> Optional[dict]:
-            plan = by_node.get(sender)
-            if plan is None:
-                return None
-            return plan.strategy.mutate_all(sender, neighbors, payload,
-                                            now, rngs[sender])
-
-        return on_send
-
-    def deliver_hook(self) -> Optional[DeliverHook]:
-        return None
+        # Once per broadcast over the full neighbor tuple, whatever a
+        # crash cut from ``planned``: the strategy's RNG stream and an
+        # equivocation split never depend on the crash plan. Dual-graph
+        # receivers are not neighbors, so no forgery reaches them.
+        return plan.strategy.mutate_all(sender, neighbors, payload, now,
+                                        self._rngs[sender])
 
     def attach(self, sim) -> None:
         for node in self._by_node:

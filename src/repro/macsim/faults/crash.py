@@ -12,12 +12,12 @@ Consensus.
 :class:`CrashFaultModel` is how plans reach the engine
 (``Simulator(..., fault_model=CrashFaultModel(plans))``, or
 ``FaultSpec("crash", ...)`` in a scenario): it contributes its plans
-through :meth:`~repro.macsim.faults.base.FaultModel.crash_plans` and
-intercepts nothing, so crash runs keep the inlined fast path. A crashed
-node runs its program correctly until it stops, so the model names no
-node *faulty*: the trace's ``crash`` records tell the consensus and
-invariant checkers who stopped, and the full audit (vectorized on
-columnar traces) applies.
+through :meth:`~repro.macsim.faults.base.FaultModel.crash_plans`, and
+the engine leaves out of each broadcast's schedule what a crash cuts.
+A crashed node runs its program correctly until it stops, so the model
+names no node *faulty*: the trace's ``crash`` records tell the
+consensus and invariant checkers who stopped, and the full audit
+(vectorized on columnar traces) applies.
 
 Plans serialize losslessly (:meth:`CrashPlan.to_dict` /
 :meth:`CrashPlan.from_dict`, the ``plans=`` entries of a

@@ -8,14 +8,16 @@ discards some of its traffic. Two directions, per
   dropped before reaching any neighbor. The MAC layer still acks the
   broadcast: the fault sits between the MAC and the air, so the sender
   cannot detect it (the defining property of omission faults).
-* **Receive omission** -- deliveries *to* the node are dropped before
-  its ``on_receive`` fires.
+* **Receive omission** -- deliveries *to* the node are dropped, so its
+  ``on_receive`` never fires for them.
 
-A dropped delivery never gates another sender's ack -- the dropped
-receiver is faulty, so the model's "every non-faulty neighbor receives
-before the ack" contract is untouched. The engine records each drop as
-a ``drop`` trace record, which the scoped invariant checker verifies
-only ever involves a faulty endpoint.
+Both are decided when the broadcast is planned
+(:meth:`OmissionFaultModel.outcomes`). A dropped delivery never gates
+another sender's ack -- the dropped receiver is faulty, so the model's
+"every non-faulty neighbor receives before the ack" contract is
+untouched. The engine records each drop as a ``drop`` trace record at
+the delivery's planned time, which the scoped invariant checker
+verifies only ever involves a faulty endpoint.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, Optional
 
 from ..errors import ConfigurationError
-from .base import DROP, DeliverHook, FaultModel, SendHook
+from .base import DROP, FaultModel
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,9 @@ class OmissionPlan:
         Probability that any individual delivery is dropped. ``1.0``
         (default) is deterministic total omission.
     seed:
-        RNG seed for ``drop_rate < 1`` sampling; runs stay
-        deterministic for a fixed seed and scheduler.
+        Seed of the ``drop_rate < 1`` draws. Each delivery's draw is a
+        pure function of ``(seed, broadcast id, receiver)``, so runs
+        stay deterministic for a fixed seed and scheduler.
     """
 
     node: Any
@@ -79,10 +82,6 @@ class OmissionFaultModel(FaultModel):
                 raise ConfigurationError(
                     f"multiple omission plans for node {plan.node!r}")
             self._by_node[plan.node] = plan
-        self._rngs: Dict[Any, random.Random] = {
-            node: random.Random(plan.seed)
-            for node, plan in self._by_node.items()
-            if plan.drop_rate < 1.0}
         self._send_nodes = {n for n, p in self._by_node.items() if p.send}
         self._recv_nodes = {n for n, p in self._by_node.items()
                             if p.receive}
@@ -90,44 +89,36 @@ class OmissionFaultModel(FaultModel):
     def faulty_nodes(self) -> FrozenSet[Any]:
         return frozenset(self._by_node)
 
-    def _drops(self, plan: OmissionPlan, now: float) -> bool:
-        if now < plan.start:
+    @staticmethod
+    def _drops(plan: OmissionPlan, at: float, bid: int,
+               receiver: Any) -> bool:
+        if at < plan.start:
             return False
         if plan.drop_rate >= 1.0:
             return True
-        return self._rngs[plan.node].random() < plan.drop_rate
+        # Independent of delivery order; ``random`` hashes a str seed
+        # with SHA-512, never with the salted ``hash``.
+        rng = random.Random(f"{plan.seed}:{bid}:{receiver!r}")
+        return rng.random() < plan.drop_rate
 
-    def send_hook(self) -> Optional[SendHook]:
-        if not self._send_nodes:
-            return None
-        by_node = self._by_node
-        send_nodes = self._send_nodes
-
-        def on_send(sender: Any, payload: Any, neighbors: tuple,
-                    now: float) -> Optional[dict]:
-            if sender not in send_nodes:
-                return None
-            plan = by_node[sender]
-            overrides = {v: DROP for v in neighbors
-                         if self._drops(plan, now)}
-            return overrides or None
-
-        return on_send
-
-    def deliver_hook(self) -> Optional[DeliverHook]:
-        if not self._recv_nodes:
-            return None
-        by_node = self._by_node
-        recv_nodes = self._recv_nodes
-
-        def on_deliver(sender: Any, receiver: Any, payload: Any,
-                       now: float) -> Any:
-            if receiver in recv_nodes and self._drops(by_node[receiver],
-                                                      now):
-                return DROP
-            return payload
-
-        return on_deliver
+    def outcomes(self, bid: int, sender: Any, payload: Any,
+                 neighbors: tuple, now: float,
+                 planned: tuple) -> Optional[dict]:
+        # Send omission acts from the broadcast's start on, over the
+        # reliable neighbors; receive omission from each delivery's
+        # own time on, dual-graph deliveries included.
+        drops = {}
+        if sender in self._send_nodes:
+            plan = self._by_node[sender]
+            drops = {v: DROP for v in neighbors
+                     if self._drops(plan, now, bid, v)}
+        for node in self._recv_nodes:
+            for when, receivers in planned:
+                if node in receivers:
+                    if self._drops(self._by_node[node], when, bid, node):
+                        drops[node] = DROP
+                    break
+        return drops or None
 
     def describe(self) -> str:
         return (f"omission(send={sorted(map(str, self._send_nodes))}, "

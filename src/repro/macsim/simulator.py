@@ -2,7 +2,7 @@
 
 :class:`Simulator` executes a set of :class:`~repro.macsim.process.Process`
 instances bound to the nodes of a graph, under a pluggable message
-scheduler, with optional crash injection. It enforces the model contract
+scheduler, with optional fault injection. It enforces the model contract
 of Section 2 of the paper:
 
 * **Acknowledged local broadcast.** One in-flight broadcast per node;
@@ -14,27 +14,20 @@ of Section 2 of the paper:
   engine validates (deliveries before ack, ack within ``F_ack``, every
   time a number).
 * **Zero-time computation.** Handlers run atomically at event times.
-* **Crashes mid-broadcast.** A
-  :class:`~repro.macsim.faults.crash.CrashPlan`, injected through a
-  :class:`~repro.macsim.faults.crash.CrashFaultModel`, may cut off part
-  of an in-flight broadcast's audience. Crashing is a scheduler power
-  fixed before the run starts, so the cut is part of the schedule:
-  ``mac_broadcast`` leaves out of the plan a delivery ``(r, t)`` whose
-  receiver crashes at some ``c_r <= t``, and, when the sender crashes
-  at some ``c_s <= ack_time``, the ack and every delivery at
-  ``t >= c_s`` that the plan's ``still_delivered`` does not allow.
-  Crash events sort before deliveries and acks of equal time, so the
-  trace is exactly what cancelling at the crash would give; a pruned
-  delivery is simply never popped (it is not an event, and does not
-  advance the clock). The one difference: the cut also applies to a
-  broadcast orphaned by a node-churn reset before its sender's crash.
-  The crash event itself only records ``crash``, marks the process
-  and frees its MAC.
-* **Pluggable fault models.** A
-  :class:`~repro.macsim.faults.base.FaultModel` adversary (crash,
-  omission, Byzantine) is consulted at the broadcast, delivery and
-  step boundaries; see :mod:`repro.macsim.faults`. Fault-free and
-  crash-only models keep the inlined fast path.
+* **Every fault is planned.** A
+  :class:`~repro.macsim.faults.base.FaultModel` (crash, omission,
+  Byzantine; see :mod:`repro.macsim.faults`) is fixed before the run
+  starts, so ``mac_broadcast`` applies it to the schedule. A crash may
+  cut off part of an in-flight broadcast's audience: the plan loses a
+  delivery ``(r, t)`` whose receiver crashes at some ``c_r <= t`` and,
+  when the sender crashes at some ``c_s <= ack_time``, the ack and
+  every delivery at ``t >= c_s`` its ``still_delivered`` does not
+  allow (crash events sort before deliveries and acks of equal time,
+  so this is exactly what cancelling at the crash would give; the cut
+  also applies to a broadcast orphaned by a node-churn reset). The
+  model then maps each delivery left to an outcome -- deliver, forge,
+  drop (:meth:`~repro.macsim.faults.base.FaultModel.outcomes`) -- and
+  every run, faulty or not, takes the one inlined delivery path.
 * **Dynamic topologies.** A
   :class:`~repro.macsim.dynamics.base.TopologyDynamics` model (edge
   churn, node churn, mobility, scripted timelines; see
@@ -68,9 +61,8 @@ The main loop is O(1) per event with no per-event scans:
 * **Quiescence** is tracked with an ``_undecided_alive`` counter
   maintained on ``decide``/``crash`` instead of scanning every process
   after every event.
-* **Neighbor tuples** are cached per node at construction; the graph is
-  immutable for the lifetime of a simulation, so ``mac_broadcast``
-  never rebuilds them.
+* **Neighbor tuples** are cached per node, rebuilt only when a
+  topology epoch changes the graph.
 * **Observer hooks** are pre-resolved into lists at registration time;
   when no observer implements a hook, the loop pays a single falsy
   check, not a ``getattr`` scan.
@@ -91,11 +83,10 @@ The main loop is O(1) per event with no per-event scans:
   timestamp group, receivers in plan order. Each entry expands at
   pop time in one inner loop over its receivers that hoists the
   broadcast's id, sender, payload and telemetry span once and runs
-  before the heap is touched again;
-  every delivery still runs through the normal dispatch (fault-model
-  hooks included), counts as one processed event, and is preceded by
-  the same ``stop_when_all_decided``/``stop_predicate``/limit checks,
-  in the same order, as per-receiver entries were. The per-receiver
+  before the heap is touched again; every delivery still counts as
+  one processed event, and is preceded by the same
+  ``stop_when_all_decided``/``stop_predicate``/limit checks, in the
+  same order, as per-receiver entries were. The per-receiver
   cursor (``_pending_batch``) is written only when one of those -- or
   an exception -- interrupts the loop, and the next ``run()`` resumes
   at that receiver; while a batch is expanding the cursor is unset.
@@ -104,28 +95,28 @@ The main loop is O(1) per event with no per-event scans:
   replacing each same-timestamp group with one entry inside that
   block preserves exact event order. A crash plan filters a batch's
   receiver tuple when the broadcast is planned (a tuple that lost
-  nobody stays the same object; an emptied batch pushes no entry).
+  nobody stays the same object; an emptied batch pushes no entry), and
+  a fault model's outcomes split it only where they change: a run of
+  receivers sharing one payload stays one entry, each drop becomes a
+  ``drop`` entry, and the pieces take consecutive seqs in plan order.
   Plans whose timestamps are all distinct (random delays) build no
   grouping at all, and a fan-out of one is a plain ``deliver`` entry
   under either plan form.
-* **A fan-out is one row.** The deliveries of a batch differ only in
-  the receiver, so on the hook-free fast path (crash plans included)
-  the expansion does not call ``trace.record`` per receiver: it keeps an
-  *open run* ``[first unwritten, next receiver]`` over the batch
-  (``_open_run``) and hands it to the sink in one
-  ``TraceSink.record_deliveries(time, bid, sender, payload,
-  receivers)`` call. Row order is pinned byte for byte, and a handler
-  can write rows mid-batch, so the run is written at three points,
-  before anything else can reach or read the sink: (1) in
+* **A fan-out is one row.** The deliveries of a batch differ only in the
+  receiver, so the expansion does not call ``trace.record`` per
+  receiver: it keeps an *open run* ``[first unwritten, next receiver]``
+  over the batch (``_open_run``) and hands it to the sink in one
+  ``TraceSink.record_deliveries`` call. Row order is pinned byte for
+  byte, and a handler can write rows mid-batch, so the run is written at
+  three points, before anything else can reach or read the sink: (1) in
   ``mac_broadcast`` and ``note_decision``, before the ``discard`` /
   ``broadcast`` / ``decide`` row of a call made from inside
   ``on_receive``; (2) before every ``stop_predicate`` call (predicates
   read the sink); (3) in the batch loop's ``finally`` -- a completed
-  batch, a stop, a limit, an exception -- which also drops the run
-  (and with it the broadcast record). The sink is therefore whole
-  whenever control leaves the engine. ``_dispatch_delivery`` (fault
-  hooks: the payload can differ per receiver) and single ``deliver``
-  entries keep per-row ``record``.
+  batch, a stop, a limit, an exception -- which also drops the run (and
+  with it the broadcast record). The sink is therefore whole whenever
+  control leaves the engine. Single ``deliver`` and ``drop`` entries
+  keep per-row ``record``.
 * **Broadcast records live as long as their events.** No table maps
   broadcast ids to records: a broadcast's ``deliver``/``bdeliver``/
   ``ack`` heap entries and the batch cursor carry the record itself,
@@ -135,11 +126,6 @@ The main loop is O(1) per event with no per-event scans:
   or dual graph -- and a delivery that a (lying) trusted scheduler or
   the dual-graph window places after the ack still finds its payload.
   Long runs keep O(n) records in RAM, not O(broadcasts).
-
-For a fixed scheduler, seed and crash plan, the event order -- and
-therefore the full-level trace -- is identical to the pre-fast-path
-engine (batch expansion preserves the plan-order seq ordering of the
-per-neighbor entries it replaces).
 """
 
 from __future__ import annotations
@@ -182,16 +168,15 @@ class _BroadcastRecord:
     record itself, and ``Simulator._inflight`` holds it until the ack
     or the sender's crash, so it is freed when its last event has run
     -- whatever the scheduler planned, a delivery that lands after the
-    ack included. A crash plan needs nothing here: what a crash cuts
-    was left out of the schedule when the broadcast was planned.
+    ack included. Faults need nothing here: what a crash cuts was left
+    out of the schedule when the broadcast was planned, and a forged
+    run's entry carries a record of its own (same ``bid`` and
+    ``sender``, the forged ``payload``).
     """
 
     bid: int
     sender: Any
     payload: Any
-    # Per-receiver forged payloads / DROPs from the fault model's
-    # broadcast-boundary hook; None on the fault-free fast path.
-    overrides: Optional[dict] = None
     # Set when the sender's process was reset (node-churn rejoin)
     # while this broadcast was in flight: its ack is suppressed so the
     # fresh process never sees an ack for a broadcast it did not send.
@@ -228,9 +213,9 @@ class Simulator:
     scheduler:
         The message scheduler controlling all timing.
     fault_model:
-        A :class:`~repro.macsim.faults.base.FaultModel` adversary
-        consulted at the broadcast, delivery and step boundaries, and
-        the one way to inject a fault: crash plans arrive as a
+        A :class:`~repro.macsim.faults.base.FaultModel` adversary,
+        asked for each broadcast's delivery outcomes when it is
+        planned, and the one way to inject a fault: crash plans arrive as a
         :class:`~repro.macsim.faults.crash.CrashFaultModel`. ``None``
         (default) is the fault-free base model.
     validate_plans:
@@ -305,12 +290,10 @@ class Simulator:
         if fault_model is None:
             fault_model = FaultModel()
         self.fault_model = fault_model
-        self._fault_send = fault_model.send_hook()
-        self._fault_deliver = fault_model.deliver_hook()
-        # Any boundary interception routes deliveries off the inlined
-        # fast path; crash-only and fault-free models keep it.
-        self._fault_active = (self._fault_send is not None
-                              or self._fault_deliver is not None)
+        # Only a model that names a faulty node may forge or drop a
+        # delivery: it is asked once per broadcast, when it is planned.
+        self._fault_outcomes = (fault_model.outcomes
+                                if fault_model.faulty_nodes() else None)
 
         # Plan validation: trusted built-in schedulers produce correct
         # plans by construction and may skip the O(deg) validate.
@@ -478,61 +461,26 @@ class Simulator:
         bid = self._next_bid
         self._next_bid = bid + 1
         neighbors = self._neighbors[sender]
+        # Phase profiler: per-*broadcast* sampling only, so the
+        # perf_counter cost amortizes over the whole fan-out.
         tel = self.telemetry
-        if tel is None:
-            plan = self.scheduler.plan(sender=sender, message=payload,
-                                       start_time=now,
-                                       neighbors=neighbors)
-            if self._validate_plans:
-                plan.validate(start_time=now, neighbors=neighbors,
-                              f_ack=self.scheduler.f_ack)
-        else:
-            # Phase profiler: per-*broadcast* sampling only, so the
-            # perf_counter cost amortizes over the whole fan-out.
+        if tel is not None:
             t0 = perf_counter()
-            plan = self.scheduler.plan(sender=sender, message=payload,
-                                       start_time=now,
-                                       neighbors=neighbors)
+        plan = self.scheduler.plan(sender=sender, message=payload,
+                                   start_time=now, neighbors=neighbors)
+        if tel is not None:
             t1 = perf_counter()
             tel.phase_add("scheduler_plan", t1 - t0)
-            if self._validate_plans:
-                plan.validate(start_time=now, neighbors=neighbors,
-                              f_ack=self.scheduler.f_ack)
+        if self._validate_plans:
+            plan.validate(start_time=now, neighbors=neighbors,
+                          f_ack=self.scheduler.f_ack)
+            if tel is not None:
                 tel.phase_add("plan_validate", perf_counter() - t1)
 
-        # Broadcast boundary: the fault model may forge per-receiver
-        # payloads or drop deliveries for a faulty sender.
-        overrides = None
-        fault_send = self._fault_send
-        if fault_send is not None:
-            if tel is None:
-                overrides = fault_send(sender, payload, neighbors, now)
-            else:
-                t0 = perf_counter()
-                overrides = fault_send(sender, payload, neighbors, now)
-                tel.phase_add("fault_hooks", perf_counter() - t0)
-                if overrides:
-                    tel.fault_injections += len(overrides)
-            if overrides and self.strict_sizes:
-                # Byzantine nodes are still bound by the MAC layer's
-                # O(1)-ids rule; forged payloads are checked too.
-                for forged in overrides.values():
-                    if forged is not DROP and forged is not payload:
-                        self._check_size(forged)
-
-        # Delivery-batch detection: deliveries sharing a timestamp are
-        # scheduled as one ``bdeliver`` entry carrying the receiver
-        # tuple -- O(deg) -> O(#distinct timestamps) heap traffic. A
-        # UniformPlan says "every neighbor at one instant" itself, so
-        # its receiver tuple *is* the batch; a mapping plan with
-        # repeated timestamps is grouped per timestamp, receivers in
-        # plan order (all-equal times give the same single batch);
-        # all-distinct plans (random delays) build no grouping at all.
-        # A broadcast's entries occupy a contiguous seq block and seq
-        # only orders entries of equal timestamp, so one entry per
-        # timestamp group -- wherever it sits in the block -- pops
-        # exactly where that group's per-neighbor entries would have
-        # (event order and full trace unchanged).
+        # Delivery-batch detection (module docstring, "Batched
+        # delivery scheduling"): a UniformPlan's receiver tuple *is*
+        # the batch; a mapping plan with repeated timestamps is grouped
+        # per timestamp in plan order; all-distinct plans build nothing.
         batches = ()  # (time, receivers) groups, one entry each
         if type(plan) is UniformPlan:
             receivers = plan.receivers
@@ -566,20 +514,28 @@ class Simulator:
             batches, singles, ack_time = self._prune_crashed(
                 sender, batches, singles, ack_time)
 
-        record = _BroadcastRecord(bid, sender, payload, overrides)
+        record = _BroadcastRecord(bid, sender, payload)
+        entries = (None if self._fault_outcomes is None else
+                   self._fault_entries(record, neighbors, batches, singles))
         # Inline batch of EventQueue.push_light: one seq update for the
         # whole fan-out (see EventQueue docstring).
         queue = self._queue
         heap = queue._heap
         seq = queue._next_seq
-        for when, receivers in batches:
-            heappush(heap, (when, DELIVER_PRIORITY, seq, "bdeliver",
-                            receivers, record))
-            seq += 1
-        for receiver, when in singles.items():
-            heappush(heap, (when, DELIVER_PRIORITY, seq, "deliver",
-                            receiver, record))
-            seq += 1
+        if entries is None:
+            for when, receivers in batches:
+                heappush(heap, (when, DELIVER_PRIORITY, seq, "bdeliver",
+                                receivers, record))
+                seq += 1
+            for receiver, when in singles.items():
+                heappush(heap, (when, DELIVER_PRIORITY, seq, "deliver",
+                                receiver, record))
+                seq += 1
+        else:
+            for when, kind, target, entry_record in entries:
+                heappush(heap, (when, DELIVER_PRIORITY, seq, kind, target,
+                                entry_record))
+                seq += 1
         if ack_time is not None:
             heappush(heap, (ack_time, ACK_PRIORITY, seq, "ack", sender,
                             record))
@@ -644,6 +600,55 @@ class Simulator:
                 pruned.append((when, survivors))
         singles = {r: when for r, when in singles.items() if kept(r, when)}
         return tuple(pruned), singles, (ack_time if cut is None else None)
+
+    def _fault_entries(self, record: _BroadcastRecord, neighbors: tuple,
+                       batches: tuple, singles: dict) -> Optional[list]:
+        """Ask the fault model for the outcomes of one planned broadcast
+        and return its delivery entries ``(time, kind, target, record)``
+        in plan order, or ``None`` when it touched nothing.
+
+        A batch is split only where the outcome changes: receivers that
+        share one payload object stay one ``bdeliver`` entry (a
+        ``deliver`` entry when only one does), and each drop is a
+        ``drop`` entry. A forged run's record carries the forged
+        payload, checked against the O(1)-ids rule here.
+        """
+        payload = record.payload
+        planned = batches + tuple((when, (receiver,))
+                                  for receiver, when in singles.items())
+        outcomes = self._fault_outcomes(record.bid, record.sender, payload,
+                                        neighbors, self.now, planned)
+        if not outcomes:
+            return None
+        entries = []
+        injected = 0
+        for when, receivers in planned:
+            start, count = 0, len(receivers)
+            while start < count:
+                outcome = outcomes.get(receivers[start], payload)
+                end = start + 1
+                if outcome is DROP:
+                    entries.append((when, "drop", receivers[start], record))
+                else:
+                    while (end < count and outcomes.get(receivers[end],
+                                                        payload) is outcome):
+                        end += 1
+                    run_record = record
+                    if outcome is not payload:
+                        if self.strict_sizes:
+                            self._check_size(outcome)
+                        run_record = _BroadcastRecord(record.bid,
+                                                      record.sender, outcome)
+                    entries.append(
+                        (when, "deliver", receivers[start], run_record)
+                        if end - start == 1 else
+                        (when, "bdeliver", receivers[start:end], run_record))
+                if outcome is not payload:
+                    injected += end - start
+                start = end
+        if self.telemetry is not None:
+            self.telemetry.fault_injections += injected
+        return entries
 
     def _write_run(self, run: list) -> None:
         """Hand the sink the deliveries ``run`` made since its last
@@ -735,9 +740,9 @@ class Simulator:
                     process.on_start()
 
         # Hot loop: everything per-event is O(1); hoist lookups once.
-        # The queue pop and the hook-free delivery dispatch are inlined
-        # (see EventQueue's docstring), so any observer or stop
-        # predicate sees a consistent engine mid-run.
+        # The queue pop and the delivery dispatch are inlined (see
+        # EventQueue's docstring), so any observer or stop predicate
+        # sees a consistent engine mid-run.
         heap = self._queue._heap
         heappop_ = heappop
         dispatch_ack = self._dispatch_ack
@@ -748,10 +753,6 @@ class Simulator:
         trace_bump = self.trace.bump
         trace_record = self.trace.record
         trace_mac = self._trace_mac
-        fast_deliver = not self._fault_active
-        # Into a sink that takes MAC rows the fast path hands a batch's
-        # deliveries over as runs, not one by one.
-        run_rows = fast_deliver and trace_mac
         dynamics_on = self.dynamics is not None
         tel = self.telemetry
         tel_spans = self._tel_spans
@@ -784,7 +785,7 @@ class Simulator:
                 span = (None if tel_spans is None
                         else tel_spans.get(record.bid))
                 open_run = None
-                if run_rows:
+                if trace_mac:
                     open_run = self._open_run = [i, i, event_time, record,
                                                  receivers]
                 try:
@@ -809,20 +810,17 @@ class Simulator:
                             break
                         receiver = receivers[i]
                         i += 1
-                        if fast_deliver:
-                            if open_run is not None:
-                                open_run[1] = i
-                            elif kind_counts is not None:
-                                kind_counts["deliver"] += 1
-                            else:
-                                trace_bump("deliver", receiver)
-                            if span is not None:
-                                if span[1] < 0.0:
-                                    span[1] = event_time
-                                span[2] = event_time
-                            processes[receiver].on_receive(payload)
+                        if open_run is not None:
+                            open_run[1] = i
+                        elif kind_counts is not None:
+                            kind_counts["deliver"] += 1
                         else:
-                            self._dispatch_delivery(receiver, record)
+                            trace_bump("deliver", receiver)
+                        if span is not None:
+                            if span[1] < 0.0:
+                                span[1] = event_time
+                            span[2] = event_time
+                        processes[receiver].on_receive(payload)
                         events_processed += 1
                         if events_processed >= max_events:
                             stop_reason = "max_events"
@@ -886,28 +884,24 @@ class Simulator:
 
             kind = entry[3]
             if kind == "deliver":
-                if fast_deliver:
-                    # -- inline _dispatch_delivery, hook-free case -------
-                    record = entry[5]
-                    receiver = entry[4]
-                    if trace_mac:
-                        trace_record(event_time, "deliver", receiver,
-                                     broadcast_id=record.bid,
-                                     peer=record.sender,
-                                     payload=record.payload)
-                    elif kind_counts is not None:
-                        kind_counts["deliver"] += 1
-                    else:
-                        trace_bump("deliver", receiver)
-                    if tel_spans is not None:
-                        span = tel_spans.get(record.bid)
-                        if span is not None:
-                            if span[1] < 0.0:
-                                span[1] = event_time
-                            span[2] = event_time
-                    processes[receiver].on_receive(record.payload)
+                record = entry[5]
+                receiver = entry[4]
+                if trace_mac:
+                    trace_record(event_time, "deliver", receiver,
+                                 broadcast_id=record.bid,
+                                 peer=record.sender,
+                                 payload=record.payload)
+                elif kind_counts is not None:
+                    kind_counts["deliver"] += 1
                 else:
-                    self._dispatch_delivery(entry[4], entry[5])
+                    trace_bump("deliver", receiver)
+                if tel_spans is not None:
+                    span = tel_spans.get(record.bid)
+                    if span is not None:
+                        if span[1] < 0.0:
+                            span[1] = event_time
+                        span[2] = event_time
+                processes[receiver].on_receive(record.payload)
             elif kind == "bdeliver":
                 # The deliveries are expanded (and counted) above; the
                 # entry itself is not an event.
@@ -917,6 +911,14 @@ class Simulator:
                 dispatch_ack(entry[4], entry[5])
             elif kind == "crash":
                 dispatch_crash(entry[4])
+            elif kind == "drop":
+                # A delivery the fault model dropped when it was
+                # planned. It never gates the sender's ack: the faulty
+                # endpoint is exempt from the coverage rule.
+                record = entry[5]
+                trace_record(event_time, "drop", entry[4],
+                             broadcast_id=record.bid, peer=record.sender,
+                             payload=record.payload)
             elif kind == "wakeup":
                 self._callbacks[entry[5]](self)
             else:  # pragma: no cover - defensive
@@ -961,55 +963,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Event dispatch
     # ------------------------------------------------------------------
-    def _dispatch_delivery(self, receiver: Any,
-                           record: _BroadcastRecord) -> None:
-        """One delivery through the fault model's delivery boundary
-        (the run loop inlines the hook-free case)."""
-        # Apply the sender-side override map, then give the model a
-        # chance to drop/substitute on the receiver side (receive
-        # omission).
-        payload = record.payload
-        overrides = record.overrides
-        if overrides is not None:
-            payload = overrides.get(receiver, payload)
-        fault_deliver = self._fault_deliver
-        if fault_deliver is not None and payload is not DROP:
-            tel = self.telemetry
-            if tel is None:
-                payload = fault_deliver(record.sender, receiver,
-                                        payload, self.now)
-            else:
-                t0 = perf_counter()
-                fault_payload = fault_deliver(record.sender, receiver,
-                                              payload, self.now)
-                tel.phase_add("fault_hooks", perf_counter() - t0)
-                if fault_payload is not payload:
-                    tel.fault_injections += 1
-                payload = fault_payload
-        if payload is DROP:
-            # The drop never gates the sender's ack: the faulty
-            # endpoint is exempt from the coverage rule.
-            self.trace.record(self.now, "drop", receiver,
-                              broadcast_id=record.bid,
-                              peer=record.sender,
-                              payload=record.payload)
-            return
-        if self._trace_mac:
-            self.trace.record(self.now, "deliver", receiver,
-                              broadcast_id=record.bid, peer=record.sender,
-                              payload=payload)
-        elif self._kind_counts is not None:
-            self._kind_counts["deliver"] += 1
-        else:
-            self.trace.bump("deliver", receiver)
-        if self._tel_spans is not None:
-            span = self._tel_spans.get(record.bid)
-            if span is not None:
-                if span[1] < 0.0:
-                    span[1] = self.now
-                span[2] = self.now
-        self._processes[receiver].on_receive(payload)
-
     def _dispatch_ack(self, sender: Any,
                       record: _BroadcastRecord) -> None:
         if record.orphaned:

@@ -11,7 +11,7 @@ empirical F_ack/F_prog/F_cover histograms, plus engine counters
 (heap pushes/pops, broadcasts opened/acked, deliveries, drops,
 topology epochs, fault injections, sink bytes/flushes) and a
 monotonic wall-clock profile of the engine's phases (scheduler
-planning, plan validation, fault hooks, dynamics epochs).
+planning, plan validation, dynamics epochs).
 
 Design constraints, in priority order:
 
@@ -22,8 +22,8 @@ Design constraints, in priority order:
 * **No-op fast path.** Disabled telemetry costs the hot loop one
   ``is None`` check per delivery. Span bookkeeping is a dict update
   per delivery and one close per ack; the wall-clock profiler samples
-  only at per-*broadcast* granularity (scheduler plan/validate, fault
-  send hooks) and per-epoch granularity (dynamics), never per event.
+  only at per-*broadcast* granularity (scheduler plan/validate) and
+  per-epoch granularity (dynamics), never per event.
   No timing gate holds the overhead today: the <= 5% gate lived in the
   retired legacy bench harness (CHANGES.md) and waits for the perf
   ledger's paired on/off estimator (ROADMAP item 7). What guards the
@@ -67,8 +67,8 @@ TELEMETRY_SCHEMA = "telemetry/v1"
 #: Wall-clock phases the profiler attributes. Everything else
 #: (delivery dispatch, heap operations, per-record sink appends) is
 #: the run-loop residual: ``wall_seconds`` minus the phase total.
-PHASES = ("scheduler_plan", "plan_validate", "fault_hooks",
-          "dynamics_epochs", "sink_flush")
+PHASES = ("scheduler_plan", "plan_validate", "dynamics_epochs",
+          "sink_flush")
 
 
 def quantile(ordered: Sequence[float], q: float) -> float:

@@ -48,17 +48,15 @@ The protocol has two write doors. :meth:`TraceSink.record` takes one
 occurrence. :meth:`TraceSink.record_deliveries` takes a *run*: the
 model's one primitive hands one message to every neighbor, so the
 deliveries of a fan-out that share a timestamp differ only in the
-receiver, and the engine's crash-free, hook-free fast path hands them
-over as one ``(time, broadcast_id, sender, payload, receivers)`` call
-per expanded delivery batch -- cut wherever a handler, a stop
-predicate or the end of a ``run()`` slice has to see the sink whole, so
-rows always land in event order. The base class defines the run as the
+receiver, and the engine hands them over as one ``(time,
+broadcast_id, sender, payload, receivers)`` call per expanded delivery
+batch -- cut wherever a handler, a stop predicate or the end of a
+``run()`` slice has to see the sink whole, so rows always land in
+event order. The base class defines the run as the
 loop over ``record`` (that loop is what the row *means*; third-party
 sinks inherit it); :class:`Trace` and ``ColumnarSink`` write the same
-rows natively. Everything else -- broadcasts, acks, decisions, single
-deliveries (random delays), and every delivery under a crash plan or a
-fault model, where the payload can differ per receiver -- arrives
-through ``record``.
+rows natively. Everything else -- broadcasts, acks, decisions, drops
+and single deliveries (random delays) -- arrives through ``record``.
 
 Sink capability flags drive the harness:
 
@@ -160,12 +158,11 @@ class TraceSink:
     """Protocol for execution-trace consumers.
 
     The simulator emits every occurrence through :meth:`record` or,
-    for a same-timestamp fan-out on its fast path,
-    :meth:`record_deliveries` (or :meth:`bump` when the sink does not
-    materialize MAC-level kinds); the analysis layer reads results back
-    through the query API. All query methods must stay exact regardless
-    of what is materialized -- counters count every reported
-    occurrence.
+    for a same-timestamp fan-out, :meth:`record_deliveries` (or
+    :meth:`bump` when the sink does not materialize MAC-level kinds);
+    the analysis layer reads results back through the query API. All
+    query methods must stay exact regardless of what is materialized
+    -- counters count every reported occurrence.
 
     Subclasses must implement :meth:`record`, :meth:`bump` and the
     queries (:meth:`record_deliveries` is inherited as the loop over

@@ -10,7 +10,9 @@ import pytest
 from repro.analysis import parallel_sweep, run_consensus, sweep
 from repro.core.twophase import TwoPhaseConsensus
 from repro.core.wpaxos import WPaxosConfig, WPaxosNode
-from repro.macsim import (ColumnarSink, CrashFaultModel, CrashPlan,
+from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
+                          ColumnarSink, CorruptStrategy, CrashFaultModel,
+                          CrashPlan, EquivocateStrategy,
                           OmissionFaultModel, OmissionPlan, Process,
                           TraceLevel, build_simulation)
 from repro.macsim.errors import SimulationLimitError
@@ -352,42 +354,6 @@ class TestCrashPruning:
         deliveries = result.trace.of_kind("deliver")
         assert [(r.node, r.broadcast_id) for r in deliveries] == [(1, 0)]
 
-    def test_crash_plan_run_takes_the_fast_path(self, monkeypatch):
-        # The cut is in the schedule, so a crash run's batches reach
-        # the sink as runs and no delivery goes through the slow
-        # per-receiver dispatch.
-        from repro.macsim import Simulator
-
-        class SpySink(Trace):
-            def __init__(self):
-                super().__init__()
-                self.runs = []
-
-            def record_deliveries(self, time, broadcast_id, sender,
-                                  payload, receivers):
-                self.runs.append((time, sender, tuple(receivers)))
-                super().record_deliveries(time, broadcast_id, sender,
-                                          payload, receivers)
-
-        def slow_path(self, receiver, record):
-            raise AssertionError("_dispatch_delivery entered")
-
-        monkeypatch.setattr(Simulator, "_dispatch_delivery", slow_path)
-        sink = SpySink()
-        sim = build_simulation(
-            clique(6), lambda v: TwoPhaseConsensus(v + 1, v % 2),
-            SynchronousScheduler(1.0), trace_sink=sink,
-            fault_model=CrashFaultModel(
-                [CrashPlan(0, 0.5, still_delivered=(1, 2))]))
-        sim.run()
-        assert sink.crashed_nodes() == {0}
-        # Node 0's cut broadcast is one run of the two allowed
-        # receivers; every later batch skips the crashed node 0.
-        assert (1.0, 0, (1, 2)) in sink.runs
-        assert all(0 not in receivers for _, _, receivers in sink.runs)
-        assert sum(len(r) for _, _, r in sink.runs) == \
-            sink.delivery_count()
-
     def test_a_crash_cuts_a_broadcast_orphaned_by_a_reset(self):
         # Node 0's first broadcast reaches node 1 at 0.5 and is due at
         # node 2 at 3.0. A churn reset at 1.5 orphans it, and node 0
@@ -417,6 +383,82 @@ class TestCrashPruning:
                     if r.broadcast_id == 3]
         assert result.trace.crashed_nodes() == {0}
         assert len(sim._queue) == 0
+
+
+# ---------------------------------------------------------------------
+# Every fault is planned: one delivery path for every fault model
+# ---------------------------------------------------------------------
+class _RunSpySink(Trace):
+    """A FULL trace that also logs each ``record_deliveries`` run and
+    counts the ``deliver`` rows written one at a time."""
+
+    def __init__(self):
+        super().__init__()
+        self.runs = []
+        self.single_rows = 0
+
+    def record(self, time, kind, node, **fields):
+        if kind == "deliver":
+            self.single_rows += 1
+        super().record(time, kind, node, **fields)
+
+    def record_deliveries(self, time, broadcast_id, sender, payload,
+                          receivers):
+        self.runs.append((time, sender, tuple(receivers)))
+        super().record_deliveries(time, broadcast_id, sender, payload,
+                                  receivers)
+
+
+#: model name -> fault model for node 1 of a clique(6) Two-Phase run.
+_PLANNED_MODELS = {
+    "crash": lambda: CrashFaultModel(
+        [CrashPlan(1, 0.5, still_delivered=(2, 3))]),
+    "inert-omission": lambda: OmissionFaultModel([OmissionPlan(
+        node=1, send=True, receive=True, start=1e9)]),
+    "omission": lambda: OmissionFaultModel([OmissionPlan(
+        node=1, send=True, receive=True)]),
+    "byzantine-corrupt": lambda: ByzantineFaultModel(
+        [ByzantinePlan(node=1, strategy=CorruptStrategy())]),
+    "byzantine-equivocate": lambda: ByzantineFaultModel(
+        [ByzantinePlan(node=1, strategy=EquivocateStrategy())]),
+}
+
+
+def _planned_run(fault_model):
+    sink = _RunSpySink()
+    sim = build_simulation(
+        clique(6), lambda v: TwoPhaseConsensus(v + 1, v % 2),
+        SynchronousScheduler(1.0), trace_sink=sink,
+        fault_model=fault_model)
+    sim.run(max_time=20.0)
+    return sink
+
+
+@pytest.mark.parametrize("name", sorted(_PLANNED_MODELS))
+def test_every_fault_model_delivers_batches_as_runs(name):
+    # Every fault is decided when the broadcast is planned, so a faulty
+    # run's batches reach the sink as runs like a fault-free run's.
+    sink = _planned_run(_PLANNED_MODELS[name]())
+    delivered = sum(len(receivers) for _, _, receivers in sink.runs)
+    assert delivered > 0
+    assert delivered + sink.single_rows == sink.delivery_count()
+    if name == "crash":
+        # Node 1's cut broadcast is one run of the two allowed
+        # receivers; every batch skips the crashed node 1.
+        assert sink.crashed_nodes() == {1}
+        assert (1.0, 1, (2, 3)) in sink.runs
+        assert all(1 not in receivers for _, _, receivers in sink.runs)
+    elif name == "inert-omission":
+        assert trace_digest(sink) == trace_digest(_planned_run(None))
+    elif name == "omission":
+        assert sink.count_of_kind("drop") > 0
+        assert all(sender != 1 and 1 not in receivers
+                   for _, sender, receivers in sink.runs)
+    else:
+        sent = {r.broadcast_id: r.payload
+                for r in sink.of_kind("broadcast")}
+        assert any(r.payload != sent[r.broadcast_id]
+                   for r in sink.of_kind("deliver") if r.peer == 1)
 
 
 # ---------------------------------------------------------------------
@@ -454,11 +496,25 @@ _BATCH_LEVELS = (TraceLevel.FULL, TraceLevel.DECISIONS)
 #: There the crash-plan run also popped 18 deliveries to crashed nodes
 #: that did nothing, and asked the predicate before each of the three
 #: batch receivers the crash had cut; a crash now prunes all of those
-#: when they are planned.
+#: when they are planned. The omission run's ``drop_rate=0.5`` draws
+#: are a pure function of (seed, broadcast, receiver) and its batches
+#: split where a drop falls, so its pair was measured when omission
+#: became planned (it read (166, 195) while each draw came from one
+#: per-node stream in delivery order).
 _BATCH_COMMITTED = {
     "crash-free": (84, 99),
     "crash-plan": (87 - 18, 106 - 18 - 3),
-    "omission": (166, 195),
+    "omission": (135, 158),
+}
+
+#: variant -> (a ``max_events`` slice, a delivery count for a stop
+#: predicate), each landing while a batch is being expanded. The
+#: omission run's first batches are split by its drops, so its stops
+#: sit earlier.
+_MID_BATCH_STOPS = {
+    "crash-free": (6, 8),
+    "crash-plan": (6, 8),
+    "omission": (3, 6),
 }
 
 
@@ -538,21 +594,20 @@ class TestBatchExpansionStopsAndResumes:
     def test_predicate_tripping_mid_batch_resumes_at_next_receiver(
             self, variant, level):
         whole, _ = self._whole(variant, level)
+        deliveries = _MID_BATCH_STOPS[variant][1]
         sim = _batch_sim(variant, level)
         result = sim.run(
-            stop_predicate=lambda s: s.trace.delivery_count() == 8)
+            stop_predicate=lambda s: s.trace.delivery_count() == deliveries)
         assert result.stop_reason == "predicate"
-        assert sim.trace.delivery_count() == 8
+        assert sim.trace.delivery_count() == deliveries
         _, record, receivers, index = sim._pending_batch
         assert 0 < index < len(receivers)
         assert sim.next_event_time() == sim.now == 1.0
-        # One more event is the interrupted broadcast reaching (or, for
-        # the omission model, being dropped at) its next receiver.
-        handled = (sim.trace.delivery_count()
-                   + sim.trace.count_of_kind("drop"))
+        # One more event is the interrupted broadcast reaching its next
+        # receiver (a drop is an entry of its own, never in a batch).
+        handled = sim.trace.delivery_count()
         assert sim.run(max_events=1).events_processed == 1
-        assert (sim.trace.delivery_count()
-                + sim.trace.count_of_kind("drop")) == handled + 1
+        assert sim.trace.delivery_count() == handled + 1
         if level is TraceLevel.FULL:
             last = sim.trace[len(sim.trace) - 1]
             assert (last.node, last.broadcast_id) == (receivers[index],
@@ -563,7 +618,8 @@ class TestBatchExpansionStopsAndResumes:
     def test_max_time_falling_on_a_resumed_batch(self, variant, level):
         whole, _ = self._whole(variant, level)
         sim = _batch_sim(variant, level)
-        assert sim.run(max_events=6).stop_reason == "max_events"
+        max_events = _MID_BATCH_STOPS[variant][0]
+        assert sim.run(max_events=max_events).stop_reason == "max_events"
         cursor = list(sim._pending_batch)
         assert 0 < cursor[3] < len(cursor[2])
         result = sim.run(max_time=0.5)

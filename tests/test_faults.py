@@ -3,9 +3,10 @@
 Covers the adversary interface end to end: crash runs (nine fixed
 scenarios pinned by trace digest, crashed nodes never scoped out as
 faulty, the vectorized columnar audit on a ``FaultSpec`` crash run),
-omission and Byzantine hook-point semantics, correct-node scoping of
-the invariant checkers, trusted-scheduler plan validation, the
-synchronous scheduler's plans, and `CrashPlan` round-tripping.
+omission and Byzantine runs (seven scenarios pinned by trace digest)
+and semantics, correct-node scoping of the invariant checkers,
+trusted-scheduler plan validation, the synchronous scheduler's plans,
+and `CrashPlan` round-tripping.
 """
 
 import hashlib
@@ -19,7 +20,8 @@ from repro.analysis.runner import run_consensus
 from repro.core import (BenOrConsensus, GatherAllConsensus,
                         TwoPhaseConsensus, WPaxosConfig, WPaxosNode)
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
-                          ColumnarSink, CorruptStrategy, CrashFaultModel,
+                          ByzantineStrategy, ColumnarSink,
+                          CorruptStrategy, CrashFaultModel,
                           CrashPlan, EquivocateStrategy,
                           OmissionFaultModel, OmissionPlan, Process,
                           SilentStrategy, Simulator, build_simulation,
@@ -39,7 +41,7 @@ from repro.topology import clique, line, random_connected, star
 
 @dataclass(frozen=True)
 class Payload:
-    """Minimal forgeable protocol message for hook-point tests."""
+    """Minimal forgeable protocol message for fault-model tests."""
 
     origin: int
     value: object
@@ -143,6 +145,77 @@ CRASH_TRACE_SHA256 = {
 }
 
 
+def _twophase_factory(graph):
+    uid = {v: i + 1 for i, v in enumerate(graph.nodes)}
+    return lambda v: TwoPhaseConsensus(uid[v], uid[v] % 2)
+
+
+def _dual_scheduler(seed):
+    return lambda: AdversarialUnreliableScheduler(
+        RandomDelayScheduler(1.0, seed=seed), cutoff=100.0)
+
+
+#: Two-Phase runs under every omission and Byzantine shape the planned
+#: outcomes must reproduce: forgeries and drops on dual-graph runs
+#: (unreliable receivers are never forged to, and a receive omission
+#: drops them too), equivocation under random delays and in
+#: synchronous batches, silence, and omission that starts mid-run.
+#: The last field of each tuple holds extra ``build_simulation``
+#: keywords.
+def _fault_scenarios():
+    line6, dual = line(6), {"unreliable_graph": clique(6)}
+    return [
+        ("dual-corrupt", line6, _dual_scheduler(3),
+         lambda: ByzantineFaultModel(
+             [ByzantinePlan(2, CorruptStrategy(), seed=4)]), dual),
+        ("dual-receive-omission", line6, _dual_scheduler(3),
+         lambda: OmissionFaultModel(
+             [OmissionPlan(3, send=False, receive=True, start=1.5)]),
+         dual),
+        ("dual-send-receive-omission", line6, _dual_scheduler(5),
+         lambda: OmissionFaultModel(
+             [OmissionPlan(2, send=True, receive=True)]), dual),
+        ("random-equivocate", clique(7),
+         lambda: RandomDelayScheduler(1.0, seed=9),
+         lambda: ByzantineFaultModel(
+             [ByzantinePlan(1, EquivocateStrategy(), seed=2)]), {}),
+        ("sync-equivocate-and-corrupt", clique(7),
+         lambda: SynchronousScheduler(1.0),
+         lambda: ByzantineFaultModel(
+             [ByzantinePlan(1, EquivocateStrategy(), seed=2),
+              ByzantinePlan(4, CorruptStrategy(), seed=5)]), {}),
+        ("sync-silent", clique(5), lambda: SynchronousScheduler(1.0),
+         lambda: ByzantineFaultModel([ByzantinePlan(0, SilentStrategy())]),
+         {}),
+        ("sync-omission-mid-run", clique(6),
+         lambda: SynchronousScheduler(1.0),
+         lambda: OmissionFaultModel(
+             [OmissionPlan(1, send=True, receive=True, start=2.5),
+              OmissionPlan(4, send=False, receive=True, start=1.0)]), {}),
+    ]
+
+
+#: sha256 of each scenario's ``trace_to_json``, first measured while
+#: these faults still acted on each delivery as it fired; deciding
+#: them when the broadcast is planned moves no byte.
+FAULT_TRACE_SHA256 = {
+    "dual-corrupt":
+        "887905f5eab7e116c84dd51d1b4f05590d5fd28094731db0e5d9a4580dd9b1b9",
+    "dual-receive-omission":
+        "d451d705c17f1cca5f1372c854a28f019bef089d4d233ad1364d43d9c0f97f06",
+    "dual-send-receive-omission":
+        "f2333df8e7e86309ac6711bdb6d1a8c5178b450d1aaefcecb1afa3e5f0b0b967",
+    "random-equivocate":
+        "4d50f09cc0d9279654ed2bf368e3b6411834e2beca2284c7153ea183bd66df6f",
+    "sync-equivocate-and-corrupt":
+        "122701fcee19bc90f556e4855deba0fd750fac9ce1905648fdbf783c97bf7bdd",
+    "sync-silent":
+        "13d8214129435d1ffba4667961fea091dc9f777760c05448a63eede005246cd5",
+    "sync-omission-mid-run":
+        "5f0c281d54b478c32d80bd88a72e710c4f8ee6e21aacaa128eae5c696e441e42",
+}
+
+
 class TestCrashModelTraces:
     @pytest.mark.parametrize(
         "name,graph,factory,sched,plans,build",
@@ -153,6 +226,16 @@ class TestCrashModelTraces:
                           **build)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         assert digest == CRASH_TRACE_SHA256[name]
+
+    @pytest.mark.parametrize(
+        "name,graph,sched,model,build", _fault_scenarios(),
+        ids=[s[0] for s in _fault_scenarios()])
+    def test_fault_scenarios_match_pinned_digests(
+            self, name, graph, sched, model, build):
+        text = _run_trace(graph, _twophase_factory(graph), sched, model(),
+                          **build)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        assert digest == FAULT_TRACE_SHA256[name]
 
     def test_duplicate_plans_rejected(self):
         with pytest.raises(ConfigurationError,
@@ -375,6 +458,62 @@ class TestByzantineModel:
         result = sim.run(max_time=10.0, stop_when_all_decided=False)
         assert sim.trace.decision_times() == {1: 3.0}
         assert result.end_time == 3.0
+
+    def test_forged_payloads_obey_the_id_budget(self):
+        # A Byzantine node is still bound by the O(1)-ids rule: its
+        # forgery is checked when the broadcast is planned.
+        @dataclass(frozen=True)
+        class Ids:
+            ids: tuple
+
+            def id_footprint(self):
+                return len(self.ids)
+
+        class Bloat(ByzantineStrategy):
+            def mutate_all(self, sender, receivers, payload, now, rng):
+                return dict.fromkeys(receivers, Ids(tuple(range(30))))
+
+        class Sender(Echo):
+            def on_start(self):
+                self.broadcast(Ids((self.uid,)))
+
+        def build(strict):
+            return build_simulation(
+                clique(3), Sender, SynchronousScheduler(1.0),
+                fault_model=ByzantineFaultModel(
+                    [ByzantinePlan(node=0, strategy=Bloat())]),
+                strict_sizes=strict, id_budget=24)
+
+        with pytest.raises(ModelViolationError, match="30 ids"):
+            build(True).run(max_time=5.0)
+        sim = build(False)
+        sim.run(max_time=5.0)
+        assert Ids(tuple(range(30))) in sim.process_at(1).received
+
+    def test_mutate_all_runs_once_per_broadcast_whatever_a_crash_cuts(self):
+        # The strategy sees every broadcast of its node with the full
+        # neighbor tuple, even one a crash emptied, so its RNG stream
+        # never depends on the crash plan.
+        calls = []
+
+        class Counting(CorruptStrategy):
+            def mutate_all(self, sender, receivers, payload, now, rng):
+                calls.append(receivers)
+                return super().mutate_all(sender, receivers, payload,
+                                          now, rng)
+
+        class CrashingByzantine(ByzantineFaultModel):
+            def crash_plans(self):
+                return [CrashPlan(1, 0.5), CrashPlan(2, 0.5)]
+
+        model = CrashingByzantine(
+            [ByzantinePlan(node=0, strategy=Counting())])
+        sim = build_simulation(clique(3), Echo, SynchronousScheduler(1.0),
+                               fault_model=model)
+        sim.run(max_time=5.0)
+        assert calls == [(1, 2)]
+        assert not [r for r in sim.trace.of_kind("deliver") if r.peer == 0]
+        assert sim.process_at(0).received  # nodes 1, 2 reached node 0
 
     def test_equivocate_default_split_is_position_parity(self):
         strategy = EquivocateStrategy()
