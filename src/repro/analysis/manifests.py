@@ -223,7 +223,8 @@ class ExperimentManifest:
         # Resolving imports the classes a scenario names: one missing
         # cell per distinct set of spec names resolves here, so every
         # forked worker inherits those modules instead of compiling
-        # its own copy.
+        # its own copy. A dynamic cell also reports its connectivity
+        # (``run_consensus``), so it primes that module too.
         primed = set()
         for slot in misses:
             scenario = cells[slot][1]
@@ -233,6 +234,9 @@ class ExperimentManifest:
             if names not in primed:
                 primed.add(names)
                 scenario.resolve()
+                if scenario.dynamics is not None:
+                    importlib.import_module(
+                        "repro.macsim.dynamics.connectivity")
 
         def build(pool_key: tuple) -> Dict[str, Any]:
             _, scenario, x, _ = cells[pool_key[0]]

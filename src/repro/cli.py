@@ -408,17 +408,13 @@ def cmd_regen(args: argparse.Namespace) -> int:
                              block_stats=block_stats))
             print()
     else:
-        from .experiments import ALL_EXPERIMENTS
-        modules = dict(ALL_EXPERIMENTS)
-        wanted = ([i.upper() for i in args.ids] if args.ids
+        from importlib import import_module
+
+        from .experiments import EXPERIMENTS, known_ids
+        wanted = (known_ids(args.ids) if args.ids
                   else list(manifests_module.MANIFEST_SOURCES))
-        unknown = [i for i in wanted if i not in modules]
-        if unknown:
-            raise SystemExit(
-                f"unknown experiment ids: {', '.join(unknown)} "
-                f"(known: {', '.join(modules)})")
         for experiment_id in wanted:
-            module = modules[experiment_id]
+            module = import_module(EXPERIMENTS[experiment_id])
             parameters = inspect.signature(module.run).parameters
             kwargs = {}
             before = ((cache.hits, cache.misses)

@@ -1,32 +1,46 @@
-"""Experiment drivers regenerating the paper's results (E1-E8).
+"""Experiment drivers regenerating the paper's results (E1-E14).
 
 Run everything with ``python -m repro.experiments``, or one at a time
 with ``python -m repro.experiments.e1_single_hop`` etc.; the
 manifest-migrated drivers also run through ``repro regen`` (README
-"Sweep fabric").
+"Sweep fabric"). :data:`EXPERIMENTS` names each driver's module, and
+a driver is imported only when it runs.
 """
 
-from . import (e1_single_hop, e2_wpaxos_scaling, e3_baselines,
-               e4_time_lower_bound, e5_anonymous, e6_unknown_n, e7_flp,
-               e8_ablations, e9_unreliable_links, e10_randomized,
-               e11_fprog, e12_byzantine, e13_churn, e14_service)
-from .common import ExperimentReport
+from typing import Iterable, List
 
-ALL_EXPERIMENTS = (
-    ("E1", e1_single_hop),
-    ("E2", e2_wpaxos_scaling),
-    ("E3", e3_baselines),
-    ("E4", e4_time_lower_bound),
-    ("E5", e5_anonymous),
-    ("E6", e6_unknown_n),
-    ("E7", e7_flp),
-    ("E8", e8_ablations),
-    ("E9", e9_unreliable_links),
-    ("E10", e10_randomized),
-    ("E11", e11_fprog),
-    ("E12", e12_byzantine),
-    ("E13", e13_churn),
-    ("E14", e14_service),
-)
+from .._lazy import lazy_exports
 
-__all__ = ["ALL_EXPERIMENTS", "ExperimentReport"]
+#: Experiment id -> driver module, in report order.
+EXPERIMENTS = {
+    "E1": "repro.experiments.e1_single_hop",
+    "E2": "repro.experiments.e2_wpaxos_scaling",
+    "E3": "repro.experiments.e3_baselines",
+    "E4": "repro.experiments.e4_time_lower_bound",
+    "E5": "repro.experiments.e5_anonymous",
+    "E6": "repro.experiments.e6_unknown_n",
+    "E7": "repro.experiments.e7_flp",
+    "E8": "repro.experiments.e8_ablations",
+    "E9": "repro.experiments.e9_unreliable_links",
+    "E10": "repro.experiments.e10_randomized",
+    "E11": "repro.experiments.e11_fprog",
+    "E12": "repro.experiments.e12_byzantine",
+    "E13": "repro.experiments.e13_churn",
+    "E14": "repro.experiments.e14_service",
+}
+
+
+def known_ids(ids: Iterable[str]) -> List[str]:
+    """``ids`` upper-cased; exits naming any id not in the table."""
+    wanted = [i.upper() for i in ids]
+    unknown = [i for i in wanted if i not in EXPERIMENTS]
+    if unknown:
+        raise SystemExit(
+            f"unknown experiment ids: {', '.join(unknown)} "
+            f"(known: {', '.join(EXPERIMENTS)})")
+    return wanted
+
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "common": "ExperimentReport",
+})

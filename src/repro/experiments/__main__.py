@@ -11,22 +11,23 @@ from __future__ import annotations
 
 import sys
 import time
+from importlib import import_module
 
-from . import ALL_EXPERIMENTS
+from . import EXPERIMENTS, known_ids
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     markdown = "--markdown" in argv
     argv = [a for a in argv if not a.startswith("--")]
-    wanted = {a.upper() for a in argv} or None
+    wanted = set(known_ids(argv))
 
     failures = []
-    for exp_id, module in ALL_EXPERIMENTS:
-        if wanted is not None and exp_id not in wanted:
+    for exp_id, module in EXPERIMENTS.items():
+        if wanted and exp_id not in wanted:
             continue
         start = time.time()
-        report = module.run()
+        report = import_module(module).run()
         elapsed = time.time() - start
         text = (report.render_markdown() if markdown
                 else report.render())

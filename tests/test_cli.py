@@ -1,5 +1,10 @@
 """Command line interface tests."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main, make_scheduler, parse_topology
@@ -217,12 +222,32 @@ class TestRunCommand:
         assert load_scenario(str(out_path)).algorithm.name == "wpaxos"
 
 
+UNKNOWN_E99 = ("unknown experiment ids: E99 (known: "
+               + ", ".join(f"E{n}" for n in range(1, 15)) + ")")
+
+
 class TestExperimentsCommand:
     def test_forwards_to_driver(self, capsys):
         code = main(["experiments", "E7"])
         assert code == 0
         out = capsys.readouterr().out
         assert "E7 PASSED" in out
+
+    def test_unknown_id_exits_naming_the_known_ones(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiments", "E7", "E99"])
+        assert str(exc.value) == UNKNOWN_E99
+        assert capsys.readouterr().out == ""
+
+    def test_package_entry_point_rejects_unknown_id(self):
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "E99"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert done.returncode == 1
+        assert done.stderr.strip() == UNKNOWN_E99
+        assert done.stdout == ""
 
 
 class TestDemoCommand:

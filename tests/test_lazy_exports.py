@@ -36,7 +36,8 @@ PACKAGES = (
     "repro.macsim.dynamics", "repro.macsim.schedulers",
     "repro.macsim.service", "repro.core", "repro.core.wpaxos",
     "repro.core.baselines", "repro.core.heuristics", "repro.topology",
-    "repro.analysis", "repro.apps",
+    "repro.analysis", "repro.apps", "repro.lowerbounds",
+    "repro.experiments",
 )
 
 EXPORTED = [(package, name) for package in PACKAGES
@@ -171,11 +172,25 @@ def test_user_registration_shadows_the_builtin():
 
 
 PRE_FORK = """
-import sys
+import os, sys, tempfile
+
+PARENT, LOG = os.getpid(), tempfile.mkstemp()[1]
+
+
+class ChildImports:
+    # Logs every module a forked child imports that its parent had not.
+    def find_spec(self, name, path=None, target=None):
+        if os.getpid() != PARENT:
+            with open(LOG, "a") as log:
+                log.write(name + "\\n")
+
+
+sys.meta_path.insert(0, ChildImports())
+
 from repro.analysis.manifests import ExperimentManifest, ManifestBlock
 from repro.macsim.service import ShardedService, WorkloadGenerator
-from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
-                            TopologySpec)
+from repro.scenario import (AlgorithmSpec, DynamicsSpec, Scenario,
+                            SchedulerSpec, TopologySpec)
 
 base = Scenario(AlgorithmSpec("wpaxos"), TopologySpec("clique", n=3),
                 SchedulerSpec("synchronous"))
@@ -187,13 +202,22 @@ assert report.failed == 0 and len(report.shards) == 2, report.shards
 assert "repro.core.wpaxos.node" in sys.modules
 
 assert "repro.core.baselines.gatherall" not in sys.modules
+from repro.experiments.e9_unreliable_links import BASE as UNRELIABLE
 gather = base.override({"algorithm": AlgorithmSpec("gatherall")})
+churn = base.override({"dynamics": DynamicsSpec(
+    "node-churn", leave_rate=0.05, rejoin_rate=0.5, epoch_length=1.0)})
 results = ExperimentManifest("T", blocks=[
-    ManifestBlock("g", gather, axes={"topology.n": [3, 4, 5]})
+    ManifestBlock("g", gather, axes={"topology.n": [3, 4, 5]}),
+    ManifestBlock("churn", churn, axes={"seed": [0, 1]}),
+    ManifestBlock("unreliable", UNRELIABLE),
 ]).run(workers=2, progress=False)
 assert results["g"].executor_stats["workers"] == 2
 assert all(p.metrics.correct for p in results["g"].points)
 assert "repro.core.baselines.gatherall" in sys.modules
+with open(LOG) as log:
+    late = sorted({m for m in log.read().split() if m.startswith("repro")})
+os.unlink(LOG)
+assert not late, f"imported after the fork: {late}"
 print("inherited")
 """
 
@@ -201,5 +225,6 @@ print("inherited")
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_parent_resolves_before_it_forks():
     """The forked paths' children run on modules the parent imported:
-    the parent resolves each scenario it forks for."""
+    the parent resolves each scenario it forks for, and no ``repro``
+    module is first imported inside a shard or a sweep worker."""
     assert _fresh(PRE_FORK) == "inherited"

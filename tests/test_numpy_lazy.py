@@ -11,8 +11,9 @@ off without importing.
 The same fresh interpreters pin which ``repro`` modules load: the
 package exports resolve on first use and the scenario catalogue
 imports a class when a scenario names it, so importing the entry
-modules, ``repro --help`` and resolving one wPAXOS scenario each load
-only what they run. These are module sets, not timings.
+modules, ``repro --help``, resolving one wPAXOS scenario and importing
+``repro regen``'s drivers each load only what they run. These are
+module sets, not timings.
 """
 
 import importlib.util
@@ -24,6 +25,7 @@ import sys
 import pytest
 
 import repro.macsim.columnar as columnar_mod
+from repro.analysis.manifests import MANIFEST_SOURCES
 from repro.macsim.columnar import have_numpy
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -58,6 +60,14 @@ ENTRY_IMPORTS = ("import repro, repro.macsim.service, "
 NOT_AT_ENTRY = ("repro.core.byzantine", "repro.core.baselines",
                 "repro.macsim.columnar", "repro.analysis.sweeps",
                 "repro.topology.gadgets", "multiprocessing")
+
+#: ``repro regen``'s default drivers, imported the way it runs them.
+REGEN_DRIVERS = "import " + ", ".join(MANIFEST_SOURCES.values())
+
+#: Modules no regen driver runs: the lower bounds, the service and the
+#: trace export (nor any other driver).
+NOT_IN_REGEN = ("repro.lowerbounds", "repro.macsim.service",
+                "repro.analysis.export", "repro.macsim.columnar")
 
 RESOLVE_WPAXOS = """
 from repro.scenario import AlgorithmSpec, Scenario, TopologySpec
@@ -101,6 +111,32 @@ def test_entry_imports_load_only_what_they_run():
     for name in NOT_AT_ENTRY:
         assert not _under(loaded, name), f"{name} loaded at entry"
     assert len(_under(loaded, "repro")) <= 35, sorted(loaded)
+
+
+def _drivers(modules: set) -> set:
+    return {m for m in modules if m.startswith("repro.experiments.e")}
+
+
+def test_experiments_package_loads_no_driver():
+    loaded = _modules_loaded("-c", "import repro.experiments")
+    assert "repro.experiments" in loaded
+    assert not _drivers(loaded), sorted(_drivers(loaded))
+
+
+def test_regen_drivers_load_only_what_they_run():
+    loaded = _modules_loaded("-c", REGEN_DRIVERS)
+    assert _drivers(loaded) == set(MANIFEST_SOURCES.values())
+    for name in NOT_IN_REGEN:
+        assert not _under(loaded, name), f"{name} loaded by regen"
+    # 32 measured; every driver imported once all 14 (68).
+    assert len(_under(loaded, "repro")) <= 36, sorted(loaded)
+
+
+def test_a_lower_bound_loads_only_its_modules():
+    loaded = _modules_loaded("-c", "import repro.lowerbounds.steps")
+    assert "repro.lowerbounds.steps" in loaded
+    for name in ("anonymity", "partition", "indist"):
+        assert f"repro.lowerbounds.{name}" not in loaded
 
 
 def test_help_loads_no_algorithm():
