@@ -25,8 +25,7 @@ Importing the package loads none of this: every name below is
 resolved on first use (:mod:`repro._lazy`), so a process compiles only
 the modules its path runs -- ``from repro import WPaxosNode`` loads
 wPAXOS, not the baselines. See README.md for the architecture tour;
-``repro regen`` and ``python -m repro experiments`` regenerate the
-measured results.
+``repro regen`` regenerates the measured results (``EXPERIMENTS.md``).
 """
 
 from ._lazy import lazy_exports

@@ -10,11 +10,11 @@ from the :class:`~repro.analysis.cache.ResultCache`, resumed after an
 interruption (every completed cell is already on disk) and re-run only
 where a scenario or the cache salt changed.
 
-Migrated drivers (``MANIFEST_SOURCES``) declare their blocks once, in
-``manifest()``, and their ``run()`` executes that manifest
-(:meth:`ExperimentManifest.run`) -- so ``repro regen E9`` and
-``repro regen --manifest e9.manifest.json`` share cache entries cell
-for cell.
+A manifest driver is an E-driver whose module defines ``manifest()``
+(:func:`is_manifest_driver`): it declares its blocks once there, and
+its ``run()`` executes that manifest (:meth:`ExperimentManifest.run`)
+-- so ``repro regen E9`` and ``repro regen --manifest
+e9.manifest.json`` share cache entries cell for cell.
 
 :func:`regenerate` renders a deterministic per-block table (no
 timings, no environment) -- two regenerations from the same cells are
@@ -38,19 +38,6 @@ if TYPE_CHECKING:
     from .sweeps import SweepResult
 
 MANIFEST_SCHEMA = "manifest/v1"
-
-#: Experiment drivers that define their row blocks as manifests (the
-#: migrated set); each module exports ``manifest() -> ExperimentManifest``
-#: and a cache-aware ``run(cache=..., workers=...)``.
-MANIFEST_SOURCES: Dict[str, str] = {
-    "E1": "repro.experiments.e1_single_hop",
-    "E2": "repro.experiments.e2_wpaxos_scaling",
-    "E3": "repro.experiments.e3_baselines",
-    "E9": "repro.experiments.e9_unreliable_links",
-    "E12": "repro.experiments.e12_byzantine",
-    "E13": "repro.experiments.e13_churn",
-}
-
 
 class ManifestError(ScenarioError):
     """A manifest document could not be parsed or executed."""
@@ -328,24 +315,44 @@ class ExperimentManifest:
             handle.write("\n")
 
 
+def is_manifest_driver(module: Any) -> bool:
+    """Whether an experiment module is a manifest driver: the one
+    place that rule is written (``repro regen``, :func:`load_manifest`
+    and :func:`write_manifests` all ask here)."""
+    return hasattr(module, "manifest")
+
+
+def manifest_drivers(ids: Optional[List[str]] = None) -> Dict[str, Any]:
+    """Id -> module of each manifest driver among ``ids`` (default:
+    every driver in ``EXPERIMENTS``, each imported to ask); a named id
+    that is not one raises :class:`ManifestError`."""
+    from ..experiments import EXPERIMENTS
+    drivers = {}
+    for experiment_id in (i.upper() for i in ids or EXPERIMENTS):
+        name = EXPERIMENTS.get(experiment_id)
+        module = importlib.import_module(name) if name else None
+        if is_manifest_driver(module):
+            drivers[experiment_id] = module
+        elif ids:
+            raise ManifestError(
+                f"no manifest source for {experiment_id!r}: a manifest "
+                f"driver is an experiment module defining manifest()")
+    return drivers
+
+
 def load_manifest(experiment_id: str) -> ExperimentManifest:
-    """The manifest a migrated E-driver exports."""
-    module_name = MANIFEST_SOURCES.get(experiment_id.upper())
-    if module_name is None:
-        raise ManifestError(
-            f"no manifest source for {experiment_id!r}; migrated "
-            f"drivers: {', '.join(MANIFEST_SOURCES)}")
-    module = importlib.import_module(module_name)
-    return module.manifest()
+    """The manifest a manifest driver exports."""
+    (driver,) = manifest_drivers([experiment_id]).values()
+    return driver.manifest()
 
 
 def write_manifests(directory: str,
                     ids: Optional[List[str]] = None) -> List[str]:
-    """Write one ``<id>.manifest.json`` per migrated driver."""
+    """Write one ``<id>.manifest.json`` per manifest driver."""
     os.makedirs(directory, exist_ok=True)
     paths = []
-    for experiment_id in (ids or MANIFEST_SOURCES):
-        manifest = load_manifest(experiment_id)
+    for driver in manifest_drivers(ids).values():
+        manifest = driver.manifest()
         path = os.path.join(
             directory, f"{manifest.experiment.lower()}.manifest.json")
         manifest.dump(path)

@@ -1,7 +1,8 @@
 """ASCII table rendering for experiment reports.
 
 The experiment drivers and ``repro regen`` print their rows through
-this module, which keeps the formatting consistent and dependency-free.
+this module, which keeps the formatting consistent and dependency-free;
+``EXPERIMENTS.md`` is every table in its markdown form.
 """
 
 from __future__ import annotations

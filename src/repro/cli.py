@@ -7,11 +7,10 @@ Subcommands::
     python -m repro run --scenario saved_scenario.json
     python -m repro replay run.json
     python -m repro stats run.json
-    python -m repro experiments E3 E4
+    python -m repro regen E3 E4
     python -m repro regen --manifest results/MANIFEST.json
     python -m repro serve --groups 8 --shards 0 --clients 200
     python -m repro cache stats
-    python -m repro demo
 
 ``run`` executes one consensus instance and prints its metrics; every
 flag combination is internally a :class:`repro.scenario.Scenario`, so
@@ -26,8 +25,9 @@ user code). ``run --telemetry [out.json]`` collects run telemetry
 perturbing the trace; ``stats`` renders those histograms from a
 telemetry snapshot or *any* trace export -- deriving the spans from
 the records (vectorized on columnar files) when no snapshot is
-embedded. ``experiments`` forwards to the E1-E14 drivers; ``demo``
-runs the impossibility tour.
+embedded. ``regen`` runs the E1-E14 experiment drivers (all of them
+by default) and prints their tables; ``EXPERIMENTS.md`` is its
+``--fresh --markdown`` output.
 
 ``serve`` drives the consensus-as-a-service stack
 (:mod:`repro.macsim.service`): a closed-loop Zipf/lognormal client
@@ -68,14 +68,6 @@ RUN_DEFAULTS = {
 }
 
 
-def parse_topology(spec: str):
-    """Parse ``name[:args]`` topology specs, e.g. ``grid:4x6``."""
-    try:
-        return parse_topology_spec(spec).build()
-    except (UnknownNameError, ScenarioError, ValueError) as exc:
-        raise SystemExit(str(exc)) from None
-
-
 def _scheduler_accepts(name: str, param: str) -> bool:
     import inspect
     try:
@@ -83,11 +75,6 @@ def _scheduler_accepts(name: str, param: str) -> bool:
     except UnknownNameError as exc:
         raise SystemExit(str(exc)) from None
     return param in inspect.signature(builder).parameters
-
-
-def make_scheduler(name: str, f_ack: float, seed: int):
-    params = {"f_ack": f_ack} if _scheduler_accepts(name, "f_ack") else {}
-    return SchedulerSpec(name, **params).build(seed=seed)
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
@@ -354,14 +341,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_experiments(args: argparse.Namespace) -> int:
-    from .experiments.__main__ import main as experiments_main
-    forwarded = list(args.ids)
-    if args.markdown:
-        forwarded.append("--markdown")
-    return experiments_main(forwarded)
-
-
 def cmd_regen(args: argparse.Namespace) -> int:
     """Regenerate experiment tables through the sweep fabric.
 
@@ -370,14 +349,17 @@ def cmd_regen(args: argparse.Namespace) -> int:
     executor and are persisted as they complete, so an
     interrupted regeneration resumes and only invalidated cells
     (changed scenario or cache salt) re-run.
+
+    Ids name drivers in ``repro.experiments.EXPERIMENTS`` (default:
+    all of them, in table order). A manifest driver -- its module
+    defines ``manifest()`` -- runs its cells through the cache; any
+    other driver runs fresh.
     """
-    import inspect
     import os
-    from .analysis import manifests as manifests_module
     from .analysis.cache import ResultCache
     from .analysis.manifests import (ExperimentManifest,
-                                     ManifestError, regenerate,
-                                     write_manifests)
+                                     ManifestError, is_manifest_driver,
+                                     regenerate, write_manifests)
 
     if args.progress:
         os.environ["MACSIM_SWEEP_PROGRESS"] = "1"
@@ -411,23 +393,14 @@ def cmd_regen(args: argparse.Namespace) -> int:
         from importlib import import_module
 
         from .experiments import EXPERIMENTS, known_ids
-        wanted = (known_ids(args.ids) if args.ids
-                  else list(manifests_module.MANIFEST_SOURCES))
-        for experiment_id in wanted:
+        for experiment_id in known_ids(args.ids or EXPERIMENTS):
             module = import_module(EXPERIMENTS[experiment_id])
-            parameters = inspect.signature(module.run).parameters
-            kwargs = {}
+            manifest_driver = is_manifest_driver(module)
             before = ((cache.hits, cache.misses)
                       if cache is not None else (0, 0))
-            if "cache" in parameters:
-                kwargs["cache"] = cache
-                if "workers" in parameters:
-                    kwargs["workers"] = args.workers
-            else:
-                print(f"note: {experiment_id} is not manifest-"
-                      f"migrated; running fresh", file=sys.stderr)
-            report = module.run(**kwargs)
-            if cache is not None and "cache" in parameters:
+            report = (module.run(cache=cache, workers=args.workers)
+                      if manifest_driver else module.run())
+            if cache is not None and manifest_driver:
                 block_stats.append({
                     "experiment": experiment_id,
                     "block": "*",
@@ -870,30 +843,6 @@ def _parse_bytes(text: str) -> int:
         raise SystemExit(f"--max-bytes: cannot parse {text!r}")
 
 
-def cmd_demo(_args: argparse.Namespace) -> int:
-    import importlib.util
-    import os
-    path = os.path.join(os.path.dirname(__file__), "..", "..",
-                        "examples", "impossibility_tour.py")
-    if os.path.exists(path):
-        spec = importlib.util.spec_from_file_location("tour", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        module.main()
-        return 0
-    # Installed without the examples directory: run inline.
-    from .lowerbounds import (build_witness_deadlock_execution,
-                              kd_violation_demo, run_anonymity_demo)
-    sim = build_witness_deadlock_execution()
-    result = sim.run(max_time=300.0)
-    print("crash demo decisions:", result.decisions)
-    print("anonymity demo violated:",
-          run_anonymity_demo(d=2, k=0).agreement_violated)
-    print("K_D demo violated:",
-          kd_violation_demo(4).agreement_violated)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1002,26 +951,18 @@ def build_parser() -> argparse.ArgumentParser:
                               "instead of tables")
     stats_p.set_defaults(func=cmd_stats)
 
-    exp_p = sub.add_parser("experiments",
-                           help="regenerate experiment tables")
-    exp_p.add_argument("ids", nargs="*",
-                       help="experiment ids (default: all)")
-    exp_p.add_argument("--markdown", action="store_true")
-    exp_p.set_defaults(func=cmd_experiments)
-
     regen_p = sub.add_parser(
         "regen", help="regenerate experiment tables through the "
                       "scenario-hash result cache")
     regen_p.add_argument("ids", nargs="*",
-                         help="experiment ids (default: every "
-                              "manifest-migrated driver)")
+                         help="experiment ids (default: all, E1-E14)")
     regen_p.add_argument("--manifest", action="append", default=[],
                          metavar="FILE",
                          help="regenerate from a manifest JSON file "
                               "instead of a driver (repeatable)")
     regen_p.add_argument("--write-manifests", metavar="DIR",
-                         help="write each driver's manifest JSON to "
-                              "DIR and exit")
+                         help="write each manifest driver's manifest "
+                              "JSON to DIR and exit")
     regen_p.add_argument("--cache", metavar="DIR",
                          help="cache directory (default: "
                               "$MACSIM_CACHE_DIR or .macsim-cache)")
@@ -1169,9 +1110,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="machine-readable stats output")
     cache_p.set_defaults(func=cmd_cache)
 
-    demo_p = sub.add_parser("demo",
-                            help="run the impossibility tour")
-    demo_p.set_defaults(func=cmd_demo)
     return parser
 
 

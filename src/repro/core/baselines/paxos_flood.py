@@ -106,7 +106,8 @@ class PaxosFloodNode(ConsensusProcess):
                 and not isinstance(message, FloodMessage)):
             return
         # Exact-class dispatch, responses first: a bottleneck node
-        # forwards Theta(n) of them for every other part it sees.
+        # forwards Theta(n) of them for every other part it sees. A
+        # part of any other class is ignored.
         for part in message.parts:
             cls = part.__class__
             if cls is FloodedResponse:
@@ -118,21 +119,8 @@ class PaxosFloodNode(ConsensusProcess):
                 self._handle_proposer_part(part)
             elif cls is DecidePart:
                 self._handle_decide(part)
-            else:
-                self._handle_part_fallback(part)
         if not self._mac_pending:
             self._pump()
-
-    def _handle_part_fallback(self, part: Any) -> None:
-        """isinstance-based dispatch for subclassed message parts."""
-        if isinstance(part, LeaderPart):
-            self._handle_leader(part)
-        elif isinstance(part, ProposerPart):
-            self._handle_proposer_part(part)
-        elif isinstance(part, FloodedResponse):
-            self._handle_response(part)
-        elif isinstance(part, DecidePart):
-            self._handle_decide(part)
 
     def on_ack(self) -> None:
         self._pump()

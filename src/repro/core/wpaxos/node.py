@@ -90,8 +90,8 @@ class WPaxosNode(ConsensusProcess):
         self._last_change_state = None
         self._decide_flooded = False
 
-        # Exact-type dispatch for the receive hot path; unknown or
-        # subclassed parts fall back to the isinstance chain.
+        # Exact-type dispatch for the receive hot path; a part of any
+        # other class is ignored.
         self._part_handlers = {
             LeaderPart: self.leader_svc.on_receive,
             ChangePart: self.change_svc.on_receive,
@@ -120,8 +120,6 @@ class WPaxosNode(ConsensusProcess):
             handler = handlers.get(part.__class__)
             if handler is not None:
                 handler(part)
-            else:
-                self._handle_part_fallback(part)
         # Inlined body of _note_possible_change (receive hot path);
         # keep in sync with that method.
         leader = self.leader_svc.leader
@@ -131,21 +129,6 @@ class WPaxosNode(ConsensusProcess):
             self.change_svc.on_local_change()
         if not self._mac_pending:
             self._pump()
-
-    def _handle_part_fallback(self, part: Any) -> None:
-        """isinstance-based dispatch for subclassed message parts."""
-        if isinstance(part, LeaderPart):
-            self.leader_svc.on_receive(part)
-        elif isinstance(part, ChangePart):
-            self.change_svc.on_receive(part)
-        elif isinstance(part, SearchPart):
-            self.tree_svc.on_receive(part)
-        elif isinstance(part, ProposerPart):
-            self._handle_proposer_part(part)
-        elif isinstance(part, ResponsePart):
-            self._handle_response_part(part)
-        elif isinstance(part, DecidePart):
-            self._handle_decide_part(part)
 
     def on_ack(self) -> None:
         self._pump()

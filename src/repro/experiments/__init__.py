@@ -1,10 +1,13 @@
 """Experiment drivers regenerating the paper's results (E1-E14).
 
-Run everything with ``python -m repro.experiments``, or one at a time
-with ``python -m repro.experiments.e1_single_hop`` etc.; the
-manifest-migrated drivers also run through ``repro regen`` (README
-"Sweep fabric"). :data:`EXPERIMENTS` names each driver's module, and
-a driver is imported only when it runs.
+``repro regen`` runs them: every driver by default, or the ids it is
+given (``repro regen E3 E4``); ``EXPERIMENTS.md`` at the repository
+root is the committed output of ``repro regen --fresh --markdown``.
+:data:`EXPERIMENTS` names each driver's module, and a driver is
+imported only when it runs. A driver whose module defines
+``manifest()`` is a manifest driver: its ``run(cache=, workers=)``
+executes those scenario cells through the result cache (README
+"Sweep fabric").
 """
 
 from typing import Iterable, List

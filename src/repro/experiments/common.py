@@ -1,9 +1,9 @@
 """Shared experiment-report plumbing.
 
-Every experiment driver (``e1_single_hop`` ... ``e8_ablations``)
+Every experiment driver (``e1_single_hop`` ... ``e14_service``)
 produces an :class:`ExperimentReport`: a titled table plus free-text
-conclusions. ``python -m repro.experiments`` runs them all and prints
-their tables.
+conclusions. ``repro regen`` runs them all and prints their tables;
+``EXPERIMENTS.md`` is that output in markdown.
 """
 
 from __future__ import annotations

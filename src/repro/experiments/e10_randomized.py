@@ -96,11 +96,3 @@ def run(*, configs=CONFIGS, seeds=SEEDS) -> ExperimentReport:
         "validity intact: randomization escapes the impossibility, "
         "as the paper anticipated")
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -173,11 +173,3 @@ def run(*, clique_n=CLIQUE_N, multihop_n=MULTIHOP_N,
         f"{decides} ({len(result.trace)} trace records)",
         ok=not violation.agreement)
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

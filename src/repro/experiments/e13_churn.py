@@ -212,11 +212,3 @@ def run(*, rates=RATES, algorithms=ALGORITHMS,
         f"graphs are the main casualties). Mean decided wPAXOS "
         f"latency by churn rate: {trend}", ok=stalled < decided)
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -142,7 +142,3 @@ def run(*, grid=GRID, loads=LOADS, requests_per_client=2,
         ok=monotone_cells >= max(1, len(grid) // 2))
 
     return report
-
-
-if __name__ == "__main__":
-    print(run().render())

@@ -135,11 +135,3 @@ def run(*, n_sweep=N_SWEEP, f_sweep=F_SWEEP,
         "admits an agreement violation; corrected check (R1 u R2) "
         "used -- see tests/test_twophase.py::TestErratum")
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -143,11 +143,3 @@ def run(*, line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
         f"time vs F_ack at D=12: slope={f_slope:.1f} (claim: linear "
         f"in F_ack)", ok=f_slope > 0)
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -13,8 +13,8 @@ records:
 All series are declarative scenario grids: one base
 :class:`~repro.scenario.Scenario` per algorithm over correlated
 ``(topology.arms, topology.size)`` axes, declared once in
-``manifest()`` -- ``repro regen E3`` and ``repro experiments E3``
-share cells.
+``manifest()`` -- ``repro regen E3`` and ``repro regen --manifest``
+of its exported manifest share cells.
 """
 
 from __future__ import annotations
@@ -128,11 +128,3 @@ def run(*, arm_sweep=ARM_SWEEP, cache=None,
         f"{fp[1]:.0f} rounds -- x{fp[1] / wp[1]:.1f} speedup "
         f"(claim: ~n/D factor)", ok=fp[1] > 2 * wp[1])
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

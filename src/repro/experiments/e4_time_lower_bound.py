@@ -66,11 +66,3 @@ def run(*, diameters=DIAMETERS, f_ack: float = 2.0) -> ExperimentReport:
         "deciding before the bound forces the partition argument's "
         "agreement violation (eager strawman, split inputs)")
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

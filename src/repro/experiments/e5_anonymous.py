@@ -59,11 +59,3 @@ def run(*, parameters=PARAMETERS) -> ExperimentReport:
     report.conclude(f"construction properties verified for {checked} "
                     f"(d, k) pairs")
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -74,11 +74,3 @@ def run(*, diameters=DIAMETERS) -> ExperimentReport:
         "wPAXOS, which uses n for majorities, is correct on every "
         "K_D tested (knowledge of n is what breaks the symmetry)")
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

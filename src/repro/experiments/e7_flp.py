@@ -104,11 +104,3 @@ def run() -> ExperimentReport:
             and crashed == {0}
             and consensus.agreement))
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

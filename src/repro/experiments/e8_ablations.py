@@ -13,16 +13,45 @@ measured:
   per change" vs the learned-number policy; also records proposal
   counts, checking Lemma 4.4's "tags stay polynomial" in practice
   (proposals per node stay tiny).
+
+The two toggle pairs are scenario cells declared once in
+``manifest()``; the retry runs stay outside it (see ``run``).
 """
 
 from __future__ import annotations
 
-from ..analysis import parallel_sweep, run_consensus
+from ..analysis import run_consensus
 from ..core.wpaxos import (RETRY_LEARNED, RETRY_PAPER, SafetyMonitor,
                            WPaxosConfig, WPaxosNode)
 from ..macsim.schedulers import SynchronousScheduler
-from ..topology import line, star_of_cliques
+from ..scenario import AlgorithmSpec, Scenario, SchedulerSpec, TopologySpec
+from ..topology import line
 from .common import ExperimentReport
+
+#: The two toggled mechanisms, each swept (on, off) on the topology
+#: where it matters: ``(block, wpaxos param, topology, label)``.
+TOGGLES = (
+    ("aggregation", "aggregation",
+     TopologySpec("star-of-cliques", arms=6, size=10),
+     "star_of_cliques(6,10)"),
+    ("tree-priority", "tree_priority", TopologySpec("line", n=40),
+     "line(40)"),
+)
+
+
+def manifest():
+    """This experiment's toggle pairs as a scenario-native manifest."""
+    from ..analysis.manifests import ExperimentManifest, ManifestBlock
+    blocks = [
+        ManifestBlock(name, Scenario(
+            algorithm=AlgorithmSpec("wpaxos"), topology=topology,
+            scheduler=SchedulerSpec("synchronous", f_ack=1.0),
+            label=label, trace_level="decisions"),
+            axes={f"algorithm.{param}": [True, False]})
+        for name, param, topology, label in TOGGLES]
+    return ExperimentManifest(
+        experiment="E8", title="wPAXOS design-choice ablations",
+        blocks=blocks)
 
 
 def _run(graph, config: WPaxosConfig, label: str, topology: str):
@@ -34,30 +63,11 @@ def _run(graph, config: WPaxosConfig, label: str, topology: str):
                                           config))
 
 
-def _toggle_sweep(name: str, graph, topology: str, make_config):
-    """Run the (on, off) ablation pair as one parallel sweep.
-
-    ``x=1.0`` encodes the toggle on, ``x=0.0`` off; ``make_config``
-    maps the boolean to a :class:`WPaxosConfig`.
-    """
-    uid = {v: i + 1 for i, v in enumerate(graph.nodes)}
-
-    def build(x):
-        config = make_config(bool(x))
-        return dict(graph=graph, scheduler=SynchronousScheduler(1.0),
-                    factory=lambda v, val: WPaxosNode(uid[v], val,
-                                                      graph.n, config),
-                    topology=topology)
-
-    result = parallel_sweep(name, (1.0, 0.0), build)
-    return {True: result.points[0].metrics,
-            False: result.points[1].metrics}
-
-
-def run() -> ExperimentReport:
+def run(*, cache=None, workers=None) -> ExperimentReport:
+    plan = manifest()
     report = ExperimentReport(
         experiment_id="E8",
-        title="wPAXOS design-choice ablations",
+        title=plan.title,
         paper_claim=("Section 4.2: aggregation and leader-priority "
                      "trees are what turn O(n * F_ack) into "
                      "O(D * F_ack)"),
@@ -65,18 +75,16 @@ def run() -> ExperimentReport:
                  "decision time", "max bcasts/node"],
     )
 
-    # --- aggregation on/off at a bottleneck (parallel pair) ------------
-    graph = star_of_cliques(6, 10)
-    agg_metrics = _toggle_sweep(
-        "wpaxos-aggregation", graph, "star_of_cliques(6,10)",
-        lambda on: WPaxosConfig(aggregation=on))
+    results = plan.run(cache=cache, workers=workers)
+
+    # --- aggregation on/off at a bottleneck ----------------------------
     agg_times = {}
-    for aggregation in (True, False):
+    for point in results["aggregation"].points:
+        aggregation, metrics = point.key, point.metrics
         label = f"aggregation={'on' if aggregation else 'off'}"
-        metrics = agg_metrics[aggregation]
         agg_times[aggregation] = (metrics.last_decision,
                                   metrics.max_broadcasts_per_node)
-        report.add_row(label, "soc(6,10)", graph.n, metrics.correct,
+        report.add_row(label, "soc(6,10)", metrics.n, metrics.correct,
                        metrics.last_decision,
                        metrics.max_broadcasts_per_node)
         if not metrics.correct:
@@ -89,17 +97,13 @@ def run() -> ExperimentReport:
         f"bottleneck (Theta(D) vs Theta(n) responses)",
         ok=agg_times[False][0] > 1.5 * agg_times[True][0])
 
-    # --- tree priority on/off on a long line (parallel pair) -----------
-    graph = line(40)
-    prio_metrics = _toggle_sweep(
-        "wpaxos-tree-priority", graph, "line(40)",
-        lambda on: WPaxosConfig(tree_priority=on))
+    # --- tree priority on/off on a long line ---------------------------
     prio_times = {}
-    for priority in (True, False):
+    for point in results["tree-priority"].points:
+        priority, metrics = point.key, point.metrics
         label = f"tree_priority={'on' if priority else 'off'}"
-        metrics = prio_metrics[priority]
         prio_times[priority] = metrics.last_decision
-        report.add_row(label, "line(40)", graph.n, metrics.correct,
+        report.add_row(label, "line(40)", metrics.n, metrics.correct,
                        metrics.last_decision,
                        metrics.max_broadcasts_per_node)
     report.conclude(
@@ -110,8 +114,8 @@ def run() -> ExperimentReport:
         ok=prio_times[True] <= prio_times[False])
 
     # --- retry policies + Lemma 4.2/4.4 bookkeeping --------------------
-    # Stays sequential: the SafetyMonitor accumulates in-process state
-    # that a forked sweep worker could not ship back.
+    # Not manifest cells: the SafetyMonitor accumulates in-process
+    # state that a forked sweep worker could not ship back.
     for policy in (RETRY_PAPER, RETRY_LEARNED):
         monitor = SafetyMonitor()
         graph = line(20)
@@ -127,11 +131,3 @@ def run() -> ExperimentReport:
         "Lemma 4.2 conservation monitor observed no violation in "
         "either run")
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

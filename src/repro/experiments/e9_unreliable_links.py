@@ -129,11 +129,3 @@ def run(*, probs=PROBS, seeds=SEEDS, cache=None,
         "bound is an open question, not a routine extension",
         ok=liveness_ever_lost)
     return report
-
-
-def main() -> None:
-    print(run().render())
-
-
-if __name__ == "__main__":
-    main()

@@ -2,8 +2,8 @@
 
 Every axis of a consensus run -- which algorithm, which topology,
 which scheduler, which fault model -- used to be spelled as a string
-table somewhere: the CLI's ``ALGORITHMS`` tuple, ``parse_topology``'s
-if-chain, each experiment driver's bespoke factory wiring. This module
+table somewhere: the CLI's ``ALGORITHMS`` tuple, its topology
+parser's if-chain, each experiment driver's bespoke factory wiring. This module
 replaces those tables with extensible :class:`Registry` instances that
 the :mod:`repro.scenario` specs resolve through, so a new algorithm or
 topology registered once is immediately available to the CLI, the

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from tests.helpers import run_and_check
 from repro.core.baselines import GatherAllConsensus, PaxosFloodNode
+from repro.core.baselines.paxos_flood import FloodMessage
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.topology import (clique, grid, line, random_connected,
@@ -84,6 +85,37 @@ class TestPaxosFlood:
         for v in graph.nodes:
             assert sim.process_at(v).proposals_generated <= 1
         assert sim.process_at(5).proposals_generated == 1
+
+
+class ForeignPart:
+    """A part of no class the node dispatches on."""
+
+    def id_footprint(self) -> int:
+        return 0
+
+
+class ForeignPartFloodNode(PaxosFloodNode):
+    """Flooding PAXOS that appends a :class:`ForeignPart` to every
+    broadcast."""
+
+    def broadcast(self, message):
+        return super().broadcast(
+            FloodMessage(parts=message.parts + (ForeignPart(),)))
+
+
+class TestPaxosFloodForeignParts:
+    def test_unknown_parts_are_ignored(self):
+        # The same run with every message carrying an unknown part
+        # decides the same values at the same times.
+        graph = grid(3, 3)
+        uid = {v: i + 1 for i, v in enumerate(graph.nodes)}
+        runs = []
+        for node in (PaxosFloodNode, ForeignPartFloodNode):
+            result, report = run_and_check(
+                graph, lambda v, val, node=node: node(uid[v], val, graph.n),
+                SynchronousScheduler(1.0))
+            runs.append((report.decisions, result.decision_times))
+        assert runs[0] == runs[1]
 
 
 class TestBottleneckScaling:

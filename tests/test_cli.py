@@ -1,44 +1,52 @@
 """Command line interface tests."""
 
-import os
-import pathlib
-import subprocess
 import sys
+import types
 
 import pytest
 
-from repro.cli import main, make_scheduler, parse_topology
+import repro.experiments
+from repro.analysis.cache import ResultCache
+from repro.cli import main
+from repro.experiments.common import ExperimentReport
+from repro.registry import UnknownNameError
+from repro.scenario import SchedulerSpec, parse_topology_spec
 
 
 class TestTopologyParsing:
     def test_known_specs(self):
-        assert parse_topology("clique:6").n == 6
-        assert parse_topology("line:10").diameter() == 9
-        assert parse_topology("grid:3x4").n == 12
-        assert parse_topology("star:7").degree(0) == 6
-        assert parse_topology("ring:6").n == 6
-        assert parse_topology("star-of-cliques:3x4").n == 13
-        assert parse_topology("random:12:3").n == 12
-        assert parse_topology("geometric:10:1").n == 10
+        assert parse_topology_spec("clique:6").build().n == 6
+        assert parse_topology_spec("line:10").build().diameter() == 9
+        assert parse_topology_spec("grid:3x4").build().n == 12
+        assert parse_topology_spec("star:7").build().degree(0) == 6
+        assert parse_topology_spec("ring:6").build().n == 6
+        assert parse_topology_spec("star-of-cliques:3x4").build().n == 13
+        assert parse_topology_spec("random:12:3").build().n == 12
+        assert parse_topology_spec("geometric:10:1").build().n == 10
 
     def test_defaults(self):
-        assert parse_topology("clique").n == 8
-        assert parse_topology("grid").n == 16
+        assert parse_topology_spec("clique").build().n == 8
+        assert parse_topology_spec("grid").build().n == 16
 
     def test_unknown_rejected(self):
+        with pytest.raises(UnknownNameError):
+            parse_topology_spec("hypercube:4").build()
         with pytest.raises(SystemExit):
-            parse_topology("hypercube:4")
+            main(["run", "--topology", "hypercube:4"])
 
 
 class TestSchedulerParsing:
     def test_known(self):
-        assert make_scheduler("synchronous", 2.0, 0).f_ack == 2.0
-        assert make_scheduler("random", 1.0, 5).f_ack == 1.0
-        assert make_scheduler("max-delay", 3.0, 0).f_ack == 3.0
+        assert SchedulerSpec("synchronous", f_ack=2.0).build(
+            seed=0).f_ack == 2.0
+        assert SchedulerSpec("random", f_ack=1.0).build(
+            seed=5).f_ack == 1.0
+        assert SchedulerSpec("max-delay", f_ack=3.0).build(
+            seed=0).f_ack == 3.0
 
     def test_unknown_rejected(self):
-        with pytest.raises(SystemExit):
-            make_scheduler("quantum", 1.0, 0)
+        with pytest.raises(UnknownNameError):
+            SchedulerSpec("quantum", f_ack=1.0).build(seed=0)
 
 
 class TestRunCommand:
@@ -226,45 +234,77 @@ UNKNOWN_E99 = ("unknown experiment ids: E99 (known: "
                + ", ".join(f"E{n}" for n in range(1, 15)) + ")")
 
 
-class TestExperimentsCommand:
-    def test_forwards_to_driver(self, capsys):
-        code = main(["experiments", "E7"])
+class TestRegenCommand:
+    def test_runs_a_driver(self, capsys):
+        code = main(["regen", "E7", "--fresh"])
         assert code == 0
         out = capsys.readouterr().out
         assert "E7 PASSED" in out
 
     def test_unknown_id_exits_naming_the_known_ones(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["experiments", "E7", "E99"])
+            main(["regen", "E7", "E99"])
         assert str(exc.value) == UNKNOWN_E99
         assert capsys.readouterr().out == ""
 
-    def test_package_entry_point_rejects_unknown_id(self):
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "E99"],
-            capture_output=True, text=True, timeout=60, env=env)
-        assert done.returncode == 1
-        assert done.stderr.strip() == UNKNOWN_E99
-        assert done.stdout == ""
-
-
-class TestDemoCommand:
-    def test_demo_runs_the_tour(self, capsys):
-        code = main(["demo"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert ("All three lower bounds reproduced." in out
-                or "violated" in out)
-
-
-class TestExperimentsMarkdown:
-    def test_markdown_flag_forwarded(self, capsys):
-        code = main(["experiments", "E7", "--markdown"])
+    def test_markdown_flag(self, capsys):
+        code = main(["regen", "E7", "--fresh", "--markdown"])
         assert code == 0
         out = capsys.readouterr().out
         assert "### E7" in out
+
+    def test_no_ids_runs_every_driver_in_table_order(self, stand_ins,
+                                                     capsys):
+        assert main(["regen", "--fresh"]) == 0
+        assert [eid for eid, _ in stand_ins] == ["FA", "FB", "FC"]
+        out = capsys.readouterr().out
+        assert (out.index("=> FA PASSED") < out.index("=> FB PASSED")
+                < out.index("=> FC PASSED"))
+
+    def test_only_manifest_drivers_get_cache_and_workers(
+            self, stand_ins, tmp_path, capsys):
+        assert main(["regen", "FB", "FA", "--cache", str(tmp_path),
+                     "--workers", "1"]) == 0
+        assert [eid for eid, _ in stand_ins] == ["FB", "FA"]
+        assert stand_ins[0][1] == {}
+        kwargs = stand_ins[1][1]
+        assert sorted(kwargs) == ["cache", "workers"]
+        assert isinstance(kwargs["cache"], ResultCache)
+        assert kwargs["workers"] == 1
+        out, err = capsys.readouterr()
+        assert "cache: FA/*: 0 hits / 0 misses (0 cells)" in out
+        assert "cache: FB" not in out
+        assert err == ""
+
+    @pytest.mark.parametrize("command", ["experiments", "demo"])
+    def test_removed_runners_are_usage_errors(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.fixture
+def stand_ins(monkeypatch):
+    """Replaces the driver table with three stand-in drivers, FA and FC
+    defining ``manifest()``; returns the log of ``(id, run kwargs)``."""
+    calls = []
+    table = {}
+    for eid, manifest_driver in (("FA", True), ("FB", False),
+                                 ("FC", True)):
+        module = types.ModuleType(f"stand_in_{eid.lower()}")
+
+        def run(eid=eid, **kwargs):
+            calls.append((eid, kwargs))
+            return ExperimentReport(eid, "stand-in", "none", ["x"])
+
+        module.run = run
+        if manifest_driver:
+            module.manifest = lambda: None
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        table[eid] = module.__name__
+    monkeypatch.setattr(repro.experiments, "EXPERIMENTS", table)
+    return calls
 
 
 class TestRegistryCatalogues:
@@ -284,19 +324,22 @@ class TestRegistryCatalogues:
             assert name in out
 
     def test_unknown_names_list_the_registry(self):
-        import pytest as _pytest
-        with _pytest.raises(SystemExit) as err:
-            parse_topology("hypercube:4")
+        with pytest.raises(UnknownNameError) as err:
+            parse_topology_spec("hypercube:4").build()
         assert "registered:" in str(err.value)
         assert "clique" in str(err.value)
-        with _pytest.raises(SystemExit) as err:
-            make_scheduler("quantum", 1.0, 0)
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--topology", "hypercube:4"])
+        assert "registered:" in str(err.value)
+        assert "clique" in str(err.value)
+        with pytest.raises(UnknownNameError) as err:
+            SchedulerSpec("quantum", f_ack=1.0).build(seed=0)
         assert "registered:" in str(err.value)
         assert "synchronous" in str(err.value)
 
     def test_topology_kv_params(self):
-        dense = parse_topology("random:n=12,density=0.6,seed=1")
-        sparse = parse_topology("random:n=12,density=0.1,seed=1")
+        dense = parse_topology_spec("random:n=12,density=0.6,seed=1").build()
+        sparse = parse_topology_spec("random:n=12,density=0.1,seed=1").build()
         assert dense.n == sparse.n == 12
         assert dense.edge_count > sparse.edge_count
 
@@ -473,8 +516,8 @@ class TestReviewRegressions:
         assert "MaxDelayScheduler" in out
         assert "f_ack=4.0" in out
 
-    def test_make_scheduler_without_f_ack_knob(self):
-        sched = make_scheduler("staggered", 2.0, 0)
+    def test_scheduler_without_f_ack_knob(self):
+        sched = SchedulerSpec("staggered").build(seed=0)
         assert type(sched).__name__ == "StaggeredScheduler"
 
     def test_knobless_scheduler_from_plain_flags(self, capsys):

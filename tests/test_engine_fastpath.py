@@ -165,17 +165,17 @@ class TestBroadcastRecordLifetime:
         (), (CrashPlan(0, 3.5, still_delivered=(1,)),
              CrashPlan(5, 40.25)),
     ], ids=["crash-free", "crash-plan"])
-    @pytest.mark.parametrize("make_scheduler,validate", [
+    @pytest.mark.parametrize("new_scheduler,validate", [
         (lambda: SynchronousScheduler(1.0), None),
         (lambda: RandomDelayScheduler(1.0, seed=5), None),
         (lambda: RandomDelayScheduler(1.0, seed=5), True),
     ], ids=["synchronous", "random", "random-validated"])
     def test_only_inflight_records_survive_a_long_run(
-            self, make_scheduler, validate, crashes):
+            self, new_scheduler, validate, crashes):
         graph = clique(8)
         before = live_broadcast_records()
         sim = build_simulation(graph, lambda v: Chatter(v),
-                               make_scheduler(),
+                               new_scheduler(),
                                fault_model=CrashFaultModel(crashes),
                                validate_plans=validate,
                                trace_level=TraceLevel.DECISIONS)

@@ -1,21 +1,23 @@
-"""Experiment driver smoke tests: every E-module regenerates and passes.
+"""Experiment driver smoke tests: the drivers that are not manifest
+drivers regenerate and pass.
 
 The heavier drivers are run with reduced sweeps where parameters
 allow; the assertions are the experiments' own pass/fail conclusions.
+The manifest drivers (E1/E2/E3/E8/E9/E11/E12/E13) run at full size in
+``tests/test_regen_golden.py``, which pins each rendered table -- its
+``=> EN PASSED`` line and conclusions included -- byte for byte.
 """
 
 import hashlib
 
 import pytest
 
-from repro.experiments import (e1_single_hop, e2_wpaxos_scaling,
-                               e3_baselines, e4_time_lower_bound,
-                               e5_anonymous, e6_unknown_n, e7_flp,
-                               e8_ablations)
+from repro.experiments import (e4_time_lower_bound, e5_anonymous,
+                               e6_unknown_n, e7_flp)
 from repro.experiments.common import ExperimentReport
 
 #: sha256 of the default ``run().render()`` of the two crash-plan
-#: experiments.
+#: experiments (E8's and E11's are pinned in test_regen_golden.py).
 E7_RENDER_SHA256 = (
     "c6944473488d2977ae1e49d18792ad8a2807c1f31ff044de1b88d66a30d328ad")
 E10_RENDER_SHA256 = (
@@ -48,22 +50,6 @@ class TestReportPlumbing:
 
 
 class TestExperimentDrivers:
-    def test_e1(self):
-        report = e1_single_hop.run(n_sweep=(1, 3, 8, 21),
-                                   f_sweep=(1.0, 2.0, 4.0),
-                                   random_seeds=range(2))
-        assert report.passed, report.render()
-
-    def test_e2(self):
-        report = e2_wpaxos_scaling.run(
-            line_diameters=(4, 9, 19), clique_sizes=(4, 8, 16),
-            f_sweep=(1.0, 2.0))
-        assert report.passed, report.render()
-
-    def test_e3(self):
-        report = e3_baselines.run(arm_sweep=((4, 6), (6, 8), (8, 10)))
-        assert report.passed, report.render()
-
     def test_e4(self):
         report = e4_time_lower_bound.run(diameters=(4, 8))
         assert report.passed, report.render()
@@ -83,18 +69,8 @@ class TestExperimentDrivers:
         # whole report is pinned byte for byte.
         assert _sha256(report.render()) == E7_RENDER_SHA256
 
-    def test_e8(self):
-        report = e8_ablations.run()
-        assert report.passed, report.render()
-
 
 class TestExtensionExperiments:
-    def test_e9(self):
-        from repro.experiments import e9_unreliable_links
-        report = e9_unreliable_links.run(probs=(0.0, 0.25, 1.0),
-                                         seeds=range(3))
-        assert report.passed, report.render()
-
     def test_e10(self):
         from repro.experiments import e10_randomized
         report = e10_randomized.run(configs=((3, 1), (5, 2)),
@@ -105,15 +81,3 @@ class TestExtensionExperiments:
         # Ben-Or under crash plans, the default sweep, byte for byte.
         from repro.experiments import e10_randomized
         assert _sha256(e10_randomized.run().render()) == E10_RENDER_SHA256
-
-    def test_e11(self):
-        from repro.experiments import e11_fprog
-        report = e11_fprog.run(f_progs=(8.0, 2.0, 1.0))
-        assert report.passed, report.render()
-
-    def test_e12(self):
-        from repro.experiments import e12_byzantine
-        report = e12_byzantine.run(clique_n=11, multihop_n=12)
-        assert report.passed, report.render()
-        # The past-the-bound row must actually record the violation.
-        assert any("violated" in c for c in report.conclusions)

@@ -5,10 +5,12 @@ Every package ``__init__`` exports through one PEP 562 table
 :mod:`repro.scenario` imports the class it builds. Nothing imports a
 name until it is used, so these tests use every one: each exported
 name against its defining module, and each registered built-in once
-with its defaults. A fresh interpreter pins the two behaviours that
-depend on import order -- a user registration shadows the built-in of
-the same name, and forked shards and sweep workers inherit the
-algorithm modules the parent resolved before forking.
+with its defaults. A fresh interpreter pins the behaviours that depend
+on import order -- a user registration shadows the built-in of the
+same name, forked shards and sweep workers inherit the algorithm
+modules the parent resolved before forking, and the manifest module
+imports an experiment driver only when it loads that driver's
+manifest.
 """
 
 import importlib
@@ -228,3 +230,25 @@ def test_parent_resolves_before_it_forks():
     the parent resolves each scenario it forks for, and no ``repro``
     module is first imported inside a shard or a sweep worker."""
     assert _fresh(PRE_FORK) == "inherited"
+
+
+MANIFESTS = """
+import sys
+
+def drivers():
+    return sorted(m for m in sys.modules
+                  if m.startswith("repro.experiments."))
+
+from repro.analysis.manifests import load_manifest
+assert drivers() == [], drivers()
+load_manifest("E9")
+print(" ".join(drivers()))
+"""
+
+
+def test_manifests_import_only_the_driver_they_load():
+    """Every ledger set-up imports :mod:`repro.analysis.manifests`,
+    which imports no experiment driver; ``load_manifest`` imports the
+    one driver it is asked for."""
+    assert _fresh(MANIFESTS) == ("repro.experiments.common "
+                                 "repro.experiments.e9_unreliable_links")

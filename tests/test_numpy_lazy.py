@@ -12,7 +12,7 @@ The same fresh interpreters pin which ``repro`` modules load: the
 package exports resolve on first use and the scenario catalogue
 imports a class when a scenario names it, so importing the entry
 modules, ``repro --help``, resolving one wPAXOS scenario and importing
-``repro regen``'s drivers each load only what they run. These are
+the ledger's ``regen_full`` drivers each load only what they run. These are
 module sets, not timings.
 """
 
@@ -25,7 +25,7 @@ import sys
 import pytest
 
 import repro.macsim.columnar as columnar_mod
-from repro.analysis.manifests import MANIFEST_SOURCES
+from repro.experiments import EXPERIMENTS
 from repro.macsim.columnar import have_numpy
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -61,11 +61,14 @@ NOT_AT_ENTRY = ("repro.core.byzantine", "repro.core.baselines",
                 "repro.macsim.columnar", "repro.analysis.sweeps",
                 "repro.topology.gadgets", "multiprocessing")
 
-#: ``repro regen``'s default drivers, imported the way it runs them.
-REGEN_DRIVERS = "import " + ", ".join(MANIFEST_SOURCES.values())
+#: The ledger's ``regen_full`` drivers, imported the way ``repro regen``
+#: runs them.
+REGEN_MODULES = [EXPERIMENTS[eid]
+                 for eid in ("E1", "E2", "E3", "E9", "E12", "E13")]
+REGEN_DRIVERS = "import " + ", ".join(REGEN_MODULES)
 
-#: Modules no regen driver runs: the lower bounds, the service and the
-#: trace export (nor any other driver).
+#: Modules none of those drivers runs: the lower bounds, the service
+#: and the trace export (nor any other driver).
 NOT_IN_REGEN = ("repro.lowerbounds", "repro.macsim.service",
                 "repro.analysis.export", "repro.macsim.columnar")
 
@@ -125,7 +128,7 @@ def test_experiments_package_loads_no_driver():
 
 def test_regen_drivers_load_only_what_they_run():
     loaded = _modules_loaded("-c", REGEN_DRIVERS)
-    assert _drivers(loaded) == set(MANIFEST_SOURCES.values())
+    assert _drivers(loaded) == set(REGEN_MODULES)
     for name in NOT_IN_REGEN:
         assert not _under(loaded, name), f"{name} loaded by regen"
     # 32 measured; every driver imported once all 14 (68).

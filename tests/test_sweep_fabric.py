@@ -33,10 +33,10 @@ from hypothesis import strategies as st
 from repro.analysis.cache import (CACHE_SCHEMA, CacheVerificationError,
                                   ResultCache, cached_run,
                                   default_cache_dir)
-from repro.analysis.manifests import (MANIFEST_SOURCES,
-                                      ExperimentManifest, ManifestBlock,
+from repro.analysis.manifests import (ExperimentManifest, ManifestBlock,
                                       ManifestError, load_manifest,
-                                      regenerate, write_manifests)
+                                      manifest_drivers, regenerate,
+                                      write_manifests)
 from repro.analysis.sweeps import (SweepProgress, SweepTimeoutError,
                                    SweepWorkerError, _progress_enabled,
                                    parallel_sweep, saturating_workers,
@@ -476,7 +476,7 @@ class TestManifests:
             block.grid()
 
     def test_every_driver_manifest_roundtrips(self):
-        for experiment_id in MANIFEST_SOURCES:
+        for experiment_id in manifest_drivers():
             manifest = load_manifest(experiment_id)
             assert manifest.experiment == experiment_id
             assert manifest.cells() > 0
@@ -486,6 +486,9 @@ class TestManifests:
     def test_unknown_manifest_id(self):
         with pytest.raises(ManifestError, match="no manifest source"):
             load_manifest("E99")
+        # E4 is a driver, but not a manifest driver.
+        with pytest.raises(ManifestError, match="no manifest source"):
+            load_manifest("E4")
 
     def test_bad_schema_rejected(self):
         with pytest.raises(ManifestError, match="schema"):
@@ -527,7 +530,8 @@ class TestManifests:
         shipped = os.path.join(os.path.dirname(__file__), os.pardir,
                                "examples", "regen_smoke.manifest.json")
         paths = [shipped] + write_manifests(str(tmp_path))
-        for path, source in zip(paths[1:], MANIFEST_SOURCES):
+        assert len(paths) == 1 + len(manifest_drivers())
+        for path, source in zip(paths[1:], manifest_drivers()):
             assert (ExperimentManifest.from_file(path)
                     == load_manifest(source))
         for path in paths:

@@ -4,6 +4,7 @@ import pytest
 
 from tests.helpers import run_and_check
 from repro.core.wpaxos import (SafetyMonitor, WPaxosConfig, WPaxosNode)
+from repro.core.wpaxos.messages import WMessage
 from repro.macsim import build_simulation
 from repro.macsim.schedulers import (JitteredRoundScheduler,
                                      MaxDelayScheduler,
@@ -188,6 +189,36 @@ class TestMessageBudget:
         _, report = run_and_check(graph, make_factory(graph),
                                   SynchronousScheduler(1.0))
         assert report.ok
+
+
+class ForeignPart:
+    """A part of no class the node dispatches on."""
+
+    def id_footprint(self) -> int:
+        return 0
+
+
+class ForeignPartNode(WPaxosNode):
+    """wPAXOS that appends a :class:`ForeignPart` to every broadcast."""
+
+    def broadcast(self, message):
+        return super().broadcast(
+            WMessage(message.parts + (ForeignPart(),)))
+
+
+class TestForeignParts:
+    def test_unknown_parts_are_ignored(self):
+        # The same run with every message carrying an unknown part
+        # decides the same values at the same times.
+        graph = grid(3, 3)
+        uid = {v: i + 1 for i, v in enumerate(graph.nodes)}
+        runs = []
+        for node in (WPaxosNode, ForeignPartNode):
+            result, report = run_and_check(
+                graph, lambda v, val, node=node: node(uid[v], val, graph.n),
+                SynchronousScheduler(1.0))
+            runs.append((report.decisions, result.decision_times))
+        assert runs[0] == runs[1]
 
 
 class TestConfigValidation:
