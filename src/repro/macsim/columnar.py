@@ -24,14 +24,18 @@ Three layers live here:
 * the vectorized model-invariant checker
   (:func:`try_vectorized_invariants`) -- the MAC-contract audit of
   :func:`repro.macsim.invariants.check_model_invariants` re-expressed
-  as whole-column numpy passes with O(broadcasts) state instead of a
-  per-record Python loop. It covers the static-topology fault-free and
-  crash-fault cases (the shapes that actually reach 10^8 events) and
-  *declines* -- returns ``None`` so the caller falls back to the
-  record-iterator reference implementation -- on anything exotic
-  (dynamic topologies, fault-model runs with drops, n > 63, malformed
-  id columns). Verdict equality between the two paths is pinned by the
-  test-suite's property tests.
+  as whole-column numpy passes over slices of a chunk instead of a
+  per-record Python loop, holding state for the open broadcasts only:
+  O(n + open broadcasts + one slice of rows), whatever the trace's
+  length (O(broadcasts) when a crashed sender's never-acked broadcast
+  pins the window, see :class:`_BidState`). It covers the
+  static-topology fault-free and crash-fault cases (the shapes that
+  actually reach 10^8 events) and *declines* -- returns ``None`` so
+  the caller falls back to the record-iterator reference
+  implementation -- on anything exotic (dynamic topologies,
+  fault-model runs with drops, n > 63, malformed id columns). Verdict
+  equality between the two paths is pinned by the test-suite's
+  property tests.
 
 Chunk blob layout (all little-endian)::
 
@@ -307,8 +311,10 @@ def decode_chunk(blob: bytes) -> ColumnarChunk:
         blob, 0)
     if magic != _MAGIC:
         raise ValueError("not a columnar trace chunk (bad magic)")
+    # Sized output: no regrowth, and no copy on the way out.
     body = zlib.decompress(
-        blob[_HEADER_STRUCT.size:_HEADER_STRUCT.size + comp_len])
+        blob[_HEADER_STRUCT.size:_HEADER_STRUCT.size + comp_len],
+        bufsize=raw_len)
     if len(body) != raw_len:
         raise ValueError("columnar chunk is corrupt (length mismatch)")
     off = 0
@@ -887,44 +893,74 @@ class ColumnarSink(TraceSink):
 # ----------------------------------------------------------------------
 # Vectorized model-invariant replay
 # ----------------------------------------------------------------------
-#: Cap on per-category violation messages (the report also records the
-#: total, so verdicts and counts stay exact while memory stays O(1)).
+#: Cap on violation messages per category over a whole replay (the
+#: report also records the total, so verdicts and counts stay exact
+#: while memory stays O(1)).
 _MESSAGE_CAP = 20
+
+#: Rows the vectorized audit takes at a time: every per-row temporary
+#: it makes is this long at most, whatever the chunk size.
+_AUDIT_SLICE = 8192
+
+#: :class:`_BidState` columns: name, dtype, value of an id with no state.
+_BID_COLUMNS = (
+    ("start", "f8", float("nan")),  # broadcast time; NaN: not broadcast
+    ("sender", "i8", -1),
+    ("bpos", "i8", -1),  # stream position of the broadcast row
+    ("payload_hash", "i8", 0),
+    ("ack_pos", "i8", -1),  # stream position of the ack row; -1: open
+    ("deliver_mask", "u8", 0),
+    ("deliver_count", "i8", 0),
+    ("deliver_last", "f8", float("-inf")),
+)
 
 
 class _BidState:
-    """Grow-on-demand per-broadcast audit columns (numpy only)."""
+    """Per-broadcast audit columns over the open-id window (numpy only).
 
-    __slots__ = ("cap", "start", "sender", "bpos", "payload_hash",
-                 "ack_time", "ack_pos", "deliver_mask", "deliver_count",
-                 "deliver_last")
+    Row ``i`` holds broadcast id ``lo + i``; ``top`` is one past the row
+    of the highest broadcast id seen. A broadcast's row is final once
+    its ack is audited, and :meth:`retire` drops the prefix of ids that
+    are acked or were never broadcast. Engine ids are a dense,
+    increasing counter, so the window stays about as wide as the
+    broadcasts in flight -- except that a crashed sender's never-acked
+    broadcast pins ``lo`` and the window then grows with the trace.
+    """
+
+    __slots__ = ("lo", "top", "cap") + tuple(c[0] for c in _BID_COLUMNS)
 
     def __init__(self, cap: int = 1024):
+        self.lo = 0
+        self.top = 0
         self.cap = cap
-        self.start = np.full(cap, np.nan)
-        self.sender = np.full(cap, -1, np.int64)
-        self.bpos = np.full(cap, -1, np.int64)
-        self.payload_hash = np.zeros(cap, np.int64)
-        self.ack_time = np.full(cap, np.nan)
-        self.ack_pos = np.full(cap, -1, np.int64)
-        self.deliver_mask = np.zeros(cap, np.uint64)
-        self.deliver_count = np.zeros(cap, np.int64)
-        self.deliver_last = np.full(cap, -np.inf)
+        for name, dtype, fill in _BID_COLUMNS:
+            setattr(self, name, np.full(cap, fill, dtype))
 
     def ensure(self, max_bid: int) -> None:
-        if max_bid < self.cap:
+        need = max_bid - self.lo + 1
+        if need <= self.cap:
             return
-        new_cap = max(self.cap * 2, max_bid + 1)
-        for name, fill in (("start", np.nan), ("sender", -1),
-                           ("bpos", -1), ("payload_hash", 0),
-                           ("ack_time", np.nan), ("ack_pos", -1),
-                           ("deliver_mask", 0), ("deliver_count", 0),
-                           ("deliver_last", -np.inf)):
-            old = getattr(self, name)
-            grown = np.full(new_cap, fill, dtype=old.dtype)
-            grown[:self.cap] = old
+        new_cap = max(self.cap * 2, need)
+        for name, dtype, fill in _BID_COLUMNS:
+            grown = np.full(new_cap, fill, dtype)
+            grown[:self.cap] = getattr(self, name)
             setattr(self, name, grown)
         self.cap = new_cap
+
+    def retire(self) -> None:
+        """Shift the closed prefix out of the window and advance ``lo``."""
+        top = self.top
+        if not top or (self.ack_pos[0] < 0 and not np.isnan(self.start[0])):
+            return  # empty, or the oldest id is still open
+        closed = (self.ack_pos[:top] >= 0) | np.isnan(self.start[:top])
+        k = top if closed.all() else int(closed.argmin())
+        keep = self.cap - k
+        for name, _, fill in _BID_COLUMNS:
+            column = getattr(self, name)
+            column[:keep] = column[k:]
+            column[keep:] = fill
+        self.lo += k
+        self.top = top - k
 
 
 class _FastPathDeclined(Exception):
@@ -938,11 +974,12 @@ def try_vectorized_invariants(graph, trace, f_ack=None):
     ``None`` means the fast path does not apply (no numpy, the sink is
     not columnar, the graph is too large for the 64-bit delivery
     bitmask, the run used dynamic topology / fault-model drops, or the
-    id columns have a shape the vectorized checker does not model) and
-    the caller must use the record-iterator reference implementation.
-    The returned report's ``ok`` verdict is equivalent to the
-    reference checker's on every trace the fast path accepts;
-    violation *messages* are summarized per category.
+    id columns have a shape the vectorized checker does not model, such
+    as a broadcast id used twice) and the caller must use the
+    record-iterator reference implementation. The returned report's
+    ``ok`` verdict is equivalent to the reference checker's on every
+    trace the fast path accepts; violation *messages* are summarized
+    per category.
     """
     # Columnar first: a trace that declines anyway must not pay the
     # numpy import.
@@ -955,29 +992,31 @@ def try_vectorized_invariants(graph, trace, f_ack=None):
     if trace.count_of_kind("topo") or trace.count_of_kind("drop"):
         return None
     try:
-        return _vectorized_check(graph, trace, f_ack)
+        audit = _VectorAudit(graph, f_ack, trace.of_kind("crash"))
+        return audit.run(trace.iter_chunks())
     except _FastPathDeclined:
         return None
 
 
 class _Reporter:
-    """Capped message collection with exact violation accounting."""
+    """Violation messages capped per category over the whole replay,
+    with exact accounting of the ones left out."""
 
     def __init__(self, report):
         self.report = report
+        self.room: Dict[str, int] = {}
         self.extra = 0
 
-    def flag(self, count: int, messages) -> None:
+    def flag(self, category: str, count: int, messages) -> None:
         if not count:
             return
-        room = _MESSAGE_CAP
-        for i, message in enumerate(messages):
-            if i >= room:
-                break
+        self.report.ok = False
+        room = self.room.get(category, _MESSAGE_CAP)
+        kept = min(count, room)
+        for _, message in zip(range(kept), messages):
             self.report.add(message)
-        if count > room:
-            self.report.ok = False
-            self.extra += count - room
+        self.room[category] = room - kept
+        self.extra += count - kept
 
     def finish(self) -> None:
         if self.extra:
@@ -985,203 +1024,243 @@ class _Reporter:
                             f"(messages capped)")
 
 
-def _vectorized_check(graph, trace, f_ack):
-    from .invariants import InvariantReport
+def _popcount(masks):
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(masks).astype(np.int64)
+    return np.fromiter(  # pragma: no cover - numpy < 2.0
+        (int(m).bit_count() for m in masks.tolist()),
+        dtype=np.int64, count=len(masks))
 
-    report = InvariantReport(ok=True)
-    out = _Reporter(report)
-    nodes = list(graph.nodes)
-    n = len(nodes)
-    gidx = {v: i for i, v in enumerate(nodes)}
-    # Index n is the "unknown label" sentinel: never adjacent, never
-    # crashed, bit n unused by any neighbor mask.
-    adj = np.zeros((n + 1, n + 1), dtype=bool)
-    neigh_mask = np.zeros(n + 1, dtype=np.uint64)
-    for v in nodes:
-        i = gidx[v]
-        mask = 0
-        for u in graph.neighbors(v):
-            j = gidx[u]
-            adj[i, j] = True
-            mask |= 1 << j
-        neigh_mask[i] = mask
-    crash_t = np.full(n + 1, np.inf)
-    crashed_idx = []
-    for rec in trace.of_kind("crash"):
-        i = gidx.get(rec.node, n)
-        if rec.time < crash_t[i]:
-            crash_t[i] = rec.time
-        if i < n:
-            crashed_idx.append(i)
 
-    state = _BidState()
-    base = 0
-    none_hash = hash(None)
-    for chunk in trace.iter_chunks():
-        m = chunk.n
-        times = np.asarray(chunk.times, dtype=np.float64)
-        kinds = np.asarray(chunk.kinds, dtype=np.uint8)
-        node_col = np.asarray(chunk.nodes, dtype=np.int64)
-        bids = np.asarray(chunk.bids, dtype=np.int64)
-        payload_col = np.asarray(chunk.payload_idx, dtype=np.int64)
-        # Per-chunk gather tables: chunk label -> global node index,
-        # chunk payload -> stable payload hash (index -1 selects the
-        # appended sentinel).
-        g_of_label = np.fromiter(
-            (gidx.get(label, n) for label in chunk.labels),
-            dtype=np.int64, count=len(chunk.labels))
-        g_of_label = np.append(g_of_label, n)
-        payload_hash = np.fromiter(
-            (hash(s) for s in chunk.payloads),
-            dtype=np.int64, count=len(chunk.payloads))
-        payload_hash = np.append(payload_hash, none_hash)
-        gn = g_of_label[node_col]
-        ph = payload_hash[payload_col]
-        pos = base + np.arange(m, dtype=np.int64)
-        base += m
+class _VectorAudit:
+    """The MAC-contract audit as whole-column passes (numpy only).
 
+    Each chunk is audited in slices of :data:`_AUDIT_SLICE` rows
+    against the open-id window (:class:`_BidState`). A slice registers
+    its broadcasts, then its acks, then its deliveries -- stream
+    positions keep the order inside a slice exact -- and then closes
+    the broadcasts it acked: their duplicate, ack-before-last-delivery
+    and coverage checks run there, since nothing later can change them
+    (crash times are known up front). Memory is O(n + open broadcasts +
+    one slice of rows), independent of the trace's length, except that
+    a crashed sender's never-acked broadcast pins the window at
+    O(broadcasts).
+    """
+
+    def __init__(self, graph, f_ack, crash_records):
+        from .invariants import InvariantReport
+
+        self.report = InvariantReport(ok=True)
+        self.out = _Reporter(self.report)
+        self.f_ack = f_ack
+        nodes = self.nodes = list(graph.nodes)
+        n = self.n = len(nodes)
+        gidx = self.gidx = {v: i for i, v in enumerate(nodes)}
+        # Index n is the "unknown label" sentinel: never adjacent, never
+        # crashed, bit n unused by any neighbor mask.
+        adj = self.adj = np.zeros((n + 1, n + 1), dtype=bool)
+        neigh_mask = self.neigh_mask = np.zeros(n + 1, dtype=np.uint64)
+        for v in nodes:
+            i = gidx[v]
+            mask = 0
+            for u in graph.neighbors(v):
+                j = gidx[u]
+                adj[i, j] = True
+                mask |= 1 << j
+            neigh_mask[i] = mask
+        crash_t = self.crash_t = np.full(n + 1, np.inf)
+        for rec in crash_records:
+            i = gidx.get(rec.node, n)
+            if rec.time < crash_t[i]:
+                crash_t[i] = rec.time
+        #: (bit, crash time) per crashed node: a neighbor that crashed at
+        #: or before an ack is excused from its coverage -- exactly the
+        #: reference checker's exemption.
+        self.excuses = [(np.uint64(1 << i), crash_t[i])
+                        for i in np.flatnonzero(crash_t[:n] < np.inf).tolist()]
+        self.state = _BidState()
+
+    def run(self, chunks):
+        gidx, n = self.gidx, self.n
+        none_hash = hash(None)
+        base = 0
+        for chunk in chunks:
+            # Per-chunk gather tables: chunk label -> global node index,
+            # chunk payload -> stable payload hash (index -1 selects the
+            # appended sentinel).
+            g_of_label = np.fromiter(
+                (gidx.get(label, n) for label in chunk.labels),
+                dtype=np.int64, count=len(chunk.labels))
+            g_of_label = np.append(g_of_label, n)
+            payload_hash = np.fromiter(
+                map(hash, chunk.payloads),
+                dtype=np.int64, count=len(chunk.payloads))
+            payload_hash = np.append(payload_hash, none_hash)
+            times = np.asarray(chunk.times, dtype=np.float64)
+            kinds = np.asarray(chunk.kinds, dtype=np.uint8)
+            node_col = np.asarray(chunk.nodes)
+            bids = np.asarray(chunk.bids)
+            payload_col = np.asarray(chunk.payload_idx)
+            for lo in range(0, chunk.n, _AUDIT_SLICE):
+                hi = min(lo + _AUDIT_SLICE, chunk.n)
+                self._slice(times[lo:hi], kinds[lo:hi],
+                            g_of_label[node_col[lo:hi]],
+                            bids[lo:hi].astype(np.int64),
+                            payload_hash[payload_col[lo:hi]],
+                            np.arange(base + lo, base + hi, dtype=np.int64))
+            base += chunk.n
+        # The broadcasts still open get the duplicate check only.
+        state = self.state
+        top = state.top
+        still_open = (~np.isnan(state.start[:top])
+                      & (state.ack_pos[:top] < 0))
+        dup = still_open & (_popcount(state.deliver_mask[:top])
+                            != state.deliver_count[:top])
+        self.out.flag("duplicate", int(dup.sum()),
+                      (f"duplicate delivery of broadcast {b}"
+                       for b in (np.flatnonzero(dup) + state.lo).tolist()))
+        self.out.finish()
+        return self.report
+
+    def _slice(self, times, kinds, gn, bids, ph, pos):
+        state, out, nodes = self.state, self.out, self.nodes
         is_b = kinds == _KIND_BROADCAST
         is_d = kinds == _KIND_DELIVER
         is_a = kinds == _KIND_ACK
         if ((is_b | is_d | is_a) & (bids < 0)).any():
             raise _FastPathDeclined  # None ids on MAC kinds
-        max_bid = int(bids.max(initial=-1))
-        state.ensure(max_bid)
+        state.ensure(int(bids.max(initial=-1)))
+        lo = state.lo
 
         # --- broadcasts: register state, check crashed senders -------
         if is_b.any():
-            b_bid = bids[is_b]
-            if len(np.unique(b_bid)) != len(b_bid):
-                raise _FastPathDeclined  # reused broadcast id in chunk
-            if not np.isnan(state.start[b_bid]).all():
-                raise _FastPathDeclined  # reused id across chunks
+            b_row = bids[is_b] - lo
+            if b_row.min() < 0 or not np.isnan(state.start[b_row]).all():
+                raise _FastPathDeclined  # reused (or retired) id
+            b_pos = pos[is_b]
+            state.bpos[b_row] = b_pos
+            # An id given twice in this slice keeps one of its positions.
+            if (state.bpos[b_row] != b_pos).any():
+                raise _FastPathDeclined  # reused broadcast id in slice
             b_time = times[is_b]
             b_sender = gn[is_b]
-            state.start[b_bid] = b_time
-            state.sender[b_bid] = b_sender
-            state.bpos[b_bid] = pos[is_b]
-            state.payload_hash[b_bid] = ph[is_b]
-            bad = b_time > crash_t[b_sender]
-            out.flag(int(bad.sum()),
-                     (f"crashed node {nodes[int(s)]!r} broadcast at "
-                      f"{t}" for s, t in
-                      zip(b_sender[bad], b_time[bad].tolist())))
+            state.start[b_row] = b_time
+            state.sender[b_row] = b_sender
+            state.payload_hash[b_row] = ph[is_b]
+            state.top = max(state.top, int(b_row.max()) + 1)
+            bad = b_time > self.crash_t[b_sender]
+            out.flag("crashed-broadcast", int(bad.sum()),
+                     (f"crashed node {nodes[s]!r} broadcast at {t}"
+                      for s, t in zip(b_sender[bad].tolist(),
+                                      b_time[bad].tolist())))
 
-        # --- acks: register position/time first (stream-position
-        # comparisons make intra-chunk ordering exact), checks after --
+        # --- acks: register position first (stream-position
+        # comparisons make intra-slice ordering exact), checks after --
+        closing = None
         if is_a.any():
             a_bid = bids[is_a]
-            if len(np.unique(a_bid)) != len(a_bid):
-                raise _FastPathDeclined  # duplicate acks in one chunk
             a_time = times[is_a]
             a_pos = pos[is_a]
-            a_node = gn[is_a]
-            unknown = (np.isnan(state.start[a_bid])
-                       | (state.bpos[a_bid] > a_pos))
-            closed = (~unknown) & (state.ack_pos[a_bid] >= 0)
-            out.flag(int((unknown | closed).sum()),
+            a_row = a_bid - lo
+            retired = a_row < 0
+            a_row[retired] = 0  # any row: a retired id is flagged below
+            bad = (retired | np.isnan(state.start[a_row])
+                   | (state.bpos[a_row] > a_pos)
+                   | (state.ack_pos[a_row] >= 0))
+            out.flag("ack-unknown", int(bad.sum()),
                      (f"ack for unknown or closed broadcast {b}"
-                      for b in a_bid[unknown | closed].tolist()))
-            ok_rows = ~(unknown | closed)
+                      for b in a_bid[bad].tolist()))
+            ok_rows = ~bad
             if ok_rows.any():
-                v_bid = a_bid[ok_rows]
+                v_row = a_row[ok_rows]
                 v_time = a_time[ok_rows]
-                wrong = a_node[ok_rows] != state.sender[v_bid]
-                out.flag(int(wrong.sum()),
+                wrong = gn[is_a][ok_rows] != state.sender[v_row]
+                out.flag("ack-wrong-node", int(wrong.sum()),
                          (f"ack for broadcast {b} went to the wrong "
-                          f"node" for b in v_bid[wrong].tolist()))
-                if f_ack is not None:
-                    late = (v_time - state.start[v_bid]) > f_ack + 1e-6
-                    out.flag(int(late.sum()),
+                          f"node" for b in (v_row[wrong] + lo).tolist()))
+                if self.f_ack is not None:
+                    took = v_time - state.start[v_row]
+                    late = took > self.f_ack + 1e-6
+                    out.flag("ack-slow", int(late.sum()),
                              (f"ack for broadcast {b} took "
-                              f"{d} > F_ack={f_ack}"
-                              for b, d in zip(
-                                  v_bid[late].tolist(),
-                                  (v_time - state.start[v_bid])
-                                  [late].tolist())))
-                state.ack_time[v_bid] = v_time
-                state.ack_pos[v_bid] = a_pos[ok_rows]
+                              f"{d} > F_ack={self.f_ack}"
+                              for b, d in zip((v_row[late] + lo).tolist(),
+                                              took[late].tolist())))
+                v_pos = a_pos[ok_rows]
+                state.ack_pos[v_row] = v_pos
+                if (state.ack_pos[v_row] != v_pos).any():
+                    raise _FastPathDeclined  # two acks of one id here
+                closing = (v_row, v_time)
 
         # --- deliveries ----------------------------------------------
         if is_d.any():
             d_bid = bids[is_d]
-            d_time = times[is_d]
             d_pos = pos[is_d]
-            d_recv = gn[is_d]
-            d_hash = ph[is_d]
-            unknown = (np.isnan(state.start[d_bid])
-                       | (state.bpos[d_bid] > d_pos)
-                       | ((state.ack_pos[d_bid] >= 0)
-                          & (state.ack_pos[d_bid] < d_pos)))
-            out.flag(int(unknown.sum()),
+            d_row = d_bid - lo
+            retired = d_row < 0
+            d_row[retired] = 0  # any row: a retired id is flagged below
+            ack_pos = state.ack_pos[d_row]
+            unknown = (retired | np.isnan(state.start[d_row])
+                       | (state.bpos[d_row] > d_pos)
+                       | ((ack_pos >= 0) & (ack_pos < d_pos)))
+            out.flag("delivery-unknown", int(unknown.sum()),
                      (f"delivery for unknown or closed (already "
                       f"acked) broadcast {b}"
                       for b in d_bid[unknown].tolist()))
             live = ~unknown
             if live.any():
+                v_row = d_row[live]
                 v_bid = d_bid[live]
-                v_time = d_time[live]
-                v_recv = d_recv[live]
-                v_send = state.sender[v_bid]
-                nonneigh = ~adj[v_send, v_recv]
-                out.flag(int(nonneigh.sum()),
+                v_time = times[is_d][live]
+                v_recv = gn[is_d][live]
+                nonneigh = ~self.adj[state.sender[v_row], v_recv]
+                out.flag("non-neighbor", int(nonneigh.sum()),
                          (f"broadcast {b} delivered to non-neighbor "
                           f"of its sender"
                           for b in v_bid[nonneigh].tolist()))
-                early = v_time < state.start[v_bid]
-                out.flag(int(early.sum()),
+                early = v_time < state.start[v_row]
+                out.flag("delivery-early", int(early.sum()),
                          (f"delivery of broadcast {b} precedes its "
                           f"start" for b in v_bid[early].tolist()))
-                dead = v_time > crash_t[v_recv]
-                out.flag(int(dead.sum()),
-                         (f"delivery to crashed node "
-                          f"{nodes[int(r)]!r}"
-                          for r in v_recv[dead][v_recv[dead] < n]))
-                mutated = d_hash[live] != state.payload_hash[v_bid]
-                out.flag(int(mutated.sum()),
+                dead = v_time > self.crash_t[v_recv]
+                out.flag("delivery-crashed", int(dead.sum()),
+                         (f"delivery to crashed node {nodes[r]!r}"
+                          for r in v_recv[dead].tolist()))
+                mutated = ph[is_d][live] != state.payload_hash[v_row]
+                out.flag("mutated", int(mutated.sum()),
                          (f"broadcast {b} delivered mutated payload"
                           for b in v_bid[mutated].tolist()))
-                np.add.at(state.deliver_count, v_bid, 1)
+                np.add.at(state.deliver_count, v_row, 1)
                 np.bitwise_or.at(
-                    state.deliver_mask, v_bid,
+                    state.deliver_mask, v_row,
                     np.uint64(1) << v_recv.astype(np.uint64))
-                np.maximum.at(state.deliver_last, v_bid, v_time)
+                np.maximum.at(state.deliver_last, v_row, v_time)
 
-    # --- end-of-stream checks over the per-broadcast columns ----------
-    known = ~np.isnan(state.start)
-    acked = known & (state.ack_pos >= 0)
-    all_bids = np.arange(state.cap, dtype=np.int64)
+        if closing is not None:
+            self._close(*closing)
+        state.retire()
 
-    if hasattr(np, "bitwise_count"):
-        popcount = np.bitwise_count(state.deliver_mask).astype(np.int64)
-    else:  # pragma: no cover - numpy < 2.0
-        popcount = np.fromiter(
-            (int(m).bit_count() for m in state.deliver_mask.tolist()),
-            dtype=np.int64, count=state.cap)
-    dup = known & (popcount != state.deliver_count)
-    out.flag(int(dup.sum()),
-             (f"duplicate delivery of broadcast {b}"
-              for b in all_bids[dup].tolist()))
-
-    late_ack = acked & (state.ack_time < state.deliver_last - 1e-9)
-    out.flag(int(late_ack.sum()),
-             (f"ack for broadcast {b} precedes its last delivery"
-              for b in all_bids[late_ack].tolist()))
-
-    if acked.any():
-        missing = neigh_mask[state.sender] & ~state.deliver_mask
-        # A neighbor that crashed at or before the ack is excused --
-        # exactly the reference checker's exemption.
-        for c in set(crashed_idx):
-            bit = np.uint64(1 << c)
-            excused = acked & (state.ack_time >= crash_t[c])
-            missing[excused] &= ~bit
-        uncovered = acked & (missing != 0)
-        out.flag(int(uncovered.sum()),
-                 (f"ack for broadcast {b} of "
-                  f"{nodes[int(state.sender[b])]!r} before some "
-                  f"non-faulty neighbor received"
-                  for b in all_bids[uncovered].tolist()))
-
-    out.finish()
-    return report
+    def _close(self, row, ack_time):
+        """The final checks of the broadcasts this slice acked: a later
+        delivery or ack of theirs is flagged as unknown or closed, so
+        their rows cannot change any more."""
+        state, out, lo = self.state, self.out, self.state.lo
+        mask = state.deliver_mask[row]
+        dup = _popcount(mask) != state.deliver_count[row]
+        out.flag("duplicate", int(dup.sum()),
+                 (f"duplicate delivery of broadcast {b}"
+                  for b in (row[dup] + lo).tolist()))
+        early = ack_time < state.deliver_last[row] - 1e-9
+        out.flag("ack-early", int(early.sum()),
+                 (f"ack for broadcast {b} precedes its last delivery"
+                  for b in (row[early] + lo).tolist()))
+        sender = state.sender[row]
+        missing = self.neigh_mask[sender] & ~mask
+        for bit, crashed_at in self.excuses:
+            missing[ack_time >= crashed_at] &= ~bit
+        uncovered = missing != 0
+        out.flag("uncovered", int(uncovered.sum()),
+                 (f"ack for broadcast {b} of {self.nodes[s]!r} before "
+                  f"some non-faulty neighbor received"
+                  for b, s in zip((row[uncovered] + lo).tolist(),
+                                  sender[uncovered].tolist())))

@@ -304,7 +304,9 @@ def check_model_invariants(graph, trace: TraceSink,
     Columnar traces (:class:`~repro.macsim.columnar.ColumnarSink`)
     take a vectorized fast path when numpy is available: the same
     audit expressed as whole-column passes, ~an order of magnitude
-    faster, with O(broadcasts) memory. The fast path covers the
+    faster, in O(n + open broadcasts + one slice of rows) memory
+    (O(broadcasts) when a crashed sender's never-acked broadcast pins
+    its open-id window). The fast path covers the
     static-topology non-Byzantine shapes and silently falls back to
     the auditor on anything else; verdict equivalence between the two
     is pinned by the test-suite.

@@ -396,8 +396,8 @@ class TestFloodSpillBounded:
     """A clique(12) flood at FULL level, 25 and 100 rounds (3 600 and
     14 400 events): Python heap held by ``sim.run`` + ``close`` stays
     flat as the trace grows 4x, the columnar trace passes the invariant
-    audit, and its chunks are a fraction of the same run's FULL trace
-    as JSON lines."""
+    audit, whose own heap stays flat too, and its chunks are a fraction
+    of the same run's FULL trace as JSON lines."""
 
     ROUNDS = (25, 100)
 
@@ -441,6 +441,26 @@ class TestFloodSpillBounded:
         assert reopened.broadcast_count() == sink.broadcast_count()
         assert reopened.delivery_count() == sink.delivery_count()
         assert reopened.decision_times() == sink.decision_times()
+
+    @pytest.mark.skipif(not have_numpy(),
+                        reason="vectorized checker needs numpy")
+    def test_flood_audit_heap_is_flat(self, runs):
+        # The vectorized audit holds the open broadcasts and one slice
+        # of rows, not per-broadcast state for the whole trace. The
+        # fixture has audited both runs once, so numpy and the
+        # checker's imports are warm.
+        graph = clique(12)
+        peaks = []
+        for rounds in self.ROUNDS:
+            sink = runs[rounds][1]
+            tracemalloc.start()
+            try:
+                report = check_model_invariants(graph, sink, 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.ok, report.violations[:3]
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
     def test_flood_spill_audit_pure_python(self, runs, monkeypatch):
         # The reference replay the pure-python leg runs over the
@@ -901,10 +921,12 @@ class TestVectorizedVsReference:
         assert not fast.ok and not ref.ok
         assert any("F_ack" in v for v in fast.violations)
 
-    def test_violation_messages_capped_but_counted(self):
+    @pytest.mark.parametrize("chunk_records", [3, 500])
+    def test_violation_messages_capped_but_counted(self, chunk_records):
         # 30 broadcasts on line(3), each delivered to non-neighbor
         # node 2 as well: 30 per-row violations. Messages are capped
-        # but the tail is accounted for, not dropped silently.
+        # per category over the whole replay, however many chunks it
+        # reads, and the tail is accounted for, not dropped silently.
         records = []
         for i in range(30):
             t = float(i)
@@ -915,11 +937,91 @@ class TestVectorizedVsReference:
                 (t + 1.0, "ack", 0, i, None, None),
             ]
         fast, ref = self._verdicts(line(3), records,
-                                   chunk_records=500)
+                                   chunk_records=chunk_records)
         assert not fast.ok and not ref.ok
         assert len(ref.violations) == 30
         assert len(fast.violations) <= 25
         assert any("further violations" in v for v in fast.violations)
+        assert fast.violations[-1] == \
+            "... and 10 further violations (messages capped)"
+
+    # -- the open-id window: acked ids retire, a crashed sender's
+    # -- unacked broadcast pins it (chunks of 3 rows: one slice each)
+    def _two_broadcasts(self, *extra):
+        # Broadcast 0 is acked in the second chunk and retired there;
+        # the ``extra`` rows open the third.
+        return [
+            (0.0, "broadcast", 0, 0, None, "m"),
+            (0.4, "deliver", 1, 0, 0, "m"),
+            (0.5, "deliver", 2, 0, 0, "m"),
+            (1.0, "ack", 0, 0, None, None),
+            (1.0, "broadcast", 1, 1, None, "n"),
+            (1.2, "deliver", 0, 1, 1, "n"),
+            *extra,
+            (1.4, "deliver", 2, 1, 1, "n"),
+            (2.0, "ack", 1, 1, None, None),
+        ]
+
+    def test_delivery_of_a_retired_id_flagged_both(self):
+        fast, ref = self._verdicts(clique(3), self._two_broadcasts(
+            (1.3, "deliver", 2, 0, 0, "m")))
+        assert not fast.ok and not ref.ok
+        assert fast.violations == ref.violations == [
+            "delivery for unknown or closed (already acked) broadcast 0"]
+
+    def test_second_ack_of_a_retired_id_flagged_both(self):
+        fast, ref = self._verdicts(clique(3), self._two_broadcasts(
+            (1.3, "ack", 0, 0, None, None)))
+        assert not fast.ok and not ref.ok
+        assert fast.violations == ref.violations == [
+            "ack for unknown or closed broadcast 0"]
+
+    def test_id_reused_after_retirement_falls_back(self):
+        records = self._two_broadcasts() + [
+            (3.0, "broadcast", 2, 0, None, "z"),
+            (3.2, "deliver", 0, 0, 2, "z"),
+            (3.3, "deliver", 1, 0, 2, "z"),
+            (4.0, "ack", 2, 0, None, None),
+        ]
+        sink = ColumnarSink(chunk_records=3)
+        try:
+            _fill(sink, records)
+            sink.close()
+            assert try_vectorized_invariants(clique(3), sink, 1.0) is None
+            verdict = check_model_invariants(clique(3), sink, 1.0)
+            reference = check_model_invariants(
+                clique(3), iter(list(sink)), 1.0)
+        finally:
+            sink.cleanup()
+        assert verdict == reference and verdict.ok
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_crashed_senders_open_broadcast_pins_the_window(
+            self, duplicate):
+        # Node 2 crashes with broadcast 0 in flight; nodes 0 and 1 then
+        # complete broadcasts 1..6 over several chunks. Broadcast 0
+        # stays open, so its late delivery to node 1 is legitimate --
+        # and a second delivery to node 0 a duplicate.
+        records = [
+            (0.0, "broadcast", 2, 0, None, "z"),
+            (0.2, "deliver", 0, 0, 2, "z"),
+            (0.5, "crash", 2, None, None, None),
+        ]
+        for bid in range(1, 7):
+            t = 0.5 * bid
+            sender = bid % 2
+            records += [
+                (t, "broadcast", sender, bid, None, f"v{bid}"),
+                (t + 0.2, "deliver", 1 - sender, bid, sender, f"v{bid}"),
+                (t + 0.4, "ack", sender, bid, None, None),
+            ]
+        records.append((4.0, "deliver", 1, 0, 2, "z"))
+        if duplicate:
+            records.append((4.0, "deliver", 0, 0, 2, "z"))
+        fast, ref = self._verdicts(clique(3), records)
+        assert fast.ok == ref.ok == (not duplicate)
+        if duplicate:
+            assert fast.violations == ["duplicate delivery of broadcast 0"]
 
     def test_declines_on_large_n(self, tmp_path):
         sink = ColumnarSink(str(tmp_path / "c"))
