@@ -8,7 +8,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "stats": "mean stdev linear_fit correlation growth_ratio",
     "tables": "format_table format_markdown_table",
     "sweeps": "sweep parallel_sweep SweepResult SweepPoint SweepProgress "
-              "SweepError SweepTimeoutError SweepWorkerError "
+              "SweepError SweepWorkerError "
               "saturating_workers",
     "cache": "ResultCache CacheError CacheVerificationError cached_run "
              "default_cache_dir",

@@ -145,8 +145,6 @@ class ExperimentManifest:
     def run(self, *, cache: Optional[ResultCache] = None,
             workers: Optional[int] = None,
             progress: Optional[bool] = None,
-            point_timeout: Optional[float] = None,
-            point_retries: int = 0,
             block_stats: Optional[List[Dict[str, Any]]] = None
             ) -> Dict[str, SweepResult]:
         """Execute (or serve from ``cache``) every cell of the
@@ -240,9 +238,7 @@ class ExperimentManifest:
         fresh = parallel_sweep(
             self.experiment,
             [(slot, cells[slot][0], cells[slot][3]) for slot in misses],
-            build, workers=workers, point_timeout=point_timeout,
-            point_retries=point_retries, reporter=reporter,
-            on_point=on_point)
+            build, workers=workers, reporter=reporter, on_point=on_point)
         for slot in repeats:
             before = cache.hits
             place(slot, cache.run(cells[slot][1]))

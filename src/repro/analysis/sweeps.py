@@ -28,22 +28,29 @@ replicas for aggregation.
 
 Executor
 --------
-``parallel_sweep`` has one executor: a persistent fork-based worker
-pool whose workers *pull* point indexes from a shared counter in small
-chunks (guided self-scheduling: chunk size shrinks toward 1 near the
-tail), so an uneven grid -- E9/E13's deadlocking cells run orders of
-magnitude slower than their neighbors -- keeps every core busy instead
-of idling behind stragglers. ``workers`` defaults to one per core
-(:func:`saturating_workers`); ``workers=1`` is the sequential path. An
-optional per-point wall-clock ``point_timeout`` with ``point_retries``
-(SIGALRM-based) bounds deadlock-prone cells; deterministic
-non-termination is better bounded with ``max_time``/``max_events``.
+:func:`fork_map` is the one process pool: ``parallel_sweep`` runs
+sweep points on it and
+:class:`~repro.macsim.service.sharded.ShardedService` runs service
+groups on it. Its ``workers`` forked processes *pull* item indexes
+from a shared counter in small chunks (guided self-scheduling: chunk
+size shrinks toward 1 near the tail), so an uneven grid -- E9/E13's
+deadlocking cells run orders of magnitude slower than their
+neighbors -- keeps every core busy instead of idling behind
+stragglers. ``workers`` defaults to one per core
+(:func:`saturating_workers`); ``workers=1`` is the sequential path.
 
-Workers are forked, so the (typically unpicklable) ``build`` closures
-never cross a process boundary: workers inherit them and receive only
-point indexes; only the :class:`SweepPoint` results (plain dataclasses
-of floats/strings) are pickled back. On platforms without ``fork``, or
-inside daemon workers, the sweep transparently runs in process.
+A dead worker (killed, out of memory) costs a retry, not the run: the
+counter hands out each index once, so the items without a result are
+exactly the claims of workers that died, and they re-run in a fresh
+pool. Items are deterministic, so the re-run is exact. A task that
+*raises* is just as deterministic and is not retried: the pool stops
+and :class:`SweepWorkerError` names the item.
+
+Workers are forked, so the (typically unpicklable) tasks and
+``build`` closures never cross a process boundary: workers inherit
+them and receive only item indexes; only results (plain dataclasses)
+are pickled back, each over its worker's own pipe. On platforms
+without ``fork``, or inside a pool worker, the sweep runs in process.
 
 Progress telemetry
 ------------------
@@ -66,10 +73,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_module
-import signal
 import sys
 from dataclasses import dataclass, field
+from functools import partial
+from multiprocessing.connection import wait
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -84,11 +91,12 @@ class SweepError(RuntimeError):
 
 
 class SweepWorkerError(SweepError):
-    """A sweep worker raised or died; carries the failing point."""
+    """A task raised, or its worker died on every attempt; ``items``
+    holds the failing item(s)."""
 
-
-class SweepTimeoutError(SweepError):
-    """A sweep point exceeded ``point_timeout`` on every attempt."""
+    def __init__(self, message: str, items: Sequence[Any] = ()) -> None:
+        super().__init__(message)
+        self.items = list(items)
 
 
 @dataclass(slots=True)
@@ -364,10 +372,15 @@ def sweep(name: str, xs: Sequence[Any],
     return result
 
 
-# Sweep specification the forked workers inherit: (name, xs, build,
-# point_timeout, point_retries). Only valid between fork and executor
-# teardown.
+#: Fresh pools that the items of a dead worker get before they count
+#: as lost.
+_RETRIES = 1
+
+# (task, items) the forked workers inherit. Only valid while
+# :func:`fork_map` runs.
 _FORK_STATE: Optional[tuple] = None
+# The pool worker this process is (0 outside a pool).
+_WORKER = 0
 
 
 def saturating_workers() -> int:
@@ -378,19 +391,32 @@ def saturating_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+def can_fork() -> bool:
+    """Whether :func:`fork_map` can run here: the platform has
+    ``fork`` and this process is not itself a pool worker."""
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon)
+
+
+def pool_worker() -> int:
+    """The :func:`fork_map` worker running the current task (0 outside
+    a pool)."""
+    return _WORKER
+
+
 #: Upper bound on a single work-stealing claim. Chunks amortize the
-#: shared-counter lock and result-queue traffic on huge grids without
-#: re-creating pool-sized head-of-line blocking: near the tail the
-#: guided rule below shrinks claims back to single points.
+#: shared-counter lock on huge grids without re-creating pool-sized
+#: head-of-line blocking: near the tail the guided rule below shrinks
+#: claims back to single items.
 CHUNK_MAX = 16
 
 
 def _claim_chunk(counter, total: int, workers: int):
-    """Claim the next chunk of point indexes (guided self-scheduling).
+    """Claim the next chunk of item positions (guided self-scheduling).
 
     Chunk size is ``remaining / (2 * workers)`` clamped to
-    ``[1, CHUNK_MAX]``: big grids hand out multi-point chunks while
-    plenty of work remains, and the final claims degrade to one point
+    ``[1, CHUNK_MAX]``: big grids hand out multi-item chunks while
+    plenty of work remains, and the final claims degrade to one item
     each so no worker gets stuck behind a straggler's tail.
     """
     with counter.get_lock():
@@ -404,159 +430,127 @@ def _claim_chunk(counter, total: int, workers: int):
     return start, size
 
 
-class _PointTimeout(Exception):
-    """Internal SIGALRM marker; never escapes the worker."""
+def _fork_worker(worker: int, conn, indices: List[int], workers: int,
+                 counter) -> None:
+    """Worker loop: claim chunks of ``indices`` until the counter drains.
 
-
-def _raise_point_timeout(signum, frame):
-    raise _PointTimeout()
-
-
-def _run_point_guarded(name: str, key: Any, build,
-                       timeout: Optional[float],
-                       retries: int) -> SweepPoint:
-    """Run one point under an optional wall-clock timeout + retries."""
-    if timeout is None:
-        return _run_point(name, key, build)
-    attempts = max(1, int(retries) + 1)
-    for _ in range(attempts):
-        signal.setitimer(signal.ITIMER_REAL, float(timeout))
-        try:
-            return _run_point(name, key, build)
-        except _PointTimeout:
-            continue
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-    raise SweepTimeoutError(
-        f"sweep point {key!r} exceeded point_timeout={timeout}s wall "
-        f"clock on all {attempts} attempt(s); a *deterministic* "
-        f"deadlock is better bounded with max_time/max_events")
-
-
-def _steal_worker(worker_id: int, workers: int, total: int,
-                  counter, results) -> None:
-    """Work-stealing worker loop: claim chunks until the counter drains.
-
-    Every completed point is shipped back immediately as
-    ``("point", index, seconds, point, worker_id)``; a failure ships
-    ``("error", index, kind, text)`` and stops this worker; the final
-    ``("done", worker_id, points, chunks, busy_seconds)`` marker
-    carries the utilization/steal telemetry.
+    Each result ships back at once as ``("item", index, seconds,
+    result, first_of_chunk)``; a task that raises ships ``("error",
+    index, text)`` and stops this worker. Anything else that ends the
+    worker (a signal, ``os._exit``, ``SystemExit``) leaves its claimed
+    items unreported, which is how the parent sees a dead worker.
     """
-    name, xs, build, timeout, retries = _FORK_STATE
-    if timeout is not None:
-        signal.signal(signal.SIGALRM, _raise_point_timeout)
-    points = chunks = 0
-    busy = 0.0
-    try:
-        while True:
-            claim = _claim_chunk(counter, total, workers)
-            if claim is None:
-                break
-            chunks += 1
+    global _WORKER
+    _WORKER = worker
+    task, items = _FORK_STATE
+    with conn:
+        while (claim := _claim_chunk(counter, len(indices), workers)):
             start, size = claim
-            for index in range(start, start + size):
+            for pos in range(start, start + size):
+                index = indices[pos]
                 t0 = perf_counter()
                 try:
-                    point = _run_point_guarded(
-                        name, xs[index], build, timeout, retries)
-                except SweepTimeoutError as exc:
-                    results.put(("error", index, "timeout", str(exc)))
+                    result = task(items[index])
+                    conn.send(("item", index, perf_counter() - t0,
+                               result, pos == start))
+                except Exception as exc:
+                    conn.send(("error", index,
+                               f"{type(exc).__name__}: {exc}"))
                     return
-                except BaseException as exc:
-                    results.put(("error", index, "exception",
-                                 f"{type(exc).__name__}: {exc}"))
-                    return
-                seconds = perf_counter() - t0
-                busy += seconds
-                points += 1
-                results.put(("point", index, seconds, point,
-                             worker_id))
-    finally:
-        results.put(("done", worker_id, points, chunks, busy))
 
 
-def _run_steal(name: str, xs: list, build, workers: int,
-               reporter: Optional[SweepProgress],
-               on_point: Optional[Callable[[SweepPoint], None]],
-               point_timeout: Optional[float],
-               point_retries: int):
-    """Parent side of the work-stealing executor.
+def _run_pool(indices: List[int], workers: int, receive) -> None:
+    """Fork one pool over ``indices`` and hand every message to
+    ``receive(worker, message)`` until each worker's pipe is at EOF.
 
-    Forks ``workers`` persistent processes over a shared next-index
-    counter, drains the result queue as points complete (heartbeats +
-    ``on_point`` fire in completion order), then reassembles points
-    into input-index order -- byte-identical to the sequential path.
+    A worker that dies mid-message reads as EOF too. Whatever way the
+    pool ends, every worker is terminated and joined.
     """
-    global _FORK_STATE
     context = multiprocessing.get_context("fork")
     counter = context.Value("l", 0)
-    results = context.Queue()
-    _FORK_STATE = (name, xs, build, point_timeout, point_retries)
-    procs = [context.Process(target=_steal_worker,
-                             args=(i, workers, len(xs), counter,
-                                   results),
-                             daemon=True)
-             for i in range(workers)]
-    ordered: List[Optional[SweepPoint]] = [None] * len(xs)
-    stats: List[Optional[dict]] = [None] * workers
-    runtimes: List[tuple] = []
-    failure: Optional[tuple] = None
+    procs = []
+    readers: Dict[Any, int] = {}
     try:
-        for proc in procs:
+        for worker in range(workers):
+            reader, writer = context.Pipe(duplex=False)
+            proc = context.Process(
+                target=_fork_worker,
+                args=(worker, writer, indices, workers, counter),
+                daemon=True)
             proc.start()
-        pending_workers = workers
-        while pending_workers > 0 and failure is None:
-            try:
-                message = results.get(timeout=1.0)
-            except queue_module.Empty:
-                dead = [i for i, proc in enumerate(procs)
-                        if stats[i] is None and not proc.is_alive()]
-                if dead:
-                    codes = [procs[i].exitcode for i in dead]
-                    failure = ("worker", None,
-                               f"sweep worker(s) {dead} died without "
-                               f"reporting (exit codes {codes})")
-                continue
-            kind = message[0]
-            if kind == "point":
-                _, index, seconds, point, _worker = message
-                ordered[index] = point
-                runtimes.append((point.key, seconds))
-                if on_point is not None:
-                    on_point(point)
-                if reporter is not None:
-                    reporter.point_done(point.key, seconds)
-            elif kind == "done":
-                _, worker_id, points, chunks, busy = message
-                stats[worker_id] = {
-                    "worker": worker_id, "points": points,
-                    "chunks": chunks,
-                    "busy_seconds": round(busy, 4)}
-                pending_workers -= 1
-            else:  # "error"
-                _, index, err_kind, text = message
-                failure = (err_kind, xs[index], text)
+            # Closed before the next fork, so only its worker holds
+            # the write end and its exit is this pipe's EOF.
+            writer.close()
+            procs.append(proc)
+            readers[reader] = worker
+        while readers:
+            for reader in wait(list(readers)):
+                try:
+                    message = reader.recv()
+                except (EOFError, OSError):
+                    reader.close()
+                    del readers[reader]
+                    continue
+                receive(readers[reader], message)
     finally:
         for proc in procs:
             if proc.is_alive():
                 proc.terminate()
         for proc in procs:
-            proc.join(timeout=5.0)
-        results.close()
-        results.join_thread()
+            proc.join()
+        for reader in readers:
+            reader.close()
+
+
+def fork_map(task: Callable[[Any], Any], items: Sequence[Any], *,
+             workers: int,
+             on_result: Optional[Callable[[int, Any, float, int], None]]
+             = None):
+    """Run ``task(item)`` for every item on ``workers`` forked processes.
+
+    Returns ``(results, worker_stats, lost)``: the results in input
+    order, one dict per worker (``worker``/``points``/``chunks``/
+    ``busy_seconds``), and the indexes of the items whose worker died
+    on every attempt (their result is ``None``). ``on_result(index,
+    result, seconds, worker)`` fires in the parent, in completion
+    order. A task that raises stops the pool and raises
+    :class:`SweepWorkerError` naming the item.
+    """
+    global _FORK_STATE
+    items = list(items)
+    results: List[Any] = [None] * len(items)
+    done = [False] * len(items)
+    stats = [{"worker": w, "points": 0, "chunks": 0, "busy_seconds": 0.0}
+             for w in range(workers)]
+
+    def receive(worker: int, message: tuple) -> None:
+        if message[0] == "error":
+            _, index, text = message
+            raise SweepWorkerError(f"{text} (item {items[index]!r})",
+                                   [items[index]])
+        _, index, seconds, result, first = message
+        results[index] = result
+        done[index] = True
+        entry = stats[worker]
+        entry["points"] += 1
+        entry["chunks"] += first
+        entry["busy_seconds"] += seconds
+        if on_result is not None:
+            on_result(index, result, seconds, worker)
+
+    pending = list(range(len(items)))
+    _FORK_STATE = (task, items)
+    try:
+        for _ in range(1 + _RETRIES):
+            if not pending:
+                break
+            _run_pool(pending, min(workers, len(pending)), receive)
+            pending = [i for i in pending if not done[i]]
+    finally:
         _FORK_STATE = None
-    if failure is not None:
-        err_kind, key, text = failure
-        if err_kind == "timeout":
-            raise SweepTimeoutError(text)
-        suffix = "" if key is None else f" (point {key!r})"
-        raise SweepWorkerError(f"{text}{suffix}")
-    missing = [i for i, p in enumerate(ordered) if p is None]
-    if missing:
-        raise SweepWorkerError(
-            f"sweep lost points at indexes {missing}")
-    return ordered, [s for s in stats if s is not None], runtimes
+    for entry in stats:
+        entry["busy_seconds"] = round(entry["busy_seconds"], 4)
+    return results, stats, pending
 
 
 def parallel_sweep(name: str, xs: Sequence[Any],
@@ -566,8 +560,6 @@ def parallel_sweep(name: str, xs: Sequence[Any],
                    trace_level: "TraceLevel | str" = TraceLevel.DECISIONS,
                    workers: Optional[int] = None,
                    progress: Optional[bool] = None,
-                   point_timeout: Optional[float] = None,
-                   point_retries: int = 0,
                    reporter: Optional[SweepProgress] = None,
                    on_point: Optional[Callable[[SweepPoint], None]]
                    = None) -> SweepResult:
@@ -579,13 +571,12 @@ def parallel_sweep(name: str, xs: Sequence[Any],
     its scheduler and seed. Structured ``(x, seed)`` keys fan every
     replica out as its own worker task.
 
-    Points are work-stolen by ``workers`` forked processes (default:
-    one per available core, :func:`saturating_workers`). The sweep runs
-    in process -- it *is* :func:`sweep` -- when ``workers <= 1``, with
-    fewer than two points, or where forking is unavailable (no
-    ``fork``; nested inside a daemon worker). ``point_timeout``/
-    ``point_retries`` bound a forked point's wall clock; exhausting
-    the retries raises :class:`SweepTimeoutError`.
+    Points run on :func:`fork_map` with ``workers`` processes
+    (default: one per available core, :func:`saturating_workers`).
+    The sweep runs in process -- it *is* :func:`sweep` -- when
+    ``workers <= 1``, with fewer than two points, or where forking is
+    unavailable (:func:`can_fork`). A point whose worker died on every
+    attempt raises :class:`SweepWorkerError` naming its key.
 
     ``progress`` (or ``MACSIM_SWEEP_PROGRESS=1``) heartbeats each
     point to stderr *as it completes* -- completion order, not input
@@ -599,13 +590,7 @@ def parallel_sweep(name: str, xs: Sequence[Any],
     xs = list(xs)
     if workers is None:
         workers = min(saturating_workers(), len(xs)) if xs else 1
-    use_parallel = (
-        len(xs) > 1
-        and workers > 1
-        and "fork" in multiprocessing.get_all_start_methods()
-        and not multiprocessing.current_process().daemon
-    )
-    if not use_parallel:
+    if len(xs) < 2 or workers < 2 or not can_fork():
         return sweep(name, xs, build, max_events=max_events,
                      max_time=max_time, trace_level=trace_level,
                      progress=progress, reporter=reporter,
@@ -616,14 +601,28 @@ def parallel_sweep(name: str, xs: Sequence[Any],
     owns_reporter = reporter is None
     if owns_reporter and _progress_enabled(progress):
         reporter = SweepProgress(name, len(xs))
-    ordered, worker_stats, runtimes = _run_steal(
-        name, xs, build, workers, reporter, on_point, point_timeout,
-        point_retries)
+    runtimes: List[Optional[float]] = [None] * len(xs)
+
+    def on_result(index: int, point: SweepPoint, seconds: float,
+                  _worker: int) -> None:
+        runtimes[index] = seconds
+        if on_point is not None:
+            on_point(point)
+        if reporter is not None:
+            reporter.point_done(point.key, seconds)
+
+    points, worker_stats, lost = fork_map(
+        partial(_run_point, name, build=build), xs, workers=workers,
+        on_result=on_result)
+    if lost:
+        keys = [xs[i] for i in lost]
+        raise SweepWorkerError(
+            f"sweep worker(s) died before reporting points {keys!r} "
+            f"on all {1 + _RETRIES} attempts", keys)
     executor_stats = {"workers": workers,
                       "per_worker": worker_stats,
-                      "stragglers": flag_stragglers(runtimes)}
+                      "stragglers": flag_stragglers(list(zip(xs, runtimes)))}
     if owns_reporter and reporter is not None:
         reporter.finish(worker_stats=worker_stats)
-    return SweepResult(name=name, points=ordered,
+    return SweepResult(name=name, points=points,
                        executor_stats=executor_stats)
-

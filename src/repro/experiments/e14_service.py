@@ -36,6 +36,10 @@ from .common import ExperimentReport
 GRID = ((1, 1), (4, 1), (4, 2), (8, 2))
 #: Offered load sweep: closed-loop client population.
 LOADS = (40, 120, 240)
+#: Proposals each closed-loop client makes.
+REQUESTS_PER_CLIENT = 2
+#: Seed of the workload's arrival draws.
+WORKLOAD_SEED = 0
 
 #: Per-slot consensus configuration every service cell derives from.
 BASE = Scenario(
@@ -45,8 +49,7 @@ BASE = Scenario(
     seed=0)
 
 
-def run(*, grid=GRID, loads=LOADS, requests_per_client=2,
-        workload_seed=0) -> ExperimentReport:
+def run() -> ExperimentReport:
     report = ExperimentReport(
         experiment_id="E14",
         title="Consensus as a service: p50/p99 latency and throughput "
@@ -62,9 +65,9 @@ def run(*, grid=GRID, loads=LOADS, requests_per_client=2,
 
     # Determinism anchor: slot (group 0, slot 0) of a 1-group service
     # is the base scenario itself, byte for byte.
-    workload = WorkloadGenerator(groups=1, clients=min(loads),
-                                 seed=workload_seed,
-                                 requests_per_client=requests_per_client)
+    workload = WorkloadGenerator(groups=1, clients=min(LOADS),
+                                 seed=WORKLOAD_SEED,
+                                 requests_per_client=REQUESTS_PER_CLIENT)
     probe = ConsensusService(BASE, workload, capture_first_slot=True)
     probe.run()
     identical = (trace_to_json(probe.first_slot_trace)
@@ -75,16 +78,16 @@ def run(*, grid=GRID, loads=LOADS, requests_per_client=2,
 
     failures = 0
     by_cell = {}
-    for groups, shards in grid:
-        for clients in loads:
+    for groups, shards in GRID:
+        for clients in LOADS:
             # trace_requests splits each cell's latency into
             # queueing (enqueue -> batch admission) vs service
             # (slot execution) -- virtual time, zero effect on the
             # measured results (the tracer only annotates).
             rep = run_service(
                 BASE, groups=groups, clients=clients, shards=shards,
-                seed=workload_seed,
-                requests_per_client=requests_per_client,
+                seed=WORKLOAD_SEED,
+                requests_per_client=REQUESTS_PER_CLIENT,
                 trace_requests=True)
             failures += rep.failed
             latency = rep.latency
@@ -129,16 +132,16 @@ def run(*, grid=GRID, loads=LOADS, requests_per_client=2,
     # Queueing: at fixed capacity, mean latency grows with offered
     # load (closed-loop clients pile up behind in-flight slots).
     monotone_cells = 0
-    for groups, shards in grid:
+    for groups, shards in GRID:
         means = [by_cell[(groups, shards, clients)].latency.get(
                      "mean", 0.0)
-                 for clients in sorted(loads)
+                 for clients in sorted(LOADS)
                  if (groups, shards, clients) in by_cell]
         if len(means) >= 2 and means[-1] > means[0]:
             monotone_cells += 1
     report.conclude(
         f"latency rises with offered load in {monotone_cells}/"
-        f"{len(grid)} capacity cells (queueing regime reached)",
-        ok=monotone_cells >= max(1, len(grid) // 2))
+        f"{len(GRID)} capacity cells (queueing regime reached)",
+        ok=monotone_cells >= max(1, len(GRID) // 2))
 
     return report

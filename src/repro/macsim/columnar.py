@@ -925,6 +925,10 @@ class _BidState:
     increasing counter, so the window stays about as wide as the
     broadcasts in flight -- except that a crashed sender's never-acked
     broadcast pins ``lo`` and the window then grows with the trace.
+    Only broadcast rows grow it: a delivery or ack naming an id past
+    the window is flagged as unknown, like a retired id, and a
+    broadcast id a slice or more past the highest one seen (a jump
+    the dense counter never makes) declines the fast path.
     """
 
     __slots__ = ("lo", "top", "cap") + tuple(c[0] for c in _BID_COLUMNS)
@@ -1129,14 +1133,18 @@ class _VectorAudit:
         is_a = kinds == _KIND_ACK
         if ((is_b | is_d | is_a) & (bids < 0)).any():
             raise _FastPathDeclined  # None ids on MAC kinds
-        state.ensure(int(bids.max(initial=-1)))
         lo = state.lo
 
         # --- broadcasts: register state, check crashed senders -------
         if is_b.any():
             b_row = bids[is_b] - lo
-            if b_row.min() < 0 or not np.isnan(state.start[b_row]).all():
-                raise _FastPathDeclined  # reused (or retired) id
+            if b_row.min() < 0:
+                raise _FastPathDeclined  # retired id broadcast again
+            if b_row.max() >= state.top + _AUDIT_SLICE:
+                raise _FastPathDeclined  # id jump a dense counter never makes
+            state.ensure(lo + int(b_row.max()))
+            if not np.isnan(state.start[b_row]).all():
+                raise _FastPathDeclined  # reused id
             b_pos = pos[is_b]
             state.bpos[b_row] = b_pos
             # An id given twice in this slice keeps one of its positions.
@@ -1162,9 +1170,9 @@ class _VectorAudit:
             a_time = times[is_a]
             a_pos = pos[is_a]
             a_row = a_bid - lo
-            retired = a_row < 0
-            a_row[retired] = 0  # any row: a retired id is flagged below
-            bad = (retired | np.isnan(state.start[a_row])
+            outside = (a_row < 0) | (a_row >= state.cap)
+            a_row[outside] = 0  # any row: flagged below
+            bad = (outside | np.isnan(state.start[a_row])
                    | (state.bpos[a_row] > a_pos)
                    | (state.ack_pos[a_row] >= 0))
             out.flag("ack-unknown", int(bad.sum()),
@@ -1197,10 +1205,10 @@ class _VectorAudit:
             d_bid = bids[is_d]
             d_pos = pos[is_d]
             d_row = d_bid - lo
-            retired = d_row < 0
-            d_row[retired] = 0  # any row: a retired id is flagged below
+            outside = (d_row < 0) | (d_row >= state.cap)
+            d_row[outside] = 0  # any row: flagged below
             ack_pos = state.ack_pos[d_row]
-            unknown = (retired | np.isnan(state.start[d_row])
+            unknown = (outside | np.isnan(state.start[d_row])
                        | (state.bpos[d_row] > d_pos)
                        | ((ack_pos >= 0) & (ack_pos < d_pos)))
             out.flag("delivery-unknown", int(unknown.sum()),

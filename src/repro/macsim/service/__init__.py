@@ -4,7 +4,7 @@ The engine (`repro.macsim`) executes one consensus instance per
 simulator; this package turns it into a long-lived *service* in the
 sense of the fault-tolerant follow-up work (Newport-Robinson,
 arXiv:1810.02848): many independent consensus groups fed by a
-closed-loop client workload, sharded across forked engines one per
+closed-loop client workload, spread over forked engines one per
 core. The consensus instance is the unit of analysis there and the
 unit of execution here: every slot runs to completion in one engine
 call, and only finished slots are ordered in virtual time.
@@ -22,9 +22,8 @@ Layers (bottom up):
 * :mod:`.loop` -- :class:`ConsensusService`: the virtual-time serve
   loop (latency = commit - arrival) over one resolved scenario
   template reseeded per slot, with per-group telemetry attribution.
-* :mod:`.placement` -- rendezvous-hash group placement.
-* :mod:`.sharded` -- :class:`ShardedService`: fork one engine per
-  core, aggregate exactly.
+* :mod:`.sharded` -- :class:`ShardedService`: serve each group as an
+  item of the forked pool (one worker per core), merge exactly.
 * :mod:`.tracing` -- :class:`RequestTracer` span trees
   (``service-spans/v1``) and the windowed :class:`MetricsRegistry`
   (``service-metrics/v1``) behind ``repro serve --trace-requests`` /
@@ -42,5 +41,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
                "RequestTracer prometheus_text",
     "sharded": "ShardedService run_service",
     "workload": "WorkloadGenerator",
-    "placement": "rendezvous_host rendezvous_place",
 })

@@ -93,7 +93,7 @@ class GroupStats:
 
 @dataclass
 class ServiceReport:
-    """Outcome of one service run (shard-mergeable)."""
+    """Outcome of one service run (mergeable across disjoint groups)."""
 
     groups: int
     clients: int
@@ -131,6 +131,51 @@ class ServiceReport:
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.requests / self.wall_seconds
+
+    @classmethod
+    def merge(cls, reports: Sequence["ServiceReport"],
+              clients: int) -> "ServiceReport":
+        """Aggregate disjoint-group reports into one service report.
+
+        Latency percentiles are computed over the union sample, so the
+        merge is exact -- not an average of per-group percentiles.
+        """
+        per_group: Dict[int, GroupStats] = {}
+        latencies: List[float] = []
+        tel_groups: Dict[int, Dict[str, Any]] = {}
+        failure_reasons: Dict[str, int] = {}
+        for report in reports:
+            per_group.update(report.per_group)
+            latencies.extend(report.latencies)
+            if report.telemetry is not None:
+                tel_groups.update((int(gid), acc) for gid, acc
+                                  in report.telemetry["groups"].items())
+            for reason, count in report.failure_reasons.items():
+                failure_reasons[reason] = (failure_reasons.get(reason, 0)
+                                           + count)
+        tracing = [r.tracing for r in reports if r.tracing is not None]
+        metrics = [r.metrics for r in reports if r.metrics is not None]
+        telemetry = any(r.telemetry is not None for r in reports)
+        return cls(
+            groups=sum(r.groups for r in reports),
+            clients=clients,
+            requests=sum(r.requests for r in reports),
+            failed=sum(r.failed for r in reports),
+            slots=sum(r.slots for r in reports),
+            events=sum(r.events for r in reports),
+            virtual_time=max((r.virtual_time for r in reports),
+                             default=0.0),
+            wall_seconds=0.0,  # refreshed by the caller
+            latencies=latencies,
+            per_group=per_group,
+            telemetry=(ConsensusService._telemetry_snapshot(tel_groups)
+                       if telemetry else None),
+            tracing=(RequestTracer.merge_snapshots(tracing)
+                     if tracing else None),
+            metrics=(MetricsRegistry.merge_snapshots(metrics)
+                     if metrics else None),
+            failure_reasons=failure_reasons,
+        )
 
     def to_dict(self, *, include_latencies: bool = False) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -179,7 +224,8 @@ class ConsensusService:
         which is how a shard serves its subset exactly.
     group_ids:
         Groups this instance serves; defaults to all of
-        ``workload.groups``. A shard passes its placement slice.
+        ``workload.groups``. A forked serve passes one group per
+        instance.
     batch_size:
         Frontend batch window per slot.
     slot_trace_level:

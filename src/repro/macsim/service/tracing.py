@@ -26,15 +26,18 @@ Both observers follow the telemetry subsystem's design contract:
   ``is None`` check per arrival/commit. No timing gate holds the
   enabled cost today: the <= 5% gate lived in the retired legacy bench
   harness (CHANGES.md) and waits for the perf ledger's paired on/off
-  estimator (ROADMAP item 7). What guards the behaviour is the
+  estimator (ROADMAP item 2(c)). What guards the behaviour is the
   on == off identity tests.
-* **Shard-exact merging.** Span records are pure virtual time, so the
-  merge of per-shard snapshots is *identical* (modulo the wall-clock
-  ``scheduler`` section) to a serial run's snapshot: records sort on a
-  canonical key, window counts add, and per-group series union
-  (placement partitions groups across shards). Wall-clock scheduler
-  profiles are kept under a separate ``scheduler`` key precisely so
-  identity comparisons can strip them, mirroring ``wall_seconds``.
+* **Exact merging.** Span records are pure virtual time, so the merge
+  of per-group snapshots is *identical* (modulo the wall-clock
+  ``scheduler`` section and the ``shard`` stamps) to a serial run's
+  snapshot: records sort on a canonical key, window counts add, and
+  per-group series union (every group is served by exactly one part).
+  A part's ``shard`` stamp names the pool worker that served it, which
+  varies from run to run, and a worker stamps one part per group it
+  served. Wall-clock scheduler profiles are kept under a separate
+  ``scheduler`` key precisely so identity comparisons can strip them,
+  mirroring ``wall_seconds``.
 """
 
 from __future__ import annotations
@@ -158,22 +161,27 @@ class RequestTracer:
 
     @staticmethod
     def merge_snapshots(parts: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-        """Merge per-shard span snapshots into one artifact.
+        """Merge per-part span snapshots into one artifact.
 
         Virtual-time records concatenate and re-sort (== a serial
         run's snapshot); wall-clock scheduler profiles sum per field
-        with the overhead fraction recomputed from the summed split.
+        and per ``shard`` stamp, with the overhead fraction recomputed
+        from the summed split.
         """
         parts = [p for p in parts if p is not None]
         if not parts:
             return {}
         records: List[Dict[str, Any]] = []
         shards: List[int] = []
-        sched_shards: Dict[str, Any] = {}
+        sched_shards: Dict[str, List[Dict[str, Any]]] = {}
         for part in parts:
             records.extend(part.get("requests", ()))
             shards.extend(part.get("shards", ()))
-            sched_shards.update(part.get("scheduler", {}).get("shards", {}))
+            # A worker serves several groups, so it stamps several
+            # parts: its profiles add up.
+            for sid, prof in part.get("scheduler", {}).get(
+                    "shards", {}).items():
+                sched_shards.setdefault(sid, []).append(prof)
         doc: Dict[str, Any] = {
             "schema": SPAN_SCHEMA,
             "stages": list(SPAN_STAGES),
@@ -181,21 +189,27 @@ class RequestTracer:
             "requests": sorted(records, key=_span_sort_key),
         }
         if sched_shards:
-            totals: Dict[str, float] = {}
-            for prof in sched_shards.values():
-                for key, value in prof.items():
-                    if key == "overhead_fraction":
-                        continue
-                    totals[key] = totals.get(key, 0) + value
-            totals["overhead_fraction"] = overhead_fraction(
-                totals.get("overhead_seconds", 0.0),
-                totals.get("engine_seconds", 0.0))
+            by_shard = {sid: _sum_profiles(sched_shards[sid])
+                        for sid in sorted(sched_shards, key=int)}
             doc["scheduler"] = {
-                "shards": {k: sched_shards[k]
-                           for k in sorted(sched_shards, key=int)},
-                "totals": totals,
+                "shards": by_shard,
+                "totals": _sum_profiles(by_shard.values()),
             }
         return doc
+
+
+def _sum_profiles(profiles: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Field-wise sum of scheduler profiles, with the overhead fraction
+    recomputed from the summed split."""
+    totals: Dict[str, Any] = {}
+    for prof in profiles:
+        for key, value in prof.items():
+            if key != "overhead_fraction":
+                totals[key] = totals.get(key, 0) + value
+    totals["overhead_fraction"] = overhead_fraction(
+        totals.get("overhead_seconds", 0.0),
+        totals.get("engine_seconds", 0.0))
+    return totals
 
 
 class MetricsRegistry:
@@ -363,12 +377,12 @@ class MetricsRegistry:
 
     @staticmethod
     def merge_snapshots(parts: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
-        """Merge per-shard metrics snapshots exactly.
+        """Merge per-part metrics snapshots exactly.
 
         Windows align on virtual time, so same-start windows add their
         counts and pool their latency samples; per-group series union
-        (groups are shard-disjoint); in-flight gauges add because the
-        client population partitions across shards.
+        (groups are part-disjoint); in-flight gauges add because the
+        client population partitions across parts.
         """
         parts = [p for p in parts if p is not None]
         if not parts:
@@ -410,20 +424,20 @@ class MetricsRegistry:
             for key, value in part.get("counters", {}).items():
                 counters[key] = counters.get(key, 0) + value
         windows = []
-        # A shard records windows only while *its* groups are active;
-        # in-flight gauges must carry forward through windows a shard
-        # did not record, so re-derive each shard's carried gauge.
+        # A part records windows only while *its* groups are active;
+        # in-flight gauges must carry forward through windows a part
+        # did not record, so re-derive each part's carried gauge. (One
+        # worker stamps several parts, so the key is the part.)
         carried: Dict[int, int] = {}
-        per_shard_windows: Dict[float, Dict[int, int]] = {}
-        for part in parts:
-            sid = part.get("shards", [0])[0]
+        per_part_windows: Dict[float, Dict[int, int]] = {}
+        for index, part in enumerate(parts):
             for win in part["windows"]:
-                per_shard_windows.setdefault(
-                    win["start"], {})[sid] = win["in_flight"]
+                per_part_windows.setdefault(
+                    win["start"], {})[index] = win["in_flight"]
         for start in sorted(merged_windows):
             win = merged_windows[start]
-            for sid, gauge in per_shard_windows.get(start, {}).items():
-                carried[sid] = gauge
+            for index, gauge in per_part_windows.get(start, {}).items():
+                carried[index] = gauge
             win["in_flight"] = sum(carried.values())
             win["latencies"].sort()
             win["rps"] = win["commits"] / window

@@ -26,8 +26,8 @@ Design constraints, in priority order:
   per-epoch granularity (dynamics), never per event.
   No timing gate holds the overhead today: the <= 5% gate lived in the
   retired legacy bench harness (CHANGES.md) and waits for the perf
-  ledger's paired on/off estimator (ROADMAP item 7). What guards the
-  behaviour is the on == off byte-identity tests.
+  ledger's paired on/off estimator (ROADMAP item 2(c)). What guards
+  the behaviour is the on == off byte-identity tests.
 * **Abort-safe.** Engine-raised exceptions
   (:class:`~repro.macsim.trace.SpillBudgetError`, a crashing process
   handler) flush a partial snapshot -- marked ``aborted`` with the

@@ -837,9 +837,7 @@ class ScenarioGrid:
 
     def run(self, *, name: Optional[str] = None,
             workers: Optional[int] = None, cache=None,
-            progress: Optional[bool] = None,
-            point_timeout: Optional[float] = None,
-            point_retries: int = 0):
+            progress: Optional[bool] = None):
         """Execute the whole grid and return a
         :class:`~repro.analysis.sweeps.SweepResult`.
 
@@ -857,9 +855,7 @@ class ScenarioGrid:
         label = name or self.base.algorithm.name
         block = ManifestBlock(label, self.base, self.axes, self.zipped)
         result = ExperimentManifest(label, blocks=[block]).run(
-            cache=cache, workers=workers, progress=progress,
-            point_timeout=point_timeout,
-            point_retries=point_retries)[label]
+            cache=cache, workers=workers, progress=progress)[label]
         for point in result.points:
             if point.metrics.algorithm != label:
                 point.metrics = replace(point.metrics, algorithm=label)

@@ -995,6 +995,39 @@ class TestVectorizedVsReference:
             sink.cleanup()
         assert verdict == reference and verdict.ok
 
+    @pytest.mark.parametrize("kind", ["deliver", "ack"])
+    def test_huge_id_past_the_window_flagged_both(self, kind):
+        # A delivery (or ack) naming an id far past every broadcast
+        # is flagged like a retired one; it must not size the window.
+        huge = 2 ** 40
+        row = ((0.6, "deliver", 1, huge, 0, "m") if kind == "deliver"
+               else (0.6, "ack", 0, huge, None, None))
+        records = self._clean()
+        records.insert(3, row)
+        fast, ref = self._verdicts(clique(3), records)
+        assert not fast.ok and not ref.ok
+        assert fast.violations == ref.violations
+        assert str(huge) in fast.violations[0]
+
+    def test_broadcast_id_jump_falls_back(self):
+        records = self._clean() + [
+            (2.0, "broadcast", 1, 2 ** 40, None, "n"),
+            (2.2, "deliver", 0, 2 ** 40, 1, "n"),
+            (2.3, "deliver", 2, 2 ** 40, 1, "n"),
+            (3.0, "ack", 1, 2 ** 40, None, None),
+        ]
+        sink = ColumnarSink(chunk_records=3)
+        try:
+            _fill(sink, records)
+            sink.close()
+            assert try_vectorized_invariants(clique(3), sink, 1.0) is None
+            verdict = check_model_invariants(clique(3), sink, 1.0)
+            reference = check_model_invariants(
+                clique(3), iter(list(sink)), 1.0)
+        finally:
+            sink.cleanup()
+        assert verdict == reference and verdict.ok
+
     @pytest.mark.parametrize("duplicate", [False, True])
     def test_crashed_senders_open_broadcast_pins_the_window(
             self, duplicate):

@@ -11,8 +11,8 @@ The load-bearing contracts:
   exactly what K standalone runs decide, and finished runs are handed
   out in ``(finish_time, registration order)``.
 * **Sharding is exact** -- a forked :class:`ShardedService` run equals
-  the serial run on everything but wall-clock fields.
-* **Placement** -- rendezvous hashing is deterministic and total.
+  the serial run on everything but wall-clock fields, and a worker
+  that dies once costs a retry, not a difference.
 """
 
 import json
@@ -30,7 +30,7 @@ from repro.macsim.schedulers import SynchronousScheduler
 from repro.macsim.service import (ConsensusService, GroupRuntime,
                                   RequestTracer, ShardedService,
                                   WorkloadGenerator, latency_summary,
-                                  rendezvous_place, run_service,
+                                  run_service,
                                   slot_scenario, slot_seed)
 from repro.registry import SCHEDULERS
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
@@ -332,35 +332,80 @@ class TestShardedService:
 
         monkeypatch.setitem(SCHEDULERS._builders, "explode-on",
                             explode_on)
-        # Enough work that the healthy shard is still serving when
-        # the bad one reports.
+        # Enough work that the healthy worker is still serving when
+        # the bad group reports.
         workload = WorkloadGenerator(groups=4, clients=64, seed=0,
                                      zipf_s=0.0,
                                      requests_per_client=200)
-        placement = ShardedService(BASE, workload, shards=2).placement()
-        first_shard, groups = min(
-            (shard, groups) for shard, groups in placement.items()
-            if groups)
         # Group 0's first slot runs the base seed, which the template
         # itself resolves with; any other group's is distinct.
-        bad_group = next(g for g in groups if g != 0)
+        bad_group = 2
         base = BASE.override({"scheduler": SchedulerSpec(
             "explode-on", bad_seed=slot_seed(BASE.seed, bad_group, 0))})
         service = ShardedService(base, workload, shards=2)
         with pytest.raises(RuntimeError) as failure:
             service.run()
         message = str(failure.value)
-        assert f"shard {first_shard} (groups {groups})" in message
+        assert f"service group {bad_group} failed" in message
         assert "no scheduler for seed" in message
         assert multiprocessing.active_children() == []
 
-    def test_placement_covers_all_groups(self):
-        workload = WorkloadGenerator(groups=7, clients=7, seed=0)
-        service = ShardedService(BASE, workload, shards=3)
-        placement = service.placement()
-        spread = sorted(g for groups in placement.values()
-                        for g in groups)
-        assert spread == list(range(7))
+    @staticmethod
+    def _kill_worker_serving(monkeypatch, group, marker=None):
+        """The worker that serves ``group`` dies before reporting it:
+        once when ``marker`` names a file to leave behind, else on
+        every attempt."""
+        run = ConsensusService.run
+
+        def dying(service):
+            if service.group_ids == [group] and not (
+                    marker is not None and marker.exists()):
+                if marker is not None:
+                    marker.touch()
+                os._exit(9)
+            return run(service)
+
+        monkeypatch.setattr(ConsensusService, "run", dying)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_dead_worker_costs_a_retry(self, monkeypatch, tmp_path):
+        workload = WorkloadGenerator(groups=5, clients=40, seed=2,
+                                     requests_per_client=2)
+        clean = ShardedService(BASE, workload, shards=2,
+                               telemetry=True).run()
+        marker = tmp_path / "died"
+        self._kill_worker_serving(monkeypatch, 3, marker)
+        retried = ShardedService(BASE, workload, shards=2,
+                                 telemetry=True).run()
+        assert marker.exists()
+        assert len(retried.shards) == 2
+        clean_dict, retried_dict = (_report_dict(clean),
+                                    _report_dict(retried))
+        clean_dict.pop("shards")
+        retried_dict.pop("shards")
+        assert retried_dict == clean_dict
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_worker_dying_every_attempt_loses_its_group(
+            self, monkeypatch):
+        workload = WorkloadGenerator(groups=3, clients=30, seed=0,
+                                     requests_per_client=2)
+        clean = ShardedService(BASE, workload, shards=2).run()
+        lost = workload.total_requests([0])
+        assert lost > 0
+        self._kill_worker_serving(monkeypatch, 0)
+        report = ShardedService(BASE, workload, shards=2).run()
+        assert report.failure_reasons == {"worker-lost": lost}
+        assert report.failed == lost
+        assert report.requests == clean.requests - lost
+        assert report.per_group[0].failed == lost
+        assert report.per_group[0].requests == 0
+        assert {g: s.to_dict() for g, s in report.per_group.items()
+                if g != 0} == {g: s.to_dict() for g, s
+                               in clean.per_group.items() if g != 0}
+        assert len(report.shards) == 2
+        assert multiprocessing.active_children() == []
 
     def test_run_service_wrapper(self):
         report = run_service(BASE, groups=2, clients=12, shards=1,
@@ -384,21 +429,6 @@ class TestLatencySummary:
 
     def test_empty(self):
         assert latency_summary([]) == {"count": 0}
-
-
-# ----------------------------------------------------------------------
-# Placement
-# ----------------------------------------------------------------------
-class TestPlacement:
-    HOSTS = ["h0", "h1", "h2", "h3"]
-    GROUPS = list(range(16))
-
-    def test_rendezvous_is_deterministic_and_total(self):
-        a = rendezvous_place(self.GROUPS, self.HOSTS)
-        b = rendezvous_place(self.GROUPS, self.HOSTS)
-        assert a == b
-        assert sorted(a) == self.GROUPS
-        assert set(a.values()) <= set(self.HOSTS)
 
 
 # ----------------------------------------------------------------------

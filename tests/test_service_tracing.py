@@ -154,7 +154,12 @@ class TestShardedTracingIdentity:
         report = ShardedService(BASE, workload, shards=2,
                                 trace_requests=True).run()
         sched = report.tracing["scheduler"]
-        assert len(sched["shards"]) == 2
+        # One profile per worker that served a group: which worker
+        # serves which group varies from run to run.
+        assert set(sched["shards"]) == {
+            str(row["shard"]) for row in report.shards if row["groups"]}
+        # A worker's profiles add up over the groups it served.
+        assert sched["totals"]["engine_slices"] == report.slots
         summed = sum(prof["advance_seconds"]
                      for prof in sched["shards"].values())
         assert sched["totals"]["advance_seconds"] \

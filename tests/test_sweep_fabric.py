@@ -5,8 +5,9 @@ The PR 8 contract, pinned from four directions:
 * **Executor equivalence** -- the sequential path (``workers=1``) and
   the work-stealing executor produce byte-identical point lists on the
   same grid; the stealing executor also reports
-  per-worker utilization/steal telemetry and surfaces worker failures
-  and per-point timeouts as typed errors.
+  per-worker utilization/steal telemetry, re-runs the points of a
+  worker that died, and surfaces task errors and workers that die on
+  every attempt as typed errors.
 * **Cache correctness** -- the scenario digest is stable, moves when
   any field or the salt moves, and cached metrics equal fresh ones
   across trace levels and fault models (hypothesis property).
@@ -22,6 +23,7 @@ The PR 8 contract, pinned from four directions:
 
 import io
 import json
+import multiprocessing
 import os
 import time
 from dataclasses import asdict
@@ -37,7 +39,7 @@ from repro.analysis.manifests import (ExperimentManifest, ManifestBlock,
                                       ManifestError, load_manifest,
                                       manifest_drivers, regenerate,
                                       write_manifests)
-from repro.analysis.sweeps import (SweepProgress, SweepTimeoutError,
+from repro.analysis.sweeps import (SweepProgress,
                                    SweepWorkerError, _progress_enabled,
                                    parallel_sweep, saturating_workers,
                                    sweep)
@@ -205,15 +207,36 @@ class TestExecutors:
             parallel_sweep("fabric", (4, 5, 6, 7), bad_build,
                            workers=2)
 
-    def test_point_timeout_is_typed(self):
-        def slow_build(n):
-            if int(n) == 5:
-                time.sleep(5.0)
+    @staticmethod
+    def _dying_build(key, marker=None):
+        """``_wpaxos_build`` whose worker dies at key 6: once when
+        ``marker`` names a file to leave behind, else on every
+        attempt."""
+        def build(n):
+            if int(n) == key and not (marker is not None
+                                      and marker.exists()):
+                if marker is not None:
+                    marker.touch()
+                os._exit(9)
             return _wpaxos_build(n)
+        return build
 
-        with pytest.raises(SweepTimeoutError, match="point_timeout"):
-            parallel_sweep("fabric", (4, 5), slow_build, workers=2,
-                           point_timeout=0.2, point_retries=1)
+    def test_dead_worker_costs_a_retry(self, tmp_path):
+        xs = (4, 5, 6, 7, 8, 9)
+        marker = tmp_path / "died"
+        result = parallel_sweep("fabric", xs,
+                                self._dying_build(6, marker), workers=2)
+        assert marker.exists()
+        assert _points_json(result) == _points_json(
+            sweep("fabric", xs, _wpaxos_build))
+        assert multiprocessing.active_children() == []
+
+    def test_worker_dying_every_attempt_is_typed(self):
+        with pytest.raises(SweepWorkerError, match=r"points \[6\]") as err:
+            parallel_sweep("fabric", (4, 5, 6, 7), self._dying_build(6),
+                           workers=2)
+        assert err.value.items == [6]
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -587,14 +610,14 @@ class TestExperimentRun:
     def test_all_blocks_share_one_pool(self, monkeypatch):
         from repro.analysis import sweeps
         pools = []
-        run_steal = sweeps._run_steal
+        fork_map = sweeps.fork_map
         monkeypatch.setattr(
-            sweeps, "_run_steal",
-            lambda name, xs, *args, **kwargs: (
-                pools.append((name, len(xs))),
-                run_steal(name, xs, *args, **kwargs))[1])
+            sweeps, "fork_map",
+            lambda task, items, **kwargs: (
+                pools.append(len(items)),
+                fork_map(task, items, **kwargs))[1])
         results = self._manifest().run(workers=2)
-        assert pools == [("T", 8)]
+        assert pools == [8]
         serial = self._manifest().run(workers=1)
         assert {name: _points_json(result)
                 for name, result in results.items()} \
