@@ -15,13 +15,13 @@ or replayed from JSON.
 Span anatomy (all virtual time, see
 :data:`repro.macsim.service.tracing.SPAN_STAGES`)::
 
-    enqueue ----> batch_admit ==> slot_start ----> decide ----> reply
-            queueing          (coincide)    consensus       commit
-            delay                           decision        fanout
+    enqueue ----> batch_admit ==> slot_start ----> decide ==> reply
+            queueing          (coincide)    log slot    (coincide)
+            delay                           commit
 
 * ``queueing``  = batch_admit - enqueue  (wait behind the group's slot)
 * ``service``   = reply - batch_admit    (the slot's whole execution)
-* ``decide``    = decide - slot_start    (time to the last decision)
+* ``decide``    = decide - slot_start    (until its last replica commits)
 * ``total``     = reply - enqueue        (== the service's latency)
 """
 

@@ -266,13 +266,16 @@ class SweepProgress:
         """Print the closing summary line after the last heartbeat."""
         elapsed = perf_counter() - self.started
         rate = self.done / elapsed if elapsed > 0 else float("inf")
-        hit_ratio = self.cache_hits / self.total if self.total else 0.0
+        cache = ""
+        if self.cache_hits or self.cache_misses:
+            # Only a run that consulted a result cache counted either.
+            hit_ratio = self.cache_hits / self.total if self.total else 0.0
+            cache = (f", cache {self.cache_hits}/{self.total} hits, "
+                     f"{self.cache_misses} misses [{hit_ratio:.0%}]")
         print(f"[sweep {self.name}] summary: {self.done}/{self.total} "
               f"points in {elapsed:.2f}s ({rate:.1f} points/s, "
-              f"{len(self.stragglers)} stragglers, "
-              f"cache {self.cache_hits}/{self.total} hits, "
-              f"{self.cache_misses} misses "
-              f"[{hit_ratio:.0%}])", file=self.stream, flush=True)
+              f"{len(self.stragglers)} stragglers{cache})",
+              file=self.stream, flush=True)
         if worker_stats:
             cells = []
             for entry in worker_stats:

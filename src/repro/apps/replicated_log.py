@@ -16,22 +16,23 @@ support services:
   response queue; all slot messages are wrapped in
   :class:`SlotMessage` envelopes.
 * **Sequential commitment.** A node participates in slot ``k + 1``
-  once slot ``k`` is decided locally, and the leader proposes its next
-  pending command for the new slot immediately. Decided slots flood
-  ``(slot, value)`` announcements so trailing nodes catch up.
+  once slot ``k`` is committed locally, and the leader proposes its
+  next command for the new slot as soon as it has one. Committed slots
+  flood ``(slot, value)`` announcements so trailing nodes catch up.
 
-Nodes *decide* (in the consensus sense) when their whole log -- all
-``log_length`` slots -- is committed; the decision value is the log
-tuple itself, so the standard agreement checker verifies that every
-replica ends with the identical command sequence.
+The log is open-ended: :meth:`ReplicatedLogNode.add_command` hands a
+replica its next slot's command at any time, and nothing *decides* in
+the consensus sense; callers read ``log`` (slot -> value) off the
+replicas. The service (:mod:`repro.macsim.service`) runs one log per
+group and checks each slot on every replica.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.base import ConsensusProcess
 from ..core.wpaxos.acceptor import AcceptorState, ResponseQueue
 from ..core.wpaxos.config import WPaxosConfig
 from ..core.wpaxos.messages import (ChangePart, LeaderPart, PREPARE,
@@ -40,6 +41,7 @@ from ..core.wpaxos.messages import (ChangePart, LeaderPart, PREPARE,
 from ..core.wpaxos.proposer import Proposer
 from ..core.wpaxos.services import (ChangeService,
                                     LeaderElectionService, TreeService)
+from ..macsim.process import Process
 
 
 @dataclass(frozen=True)
@@ -71,85 +73,103 @@ class LogMessage:
     parts: Tuple[object, ...]
 
     def id_footprint(self) -> int:
-        return sum(part.id_footprint() for part in self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
+        total = 0
+        for part in self.parts:
+            total += part.id_footprint()
+        return total
 
 
 class _Slot:
-    """Per-slot PAXOS state at one node."""
+    """Per-slot PAXOS state at one node. The proposer's callbacks are
+    the node's methods (bound, or partial on the slot index): a deep
+    copy rebinds them, ``canonical_key`` keys them, and a committed
+    slot is freed without the cycle collector."""
 
-    def __init__(self, node: "ReplicatedLogNode", slot: int,
-                 command: Any) -> None:
-        self.slot = slot
+    def __init__(self, node: "ReplicatedLogNode", index: int) -> None:
         self.acceptor = AcceptorState(node.uid)
         self.response_queue = ResponseQueue(
             aggregation=node.config.aggregation)
         self.proposer = Proposer(
-            node.uid, command, node.n, node.config,
-            is_leader=lambda: node.leader_svc.leader == node.uid,
-            flood=lambda part: node._handle_slot_proposer(slot, part),
-            on_chosen=lambda value: node._on_slot_chosen(slot, value))
+            node.uid, None, node.n, node.config,
+            is_leader=node._is_leader,
+            flood=partial(node._handle_slot_proposer, index),
+            on_chosen=partial(node._commit, index))
         self.seen_proposer_parts: set = set()
         self.flood_queue: List[ProposerPart] = []
         self.largest_from_leader = None
 
 
-class ReplicatedLogNode(ConsensusProcess):
+class ReplicatedLogNode(Process):
     """One replica of the wPAXOS-backed replicated log.
 
     Parameters
     ----------
     uid / n / config:
         As for :class:`~repro.core.wpaxos.node.WPaxosNode`.
-    commands:
-        This node's client workload: commands it wants committed.
-        The leader proposes its own pending commands; committed slots
-        may therefore carry any participant's commands (validity over
-        the union of workloads).
-    log_length:
-        Number of slots to commit before the node "decides" on the
-        full log.
+
+    The ``k``-th command given to :meth:`add_command` is what this
+    replica proposes for slot ``k`` while it leads; committed slots may
+    therefore carry any participant's commands (validity over the
+    union of what the replicas were given).
     """
 
-    def __init__(self, uid: int, n: int, commands: Sequence[Any],
-                 log_length: int,
+    def __init__(self, uid: int, n: int,
                  config: Optional[WPaxosConfig] = None) -> None:
-        super().__init__(uid=uid, initial_value=tuple(commands),
-                         allow_arbitrary_values=True)
-        if log_length < 1:
-            raise ValueError("log_length must be positive")
+        super().__init__(uid=uid)
+        if n < 1:
+            raise ValueError("n must be positive")
         self.n = n
         self.config = config or WPaxosConfig()
-        self.log_length = log_length
-        self.commands = list(commands)
+        self.commands: List[Any] = []
 
         self.leader_svc = LeaderElectionService(
             uid, on_leader_change=self._on_leader_change)
         self.tree_svc = TreeService(
-            uid, current_leader=lambda: self.leader_svc.leader,
-            on_tree_change=lambda root: self._note_possible_change(),
+            uid, current_leader=self._current_leader,
+            on_tree_change=self._on_tree_change,
             prioritize_leader=self.config.tree_priority)
         self.change_svc = ChangeService(
             uid, clock=self.now,
-            is_leader=lambda: self.leader_svc.leader == uid,
+            is_leader=self._is_leader,
             generate_proposal=self._generate_current)
 
         self.log: Dict[int, Any] = {}
         self.current_slot = 0
         self.decide_queue: List[SlotDecide] = []
-        self._announced_slots: set = set()
         self._slots: Dict[int, _Slot] = {}
         self._last_change_state = None
 
+        # Exact-type dispatch for the receive hot path; a part of any
+        # other class is ignored.
+        self._part_handlers = {
+            LeaderPart: self.leader_svc.on_receive,
+            ChangePart: self.change_svc.on_receive,
+            SearchPart: self.tree_svc.on_receive,
+            SlotDecide: self._handle_decide,
+            SlotMessage: self._handle_slot_message,
+        }
+
     # ------------------------------------------------------------------
+    def add_command(self, command: Any) -> None:
+        """Give this replica the command it proposes for its next slot.
+
+        Callable before the run starts or at any time during it (the
+        service calls it from a simulator wakeup): a replica that leads
+        and waits on exactly this command proposes it at once.
+        """
+        self.commands.append(command)
+        if (self._runtime is not None
+                and self.current_slot == len(self.commands) - 1
+                and self.leader_svc.leader == self.uid):
+            self._generate_current()
+            if not self._mac_pending:
+                self._pump()
+
     def _slot(self, index: int) -> _Slot:
-        if index not in self._slots:
-            command = (self.commands[index % len(self.commands)]
-                       if self.commands else ("noop", self.uid, index))
-            self._slots[index] = _Slot(self, index, command)
-        return self._slots[index]
+        slot = self._slots.get(index)
+        if slot is None:
+            slot = self._slots[index] = _Slot(self, index)
+        return slot
 
     # ------------------------------------------------------------------
     # Handlers
@@ -159,21 +179,22 @@ class ReplicatedLogNode(ConsensusProcess):
         self._pump()
 
     def on_receive(self, message: Any) -> None:
-        if not isinstance(message, LogMessage):
+        if message.__class__ is not LogMessage:
             return
-        for part in message:
-            if isinstance(part, LeaderPart):
-                self.leader_svc.on_receive(part)
-            elif isinstance(part, ChangePart):
-                self.change_svc.on_receive(part)
-            elif isinstance(part, SearchPart):
-                self.tree_svc.on_receive(part)
-            elif isinstance(part, SlotDecide):
-                self._commit(part.slot, part.value)
-            elif isinstance(part, SlotMessage):
-                self._handle_slot_part(part.slot, part.part)
-        self._note_possible_change()
-        self._pump()
+        handlers = self._part_handlers
+        for part in message.parts:
+            handler = handlers.get(part.__class__)
+            if handler is not None:
+                handler(part)
+        # Inlined body of _note_possible_change (receive hot path);
+        # keep in sync with that method.
+        leader = self.leader_svc.leader
+        state = (leader, self.tree_svc.dist.get(leader))
+        if state != self._last_change_state:
+            self._last_change_state = state
+            self.change_svc.on_local_change()
+        if not self._mac_pending:
+            self._pump()
 
     def on_ack(self) -> None:
         self._pump()
@@ -181,29 +202,34 @@ class ReplicatedLogNode(ConsensusProcess):
     # ------------------------------------------------------------------
     # Slot PAXOS plumbing
     # ------------------------------------------------------------------
-    def _handle_slot_part(self, slot_index: int, part: object) -> None:
-        if slot_index in self.log:
-            return  # already committed; late traffic is harmless
-        slot = self._slot(slot_index)
-        if isinstance(part, ProposerPart):
-            self._handle_slot_proposer(slot_index, part)
-        elif isinstance(part, ResponsePart):
-            if part.dest != self.uid:
-                return
-            if part.proposer == self.uid:
-                counted = slot.proposer.on_response(part)
-                monitor = self.config.monitor
-                if counted and monitor is not None:
-                    monitor.note_counted(
-                        (slot_index,) + proposition_key(
-                            part.proposer, part.kind, part.number),
-                        counted)
-            else:
-                slot.response_queue.add_part(part)
+    def _handle_decide(self, part: SlotDecide) -> None:
+        self._commit(part.slot, part.value)
 
-    def _handle_slot_proposer(self, slot_index: int,
+    def _handle_slot_message(self, message: SlotMessage) -> None:
+        index = message.slot
+        if index in self.log:
+            return  # already committed; late traffic is harmless
+        part = message.part
+        if part.__class__ is ProposerPart:
+            self._handle_slot_proposer(index, part)
+            return
+        if part.dest != self.uid:
+            return  # overheard unicast; not for us
+        slot = self._slot(index)
+        if part.proposer == self.uid:
+            counted = slot.proposer.on_response(part)
+            monitor = self.config.monitor
+            if counted and monitor is not None:
+                monitor.note_counted(
+                    (index,) + proposition_key(
+                        part.proposer, part.kind, part.number),
+                    counted)
+        else:
+            slot.response_queue.add_part(part)
+
+    def _handle_slot_proposer(self, index: int,
                               part: ProposerPart) -> None:
-        slot = self._slot(slot_index)
+        slot = self._slot(index)
         key = (part.kind, part.number)
         if key in slot.seen_proposer_parts:
             return
@@ -229,8 +255,8 @@ class ReplicatedLogNode(ConsensusProcess):
         monitor = self.config.monitor
         if monitor is not None and seed.affirmative:
             monitor.note_generated(
-                (slot_index,) + proposition_key(proposer_id, seed.kind,
-                                                seed.number))
+                (index,) + proposition_key(proposer_id, seed.kind,
+                                           seed.number))
         if proposer_id == self.uid:
             response = ResponsePart(dest=self.uid, proposer=self.uid,
                                     kind=seed.kind, number=seed.number,
@@ -239,53 +265,61 @@ class ReplicatedLogNode(ConsensusProcess):
             counted = slot.proposer.on_response(response)
             if counted and monitor is not None:
                 monitor.note_counted(
-                    (slot_index,) + proposition_key(
+                    (index,) + proposition_key(
                         self.uid, seed.kind, seed.number), counted)
         else:
             slot.response_queue.add_seed(seed)
 
     # ------------------------------------------------------------------
-    # Commitment and decision
+    # Commitment
     # ------------------------------------------------------------------
-    def _on_slot_chosen(self, slot_index: int, value: Any) -> None:
-        self._commit(slot_index, value)
-
-    def _commit(self, slot_index: int, value: Any) -> None:
-        if slot_index in self.log:
+    def _commit(self, index: int, value: Any) -> None:
+        log = self.log
+        if index in log:
             return
-        self.log[slot_index] = value
-        if slot_index not in self._announced_slots:
-            self._announced_slots.add(slot_index)
-            self.decide_queue.append(SlotDecide(slot=slot_index,
-                                                value=value))
-        self._slots.pop(slot_index, None)
-        while self.current_slot in self.log:
+        log[index] = value
+        self.decide_queue.append(SlotDecide(slot=index, value=value))
+        self._slots.pop(index, None)
+        while self.current_slot in log:
             self.current_slot += 1
-        if (not self.decided
-                and all(i in self.log
-                        for i in range(self.log_length))):
-            self.decide(tuple(self.log[i]
-                              for i in range(self.log_length)))
-        elif self.leader_svc.leader == self.uid:
+        if self.leader_svc.leader == self.uid:
             self._generate_current()
 
     def _generate_current(self) -> None:
-        if self.decided or self.current_slot >= self.log_length:
-            return
-        self._slot(self.current_slot).proposer.generate_new_proposal()
+        """Propose the current slot's command, once this replica has
+        one (the change service's ``generate_proposal``)."""
+        index = self.current_slot
+        if index < len(self.commands):
+            proposer = self._slot(index).proposer
+            proposer.initial_value = self.commands[index]
+            proposer.generate_new_proposal()
 
     # ------------------------------------------------------------------
-    # Services glue
+    # Service callbacks (bound methods: a deep copy rebinds them)
     # ------------------------------------------------------------------
+    def _current_leader(self) -> int:
+        return self.leader_svc.leader
+
+    def _is_leader(self) -> bool:
+        return self.leader_svc.leader == self.uid
+
     def _on_leader_change(self, old: int, new: int) -> None:
         if old == self.uid:
             for slot in self._slots.values():
                 slot.proposer.abdicate()
         self._note_possible_change()
 
+    def _on_tree_change(self, root: int) -> None:
+        self._note_possible_change()
+
     def _note_possible_change(self, force: bool = False) -> None:
+        """Fire the change service when (leader, dist-to-leader) moves.
+
+        The ``force=False`` body is duplicated inline at the end of
+        :meth:`on_receive` (the hot path); keep the two in sync.
+        """
         leader = self.leader_svc.leader
-        state = (leader, self.tree_svc.distance_to(leader))
+        state = (leader, self.tree_svc.dist.get(leader))
         if force or state != self._last_change_state:
             self._last_change_state = state
             self.change_svc.on_local_change()
@@ -300,35 +334,32 @@ class ReplicatedLogNode(ConsensusProcess):
     # Broadcast multiplexer
     # ------------------------------------------------------------------
     def _pump(self) -> None:
-        if self.crashed or self.ack_pending:
+        # _mac_pending is the engine-maintained mirror behind the
+        # ack_pending property; read it directly in this hot path.
+        if self.crashed or self._mac_pending:
             return
         parts: List[object] = []
         if self.decide_queue:
             parts.append(self.decide_queue.pop(0))
-        if not self.decided:
-            lead = self.leader_svc.pop()
-            if lead is not None:
-                parts.append(lead)
-            change = self.change_svc.pop()
-            if change is not None:
-                parts.append(change)
-            search = self.tree_svc.pop()
-            if search is not None:
-                parts.append(search)
-            slot = self._slots.get(self.current_slot)
-            if slot is not None:
-                if slot.flood_queue:
-                    parts.append(SlotMessage(
-                        slot=self.current_slot,
-                        part=slot.flood_queue.pop(0)))
-                response = slot.response_queue.pop_route(
-                    self._parent_of)
+        # The leader and change queues hold at most their freshest
+        # part; read them without the pop() frames.
+        queue = self.leader_svc.queue
+        if queue:
+            parts.append(queue.pop())
+        queue = self.change_svc.queue
+        if queue:
+            parts.append(queue.pop())
+        search = self.tree_svc.pop()
+        if search is not None:
+            parts.append(search)
+        index = self.current_slot
+        slot = self._slots.get(index)
+        if slot is not None:
+            if slot.flood_queue:
+                parts.append(SlotMessage(index, slot.flood_queue.pop(0)))
+            if slot.response_queue.has_pending():
+                response = slot.response_queue.pop_route(self._parent_of)
                 if response is not None:
-                    parts.append(SlotMessage(slot=self.current_slot,
-                                             part=response))
+                    parts.append(SlotMessage(index, response))
         if parts:
-            self.broadcast(LogMessage(parts=tuple(parts)))
-
-    def state_fingerprint(self) -> Tuple:
-        return (self.leader_svc.leader, self.current_slot,
-                tuple(sorted(self.log.items())), self.decided)
+            self.broadcast(LogMessage(tuple(parts)))

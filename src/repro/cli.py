@@ -31,12 +31,11 @@ by default) and prints their tables; ``EXPERIMENTS.md`` is its
 
 ``serve`` drives the consensus-as-a-service stack
 (:mod:`repro.macsim.service`): a closed-loop Zipf/lognormal client
-workload over ``--groups`` multiplexed consensus groups, optionally
-sharded across forked engines (``--shards 0`` = one per core), and
-prints the end-to-end latency table, per-group attribution and shard
-utilization. With ``--groups 1 --shards 1``, ``--trace-out`` exports
-the first slot's trace -- byte-identical to ``repro run`` of the same
-scenario and accepted by ``replay``. ``cache`` maintains the
+workload over ``--groups`` consensus groups, each one replicated
+wPAXOS log whose slots are the batches, optionally sharded across
+forked engines (``--shards 0`` = one per core), and prints the
+end-to-end latency table, per-group attribution and shard
+utilization. ``cache`` maintains the
 scenario-hash result cache used by ``regen`` and the sweep fabric:
 ``stats`` / ``prune --max-bytes 500M`` / ``clear``.
 """
@@ -442,16 +441,12 @@ def cmd_regen(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a closed-loop workload over multiplexed consensus groups.
+    """Serve a closed-loop workload over replicated-log groups.
 
-    The scenario flags describe the per-slot consensus configuration
-    (every slot derives from it with a ``(group, slot)`` seed); the
-    workload flags shape the closed-loop client population. Prints the
-    end-to-end latency table, per-group attribution and shard
-    utilization; ``--trace-out`` (1 group, 1 shard) exports the first
-    slot's trace, which is byte-identical to the equivalent
-    ``repro run`` of the same scenario and replayable with
-    ``repro replay``.
+    The scenario flags describe every group's log (a ``wpaxos``
+    scenario: its topology, scheduler and seed); the workload flags
+    shape the closed-loop client population. Prints the end-to-end
+    latency table, per-group attribution and shard utilization.
     """
     import os
     from .macsim.service import ShardedService, WorkloadGenerator
@@ -475,11 +470,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         raise SystemExit("--shards must be >= 0 (0 = one per core)")
     if args.shards == 0:
         args.shards = None  # auto: saturate the machine
-    capture = args.trace_out is not None
-    if capture and (args.groups != 1 or args.shards not in (None, 1)):
-        raise SystemExit("--trace-out requires --groups 1 and "
-                         "--shards 1 (the byte-identity export "
-                         "is the base scenario's own slot)")
     try:
         workload = WorkloadGenerator(
             groups=args.groups, clients=args.clients,
@@ -497,14 +487,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
     live_metrics_out = (args.metrics_out
                         if args.metrics_out and not metrics_prom
                         else None)
-    service = ShardedService(
-        base, workload, shards=args.shards, batch_size=args.batch,
-        telemetry=args.telemetry is not None,
-        capture_first_slot=capture, horizon=args.horizon,
-        progress=True if args.progress else None,
-        trace_requests=trace_requests,
-        metrics_window=metrics_window,
-        metrics_out=live_metrics_out)
+    try:
+        service = ShardedService(
+            base, workload, shards=args.shards, batch_size=args.batch,
+            telemetry=args.telemetry is not None, horizon=args.horizon,
+            progress=True if args.progress else None,
+            trace_requests=trace_requests,
+            metrics_window=metrics_window,
+            metrics_out=live_metrics_out)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     report = service.run()
 
     shards_used = len(report.shards or ())
@@ -528,7 +520,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"{reason}={count}" for reason, count
             in sorted(report.failure_reasons.items()))
         print(f"failed:         {reasons} "
-              f"(requests by their slot's stop reason)")
+              f"(requests by the reason their slot failed)")
     print(f"throughput:     {report.throughput:.3f} req/virtual-time "
           f"over {report.virtual_time:.1f} vt; "
           f"{report.wall_throughput:.0f} req/s wall "
@@ -585,14 +577,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 json.dump(report.metrics, out, indent=2)
                 out.write("\n")
         print(f"metrics written: {args.metrics_out}")
-    if capture:
-        from .analysis.export import save_trace
-        save_trace(service.first_slot_trace, args.trace_out,
-                   metadata={"service": "slot(group=0, slot=0)"},
-                   scenario=service.first_slot_scenario)
-        print(f"trace written:  {args.trace_out} "
-              f"({len(service.first_slot_trace)} records, "
-              f"byte-identical to 'repro run' of the scenario)")
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as out:
             json.dump(report.to_dict(), out, indent=2)
@@ -984,10 +968,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_p = sub.add_parser(
         "serve", help="serve a closed-loop client workload over "
-                      "multiplexed consensus groups")
+                      "replicated-log consensus groups")
     serve_p.add_argument("--algorithm", choices=ALGORITHMS.names(),
                          default=None,
-                         help="per-slot consensus algorithm "
+                         help="the groups' consensus algorithm; only "
+                              "wpaxos has a replicated log "
                               f"(default: {RUN_DEFAULTS['algorithm']})")
     serve_p.add_argument("--topology", default="clique:5",
                          help="per-group topology (default: clique:5)")
@@ -996,12 +981,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="default: synchronous")
     serve_p.add_argument("--f-ack", type=float, default=None)
     serve_p.add_argument("--seed", type=int, default=None,
-                         help="base consensus seed (each slot derives "
-                              "its own from (group, slot))")
-    serve_p.add_argument("--max-time", type=float, default=None)
+                         help="seed of every group's log")
+    serve_p.add_argument("--max-time", type=float, default=None,
+                         help="virtual-time budget of one slot, from "
+                              "its start (default: 10000 F_ack)")
     serve_p.add_argument("--scenario", default=None, metavar="FILE",
-                         help="base slot scenario from a JSON file "
-                              "(flags override its fields)")
+                         help="base scenario of every group's log, "
+                              "from a JSON file (flags override its "
+                              "fields)")
     serve_p.add_argument("--groups", type=int, default=4,
                          help="consensus groups to serve (default: 4)")
     serve_p.add_argument("--shards", type=int, default=1,
@@ -1056,11 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: 50 when --metrics-out is "
                               "set; setting it enables the registry "
                               "even without --metrics-out)")
-    serve_p.add_argument("--trace-out", default=None, metavar="FILE",
-                         help="export the first slot's trace "
-                              "(requires --groups 1 --shards 1; "
-                              "byte-identical to 'repro run' of the "
-                              "same scenario, replayable)")
     serve_p.add_argument("--json-out", default=None, metavar="FILE",
                          help="write the full service report as JSON")
     serve_p.add_argument("--progress", action="store_true",

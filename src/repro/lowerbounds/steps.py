@@ -43,6 +43,7 @@ explorer enumerates a finite space.
 from __future__ import annotations
 
 import copy
+import functools
 import random
 import types
 from collections import deque
@@ -67,8 +68,9 @@ def canonical_key(obj: Any, path: str = "process",
     its ``getstate()``; a bound method by its function's qualname plus
     its ``__self__``'s key, or a back-reference marker when
     ``__self__`` is in ``enclosing`` (the ids of the objects being
-    keyed around it). Any other instance of a Python class keys by its
-    class name and sorted attribute keys, with cycle detection.
+    keyed around it); a ``functools.partial`` by its function,
+    arguments and keywords. Any other instance of a Python class keys
+    by its class name and sorted attribute keys, with cycle detection.
     Anything else -- a function, whose closure a deep copy would share,
     or a builtin without readable state -- raises :class:`TypeError`
     naming the attribute path from ``path``.
@@ -91,6 +93,11 @@ def canonical_key(obj: Any, path: str = "process",
         return (obj.__func__.__qualname__,
                 _back_reference(owner, enclosing)
                 or canonical_key(owner, path + ".__self__", enclosing))
+    if isinstance(obj, functools.partial):
+        return ("functools.partial",
+                canonical_key(obj.func, path + ".func", enclosing),
+                canonical_key(obj.args, path + ".args", enclosing),
+                canonical_key(obj.keywords, path + ".keywords", enclosing))
     if obj is None or isinstance(obj, type) or (
             kind.__eq__ is not object.__eq__ and kind.__hash__ is not None):
         try:

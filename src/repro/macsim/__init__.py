@@ -22,7 +22,7 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "errors": "MacSimError ConfigurationError ModelViolationError "
-              "ProcessError SimulationLimitError",
+              "ProcessError",
     "faults.base": "DROP FaultModel",
     "faults.crash": "CrashFaultModel CrashPlan",
     "faults.omission": "OmissionFaultModel OmissionPlan",

@@ -32,14 +32,6 @@ class ModelViolationError(MacSimError):
     """
 
 
-class SimulationLimitError(MacSimError):
-    """A run exceeded its configured event or time budget.
-
-    This is how non-terminating executions (which the lower bounds
-    deliberately construct) are surfaced to experiment code.
-    """
-
-
 class ProcessError(MacSimError):
     """An algorithm implementation misused the process API.
 

@@ -26,9 +26,10 @@ payload -- no per-comparison Python ``__lt__`` call. The queue never
 looks at ``node`` or ``broadcast_id``: the simulator puts the
 broadcast's *record* in the ``broadcast_id`` slot of its own entries,
 so a record stays reachable exactly as long as one of its events is
-queued. The simulator's hot loop pushes and pops raw entries on
-``_heap`` itself; :meth:`EventQueue.push_light` and
-:meth:`EventQueue.pop_entry` are the same operations for everyone else.
+queued, and a wakeup's callback in the same slot of its entry. The
+simulator's hot loop pushes and pops raw entries on ``_heap`` itself;
+:meth:`EventQueue.push_light` and :meth:`EventQueue.pop_entry` are the
+same operations for everyone else.
 """
 
 from __future__ import annotations

@@ -2,14 +2,13 @@
 
 Ties the pieces together: a :class:`WorkloadGenerator` produces client
 arrivals, the :class:`ServiceFrontend` batches proposals into per-group
-consensus *slots*, and a :class:`GroupRuntime` runs each slot to
-completion and hands the finished slots back in virtual-time order.
-Each slot is a fresh consensus instance whose scenario derives
-deterministically from the base scenario and the ``(group, slot)``
-coordinate (see :func:`slot_scenario`), so any slot -- and therefore
-the whole service run -- is reproducible from the seeds alone. The
-base is resolved once into a template; a slot only rebuilds what its
-seed feeds (``ResolvedScenario.reseed``).
+*slots*, and a :class:`GroupRuntime` runs each group as one long-lived
+replicated wPAXOS log (:mod:`repro.apps.replicated_log`): a batch is
+one slot of its group's log, whose command is the batch's tuple of
+request ids ``(client, index)``. The runtime hands finished slots back
+in virtual-time order, and the loop commits them. Every log starts
+from the base scenario, so the whole service run is reproducible from
+the seeds alone.
 
 Running a slot ahead of the virtual clock is unobservable: its batch
 is fixed when it starts, every client is pinned to one group, a group
@@ -19,20 +18,13 @@ commits slots strictly in ``(finish time, start order)``.
 
 A request's end-to-end latency is ``commit - arrival`` in virtual time
 (the engine's ``F_ack`` units): queueing delay behind the group's
-current slot plus the consensus decision time of the slot that carries
-it. Throughput is committed requests per virtual time unit. A slot
-commits only when every correct node decided; one that ran out of
-events or time first fails its whole batch, counted under the engine's
-terminal ``stop_reason``.
-
-Determinism: byte-identity anchor
----------------------------------
-
-``slot_scenario(base, group, 0)`` for the first group **is** ``base``
-(group 0, slot 0 derives the identity seed), so a 1-group service run
-with ``capture_first_slot=True`` holds a trace byte-identical to
-``base.simulate()`` -- the acceptance pin the tests and the
-``repro serve --trace-out`` path enforce.
+current slot plus the time its slot took to commit. Throughput is
+committed requests per virtual time unit. A slot commits only once it
+is verified: every live replica's log holds exactly the batch at that
+slot and agrees with the others on every slot before it. A slot that
+misses its budget or fails that check fails its whole batch, counted
+under the reason (the engine's ``stop_reason``, or ``"unverified"``),
+and its group's next slot starts a fresh log.
 """
 
 from __future__ import annotations
@@ -48,31 +40,7 @@ from .tracing import MetricsRegistry, RequestTracer, latency_summary
 from .workload import WorkloadGenerator
 
 __all__ = ["ConsensusService", "GroupStats", "ServiceReport",
-           "latency_summary", "slot_scenario", "slot_seed"]
-
-_SLOT_GROUP_SALT = 2654435761
-_SLOT_INDEX_SALT = 2246822519
-_SEED_MASK = (1 << 31) - 1
-
-
-def slot_seed(seed: int, group: int, slot: int) -> int:
-    """Derive the consensus seed for ``(group, slot)``.
-
-    ``slot_seed(seed, 0, 0) == seed``: the first slot of group 0 runs
-    the base scenario unchanged, which anchors the service's
-    byte-identity contract against ``Scenario.simulate()``.
-    """
-    return seed ^ ((group * _SLOT_GROUP_SALT
-                    + slot * _SLOT_INDEX_SALT) & _SEED_MASK)
-
-
-def slot_scenario(base: Any, group: int, slot: int) -> Any:
-    """The scenario a given slot executes: ``base`` reseeded for the
-    ``(group, slot)`` coordinate (identity for group 0, slot 0)."""
-    seed = slot_seed(base.seed, group, slot)
-    if seed == base.seed:
-        return base
-    return base.override({"seed": seed})
+           "latency_summary"]
 
 
 @dataclass
@@ -111,7 +79,7 @@ class ServiceReport:
     tracing: Optional[Dict[str, Any]] = None
     #: ``service-metrics/v1`` snapshot when the metrics registry was on.
     metrics: Optional[Dict[str, Any]] = None
-    #: Failed requests by the terminal ``stop_reason`` of their slot.
+    #: Failed requests by the reason their slot failed.
     failure_reasons: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -215,9 +183,10 @@ class ConsensusService:
     Parameters
     ----------
     base:
-        The :class:`~repro.scenario.Scenario` every slot derives from
-        (its seed is re-derived per slot; everything else -- algorithm,
-        topology, scheduler, faults -- is shared service configuration).
+        The :class:`~repro.scenario.Scenario` every group's log is
+        built from (its topology, scheduler, trace level and wPAXOS
+        parameters; ``max_events``/``max_time`` are per-slot budgets).
+        Its algorithm must be ``wpaxos``.
     workload:
         The arrival process. Only clients pinned (by the workload's own
         deterministic choice) to a group in ``group_ids`` are replayed,
@@ -229,18 +198,13 @@ class ConsensusService:
     batch_size:
         Frontend batch window per slot.
     slot_trace_level:
-        Trace level for slot scenarios (default ``"decisions"`` keeps
-        long serve runs lean); ``None`` keeps the base scenario's
-        level. The captured first slot always keeps the base level so
-        byte-identity compares full traces.
+        Trace level of every group's log (default ``"decisions"``
+        keeps long serve runs lean); ``None`` keeps the base
+        scenario's level.
     telemetry:
-        When true, every slot runs with its own
+        When true, every log runs with its own
         :class:`~repro.macsim.telemetry.Telemetry` and the per-group
         accumulated counters land in ``report.telemetry``.
-    capture_first_slot:
-        Keep the first served group's slot-0 trace (and its scenario)
-        on ``self.first_slot_trace`` / ``self.first_slot_scenario``
-        for export/byte-identity checks.
     horizon:
         Optional virtual-time admission deadline: arrivals past it are
         dropped (in-flight and queued work still drains).
@@ -261,7 +225,6 @@ class ConsensusService:
                  batch_size: int = 8,
                  slot_trace_level: Optional[str] = "decisions",
                  telemetry: bool = False,
-                 capture_first_slot: bool = False,
                  horizon: Optional[float] = None,
                  tracer: Optional[RequestTracer] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
@@ -277,10 +240,7 @@ class ConsensusService:
         self.batch_size = batch_size
         self.slot_trace_level = slot_trace_level
         self.telemetry_enabled = telemetry
-        self.capture_first_slot = capture_first_slot
         self.horizon = horizon
-        self.first_slot_trace: Any = None
-        self.first_slot_scenario: Any = None
 
     # ------------------------------------------------------------------
     def run(self) -> ServiceReport:
@@ -289,27 +249,25 @@ class ConsensusService:
         tracer = self.tracer
         metrics = self.metrics
         base = self.base
-        slot_base = base
         if (self.slot_trace_level is not None
                 and base.trace_level != self.slot_trace_level):
-            slot_base = base.override(
-                {"trace_level": self.slot_trace_level})
-        template = slot_base.resolve()
+            base = base.override({"trace_level": self.slot_trace_level})
         frontend = ServiceFrontend(batch_size=self.batch_size)
-        runtime = GroupRuntime(profile=tracer is not None)
+        runtime = GroupRuntime(base, profile=tracer is not None)
         served = self.group_ids
         stats: Dict[int, GroupStats] = {g: GroupStats() for g in served}
         slot_counts: Dict[int, int] = {g: 0 for g in served}
         busy: Dict[int, bool] = {g: False for g in served}
         latencies: List[float] = []
         failure_reasons: Dict[str, int] = {}
-        tel_groups: Dict[int, Dict[str, Any]] = {}
+        #: Per group, the telemetry of each log it ran, in order.
+        tel_logs: Dict[int, List[Any]] = {g: [] for g in served}
         committed = 0
         failed = 0
         total_slots = 0
         total_events = 0
         virtual_end = 0.0
-        capture_group = served[0] if self.capture_first_slot else None
+        tel = True if self.telemetry_enabled else None
 
         # (wake_time, client, request_index) -- the closed loop's heap.
         heap: List[Any] = []
@@ -325,48 +283,38 @@ class ConsensusService:
                 return
             slot = slot_counts[gid]
             slot_counts[gid] = slot + 1
-            capture = (gid == capture_group and slot == 0)
-            if capture:
-                # The captured slot keeps the base trace level.
-                resolved = slot_scenario(base, gid, slot).resolve()
-                self.first_slot_scenario = resolved.scenario
-            else:
-                resolved = template.reseed(
-                    slot_seed(base.seed, gid, slot))
-            tel = True if self.telemetry_enabled else None
-            runtime.add_group(resolved, group_id=gid, start_time=now,
-                              telemetry=tel,
-                              context=(batch, slot, capture))
+            command = tuple([(req.client, req.index) for req in batch])
+            runtime.add_group(command, group_id=gid, start_time=now,
+                              telemetry=tel, context=(batch, slot))
             busy[gid] = True
 
         def commit(run: GroupRun) -> None:
             nonlocal committed, failed, total_slots, total_events
             nonlocal virtual_end
             gid = run.group_id
-            batch, _slot, capture = run.context
+            batch, slot = run.context
             busy[gid] = False
             t_commit = run.finish_time
-            ok = run.result.all_decided
-            reason = run.result.stop_reason
+            reason = run.failure
+            ok = reason is None
+            events = run.result.events_processed
             gstats = stats[gid]
             gstats.slots += 1
-            gstats.events += run.result.events_processed
+            gstats.events += events
             gstats.last_commit = max(gstats.last_commit, t_commit)
             total_slots += 1
-            total_events += run.result.events_processed
+            total_events += events
             virtual_end = max(virtual_end, t_commit)
-            if capture:
-                self.first_slot_trace = run.result.trace
-            if run.telemetry is not None:
-                self._accumulate_telemetry(tel_groups, gid, run)
+            logs = tel_logs[gid]
+            if run.telemetry is not None and not (
+                    logs and logs[-1] is run.telemetry):
+                logs.append(run.telemetry)
             if tracer is not None:
-                times = run.result.decision_times
-                t_decide = (run.start_time + max(times.values())
-                            if times else t_commit)
-                tracer.record_slot(group=gid, slot=_slot, batch=batch,
+                # The slot stops the instant its last replica commits.
+                tracer.record_slot(group=gid, slot=slot, batch=batch,
                                    start=run.start_time,
-                                   decide=t_decide, reply=t_commit,
-                                   ok=ok, stop_reason=reason)
+                                   decide=t_commit, reply=t_commit,
+                                   ok=ok, stop_reason=reason or "committed")
             if not ok:
                 failure_reasons[reason] = (
                     failure_reasons.get(reason, 0) + len(batch))
@@ -392,9 +340,11 @@ class ConsensusService:
             if frontend.pending(gid):
                 start_slot(gid, t_commit)
 
-        while heap or runtime.active_groups:
+        while True:
             t_wake = heap[0][0] if heap else None
             t_slot = runtime.next_time()
+            if t_slot is None and t_wake is None:
+                break
             if t_slot is not None and (t_wake is None or t_slot <= t_wake):
                 for run in runtime.advance(until=t_wake):
                     commit(run)
@@ -411,7 +361,10 @@ class ConsensusService:
 
         telemetry = None
         if self.telemetry_enabled:
-            telemetry = self._telemetry_snapshot(tel_groups)
+            telemetry = self._telemetry_snapshot({
+                gid: self._group_telemetry(tel_logs[gid],
+                                           stats[gid].slots)
+                for gid in served if stats[gid].slots})
         tracing = None
         if tracer is not None:
             tracing = tracer.snapshot(
@@ -452,23 +405,22 @@ class ConsensusService:
     # Telemetry attribution
     # ------------------------------------------------------------------
     @staticmethod
-    def _accumulate_telemetry(tel_groups: Dict[int, Dict[str, Any]],
-                              gid: int, run: GroupRun) -> None:
-        tel = run.telemetry
-        acc = tel_groups.get(gid)
-        if acc is None:
-            acc = tel_groups[gid] = {
-                "slots": 0, "events_processed": 0,
-                "wall_seconds": 0.0, "counters": {},
-            }
-        acc["slots"] += 1
-        acc["events_processed"] += tel.events_processed
-        acc["wall_seconds"] += tel.wall_seconds
+    def _group_telemetry(logs: Sequence[Any],
+                         slots: int) -> Dict[str, Any]:
+        """One group's accumulated telemetry: the sum over its logs,
+        each of whose :class:`~repro.macsim.telemetry.Telemetry` is
+        cumulative over that log's slots."""
+        acc: Dict[str, Any] = {"slots": slots, "events_processed": 0,
+                               "wall_seconds": 0.0, "counters": {}}
         counters = acc["counters"]
-        for key, value in tel.counters.items():
-            if isinstance(value, (int, float)) \
-                    and not isinstance(value, bool):
-                counters[key] = counters.get(key, 0) + value
+        for tel in logs:
+            acc["events_processed"] += tel.events_processed
+            acc["wall_seconds"] += tel.wall_seconds
+            for key, value in tel.counters.items():
+                if isinstance(value, (int, float)) \
+                        and not isinstance(value, bool):
+                    counters[key] = counters.get(key, 0) + value
+        return acc
 
     @staticmethod
     def _telemetry_snapshot(

@@ -20,6 +20,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
 from .loop import ConsensusService, GroupStats, ServiceReport
+from .runtime import log_replicas, require_log_algorithm
 from .tracing import MetricsRegistry, RequestTracer
 from .workload import WorkloadGenerator
 
@@ -42,12 +43,12 @@ class ShardedService:
                  batch_size: int = 8,
                  slot_trace_level: Optional[str] = "decisions",
                  telemetry: bool = False,
-                 capture_first_slot: bool = False,
                  horizon: Optional[float] = None,
                  progress: Optional[bool] = None,
                  trace_requests: bool = False,
                  metrics_window: Optional[float] = None,
                  metrics_out: Optional[str] = None) -> None:
+        require_log_algorithm(base)
         self.base = base
         self.workload = workload
         if group_ids is None:
@@ -72,9 +73,6 @@ class ShardedService:
             "telemetry": telemetry,
             "horizon": horizon,
         }
-        self.capture_first_slot = capture_first_slot
-        self.first_slot_trace: Any = None
-        self.first_slot_scenario: Any = None
 
     # ------------------------------------------------------------------
     def run(self) -> ServiceReport:
@@ -99,12 +97,9 @@ class ShardedService:
         tracer, metrics = self._observers(0, out_path=self.metrics_out)
         service = ConsensusService(
             self.base, self.workload, group_ids=self.group_ids,
-            capture_first_slot=self.capture_first_slot,
             tracer=tracer, metrics=metrics,
             **self._service_kwargs)
         report = service.run()
-        self.first_slot_trace = service.first_slot_trace
-        self.first_slot_scenario = service.first_slot_scenario
         report.shards = [{
             "shard": 0, "groups": len(self.group_ids),
             "requests": report.requests,
@@ -140,9 +135,10 @@ class ShardedService:
                                         flag_stragglers, fork_map)
         if not can_fork():
             return self._run_inline()
-        # Resolving imports the classes the scenario names: once here,
-        # and every worker inherits them instead of compiling its own.
-        self.base.resolve()
+        # Resolving and naming the log's replicas imports every class a
+        # group's log runs on: once here, and every worker inherits them
+        # instead of compiling its own.
+        log_replicas(self.base, self.base.resolve().graph)
         reporter = None
         if _progress_enabled(self.progress):
             reporter = SweepProgress("serve", len(self.group_ids))

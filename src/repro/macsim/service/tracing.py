@@ -102,8 +102,8 @@ class RequestTracer:
 
     The serve loop calls :meth:`record_slot` once per finished slot
     (it already holds every timestamp a span needs: the request's
-    arrival, the slot's start, the engine's decision time and the
-    commit instant), so tracing adds one dict append per request and
+    arrival, the slot's start, the instant its replicas committed and
+    the commit instant), so tracing adds one dict append per request and
     zero work per event.
     """
 
@@ -118,11 +118,11 @@ class RequestTracer:
                     ok: bool, stop_reason: str) -> None:
         """Record the spans of every request carried by one slot.
 
-        ``start`` is the global instant the slot's engine began (batch
+        ``start`` is the global instant the slot began (batch
         admission and slot start coincide), ``decide`` the global
-        instant the slot's last correct node decided, ``reply`` the
-        commit instant the service stamps latencies with.
-        ``stop_reason`` is the engine's terminal verdict for the slot:
+        instant the slot's last live replica committed it, ``reply``
+        the commit instant the service stamps latencies with.
+        ``stop_reason`` is ``"committed"`` for a verified slot, else
         why a request with ``ok`` false failed.
         """
         shard = self.shard
@@ -489,7 +489,7 @@ def prometheus_text(doc: Dict[str, Any]) -> str:
     lines.append(f"{_PROM_PREFIX}_requests_committed_total "
                  f"{totals.get('commits', 0)}")
     header(f"{_PROM_PREFIX}_requests_failed_total", "counter",
-           "Requests on slots that failed to decide.")
+           "Requests on slots that failed.")
     lines.append(f"{_PROM_PREFIX}_requests_failed_total "
                  f"{totals.get('failed', 0)}")
     header(f"{_PROM_PREFIX}_in_flight", "gauge",

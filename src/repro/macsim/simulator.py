@@ -136,8 +136,7 @@ from time import perf_counter
 from typing import Any, Callable, Mapping, Optional
 
 from .dynamics.base import edge_key as _edge_key
-from .errors import (ConfigurationError, ModelViolationError,
-                     SimulationLimitError)
+from .errors import ConfigurationError, ModelViolationError
 from .events import (ACK_PRIORITY, CRASH_PRIORITY, DELIVER_PRIORITY,
                      WAKEUP_PRIORITY, EventQueue)
 from .faults.base import DROP, FaultModel
@@ -314,7 +313,6 @@ class Simulator:
                 f"nodes without processes: {missing[:5]!r}...")
 
         self._queue = EventQueue()
-        self._callbacks: list = []
         self._inflight: dict[Any, _BroadcastRecord] = {}
         self._next_bid = 0
         self._crashed: set = set()
@@ -414,10 +412,10 @@ class Simulator:
         if time < self.now:
             raise ConfigurationError(
                 f"callback scheduled in the past: {time} < {self.now}")
-        index = len(self._callbacks)
-        self._callbacks.append(callback)
+        # The entry carries the callback itself, so a long-lived
+        # simulator woken once per slot keeps no table of them.
         self._queue.push_light(time, WAKEUP_PRIORITY, "wakeup",
-                               node=None, broadcast_id=index)
+                               node=None, broadcast_id=callback)
 
     def add_observer(self, observer) -> None:
         """Register an observer.
@@ -692,42 +690,24 @@ class Simulator:
         return deliveries
 
     # ------------------------------------------------------------------
-    # Multiplexing API
-    # ------------------------------------------------------------------
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the earliest pending event, or ``None`` when
-        the simulation is quiescent.
-
-        Accounts for a half-consumed ``bdeliver`` batch cursor (whose
-        remaining deliveries are ordered before anything left on the
-        heap), so the value is exact even when a previous ``run`` call
-        stopped mid-batch. This is the shared-scheduling hook that lets
-        a multi-group runtime interleave several simulators in global
-        time order without reaching into their queues. It is a
-        between-``run`` query: from inside a handler or stop predicate
-        the batch being expanded is not on the cursor.
-        """
-        batch = self._pending_batch
-        if batch is not None:
-            return batch[0]
-        return self._queue.peek_time()
-
-    # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self, *, max_events: int = DEFAULT_MAX_EVENTS,
             max_time: Optional[float] = None,
             stop_when_all_decided: bool = True,
-            stop_predicate: Optional[Callable[["Simulator"], bool]] = None,
-            raise_on_limit: bool = False) -> RunResult:
+            stop_predicate: Optional[Callable[["Simulator"], bool]] = None
+            ) -> RunResult:
         """Execute until quiescence, decision, or a limit.
 
         ``stop_predicate`` (checked after every event) allows callers to
         stop mid-execution, e.g. once a particular node decides.
 
         ``run()`` may be invoked repeatedly on the same simulator to
-        resume after an event/time limit; ``on_finish`` observers fire
-        only once, at the end of the first invocation.
+        resume after a stop or an event/time limit, at the exact
+        receiver a delivery batch was interrupted at: a service group
+        runs its long-lived replicated log one slot per call, until
+        every replica committed that slot. ``on_finish`` observers
+        fire only once, at the end of the first invocation.
         """
         if max_time is None:
             max_time = DEFAULT_MAX_TIME_FACTOR * self.scheduler.f_ack
@@ -804,9 +784,6 @@ class Simulator:
                         if event_time > max_time:
                             # Only a resumed batch can be past the limit.
                             stop_reason = "max_time"
-                            if raise_on_limit:
-                                raise SimulationLimitError(
-                                    f"exceeded max_time={max_time}")
                             break
                         receiver = receivers[i]
                         i += 1
@@ -824,9 +801,6 @@ class Simulator:
                         events_processed += 1
                         if events_processed >= max_events:
                             stop_reason = "max_events"
-                            if raise_on_limit:
-                                raise SimulationLimitError(
-                                    f"exceeded max_events={max_events}")
                             break
                     else:
                         continue
@@ -855,9 +829,6 @@ class Simulator:
             event_time = entry[0]
             if event_time > max_time:
                 stop_reason = "max_time"
-                if raise_on_limit:
-                    raise SimulationLimitError(
-                        f"exceeded max_time={max_time}")
                 break
             if event_time + 1e-12 < self.now:
                 raise ModelViolationError(
@@ -920,15 +891,12 @@ class Simulator:
                              broadcast_id=record.bid, peer=record.sender,
                              payload=record.payload)
             elif kind == "wakeup":
-                self._callbacks[entry[5]](self)
+                entry[5](self)
             else:  # pragma: no cover - defensive
                 raise ModelViolationError(f"unknown event kind {kind!r}")
             events_processed += 1
             if events_processed >= max_events:
                 stop_reason = "max_events"
-                if raise_on_limit:
-                    raise SimulationLimitError(
-                        f"exceeded max_events={max_events}")
                 break
         except BaseException as exc:
             # Engine-raised exceptions (SpillBudgetError mid-flush, a

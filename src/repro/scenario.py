@@ -343,8 +343,9 @@ class ResolvedScenario:
         trace sink, telemetry -- lives on the returned
         :class:`~repro.macsim.simulator.Simulator`, while *when* it
         runs is the caller's business. ``simulate()`` drives it to
-        completion in one call, as does the multi-group service
-        runtime for every slot.
+        completion in one call; the multi-group service runtime builds
+        each group's long-lived replicated log through it and resumes
+        it once per slot.
 
         ``telemetry`` (a bool or a
         :class:`~repro.macsim.telemetry.Telemetry` to keep a handle
@@ -362,19 +363,6 @@ class ResolvedScenario:
             dynamics=self.dynamics,
             trace_level=scenario.trace_level, trace_sink=trace_sink,
             telemetry=telemetry)
-
-    def reseed(self, seed: int) -> "ResolvedScenario":
-        """This scenario resolved under another ``seed``, equal to
-        ``scenario.override({"seed": seed}).resolve()``.
-
-        The seed-independent ingredients (``graph``, ``initial_values``;
-        both are only ever read) are shared with ``self``; everything
-        the seed feeds -- and everything stateful -- is built fresh, so
-        one resolved scenario can serve as a template for many runs."""
-        scenario = self.scenario
-        if seed != scenario.seed:
-            scenario = replace(scenario, seed=seed)
-        return _resolve_seeded(scenario, self.graph, self.initial_values)
 
     def simulate(self, *, trace_sink=None, telemetry=None):
         """Run the simulation and return the raw

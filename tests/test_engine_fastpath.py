@@ -15,7 +15,6 @@ from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
                           CrashPlan, EquivocateStrategy,
                           OmissionFaultModel, OmissionPlan, Process,
                           TraceLevel, build_simulation)
-from repro.macsim.errors import SimulationLimitError
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.macsim.simulator import _BroadcastRecord
@@ -563,7 +562,7 @@ class TestBatchExpansionStopsAndResumes:
             self, variant, level):
         sim, result = self._whole(variant, level)
         assert sim._pending_batch is not None
-        assert sim.next_event_time() == result.end_time
+        assert sim._pending_batch[0] == result.end_time
         assert result.events_processed == _BATCH_COMMITTED[variant][0]
 
     @pytest.mark.parametrize("k", range(1, 8))
@@ -602,7 +601,7 @@ class TestBatchExpansionStopsAndResumes:
         assert sim.trace.delivery_count() == deliveries
         _, record, receivers, index = sim._pending_batch
         assert 0 < index < len(receivers)
-        assert sim.next_event_time() == sim.now == 1.0
+        assert sim._pending_batch[0] == sim.now == 1.0
         # One more event is the interrupted broadcast reaching its next
         # receiver (a drop is an entry of its own, never in a batch).
         handled = sim.trace.delivery_count()
@@ -625,10 +624,8 @@ class TestBatchExpansionStopsAndResumes:
         result = sim.run(max_time=0.5)
         assert (result.stop_reason, result.events_processed) == (
             "max_time", 0)
-        with pytest.raises(SimulationLimitError):
-            sim.run(max_time=0.5, raise_on_limit=True)
         assert sim._pending_batch == cursor
-        assert sim.next_event_time() == 1.0
+        assert cursor[0] == 1.0
         assert sim.run().stop_reason == "all_decided"
         assert _batch_signature(sim) == _batch_signature(whole)
 

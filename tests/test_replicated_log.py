@@ -1,10 +1,14 @@
 """Replicated log (multi-decree wPAXOS) tests."""
 
+import copy
+from functools import partial
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import ReplicatedLogNode
 from repro.core.wpaxos import SafetyMonitor, WPaxosConfig
+from repro.lowerbounds.steps import canonical_key
 from repro.macsim import build_simulation, check_model_invariants
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
@@ -13,21 +17,32 @@ from repro.topology import clique, grid, line, random_connected
 
 def run_log(graph, scheduler, log_length=4, config=None,
             commands=None):
+    """Every replica gets its commands up front; the run ends when the
+    log goes quiet (it never decides)."""
     n = graph.n
     commands = commands or {
         v: [f"cmd-{graph.index_of(v)}-{k}" for k in range(log_length)]
         for v in graph.nodes}
-    sim = build_simulation(
-        graph,
-        lambda v: ReplicatedLogNode(graph.index_of(v) + 1, n,
-                                    commands[v], log_length,
-                                    config=config),
-        scheduler)
-    result = sim.run(max_events=10_000_000, max_time=5_000.0)
+
+    def replica(v):
+        node = ReplicatedLogNode(graph.index_of(v) + 1, n, config=config)
+        for command in commands[v]:
+            node.add_command(command)
+        return node
+
+    sim = build_simulation(graph, replica, scheduler)
+    result = sim.run(max_events=10_000_000, max_time=5_000.0,
+                     stop_when_all_decided=False)
+    assert result.stop_reason == "quiescent"
     invariants = check_model_invariants(graph, result.trace,
                                         scheduler.f_ack)
     assert invariants.ok, invariants.violations[:5]
     return sim, result
+
+
+def logs_of(sim, graph):
+    return [tuple(sorted(sim.process_at(v).log.items()))
+            for v in graph.nodes]
 
 
 class TestLogReplication:
@@ -35,10 +50,11 @@ class TestLogReplication:
                              ids=lambda g: f"n{g.n}")
     def test_all_replicas_commit_identical_logs(self, graph):
         sim, result = run_log(graph, SynchronousScheduler(1.0))
-        logs = [tuple(sorted(sim.process_at(v).log.items()))
-                for v in graph.nodes]
-        assert all(sim.process_at(v).decided for v in graph.nodes)
+        logs = logs_of(sim, graph)
         assert len(set(logs)) == 1
+        assert len(logs[0]) == 4
+        # A log replica never decides in the consensus sense.
+        assert result.decisions == {}
 
     def test_log_has_every_slot_exactly_once(self):
         graph = line(5)
@@ -57,45 +73,55 @@ class TestLogReplication:
         all_commands = {c for cs in commands.values() for c in cs}
         assert committed <= all_commands
 
-    def test_decision_value_is_the_log_tuple(self):
+    def test_log_stops_at_the_last_command(self):
+        # Slot k needs a command at the leader; with none left the log
+        # goes quiet instead of proposing an empty slot.
         graph = clique(3)
-        sim, result = run_log(graph, SynchronousScheduler(1.0),
-                              log_length=2)
-        decisions = set(result.decisions.values())
-        assert len(decisions) == 1
-        decided_log = decisions.pop()
-        assert isinstance(decided_log, tuple)
-        assert len(decided_log) == 2
+        sim, _ = run_log(graph, SynchronousScheduler(1.0),
+                         log_length=2)
+        assert all(sim.process_at(v).current_slot == 2
+                   for v in graph.nodes)
 
     def test_random_schedules(self):
         for seed in range(3):
             graph = line(7)
             sim, _ = run_log(graph,
                              RandomDelayScheduler(1.0, seed=seed))
-            logs = [tuple(sorted(sim.process_at(v).log.items()))
-                    for v in graph.nodes]
-            assert len(set(logs)) == 1
+            assert len(set(logs_of(sim, graph))) == 1
 
     def test_per_slot_conservation_monitor(self):
         monitor = SafetyMonitor()
         graph = grid(3, 3)
         sim, _ = run_log(graph, SynchronousScheduler(1.0),
                          config=WPaxosConfig(monitor=monitor))
-        assert all(sim.process_at(v).decided for v in graph.nodes)
+        assert all(len(sim.process_at(v).log) == 4 for v in graph.nodes)
         assert monitor.conservation_holds()
 
     def test_amortization_over_slots(self):
         """Multi-decree amortizes the service setup: per-slot cost of
-        a long log is far below a whole fresh consensus."""
+        a long log is far below the first slot's cold start."""
         graph = line(8)
-        _, short = run_log(graph, SynchronousScheduler(1.0),
-                           log_length=1)
-        _, long = run_log(graph, SynchronousScheduler(1.0),
-                          log_length=8)
-        t_short = short.trace.last_decision_time()
-        t_long = long.trace.last_decision_time()
-        per_slot_long = (t_long - t_short) / 7
-        assert per_slot_long < 0.8 * t_short
+        sim = build_simulation(
+            graph, lambda v: ReplicatedLogNode(graph.index_of(v) + 1,
+                                               graph.n),
+            SynchronousScheduler(1.0))
+        replicas = list(sim.processes.values())
+        times = []
+        for slot in range(8):
+            # The service's path: hand every replica the slot's command
+            # at a wakeup, resume until all of them committed it.
+            sim.schedule_callback(sim.now, lambda s, k=slot: [
+                r.add_command(f"c{k}") for r in replicas])
+            result = sim.run(
+                stop_when_all_decided=False,
+                stop_predicate=lambda s, k=slot: all(
+                    k in r.log for r in replicas))
+            assert result.stop_reason == "predicate"
+            times.append(sim.now)
+        assert all(r.log == {k: f"c{k}" for k in range(8)}
+                   for r in replicas)
+        per_slot_long = (times[-1] - times[0]) / 7
+        assert per_slot_long < 0.8 * times[0]
 
     @given(n=st.integers(2, 8), topo_seed=st.integers(0, 10 ** 4),
            sched_seed=st.integers(0, 10 ** 4))
@@ -107,10 +133,33 @@ class TestLogReplication:
         sim, _ = run_log(graph,
                          RandomDelayScheduler(1.0, seed=sched_seed),
                          log_length=3)
-        logs = [tuple(sorted(sim.process_at(v).log.items()))
-                for v in graph.nodes]
+        logs = logs_of(sim, graph)
         assert len(set(logs)) == 1
+        assert len(logs[0]) == 3
 
-    def test_bad_log_length_rejected(self):
+    def test_bad_network_size_rejected(self):
         with pytest.raises(ValueError):
-            ReplicatedLogNode(1, 3, ["a"], 0)
+            ReplicatedLogNode(1, 0)
+
+
+class TestCanonicalKey:
+    def test_two_slot_log_node_is_keyed(self):
+        # Every callback a slot's proposer holds is a bound method of
+        # the node, or a partial of one, so the valid-step explorer can
+        # key a log replica: deep copies key equal, and a state change
+        # or another slot index keys differently.
+        node = ReplicatedLogNode(1, 3)
+        node.add_command("a")
+        node.add_command("b")
+        node._slot(0)
+        node._slot(1)
+        twin = copy.deepcopy(node)
+        assert twin._slots[1].proposer._flood.func.__self__ is twin
+        assert twin._slots[1].proposer._flood.args == (1,)
+        assert canonical_key(twin) == canonical_key(node)
+        twin._slots[1].acceptor.on_prepare((1, 2), 2)
+        assert canonical_key(twin) != canonical_key(node)
+        swapped = copy.deepcopy(node)
+        swapped._slots[0].proposer._flood = partial(
+            swapped._handle_slot_proposer, 1)
+        assert canonical_key(swapped) != canonical_key(node)

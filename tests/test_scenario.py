@@ -33,7 +33,7 @@ from repro.macsim.faults import (ByzantineFaultModel, ByzantinePlan,
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.registry import TOPOLOGIES, UnknownNameError
-from repro.scenario import (AlgorithmSpec, DynamicsSpec, FaultSpec,
+from repro.scenario import (AlgorithmSpec, FaultSpec,
                             OverlaySpec, Scenario, ScenarioError,
                             SchedulerSpec, TopologySpec,
                             parse_topology_spec)
@@ -432,61 +432,6 @@ class TestScenarioABIdentity:
 # ---------------------------------------------------------------------------
 # Grids
 # ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
-# Reseeding a resolved template
-# ---------------------------------------------------------------------------
-
-class TestReseed:
-    # No spec pins its own seed, so the scenario seed feeds every
-    # registry that takes one.
-    SCHEDULERS = [
-        SchedulerSpec("synchronous"),
-        SchedulerSpec("random", f_ack=2.0),
-        SchedulerSpec("bernoulli-unreliable", p=0.5,
-                      inner=SchedulerSpec("synchronous")),
-    ]
-
-    @given(scheduler=st.sampled_from(SCHEDULERS),
-           fault=st.sampled_from(
-               [None, FaultSpec("crash", node=1, time=1.5)]),
-           dynamics=st.sampled_from(
-               [None, DynamicsSpec("edge-churn", rate=0.1)]),
-           overlay=st.sampled_from(
-               [None, OverlaySpec("random-overlay", density=0.3)]),
-           seeds=st.lists(st.integers(0, 10 ** 6), min_size=2,
-                          max_size=3, unique=True))
-    @settings(max_examples=25, deadline=None)
-    def test_reseed_equals_override_resolve(self, scheduler, fault,
-                                            dynamics, overlay, seeds):
-        base = Scenario(
-            algorithm=AlgorithmSpec("wpaxos"),
-            topology=TopologySpec("grid", rows=2, cols=3),
-            scheduler=scheduler, fault=fault, dynamics=dynamics,
-            overlay=overlay, seed=3, max_events=20_000,
-            max_time=200.0)
-        template = base.resolve()
-        # Coming back to the first seed after the others shows no
-        # build leaked state into the template or a sibling.
-        for seed in seeds + seeds[:1]:
-            fresh = base.override({"seed": seed})
-            reseeded = template.reseed(seed)
-            assert reseeded.scenario == fresh
-            assert reseeded.graph is template.graph
-            assert (trace_to_json(reseeded.simulate().trace)
-                    == trace_to_json(fresh.simulate().trace))
-
-    def test_reseed_to_own_seed_keeps_scenario_and_rebuilds(self):
-        base = Scenario(algorithm=AlgorithmSpec("wpaxos"),
-                        topology=TopologySpec("clique", n=4),
-                        scheduler=SchedulerSpec("random"), seed=7)
-        template = base.resolve()
-        again = template.reseed(7)
-        assert again.scenario is base
-        assert again.scheduler is not template.scheduler
-        assert (trace_to_json(again.simulate().trace)
-                == trace_to_json(template.simulate().trace))
-
 
 class TestScenarioGrid:
     BASE = Scenario(algorithm=AlgorithmSpec("wpaxos"),

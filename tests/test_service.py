@@ -2,14 +2,14 @@
 
 The load-bearing contracts:
 
-* **Byte-identity** -- a 1-group :class:`GroupRuntime` run produces
-  the *same bytes* as the scenario's own ``simulate()``: identical
-  trace records across FULL / COLUMNAR sinks, identical
-  decisions, times and event counts (pinned by a hypothesis property
-  over scenario parameters).
-* **Multiplexing is invisible** -- K groups under one runtime decide
-  exactly what K standalone runs decide, and finished runs are handed
-  out in ``(finish_time, registration order)``.
+* **A group is a verified log** -- every slot of a group runs on the
+  group's one long-lived replicated log, and commits only when every
+  replica holds exactly the slot's batch of request ids there; a slot
+  that misses its budget or that check fails its batch under a named
+  reason, and the group goes on with a fresh log.
+* **Multiplexing is invisible** -- groups under one runtime commit
+  exactly what each commits alone, and finished slots are handed out
+  in ``(finish_time, registration order)``.
 * **Sharding is exact** -- a forked :class:`ShardedService` run equals
   the serial run on everything but wall-clock fields, and a worker
   that dies once costs a retry, not a difference.
@@ -24,15 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.export import trace_to_json, trace_to_records
+from repro.apps import ReplicatedLogNode
 from repro.cli import main
+from repro.macsim import build_simulation, check_model_invariants
 from repro.macsim.columnar import ColumnarSink
-from repro.macsim.schedulers import SynchronousScheduler
 from repro.macsim.service import (ConsensusService, GroupRuntime,
-                                  RequestTracer, ShardedService,
-                                  WorkloadGenerator, latency_summary,
-                                  run_service,
-                                  slot_scenario, slot_seed)
-from repro.registry import SCHEDULERS
+                                  MetricsRegistry, RequestTracer,
+                                  ShardedService, WorkloadGenerator,
+                                  latency_summary, run_service)
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
 
@@ -56,118 +55,241 @@ def _report_dict(report):
     return data
 
 
+def _replicas(runtime, group):
+    return list(runtime._logs[group].sim.processes.values())
+
+
+def _serve_runs(monkeypatch):
+    """Collect every slot a serve's runtime hands out."""
+    runs = []
+    advance = GroupRuntime.advance
+
+    def collecting(runtime, until=None):
+        finished = advance(runtime, until)
+        runs.extend(finished)
+        return finished
+
+    monkeypatch.setattr(GroupRuntime, "advance", collecting)
+    return runs
+
+
 # ----------------------------------------------------------------------
-# Tentpole: 1-group byte-identity with the standalone engine
+# Tentpole: one long-lived, verified log per group
+# ----------------------------------------------------------------------
+class TestGroupLog:
+    def test_slot_commits_its_command_on_every_replica(self):
+        runtime = GroupRuntime(BASE)
+        runtime.add_group(("a",), group_id=0)
+        (run,) = runtime.advance()
+        assert run.failure is None
+        assert run.result.stop_reason == "predicate"
+        assert all(replica.log == {0: ("a",)}
+                   for replica in _replicas(runtime, 0))
+        assert run.finish_time == run.result.end_time > 0
+
+    def test_slots_reuse_one_log(self):
+        runtime = GroupRuntime(BASE)
+        runs, start = [], 0.0
+        for slot in range(4):
+            runtime.add_group(("c", slot), group_id=0, start_time=start)
+            (run,) = runtime.advance()
+            runs.append(run)
+            start = run.finish_time + 0.5
+        sim = runtime._logs[0].sim
+        assert all(run.failure is None for run in runs)
+        assert {id(run.result.trace) for run in runs} == {id(sim.trace)}
+        # Election and trees are paid once: every later slot costs the
+        # steady-state prepare/accept, the same every time.
+        first, *later = [run.result.events_processed for run in runs]
+        assert len(set(later)) == 1 and later[0] < first / 2
+        durations = [run.finish_time - run.start_time for run in runs]
+        assert max(durations[1:]) < durations[0]
+        assert all(replica.log == {k: ("c", k) for k in range(4)}
+                   for replica in _replicas(runtime, 0))
+
+    def test_only_wpaxos_has_a_log(self):
+        two_phase = BASE.override({"algorithm": AlgorithmSpec("two-phase")})
+        workload = WorkloadGenerator(groups=1, clients=2, seed=0)
+        for build in (lambda: GroupRuntime(two_phase),
+                      lambda: ConsensusService(two_phase, workload).run(),
+                      lambda: ShardedService(two_phase, workload)):
+            with pytest.raises(ValueError, match="'two-phase'"):
+                build()
+
+    def test_log_trace_passes_the_model_invariants(self, monkeypatch):
+        runs = _serve_runs(monkeypatch)
+        workload = WorkloadGenerator(groups=1, clients=12, seed=0,
+                                     requests_per_client=2)
+        report = ConsensusService(BASE, workload,
+                                  slot_trace_level="full").run()
+        assert report.failed == 0 and report.slots == len(runs) > 2
+        (trace,) = {run.result.trace for run in runs}
+        verdict = check_model_invariants(BASE.topology.build(), trace,
+                                         1.0)
+        assert verdict.ok, verdict.violations[:3]
+        # One trace holds the whole log, every slot's broadcasts.
+        assert trace.broadcast_count() > 10 * report.slots
+
+
+def _serve_slots(base, gaps):
+    """One group's log on a :class:`GroupRuntime`, one slot per gap
+    (each slot starting ``gap`` after the previous one finished)."""
+    runtime = GroupRuntime(base)
+    runs, start = [], 0.0
+    for slot, gap in enumerate(gaps):
+        runtime.add_group(("c", slot), group_id=0, start_time=start)
+        (run,) = runtime.advance()
+        runs.append(run)
+        start = run.finish_time + gap
+    return runtime, runs
+
+
+# ----------------------------------------------------------------------
+# 1-group byte-identity with a log driven by hand on the engine
 # ----------------------------------------------------------------------
 class TestSingleGroupIdentity:
     @settings(max_examples=8, deadline=None)
     @given(n=st.integers(min_value=3, max_value=6),
            f_ack=st.sampled_from([0.5, 1.0, 2.0]),
            seed=st.integers(min_value=0, max_value=4),
-           scheduler=st.sampled_from(["synchronous", "random"]))
-    def test_byte_identity_property(self, n, f_ack, seed, scheduler):
+           scheduler=st.sampled_from(["synchronous", "random"]),
+           gaps=st.lists(st.sampled_from([0.0, 0.5, 3.0]), min_size=1,
+                         max_size=3))
+    def test_byte_identity_property(self, n, f_ack, seed, scheduler,
+                                    gaps):
+        # The runtime adds nothing to the engine: a log built from the
+        # scenario's graph and scheduler, handed each slot's command at
+        # the slot's start and resumed until every replica committed
+        # it, runs the same events at the same times, byte for byte.
         spec = (SchedulerSpec("random", f_ack=f_ack, seed=seed)
                 if scheduler == "random"
                 else SchedulerSpec("synchronous", f_ack=f_ack))
         scenario = BASE.override({
             "topology.n": n, "seed": seed, "scheduler": spec})
-        standalone = scenario.simulate()
-        runtime = GroupRuntime()
-        runtime.add_group(scenario)
-        (run,) = runtime.run()
-        assert run.result.decisions == standalone.decisions
-        assert run.result.decision_times == standalone.decision_times
-        assert run.result.end_time == standalone.end_time
-        assert run.result.events_processed == standalone.events_processed
-        assert run.result.stop_reason == standalone.stop_reason
-        assert (trace_to_json(run.result.trace)
-                == trace_to_json(standalone.trace))
+        runtime, runs = _serve_slots(scenario, gaps)
+        resolved = scenario.resolve()
+        graph = resolved.graph
+        sim = build_simulation(
+            graph, lambda v: ReplicatedLogNode(graph.index_of(v) + 1, n),
+            resolved.scheduler)
+        replicas = list(sim.processes.values())
+        start = 0.0
+        for slot, (run, gap) in enumerate(zip(runs, gaps)):
+            sim.schedule_callback(start, lambda s, k=slot: [
+                r.add_command(("c", k)) for r in replicas])
+            result = sim.run(
+                max_time=start + 10_000.0 * f_ack,
+                stop_when_all_decided=False,
+                stop_predicate=lambda s, k=slot: all(
+                    k in r.log for r in replicas))
+            assert run.failure is None
+            assert run.start_time == start
+            assert result.stop_reason == run.result.stop_reason
+            assert result.end_time == run.finish_time
+            assert (result.events_processed
+                    == run.result.events_processed)
+            start = result.end_time + gap
+        assert ([r.log for r in replicas]
+                == [r.log for r in _replicas(runtime, 0)])
+        assert (trace_to_json(sim.trace)
+                == trace_to_json(runs[0].result.trace))
 
-    def test_byte_identity_columnar_sink(self, tmp_path):
-        reference = BASE.simulate()
-        runtime = GroupRuntime()
-        runtime.add_group(BASE, trace_sink=ColumnarSink(
-            str(tmp_path / "svc"), chunk_records=64))
-        (run,) = runtime.run()
-        assert (trace_to_records(run.result.trace)
-                == trace_to_records(reference.trace))
+    def test_byte_identity_columnar_sink(self):
+        # A log traced to disk records what the in-memory log records,
+        # slot after slot, while it is still open.
+        _, full = _serve_slots(BASE, [0.5, 0.5, 0.5])
+        _, columnar = _serve_slots(
+            BASE.override({"trace_level": "columnar"}), [0.5, 0.5, 0.5])
+        sink = columnar[0].result.trace
+        assert isinstance(sink, ColumnarSink)
+        assert {id(run.result.trace) for run in columnar} == {id(sink)}
+        assert ([run.result.events_processed for run in columnar]
+                == [run.result.events_processed for run in full])
+        assert (trace_to_records(sink)
+                == trace_to_records(full[0].result.trace))
 
-    def test_columnar_sink_reloads_to_the_same_stream(self, tmp_path):
-        # The chunks a service group leaves on disk reopen to the
-        # standalone run's record stream and decisions.
-        reference = BASE.simulate()
-        sink = ColumnarSink(str(tmp_path / "svc"), chunk_records=64)
-        runtime = GroupRuntime()
-        runtime.add_group(BASE, trace_sink=sink)
-        runtime.run()
+    def test_columnar_sink_reloads_to_the_same_stream(self):
+        # The chunks a group's log leaves on disk reopen to the
+        # in-memory log's record stream, every slot's broadcasts in it.
+        _, full = _serve_slots(BASE, [0.5, 0.5])
+        _, columnar = _serve_slots(
+            BASE.override({"trace_level": "columnar"}), [0.5, 0.5])
+        sink = columnar[0].result.trace
         sink.close()
-        reopened = ColumnarSink.load(str(tmp_path / "svc"))
-        assert len(reopened.chunk_paths()) > 1
+        reopened = ColumnarSink.load(sink.directory)
+        assert reopened.chunk_paths()
+        reference = full[0].result.trace
         assert (trace_to_records(reopened)
-                == trace_to_records(reference.trace))
-        assert reopened.decision_times() == reference.decision_times
+                == trace_to_records(reference))
+        assert reopened.broadcast_count() == reference.broadcast_count()
+        # A log replica commits slots; it never decides.
+        assert reopened.decision_times() == {}
 
 
 # ----------------------------------------------------------------------
-# K groups under one runtime == K independent runs
+# Groups under one runtime == each group alone
 # ----------------------------------------------------------------------
 class TestMultiGroupEquivalence:
-    SEEDS = (0, 1, 2)
+    def test_interleaved_equals_standalone(self):
+        base = BASE.override({
+            "scheduler": SchedulerSpec("random", f_ack=1.0)})
+        starts = {"a": (0.0, 3.0, 40.0), "b": (1.0, 30.0, 31.0)}
 
-    def test_interleaved_equals_standalone(self, tmp_path):
-        scenarios = [BASE.override({"seed": seed,
-                                    "topology.n": 4 + seed})
-                     for seed in self.SEEDS]
-        references = [scenario.simulate() for scenario in scenarios]
-        sink_factories = [
-            lambda gid: None,  # the scenario's own in-memory sink
-            lambda gid: ColumnarSink(str(tmp_path / f"col{gid}"),
-                                     chunk_records=64),
-        ]
-        for make_sink in sink_factories:
-            runtime = GroupRuntime()
-            for gid, scenario in enumerate(scenarios):
-                runtime.add_group(scenario, group_id=gid,
-                                  trace_sink=make_sink(gid))
-            runs = {run.group_id: run for run in runtime.run()}
-            assert sorted(runs) == list(range(len(scenarios)))
-            for gid, standalone in enumerate(references):
-                result = runs[gid].result
-                assert result.decisions == standalone.decisions
-                assert (result.decision_times
-                        == standalone.decision_times)
-                assert result.end_time == standalone.end_time
-                assert (result.events_processed
-                        == standalone.events_processed)
-                assert result.stop_reason == standalone.stop_reason
-                assert (trace_to_records(result.trace)
-                        == trace_to_records(standalone.trace))
+        def serve(groups):
+            runtime = GroupRuntime(base)
+            out, clock = {}, {g: 0.0 for g in groups}
+            for slot in range(3):
+                for gid in groups:
+                    start = max(starts[gid][slot], clock[gid])
+                    runtime.add_group((gid, slot), group_id=gid,
+                                      start_time=start)
+                for run in runtime.advance():
+                    clock[run.group_id] = run.finish_time
+                    out[(run.group_id, slot)] = (
+                        run.start_time, run.finish_time,
+                        run.result.events_processed, run.failure)
+            return out
 
-    def test_staggered_starts_offset_times(self):
-        runtime = GroupRuntime()
-        runtime.add_group(BASE, group_id="a")
-        runtime.add_group(BASE, group_id="b", start_time=100.0)
-        runs = {run.group_id: run for run in runtime.run()}
-        assert (runs["b"].finish_time
-                == pytest.approx(runs["a"].finish_time + 100.0))
-        # Offsets shift global time only; local results are identical.
-        assert (runs["a"].result.end_time
-                == runs["b"].result.end_time)
+        together = serve(["a", "b"])
+        assert together == {**serve(["a"]), **serve(["b"])}
+        assert all(failure is None
+                   for *_, failure in together.values())
+
+    def test_a_late_first_slot_finds_the_log_warm(self):
+        # Every log's clock starts at virtual time 0 with the service's:
+        # a group whose first batch comes late has its leader and trees
+        # by then, and its slot costs the steady state.
+        runtime = GroupRuntime(BASE)
+        runtime.add_group(("x",), group_id="a")
+        runtime.add_group(("x",), group_id="b", start_time=100.0)
+        runtime.add_group(("y",), group_id="a", start_time=100.0)
+        runs = runtime.advance()
+        assert [(run.group_id, run.start_time) for run in runs] == [
+            ("a", 0.0), ("b", 100.0), ("a", 100.0)]
+        cold, warm_b, warm_a = runs
+        assert warm_b.finish_time == warm_a.finish_time
+        assert (warm_b.finish_time - 100.0
+                < cold.finish_time - cold.start_time)
 
     def test_advance_until_is_resumable(self):
-        local = BASE.simulate().end_time
-        runtime = GroupRuntime()
-        # "tie-a"/"tie-b" finish at the same instant (same scenario,
-        # same start): registration order must break the tie.
-        runtime.add_group(BASE, group_id="late", start_time=10.0)
-        runtime.add_group(BASE, group_id="tie-a", start_time=4.0)
-        runtime.add_group(BASE, group_id="tie-b", start_time=4.0)
-        runtime.add_group(BASE, group_id="early")
-        assert runtime.next_time() == local
-        assert runtime.advance(until=local - 0.5) == []
+        finish = {}
+        for start in (0.0, 20.0, 40.0):
+            probe = GroupRuntime(BASE)
+            probe.add_group(("x",), start_time=start)
+            finish[start] = probe.next_time()
+        runtime = GroupRuntime(BASE)
+        # "tie-a"/"tie-b" finish at the same instant (same log, same
+        # start): registration order must break the tie.
+        runtime.add_group(("x",), group_id="late", start_time=40.0)
+        runtime.add_group(("x",), group_id="tie-a", start_time=20.0)
+        runtime.add_group(("x",), group_id="tie-b", start_time=20.0)
+        runtime.add_group(("x",), group_id="early")
+        assert runtime.next_time() == finish[0.0]
+        assert finish[0.0] < finish[20.0] < finish[40.0]
+        assert runtime.advance(until=finish[0.0] - 0.5) == []
         handed_out = []
-        for horizon in (local, local + 4.0, local + 9.0, local + 10.0,
-                        local + 50.0):
+        for horizon in (finish[0.0], finish[20.0], finish[40.0] - 0.5,
+                        finish[40.0], finish[40.0] + 50.0):
             runs = runtime.advance(until=horizon)
             assert all(run.finish_time <= horizon for run in runs)
             pending = runtime.next_time()
@@ -175,7 +297,7 @@ class TestMultiGroupEquivalence:
             handed_out.append([run.group_id for run in runs])
         assert handed_out == [["early"], ["tie-a", "tie-b"], [],
                               ["late"], []]
-        assert runtime.active_groups == 0
+        assert runtime.next_time() is None
 
 
 # ----------------------------------------------------------------------
@@ -208,32 +330,9 @@ class TestWorkload:
 
 
 # ----------------------------------------------------------------------
-# Slot derivation
-# ----------------------------------------------------------------------
-class TestSlotDerivation:
-    def test_slot_zero_of_group_zero_is_base(self):
-        assert slot_seed(BASE.seed, 0, 0) == BASE.seed
-        assert slot_scenario(BASE, 0, 0) is BASE
-
-    def test_slots_get_distinct_seeds(self):
-        seeds = {slot_seed(0, group, slot)
-                 for group in range(4) for slot in range(8)}
-        assert len(seeds) == 32
-
-
-# ----------------------------------------------------------------------
 # Serve loop and sharding
 # ----------------------------------------------------------------------
 class TestConsensusService:
-    def test_first_slot_byte_identity(self):
-        workload = WorkloadGenerator(groups=1, clients=8, seed=0)
-        service = ConsensusService(BASE, workload,
-                                   capture_first_slot=True)
-        report = service.run()
-        assert report.failed == 0
-        assert (trace_to_json(service.first_slot_trace)
-                == trace_to_json(BASE.simulate().trace))
-
     def test_report_is_deterministic(self):
         def once():
             workload = WorkloadGenerator(groups=3, clients=24, seed=1)
@@ -251,33 +350,49 @@ class TestConsensusService:
         assert report.latency["count"] == report.requests
         assert all(lat > 0 for lat in report.latencies)
 
-    def test_slots_run_their_slot_scenario(self):
-        # The reseeded template executes exactly what slot_scenario
-        # names: every slot is reproducible standalone from the seeds.
+    def test_logs_hold_every_batch_in_slot_order(self, monkeypatch):
+        # What each group's log committed is exactly its batches' request
+        # ids, slot by slot, on every replica.
+        runtimes = []
+        init = GroupRuntime.__init__
+
+        def keep_runtime(runtime, *args, **kwargs):
+            init(runtime, *args, **kwargs)
+            runtimes.append(runtime)
+
+        monkeypatch.setattr(GroupRuntime, "__init__", keep_runtime)
         base = BASE.override({
             "scheduler": SchedulerSpec("random", f_ack=1.0)})
         workload = WorkloadGenerator(groups=2, clients=10, seed=0,
                                      requests_per_client=2)
-        tracer = RequestTracer()
-        report = ConsensusService(base, workload, tracer=tracer).run()
-        slots = {(r["group"], r["slot"]): r["reply"] - r["slot_start"]
-                 for r in report.tracing["requests"]}
-        assert len(slots) == report.slots > 2
-        for (group, slot), duration in slots.items():
-            standalone = slot_scenario(base, group, slot).simulate()
-            assert duration == pytest.approx(standalone.end_time)
+        report = ConsensusService(base, workload,
+                                  tracer=RequestTracer()).run()
+        assert report.failed == 0
+        batches = {}
+        for span in report.tracing["requests"]:
+            batches.setdefault(span["group"], {}).setdefault(
+                span["slot"], []).append((span["client"], span["index"]))
+        (runtime,) = runtimes
+        logs = {gid: [r.log for r in _replicas(runtime, gid)]
+                for gid in runtime._logs}
+        assert sorted(logs) == sorted(batches) == [0, 1]
+        for gid, slots in batches.items():
+            # Spans sort canonically, not in batch order.
+            expected = {slot: sorted(ids) for slot, ids in slots.items()}
+            assert all({slot: sorted(ids) for slot, ids in log.items()}
+                       == expected for log in logs[gid])
 
-    def test_partly_decided_slot_fails_its_batch(self):
-        # 140 events let exactly one of the five wPAXOS nodes decide.
-        starved = BASE.override({"max_events": 140})
-        partial = starved.simulate()
-        assert len(partial.decisions) == 1
-        assert partial.stop_reason == "max_events"
+    def test_slot_out_of_budget_fails_its_batch(self):
+        # A fresh log needs 200 events for its first slot (election and
+        # trees included): 150 leave every slot of every group short,
+        # and each failure restarts the group on a fresh log.
+        starved = BASE.override({"max_events": 150})
         workload = WorkloadGenerator(groups=2, clients=12, seed=0,
                                      requests_per_client=2)
         tracer = RequestTracer()
-        report = ConsensusService(starved, workload,
-                                  tracer=tracer).run()
+        metrics = MetricsRegistry(window=25.0)
+        report = ConsensusService(starved, workload, tracer=tracer,
+                                  metrics=metrics).run()
         total = workload.total_requests()
         assert report.requests == 0
         assert report.failed == total
@@ -290,6 +405,47 @@ class TestConsensusService:
         assert len(spans) == total
         assert all(not r["ok"] and r["stop_reason"] == "max_events"
                    for r in spans)
+        assert report.metrics["totals"]["failed"] == total
+        assert report.metrics["totals"]["commits"] == 0
+        assert sum(group["failed"] for group
+                   in report.metrics["groups"].values()) == total
+
+    def test_slot_budget_counts_from_the_slot(self):
+        # 150 events cover every warm slot: only a log's first slot
+        # runs short, so budgets are per slot, not per log.
+        runtime = GroupRuntime(BASE.override({"max_events": 150}))
+        runtime.add_group(("a",), group_id=0)
+        (first,) = runtime.advance()
+        assert first.failure == "max_events"
+        full = GroupRuntime(BASE)
+        start = 0.0
+        for slot in range(5):
+            full.add_group(("c", slot), group_id=0, start_time=start)
+            (run,) = full.advance()
+            assert run.failure is None
+            start = run.finish_time
+            if slot:
+                assert run.result.events_processed < 150
+
+    def test_unverified_commit_fails_its_batch(self, monkeypatch):
+        # A mutant replica commits a forged value: the slot stops once
+        # every replica committed something, and the check against the
+        # batch fails it.
+        commit = ReplicatedLogNode._commit
+
+        def forging(node, index, value):
+            commit(node, index, ("forged",) if node.uid == 1 else value)
+
+        monkeypatch.setattr(ReplicatedLogNode, "_commit", forging)
+        workload = WorkloadGenerator(groups=2, clients=12, seed=0,
+                                     requests_per_client=2)
+        report = ConsensusService(BASE, workload,
+                                  tracer=RequestTracer()).run()
+        total = workload.total_requests()
+        assert report.requests == 0
+        assert report.failure_reasons == {"unverified": total}
+        assert all(r["stop_reason"] == "unverified"
+                   for r in report.tracing["requests"])
 
     def test_telemetry_attribution(self):
         workload = WorkloadGenerator(groups=2, clients=16, seed=0)
@@ -324,30 +480,27 @@ class TestShardedService:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_failed_shard_stops_its_siblings(self, monkeypatch):
-        def explode_on(f_ack=1.0, bad_seed=-1, seed=None):
-            """Synchronous scheduler whose builder rejects one seed."""
-            if seed == bad_seed:
-                raise ValueError(f"no scheduler for seed {seed}")
-            return SynchronousScheduler(f_ack)
+        bad_group = 2
+        open_log = GroupRuntime._open_log
 
-        monkeypatch.setitem(SCHEDULERS._builders, "explode-on",
-                            explode_on)
+        def explode_on_bad_group(runtime, group_id, telemetry):
+            if group_id == bad_group:
+                raise ValueError(f"no log for group {group_id}")
+            return open_log(runtime, group_id, telemetry)
+
+        monkeypatch.setattr(GroupRuntime, "_open_log",
+                            explode_on_bad_group)
         # Enough work that the healthy worker is still serving when
         # the bad group reports.
         workload = WorkloadGenerator(groups=4, clients=64, seed=0,
                                      zipf_s=0.0,
                                      requests_per_client=200)
-        # Group 0's first slot runs the base seed, which the template
-        # itself resolves with; any other group's is distinct.
-        bad_group = 2
-        base = BASE.override({"scheduler": SchedulerSpec(
-            "explode-on", bad_seed=slot_seed(BASE.seed, bad_group, 0))})
-        service = ShardedService(base, workload, shards=2)
+        service = ShardedService(BASE, workload, shards=2)
         with pytest.raises(RuntimeError) as failure:
             service.run()
         message = str(failure.value)
         assert f"service group {bad_group} failed" in message
-        assert "no scheduler for seed" in message
+        assert f"no log for group {bad_group}" in message
         assert multiprocessing.active_children() == []
 
     @staticmethod
@@ -444,19 +597,31 @@ class TestServeCommand:
         assert "group 0:" in out
         assert "shard 0:" in out
 
-    def test_serve_trace_out_replays(self, tmp_path, capsys):
-        trace_path = str(tmp_path / "slot0.json")
-        code = main(["serve", "--groups", "1", "--clients", "8",
-                     "--trace-out", trace_path])
-        assert code == 0
-        assert "byte-identical" in capsys.readouterr().out
-        code = main(["replay", trace_path])
-        assert code == 0
-        assert "replay matched" in capsys.readouterr().out
+    def test_serve_rejects_an_algorithm_without_a_log(self):
+        with pytest.raises(SystemExit, match="'two-phase'"):
+            main(["serve", "--algorithm", "two-phase", "--groups", "1"])
 
-    def test_serve_trace_out_needs_single_group(self):
-        with pytest.raises(SystemExit):
-            main(["serve", "--groups", "2", "--trace-out", "x.json"])
+    def test_one_group_serve_commits_every_request(self, tmp_path,
+                                                   capsys):
+        report_path = tmp_path / "report.json"
+        code = main(["serve", "--groups", "1", "--clients", "8",
+                     "--json-out", str(report_path)])
+        assert code == 0
+        capsys.readouterr()
+        report = json.loads(report_path.read_text())
+        assert report["failed"] == 0
+        assert report["requests"] == 8 * 2
+        assert "failure_reasons" not in report
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_progress_names_no_cache(self, capsys):
+        code = main(["serve", "--groups", "3", "--shards", "2",
+                     "--clients", "12", "--requests-per-client", "1",
+                     "--progress"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "[sweep serve] summary: 3/3 points" in err
+        assert "cache" not in err
 
     def test_serve_json_and_telemetry_out(self, tmp_path, capsys):
         report_path = tmp_path / "report.json"

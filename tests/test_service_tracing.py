@@ -9,8 +9,9 @@ The load-bearing contracts:
 * **Sharded == serial** -- span and metrics snapshots from a forked
   run equal the serial ones on everything but shard attribution and
   wall-clock scheduler profiles.
-* **No-op when off** -- ``repro serve --trace-out`` output is
-  byte-identical with tracing on vs off (the tracer only annotates).
+* **No-op when off** -- ``repro serve --json-out`` reports are
+  identical with tracing on vs off, wall-clock fields aside (the
+  tracer only annotates).
 * **Surfaces agree** -- `repro stats` and `repro top` render spans,
   metrics and service-telemetry artifacts; unsupported artifacts fail
   naming the expected schemas.
@@ -121,12 +122,10 @@ class TestSpanReconciliation:
         totals = report.tracing["scheduler"]["totals"]
         assert totals["advance_calls"] > 0
         assert totals["advance_seconds"] >= 0.0
-        # Run-to-completion: exactly one engine call per slot, none
-        # outside it.
+        # Exactly one engine call per slot, none outside it.
         assert totals["engine_slices"] == report.slots
         assert totals["engine_seconds"] > 0.0
-        assert totals["startup_slices"] == 0
-        assert totals["startup_seconds"] == 0.0
+        assert "startup_slices" not in totals
         assert totals["overhead_seconds"] >= 0.0
         assert 0.0 <= totals["overhead_fraction"] < 1.0
 
@@ -170,19 +169,26 @@ class TestShardedTracingIdentity:
 # Tentpole: tracing off is a no-op (byte-identity through the CLI)
 # ----------------------------------------------------------------------
 class TestTracingIsNoOp:
-    def test_trace_out_bytes_unaffected(self, tmp_path, capsys):
+    def test_serve_report_unaffected(self, tmp_path, capsys):
         plain = tmp_path / "plain.json"
         traced = tmp_path / "traced.json"
         spans = tmp_path / "spans.json"
         code = main(["serve", "--groups", "1", "--clients", "8",
-                     "--trace-out", str(plain)])
+                     "--json-out", str(plain)])
         assert code == 0
         code = main(["serve", "--groups", "1", "--clients", "8",
-                     "--trace-out", str(traced),
+                     "--json-out", str(traced),
                      "--trace-requests", str(spans)])
         assert code == 0
         capsys.readouterr()
-        assert plain.read_bytes() == traced.read_bytes()
+        reports = [json.loads(path.read_text())
+                   for path in (plain, traced)]
+        assert "tracing" in reports[1]
+        for report in reports:
+            for key in ("wall_seconds", "wall_throughput", "tracing",
+                        "shards"):
+                report.pop(key, None)
+        assert reports[0] == reports[1]
         assert json.loads(spans.read_text())["schema"] == SPAN_SCHEMA
 
     def test_report_results_unaffected(self):

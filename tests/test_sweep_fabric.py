@@ -138,7 +138,15 @@ class TestSweepSummary:
         reporter.finish()
         out = stream.getvalue()
         assert "summary: 2/2 points" in out
-        assert "cache 0/2 hits, 0 misses [0%]" in out
+        # No result cache was consulted, so the summary names none.
+        assert "0 stragglers)" in out
+        assert "cache" not in out
+
+    def test_cached_sweep_counts_its_misses(self, tmp_path, capsys):
+        _grid((4, 5)).run(name="fabric", cache=ResultCache(str(tmp_path)),
+                          workers=1, progress=True)
+        err = capsys.readouterr().err
+        assert "cache 0/2 hits, 2 misses [0%]" in err
 
 
 # ----------------------------------------------------------------------
