@@ -16,9 +16,15 @@ support services:
   response queue; all slot messages are wrapped in
   :class:`SlotMessage` envelopes.
 * **Sequential commitment.** A node participates in slot ``k + 1``
-  once slot ``k`` is committed locally, and the leader proposes its
-  next command for the new slot as soon as it has one. Committed slots
-  flood ``(slot, value)`` announcements so trailing nodes catch up.
+  once slot ``k`` is committed locally. The leader starts slot
+  ``k + 1``'s phase 1 the moment it commits slot ``k``, command or
+  not, so one broadcast carries ``SlotDecide(k)`` and
+  ``PREPARE(k + 1)``, and the followers' relays of the decide carry
+  their promises; the slot's proposer then parks until the command
+  arrives (:meth:`~repro.core.wpaxos.proposer.Proposer.offer`) and
+  proposes it at once. Each slot still runs its own prepare and
+  propose under its own ballot. Committed slots flood ``(slot,
+  value)`` announcements so trailing nodes catch up.
 
 The log is open-ended: :meth:`ReplicatedLogNode.add_command` hands a
 replica its next slot's command at any time, and nothing *decides* in
@@ -155,13 +161,19 @@ class ReplicatedLogNode(Process):
 
         Callable before the run starts or at any time during it (the
         service calls it from a simulator wakeup): a replica that leads
-        and waits on exactly this command proposes it at once.
+        and waits on exactly this command offers it to the slot's
+        running attempt (which proposes it at once if its promises are
+        in), or starts an attempt if none is running.
         """
         self.commands.append(command)
         if (self._runtime is not None
                 and self.current_slot == len(self.commands) - 1
                 and self.leader_svc.leader == self.uid):
-            self._generate_current()
+            proposer = self._slot(self.current_slot).proposer
+            if proposer.stage is None:
+                self._generate_current()
+            else:
+                proposer.offer(command)
             if not self._mac_pending:
                 self._pump()
 
@@ -286,13 +298,15 @@ class ReplicatedLogNode(Process):
             self._generate_current()
 
     def _generate_current(self) -> None:
-        """Propose the current slot's command, once this replica has
-        one (the change service's ``generate_proposal``)."""
+        """Start the current slot's phase 1 (the change service's
+        ``generate_proposal``), with this replica's command for the
+        slot if it has one; without one the attempt parks after its
+        promises until :meth:`add_command` offers it."""
         index = self.current_slot
+        proposer = self._slot(index).proposer
         if index < len(self.commands):
-            proposer = self._slot(index).proposer
             proposer.initial_value = self.commands[index]
-            proposer.generate_new_proposal()
+        proposer.generate_new_proposal()
 
     # ------------------------------------------------------------------
     # Service callbacks (bound methods: a deep copy rebinds them)

@@ -8,7 +8,11 @@ The proposer follows Section 4.2.1's description:
 * When a *majority* of (aggregated) promise counts arrive, the proposer
   issues a propose message carrying either the value of the
   highest-numbered prior proposal learned from the promises or its own
-  initial value.
+  initial value. A proposer started without a value (a replicated
+  log's slot, prepared before its command exists) *parks* there when
+  the promises hold no prior either, and proposes the moment
+  :meth:`Proposer.offer` gives it one; Paxos allows any delay between
+  the promise majority and the propose.
 * When a majority of accepted counts arrive, the proposer decides.
 * On a majority of rejections the proposer may retry with a larger tag:
   under the paper policy at most ``attempts_per_change`` numbers per
@@ -43,7 +47,7 @@ class Proposer:
       accepted); the node decides and floods the decision.
     """
 
-    def __init__(self, uid: int, initial_value: int, n: int,
+    def __init__(self, uid: int, initial_value: Optional[int], n: int,
                  config: WPaxosConfig, *,
                  is_leader: Callable[[], bool],
                  flood: Callable[[ProposerPart], None],
@@ -149,15 +153,30 @@ class Proposer:
             return 0
         return 0
 
+    def offer(self, value: int) -> None:
+        """Give the proposer its value after an attempt started.
+
+        A parked attempt (a promise majority, no prior) proposes
+        ``value`` at once; an attempt still preparing proposes it at
+        its promise majority; a proposal already in flight keeps its
+        value.
+        """
+        self.initial_value = value
+        if self.stage == PREPARE and self._promise_count >= self.majority:
+            self._begin_propose()
+
     def _begin_propose(self) -> None:
+        if self._best_prior is not None:
+            value = self._best_prior[1]
+        elif self.initial_value is not None:
+            value = self.initial_value
+        else:
+            return  # parked in PREPARE until offer() brings a value
         self.stage = PROPOSE
         self._reject_count = 0
-        if self._best_prior is not None:
-            self.proposal_value = self._best_prior[1]
-        else:
-            self.proposal_value = self.initial_value
+        self.proposal_value = value
         self._flood(ProposerPart(kind=PROPOSE, number=self.active_number,
-                                 value=self.proposal_value))
+                                 value=value))
 
     def _note_rejection(self, part: ResponsePart) -> None:
         self._reject_count += part.count

@@ -4,7 +4,12 @@ Each group is one :class:`~repro.apps.replicated_log.ReplicatedLogNode`
 log on its own long-lived :class:`Simulator`, and each batch it serves
 is one slot of that log: wPAXOS's leader and routing trees do not
 depend on the slot, so a log builds them once, and a slot costs the
-algorithm's steady state instead of a cold start.
+algorithm's steady state instead of a cold start. The leader starts a
+slot's phase 1 in the broadcast that announces the previous slot's
+commit, before the slot's command exists, so a slot that starts the
+moment its predecessor finished waits only for its promises, one
+propose/accept round and its decide (4 F_ack, 51 events in a
+5-clique).
 
 :meth:`GroupRuntime.add_group` runs a slot the moment it is
 registered: it hands the slot's command to every replica at the

@@ -1,7 +1,7 @@
 """Closed-loop client workload with heavy-tailed structure.
 
-Models a large population of clients (the generator is O(1) memory per
-*request in flight*, so millions of clients are just an integer range):
+Models a large population of clients (the generator keeps one integer
+per client, its memoized group, so millions of clients are cheap):
 each client repeatedly submits a proposal to one consensus group, waits
 for the commit, thinks for a while, and submits again. Two heavy tails
 shape the load, matching what replicated-log deployments see:
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 __all__ = ["WorkloadGenerator"]
 
@@ -97,14 +97,20 @@ class WorkloadGenerator:
             cdf.append(acc / total)
         cdf[-1] = 1.0
         self._cdf = cdf
+        #: client -> pinned group, filled on first ask.
+        self._group_of: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Per-client streams
     # ------------------------------------------------------------------
     def client_group(self, client: int) -> int:
-        """The group this client is pinned to for its whole session."""
-        u = random.Random(_draw_seed(self.seed, client, 0)).random()
-        return bisect_left(self._cdf, u)
+        """The group this client is pinned to for its whole session
+        (drawn once, then memoized: the serve loop asks per arrival)."""
+        group = self._group_of.get(client)
+        if group is None:
+            u = random.Random(_draw_seed(self.seed, client, 0)).random()
+            group = self._group_of[client] = bisect_left(self._cdf, u)
+        return group
 
     def think_time(self, client: int, request: int) -> float:
         """Think time preceding the client's ``request``-th proposal

@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import ReplicatedLogNode
 from repro.core.wpaxos import SafetyMonitor, WPaxosConfig
-from repro.lowerbounds.steps import canonical_key
+from repro.core.wpaxos.messages import PREPARE
+from repro.lowerbounds.steps import StepSystem, canonical_key
+from repro.lowerbounds.valency import ValencyAnalyzer
 from repro.macsim import build_simulation, check_model_invariants
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
@@ -74,13 +76,19 @@ class TestLogReplication:
         assert committed <= all_commands
 
     def test_log_stops_at_the_last_command(self):
-        # Slot k needs a command at the leader; with none left the log
-        # goes quiet instead of proposing an empty slot.
+        # The leader prepares slot 2 when it commits slot 1, but with
+        # no command left its proposer parks at the promise majority:
+        # the log goes quiet instead of proposing an empty slot.
         graph = clique(3)
         sim, _ = run_log(graph, SynchronousScheduler(1.0),
                          log_length=2)
-        assert all(sim.process_at(v).current_slot == 2
-                   for v in graph.nodes)
+        replicas = [sim.process_at(v) for v in graph.nodes]
+        assert all(r.current_slot == 2 and len(r.log) == 2
+                   for r in replicas)
+        (leader,) = [r for r in replicas if r._is_leader()]
+        proposer = leader._slots[2].proposer
+        assert proposer.stage == PREPARE
+        assert proposer._promise_count == 3
 
     def test_random_schedules(self):
         for seed in range(3):
@@ -163,3 +171,59 @@ class TestCanonicalKey:
         swapped._slots[0].proposer._flood = partial(
             swapped._handle_slot_proposer, 1)
         assert canonical_key(swapped) != canonical_key(node)
+
+
+class TestExhaustiveTwoSlotSafety:
+    """Every schedule of the valid-step model (Section 3.1) on
+    clique(2), two log slots: no reachable configuration has two
+    replicas holding different values for one slot, or a committed
+    value no replica was given."""
+
+    @staticmethod
+    def _explore(counts, crash_budget):
+        """Replica ``i`` gets ``counts[i]`` distinct commands."""
+
+        def replica(label, _value):
+            node = ReplicatedLogNode(label + 1, 2)
+            for k in range(counts[label]):
+                node.add_command(f"r{label}c{k}")
+            return node
+
+        system = StepSystem(clique(2), replica,
+                            crash_budget=crash_budget)
+        result = ValencyAnalyzer(system).explore(
+            system.initial_configuration((0, 0)))
+        assert not result.truncated
+        commands = {f"r{i}c{k}" for i in range(2)
+                    for k in range(counts[i])}
+        for config in result.reachable:
+            logs = [process.log for process in config.processes]
+            for slot in range(2):
+                held = {log[slot] for log in logs if slot in log}
+                assert len(held) <= 1, (slot, logs)
+                assert held <= commands, (slot, logs)
+        return result
+
+    @pytest.mark.parametrize("crash_budget", [0, 1])
+    def test_two_commands_each(self, crash_budget):
+        result = self._explore((2, 2), crash_budget)
+        # The space reaches logs that committed both slots.
+        assert any(all(len(process.log) == 2
+                       for process in config.processes)
+                   for config in result.reachable)
+
+    @pytest.mark.parametrize("crash_budget", [0, 1])
+    def test_leader_without_a_command_parks(self, crash_budget):
+        # Replica 1 (the eventual leader) has no command for slot 1: it
+        # prepares the slot, parks at its promise majority, and never
+        # proposes a value it was not given.
+        result = self._explore((2, 1), crash_budget)
+        parked = 0
+        for config in result.reachable:
+            slot = config.processes[1]._slots.get(1)
+            proposer = slot.proposer if slot is not None else None
+            parked += (proposer is not None
+                       and proposer.stage == PREPARE
+                       and proposer.initial_value is None
+                       and proposer._promise_count >= 2)
+        assert parked > 0

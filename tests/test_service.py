@@ -18,6 +18,8 @@ The load-bearing contracts:
 import json
 import multiprocessing
 import os
+import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,24 @@ class TestGroupLog:
         assert max(durations[1:]) < durations[0]
         assert all(replica.log == {k: ("c", k) for k in range(4)}
                    for replica in _replicas(runtime, 0))
+
+    def test_warm_slot_cost_is_pinned(self):
+        # Back to back on the 5-clique, a warm slot's phase 1 rides the
+        # previous slot's decide broadcast: 10 broadcasts, 51 events
+        # and 4 F_ack (15, 76 and 5 when the PREPARE waited for the
+        # command).
+        runtime = GroupRuntime(BASE)
+        costs, start, broadcasts = [], 0.0, 0
+        for slot in range(5):
+            runtime.add_group(("c", slot), group_id=0, start_time=start)
+            (run,) = runtime.advance()
+            assert run.failure is None
+            total = run.result.trace.broadcast_count()
+            costs.append((total - broadcasts,
+                          run.result.events_processed,
+                          run.finish_time - run.start_time))
+            broadcasts, start = total, run.finish_time
+        assert costs[1:] == [(10, 51, 4.0)] * 4
 
     def test_only_wpaxos_has_a_log(self):
         two_phase = BASE.override({"algorithm": AlgorithmSpec("two-phase")})
@@ -312,6 +332,25 @@ class TestWorkload:
             for request in range(3):
                 assert (a.think_time(client, request)
                         == b.think_time(client, request))
+
+    def test_client_group_is_drawn_once(self, monkeypatch):
+        from repro.macsim.service import workload as workload_module
+        workload = WorkloadGenerator(groups=8, clients=64, seed=5)
+        draws = []
+        draw_seed = workload_module._draw_seed
+
+        def counting(seed, client, draw):
+            draws.append((client, draw))
+            return draw_seed(seed, client, draw)
+
+        monkeypatch.setattr(workload_module, "_draw_seed", counting)
+        groups = [workload.client_group(c) for c in range(64)]
+        assert groups == [workload.client_group(c) for c in range(64)]
+        assert draws == [(c, 0) for c in range(64)]
+        # The memo holds the session draw itself.
+        assert groups == [
+            bisect_left(workload._cdf, random.Random(
+                draw_seed(5, c, 0)).random()) for c in range(64)]
 
     def test_group_partition_is_exact(self):
         workload = WorkloadGenerator(groups=6, clients=48, seed=3)

@@ -86,6 +86,76 @@ class TestPrepareStage:
         assert h.proposer.stage == PREPARE
 
 
+class TestParkedAttempt:
+    """A proposer started without a value (a log slot prepared before
+    its command) parks at its promise majority until offered one."""
+
+    def test_parks_after_promise_majority_without_value(self):
+        h = Harness(value=None, n=5)
+        h.proposer.generate_new_proposal()
+        assert h.respond(PROMISE, 3) == 3
+        assert h.proposer.stage == PREPARE
+        assert [part.kind for part in h.flooded] == [PREPARE]
+
+    def test_later_value_proposes_at_once(self):
+        h = Harness(value=None, n=5)
+        h.proposer.generate_new_proposal()
+        h.respond(PROMISE, 3)
+        h.proposer.offer(7)
+        assert h.proposer.stage == PROPOSE
+        assert h.flooded[-1].kind == PROPOSE
+        assert h.flooded[-1].number == h.proposer.active_number
+        assert h.flooded[-1].value == 7
+        h.respond(ACCEPTED, 3)
+        assert h.chosen == [7]
+
+    def test_value_offered_while_preparing_waits_for_majority(self):
+        h = Harness(value=None, n=5)
+        h.proposer.generate_new_proposal()
+        h.respond(PROMISE, 2)
+        h.proposer.offer(7)
+        assert [part.kind for part in h.flooded] == [PREPARE]
+        h.respond(PROMISE, 1)
+        assert h.flooded[-1].kind == PROPOSE
+        assert h.flooded[-1].value == 7
+
+    def test_prior_proposes_without_a_value(self):
+        h = Harness(value=None, n=3)
+        h.proposer.generate_new_proposal()
+        h.respond(PROMISE, 1, prior=((1, 2), 4))
+        h.respond(PROMISE, 1)
+        assert h.proposer.stage == PROPOSE
+        assert h.flooded[-1].value == 4
+
+    def test_late_prior_ends_the_park(self):
+        h = Harness(value=None, n=5)
+        h.proposer.generate_new_proposal()
+        h.respond(PROMISE, 3)
+        h.respond(PROMISE, 1, prior=((1, 2), 4))
+        assert h.flooded[-1].kind == PROPOSE
+        assert h.flooded[-1].value == 4
+
+    def test_abdicate_while_parked_stops_the_attempt(self):
+        h = Harness(value=None, n=5)
+        h.proposer.generate_new_proposal()
+        h.respond(PROMISE, 3)
+        h.proposer.abdicate()
+        h.proposer.offer(7)
+        assert h.proposer.stage is None
+        assert [part.kind for part in h.flooded] == [PREPARE]
+
+    def test_value_offered_during_propose_keeps_the_proposal(self):
+        h = Harness(value=1, n=5)
+        h.proposer.generate_new_proposal()
+        h.respond(PROMISE, 3)
+        flooded = len(h.flooded)
+        h.proposer.offer(2)
+        assert len(h.flooded) == flooded
+        assert h.proposer.proposal_value == 1
+        h.respond(ACCEPTED, 3)
+        assert h.chosen == [1]
+
+
 class TestRejectionHandling:
     def test_paper_policy_retries_once_on_learned_higher(self):
         h = Harness(n=3, policy=RETRY_PAPER)
