@@ -11,11 +11,12 @@ One layout: :func:`save_trace` writes a JSON header line (schema 6,
 format ``columnar-chunks``, metadata, the embedded
 :class:`~repro.scenario.Scenario`), then the chunk blobs of
 :mod:`repro.macsim.columnar`, each length-prefixed, a zero-length
-sentinel and a JSON chunk manifest line. A ``ColumnarSink``'s blobs
-are copied verbatim; any other sink is packed into a temporary one
-first, so a FULL :class:`~repro.macsim.trace.Trace` and a columnar run
-of one execution write the same bytes after the header.
-:func:`load_trace` streams the records back into any sink;
+sentinel and a JSON chunk manifest line. A ``ColumnarSink`` gives its
+blobs (a disk one copies its chunk files, an in-RAM FULL one packs its
+rows into the same chunks), and any other sink is packed into an
+in-RAM one first, so a FULL and a columnar run of one execution write
+the same bytes after the header. :func:`load_trace` streams the
+records back into any sink;
 :func:`load_scenario` rebuilds the run (``repro replay``). Any other
 file raises :class:`ValueError` naming it.
 
@@ -29,8 +30,8 @@ import json
 import struct
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..macsim.columnar import ColumnarSink, decode_chunk
-from ..macsim.trace import Trace, TraceRecord, TraceSink
+from ..macsim.columnar import decode_chunk
+from ..macsim.trace import TraceLevel, TraceRecord, TraceSink, make_sink
 
 #: Schema version stamped into file exports (the only one read back).
 SCHEMA_VERSION = 6
@@ -94,21 +95,17 @@ def save_trace(trace: TraceSink, path: str, *,
                scenario=None) -> None:
     """Write a schema-6 ``columnar-chunks`` trace export.
 
-    A columnar sink's chunk blobs are copied verbatim; any other sink
-    is packed record by record into a temporary
-    :class:`~repro.macsim.columnar.ColumnarSink`, so peak memory is
-    O(chunk). ``scenario`` (a :class:`~repro.scenario.Scenario`)
-    embeds the run description that :func:`load_scenario` reads back.
+    A :class:`~repro.macsim.columnar.ColumnarSink` gives its chunk
+    blobs; any other sink (the counting DECISIONS one, a caller's) is
+    first packed record by record into an in-RAM one. ``scenario`` (a
+    :class:`~repro.scenario.Scenario`) embeds the run description that
+    :func:`load_scenario` reads back.
     """
     if not getattr(trace, "columnar", False):
-        packed = ColumnarSink()
-        try:
-            for record in trace:
-                packed.append(record)
-            save_trace(packed, path, metadata=metadata, scenario=scenario)
-        finally:
-            packed.cleanup()
-        return
+        packed = make_sink(TraceLevel.FULL)
+        for record in trace:
+            packed.append(record)
+        trace = packed
     header = {
         "schema": SCHEMA_VERSION,
         "format": FORMAT,
@@ -177,15 +174,16 @@ def iter_saved_records(path: str) -> Iterator[TraceRecord]:
 def load_trace(path: str, *, sink: Optional[TraceSink] = None) -> TraceSink:
     """Read a trace export from ``path``, chunk by chunk.
 
-    ``sink`` receives the records (default: a fresh in-memory
-    :class:`Trace`); pass a
+    ``sink`` receives the records (default: a fresh FULL-level sink,
+    in RAM); pass a disk
     :class:`~repro.macsim.columnar.ColumnarSink` to keep a huge reload
     in bounded memory.
     """
-    trace = sink if sink is not None else Trace()
-    # Exported payloads are already repr strings; sinks that
-    # re-serialize on ingest (ColumnarSink) take their serialized-append
-    # path so reload -> re-export round-trips without double-repr.
+    trace = sink if sink is not None else make_sink(TraceLevel.FULL)
+    # Exported payloads are already repr strings; a ColumnarSink takes
+    # them through its serialized-append path, and reports its
+    # payloads preserialized, so reload -> re-export round-trips
+    # without a second repr.
     append = getattr(trace, "append_serialized", trace.append)
     for record in iter_saved_records(path):
         append(record)

@@ -209,7 +209,8 @@ class ExperimentManifest:
         # cell per distinct set of spec names resolves here, so every
         # forked worker inherits those modules instead of compiling
         # its own copy. A dynamic cell also reports its connectivity
-        # (``run_consensus``), so it primes that module too.
+        # (``run_consensus``), and a cell tracing MAC rows builds a
+        # ``ColumnarSink``, so each primes that module too.
         primed = set()
         for slot in misses:
             scenario = cells[slot][1]
@@ -222,6 +223,8 @@ class ExperimentManifest:
                 if scenario.dynamics is not None:
                     importlib.import_module(
                         "repro.macsim.dynamics.connectivity")
+            if scenario.trace_level != "decisions":
+                importlib.import_module("repro.macsim.columnar")
 
         def build(pool_key: tuple) -> Dict[str, Any]:
             _, scenario, x, _ = cells[pool_key[0]]

@@ -31,9 +31,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "process": "Process",
     "simulator": "Simulator RunResult build_simulation",
     "telemetry": "Telemetry",
-    "trace": "Trace TraceLevel TraceRecord TraceSink SpillBudgetError "
-             "make_sink",
-    "columnar": "ColumnarSink",
+    "trace": "Trace TraceLevel TraceRecord TraceSink make_sink",
+    "columnar": "ColumnarSink SpillBudgetError",
     "invariants": "InvariantReport ConsensusReport check_model_invariants "
                   "InvariantAuditor check_consensus",
     "dynamics.base": "TopologyDynamics TopologyDelta",

@@ -1,11 +1,11 @@
-"""Binary columnar trace format: struct-packed chunks, vectorized replay.
+"""Typed trace columns: the one trace representation, in RAM and on disk.
 
-The one disk trace format. Full-level traces stream to disk in
-bounded memory: records are packed into typed *columns* (fixed-width
-little-endian arrays for time/kind/ids, per-chunk interned string
-tables for node labels and payload ``repr`` strings), compressed per
-chunk with zlib (~1 byte per record), and read back as whole-column
-views -- numpy arrays when numpy is installed (the ``[fast]`` extra),
+Every materialized trace row lives in typed *columns* (fixed-width
+arrays for time/kind/ids, interned tables for node labels and
+payloads). On disk the columns are packed per chunk, little-endian,
+with per-chunk string tables and payload ``repr`` strings, compressed
+with zlib (~1 byte per record), and read back as whole-column views --
+numpy arrays when numpy is installed (the ``[fast]`` extra),
 ``array.array`` otherwise. This module is the only one that knows the
 format, label packing (:func:`_pack_label`) included.
 
@@ -15,12 +15,15 @@ Three layers live here:
   :class:`ColumnarChunk`) -- self-contained blobs, JSON-lossless on
   round-trip with the export serialization convention (labels
   losslessly, payloads as ``repr`` strings);
-* :class:`ColumnarSink` (``TraceLevel.COLUMNAR``) -- the streaming
-  sink: chunked ``.colb`` files plus an exact in-RAM
-  decision/counter index, a ``manifest.json``, and
-  :meth:`ColumnarSink.load` which reopens a chunk directory and
-  rebuilds decisions/counters from the columns (numpy ``bincount``
-  over whole chunks -- the vectorized *metrics replay*);
+* :class:`ColumnarSink`, the one sink that materializes MAC rows. At
+  ``TraceLevel.COLUMNAR`` it streams chunked ``.colb`` files beside an
+  exact in-RAM decision/counter index and a ``manifest.json``, and
+  :meth:`ColumnarSink.load` reopens a chunk directory and rebuilds the
+  index from the columns (numpy ``bincount`` over whole chunks -- the
+  vectorized *metrics replay*). At ``TraceLevel.FULL`` the same
+  builders stay in RAM, unspilled, with a payload column that indexes
+  the payload objects themselves; its export packs them into the very
+  chunks the disk form writes;
 * the vectorized model-invariant checker
   (:func:`try_vectorized_invariants`) -- the MAC-contract audit of
   :func:`repro.macsim.invariants.check_model_invariants` re-expressed
@@ -108,9 +111,8 @@ import zlib
 from array import array
 from typing import Any, Dict, Iterator, List, Optional
 
-from .trace import (TRACE_KINDS, SpillBudgetError, TraceLevel,
-                    TraceRecord, TraceSink, _ESSENTIAL_KINDS,
-                    _TRACE_KIND_SET)
+from .trace import (TRACE_KINDS, TraceLevel, TraceRecord, TraceSink,
+                    _COUNTED_KINDS, _ESSENTIAL_KINDS)
 
 #: Records per chunk file; bounds replay memory and buffer size.
 DEFAULT_CHUNK_RECORDS = 50_000
@@ -242,29 +244,26 @@ class ColumnarChunk:
         the columns directly)."""
         # tolist() converts numpy scalars to plain Python objects in
         # one C pass; array.array supports it identically. A pending
-        # (not yet flushed) chunk carries the sink's typed builders,
-        # whose kind column is a bytearray.
+        # chunk carries the sink's typed builders (its kind column is
+        # a bytearray) and may be a whole in-RAM trace, so the rows are
+        # converted a disk chunk's worth at a time.
         def as_list(column):
-            return (column.tolist() if hasattr(column, "tolist")
-                    else list(column))
-        times = as_list(self.times)
-        kinds = as_list(self.kinds)
-        nodes = as_list(self.nodes)
-        bids = as_list(self.bids)
-        peers = as_list(self.peers)
-        payload_idx = as_list(self.payload_idx)
+            part = column[lo:hi]
+            return part.tolist() if hasattr(part, "tolist") else list(part)
         labels = self.labels
         payloads = self.payloads
         kind_names = TRACE_KINDS
-        for i in range(self.n):
-            bid = bids[i]
-            pi = payload_idx[i]
-            peer = peers[i]
-            yield TraceRecord(
-                times[i], kind_names[kinds[i]], labels[nodes[i]],
-                None if bid < 0 else bid,
-                None if peer < 0 else labels[peer],
-                None if pi < 0 else payloads[pi])
+        for lo in range(0, self.n, DEFAULT_CHUNK_RECORDS):
+            hi = min(lo + DEFAULT_CHUNK_RECORDS, self.n)
+            for time, kind, node, bid, peer, pi in zip(
+                    as_list(self.times), as_list(self.kinds),
+                    as_list(self.nodes), as_list(self.bids),
+                    as_list(self.peers), as_list(self.payload_idx)):
+                yield TraceRecord(
+                    time, kind_names[kind], labels[node],
+                    None if bid < 0 else bid,
+                    None if peer < 0 else labels[peer],
+                    None if pi < 0 else payloads[pi])
 
 
 def encode_chunk(times, kinds, nodes, bids, peers, payload_idx,
@@ -352,30 +351,28 @@ def decode_chunk(blob: bytes) -> ColumnarChunk:
                          payload_idx, labels, payloads)
 
 
+class SpillBudgetError(RuntimeError):
+    """A spilling :class:`ColumnarSink` outgrew its ``max_bytes``.
+    Raised at flush time, so the run fails loudly instead of truncating
+    its trace; what was spilled stays on disk."""
+
+
 class ColumnarSink(TraceSink):
-    """Full-level trace packed into binary columnar chunks on disk.
+    """Every row of a run in typed columns, spilled to disk in chunks
+    (``TraceLevel.COLUMNAR``) or held in RAM (``TraceLevel.FULL``).
 
-    Every occurrence lands in the current chunk, chunks flush to
-    ``chunk-NNNNN.colb`` every ``chunk_records`` records,
-    decisions/crashes/counters stay in an exact in-RAM index, and
-    iterating replays the records in order with O(chunk) memory. The
-    on-disk format is the struct-packed columnar codec above, decoded
-    back as whole columns instead of per-record parses. ``close()``
-    additionally writes a ``manifest.json`` chunk manifest next to the
-    chunks.
-
-    :meth:`load` reopens a previously written chunk directory without
-    re-running the simulation: the decision/counter index is rebuilt
-    from the columns (vectorized with numpy when available), so
-    consensus checking and metrics replay at column speed. Payloads in
-    a reopened sink are ``repr`` strings throughout (the export
-    convention), exactly like a reloaded trace export.
-
-    ``max_bytes`` optionally bounds the on-disk footprint; exceeding
-    it raises :class:`~repro.macsim.trace.SpillBudgetError` at flush
-    time rather than truncating the trace silently. The record whose
-    flush raised is indexed first, so counters, decisions and the
-    chunks on disk still agree afterwards.
+    **On disk** (``ColumnarSink(directory, chunk_records=,
+    max_bytes=)``; no directory means a temporary one the sink owns):
+    the builders flush to ``chunk-NNNNN.colb`` every ``chunk_records``
+    rows, decisions/crashes/counters stay in the exact in-RAM index of
+    :class:`~repro.macsim.trace.TraceSink`, and iterating replays the
+    rows in order with O(chunk) memory. ``close()`` also writes a
+    ``manifest.json``. :meth:`load` reopens a chunk directory and
+    rebuilds the index from the columns (vectorized with numpy when
+    available); payloads replay as ``repr`` strings, the export
+    convention. ``max_bytes`` bounds the chunk bytes: past it, a flush
+    raises :class:`SpillBudgetError` -- after indexing the row that
+    triggered it, so counters, decisions and chunks still agree.
 
     Payload text is taken per *broadcast*, not per delivery: each
     ``broadcast`` row stores ``sender -> (broadcast id, payload object,
@@ -385,29 +382,37 @@ class ColumnarSink(TraceSink):
     model's one-in-flight-broadcast-per-node rule bounds the table at n
     entries; nothing is evicted.
 
+    **In RAM** (``make_sink("full")``): the same builders never flush,
+    and the payload column indexes a table of the payload *objects*. A
+    row whose payload is its sender's latest broadcast object -- by
+    identity, through the same per-sender table -- reuses that index;
+    any other object gets one of its own. So a replay hands back the
+    very objects the run sent, and an equal forgery stays apart. A
+    sink filled by :meth:`append_serialized` (a reloaded export) holds
+    the text instead and says so (``payloads_preserialized``).
+    :meth:`iter_chunk_blobs` packs the rows into exactly the chunks a
+    disk sink at the default ``chunk_records`` writes, taking each
+    payload's text then.
+
     Rows arrive one at a time (:meth:`record`) or as the run of one
     fan-out (:meth:`record_deliveries`: the same rows, the same bytes,
     split at the chunk boundary, labels interned in row order). The
-    pending chunk lives in typed column builders -- ``array``/
+    pending rows live in typed column builders -- ``array``/
     ``bytearray``, never Python lists -- whose broadcast-id column is
-    promoted from i4 to i8 by the first id that needs it; an unflushed
-    tail is replayed from those builders directly, without a copy.
+    promoted from i4 to i8 by the first id that needs it; they replay
+    directly, without a copy.
     """
 
-    __slots__ = ("directory", "chunk_records", "max_bytes",
-                 "_chunk_paths", "_chunk_counts", "_spilled_bytes",
-                 "_spilled", "_by_kind_essential", "_decisions",
-                 "_decision_times", "_kind_counts", "_broadcasts_by_node",
-                 "_owns_dir", "_finalizer", "_c_times", "_c_kinds",
-                 "_c_nodes", "_c_bids", "_c_peers", "_c_payloads",
-                 "_label_index", "_labels_packed", "_labels",
+    __slots__ = ("directory", "chunk_records", "max_bytes", "level",
+                 "payloads_preserialized", "_chunk_paths", "_chunk_counts",
+                 "_spilled_bytes", "_spilled", "_owns_dir", "_finalizer",
+                 "_c_times", "_c_kinds", "_c_nodes", "_c_bids", "_c_peers",
+                 "_c_payloads", "_label_index", "_labels_packed", "_labels",
                  "_payload_index", "_payload_table", "_sent_text",
                  "__weakref__")
 
-    level = TraceLevel.COLUMNAR
     replayable = True
     materializes_mac = True
-    payloads_preserialized = True
     columnar = True
 
     def __init__(self, directory: Optional[str] = None, *,
@@ -415,33 +420,45 @@ class ColumnarSink(TraceSink):
                  max_bytes: Optional[int] = None) -> None:
         if chunk_records <= 0:
             raise ValueError("chunk_records must be positive")
-        self._owns_dir = directory is None
-        if directory is None:
+        owns_dir = directory is None
+        if owns_dir:
             directory = tempfile.mkdtemp(prefix="macsim-columnar-")
         else:
             os.makedirs(directory, exist_ok=True)
+        self._start(directory, chunk_records, max_bytes, owns_dir)
+
+    @classmethod
+    def _in_memory(cls) -> "ColumnarSink":
+        """The FULL-level sink (built by
+        :func:`~repro.macsim.trace.make_sink`): no directory, and
+        builders that never flush."""
+        sink = cls.__new__(cls)
+        sink._start(None, sys.maxsize, None, False)
+        return sink
+
+    def _start(self, directory: Optional[str], chunk_records: int,
+               max_bytes: Optional[int], owns_dir: bool) -> None:
+        super().__init__()
         self.directory = directory
+        self.level = (TraceLevel.FULL if directory is None
+                      else TraceLevel.COLUMNAR)
+        self.payloads_preserialized = directory is not None
         self.chunk_records = chunk_records
         self.max_bytes = max_bytes
         self._chunk_paths: List[str] = []
         self._chunk_counts: List[int] = []
         self._spilled_bytes = 0
         self._spilled = 0
-        self._by_kind_essential: Dict[str, List[TraceRecord]] = {}
-        self._decisions: Dict[Any, Any] = {}
-        self._decision_times: Dict[Any, float] = {}
-        self._kind_counts: Dict[str, int] = {k: 0 for k in TRACE_KINDS}
-        self._broadcasts_by_node: Dict[Any, int] = {}
-        #: sender -> (broadcast id, payload object, its ``repr``) of the
-        #: sender's latest ``broadcast`` row; outlives chunk flushes.
-        #: One in-flight broadcast per node bounds it at n entries.
+        #: sender -> (broadcast id, payload object, its text -- or, in
+        #: RAM, its payload index) of the sender's latest ``broadcast``
+        #: row; outlives chunk flushes. One in-flight broadcast per node
+        #: bounds it at n entries.
         self._sent_text: Dict[Any, tuple] = {}
         self._reset_builders()
-        if self._owns_dir:
-            self._finalizer = weakref.finalize(
-                self, shutil.rmtree, directory, True)
-        else:
-            self._finalizer = None
+        self._owns_dir = owns_dir
+        self._finalizer = (weakref.finalize(self, shutil.rmtree,
+                                            directory, True)
+                           if owns_dir else None)
 
     def _reset_builders(self) -> None:
         self._c_times = array("d")
@@ -455,7 +472,7 @@ class ColumnarSink(TraceSink):
         self._labels_packed: List[Any] = []
         self._labels: List[Any] = []
         self._payload_index: Dict[str, int] = {}
-        self._payload_table: List[str] = []
+        self._payload_table: List[Any] = []
 
     # -- ingestion -----------------------------------------------------
     def _label_id(self, label: Any) -> int:
@@ -472,6 +489,15 @@ class ColumnarSink(TraceSink):
             idx = self._payload_index[text] = len(self._payload_table)
             self._payload_table.append(text)
         return idx
+
+    def _object_id(self, sender: Any, payload: Any) -> int:
+        """In RAM: the index of ``payload`` itself -- ``sender``'s latest
+        broadcast's, if it is that very object, else a fresh one."""
+        sent = self._sent_text.get(sender)
+        if sent is not None and sent[1] is payload:
+            return sent[2]
+        self._payload_table.append(payload)
+        return len(self._payload_table) - 1
 
     def _widen_bids(self) -> array:
         """Promote this chunk's broadcast-id column to i8: called for
@@ -513,6 +539,12 @@ class ColumnarSink(TraceSink):
             self._c_peers.append(peer_id)
         if payload is None:
             self._c_payloads.append(-1)
+        elif self.directory is None:
+            payload_id = self._object_id(node if peer is None else peer,
+                                         payload)
+            if code == _KIND_BROADCAST:
+                self._sent_text[node] = (broadcast_id, payload, payload_id)
+            self._c_payloads.append(payload_id)
         else:
             # Text is taken at the ``broadcast`` row; a delivery of
             # that very object re-interns it (its hash is cached), any
@@ -536,19 +568,12 @@ class ColumnarSink(TraceSink):
         # SpillBudgetError leaves the counters and the chunk agreeing.
         self._kind_counts[kind] += 1
         if code != _KIND_DELIVER and code != _KIND_ACK:
-            if kind == "decide":
-                if node not in self._decisions:
-                    self._decisions[node] = payload
-                    self._decision_times[node] = time
-            elif kind == "broadcast":
+            if code == _KIND_BROADCAST:
                 self._broadcasts_by_node[node] = (
                     self._broadcasts_by_node.get(node, 0) + 1)
-            if kind in _ESSENTIAL_KINDS:
-                bucket = self._by_kind_essential.get(kind)
-                if bucket is None:
-                    bucket = self._by_kind_essential[kind] = []
-                bucket.append(TraceRecord(time, kind, node, broadcast_id,
-                                          peer, payload))
+            elif kind in _ESSENTIAL_KINDS:
+                self._keep(TraceRecord(time, kind, node, broadcast_id,
+                                       peer, payload))
         if len(times) >= self.chunk_records:
             self.flush()
 
@@ -558,15 +583,19 @@ class ColumnarSink(TraceSink):
         """Append the run to each column: the rows (and the bytes)
         that one ``record("deliver", ...)`` per receiver writes."""
         text = None
+        payload_id = -1
         if payload is not None:
-            # Payload text: once per run, from the broadcast's own row
-            # when this is its very object (see record()).
-            sent = self._sent_text.get(sender)
-            if (sent is not None and sent[1] is payload
-                    and sent[0] == broadcast_id):
-                text = sent[2]
+            if self.directory is None:
+                payload_id = self._object_id(sender, payload)
             else:
-                text = repr(payload)
+                # Payload text: once per run, from the broadcast's own
+                # row when this is its very object (see record()).
+                sent = self._sent_text.get(sender)
+                if (sent is not None and sent[1] is payload
+                        and sent[0] == broadcast_id):
+                    text = sent[2]
+                else:
+                    text = repr(payload)
         packed_time = _F8_PACK(time)
         chunk_records = self.chunk_records
         start = 0
@@ -588,9 +617,7 @@ class ColumnarSink(TraceSink):
                 self._label_id(part[0])
                 peer_id = self._label_id(sender)
                 node_ids = [self._label_id(v) for v in part]
-            if text is None:
-                payload_id = -1
-            else:
+            if text is not None:
                 payload_id = self._payload_index.get(text)
                 if payload_id is None:
                     payload_id = self._payload_id(text)
@@ -612,7 +639,7 @@ class ColumnarSink(TraceSink):
                 self.flush()
 
     def append(self, record: TraceRecord) -> None:
-        """Protocol parity with :class:`~repro.macsim.trace.Trace`."""
+        """Record a :class:`TraceRecord`."""
         self.record(record.time, record.kind, record.node,
                     broadcast_id=record.broadcast_id, peer=record.peer,
                     payload=record.payload)
@@ -620,7 +647,14 @@ class ColumnarSink(TraceSink):
     def append_serialized(self, record: TraceRecord) -> None:
         """Append a record whose payload is *already* a ``repr``
         string (reloading an export or another sink's replay stream);
-        skips the second ``repr`` so round-trips stay byte-identical."""
+        skips the second ``repr`` so round-trips stay byte-identical.
+        An in-RAM sink holds payload objects or their text, so only an
+        empty one may start taking text."""
+        if not self.payloads_preserialized:
+            if self._c_times:
+                raise ValueError("this in-memory sink holds payload "
+                                 "objects, not their text")
+            self.payloads_preserialized = True
         kind = record.kind
         code = KIND_CODES.get(kind)
         if code is None:
@@ -639,27 +673,13 @@ class ColumnarSink(TraceSink):
         self._c_payloads.append(
             -1 if payload is None else self._payload_id(payload))
         self._kind_counts[kind] += 1
-        node = record.node
-        if kind == "decide":
-            if node not in self._decisions:
-                self._decisions[node] = payload
-                self._decision_times[node] = record.time
-        elif kind == "broadcast":
-            self._broadcasts_by_node[node] = (
-                self._broadcasts_by_node.get(node, 0) + 1)
-        if kind in _ESSENTIAL_KINDS:
-            bucket = self._by_kind_essential.get(kind)
-            if bucket is None:
-                bucket = self._by_kind_essential[kind] = []
-            bucket.append(record)
+        if kind == "broadcast":
+            self._broadcasts_by_node[record.node] = (
+                self._broadcasts_by_node.get(record.node, 0) + 1)
+        elif kind in _ESSENTIAL_KINDS:
+            self._keep(record)
         if len(self._c_times) >= self.chunk_records:
             self.flush()
-
-    def bump(self, kind: str, node: Any = None) -> None:
-        self._kind_counts[kind] = self._kind_counts.get(kind, 0) + 1
-        if kind == "broadcast":
-            self._broadcasts_by_node[node] = (
-                self._broadcasts_by_node.get(node, 0) + 1)
 
     def _encode_builders(self) -> bytes:
         return encode_chunk(self._c_times, self._c_kinds, self._c_nodes,
@@ -667,10 +687,54 @@ class ColumnarSink(TraceSink):
                             self._c_payloads, self._labels_packed,
                             self._payload_table)
 
+    def _encode_rows(self, lo: int, hi: int) -> bytes:
+        """Rows ``[lo, hi)`` of an in-RAM sink as the chunk a disk sink
+        writes for them: label and payload-text tables interned afresh
+        in row order (node before peer), the id column narrow when the
+        rows fit."""
+        labels: Dict[int, int] = {}
+        packed_labels: List[Any] = []
+        chunk_payload: Dict[int, int] = {}
+        text_ids: Dict[str, int] = {}
+        texts: List[str] = []
+        nodes, peers, payloads = array(_I4), array(_I4), array(_I4)
+
+        def label(i: int) -> int:
+            j = labels.get(i)
+            if j is None:
+                j = labels[i] = len(packed_labels)
+                packed_labels.append(self._labels_packed[i])
+            return j
+
+        for node, peer, pi in zip(self._c_nodes[lo:hi],
+                                  self._c_peers[lo:hi],
+                                  self._c_payloads[lo:hi]):
+            nodes.append(label(node))
+            peers.append(-1 if peer < 0 else label(peer))
+            if pi >= 0:
+                j = chunk_payload.get(pi)
+                if j is None:
+                    text = self._payload_table[pi]
+                    if not self.payloads_preserialized:
+                        text = repr(text)
+                    j = text_ids.get(text)
+                    if j is None:
+                        j = text_ids[text] = len(texts)
+                        texts.append(text)
+                    chunk_payload[pi] = j
+                pi = j
+            payloads.append(pi)
+        bids = self._c_bids[lo:hi]
+        return encode_chunk(self._c_times[lo:hi], self._c_kinds[lo:hi],
+                            nodes, bids if bids.itemsize == 4
+                            else bids.tolist(),
+                            peers, payloads, packed_labels, texts)
+
     def flush(self) -> None:
-        """Encode and write the buffered tail as a new chunk file."""
+        """Encode and write the buffered rows as a new chunk file (a
+        no-op in RAM)."""
         count = len(self._c_times)
-        if not count:
+        if not count or self.directory is None:
             return
         blob = self._encode_builders()
         path = os.path.join(self.directory,
@@ -690,8 +754,9 @@ class ColumnarSink(TraceSink):
                 f"({self._spilled:,} records in {self.directory})")
 
     def close(self) -> None:
-        self.flush()
-        self._write_manifest()
+        if self.directory is not None:
+            self.flush()
+            self._write_manifest()
 
     def _write_manifest(self) -> None:
         manifest = {
@@ -730,10 +795,6 @@ class ColumnarSink(TraceSink):
         original sink, with payloads as ``repr`` strings.
         """
         sink = cls(directory)
-        sink._owns_dir = False
-        if sink._finalizer is not None:
-            sink._finalizer.detach()
-            sink._finalizer = None
         manifest_path = os.path.join(directory, "manifest.json")
         if os.path.exists(manifest_path):
             with open(manifest_path, encoding="utf-8") as handle:
@@ -784,12 +845,7 @@ class ColumnarSink(TraceSink):
                     elif code in ess_codes:
                         essential.append(i)
             for i in essential:
-                rec = self._row_record(chunk, i)
-                bucket = self._by_kind_essential.setdefault(rec.kind, [])
-                bucket.append(rec)
-                if rec.kind == "decide" and rec.node not in self._decisions:
-                    self._decisions[rec.node] = rec.payload
-                    self._decision_times[rec.node] = rec.time
+                self._keep(self._row_record(chunk, i))
         self._chunk_counts = chunk_counts
         self._spilled = sum(chunk_counts)
         for kind, code in KIND_CODES.items():
@@ -846,12 +902,17 @@ class ColumnarSink(TraceSink):
             yield from chunk.records()
 
     def iter_chunk_blobs(self) -> Iterator[bytes]:
-        """The raw encoded chunk blobs, in order (the export path
-        copies these verbatim -- no re-encode)."""
+        """The encoded chunk blobs, in order: the files as they are
+        (the export path copies them verbatim), then the pending rows
+        -- in RAM, packed as a disk sink at the default chunk size
+        would have written them."""
         for path in self._chunk_paths:
             with open(path, "rb") as handle:
                 yield handle.read()
-        if self._c_times:
+        if self.directory is None:
+            for lo in range(0, len(self._c_times), DEFAULT_CHUNK_RECORDS):
+                yield self._encode_rows(lo, lo + DEFAULT_CHUNK_RECORDS)
+        elif self._c_times:
             yield self._encode_builders()
 
     def chunk_paths(self) -> List[str]:
@@ -860,34 +921,12 @@ class ColumnarSink(TraceSink):
 
     # -- queries -------------------------------------------------------
     def of_kind(self, kind: str) -> List[TraceRecord]:
-        if kind in _ESSENTIAL_KINDS:
-            return list(self._by_kind_essential.get(kind, ()))
-        if kind not in _TRACE_KIND_SET:
-            return []
-        return [r for r in self.iter_records() if r.kind == kind]
+        if kind in _COUNTED_KINDS:
+            return [r for r in self.iter_records() if r.kind == kind]
+        return super().of_kind(kind)
 
     def for_node(self, node: Any) -> List[TraceRecord]:
         return [r for r in self.iter_records() if r.node == node]
-
-    def decisions(self) -> Dict[Any, Any]:
-        return dict(self._decisions)
-
-    def decision_times(self) -> Dict[Any, float]:
-        return dict(self._decision_times)
-
-    def broadcast_count(self, node: Any = None) -> int:
-        if node is None:
-            return self._kind_counts.get("broadcast", 0)
-        return self._broadcasts_by_node.get(node, 0)
-
-    def broadcasts_per_node(self) -> Dict[Any, int]:
-        return dict(self._broadcasts_by_node)
-
-    def count_of_kind(self, kind: str) -> int:
-        return self._kind_counts.get(kind, 0)
-
-    def crashed_nodes(self) -> set:
-        return {r.node for r in self._by_kind_essential.get("crash", ())}
 
 
 # ----------------------------------------------------------------------
@@ -976,18 +1015,19 @@ def try_vectorized_invariants(graph, trace, f_ack=None):
     """Run the vectorized MAC-contract audit, or return ``None``.
 
     ``None`` means the fast path does not apply (no numpy, the sink is
-    not columnar, the graph is too large for the 64-bit delivery
-    bitmask, the run used dynamic topology / fault-model drops, or the
-    id columns have a shape the vectorized checker does not model, such
-    as a broadcast id used twice) and the caller must use the
-    record-iterator reference implementation. The returned report's
-    ``ok`` verdict is equivalent to the reference checker's on every
-    trace the fast path accepts; violation *messages* are summarized
-    per category.
+    not a disk one at ``TraceLevel.COLUMNAR``, the graph is too large
+    for the 64-bit delivery bitmask, the run used dynamic topology /
+    fault-model drops, or the id columns have a shape the vectorized
+    checker does not model, such as a broadcast id used twice) and the
+    caller must use the record-iterator reference implementation. The
+    returned report's ``ok`` verdict is equivalent to the reference
+    checker's on every trace the fast path accepts; violation
+    *messages* are summarized per category.
     """
-    # Columnar first: a trace that declines anyway must not pay the
-    # numpy import.
-    if not getattr(trace, "columnar", False) or not have_numpy():
+    # Level first: an in-RAM trace (payload objects, which may not
+    # hash) or one that declines anyway must not pay the numpy import.
+    if getattr(trace, "level", None) is not TraceLevel.COLUMNAR \
+            or not have_numpy():
         return None
     if not hasattr(trace, "iter_chunks"):
         return None

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, FrozenSet, Optional
 
 from .errors import ModelViolationError
-from .trace import TOPO_EDGE_DOWN, TOPO_EDGE_UP, TraceSink
+from .trace import TOPO_EDGE_DOWN, TOPO_EDGE_UP, TraceLevel, TraceSink
 
 
 @dataclass
@@ -301,18 +301,19 @@ def check_model_invariants(graph, trace: TraceSink,
     iterable of records); the replay runs in O(n + crashes) memory
     (plus O(deg) per in-flight broadcast on dynamic runs).
 
-    Columnar traces (:class:`~repro.macsim.columnar.ColumnarSink`)
-    take a vectorized fast path when numpy is available: the same
-    audit expressed as whole-column passes, ~an order of magnitude
-    faster, in O(n + open broadcasts + one slice of rows) memory
-    (O(broadcasts) when a crashed sender's never-acked broadcast pins
-    its open-id window). The fast path covers the
+    Disk traces (a :class:`~repro.macsim.columnar.ColumnarSink` at
+    ``TraceLevel.COLUMNAR``) take a vectorized fast path when numpy is
+    available: the same audit expressed as whole-column passes, ~an
+    order of magnitude faster, in O(n + open broadcasts + one slice of
+    rows) memory (O(broadcasts) when a crashed sender's never-acked
+    broadcast pins its open-id window). The fast path covers the
     static-topology non-Byzantine shapes and silently falls back to
     the auditor on anything else; verdict equivalence between the two
-    is pinned by the test-suite.
+    is pinned by the test-suite. An in-RAM FULL trace always replays
+    through the auditor, so a FULL run never loads numpy.
     """
-    if getattr(trace, "columnar", False) and not faulty \
-            and unreliable_graph is None:
+    if getattr(trace, "level", None) is TraceLevel.COLUMNAR \
+            and not faulty and unreliable_graph is None:
         from .columnar import try_vectorized_invariants
         fast_report = try_vectorized_invariants(graph, trace, f_ack)
         if fast_report is not None:

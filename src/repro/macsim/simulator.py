@@ -49,8 +49,8 @@ of Section 2 of the paper:
 * **Bounded messages.** In strict mode, each payload's ``id_footprint()``
   must stay below a constant, enforcing the paper's O(1)-ids rule.
 
-The engine also records a :class:`~repro.macsim.trace.Trace` (at a
-configurable :class:`~repro.macsim.trace.TraceLevel`) and notifies
+The engine also records a trace (a sink chosen by
+:class:`~repro.macsim.trace.TraceLevel`) and notifies
 observers whenever simulated time advances, which is how the
 lower-bound experiments take lock-step state snapshots.
 
@@ -145,7 +145,7 @@ from .process import Process
 from .schedulers.base import Scheduler, UniformPlan
 from .telemetry import Telemetry
 from .trace import (TOPO_EDGE_DOWN, TOPO_EDGE_UP, TOPO_NODE_DOWN,
-                    TOPO_NODE_UP, Trace, TraceLevel, TraceSink, make_sink)
+                    TOPO_NODE_UP, TraceLevel, TraceSink, make_sink)
 from ..topology.graphs import Graph
 
 #: Default ceiling on processed events; prevents runaway executions.

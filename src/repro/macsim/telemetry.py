@@ -29,7 +29,7 @@ Design constraints, in priority order:
   ledger's paired on/off estimator (ROADMAP item 2(c)). What guards
   the behaviour is the on == off byte-identity tests.
 * **Abort-safe.** Engine-raised exceptions
-  (:class:`~repro.macsim.trace.SpillBudgetError`, a crashing process
+  (:class:`~repro.macsim.columnar.SpillBudgetError`, a crashing process
   handler) flush a partial snapshot -- marked ``aborted`` with the
   error -- via :meth:`Telemetry.record_abort`, so post-mortems of
   straggling or budget-killed runs keep their counters.

@@ -23,10 +23,19 @@ class TestTopologyParsing:
         assert parse_topology_spec("star-of-cliques:3x4").build().n == 13
         assert parse_topology_spec("random:12:3").build().n == 12
         assert parse_topology_spec("geometric:10:1").build().n == 10
+        torus = parse_topology_spec("torus:3x4").build()
+        assert (torus.n, torus.degree(0)) == (12, 4)
+        # Branching 2, depth 3: 1 + 2 + 4 + 8 nodes.
+        assert parse_topology_spec("tree:2x3").build().n == 15
+        # Two 4-cliques joined by a 2-node path.
+        assert parse_topology_spec("barbell:4x2").build().n == 10
 
     def test_defaults(self):
         assert parse_topology_spec("clique").build().n == 8
         assert parse_topology_spec("grid").build().n == 16
+        assert parse_topology_spec("torus").build().n == 16
+        assert parse_topology_spec("tree").build().n == 15
+        assert parse_topology_spec("barbell").build().n == 10
 
     def test_unknown_rejected(self):
         with pytest.raises(UnknownNameError):

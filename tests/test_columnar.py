@@ -24,7 +24,7 @@ from repro.core import TwoPhaseConsensus
 from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
                           ColumnarSink, CorruptStrategy, CrashFaultModel,
                           CrashPlan, EdgeChurn, EquivocateStrategy,
-                          Process, SpillBudgetError, Trace, TraceLevel,
+                          Process, SpillBudgetError, TraceLevel,
                           build_simulation, check_model_invariants,
                           make_sink)
 from repro.macsim import columnar as columnar_mod
@@ -268,7 +268,7 @@ class TestColumnarSink:
         # The acceptance bytes gate, pinned at test scale too: the
         # chunks against the same run's FULL trace as JSON lines.
         graph = clique(8)
-        sinks = (Trace(), ColumnarSink(str(tmp_path / "c"),
+        sinks = (make_sink("full"), ColumnarSink(str(tmp_path / "c"),
                                        chunk_records=256))
         for sink in sinks:
             sim = build_simulation(
@@ -431,7 +431,7 @@ class TestFloodSpillBounded:
         directory, sink, peak, report = large
         assert peak <= 1.25 * small[2]
         assert report.ok, report.violations[:3]
-        full = Trace()
+        full = make_sink("full")
         self._sim(clique(12), self.ROUNDS[-1], full).run(
             max_events=1_000_000, max_time=self.ROUNDS[-1] + 10.0)
         assert len(full) == len(sink)
@@ -461,6 +461,23 @@ class TestFloodSpillBounded:
                 tracemalloc.stop()
             assert report.ok, report.violations[:3]
         assert peaks[1] <= 1.05 * peaks[0], peaks
+
+    def test_flood_held_in_memory_is_compact(self):
+        # FULL in RAM is the same typed columns, never spilled, with a
+        # payload table of objects: ~33 B per row here, where a frozen
+        # TraceRecord plus per-kind and per-node lists cost ~115.
+        rounds = self.ROUNDS[-1]
+        sink = make_sink("full")
+        sim = self._sim(clique(12), rounds, sink)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim.run(max_events=1_000_000, max_time=rounds + 10.0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(sink) == 15_612
+        assert held <= 40 * len(sink), held / len(sink)
 
     def test_flood_spill_audit_pure_python(self, runs, monkeypatch):
         # The reference replay the pure-python leg runs over the
@@ -522,7 +539,7 @@ class TestPayloadTextMemo:
     def _byzantine_pair(self, strategy, tmp_path):
         graph = clique(4)
         runs = []
-        for sink in (Trace(),
+        for sink in (make_sink("full"),
                      ColumnarSink(str(tmp_path / "c"), chunk_records=16)):
             model = ByzantineFaultModel(
                 [ByzantinePlan(node=0, strategy=strategy())])
@@ -568,7 +585,7 @@ class TestPayloadTextMemo:
         graph = line(3)  # reliable 0-1-2, unreliable chord 0-2
         chord = Graph([(0, 2)], nodes=graph.nodes)
         rows = []
-        for sink in (Trace(),
+        for sink in (make_sink("full"),
                      ColumnarSink(str(tmp_path / "c"), chunk_records=16)):
             sim = build_simulation(graph, _Teller,
                                    AckFirstScheduler(late=0.25),
@@ -742,7 +759,7 @@ class TestRunRows:
 # Columnar <-> FULL equivalence property (satellite: hypothesis)
 # ----------------------------------------------------------------------
 class TestColumnarFullEquivalence:
-    """The same execution traced by a FULL ``Trace`` and by a
+    """The same execution traced at FULL (in RAM) and by a disk
     ColumnarSink must agree on everything observable: the replayed
     record stream (FULL payloads ``repr``'d), decision sequences,
     RunMetrics, and the invariant verdict -- which, for the columnar
@@ -752,7 +769,7 @@ class TestColumnarFullEquivalence:
     def _run_both(self, tmp, graph, sched_factory, *, crashes=(),
                   dynamics_factory=None):
         out = []
-        for sink in (Trace(), ColumnarSink(str(tmp / "col"),
+        for sink in (make_sink("full"), ColumnarSink(str(tmp / "col"),
                                            chunk_records=128)):
             sim = build_simulation(
                 graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
@@ -1086,8 +1103,8 @@ class TestVectorizedVsReference:
 class TestColumnarExport:
     def _sample(self, tmp_path, full=False):
         graph = clique(4)
-        sink = Trace() if full else ColumnarSink(str(tmp_path / "sink"),
-                                                 chunk_records=32)
+        sink = (make_sink("full") if full
+                else ColumnarSink(str(tmp_path / "sink"), chunk_records=32))
         sim = build_simulation(
             graph, lambda v: TwoPhaseConsensus(v + 1, v % 2),
             SynchronousScheduler(1.0), trace_sink=sink)

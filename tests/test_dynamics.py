@@ -26,6 +26,7 @@ from repro.macsim.dynamics import (TOPO_EDGE_DOWN, TOPO_EDGE_UP,
                                    spanning_tree_edges,
                                    t_interval_connected)
 from repro.macsim.dynamics.connectivity import is_connected
+from repro.macsim.trace import make_sink
 from repro.macsim.errors import ConfigurationError
 from repro.macsim.schedulers import (RandomDelayScheduler, Scheduler,
                                      SynchronousScheduler)
@@ -98,7 +99,7 @@ class TestZeroChurnIdentity:
         # DECISIONS sink: decisions, times and exact counters match.
         counting = _run(graph, RandomDelayScheduler(1.0, seed=seed),
                         dynamics=zero_dynamics(),
-                        sink=Trace("decisions"))
+                        sink=Trace())
         assert counting.decisions == static.decisions
         assert counting.decision_times == static.decision_times
         for kind in ("broadcast", "deliver", "ack", "decide", "topo"):
@@ -152,7 +153,7 @@ class TestEngineEpochs:
         # over an edge that existed at broadcast time (and churned
         # away later) must pass.
         graph = line(3)  # edges (0,1), (1,2)
-        ok_trace = Trace()
+        ok_trace = make_sink("full")
         ok_trace.append(TraceRecord(1.0, "broadcast", 0, broadcast_id=0,
                                     payload="m"))
         ok_trace.append(TraceRecord(1.5, "topo", 0, peer=1,
@@ -162,7 +163,7 @@ class TestEngineEpochs:
         ok_trace.append(TraceRecord(2.0, "ack", 0, broadcast_id=0))
         assert check_model_invariants(graph, ok_trace, 10.0).ok
 
-        bad_trace = Trace()
+        bad_trace = make_sink("full")
         bad_trace.append(TraceRecord(0.5, "topo", 0, peer=1,
                                      broadcast_id=TOPO_EDGE_DOWN))
         bad_trace.append(TraceRecord(1.0, "broadcast", 0,
@@ -177,7 +178,7 @@ class TestEngineEpochs:
         # Edge (0,1) appears after the broadcast: the ack must not be
         # gated on the new neighbor.
         graph = line(3)
-        trace = Trace()
+        trace = make_sink("full")
         trace.append(TraceRecord(1.0, "topo", 0, peer=2,
                                  broadcast_id=TOPO_EDGE_UP))
         trace.append(TraceRecord(2.0, "broadcast", 0, broadcast_id=0,

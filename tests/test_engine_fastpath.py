@@ -18,7 +18,7 @@ from repro.macsim import (ByzantineFaultModel, ByzantinePlan,
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.macsim.simulator import _BroadcastRecord
-from repro.macsim.trace import TRACE_KINDS, Trace, TraceSink
+from repro.macsim.trace import TRACE_KINDS, Trace, TraceSink, make_sink
 from repro.topology import Graph, clique, line
 from tests.helpers import AckFirstScheduler, trace_digest
 
@@ -239,7 +239,7 @@ def naive_trace_queries(records):
 class TestTraceIndexes:
     def test_indexes_match_naive_oracle_on_random_log(self):
         rng = random.Random(1234)
-        trace = Trace()
+        trace = make_sink("full")
         for i in range(3000):
             kind = rng.choice(TRACE_KINDS)
             node = rng.randrange(12)
@@ -293,7 +293,7 @@ class TestTraceIndexes:
     def test_trace_level_coerce_accepts_strings(self):
         assert TraceLevel.coerce("decisions") is TraceLevel.DECISIONS
         assert TraceLevel.coerce(TraceLevel.FULL) is TraceLevel.FULL
-        assert Trace("decisions").level is TraceLevel.DECISIONS
+        assert Trace().level is TraceLevel.DECISIONS
 
 
 class _Once(Process):
@@ -387,9 +387,10 @@ class TestCrashPruning:
 # ---------------------------------------------------------------------
 # Every fault is planned: one delivery path for every fault model
 # ---------------------------------------------------------------------
-class _RunSpySink(Trace):
-    """A FULL trace that also logs each ``record_deliveries`` run and
-    counts the ``deliver`` rows written one at a time."""
+class _RunSpySink(ColumnarSink):
+    """A columnar trace (in a temporary directory) that also logs each
+    ``record_deliveries`` run and counts the ``deliver`` rows written
+    one at a time."""
 
     def __init__(self):
         super().__init__()
@@ -608,7 +609,7 @@ class TestBatchExpansionStopsAndResumes:
         assert sim.run(max_events=1).events_processed == 1
         assert sim.trace.delivery_count() == handled + 1
         if level is TraceLevel.FULL:
-            last = sim.trace[len(sim.trace) - 1]
+            *_, last = sim.trace
             assert (last.node, last.broadcast_id) == (receivers[index],
                                                       record.bid)
         assert sim.run().stop_reason == "all_decided"
@@ -770,7 +771,7 @@ class TestRunRows:
             self, tmp_path):
         sim = self._interjector()
         assert sim.run().stop_reason == "all_decided"
-        trace = sim.trace
+        trace = list(sim.trace)
         # Each kind really does land between two deliveries of one
         # batch, or this pins nothing.
         for kind in ("broadcast", "discard", "decide"):
@@ -781,7 +782,7 @@ class TestRunRows:
                         for later in trace[i + 1:i + 8])
                 for i, (before, row) in enumerate(zip(trace, trace[1:]),
                                                   start=1)), kind
-        assert (len(trace), trace_digest(trace)) == (
+        assert (len(sim.trace), trace_digest(sim.trace)) == (
             self.INTERJECTOR_ROWS, self.INTERJECTOR_FULL)
         sink = ColumnarSink(str(tmp_path), chunk_records=7)
         assert self._interjector(

@@ -11,7 +11,8 @@ from repro.analysis.export import (load_scenario, load_trace, save_trace,
 from repro.analysis.stats_report import _unsupported_artifact
 from repro.cli import main
 from repro.core.twophase import TwoPhaseConsensus
-from repro.macsim import ColumnarSink, build_simulation
+from repro.macsim import ColumnarSink, TraceLevel, build_simulation
+from repro.macsim import columnar as columnar_mod
 from repro.macsim.schedulers import SynchronousScheduler
 from repro.scenario import (AlgorithmSpec, DynamicsSpec, FaultSpec,
                             Scenario, SchedulerSpec, parse_topology_spec)
@@ -101,6 +102,23 @@ class TestOneLayout:
         assert len(load_trace(paths[0])) == len(full)
 
     @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
+    def test_in_memory_rows_chunk_like_a_disk_sink(self, monkeypatch,
+                                                   name):
+        # An in-RAM FULL sink cuts its export (and its replay) at the
+        # default chunk size; shrunk to 7 rows, every chunk boundary
+        # must fall, and intern its tables, where a disk sink's does.
+        monkeypatch.setattr(columnar_mod, "DEFAULT_CHUNK_RECORDS", 7)
+        scenario = LAYOUT_CASES[name]
+        full = scenario.simulate().trace
+        live = ColumnarSink(chunk_records=7)
+        scenario.simulate(trace_sink=live)
+        assert full.level is TraceLevel.FULL and len(full) > 7
+        assert list(full.iter_chunk_blobs()) \
+            == list(live.iter_chunk_blobs())
+        assert trace_to_records(full) == trace_to_records(live)
+        live.cleanup()
+
+    @pytest.mark.parametrize("name", sorted(LAYOUT_CASES))
     def test_packing_matches_a_live_sink_at_small_chunks(self, name):
         scenario = LAYOUT_CASES[name]
         live = ColumnarSink(chunk_records=7)
@@ -112,6 +130,33 @@ class TestOneLayout:
             == list(live.iter_chunk_blobs())
         live.cleanup()
         packed.cleanup()
+
+
+class TestReloadRoundTrip:
+    """A reloaded export holds payload text already: saving it again,
+    or digesting it, must not ``repr`` its payloads a second time."""
+
+    @pytest.mark.parametrize("spill", [False, True],
+                             ids=["default-sink", "spilling-sink"])
+    def test_reload_saves_and_digests_like_the_original(self, tmp_path,
+                                                       spill):
+        original = sample_run().trace
+        first = str(tmp_path / "first.trace")
+        save_trace(original, first)
+        sink = ColumnarSink(str(tmp_path / "spill")) if spill else None
+        reloaded = load_trace(first, sink=sink)
+        reloaded.close()
+        again = str(tmp_path / "again.trace")
+        save_trace(reloaded, again)
+        with open(first, "rb") as a, open(again, "rb") as b:
+            assert a.read() == b.read()
+        assert trace_to_json(reloaded) == trace_to_json(original)
+        assert reloaded.payloads_preserialized
+
+    def test_in_memory_sink_holds_objects_or_text(self):
+        sink = sample_run().trace
+        with pytest.raises(ValueError, match="payload objects"):
+            sink.append_serialized(next(iter(sink)))
 
 
 def _old_layouts(tmp_path):

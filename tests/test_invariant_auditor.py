@@ -37,7 +37,8 @@ from repro.macsim.invariants import (InvariantAuditor,
                                      check_model_invariants)
 from repro.macsim.schedulers import DeliveryPlan, SynchronousScheduler
 from repro.macsim.trace import (TOPO_EDGE_DOWN, TOPO_EDGE_UP, Trace,
-                                TraceLevel, TraceRecord, TraceSink)
+                                TraceLevel, TraceRecord, TraceSink,
+                                make_sink)
 from repro.scenario import (AlgorithmSpec, DynamicsSpec, FaultSpec,
                             OverlaySpec, Scenario, SchedulerSpec,
                             TopologySpec)
@@ -85,7 +86,7 @@ class TestNoSilentSkip:
         graph = line(4)
         with pytest.raises(ModelViolationError, match="non-neighbor"):
             _wpaxos_run(graph, LyingScheduler(graph),
-                        trace_sink=Trace("decisions"))
+                        trace_sink=Trace())
 
     def test_unchecked_run_is_still_allowed(self):
         graph = line(4)
@@ -121,7 +122,7 @@ class TestNoSilentSkip:
         graph = clique(5)
         full = _wpaxos_run(graph, SynchronousScheduler(1.0),
                            trace_level="full")
-        sink = Trace("decisions")
+        sink = Trace()
         counted = _wpaxos_run(graph, SynchronousScheduler(1.0),
                               trace_sink=sink)
         assert counted == full
@@ -145,12 +146,12 @@ def _both_reports(scenario, scheduler_wrap=None):
     r, faulty = resolved()
     auditor = InvariantAuditor(r.graph, r.scheduler.f_ack,
                                r.unreliable_graph, faulty)
-    sink = Trace("decisions")
+    sink = Trace()
     sink.attach_auditor(auditor)
     live_events = r.simulate(trace_sink=sink).events_processed
 
     r, faulty = resolved()
-    result = r.simulate(trace_sink=Trace("full"))
+    result = r.simulate(trace_sink=make_sink("full"))
     assert result.events_processed == live_events
     post_hoc = check_model_invariants(
         r.graph, result.trace, r.scheduler.f_ack,
@@ -397,7 +398,7 @@ def _audit_both(graph, stream, kwargs):
         graph, [TraceRecord(*row) for row in rows], **kwargs)
     auditor = InvariantAuditor(graph, kwargs["f_ack"],
                                faulty=kwargs.get("faulty", frozenset()))
-    sink = Trace("decisions")
+    sink = Trace()
     sink.attach_auditor(auditor)
     for time, kind, node, bid, peer, payload in stream:
         if kind == "run":
@@ -533,7 +534,7 @@ class TestRunsAuditedAsTheirRows:
                                         receivers)
 
         auditor = Spy(graph, 1.0)
-        sink = Trace("decisions")
+        sink = Trace()
         sink.attach_auditor(auditor)
         counted = _wpaxos_run(graph, SynchronousScheduler(1.0),
                               trace_sink=sink, check_invariants=False)
@@ -556,7 +557,7 @@ class TestSameTimestampCrashAndAck:
                            **kwargs)
 
     def test_engine_records_the_crash_before_the_acks(self):
-        sink = Trace("full")
+        sink = make_sink("full")
         self._run(trace_sink=sink)
         at_one = [r.kind for r in sink if r.time == 1.0]
         assert at_one[0] == "crash" and "ack" in at_one

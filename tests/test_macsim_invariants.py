@@ -2,13 +2,13 @@
 
 from repro.macsim.invariants import check_consensus, \
     check_model_invariants
-from repro.macsim.trace import Trace
+from repro.macsim.trace import make_sink
 from repro.topology import clique, line
 
 
 def good_trace():
     """A contract-respecting broadcast on clique(3)."""
-    t = Trace()
+    t = make_sink("full")
     t.record(0.0, "broadcast", 0, broadcast_id=0, payload="m")
     t.record(1.0, "deliver", 1, broadcast_id=0, peer=0, payload="m")
     t.record(1.0, "deliver", 2, broadcast_id=0, peer=0, payload="m")
@@ -23,7 +23,7 @@ class TestModelInvariantsPositive:
         assert report.ok
 
     def test_crashed_neighbor_excused_from_ack(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(0.0, "broadcast", 0, broadcast_id=0)
         t.record(0.5, "crash", 2)
         t.record(1.0, "deliver", 1, broadcast_id=0, peer=0)
@@ -34,7 +34,7 @@ class TestModelInvariantsPositive:
 
 class TestModelInvariantsNegative:
     def test_delivery_to_non_neighbor(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(0.0, "broadcast", 0, broadcast_id=0)
         t.record(1.0, "deliver", 2, broadcast_id=0, peer=0)
         t.record(1.0, "deliver", 1, broadcast_id=0, peer=0)
@@ -44,7 +44,7 @@ class TestModelInvariantsNegative:
         assert any("non-neighbor" in v for v in report.violations)
 
     def test_duplicate_delivery(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(0.0, "broadcast", 0, broadcast_id=0, payload="m")
         t.record(1.0, "deliver", 1, broadcast_id=0, peer=0, payload="m")
         t.record(1.2, "deliver", 1, broadcast_id=0, peer=0, payload="m")
@@ -65,7 +65,7 @@ class TestModelInvariantsNegative:
         assert any("closed" in v for v in report.violations)
 
     def test_ack_before_all_neighbors(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(0.0, "broadcast", 0, broadcast_id=0)
         t.record(1.0, "deliver", 1, broadcast_id=0, peer=0)
         t.record(1.0, "ack", 0, broadcast_id=0)  # node 2 never got it
@@ -73,7 +73,7 @@ class TestModelInvariantsNegative:
         assert not report.ok
 
     def test_ack_exceeding_f_ack(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(0.0, "broadcast", 0, broadcast_id=0)
         t.record(5.0, "deliver", 1, broadcast_id=0, peer=0)
         t.record(5.0, "deliver", 2, broadcast_id=0, peer=0)
@@ -83,14 +83,14 @@ class TestModelInvariantsNegative:
         assert any("F_ack" in v for v in report.violations)
 
     def test_activity_after_crash(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(0.0, "crash", 0)
         t.record(1.0, "broadcast", 0, broadcast_id=0)
         report = check_model_invariants(clique(2), t, f_ack=10.0)
         assert not report.ok
 
     def test_raise_if_failed(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(0.0, "broadcast", 0, broadcast_id=0)
         t.record(1.0, "deliver", 1, broadcast_id=0, peer=0)
         t.record(1.0, "ack", 0, broadcast_id=0)
@@ -103,14 +103,14 @@ class TestModelInvariantsNegative:
 
 class TestConsensusChecker:
     def test_all_properties_hold(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(1.0, "decide", 0, payload=1)
         t.record(2.0, "decide", 1, payload=1)
         report = check_consensus(t, {0: 1, 1: 0})
         assert report.ok
 
     def test_agreement_violation(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(1.0, "decide", 0, payload=0)
         t.record(2.0, "decide", 1, payload=1)
         report = check_consensus(t, {0: 0, 1: 1})
@@ -118,20 +118,20 @@ class TestConsensusChecker:
         assert not report.ok
 
     def test_validity_violation(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(1.0, "decide", 0, payload=7)
         report = check_consensus(t, {0: 0})
         assert not report.validity
 
     def test_termination_violation(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(1.0, "decide", 0, payload=0)
         report = check_consensus(t, {0: 0, 1: 1})
         assert not report.termination
         assert report.undecided == [1]
 
     def test_crashed_nodes_excused(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(0.5, "crash", 1)
         t.record(1.0, "decide", 0, payload=0)
         report = check_consensus(t, {0: 0, 1: 1})

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.macsim.trace import Trace, TraceRecord
+from repro.macsim.trace import Trace, TraceRecord, make_sink
 
 
 def sample_trace():
-    t = Trace()
+    t = make_sink("full")
     t.record(0.0, "broadcast", "a", broadcast_id=0, payload="m0")
     t.record(1.0, "deliver", "b", broadcast_id=0, peer="a",
              payload="m0")
@@ -43,7 +43,7 @@ class TestTraceQueries:
         assert t.last_decision_time() == 3.0
 
     def test_first_decision_wins(self):
-        t = Trace()
+        t = make_sink("full")
         t.record(1.0, "decide", "x", payload=0)
         t.record(2.0, "decide", "x", payload=1)
         assert t.decisions() == {"x": 0}
@@ -60,13 +60,38 @@ class TestTraceQueries:
         assert sample_trace().crashed_nodes() == {"c"}
 
     def test_no_decisions(self):
-        assert Trace().last_decision_time() is None
+        assert make_sink("full").last_decision_time() is None
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            Trace().record(0.0, "nonsense", "a")
+            make_sink("full").record(0.0, "nonsense", "a")
 
-    def test_indexing(self):
-        t = sample_trace()
-        assert isinstance(t[0], TraceRecord)
-        assert t[0].kind == "broadcast"
+    def test_iteration_builds_records(self):
+        first = next(iter(sample_trace()))
+        assert isinstance(first, TraceRecord)
+        assert first == TraceRecord(0.0, "broadcast", "a", 0, None, "m0")
+
+
+class TestCountingTrace:
+    """The DECISIONS level counts MAC rows and keeps only decide,
+    crash and topo records."""
+
+    def test_counts_without_records(self):
+        t = Trace()
+        t.record(0.0, "broadcast", "a", broadcast_id=0, payload="m0")
+        t.record_deliveries(1.0, 0, "a", "m0", ("b", "c"))
+        t.record(1.0, "ack", "a", broadcast_id=0)
+        t.record(2.0, "decide", "a", payload=1)
+        t.record(3.0, "crash", "c")
+        assert not t.replayable and not t.materializes_mac
+        assert [r.kind for r in t] == ["decide", "crash"]
+        assert len(t) == 2
+        assert t.of_kind("deliver") == []
+        assert t.delivery_count() == 2
+        assert t.broadcasts_per_node() == {"a": 1}
+        assert t.decisions() == {"a": 1}
+        assert t.crashed_nodes() == {"c"}
+
+    def test_takes_no_level(self):
+        with pytest.raises(TypeError):
+            Trace("full")

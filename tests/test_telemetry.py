@@ -31,7 +31,7 @@ from repro.macsim.columnar import KIND_CODES, have_numpy
 from repro.macsim.schedulers import (RandomDelayScheduler,
                                      SynchronousScheduler)
 from repro.macsim.telemetry import (PHASES, quantile, summarize_samples)
-from repro.macsim.trace import TRACE_KINDS
+from repro.macsim.trace import TRACE_KINDS, make_sink
 from repro.scenario import AlgorithmSpec, Scenario, TopologySpec
 from repro.topology import clique, line, star
 
@@ -82,8 +82,8 @@ def _fault_scenarios():
 
 def _sink_factories(tmp_path, tag):
     return [
-        ("full", Trace),
-        ("decisions", lambda: Trace("decisions")),
+        ("full", lambda: make_sink("full")),
+        ("decisions", Trace),
         ("columnar", lambda: ColumnarSink(str(tmp_path / f"co-{tag}"),
                                           chunk_records=256)),
     ]
@@ -108,7 +108,7 @@ class TestCountersMatchTrace:
     def test_all_sinks(self, tmp_path, name, graph, factory, sched,
                        model):
         # Reference counts from an untelemetered full-trace run.
-        _, ref = _run(graph, factory, sched, model, Trace())
+        _, ref = _run(graph, factory, sched, model, make_sink("full"))
         for sink_name, sink_cls in _sink_factories(tmp_path, name):
             telemetry = Telemetry()
             sim, result = _run(graph, factory, sched, model,
@@ -142,9 +142,9 @@ class TestCountersMatchTrace:
         }
         model = models[fault]
         telemetry = Telemetry()
-        _, plain = _run(graph, factory, sched, model, Trace())
+        _, plain = _run(graph, factory, sched, model, make_sink("full"))
         _, telem = _run(graph, factory, sched, model,
-                        Trace(), telemetry=telemetry)
+                        make_sink("full"), telemetry=telemetry)
         # Byte-identity: telemetry must not perturb the trace.
         assert trace_to_json(telem.trace) == trace_to_json(plain.trace)
         for counter, kind in COUNTER_KINDS.items():
@@ -167,7 +167,7 @@ class TestByteIdentityOnDisk:
         graph = clique(6)
         paths = []
         for tag in ("off", "on"):
-            sink = (Trace() if fmt == "full" else
+            sink = (make_sink("full") if fmt == "full" else
                     ColumnarSink(str(tmp_path / f"{fmt}-{tag}"),
                                  chunk_records=128))
             telemetry = Telemetry() if tag == "on" else None
@@ -195,7 +195,7 @@ class TestHistogramIdentity:
         # Three span sets on the FULL trace's export: live, derived
         # from the columns, and derived from the record stream.
         telemetry = Telemetry()
-        _, result = self._seeded_run(Trace(), telemetry)
+        _, result = self._seeded_run(make_sink("full"), telemetry)
         live = telemetry.snapshot()["spans"]
         assert live["f_ack"]["count"] > 0
         assert live["f_prog"]["count"] > 0
@@ -212,7 +212,7 @@ class TestHistogramIdentity:
 
     def test_embedded_snapshot_preferred(self, tmp_path):
         telemetry = Telemetry(label="pinned")
-        _, result = self._seeded_run(Trace(), telemetry)
+        _, result = self._seeded_run(make_sink("full"), telemetry)
         path = str(tmp_path / "embedded.trace")
         save_trace(result.trace, path,
                    metadata={"telemetry": telemetry.snapshot()})
@@ -227,7 +227,7 @@ class TestHistogramIdentity:
     def test_render_stats_smoke(self, tmp_path):
         from repro.analysis.stats_report import _doc_from_snapshot
         telemetry = Telemetry(label="render")
-        self._seeded_run(Trace(), telemetry)
+        self._seeded_run(make_sink("full"), telemetry)
         text = render_stats(_doc_from_snapshot(
             telemetry.snapshot(), "<live>", "telemetry"))
         assert "f_ack" in text

@@ -112,9 +112,9 @@ class TestSinkEquivalenceUnderFaults:
         _fault_scenarios(), ids=[s[0] for s in _fault_scenarios()])
     def test_counters_and_verdicts_match_full(
             self, tmp_path, name, graph, factory, sched, model):
-        full = _run_with_sink(graph, factory, sched, model, Trace())
+        full = _run_with_sink(graph, factory, sched, model, make_sink("full"))
         fast = _run_with_sink(graph, factory, sched, model,
-                              Trace("decisions"))
+                              Trace())
         disk = _run_with_sink(
             graph, factory, sched, model,
             ColumnarSink(str(tmp_path / name), chunk_records=512))
@@ -142,7 +142,7 @@ class TestSinkEquivalenceUnderFaults:
         _fault_scenarios(), ids=[s[0] for s in _fault_scenarios()])
     def test_columnar_replay_matches_full_structurally(
             self, tmp_path, name, graph, factory, sched, model):
-        full = _run_with_sink(graph, factory, sched, model, Trace())
+        full = _run_with_sink(graph, factory, sched, model, make_sink("full"))
         sink = ColumnarSink(str(tmp_path / name), chunk_records=256)
         disk = _run_with_sink(graph, factory, sched, model, sink)
         assert len(sink) == len(full.trace)
@@ -292,18 +292,22 @@ class TestBatchedDeliveryScheduling:
 
 
 class TestTraceLevels:
-    """Three levels, two sink classes: ``Trace`` keeps a run in RAM at
-    ``full`` or ``decisions``, ``ColumnarSink`` writes it to disk."""
+    """Three levels, two sink classes: ``ColumnarSink`` keeps a run's
+    rows in RAM at ``full`` and on disk at ``columnar``, ``Trace``
+    counts them at ``decisions``."""
 
     def test_levels_are_full_decisions_columnar(self):
         assert [level.value for level in TraceLevel] \
             == ["full", "decisions", "columnar"]
 
-    @pytest.mark.parametrize("level", ["full", "decisions"])
-    def test_memory_levels_build_a_trace(self, level):
+    @pytest.mark.parametrize("level, cls", [("full", ColumnarSink),
+                                            ("decisions", Trace)])
+    def test_memory_levels_build_a_trace(self, level, cls):
         sink = make_sink(level)
-        assert type(sink) is Trace
+        assert type(sink) is cls
         assert sink.level is TraceLevel(level)
+        assert sink.replayable is (level == "full")
+        assert getattr(sink, "directory", None) is None
 
     @pytest.mark.parametrize("level", ["full", "decisions"])
     def test_memory_levels_reject_spill_options(self, tmp_path, level):
