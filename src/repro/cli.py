@@ -454,7 +454,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.progress:
         os.environ["MACSIM_SWEEP_PROGRESS"] = "1"
     scenario_ns = argparse.Namespace(
-        scenario=args.scenario, algorithm=args.algorithm,
+        scenario=args.scenario, algorithm=None,
         topology=args.topology, scheduler=args.scheduler,
         f_ack=args.f_ack, seed=args.seed, trace_level=None,
         max_time=args.max_time, fault=None, dynamics=None,
@@ -969,11 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p = sub.add_parser(
         "serve", help="serve a closed-loop client workload over "
                       "replicated-log consensus groups")
-    serve_p.add_argument("--algorithm", choices=ALGORITHMS.names(),
-                         default=None,
-                         help="the groups' consensus algorithm; only "
-                              "wpaxos has a replicated log "
-                              f"(default: {RUN_DEFAULTS['algorithm']})")
     serve_p.add_argument("--topology", default="clique:5",
                          help="per-group topology (default: clique:5)")
     serve_p.add_argument("--scheduler", choices=SCHEDULERS.names(),

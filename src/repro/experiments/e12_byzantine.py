@@ -65,8 +65,7 @@ def _base_scenario(topology: TopologySpec, n: int, relay: bool,
         label=("multihop" if relay else "clique") + f"({n})")
 
 
-def manifest(clique_n=CLIQUE_N, multihop_n=MULTIHOP_N,
-             strategies=STRATEGIES):
+def manifest():
     """The within-bound grids as a scenario-native manifest.
 
     The past-the-bound violation run is hand-wired (it digs decide
@@ -76,14 +75,14 @@ def manifest(clique_n=CLIQUE_N, multihop_n=MULTIHOP_N,
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
     blocks = []
     for topology, n, relay in (
-            (TopologySpec("clique", n=clique_n), clique_n, False),
-            (TopologySpec("random", n=multihop_n,
+            (TopologySpec("clique", n=CLIQUE_N), CLIQUE_N, False),
+            (TopologySpec("random", n=MULTIHOP_N,
                           density=MULTIHOP_EDGE_PROB, seed=MULTIHOP_SEED),
-             multihop_n, True)):
+             MULTIHOP_N, True)):
         f_assumed = max_tolerance(n)
         counts = list(range(f_assumed + 1))
         kind = "multihop" if relay else "clique"
-        for strategy_name in strategies:
+        for strategy_name in STRATEGIES:
             blocks.append(ManifestBlock(
                 f"{kind}-{strategy_name}",
                 _base_scenario(topology, n, relay, strategy_name),
@@ -119,10 +118,8 @@ def _violation_run():
     return result, report, byz
 
 
-def run(*, clique_n=CLIQUE_N, multihop_n=MULTIHOP_N,
-        strategies=STRATEGIES, cache=None,
-        workers=None) -> ExperimentReport:
-    plan = manifest(clique_n, multihop_n, strategies)
+def run(*, cache=None, workers=None) -> ExperimentReport:
+    plan = manifest()
     report = ExperimentReport(
         experiment_id="E12",
         title=plan.title,

@@ -66,39 +66,38 @@ ZIP_NS = (8, 12, 16)
 ZIP_SEEDS = (SEED, SEED + 1, SEED + 2)
 
 
-def manifest(rates=RATES, algorithms=ALGORITHMS, clique_n=CLIQUE_N,
-             geo_n=GEO_N):
+def manifest():
     """This experiment's row blocks as a scenario-native manifest."""
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
-    clique = TopologySpec("clique", n=clique_n)
-    geometric = TopologySpec("geometric", n=geo_n, radius=GEO_RADIUS,
+    clique = TopologySpec("clique", n=CLIQUE_N)
+    geometric = TopologySpec("geometric", n=GEO_N, radius=GEO_RADIUS,
                              seed=SEED)
-    rate_axis = {"dynamics.rate": list(rates)}
+    rate_axis = {"dynamics.rate": list(RATES)}
     blocks = [
         ManifestBlock(f"clique-churn-{algorithm}",
                       _base(algorithm, clique, CHURN0,
-                            f"clique({clique_n})"),
+                            f"clique({CLIQUE_N})"),
                       axes=dict(rate_axis))
-        for algorithm in algorithms
+        for algorithm in ALGORITHMS
     ]
     blocks.extend([
         ManifestBlock("geometric-churn",
                       _base("wpaxos", geometric, CHURN0,
-                            f"geometric({geo_n})"),
+                            f"geometric({GEO_N})"),
                       axes=dict(rate_axis)),
         ManifestBlock("random-waypoint",
                       _base("wpaxos", geometric,
                             DynamicsSpec("random-waypoint",
                                          radius=GEO_RADIUS, speed=0.06,
                                          epoch_length=1.0),
-                            f"geometric({geo_n})"),
+                            f"geometric({GEO_N})"),
                       note="mobility, not churn: nodes drift"),
         ManifestBlock("node-churn",
                       _base("wpaxos", clique,
                             DynamicsSpec("node-churn", leave_rate=0.05,
                                          rejoin_rate=0.5,
                                          epoch_length=1.0),
-                            f"clique({clique_n})"),
+                            f"clique({CLIQUE_N})"),
                       note="leave/rejoin with state reset"),
         ManifestBlock("rate-x-n", _base("wpaxos", clique, CHURN0, None),
                       axes=dict(rate_axis),
@@ -121,10 +120,8 @@ def _row(report: ExperimentReport, m, dynamics_label: str,
         conn.get("max_t_interval"))
 
 
-def run(*, rates=RATES, algorithms=ALGORITHMS,
-        clique_n=CLIQUE_N, geo_n=GEO_N, cache=None,
-        workers=None) -> ExperimentReport:
-    plan = manifest(rates, algorithms, clique_n, geo_n)
+def run(*, cache=None, workers=None) -> ExperimentReport:
+    plan = manifest()
     report = ExperimentReport(
         experiment_id="E13",
         title=plan.title,
@@ -154,9 +151,9 @@ def run(*, rates=RATES, algorithms=ALGORITHMS,
             stalled += 1
 
     # --- churn rate x algorithm on the clique --------------------------
-    for algorithm in algorithms:
+    for algorithm in ALGORITHMS:
         series = results[f"clique-churn-{algorithm}"]
-        for rate, point in zip(rates, series.points):
+        for rate, point in zip(RATES, series.points):
             m = point.metrics
             _row(report, m, "edge-churn", rate)
             _tally(m)
@@ -167,7 +164,7 @@ def run(*, rates=RATES, algorithms=ALGORITHMS,
         "algorithm decides correctly at rate 0", ok=zero_rate_ok)
 
     # --- wPAXOS on a geometric graph: churn and mobility ---------------
-    for rate, point in zip(rates, results["geometric-churn"].points):
+    for rate, point in zip(RATES, results["geometric-churn"].points):
         m = point.metrics
         _row(report, m, "edge-churn", rate)
         _tally(m)

@@ -47,8 +47,7 @@ STAGGERED = BASE.override(
      "label": "clique(12)"})
 
 
-def manifest(n_sweep=N_SWEEP, f_sweep=F_SWEEP,
-             random_seeds=RANDOM_SEEDS):
+def manifest():
     """This experiment's row blocks as a scenario-native manifest."""
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
     return ExperimentManifest(
@@ -56,21 +55,19 @@ def manifest(n_sweep=N_SWEEP, f_sweep=F_SWEEP,
         title="Two-Phase Consensus in single hop networks",
         blocks=[
             ManifestBlock("time-vs-n", BASE,
-                          axes={"topology.n": list(n_sweep)}),
+                          axes={"topology.n": list(N_SWEEP)}),
             ManifestBlock("time-vs-fack", BASE,
-                          axes={"scheduler.f_ack": list(f_sweep)}),
+                          axes={"scheduler.f_ack": list(F_SWEEP)}),
             ManifestBlock("random-scheduler", RANDOM_BASE,
                           axes={"topology.n": [12],
-                                "scheduler.seed": list(random_seeds)}),
+                                "scheduler.seed": list(RANDOM_SEEDS)}),
             ManifestBlock("staggered", STAGGERED,
                           note="adversarial staggered-start witness"),
         ])
 
 
-def run(*, n_sweep=N_SWEEP, f_sweep=F_SWEEP,
-        random_seeds=RANDOM_SEEDS, cache=None,
-        workers=None) -> ExperimentReport:
-    plan = manifest(n_sweep, f_sweep, random_seeds)
+def run(*, cache=None, workers=None) -> ExperimentReport:
+    plan = manifest()
     report = ExperimentReport(
         experiment_id="E1",
         title=plan.title,
@@ -83,7 +80,7 @@ def run(*, n_sweep=N_SWEEP, f_sweep=F_SWEEP,
 
     # --- time vs n (fixed F_ack = 1) ---------------------------------
     times_vs_n = []
-    for n, point in zip(n_sweep, results["time-vs-n"].points):
+    for n, point in zip(N_SWEEP, results["time-vs-n"].points):
         metrics = point.metrics
         times_vs_n.append((n, metrics.last_decision))
         report.add_row("synchronous", n, 1.0, metrics.correct,
@@ -99,7 +96,7 @@ def run(*, n_sweep=N_SWEEP, f_sweep=F_SWEEP,
 
     # --- time vs F_ack (fixed n = 10) ---------------------------------
     times_vs_f = []
-    for f_ack, point in zip(f_sweep, results["time-vs-fack"].points):
+    for f_ack, point in zip(F_SWEEP, results["time-vs-fack"].points):
         metrics = point.metrics
         times_vs_f.append((f_ack, metrics.last_decision))
         report.add_row("synchronous", 10, f_ack, metrics.correct,

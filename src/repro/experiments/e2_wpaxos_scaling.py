@@ -38,8 +38,7 @@ CLIQUE_BASE = BASE.override({"topology": TopologySpec("clique", n=4)})
 F_BASE = BASE.override({"label": "line(D=12)"})
 
 
-def manifest(line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
-             f_sweep=F_SWEEP):
+def manifest():
     """This experiment's row blocks as a scenario-native manifest."""
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
     return ExperimentManifest(
@@ -48,10 +47,10 @@ def manifest(line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
         blocks=[
             ManifestBlock("time-vs-D-lines", BASE,
                           axes={"topology.n": [int(d) + 1 for d
-                                               in line_diameters]}),
+                                               in LINE_DIAMETERS]}),
             ManifestBlock("time-vs-n-cliques", CLIQUE_BASE,
                           axes={"topology.n": [int(n) for n
-                                               in clique_sizes]}),
+                                               in CLIQUE_SIZES]}),
             # Spot checks: correlated (topology[, scheduler], label) axes.
             ManifestBlock("mesh-grids", BASE, zipped={
                 "topology": [TopologySpec("grid", rows=r, cols=c)
@@ -65,14 +64,12 @@ def manifest(line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
                               for _, seed in RANDOM_SPOTS],
                 "label": [f"random({n})" for n, _ in RANDOM_SPOTS]}),
             ManifestBlock("time-vs-fack", F_BASE,
-                          axes={"scheduler.f_ack": list(f_sweep)}),
+                          axes={"scheduler.f_ack": list(F_SWEEP)}),
         ])
 
 
-def run(*, line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
-        f_sweep=F_SWEEP, cache=None,
-        workers=None) -> ExperimentReport:
-    plan = manifest(line_diameters, clique_sizes, f_sweep)
+def run(*, cache=None, workers=None) -> ExperimentReport:
+    plan = manifest()
     report = ExperimentReport(
         experiment_id="E2",
         title=plan.title,
@@ -85,7 +82,7 @@ def run(*, line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
 
     # --- time vs D on lines --------------------------------------------
     points = []
-    for d, point in zip(line_diameters,
+    for d, point in zip(LINE_DIAMETERS,
                         results["time-vs-D-lines"].points):
         metrics = point.metrics
         points.append((d, metrics.last_decision))
@@ -102,7 +99,7 @@ def run(*, line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
 
     # --- time vs n at fixed D (cliques, D=1) ---------------------------
     clique_times = []
-    for n, point in zip(clique_sizes,
+    for n, point in zip(CLIQUE_SIZES,
                         results["time-vs-n-cliques"].points):
         metrics = point.metrics
         clique_times.append((n, metrics.last_decision))
@@ -132,7 +129,7 @@ def run(*, line_diameters=LINE_DIAMETERS, clique_sizes=CLIQUE_SIZES,
 
     # --- time vs F_ack --------------------------------------------------
     f_points = []
-    for f_ack, point in zip(f_sweep, results["time-vs-fack"].points):
+    for f_ack, point in zip(F_SWEEP, results["time-vs-fack"].points):
         metrics = point.metrics
         f_points.append((f_ack, metrics.last_decision))
         report.add_row("line", metrics.n, 12, f_ack, metrics.correct,

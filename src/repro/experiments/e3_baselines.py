@@ -48,14 +48,14 @@ def _algo(base: Scenario, name: str) -> Scenario:
     return base.override({"algorithm": AlgorithmSpec(name)})
 
 
-def manifest(arm_sweep=ARM_SWEEP):
+def manifest():
     """This experiment's row blocks as a scenario-native manifest."""
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
     # Correlated (arms, size, label) axes for the bottleneck sweep.
-    soc = {"topology.arms": [int(arms) for arms, _ in arm_sweep],
-           "topology.size": [int(size) for _, size in arm_sweep],
+    soc = {"topology.arms": [int(arms) for arms, _ in ARM_SWEEP],
+           "topology.size": [int(size) for _, size in ARM_SWEEP],
            "label": [f"star_of_cliques({arms},{size})"
-                     for arms, size in arm_sweep]}
+                     for arms, size in ARM_SWEEP]}
     blocks = [ManifestBlock(f"soc-{name}", _algo(BASE, name),
                             zipped=dict(soc))
               for name in ALGORITHMS]
@@ -68,9 +68,8 @@ def manifest(arm_sweep=ARM_SWEEP):
         blocks=blocks)
 
 
-def run(*, arm_sweep=ARM_SWEEP, cache=None,
-        workers=None) -> ExperimentReport:
-    plan = manifest(arm_sweep)
+def run(*, cache=None, workers=None) -> ExperimentReport:
+    plan = manifest()
     report = ExperimentReport(
         experiment_id="E3",
         title=plan.title,
@@ -85,10 +84,10 @@ def run(*, arm_sweep=ARM_SWEEP, cache=None,
     # are emitted per topology. Diameters are structural, so they are
     # computed once here rather than in the sweep workers.
     diameters = [star_of_cliques(arms, size).diameter()
-                 for arms, size in arm_sweep]
+                 for arms, size in ARM_SWEEP]
     results = plan.run(cache=cache, workers=workers)
     series: dict = {name: [] for name in ALGORITHMS}
-    for index, (arms, size) in enumerate(arm_sweep):
+    for index, (arms, size) in enumerate(ARM_SWEEP):
         diameter = diameters[index]
         for name in ALGORITHMS:
             metrics = results[f"soc-{name}"].points[index].metrics

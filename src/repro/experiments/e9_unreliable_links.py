@@ -54,7 +54,7 @@ ADVERSARIAL_BASE = BASE.override(
         inner=SchedulerSpec("synchronous", f_ack=1.0))})
 
 
-def manifest(probs=PROBS, seeds=SEEDS):
+def manifest():
     """This experiment's row blocks as a scenario-native manifest."""
     from ..analysis.manifests import ExperimentManifest, ManifestBlock
     return ExperimentManifest(
@@ -62,17 +62,16 @@ def manifest(probs=PROBS, seeds=SEEDS):
         title="wPAXOS over unreliable links (dual-graph model)",
         blocks=[
             ManifestBlock("bernoulli", BASE,
-                          axes={"scheduler.p": list(probs),
-                                "scheduler.seed": list(seeds)},
+                          axes={"scheduler.p": list(PROBS),
+                                "scheduler.seed": list(SEEDS)},
                           note="deadlock-prone cells at mid p"),
             ManifestBlock("adversarial", ADVERSARIAL_BASE,
                           axes={"scheduler.cutoff": list(CUTOFFS)}),
         ])
 
 
-def run(*, probs=PROBS, seeds=SEEDS, cache=None,
-        workers=None) -> ExperimentReport:
-    plan = manifest(probs, seeds)
+def run(*, cache=None, workers=None) -> ExperimentReport:
+    plan = manifest()
     report = ExperimentReport(
         experiment_id="E9",
         title=plan.title,
@@ -89,7 +88,7 @@ def run(*, probs=PROBS, seeds=SEEDS, cache=None,
     bernoulli = results["bernoulli"]
 
     liveness_ever_lost = False
-    total = len(list(seeds))
+    total = len(list(SEEDS))
     for prob, replicas in bernoulli.by_x().items():
         agree = sum(p.metrics.agreement and p.metrics.validity
                     for p in replicas)

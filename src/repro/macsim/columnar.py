@@ -792,8 +792,13 @@ class ColumnarSink(TraceSink):
         decision/counter index is rebuilt from the columns --
         vectorized with numpy when available -- so every query,
         consensus check and metrics computation works as on the
-        original sink, with payloads as ``repr`` strings.
+        original sink, with payloads as ``repr`` strings. A missing
+        ``directory`` raises :class:`FileNotFoundError` (the
+        constructor would create it and load an empty trace).
         """
+        if not os.path.isdir(directory):
+            raise FileNotFoundError(
+                f"no columnar trace directory: {directory!r}")
         sink = cls(directory)
         manifest_path = os.path.join(directory, "manifest.json")
         if os.path.exists(manifest_path):

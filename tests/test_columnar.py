@@ -252,6 +252,14 @@ class TestColumnarSink:
         assert len(reopened) == len(sink)
         assert _tuples(reopened) == _tuples(sink)
 
+    def test_load_of_a_missing_directory_raises(self, tmp_path):
+        # A mistyped path must not load as an empty trace, nor leave a
+        # new empty directory behind.
+        missing = tmp_path / "no-such-trace"
+        with pytest.raises(FileNotFoundError, match="no-such-trace"):
+            ColumnarSink.load(str(missing))
+        assert not missing.exists()
+
     def test_load_index_rebuild_pure_python(self, tmp_path, monkeypatch):
         _, sink = self._closed_run_sink(tmp_path)
         monkeypatch.setattr(columnar_mod, "np", None)

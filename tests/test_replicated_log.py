@@ -204,20 +204,26 @@ class TestExhaustiveTwoSlotSafety:
                 assert held <= commands, (slot, logs)
         return result
 
-    @pytest.mark.parametrize("crash_budget", [0, 1])
-    def test_two_commands_each(self, crash_budget):
+    # Configurations reached: pins what ``canonical_key`` merges in a
+    # log replica (its slots, queues and proposer callbacks).
+    @pytest.mark.parametrize("crash_budget, configs", [(0, 158), (1, 520)],
+                             ids=["0", "1"])
+    def test_two_commands_each(self, crash_budget, configs):
         result = self._explore((2, 2), crash_budget)
+        assert result.config_count == configs
         # The space reaches logs that committed both slots.
         assert any(all(len(process.log) == 2
                        for process in config.processes)
                    for config in result.reachable)
 
-    @pytest.mark.parametrize("crash_budget", [0, 1])
-    def test_leader_without_a_command_parks(self, crash_budget):
+    @pytest.mark.parametrize("crash_budget, configs", [(0, 110), (1, 364)],
+                             ids=["0", "1"])
+    def test_leader_without_a_command_parks(self, crash_budget, configs):
         # Replica 1 (the eventual leader) has no command for slot 1: it
         # prepares the slot, parks at its promise majority, and never
         # proposes a value it was not given.
         result = self._explore((2, 1), crash_budget)
+        assert result.config_count == configs
         parked = 0
         for config in result.reachable:
             slot = config.processes[1]._slots.get(1)

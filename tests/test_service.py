@@ -109,12 +109,19 @@ class TestGroupLog:
         assert all(replica.log == {k: ("c", k) for k in range(4)}
                    for replica in _replicas(runtime, 0))
 
-    def test_warm_slot_cost_is_pinned(self):
-        # Back to back on the 5-clique, a warm slot's phase 1 rides the
-        # previous slot's decide broadcast: 10 broadcasts, 51 events
+    @pytest.mark.parametrize("topology, warm", [
+        (TopologySpec("clique", n=5), (10, 51, 4.0)),
+        (TopologySpec("line", n=5), (21, 60, 10.0)),
+        (TopologySpec("grid", rows=3, cols=3), (34, 129, 9.0)),
+    ], ids=["clique5", "line5", "grid3x3"])
+    def test_warm_slot_cost_is_pinned(self, topology, warm):
+        # Back to back, a warm slot's phase 1 rides the previous slot's
+        # decide broadcast. On the 5-clique: 10 broadcasts, 51 events
         # and 4 F_ack (15, 76 and 5 when the PREPARE waited for the
-        # command).
-        runtime = GroupRuntime(BASE)
+        # command). On the line and the grid the responses route up the
+        # leader's tree and the decide is relayed, so (broadcasts,
+        # events, F_ack) pins the multi-hop work as well.
+        runtime = GroupRuntime(BASE.override({"topology": topology}))
         costs, start, broadcasts = [], 0.0, 0
         for slot in range(5):
             runtime.add_group(("c", slot), group_id=0, start_time=start)
@@ -125,7 +132,7 @@ class TestGroupLog:
                           run.result.events_processed,
                           run.finish_time - run.start_time))
             broadcasts, start = total, run.finish_time
-        assert costs[1:] == [(10, 51, 4.0)] * 4
+        assert costs[1:] == [warm] * 4
 
     def test_only_wpaxos_has_a_log(self):
         two_phase = BASE.override({"algorithm": AlgorithmSpec("two-phase")})
@@ -636,9 +643,16 @@ class TestServeCommand:
         assert "group 0:" in out
         assert "shard 0:" in out
 
-    def test_serve_rejects_an_algorithm_without_a_log(self):
+    def test_serve_rejects_an_algorithm_without_a_log(self, tmp_path):
+        # serve takes no --algorithm; a base scenario naming another
+        # algorithm is still refused.
+        path = tmp_path / "two_phase.json"
+        BASE.override({"algorithm": AlgorithmSpec("two-phase")}).dump(
+            str(path))
         with pytest.raises(SystemExit, match="'two-phase'"):
-            main(["serve", "--algorithm", "two-phase", "--groups", "1"])
+            main(["serve", "--scenario", str(path), "--groups", "1"])
+        with pytest.raises(SystemExit):
+            main(["serve", "--algorithm", "wpaxos", "--groups", "1"])
 
     def test_one_group_serve_commits_every_request(self, tmp_path,
                                                    capsys):
