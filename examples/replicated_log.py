@@ -29,13 +29,20 @@ def main() -> None:
         graph, replica, RandomDelayScheduler(f_ack=1.0, seed=7))
     replicas = [simulator.process_at(node) for node in graph.nodes]
 
-    def committed(slot):
-        return lambda sim: all(slot in r.log for r in replicas)
+    def committed(slot, replicas_holding=all):
+        return lambda sim: replicas_holding(slot in r.log for r in replicas)
 
     # The log never decides: run it slot by slot until every replica
-    # holds the slot, resuming the same simulator each time.
+    # holds the slot, resuming the same simulator each time. The leader
+    # sends each slot's decide with the next slot's proposal, so once
+    # the last slot is chosen (one replica holds it) it is flushed.
     times = []
     for slot in range(log_length):
+        if slot == log_length - 1:
+            simulator.run(max_time=5_000.0, stop_when_all_decided=False,
+                          stop_predicate=committed(slot, any))
+            for r in replicas:
+                r.flush()
         simulator.run(max_time=5_000.0, stop_when_all_decided=False,
                       stop_predicate=committed(slot))
         times.append(simulator.now)

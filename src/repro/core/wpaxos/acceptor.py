@@ -96,13 +96,12 @@ class ResponseQueue:
 
     def __init__(self, aggregation: bool = True) -> None:
         self.aggregation = aggregation
-        self._entries: List[_Entry] = []
+        #: The queued responses, oldest first. The broadcast pump tests
+        #: it before it calls :meth:`pop_route`.
+        self.entries: List[_Entry] = []
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def has_pending(self) -> bool:
-        return bool(self._entries)
+        return len(self.entries)
 
     # ------------------------------------------------------------------
     def add(self, proposer: int, kind: str, number: ProposalNumber,
@@ -111,7 +110,7 @@ class ResponseQueue:
             committed: Optional[ProposalNumber] = None) -> None:
         """Queue a response (merging with a same-proposition entry)."""
         if self.aggregation:
-            for entry in self._entries:
+            for entry in self.entries:
                 if (entry.proposer == proposer and entry.kind == kind
                         and entry.number == number):
                     entry.count += count
@@ -119,7 +118,7 @@ class ResponseQueue:
                     entry.committed = _max_number(entry.committed,
                                                   committed)
                     return
-        self._entries.append(_Entry(proposer=proposer, kind=kind,
+        self.entries.append(_Entry(proposer=proposer, kind=kind,
                                     number=number, count=count,
                                     prior=prior, committed=committed))
 
@@ -144,14 +143,14 @@ class ResponseQueue:
         upper bound on counts); it prevents stale traffic from
         delaying fresh propositions.
         """
-        for entry in self._entries:
+        for entry in self.entries:
             if entry.proposer != leader or (largest is not None
                                             and entry.number < largest):
                 break
         else:
             return  # nothing stale -- the common case; keep the list
-        self._entries = [
-            e for e in self._entries
+        self.entries = [
+            e for e in self.entries
             if e.proposer == leader
             and (largest is None or e.number >= largest)
         ]
@@ -165,11 +164,11 @@ class ResponseQueue:
         (the tree may have changed since the response was queued);
         entries whose proposer has no known parent yet stay queued.
         """
-        for i, entry in enumerate(self._entries):
+        for i, entry in enumerate(self.entries):
             dest = parent_of(entry.proposer)
             if dest is None:
                 continue
-            del self._entries[i]
+            del self.entries[i]
             return ResponsePart(dest=dest, proposer=entry.proposer,
                                 kind=entry.kind, number=entry.number,
                                 count=entry.count, prior=entry.prior,
@@ -179,7 +178,7 @@ class ResponseQueue:
     def total_count(self, proposer: int, kind: str,
                     number: ProposalNumber) -> int:
         """Aggregate count queued for one proposition/kind (testing)."""
-        return sum(e.count for e in self._entries
+        return sum(e.count for e in self.entries
                    if (e.proposer, e.kind, e.number)
                    == (proposer, kind, number))
 

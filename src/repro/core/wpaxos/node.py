@@ -14,7 +14,8 @@ runs, whatever it decides:
 * the broadcast service (Algorithm 5): whenever the MAC layer is idle
   and any queue is non-empty, dequeue at most one part per queue,
   combine them into one envelope, and broadcast -- keeping every
-  physical message at O(1) ids.
+  physical message at O(1) ids. A log's leader may hold its own
+  decide; it rides the next broadcast that carries anything else.
 
 Two tails decide with it. :class:`WPaxosNode` is the paper's single
 decree: one :class:`Decree`, its acceptor responses routed up the
@@ -80,10 +81,11 @@ class WPaxosReplica(Process):
     A tail sets the class attributes ``_envelope`` (the class of its
     broadcasts; a received message of another class is ignored) and
     ``_slot_message`` (the wrapper naming a part's slot, or ``None``),
-    adds its part handlers to ``_part_handlers``, points ``_decree`` at
-    the decree the pump serves, and defines ``_on_leader_change(old,
-    new)`` and ``_generate_proposal()``. Extra keyword arguments go to
-    the next ``__init__`` in the MRO.
+    adds its part handlers to ``_part_handlers``, points ``_decree``
+    (and a log, ``_next_decree``) at the decrees the pump serves, and
+    defines ``_on_leader_change(old, new)`` and
+    ``_generate_proposal()``. Extra keyword arguments go to the next
+    ``__init__`` in the MRO.
     """
 
     _envelope: type
@@ -110,7 +112,11 @@ class WPaxosReplica(Process):
             generate_proposal=self._generate_proposal)
 
         self.decide_queue: List[Any] = []
+        #: A decide part that waits for the next broadcast carrying
+        #: anything else (only a log's leader holds one).
+        self._held_decide: Any = None
         self._decree: Optional[Decree] = None
+        self._next_decree: Optional[Decree] = None
         self._last_change_state = None
         # Exact-type dispatch for the receive hot path; a part of any
         # other class is ignored.
@@ -203,8 +209,9 @@ class WPaxosReplica(Process):
             largest = decree.largest_from_leader
             if largest is None or number > largest:
                 decree.largest_from_leader = largest = number
-                decree.flood_queue = [p for p in decree.flood_queue
-                                      if p.number >= largest]
+                if decree.flood_queue:
+                    decree.flood_queue = [p for p in decree.flood_queue
+                                          if p.number >= largest]
                 if index is None:
                     decree.response_queue.enforce_invariant(
                         proposer_id, largest)
@@ -256,24 +263,30 @@ class WPaxosReplica(Process):
             queue = self.change_svc.queue
             if queue:
                 parts.append(queue.pop())
-            search = self.tree_svc.pop()
-            if search is not None:
-                parts.append(search)
-            decree = self._decree
-            if decree is not None:
+            tree_svc = self.tree_svc
+            if tree_svc.queued:
+                parts.append(tree_svc.pop())
+            for decree in (self._decree, self._next_decree):
+                if decree is None:
+                    continue
                 # A log slot's parts go out wrapped with their index.
                 if decree.flood_queue:
                     part = decree.flood_queue.pop(0)
                     if decree.index is not None:
                         part = self._slot_message(decree.index, part)
                     parts.append(part)
-                if decree.response_queue.has_pending():
+                if decree.response_queue.entries:
                     part = decree.response_queue.pop_route(self._parent_of)
                     if part is not None:
                         if decree.index is not None:
                             part = self._slot_message(decree.index, part)
                         parts.append(part)
         if parts:
+            held = self._held_decide
+            if held is not None:
+                # A held decide leaves with the first other part.
+                self._held_decide = None
+                parts.insert(0, held)
             self.broadcast(self._envelope(tuple(parts)))
 
 

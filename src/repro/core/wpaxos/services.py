@@ -122,10 +122,11 @@ class TreeService:
         self.prioritize_leader = prioritize_leader
         self.dist: Dict[int, int] = {uid: 0}
         self.parent: Dict[int, int] = {uid: uid}
-        # Insertion-ordered, so the dict *is* the FIFO: replacing a
-        # root's entry keeps its place, popping and re-enqueueing it
-        # moves it to the back.
-        self._queued: Dict[int, SearchPart] = {}
+        #: root -> queued search part. Insertion-ordered, so the dict
+        #: *is* the FIFO: replacing a root's entry keeps its place,
+        #: popping and re-enqueueing it moves it to the back. The
+        #: broadcast pump tests it before it calls :meth:`pop`.
+        self.queued: Dict[int, SearchPart] = {}
         self._enqueue(SearchPart(root=uid, hops=1, sender=uid))
 
     # ------------------------------------------------------------------
@@ -138,13 +139,13 @@ class TreeService:
             self._on_tree_change(part.root)
 
     def _enqueue(self, part: SearchPart) -> None:
-        queued = self._queued.get(part.root)
+        queued = self.queued.get(part.root)
         if queued is not None and queued.hops <= part.hops:
             return  # a fresher (lower hop) message is already queued
-        self._queued[part.root] = part
+        self.queued[part.root] = part
 
     def pop(self) -> Optional[SearchPart]:
-        queued = self._queued
+        queued = self.queued
         if not queued:
             return None
         if self.prioritize_leader:
@@ -153,12 +154,9 @@ class TreeService:
                 return part
         return queued.pop(next(iter(queued)))
 
-    def has_pending(self) -> bool:
-        return bool(self._queued)
-
     def pending_roots(self) -> List[int]:
         """Roots with queued search messages, in queue order."""
-        return list(self._queued)
+        return list(self.queued)
 
     def distance_to(self, root: int) -> Optional[int]:
         """Best-known hop distance to ``root`` (None if unheard of)."""

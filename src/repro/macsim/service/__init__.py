@@ -8,15 +8,16 @@ workload, spread over forked engines one per core. A group is one
 replicated wPAXOS log (`repro.apps.replicated_log`) on one long-lived
 simulator, and each batch of client requests is one slot of it: the
 leader and routing trees are built once per log, not once per batch.
-Every slot is verified (each replica holds exactly the batch there),
-and only finished slots are ordered in virtual time.
+A slot ends at its first commit; each replica's new entries are
+checked then, every replica's whole log at the end of the run (a slot
+found diverged there fails after all), and only finished slots are
+ordered in virtual time.
 
 Layers (bottom up):
 
 * :mod:`.runtime` -- :class:`GroupRuntime`: runs each slot on its
-  group's log until every live replica committed it, verifies the
-  logs, and hands finished slots out in ``(finish_time, registration
-  order)``.
+  group's log until a replica committed it, checks the logs, and
+  hands finished slots out in ``(finish_time, registration order)``.
 * :mod:`.frontend` -- per-group proposal queues batching client
   requests into log *slots*.
 * :mod:`.workload` -- :class:`WorkloadGenerator`: deterministic

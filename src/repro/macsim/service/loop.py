@@ -19,12 +19,17 @@ commits slots strictly in ``(finish time, start order)``.
 A request's end-to-end latency is ``commit - arrival`` in virtual time
 (the engine's ``F_ack`` units): queueing delay behind the group's
 current slot plus the time its slot took to commit. Throughput is
-committed requests per virtual time unit. A slot commits only once it
-is verified: every live replica's log holds exactly the batch at that
-slot and agrees with the others on every slot before it. A slot that
-misses its budget or fails that check fails its whole batch, counted
-under the reason (the engine's ``stop_reason``, or ``"unverified"``),
-and its group's next slot starts a fresh log.
+committed requests per virtual time unit. A slot commits at its first
+commit on any replica (a majority accepted it), once every live
+replica's newly learned entries check out against the batches asked
+for. A slot that misses its budget or fails that check fails its
+whole batch, counted under the reason (the engine's ``stop_reason``,
+or ``"unverified"``), and its group's next slot starts a fresh log.
+A slot found diverged later -- when its log is dropped, or when the
+workload is done and every open log is flushed, drained and compared
+whole -- fails after all: its requests move from committed to failed
+under ``"unverified"``, and their latency samples, spans and metrics
+go with them.
 """
 
 from __future__ import annotations
@@ -258,7 +263,13 @@ class ConsensusService:
         stats: Dict[int, GroupStats] = {g: GroupStats() for g in served}
         slot_counts: Dict[int, int] = {g: 0 for g in served}
         busy: Dict[int, bool] = {g: False for g in served}
-        latencies: List[float] = []
+        latencies: List[Optional[float]] = []
+        #: Per group, by slot number, where each slot's latency samples
+        #: (and spans, when traced) start: a slot that fails after it
+        #: was handed out takes them back.
+        samples_at: Dict[int, List[int]] = {g: [] for g in served}
+        spans_at: Dict[int, List[int]] = {g: [] for g in served}
+        taken_back = 0
         failure_reasons: Dict[str, int] = {}
         #: Per group, the telemetry of each log it ran, in order.
         tel_logs: Dict[int, List[Any]] = {g: [] for g in served}
@@ -287,6 +298,8 @@ class ConsensusService:
             runtime.add_group(command, group_id=gid, start_time=now,
                               telemetry=tel, context=(batch, slot))
             busy[gid] = True
+            if runtime._revoked:
+                revoke()
 
         def commit(run: GroupRun) -> None:
             nonlocal committed, failed, total_slots, total_events
@@ -309,8 +322,10 @@ class ConsensusService:
             if run.telemetry is not None and not (
                     logs and logs[-1] is run.telemetry):
                 logs.append(run.telemetry)
+            samples_at[gid].append(len(latencies))
             if tracer is not None:
-                # The slot stops the instant its last replica commits.
+                spans_at[gid].append(len(tracer.records))
+                # The slot stops the instant its first replica commits.
                 tracer.record_slot(group=gid, slot=slot, batch=batch,
                                    start=run.start_time,
                                    decide=t_commit, reply=t_commit,
@@ -340,6 +355,35 @@ class ConsensusService:
             if frontend.pending(gid):
                 start_slot(gid, t_commit)
 
+        def revoke() -> None:
+            """Count the requests of every slot the runtime failed
+            after it was handed out (a group's slot is handed out
+            before its next one starts, so each was counted committed)
+            as failed under ``"unverified"``."""
+            nonlocal committed, failed, taken_back
+            for gid, slot, t_commit, command in runtime._revoked:
+                lost = len(command)
+                committed -= lost
+                failed += lost
+                gstats = stats[gid]
+                gstats.requests -= lost
+                gstats.failed += lost
+                failure_reasons["unverified"] = (
+                    failure_reasons.get("unverified", 0) + lost)
+                at = samples_at[gid][slot]
+                samples = latencies[at:at + lost]
+                latencies[at:at + lost] = [None] * lost
+                taken_back += lost
+                if tracer is not None:
+                    at = spans_at[gid][slot]
+                    for span in tracer.records[at:at + lost]:
+                        span["ok"] = False
+                        span["stop_reason"] = "unverified"
+                if metrics is not None:
+                    for latency in samples:
+                        metrics._revoke_commit(t_commit, gid, latency)
+            runtime._revoked.clear()
+
         while True:
             t_wake = heap[0][0] if heap else None
             t_slot = runtime.next_time()
@@ -358,6 +402,15 @@ class ConsensusService:
                 metrics.record_arrival(wake, gid)
             if not busy[gid]:
                 start_slot(gid, wake)
+
+        # Every log flushes and goes quiet, and is compared whole: an
+        # entry a replica learned after its slot ended is checked here.
+        for gid, events in runtime._drain():
+            stats[gid].events += events
+            total_events += events
+        revoke()
+        if taken_back:
+            latencies = [x for x in latencies if x is not None]
 
         telemetry = None
         if self.telemetry_enabled:

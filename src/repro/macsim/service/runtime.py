@@ -4,23 +4,30 @@ Each group is one :class:`~repro.apps.replicated_log.ReplicatedLogNode`
 log on its own long-lived :class:`Simulator`, and each batch it serves
 is one slot of that log: wPAXOS's leader and routing trees do not
 depend on the slot, so a log builds them once, and a slot costs the
-algorithm's steady state instead of a cold start. The leader starts a
-slot's phase 1 in the broadcast that announces the previous slot's
-commit, before the slot's command exists, so a slot that starts the
-moment its predecessor finished waits only for its promises, one
-propose/accept round and its decide (4 F_ack, 51 events in a
-5-clique).
+algorithm's steady state instead of a cold start. The leader's one
+broadcast carries the previous slot's decide, the slot's PROPOSE and
+the next slot's PREPARE, so a slot that starts the moment its
+predecessor finished costs one round trip (2 F_ack and 26 events in a
+5-clique; at most ``D + 2`` F_ack on line(5) and grid(3x3)).
 
 :meth:`GroupRuntime.add_group` runs a slot the moment it is
 registered: it hands the slot's command to every replica at the
-slot's start (one simulator wakeup), resumes the group's simulator
-with ``run(stop_predicate=...)`` until every live replica committed
-the slot, and checks that every live replica's log is exactly the log
-asked for (this slot's command, and every earlier one). A slot that
-misses its budget (``max_events`` events, or ``max_time`` from its
-start) or that check fails under a named reason (the engine's
-``stop_reason``, or ``"unverified"``), and the group's next slot
-starts a fresh log.
+slot's start (one simulator wakeup) and resumes the group's simulator
+with ``run(stop_predicate=...)`` until the slot's first commit -- a
+majority accepted, so the value is chosen. Every replica reports its
+commits through ``commit_hook``, so the stop check is one attribute
+read. Then each live replica's entries learned since the last check
+must equal the log asked for (a follower may lag: the leader holds the
+last decide until the next proposal). A slot that misses its budget
+(``max_events`` events, or ``max_time`` from its start) or that check
+fails under a named reason (the engine's ``stop_reason``, or
+``"unverified"``), and the group's next slot starts a fresh log. At
+the end of a service run every open log flushes its held decide and
+runs until quiet, and every live replica's whole log must then equal
+the log asked for. A finished slot that a replica turns out to hold
+wrongly -- seen when its log is dropped, or by that last check --
+fails after all: the runtime lists it in ``_revoked``, and the service
+counts its requests failed.
 
 Groups share nothing, so running one group's slot ahead of another's
 cannot change either log; only the order in which finished slots are
@@ -79,8 +86,8 @@ class GroupRun:
     result: RunResult
     #: Global (service virtual-time) instant the slot started.
     start_time: float
-    #: Global instant the last live replica committed the slot (or
-    #: the slot stopped); a log's clock is the service's.
+    #: Global instant the slot was first committed (or stopped); a
+    #: log's clock is the service's.
     finish_time: float
     #: ``None`` for a verified commit, else why the slot failed.
     failure: Optional[str] = None
@@ -95,39 +102,106 @@ class GroupRun:
 
 
 class _GroupLog:
-    """One group's replicated log: the simulator and what it was asked
-    to commit."""
+    """One group's replicated log: the simulator, what it was asked to
+    commit, and how much of each replica's log is checked."""
 
-    def __init__(self, sim: Any) -> None:
+    def __init__(self, sim: Any, first: int) -> None:
         self.sim = sim
+        #: The group's slot number (counted over all its logs) of this
+        #: log's slot 0.
+        self.first = first
         #: The simulator's label -> replica mapping (itself, so a
         #: replaced replica is seen).
         self.replicas = sim.processes
-        #: slot -> command, the log every replica must hold.
-        self.expected: Dict[int, Any] = {}
+        #: Entry ``k`` is slot ``k``'s command: the log every replica
+        #: must hold.
+        self.expected: List[Any] = []
+        #: Entry ``k`` is slot ``k``'s finish time.
+        self.finished: List[float] = []
         self.slot = -1
+        #: Whether a replica committed the current slot.
+        self.done = False
+        #: label -> length of the replica's checked log prefix.
+        self.checked: Dict[Any, int] = dict.fromkeys(self.replicas, 0)
 
     def hand_out(self, sim: Any) -> None:
         """Wakeup: give every live replica the current slot's command."""
         command = self.expected[self.slot]
+        hook = self.note_commit
         for replica in self.replicas.values():
             if not replica.crashed:
+                replica.commit_hook = hook
                 replica.add_command(command)
 
+    def note_commit(self, index: int) -> None:
+        """A replica's commit hook: the first commit of the current
+        slot ends it (a majority accepted, so the value is chosen)."""
+        if index == self.slot:
+            self.done = True
+
     def committed(self, sim: Any) -> bool:
-        """Stop predicate: every live replica committed the slot."""
-        slot = self.slot
-        for replica in self.replicas.values():
-            if slot not in replica.log and not replica.crashed:
-                return False
+        """Stop predicate: a replica committed the slot."""
+        return self.done
+
+    def verify(self) -> bool:
+        """Check what each live replica learned since the last check:
+        its log's prefix grew by the expected entries, and by nothing
+        past them. A lagging replica, or an entry learned out of
+        order, is checked once the prefix reaches it, and by
+        :meth:`diverged`."""
+        expected = self.expected
+        end = len(expected)
+        checked = self.checked
+        for label, replica in self.replicas.items():
+            if replica.crashed:
+                continue
+            log = replica.log
+            i = checked.get(label, 0)
+            while i in log:
+                if i >= end or log[i] != expected[i]:
+                    return False
+                i += 1
+            checked[label] = i
         return True
 
-    def verified(self) -> bool:
-        """Every live replica's log is exactly the one asked for."""
+    def diverged(self, complete: bool) -> List[int]:
+        """The slots, in order, whose entry some live replica holds
+        wrongly; a replica holding a slot past the expected log counts
+        against the last slot. With ``complete`` (the log ran until
+        quiet) a missing entry counts too."""
         expected = self.expected
-        return all(replica.log == expected
-                   for replica in self.replicas.values()
-                   if not replica.crashed)
+        bad = set()
+        for replica in self.replicas.values():
+            if replica.crashed:
+                continue
+            log = replica.log
+            held = 0
+            for k, entry in enumerate(expected):
+                if k not in log:
+                    if complete:
+                        bad.add(k)
+                    continue
+                held += 1
+                if log[k] != entry:
+                    bad.add(k)
+            if len(log) > held:
+                bad.add(len(expected) - 1)
+        return sorted(bad)
+
+    def drain(self, budget: float, max_events: int) -> int:
+        """End of the run: flush every held decide and run the log
+        until it is quiet. Returns the events that took."""
+        sim = self.sim
+        replicas = self.replicas
+
+        def flush(sim: Any) -> None:
+            for replica in replicas.values():
+                if not replica.crashed:
+                    replica.flush()
+
+        sim.schedule_callback(sim.now, flush)
+        return sim.run(max_events=max_events, max_time=sim.now + budget,
+                       stop_when_all_decided=False).events_processed
 
 
 class GroupRuntime:
@@ -149,6 +223,16 @@ class GroupRuntime:
         self._logs: Dict[Any, _GroupLog] = {}
         self._pending: List[Tuple[float, int, GroupRun]] = []
         self._order = 0
+        #: group id -> the group's next slot number, once a failed
+        #: slot dropped its log.
+        self._next_slot: Dict[Any, int] = {}
+        #: Committed slots that a later check found diverged (some
+        #: live replica holds another entry there), in the order
+        #: found, each once: ``(group_id, slot number, finish_time,
+        #: command)``, the slot numbered over all the group's logs
+        #: from 0. The service counts their requests failed after all,
+        #: and clears the list.
+        self._revoked: List[Tuple[Any, int, float, Any]] = []
         #: Opt-in wall-clock split of the runtime into time *inside*
         #: the engine vs around it. ``None`` (the default) keeps the
         #: hot path free of clock reads.
@@ -186,7 +270,8 @@ class GroupRuntime:
         resolved = self.base.resolve()
         factory = log_replicas(self.base, resolved.graph)
         sim = replace(resolved, factory=factory).build(telemetry=telemetry)
-        log = self._logs[group_id] = _GroupLog(sim)
+        log = self._logs[group_id] = _GroupLog(
+            sim, self._next_slot.pop(group_id, 0))
         return log
 
     def add_group(self, command: Any, *, group_id: Any = None,
@@ -210,15 +295,13 @@ class GroupRuntime:
         if log is None:
             log = self._open_log(group_id, telemetry)
         sim = log.sim
-        base = self.base
         log.slot += 1
-        log.expected[log.slot] = command
+        log.expected.append(command)
+        log.done = False
         sim.schedule_callback(start_time, log.hand_out)
-        budget = (base.max_time if base.max_time is not None
-                  else DEFAULT_MAX_TIME_FACTOR * sim.scheduler.f_ack)
         t_run = perf_counter() if profile is not None else 0.0
-        result = sim.run(max_events=base.max_events,
-                         max_time=start_time + budget,
+        result = sim.run(max_events=self.base.max_events,
+                         max_time=start_time + self._budget(sim),
                          stop_when_all_decided=False,
                          stop_predicate=log.committed)
         if profile is not None:
@@ -226,10 +309,8 @@ class GroupRuntime:
         failure = None
         if result.stop_reason != "predicate":
             failure = result.stop_reason
-        elif not log.verified():
+        elif not log.verify():
             failure = "unverified"
-        if failure is not None:
-            del self._logs[group_id]
         run = GroupRun(group_id=group_id, result=result,
                        start_time=start_time,
                        # A run out of events before its start stops
@@ -237,11 +318,45 @@ class GroupRuntime:
                        finish_time=max(start_time, result.end_time),
                        failure=failure, telemetry=sim.telemetry,
                        context=context)
+        log.finished.append(run.finish_time)
+        if failure is not None:
+            # The log is dropped, so an earlier slot that some replica
+            # holds wrongly is found now or never.
+            del self._logs[group_id]
+            self._next_slot[group_id] = log.first + log.slot + 1
+            self._revoke(group_id, log, [
+                k for k in log.diverged(complete=False) if k < log.slot])
         heapq.heappush(self._pending,
                        (run.finish_time, self._order, run))
         self._order += 1
         if profile is not None:
             profile.add("add_group", perf_counter() - t_enter)
+
+    def _budget(self, sim: Any) -> float:
+        base = self.base
+        return (base.max_time if base.max_time is not None
+                else DEFAULT_MAX_TIME_FACTOR * sim.scheduler.f_ack)
+
+    def _revoke(self, group_id: Any, log: _GroupLog,
+                slots: List[int]) -> None:
+        """List the committed slots ``slots`` of ``log`` in
+        :attr:`_revoked`."""
+        self._revoked.extend([
+            (group_id, log.first + k, log.finished[k], log.expected[k])
+            for k in slots])
+
+    def _drain(self) -> List[Tuple[Any, int]]:
+        """End of the service run: every open log flushes and runs
+        until quiet (:meth:`_GroupLog.drain`), and then every live
+        replica must hold exactly the expected log; a slot where one
+        does not is revoked. Returns ``(group_id, events)`` per group,
+        in registration order."""
+        drained = []
+        for group_id, log in self._logs.items():
+            events = log.drain(self._budget(log.sim), self.base.max_events)
+            self._revoke(group_id, log, log.diverged(complete=True))
+            drained.append((group_id, events))
+        return drained
 
     def next_time(self) -> Optional[float]:
         """Global finish time of the earliest slot not yet handed out,

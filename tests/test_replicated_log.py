@@ -7,8 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import ReplicatedLogNode
+from repro.apps.replicated_log import LogMessage, SlotDecide
 from repro.core.wpaxos import SafetyMonitor, WPaxosConfig
-from repro.core.wpaxos.messages import PREPARE
+from repro.core.wpaxos.messages import LeaderPart, PREPARE, PROPOSE
 from repro.lowerbounds.steps import StepSystem, canonical_key
 from repro.lowerbounds.valency import ValencyAnalyzer
 from repro.macsim import build_simulation, check_model_invariants
@@ -20,7 +21,9 @@ from repro.topology import clique, grid, line, random_connected
 def run_log(graph, scheduler, log_length=4, config=None,
             commands=None):
     """Every replica gets its commands up front; the run ends when the
-    log goes quiet (it never decides)."""
+    log goes quiet (it never decides). The leader holds the decide of
+    its last slot for a next proposal that never comes, so every
+    replica is flushed at quiescence and the run resumed."""
     n = graph.n
     commands = commands or {
         v: [f"cmd-{graph.index_of(v)}-{k}" for k in range(log_length)]
@@ -33,6 +36,11 @@ def run_log(graph, scheduler, log_length=4, config=None,
         return node
 
     sim = build_simulation(graph, replica, scheduler)
+    result = sim.run(max_events=10_000_000, max_time=5_000.0,
+                     stop_when_all_decided=False)
+    assert result.stop_reason == "quiescent"
+    for v in graph.nodes:
+        sim.process_at(v).flush()
     result = sim.run(max_events=10_000_000, max_time=5_000.0,
                      stop_when_all_decided=False)
     assert result.stop_reason == "quiescent"
@@ -117,15 +125,20 @@ class TestLogReplication:
         times = []
         for slot in range(8):
             # The service's path: hand every replica the slot's command
-            # at a wakeup, resume until all of them committed it.
+            # at a wakeup, resume until one of them committed it (a
+            # majority accepted it, so it is chosen).
             sim.schedule_callback(sim.now, lambda s, k=slot: [
                 r.add_command(f"c{k}") for r in replicas])
             result = sim.run(
                 stop_when_all_decided=False,
-                stop_predicate=lambda s, k=slot: all(
+                stop_predicate=lambda s, k=slot: any(
                     k in r.log for r in replicas))
             assert result.stop_reason == "predicate"
             times.append(sim.now)
+        for replica in replicas:
+            replica.flush()
+        assert sim.run(stop_when_all_decided=False).stop_reason == \
+            "quiescent"
         assert all(r.log == {k: f"c{k}" for k in range(8)}
                    for r in replicas)
         per_slot_long = (times[-1] - times[0]) / 7
@@ -148,6 +161,71 @@ class TestLogReplication:
     def test_bad_network_size_rejected(self):
         with pytest.raises(ValueError):
             ReplicatedLogNode(1, 0)
+
+
+class TestHeldDecide:
+    """The leader holds the decide of a slot its own proposal won until
+    its next broadcast that carries anything else."""
+
+    @staticmethod
+    def _first_slot_chosen():
+        """clique(3), one command: quiet once the leader committed."""
+        graph = clique(3)
+        sim = build_simulation(
+            graph, lambda v: ReplicatedLogNode(graph.index_of(v) + 1,
+                                               graph.n),
+            SynchronousScheduler(1.0))
+        replicas = [sim.process_at(v) for v in graph.nodes]
+        sim.schedule_callback(0.0, lambda s: [r.add_command("a")
+                                              for r in replicas])
+        assert sim.run(stop_when_all_decided=False).stop_reason == \
+            "quiescent"
+        *followers, leader = replicas
+        assert leader._is_leader()
+        return sim, followers, leader
+
+    def test_the_next_proposal_carries_the_held_decide(self):
+        sim, followers, leader = self._first_slot_chosen()
+        assert leader.log == {0: "a"}
+        assert leader._held_decide == SlotDecide(slot=0, value="a")
+        assert [f.log for f in followers] == [{}, {}]
+        sent = []
+        broadcast = leader.broadcast
+        leader.broadcast = lambda message: (sent.append(message),
+                                            broadcast(message))[1]
+        sim.schedule_callback(sim.now, lambda s: [
+            r.add_command("b") for r in followers + [leader]])
+        sim.run(stop_when_all_decided=False)
+        decide, propose, prepare = sent[0].parts
+        assert decide == SlotDecide(slot=0, value="a")
+        assert (propose.slot, propose.part.kind, propose.part.value) == (
+            1, PROPOSE, "b")
+        assert (prepare.slot, prepare.part.kind) == (2, PREPARE)
+        assert [f.log for f in followers] == [{0: "a"}, {0: "a"}]
+        assert leader._held_decide == SlotDecide(slot=1, value="b")
+
+    def test_flush_sends_the_held_decide(self):
+        sim, followers, leader = self._first_slot_chosen()
+        broadcasts = sim.trace.broadcast_count()
+        for follower in followers:
+            follower.flush()  # holds nothing: sends nothing
+        assert sim.trace.broadcast_count() == broadcasts
+        leader.flush()
+        assert leader._held_decide is None
+        assert sim.trace.broadcast_count() == broadcasts + 1
+        sim.run(stop_when_all_decided=False)
+        assert [r.log for r in followers + [leader]] == [{0: "a"}] * 3
+
+    def test_abdication_releases_the_held_decide(self):
+        sim, followers, leader = self._first_slot_chosen()
+        broadcasts = sim.trace.broadcast_count()
+        # A larger id appears: the leader steps down and its decide
+        # goes out with the leader flood it relays.
+        leader.on_receive(LogMessage((LeaderPart(leader=99),)))
+        assert leader._held_decide is None
+        assert sim.trace.broadcast_count() == broadcasts + 1
+        sim.run(stop_when_all_decided=False)
+        assert [r.log for r in followers + [leader]] == [{0: "a"}] * 3
 
 
 class TestCanonicalKey:
@@ -175,12 +253,12 @@ class TestCanonicalKey:
 
 class TestExhaustiveTwoSlotSafety:
     """Every schedule of the valid-step model (Section 3.1) on
-    clique(2), two log slots: no reachable configuration has two
-    replicas holding different values for one slot, or a committed
-    value no replica was given."""
+    clique(2), two log slots (three in one case): no reachable
+    configuration has two replicas holding different values for one
+    slot, or a committed value no replica was given."""
 
     @staticmethod
-    def _explore(counts, crash_budget):
+    def _explore(counts, crash_budget, slots=2):
         """Replica ``i`` gets ``counts[i]`` distinct commands."""
 
         def replica(label, _value):
@@ -198,25 +276,39 @@ class TestExhaustiveTwoSlotSafety:
                     for k in range(counts[i])}
         for config in result.reachable:
             logs = [process.log for process in config.processes]
-            for slot in range(2):
+            for slot in range(slots):
                 held = {log[slot] for log in logs if slot in log}
                 assert len(held) <= 1, (slot, logs)
                 assert held <= commands, (slot, logs)
         return result
 
+    @staticmethod
+    def _leader_ahead(config, slots):
+        """The leader (replica 1) committed ``slots`` slots, and the
+        follower every one but the last, whose decide the leader
+        holds for a next proposal."""
+        follower, leader = (process.log for process in config.processes)
+        return (sorted(leader) == list(range(slots))
+                and sorted(follower) == list(range(slots - 1)))
+
     # Configurations reached: pins what ``canonical_key`` merges in a
     # log replica (its slots, queues and proposer callbacks).
-    @pytest.mark.parametrize("crash_budget, configs", [(0, 158), (1, 520)],
+    @pytest.mark.parametrize("crash_budget, configs", [(0, 110), (1, 364)],
                              ids=["0", "1"])
     def test_two_commands_each(self, crash_budget, configs):
         result = self._explore((2, 2), crash_budget)
         assert result.config_count == configs
-        # The space reaches logs that committed both slots.
-        assert any(all(len(process.log) == 2
-                       for process in config.processes)
+        # The space reaches logs where the leader committed both slots
+        # and the follower lags by the held one; no follower learns a
+        # slot the leader has not committed.
+        assert any(self._leader_ahead(config, 2)
                    for config in result.reachable)
+        for config in result.reachable:
+            follower, leader = config.processes
+            if not leader.crashed:
+                assert set(follower.log) <= set(leader.log)
 
-    @pytest.mark.parametrize("crash_budget, configs", [(0, 110), (1, 364)],
+    @pytest.mark.parametrize("crash_budget, configs", [(0, 86), (1, 286)],
                              ids=["0", "1"])
     def test_leader_without_a_command_parks(self, crash_budget, configs):
         # Replica 1 (the eventual leader) has no command for slot 1: it
@@ -233,3 +325,22 @@ class TestExhaustiveTwoSlotSafety:
                        and proposer.initial_value is None
                        and proposer._promise_count >= 2)
         assert parked > 0
+
+    @pytest.mark.parametrize("crash_budget, configs", [(0, 134), (1, 442)],
+                             ids=["0", "1"])
+    def test_three_slots_keep_phase_1_one_slot_ahead(self, crash_budget,
+                                                     configs):
+        # The leader prepares slot k + 2 while slot k + 1 is proposed,
+        # and still every slot is agreed on.
+        result = self._explore((3, 3), crash_budget, slots=3)
+        assert result.config_count == configs
+        ahead = 0
+        for config in result.reachable:
+            slots = config.processes[1]._slots
+            ahead += any(
+                k + 1 in slots and slots[k].proposer.stage == PROPOSE
+                and slots[k + 1].proposer.stage == PREPARE
+                for k in slots if k >= 1)
+        assert ahead > 0
+        assert any(self._leader_ahead(config, 3)
+                   for config in result.reachable)

@@ -231,6 +231,29 @@ class TestMetricsRegistry:
         assert doc["totals"]["in_flight_final"] == 0
         assert doc["windows"][-1]["in_flight"] == 0
 
+    def test_revoked_commit_becomes_a_failure(self):
+        # A slot found diverged after it was handed out: its commit is
+        # taken back from its window (or from the evicted base, once
+        # that window is gone) and counted failed.
+        reg = MetricsRegistry(window=1.0, capacity=2)
+        for t in range(4):
+            reg.record_arrival(float(t), 0)
+            reg.record_commit(float(t) + 0.5, 0, 0.5 + t)
+        reg._revoke_commit(3.5, 0, 3.5)
+        reg._revoke_commit(0.5, 0, 0.5)
+        doc = reg.snapshot()
+        assert doc["totals"] == {"arrivals": 4, "commits": 2,
+                                 "failed": 2, "in_flight_final": 0}
+        assert [(w["start"], w["commits"], w["latencies"])
+                for w in doc["windows"]] == [(2.0, 1, [2.5]),
+                                             (3.0, 0, [])]
+        # Window 0's commit left the evicted base: two requests were
+        # never committed, so two stay in flight.
+        assert doc["windows"][-1]["in_flight"] == 2
+        assert doc["groups"]["0"]["commits"] == 2
+        assert doc["groups"]["0"]["failed"] == 2
+        assert doc["groups"]["0"]["latency"]["count"] == 2
+
     def test_merge_requires_same_window(self):
         a = MetricsRegistry(window=10.0).snapshot()
         b = MetricsRegistry(window=20.0).snapshot()
