@@ -37,9 +37,9 @@ The log is open-ended: :meth:`ReplicatedLogNode.add_command` hands a
 replica its next slot's command at any time, and nothing *decides* in
 the consensus sense; callers read ``log`` (slot -> value) off the
 replicas. The service (:mod:`repro.macsim.service`) runs one log per
-group: a slot ends at its first commit (``commit_hook``), each
-replica's new entries are checked then, and every log is flushed and
-compared whole at the end of the run.
+group: a slot ends at its first commit, each replica's commit is
+checked against the log asked for (``commit_hook``), and every log is
+flushed and compared whole at the end of the run.
 """
 
 from __future__ import annotations
@@ -113,9 +113,10 @@ class ReplicatedLogNode(WPaxosReplica):
         self.commands: List[Any] = []
         self.log: Dict[int, Any] = {}
         self.current_slot = 0
-        #: Called with a slot's index when this replica commits it (the
-        #: service's stop check sets it); ``None`` calls nothing.
-        self.commit_hook: Optional[Callable[[int], None]] = None
+        #: Called as ``commit_hook(replica, index, value)`` when this
+        #: replica commits a slot (the service's stop and agreement
+        #: check sets it); ``None`` calls nothing.
+        self.commit_hook: Optional[Callable[[Any, int, Any], None]] = None
         # The live slots; the pump serves ``_decree`` and
         # ``_next_decree``, always ``_slots.get(current_slot)`` and
         # ``_slots.get(current_slot + 1)``.
@@ -249,7 +250,7 @@ class ReplicatedLogNode(WPaxosReplica):
         self._next_decree = slots.get(current + 1)
         hook = self.commit_hook
         if hook is not None:
-            hook(index)
+            hook(self, index, value)
         if self.leader_svc.leader == self.uid:
             self._lead()
 

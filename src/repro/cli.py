@@ -446,7 +446,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     The scenario flags describe every group's log (a ``wpaxos``
     scenario: its topology, scheduler and seed); the workload flags
     shape the closed-loop client population. Prints the end-to-end
-    latency table, per-group attribution and shard utilization.
+    latency table, per-group attribution, shard utilization and each
+    agreement violation; exits 1 on a failure, violation or unlearned
+    entry.
     """
     import os
     from .macsim.service import ShardedService, WorkloadGenerator
@@ -521,6 +523,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             in sorted(report.failure_reasons.items()))
         print(f"failed:         {reasons} "
               f"(requests by the reason their slot failed)")
+    for group, slot, uid, value, expected in report.violations:
+        print(f"violation:      group {group} slot {slot}: replica {uid} "
+              f"holds {value!r}, expected {expected!r}")
+    if report.unlearned:
+        print(f"unlearned:      {report.unlearned} log entries still "
+              f"missing on live replicas after the drain")
     print(f"throughput:     {report.throughput:.3f} req/virtual-time "
           f"over {report.virtual_time:.1f} vt; "
           f"{report.wall_throughput:.0f} req/s wall "
@@ -582,7 +590,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             json.dump(report.to_dict(), out, indent=2)
             out.write("\n")
         print(f"report written: {args.json_out}")
-    return 0 if report.failed == 0 else 1
+    clean = not (report.failed or report.violations or report.unlearned)
+    return 0 if clean else 1
 
 
 def _top_metrics_doc(document: dict, path: str) -> dict:

@@ -30,9 +30,10 @@ What the table shows:
   shard and on many produces the *same* latency sample (the workload
   derives every client from the seed alone), so shard count is purely
   a wall-clock knob.
-* **Every slot verified** -- at every slot's end each replica's newly
-  learned entries must equal the slots' batches of request ids, and at
-  the end of the run every log is flushed, drained and compared whole.
+* **Every slot verified** -- every replica's commit must be the
+  slot's batch of request ids (else it is an agreement violation), and
+  at the end of the run every log is flushed, drained and compared
+  whole: no violation, and no entry a live replica lacks.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ def run() -> ExperimentReport:
         multihop.append((_label(topology), topology.build().diameter(),
                          serve_p50, rep))
 
-    # A slot fails when it misses its budget or a replica's log is not
-    # exactly the slots' batches: none may.
+    # No slot may miss its budget, and every replica's log must be
+    # exactly the slots' batches.
     reports = list(by_cell.values()) + [rep for *_, rep in multihop]
     report.conclude(f"every slot verified: all "
                     f"{sum(r.requests for r in reports)} "
@@ -124,7 +125,8 @@ def run() -> ExperimentReport:
                     f"{sum(r.slots for r in reports)} slots, "
                     f"every log equal at the end, "
                     f"{sum(r.failed for r in reports)} failed",
-                    ok=not any(r.failed for r in reports))
+                    ok=not any(r.failed or r.violations or r.unlearned
+                               for r in reports))
     worst = max(serve_p50s)
     report.conclude(f"warm slots: serve p50 <= {SERVE_P50_BOUND:.2f} "
                     f"F_ack in every 5-clique cell (worst {worst:.2f})",

@@ -8,15 +8,14 @@ workload, spread over forked engines one per core. A group is one
 replicated wPAXOS log (`repro.apps.replicated_log`) on one long-lived
 simulator, and each batch of client requests is one slot of it: the
 leader and routing trees are built once per log, not once per batch.
-A slot ends at its first commit; each replica's new entries are
-checked then, every replica's whole log at the end of the run (a slot
-found diverged there fails after all), and only finished slots are
-ordered in virtual time.
+A slot ends at its first commit, and only finished slots are ordered
+in virtual time; every replica's commit is checked as it is made (a
+wrong value is an agreement violation), and its whole log at the end.
 
 Layers (bottom up):
 
 * :mod:`.runtime` -- :class:`GroupRuntime`: runs each slot on its
-  group's log until a replica committed it, checks the logs, and
+  group's log until a replica committed it, lists violations, and
   hands finished slots out in ``(finish_time, registration order)``.
 * :mod:`.frontend` -- per-group proposal queues batching client
   requests into log *slots*.

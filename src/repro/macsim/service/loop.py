@@ -20,27 +20,24 @@ A request's end-to-end latency is ``commit - arrival`` in virtual time
 (the engine's ``F_ack`` units): queueing delay behind the group's
 current slot plus the time its slot took to commit. Throughput is
 committed requests per virtual time unit. A slot commits at its first
-commit on any replica (a majority accepted it), once every live
-replica's newly learned entries check out against the batches asked
-for. A slot that misses its budget or fails that check fails its
-whole batch, counted under the reason (the engine's ``stop_reason``,
-or ``"unverified"``), and its group's next slot starts a fresh log.
-A slot found diverged later -- when its log is dropped, or when the
-workload is done and every open log is flushed, drained and compared
-whole -- fails after all: its requests move from committed to failed
-under ``"unverified"``, and their latency samples, spans and metrics
-go with them.
+commit on any replica (a majority accepted it). A slot that misses its
+budget fails its whole batch, counted under the engine's
+``stop_reason``, and its group's next slot starts a fresh log. A
+replica holding another value than its batch breaks agreement, not the
+batch's delivery: the report lists it as a violation beside the
+committed requests, so a request, once counted, never moves.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence
 
 from .frontend import Request, ServiceFrontend
-from .runtime import GroupRun, GroupRuntime
+from .runtime import GroupRun, GroupRuntime, Violation
 from .tracing import MetricsRegistry, RequestTracer, latency_summary
 from .workload import WorkloadGenerator
 
@@ -86,6 +83,12 @@ class ServiceReport:
     metrics: Optional[Dict[str, Any]] = None
     #: Failed requests by the reason their slot failed.
     failure_reasons: Dict[str, int] = field(default_factory=dict)
+    #: Agreement violations ``(group, slot, replica uid, value,
+    #: expected)``, by group and then in the order found.
+    violations: List[Violation] = field(default_factory=list)
+    #: Log entries the live replicas still lacked after the end-of-run
+    #: drain: a liveness outcome, neither failed nor a violation.
+    unlearned: int = 0
 
     @property
     def latency(self) -> Dict[str, Any]:
@@ -148,6 +151,8 @@ class ServiceReport:
             metrics=(MetricsRegistry.merge_snapshots(metrics)
                      if metrics else None),
             failure_reasons=failure_reasons,
+            violations=[v for r in reports for v in r.violations],
+            unlearned=sum(r.unlearned for r in reports),
         )
 
     def to_dict(self, *, include_latencies: bool = False) -> Dict[str, Any]:
@@ -177,6 +182,10 @@ class ServiceReport:
         if self.failure_reasons:
             out["failure_reasons"] = dict(sorted(
                 self.failure_reasons.items()))
+        if self.violations:
+            out["violations"] = [list(v) for v in self.violations]
+        if self.unlearned:
+            out["unlearned"] = self.unlearned
         if include_latencies:
             out["latencies"] = list(self.latencies)
         return out
@@ -263,13 +272,7 @@ class ConsensusService:
         stats: Dict[int, GroupStats] = {g: GroupStats() for g in served}
         slot_counts: Dict[int, int] = {g: 0 for g in served}
         busy: Dict[int, bool] = {g: False for g in served}
-        latencies: List[Optional[float]] = []
-        #: Per group, by slot number, where each slot's latency samples
-        #: (and spans, when traced) start: a slot that fails after it
-        #: was handed out takes them back.
-        samples_at: Dict[int, List[int]] = {g: [] for g in served}
-        spans_at: Dict[int, List[int]] = {g: [] for g in served}
-        taken_back = 0
+        latencies: List[float] = []
         failure_reasons: Dict[str, int] = {}
         #: Per group, the telemetry of each log it ran, in order.
         tel_logs: Dict[int, List[Any]] = {g: [] for g in served}
@@ -298,8 +301,6 @@ class ConsensusService:
             runtime.add_group(command, group_id=gid, start_time=now,
                               telemetry=tel, context=(batch, slot))
             busy[gid] = True
-            if runtime._revoked:
-                revoke()
 
         def commit(run: GroupRun) -> None:
             nonlocal committed, failed, total_slots, total_events
@@ -322,9 +323,7 @@ class ConsensusService:
             if run.telemetry is not None and not (
                     logs and logs[-1] is run.telemetry):
                 logs.append(run.telemetry)
-            samples_at[gid].append(len(latencies))
             if tracer is not None:
-                spans_at[gid].append(len(tracer.records))
                 # The slot stops the instant its first replica commits.
                 tracer.record_slot(group=gid, slot=slot, batch=batch,
                                    start=run.start_time,
@@ -355,35 +354,6 @@ class ConsensusService:
             if frontend.pending(gid):
                 start_slot(gid, t_commit)
 
-        def revoke() -> None:
-            """Count the requests of every slot the runtime failed
-            after it was handed out (a group's slot is handed out
-            before its next one starts, so each was counted committed)
-            as failed under ``"unverified"``."""
-            nonlocal committed, failed, taken_back
-            for gid, slot, t_commit, command in runtime._revoked:
-                lost = len(command)
-                committed -= lost
-                failed += lost
-                gstats = stats[gid]
-                gstats.requests -= lost
-                gstats.failed += lost
-                failure_reasons["unverified"] = (
-                    failure_reasons.get("unverified", 0) + lost)
-                at = samples_at[gid][slot]
-                samples = latencies[at:at + lost]
-                latencies[at:at + lost] = [None] * lost
-                taken_back += lost
-                if tracer is not None:
-                    at = spans_at[gid][slot]
-                    for span in tracer.records[at:at + lost]:
-                        span["ok"] = False
-                        span["stop_reason"] = "unverified"
-                if metrics is not None:
-                    for latency in samples:
-                        metrics._revoke_commit(t_commit, gid, latency)
-            runtime._revoked.clear()
-
         while True:
             t_wake = heap[0][0] if heap else None
             t_slot = runtime.next_time()
@@ -404,13 +374,10 @@ class ConsensusService:
                 start_slot(gid, wake)
 
         # Every log flushes and goes quiet, and is compared whole: an
-        # entry a replica learned after its slot ended is checked here.
+        # entry corrupted without a commit is found here.
         for gid, events in runtime._drain():
             stats[gid].events += events
             total_events += events
-        revoke()
-        if taken_back:
-            latencies = [x for x in latencies if x is not None]
 
         telemetry = None
         if self.telemetry_enabled:
@@ -452,6 +419,8 @@ class ConsensusService:
             tracing=tracing,
             metrics=metrics_doc,
             failure_reasons=failure_reasons,
+            violations=sorted(runtime.violations, key=itemgetter(0)),
+            unlearned=runtime.unlearned,
         )
 
     # ------------------------------------------------------------------

@@ -16,18 +16,15 @@ slot's start (one simulator wakeup) and resumes the group's simulator
 with ``run(stop_predicate=...)`` until the slot's first commit -- a
 majority accepted, so the value is chosen. Every replica reports its
 commits through ``commit_hook``, so the stop check is one attribute
-read. Then each live replica's entries learned since the last check
-must equal the log asked for (a follower may lag: the leader holds the
-last decide until the next proposal). A slot that misses its budget
-(``max_events`` events, or ``max_time`` from its start) or that check
-fails under a named reason (the engine's ``stop_reason``, or
-``"unverified"``), and the group's next slot starts a fresh log. At
-the end of a service run every open log flushes its held decide and
-runs until quiet, and every live replica's whole log must then equal
-the log asked for. A finished slot that a replica turns out to hold
-wrongly -- seen when its log is dropped, or by that last check --
-fails after all: the runtime lists it in ``_revoked``, and the service
-counts its requests failed.
+read. The hook also hands over the value, and a value other than the
+log asked for (or an index past it) breaks agreement: it is listed in
+:attr:`GroupRuntime.violations`, and the slot stays committed. A slot
+that misses its budget (``max_events`` events, or ``max_time`` from
+its start) fails under the engine's ``stop_reason``, and the group's
+next slot starts a fresh log. A dropped log, and at the end of a
+service run every open log once flushed and quiet, is compared whole:
+an entry corrupted without a commit is a violation too, and one a
+live replica lacks at the end is counted in ``unlearned``.
 
 Groups share nothing, so running one group's slot ahead of another's
 cannot change either log; only the order in which finished slots are
@@ -42,7 +39,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..simulator import DEFAULT_MAX_TIME_FACTOR, RunResult
 from ..telemetry import MonotonicProfile
@@ -50,6 +47,11 @@ from .tracing import overhead_fraction
 
 __all__ = ["GroupRun", "GroupRuntime", "log_replicas",
            "require_log_algorithm"]
+
+#: ``(group, slot, replica uid, value, expected)``: a live replica holds
+#: ``value`` at ``slot`` of its group's current log, where ``expected``
+#: was asked for (``None`` past the log's end).
+Violation = Tuple[Any, int, int, Any, Any]
 
 
 def require_log_algorithm(base: Any) -> None:
@@ -89,7 +91,8 @@ class GroupRun:
     #: Global instant the slot was first committed (or stopped); a
     #: log's clock is the service's.
     finish_time: float
-    #: ``None`` for a verified commit, else why the slot failed.
+    #: ``None`` for a committed slot, else why it failed: the
+    #: engine's ``stop_reason``, a liveness outcome.
     failure: Optional[str] = None
     #: Engine ``run()`` invocations spent on this slot (always 1).
     slices: int = 1
@@ -103,26 +106,25 @@ class GroupRun:
 
 class _GroupLog:
     """One group's replicated log: the simulator, what it was asked to
-    commit, and how much of each replica's log is checked."""
+    commit, and where its replicas' violations go."""
 
-    def __init__(self, sim: Any, first: int) -> None:
+    def __init__(self, sim: Any, group_id: Any,
+                 violations: List[Violation]) -> None:
         self.sim = sim
-        #: The group's slot number (counted over all its logs) of this
-        #: log's slot 0.
-        self.first = first
+        self.group_id = group_id
+        self.violations = violations
+        #: ``(uid, index)`` of every entry already listed there, so the
+        #: whole-log compare lists an entry once.
+        self.flagged: Set[Tuple[int, int]] = set()
         #: The simulator's label -> replica mapping (itself, so a
         #: replaced replica is seen).
         self.replicas = sim.processes
         #: Entry ``k`` is slot ``k``'s command: the log every replica
         #: must hold.
         self.expected: List[Any] = []
-        #: Entry ``k`` is slot ``k``'s finish time.
-        self.finished: List[float] = []
         self.slot = -1
         #: Whether a replica committed the current slot.
         self.done = False
-        #: label -> length of the replica's checked log prefix.
-        self.checked: Dict[Any, int] = dict.fromkeys(self.replicas, 0)
 
     def hand_out(self, sim: Any) -> None:
         """Wakeup: give every live replica the current slot's command."""
@@ -133,60 +135,48 @@ class _GroupLog:
                 replica.commit_hook = hook
                 replica.add_command(command)
 
-    def note_commit(self, index: int) -> None:
+    def note_commit(self, replica: Any, index: int, value: Any) -> None:
         """A replica's commit hook: the first commit of the current
-        slot ends it (a majority accepted, so the value is chosen)."""
+        slot ends it (a majority accepted, so the value is chosen), and
+        a value other than the one asked for is a violation."""
         if index == self.slot:
             self.done = True
+        expected = self.expected
+        if index >= len(expected) or value != expected[index]:
+            self._flag(replica.uid, index, value)
+
+    def _flag(self, uid: int, index: int, value: Any) -> None:
+        expected = self.expected
+        self.flagged.add((uid, index))
+        self.violations.append((
+            self.group_id, index, uid, value,
+            expected[index] if index < len(expected) else None))
 
     def committed(self, sim: Any) -> bool:
         """Stop predicate: a replica committed the slot."""
         return self.done
 
-    def verify(self) -> bool:
-        """Check what each live replica learned since the last check:
-        its log's prefix grew by the expected entries, and by nothing
-        past them. A lagging replica, or an entry learned out of
-        order, is checked once the prefix reaches it, and by
-        :meth:`diverged`."""
+    def compare(self) -> int:
+        """Compare every live replica's whole log with the expected
+        one, flagging each differing entry not flagged yet. Returns
+        the number of expected entries the live replicas lack."""
         expected = self.expected
         end = len(expected)
-        checked = self.checked
-        for label, replica in self.replicas.items():
-            if replica.crashed:
-                continue
-            log = replica.log
-            i = checked.get(label, 0)
-            while i in log:
-                if i >= end or log[i] != expected[i]:
-                    return False
-                i += 1
-            checked[label] = i
-        return True
-
-    def diverged(self, complete: bool) -> List[int]:
-        """The slots, in order, whose entry some live replica holds
-        wrongly; a replica holding a slot past the expected log counts
-        against the last slot. With ``complete`` (the log ran until
-        quiet) a missing entry counts too."""
-        expected = self.expected
-        bad = set()
+        flagged = self.flagged
+        lacking = 0
         for replica in self.replicas.values():
             if replica.crashed:
                 continue
-            log = replica.log
-            held = 0
-            for k, entry in enumerate(expected):
-                if k not in log:
-                    if complete:
-                        bad.add(k)
-                    continue
-                held += 1
-                if log[k] != entry:
-                    bad.add(k)
-            if len(log) > held:
-                bad.add(len(expected) - 1)
-        return sorted(bad)
+            uid = replica.uid
+            lacking += end
+            for k, value in replica.log.items():
+                if k < end:
+                    lacking -= 1
+                    if value == expected[k]:
+                        continue
+                if (uid, k) not in flagged:
+                    self._flag(uid, k, value)
+        return lacking
 
     def drain(self, budget: float, max_events: int) -> int:
         """End of the run: flush every held decide and run the log
@@ -223,16 +213,11 @@ class GroupRuntime:
         self._logs: Dict[Any, _GroupLog] = {}
         self._pending: List[Tuple[float, int, GroupRun]] = []
         self._order = 0
-        #: group id -> the group's next slot number, once a failed
-        #: slot dropped its log.
-        self._next_slot: Dict[Any, int] = {}
-        #: Committed slots that a later check found diverged (some
-        #: live replica holds another entry there), in the order
-        #: found, each once: ``(group_id, slot number, finish_time,
-        #: command)``, the slot numbered over all the group's logs
-        #: from 0. The service counts their requests failed after all,
-        #: and clears the list.
-        self._revoked: List[Tuple[Any, int, float, Any]] = []
+        #: Agreement violations, in the order found, each entry once.
+        self.violations: List[Violation] = []
+        #: Entries the live replicas still lacked when the end-of-run
+        #: drain went quiet.
+        self.unlearned = 0
         #: Opt-in wall-clock split of the runtime into time *inside*
         #: the engine vs around it. ``None`` (the default) keeps the
         #: hot path free of clock reads.
@@ -245,8 +230,8 @@ class GroupRuntime:
 
         ``engine_*`` times the one ``Simulator.run`` per slot;
         ``overhead_seconds`` is the rest of :meth:`add_group` and
-        :meth:`advance` (log builds, verification and the finish
-        heap), ``overhead_fraction`` its share of the two together.
+        :meth:`advance` (log builds, whole-log compares and the
+        finish heap), ``overhead_fraction`` its share of the two together.
         Returns ``None`` when profiling is off.
         """
         if self.profile is None:
@@ -270,8 +255,8 @@ class GroupRuntime:
         resolved = self.base.resolve()
         factory = log_replicas(self.base, resolved.graph)
         sim = replace(resolved, factory=factory).build(telemetry=telemetry)
-        log = self._logs[group_id] = _GroupLog(
-            sim, self._next_slot.pop(group_id, 0))
+        log = self._logs[group_id] = _GroupLog(sim, group_id,
+                                               self.violations)
         return log
 
     def add_group(self, command: Any, *, group_id: Any = None,
@@ -282,7 +267,7 @@ class GroupRuntime:
 
         The group's log is built on its first slot (and again after a
         failed one), its clock starting at virtual time 0. The slot
-        runs to its verified commit or its failure before this
+        runs to its first commit or its failure before this
         returns; :meth:`advance` hands it out once the caller's clock
         reaches its finish time. ``telemetry`` applies when a log is
         built.
@@ -309,8 +294,6 @@ class GroupRuntime:
         failure = None
         if result.stop_reason != "predicate":
             failure = result.stop_reason
-        elif not log.verify():
-            failure = "unverified"
         run = GroupRun(group_id=group_id, result=result,
                        start_time=start_time,
                        # A run out of events before its start stops
@@ -318,14 +301,11 @@ class GroupRuntime:
                        finish_time=max(start_time, result.end_time),
                        failure=failure, telemetry=sim.telemetry,
                        context=context)
-        log.finished.append(run.finish_time)
         if failure is not None:
-            # The log is dropped, so an earlier slot that some replica
-            # holds wrongly is found now or never.
+            # The log is dropped, so an entry corrupted without a
+            # commit is found now or never.
             del self._logs[group_id]
-            self._next_slot[group_id] = log.first + log.slot + 1
-            self._revoke(group_id, log, [
-                k for k in log.diverged(complete=False) if k < log.slot])
+            log.compare()
         heapq.heappush(self._pending,
                        (run.finish_time, self._order, run))
         self._order += 1
@@ -337,24 +317,17 @@ class GroupRuntime:
         return (base.max_time if base.max_time is not None
                 else DEFAULT_MAX_TIME_FACTOR * sim.scheduler.f_ack)
 
-    def _revoke(self, group_id: Any, log: _GroupLog,
-                slots: List[int]) -> None:
-        """List the committed slots ``slots`` of ``log`` in
-        :attr:`_revoked`."""
-        self._revoked.extend([
-            (group_id, log.first + k, log.finished[k], log.expected[k])
-            for k in slots])
-
     def _drain(self) -> List[Tuple[Any, int]]:
         """End of the service run: every open log flushes and runs
         until quiet (:meth:`_GroupLog.drain`), and then every live
-        replica must hold exactly the expected log; a slot where one
-        does not is revoked. Returns ``(group_id, events)`` per group,
+        replica's whole log is compared with the expected one: a
+        differing entry is a violation, a missing one is
+        :attr:`unlearned`. Returns ``(group_id, events)`` per group,
         in registration order."""
         drained = []
         for group_id, log in self._logs.items():
             events = log.drain(self._budget(log.sim), self.base.max_events)
-            self._revoke(group_id, log, log.diverged(complete=True))
+            self.unlearned += log.compare()
             drained.append((group_id, events))
         return drained
 

@@ -122,9 +122,8 @@ class RequestTracer:
         admission and slot start coincide), ``decide`` the global
         instant its first replica committed it, ``reply`` the commit
         instant the service stamps latencies with. ``stop_reason`` is
-        ``"committed"`` for a verified slot, else why a request with
-        ``ok`` false failed (the serve loop sets both on a slot that
-        fails after it was recorded).
+        ``"committed"`` for a committed slot, else why a request with
+        ``ok`` false failed.
         """
         shard = self.shard
         for req in batch:
@@ -308,21 +307,6 @@ class MetricsRegistry:
     def record_failure(self, t: float, group: int) -> None:
         self._failed += 1
         self._group_failed[group] = self._group_failed.get(group, 0) + 1
-
-    def _revoke_commit(self, t: float, group: int, latency: float) -> None:
-        """Turn a commit recorded at ``t`` into a failure: the serve
-        loop found its slot diverged after it was handed out."""
-        self._commits -= 1
-        self._group_commits[group] -= 1
-        self._group_latencies[group].remove(latency)
-        win = self._windows.get(int(t // self.window))
-        if win is None:
-            self._evicted_commits -= 1
-        else:
-            win["commits"] -= 1
-            win["latencies"].remove(latency)
-            win["groups"][group]["commits"] -= 1
-        self.record_failure(t, group)
 
     def add_counter(self, name: str, value) -> None:
         self.counters[name] = self.counters.get(name, 0) + value

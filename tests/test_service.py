@@ -2,11 +2,12 @@
 
 The load-bearing contracts:
 
-* **A group is a verified log** -- every slot of a group runs on the
-  group's one long-lived replicated log, and commits only when every
-  replica holds exactly the slot's batch of request ids there; a slot
-  that misses its budget or that check fails its batch under a named
-  reason, and the group goes on with a fresh log.
+* **A group is a checked log** -- every slot of a group runs on the
+  group's one long-lived replicated log and commits at its first
+  commit; a slot that misses its budget fails its batch under a named
+  reason, and the group goes on with a fresh log. A replica that holds
+  another entry than the slot's batch of request ids is an agreement
+  violation, reported once, and no committed request is taken back.
 * **Multiplexing is invisible** -- groups under one runtime commit
   exactly what each commits alone, and finished slots are handed out
   in ``(finish_time, registration order)``.
@@ -19,6 +20,7 @@ import json
 import multiprocessing
 import os
 import random
+import time
 from bisect import bisect_left
 
 import pytest
@@ -34,6 +36,7 @@ from repro.macsim.service import (ConsensusService, GroupRuntime,
                                   MetricsRegistry, RequestTracer,
                                   ShardedService, WorkloadGenerator,
                                   latency_summary, run_service)
+from repro.macsim.service.runtime import _GroupLog
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
 
@@ -59,6 +62,23 @@ def _report_dict(report):
 
 def _replicas(runtime, group):
     return list(runtime._logs[group].sim.processes.values())
+
+
+def _forge_follower(monkeypatch):
+    """Make replica uid 1, a follower, commit ``("forged",)`` in place
+    of every value."""
+    commit = ReplicatedLogNode._commit
+
+    def forging(node, index, value):
+        commit(node, index, ("forged",) if node.uid == 1 else value)
+
+    monkeypatch.setattr(ReplicatedLogNode, "_commit", forging)
+
+
+def _follower(log):
+    """Replica uid 1 of a group's log."""
+    (follower,) = [r for r in log.replicas.values() if r.uid == 1]
+    return follower
 
 
 def _serve_runs(monkeypatch):
@@ -93,7 +113,7 @@ class TestGroupLog:
         assert run.finish_time == run.result.end_time > 0
         ((group, events),) = runtime._drain()
         assert group == 0 and events > 0
-        assert runtime._revoked == []
+        assert (runtime.violations, runtime.unlearned) == ([], 0)
         assert all(replica.log == {0: ("a",)}
                    for replica in _replicas(runtime, 0))
 
@@ -119,9 +139,30 @@ class TestGroupLog:
         logs = [replica.log for replica in _replicas(runtime, 0)]
         assert sorted(map(len, logs)) == [3, 3, 3, 3, 4]
         runtime._drain()
-        assert runtime._revoked == []
+        assert (runtime.violations, runtime.unlearned) == ([], 0)
         assert all(replica.log == {k: ("c", k) for k in range(4)}
                    for replica in _replicas(runtime, 0))
+
+    def test_a_forged_commit_is_listed_when_it_is_made(self,
+                                                       monkeypatch):
+        # The commit hook checks each entry as a replica commits it:
+        # the forging follower's entries are listed slot by slot,
+        # before any whole-log compare, and the drain adds only the
+        # slot whose decide the leader held.
+        _forge_follower(monkeypatch)
+        runtime = GroupRuntime(BASE)
+        start, seen = 0.0, []
+        for slot in range(3):
+            runtime.add_group(("c", slot), group_id=0, start_time=start)
+            (run,) = runtime.advance()
+            assert run.failure is None
+            start = run.finish_time
+            seen.append(len(runtime.violations))
+        assert seen == [0, 1, 2]
+        runtime._drain()
+        assert runtime.violations == [
+            (0, k, 1, ("forged",), ("c", k)) for k in range(3)]
+        assert runtime.unlearned == 0
 
     @pytest.mark.parametrize("topology, warm", [
         (TopologySpec("clique", n=5), [(5, 26, 2.0)]),
@@ -466,6 +507,8 @@ class TestConsensusService:
         assert report.failure_reasons == {"max_events": total}
         assert report.to_dict()["failure_reasons"] == {
             "max_events": total}
+        # Each failed slot drops its log after one whole-log compare.
+        assert (report.violations, report.unlearned) == ([], 0)
         assert sum(g.failed for g in report.per_group.values()) == total
         spans = report.tracing["requests"]
         assert len(spans) == total
@@ -493,80 +536,127 @@ class TestConsensusService:
             if slot:
                 assert run.result.events_processed < 150
 
-    def test_unverified_commit_fails_its_batch(self, monkeypatch):
-        # A mutant follower commits a forged value for every slot. A
-        # slot ends at the leader's commit, before the follower learns
-        # it, so the forgery is seen at the next slot's end: that slot
-        # fails, its group restarts on a fresh log, and the slot already
-        # handed out fails after all. The last log's forgery is found by
-        # the end-of-run drain. Every request counts as "unverified",
-        # in the report, the spans and the metrics alike.
-        commit = ReplicatedLogNode._commit
+    @staticmethod
+    def _mutant_serve(workload, shards):
+        """Serve ``workload`` with spans and metrics on, inline
+        (``shards=1``) or forked, and check that no request moved:
+        every request committed, in the spans and the metrics too."""
+        report = ShardedService(BASE, workload, shards=shards,
+                                trace_requests=True,
+                                metrics_window=50.0).run()
+        total = workload.total_requests()
+        assert (report.requests, report.failed) == (total, 0)
+        assert report.failure_reasons == {}
+        assert all(r["ok"] for r in report.tracing["requests"])
+        totals = report.metrics["totals"]
+        assert (totals["commits"], totals["failed"]) == (total, 0)
+        return report
 
-        def forging(node, index, value):
-            commit(node, index, ("forged",) if node.uid == 1 else value)
+    @staticmethod
+    def _batches(report):
+        """``(group, slot) -> sorted request ids`` off the spans."""
+        batches = {}
+        for span in report.tracing["requests"]:
+            batches.setdefault((span["group"], span["slot"]), []).append(
+                (span["client"], span["index"]))
+        return {key: sorted(ids) for key, ids in batches.items()}
 
-        monkeypatch.setattr(ReplicatedLogNode, "_commit", forging)
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_forged_commit_is_a_violation(self, monkeypatch, shards):
+        # A mutant follower commits a forged value for every slot. The
+        # slot was chosen when a majority accepted, so its requests
+        # commit; each forged entry is one agreement violation, found
+        # at the follower's commit, and the end-of-run compare lists it
+        # no second time.
         workload = WorkloadGenerator(groups=2, clients=12, seed=0,
                                      requests_per_client=2)
-        metrics = MetricsRegistry()
-        report = ConsensusService(BASE, workload, tracer=RequestTracer(),
-                                  metrics=metrics).run()
-        total = workload.total_requests()
-        assert (report.requests, report.failed) == (0, total)
-        assert report.failure_reasons == {"unverified": total}
-        assert report.latencies == []
-        spans = report.tracing["requests"]
-        assert len(spans) == total
-        assert all(not r["ok"] and r["stop_reason"] == "unverified"
-                   for r in spans)
-        totals = report.metrics["totals"]
-        assert (totals["commits"], totals["failed"]) == (0, total)
-        assert all(w["commits"] == 0 and w["latencies"] == []
-                   for w in report.metrics["windows"])
+        clean = ConsensusService(BASE, workload).run()
+        _forge_follower(monkeypatch)
+        serial = ConsensusService(BASE, workload).run()
+        report = self._mutant_serve(workload, shards)
+        assert sorted(report.latencies) == sorted(clean.latencies)
+        assert report.unlearned == 0
+        batches = self._batches(report)
+        assert len(report.violations) == len(batches) == report.slots == 22
+        assert [v[:4] for v in report.violations] == [
+            (g, s, 1, ("forged",)) for g, s in sorted(batches)]
+        assert all(sorted(v[4]) == batches[v[0], v[1]]
+                   for v in report.violations)
+        assert report.violations == serial.violations
+        assert report.to_dict()["violations"] == [
+            list(v) for v in report.violations]
 
-    def test_end_of_run_check_counts_a_corrupted_entry(self, monkeypatch):
-        # The per-slot check reads only what a replica learned since
-        # the last one, so an entry corrupted after it was checked is
-        # found by the end-of-run drain, which compares every replica's
-        # whole log: the slot's requests fail under "unverified", and
-        # their latency samples, spans and metrics go with them.
-        workload = WorkloadGenerator(groups=1, clients=12, seed=0,
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_end_of_run_check_counts_a_corrupted_entry(self, monkeypatch,
+                                                       shards):
+        # An entry corrupted after its commit passes no commit hook: the
+        # end-of-run drain, which compares every replica's whole log,
+        # reports it as one violation, and no request moves.
+        workload = WorkloadGenerator(groups=2, clients=12, seed=0,
                                      requests_per_client=2)
         clean = ConsensusService(BASE, workload).run()
         drain = GroupRuntime._drain
-        lost = []
 
         def corrupting(runtime):
-            log = runtime._logs[0]
-            (follower,) = [replica for replica in log.replicas.values()
-                           if replica.uid == 1]
-            lost.append(len(log.expected[0]))
-            follower.log[0] = ("corrupted",)
+            log = runtime._logs.get(0)
+            if log is not None:
+                _follower(log).log[0] = ("corrupted",)
             return drain(runtime)
 
         monkeypatch.setattr(GroupRuntime, "_drain", corrupting)
-        report = ConsensusService(BASE, workload, tracer=RequestTracer(),
-                                  metrics=MetricsRegistry()).run()
-        (lost,) = lost
-        assert lost > 0
-        assert report.failure_reasons == {"unverified": lost}
-        assert report.failed == report.per_group[0].failed == lost
-        assert report.requests == clean.requests - lost
-        assert clean.failed == 0
-        # Slot 0's samples are the first ones committed.
-        assert report.latencies == clean.latencies[lost:]
-        failed_spans = [r for r in report.tracing["requests"]
-                        if not r["ok"]]
-        assert len(failed_spans) == report.failed
-        assert {r["slot"] for r in failed_spans} == {0}
-        assert all(r["stop_reason"] == "unverified" for r in failed_spans)
-        totals = report.metrics["totals"]
-        assert (totals["commits"], totals["failed"]) == (
-            report.requests, report.failed)
-        assert totals["in_flight_final"] == 0
-        assert report.metrics["groups"]["0"]["latency"] == \
-            latency_summary(report.latencies)
+        report = self._mutant_serve(workload, shards)
+        assert sorted(report.latencies) == sorted(clean.latencies)
+        assert report.per_group == clean.per_group
+        (violation,) = report.violations
+        assert violation[:4] == (0, 0, 1, ("corrupted",))
+        assert sorted(violation[4]) == self._batches(report)[0, 0]
+        assert report.unlearned == 0
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_commit_past_the_log_is_a_violation(self, monkeypatch,
+                                                shards):
+        # A mutant follower commits one slot past the log asked for: a
+        # violation with nothing expected, not an IndexError, listed
+        # once although the whole-log compare sees it too.
+        drain = _GroupLog.drain
+
+        def overcommitting(log, budget, max_events):
+            events = drain(log, budget, max_events)
+            if log.group_id == 0:
+                _follower(log)._commit(len(log.expected), ("extra",))
+            return events
+
+        monkeypatch.setattr(_GroupLog, "drain", overcommitting)
+        workload = WorkloadGenerator(groups=2, clients=12, seed=0,
+                                     requests_per_client=2)
+        report = self._mutant_serve(workload, shards)
+        slots = report.per_group[0].slots
+        assert report.violations == [(0, slots, 1, ("extra",), None)]
+        assert report.unlearned == 0
+
+    def test_an_entry_lacking_after_the_drain_is_unlearned(
+            self, monkeypatch):
+        # A live replica that still lacks an entry once the log is
+        # quiet is a liveness outcome: counted in ``unlearned``, while
+        # every request stays committed and nothing is a violation.
+        drain = _GroupLog.drain
+
+        def forgetting(log, budget, max_events):
+            events = drain(log, budget, max_events)
+            del _follower(log).log[0]
+            return events
+
+        workload = WorkloadGenerator(groups=1, clients=12, seed=0,
+                                     requests_per_client=2)
+        clean = ConsensusService(BASE, workload).run()
+        monkeypatch.setattr(_GroupLog, "drain", forgetting)
+        report = ConsensusService(BASE, workload).run()
+        assert (report.requests, report.failed) == (
+            clean.requests, clean.failed) == (24, 0)
+        assert report.latencies == clean.latencies
+        assert (report.violations, report.unlearned) == ([], 1)
+        assert report.to_dict()["unlearned"] == 1
+        assert "unlearned" not in clean.to_dict()
 
     def test_telemetry_attribution(self):
         workload = WorkloadGenerator(groups=2, clients=16, seed=0)
@@ -600,22 +690,34 @@ class TestShardedService:
         assert serial_dict == sharded_dict
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_failed_shard_stops_its_siblings(self, monkeypatch):
-        bad_group = 2
+    def test_failed_shard_stops_its_siblings(self, monkeypatch, tmp_path):
+        # Workers claim one group at a time, so the worker that claims
+        # the busy group blocks in it and the other one reaches the bad
+        # group. The bad group reports only once the busy one started,
+        # and the busy one would leave "finished" only after blocking
+        # for a minute: the pool must stop a live sibling.
+        busy_group, bad_group = 0, 2
+        started, finished = tmp_path / "started", tmp_path / "finished"
         open_log = GroupRuntime._open_log
 
         def explode_on_bad_group(runtime, group_id, telemetry):
-            if group_id == bad_group:
+            if group_id == busy_group:
+                started.touch()
+                time.sleep(60.0)
+                finished.touch()
+            elif group_id == bad_group:
+                deadline = time.monotonic() + 60.0
+                while not started.exists() and time.monotonic() < deadline:
+                    time.sleep(0.005)
                 raise ValueError(f"no log for group {group_id}")
             return open_log(runtime, group_id, telemetry)
 
         monkeypatch.setattr(GroupRuntime, "_open_log",
                             explode_on_bad_group)
-        # Enough work that the healthy worker is still serving when
-        # the bad group reports.
-        workload = WorkloadGenerator(groups=4, clients=64, seed=0,
-                                     zipf_s=0.0,
-                                     requests_per_client=200)
+        workload = WorkloadGenerator(groups=4, clients=16, seed=0,
+                                     zipf_s=0.0, requests_per_client=1)
+        assert all(workload.total_requests([g])
+                   for g in (busy_group, bad_group))
         service = ShardedService(BASE, workload, shards=2)
         with pytest.raises(RuntimeError) as failure:
             service.run()
@@ -623,6 +725,7 @@ class TestShardedService:
         assert f"service group {bad_group} failed" in message
         assert f"no log for group {bad_group}" in message
         assert multiprocessing.active_children() == []
+        assert started.exists() and not finished.exists()
 
     @staticmethod
     def _kill_worker_serving(monkeypatch, group, marker=None):
@@ -740,6 +843,24 @@ class TestServeCommand:
         assert report["failed"] == 0
         assert report["requests"] == 8 * 2
         assert "failure_reasons" not in report
+
+    def test_serve_exits_1_on_a_violation(self, monkeypatch, tmp_path,
+                                          capsys):
+        # Every request commits, but a forging follower breaks
+        # agreement: serve prints each violation and exits 1.
+        _forge_follower(monkeypatch)
+        report_path = tmp_path / "report.json"
+        code = main(["serve", "--groups", "1", "--clients", "4",
+                     "--requests-per-client", "1",
+                     "--json-out", str(report_path)])
+        assert code == 1
+        out = capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        assert (report["requests"], report["failed"]) == (4, 0)
+        violations = report["violations"]
+        assert violations and all(v[2:4] == [1, ["forged"]]
+                                  for v in violations)
+        assert out.count("violation:      group 0 slot ") == len(violations)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_progress_names_no_cache(self, capsys):
