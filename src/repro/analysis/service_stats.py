@@ -5,12 +5,14 @@ The serve path emits three artifact families — request-span trees
 metrics snapshots (``service-metrics/v1``, from ``--metrics-out`` or a
 ``--json-out`` report's ``metrics`` key) and per-group telemetry
 attribution (``service-telemetry/v1``, from ``--telemetry``). This
-module reduces any of them to one renderable stats document
-(``service-stats/v1``) behind ``repro stats``, and is the reduction
-the acceptance tests pin: the latency summary derived here from a span
-artifact equals — exactly, nearest-rank percentile for percentile —
-the report the service printed, whether the run was serial, sharded,
-or replayed from JSON.
+module reduces any of them, or a whole ``--json-out`` report, to one
+renderable stats document (``service-stats/v1``) behind
+``repro stats``; every windowed series renders through one table
+layout, and a span artifact's is regrouped from its timestamps. It is
+the reduction the acceptance tests pin: the latency summary derived
+here from a span artifact equals — exactly, nearest-rank percentile
+for percentile — the report the service printed, whether the run was
+serial, sharded, or replayed from JSON.
 
 Span anatomy (all virtual time, see
 :data:`repro.macsim.service.tracing.SPAN_STAGES`)::
@@ -30,13 +32,13 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..macsim.service.tracing import (METRICS_SCHEMA, SPAN_SCHEMA,
-                                      latency_summary)
+                                      MetricsRegistry, latency_summary)
 from .tables import format_table
 
 __all__ = ["SERVICE_SCHEMAS", "SERVICE_STATS_SCHEMA",
            "SERVICE_TELEMETRY_SCHEMA", "reduce_spans", "reduce_metrics",
-           "reduce_service_telemetry", "service_doc",
-           "render_service_stats"]
+           "reduce_service_telemetry", "metrics_from_spans",
+           "is_serve_report", "service_doc", "render_service_stats"]
 
 SERVICE_TELEMETRY_SCHEMA = "service-telemetry/v1"
 #: Schema of the reduced (renderable) document this module produces.
@@ -45,6 +47,9 @@ SERVICE_STATS_SCHEMA = "service-stats/v1"
 SERVICE_SCHEMAS = (SPAN_SCHEMA, METRICS_SCHEMA, SERVICE_TELEMETRY_SCHEMA)
 
 _HIST_BUCKETS = 8
+#: Width, in virtual time, of the windows a span artifact's timestamps
+#: are regrouped into.
+_SPAN_WINDOW = 50.0
 
 
 def _histogram(samples: Sequence[float], top: float) -> Dict[str, Any]:
@@ -117,6 +122,24 @@ def reduce_spans(doc: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def metrics_from_spans(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``service-metrics/v1`` snapshot of a span artifact.
+
+    Spans carry every arrival and reply timestamp, so replaying them
+    through a :class:`MetricsRegistry` yields the windowed series a
+    live registry of the same width records.
+    """
+    registry = MetricsRegistry(window=_SPAN_WINDOW)
+    for rec in doc.get("requests", ()):
+        registry.record_arrival(rec["enqueue"], rec["group"])
+        if rec.get("ok"):
+            registry.record_commit(rec["reply"], rec["group"],
+                                   rec["reply"] - rec["enqueue"])
+        else:
+            registry.record_failure(rec["reply"], rec["group"])
+    return registry.snapshot()
+
+
 def reduce_metrics(doc: Dict[str, Any]) -> Dict[str, Any]:
     """Reduce a ``service-metrics/v1`` snapshot to renderable series."""
     windows = [{
@@ -132,6 +155,7 @@ def reduce_metrics(doc: Dict[str, Any]) -> Dict[str, Any]:
         "schema": SERVICE_STATS_SCHEMA,
         "kind": "metrics",
         "window": doc.get("window"),
+        "shards": doc.get("shards", []),
         "dropped_windows": doc.get("dropped_windows", 0),
         "windows": windows,
         "groups": doc.get("groups", {}),
@@ -164,20 +188,32 @@ def reduce_service_telemetry(doc: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def is_serve_report(document: Any) -> bool:
+    """A ``repro serve --json-out`` report with a metrics snapshot
+    (reports carry no schema tag)."""
+    return (isinstance(document, dict) and "schema" not in document
+            and isinstance(document.get("metrics"), dict))
+
+
 def service_doc(document: Dict[str, Any],
                 path: Optional[str] = None) -> Dict[str, Any]:
     """Dispatch a raw service artifact to its reduction."""
     schema = document.get("schema")
     if schema == SPAN_SCHEMA:
         doc = reduce_spans(document)
+        doc["metrics"] = service_doc(metrics_from_spans(document), path)
     elif schema == METRICS_SCHEMA:
         doc = reduce_metrics(document)
     elif schema == SERVICE_TELEMETRY_SCHEMA:
         doc = reduce_service_telemetry(document)
+    elif is_serve_report(document):
+        doc = reduce_metrics(document["metrics"])
+        doc["shard_rows"] = document.get("shards") or []
     else:
         raise ValueError(
             f"not a service artifact: {path or '<doc>'} "
-            f"(expected schema one of {', '.join(SERVICE_SCHEMAS)}; "
+            f"(expected schema one of {', '.join(SERVICE_SCHEMAS)}, "
+            f"or a serve --json-out report with metrics; "
             f"got {schema!r})")
     doc["source"] = path or "<doc>"
     return doc
@@ -238,6 +274,7 @@ def _render_spans(doc: Dict[str, Any]) -> str:
             ["shard", "engine runs", "engine s", "overhead s",
              "overhead frac"], srows,
             title="runtime overhead outside the engine (wall clock)"))
+    blocks.append(_render_metrics(doc["metrics"]))
     return "\n\n".join(blocks)
 
 
@@ -246,7 +283,8 @@ def _render_metrics(doc: Dict[str, Any]) -> str:
     totals = doc["totals"]
     head = [f"source: {doc['source']}",
             f"window: {doc['window']}  "
-            f"dropped_windows: {doc['dropped_windows']}",
+            f"dropped_windows: {doc['dropped_windows']}  "
+            f"shards: {','.join(map(str, doc['shards']))}",
             f"arrivals: {totals.get('arrivals', 0)}  "
             f"commits: {totals.get('commits', 0)}  "
             f"failed: {totals.get('failed', 0)}  "
@@ -259,20 +297,32 @@ def _render_metrics(doc: Dict[str, Any]) -> str:
     blocks.append(format_table(
         ["t", "arrivals", "commits", "rps", "in-flight", "p50",
          "p99"], wrows, title="time series (virtual-time windows)"))
+    commits = totals.get("commits", 0)
     grows = [[gid, cell.get("arrivals"), cell.get("commits"),
+              f"{cell.get('commits', 0) / commits if commits else 0.0:.1%}",
               cell.get("failed"), cell.get("queue_peak"),
               cell.get("latency", {}).get("p50"),
               cell.get("latency", {}).get("p99")]
              for gid, cell in doc["groups"].items()]
     blocks.append(format_table(
-        ["group", "arrivals", "commits", "failed", "queue peak",
-         "p50", "p99"], grows, title="per-group totals"))
+        ["group", "arrivals", "commits", "share", "failed",
+         "queue peak", "p50", "p99"], grows, title="per-group totals"))
     counters = doc.get("counters")
     if counters:
         blocks.append(format_table(
             ["counter", "value"],
             [[name, value] for name, value in counters.items()],
             title="counters"))
+    shard_rows = doc.get("shard_rows")
+    if shard_rows:
+        blocks.append(format_table(
+            ["shard", "groups", "requests", "wall s", "util",
+             "straggler"],
+            [[row.get("shard"), row.get("groups"), row.get("requests"),
+              row.get("wall_seconds"),
+              f"{row.get('utilization', 0.0):.0%}",
+              row.get("straggler", False)] for row in shard_rows],
+            title="per-shard"))
     return "\n\n".join(blocks)
 
 

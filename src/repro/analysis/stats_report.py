@@ -10,8 +10,8 @@ summarizes them identically:
 * a trace export (schema 6, ``columnar-chunks``) whose header may
   embed a telemetry snapshot in its metadata.
 
-It also renders the ``repro serve`` artifacts
-(:mod:`repro.analysis.service_stats`).
+It also renders the ``repro serve`` artifacts and ``--json-out``
+reports (:mod:`repro.analysis.service_stats`).
 
 When no telemetry blob is embedded, spans are *derived* from the
 records by replaying the same eviction-at-ack model the live engine
@@ -39,7 +39,8 @@ from ..macsim.telemetry import TELEMETRY_SCHEMA, summarize_samples
 from ..macsim.trace import TRACE_KINDS
 from . import export as _export
 from .service_stats import (SERVICE_SCHEMAS, SERVICE_STATS_SCHEMA,
-                            render_service_stats, service_doc)
+                            is_serve_report, render_service_stats,
+                            service_doc)
 from .tables import format_table
 
 __all__ = ["SPAN_RULES", "KIND_TO_COUNTER", "derive_spans",
@@ -315,7 +316,7 @@ def stats_from_file(path: str, *, derive: bool = False) -> Dict[str, Any]:
     schema = document.get("schema") if isinstance(document, dict) else None
     if schema == TELEMETRY_SCHEMA:
         return _doc_from_snapshot(document, path, "telemetry")
-    if schema in SERVICE_SCHEMAS:
+    if schema in SERVICE_SCHEMAS or is_serve_report(document):
         return service_doc(document, path)
     try:
         header = _export._read_header(path)
@@ -329,7 +330,8 @@ def _unsupported_artifact(path: str, schema: Any = None) -> str:
     got = f" (schema: {schema!r})" if schema is not None else ""
     return (f"not a stats-able artifact: {path}{got}; expected a "
             f"schema-{_export.SCHEMA_VERSION} {_export.FORMAT} trace "
-            f"export, a {TELEMETRY_SCHEMA} snapshot, or one of: "
+            f"export, a {TELEMETRY_SCHEMA} snapshot, a serve --json-out "
+            f"report with metrics, or one of: "
             + ", ".join(SERVICE_SCHEMAS))
 
 

@@ -484,11 +484,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     metrics_window = args.metrics_window
     if args.metrics_out is not None and metrics_window is None:
         metrics_window = 50.0
-    metrics_prom = (args.metrics_out is not None
-                    and args.metrics_out.endswith((".prom", ".txt")))
-    live_metrics_out = (args.metrics_out
-                        if args.metrics_out and not metrics_prom
-                        else None)
     try:
         service = ShardedService(
             base, workload, shards=args.shards, batch_size=args.batch,
@@ -496,7 +491,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             progress=True if args.progress else None,
             trace_requests=trace_requests,
             metrics_window=metrics_window,
-            metrics_out=live_metrics_out)
+            metrics_out=args.metrics_out)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     report = service.run()
@@ -576,14 +571,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 out.write("\n")
             print(f"spans written:  {args.trace_requests}")
     if args.metrics_out is not None and report.metrics is not None:
-        if metrics_prom:
-            from .macsim.service import prometheus_text
-            with open(args.metrics_out, "w", encoding="utf-8") as out:
-                out.write(prometheus_text(report.metrics))
-        else:
-            with open(args.metrics_out, "w", encoding="utf-8") as out:
-                json.dump(report.metrics, out, indent=2)
-                out.write("\n")
+        with open(args.metrics_out, "w", encoding="utf-8") as out:
+            json.dump(report.metrics, out, indent=2)
+            out.write("\n")
         print(f"metrics written: {args.metrics_out}")
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as out:
@@ -592,190 +582,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"report written: {args.json_out}")
     clean = not (report.failed or report.violations or report.unlearned)
     return 0 if clean else 1
-
-
-def _top_metrics_doc(document: dict, path: str) -> dict:
-    """Resolve any supported artifact to a service-metrics snapshot.
-
-    Accepts a ``service-metrics/v1`` snapshot directly, a serve
-    ``--json-out`` report (its ``metrics`` key), or a
-    ``service-spans/v1`` artifact -- spans carry every arrival and
-    commit timestamp, so a registry replay of them synthesizes the
-    identical windowed series.
-    """
-    from .macsim.service import (METRICS_SCHEMA, SPAN_SCHEMA,
-                                 MetricsRegistry)
-    schema = document.get("schema")
-    if schema == METRICS_SCHEMA:
-        return document
-    if schema == SPAN_SCHEMA:
-        registry = MetricsRegistry(window=50.0)
-        for rec in document.get("requests", ()):
-            registry.record_arrival(rec["enqueue"], rec["group"])
-            if rec.get("ok"):
-                registry.record_commit(rec["reply"], rec["group"],
-                                       rec["reply"] - rec["enqueue"])
-            else:
-                registry.record_failure(rec["reply"], rec["group"])
-        return registry.snapshot()
-    if isinstance(document.get("metrics"), dict):
-        return document["metrics"]
-    raise SystemExit(
-        f"{path}: not a service metrics source (expected a "
-        f"service-metrics/v1 or service-spans/v1 artifact, or a "
-        f"'repro serve --json-out' report with a 'metrics' key -- "
-        f"run serve with --metrics-out or --trace-requests)")
-
-
-def _top_frame(doc: dict, source: str, upto: int,
-               shard_rows=None) -> str:
-    """One rendered frame: headline, time-series tail, per-group
-    table. ``upto`` bounds the window index (exclusive; replay mode
-    reveals windows one frame at a time)."""
-    from .analysis.tables import format_table
-    windows = doc.get("windows", [])[:upto]
-    totals = doc.get("totals", {})
-    lines = [f"repro top -- {source}",
-             f"window={doc.get('window')}vt  "
-             f"windows={len(windows)}/{len(doc.get('windows', []))}  "
-             f"shards={','.join(str(s) for s in doc.get('shards', []))}"]
-    arrivals = sum(w["arrivals"] for w in windows)
-    commits = sum(w["commits"] for w in windows)
-    final = upto >= len(doc.get("windows", []))
-    if final:
-        lines.append(
-            f"arrivals={totals.get('arrivals', arrivals)}  "
-            f"commits={totals.get('commits', commits)}  "
-            f"failed={totals.get('failed', 0)}  "
-            f"in-flight={totals.get('in_flight_final', 0)}")
-    else:
-        lines.append(f"arrivals={arrivals}  commits={commits}  "
-                     f"in-flight={windows[-1]['in_flight'] if windows else 0}")
-    blocks = ["\n".join(lines)]
-    tail = windows[-12:]
-    wrows = [[w["start"], w["arrivals"], w["commits"], w["rps"],
-              w["in_flight"], w["latency"].get("p50"),
-              w["latency"].get("p99")] for w in tail]
-    blocks.append(format_table(
-        ["t", "arrivals", "commits", "rps", "in-flight", "p50",
-         "p99"], wrows, title="time series"))
-    if final and doc.get("groups"):
-        grows = []
-        for gid, cell in doc["groups"].items():
-            share = (cell.get("commits", 0) / commits) if commits else 0.0
-            grows.append([gid, cell.get("arrivals"),
-                          cell.get("commits"), f"{share:.1%}",
-                          cell.get("queue_peak"),
-                          cell.get("latency", {}).get("p50"),
-                          cell.get("latency", {}).get("p99")])
-        blocks.append(format_table(
-            ["group", "arrivals", "commits", "share", "queue peak",
-             "p50", "p99"], grows, title="per-group"))
-    else:
-        # Replay mode: accumulate per-window group counts.
-        acc: dict = {}
-        for win in windows:
-            for gid, cell in win.get("groups", {}).items():
-                gacc = acc.setdefault(gid, {"arrivals": 0,
-                                            "commits": 0})
-                gacc["arrivals"] += cell["arrivals"]
-                gacc["commits"] += cell["commits"]
-        grows = [[gid, cell["arrivals"], cell["commits"],
-                  f"{(cell['commits'] / commits) if commits else 0.0:.1%}"]
-                 for gid, cell in sorted(acc.items(),
-                                         key=lambda kv: int(kv[0]))]
-        blocks.append(format_table(
-            ["group", "arrivals", "commits", "share"], grows,
-            title="per-group (so far)"))
-    if final and shard_rows:
-        srows = [[row.get("shard"), row.get("groups"),
-                  row.get("requests"), row.get("wall_seconds"),
-                  f"{row.get('utilization', 0.0):.0%}",
-                  row.get("straggler", False)] for row in shard_rows]
-        blocks.append(format_table(
-            ["shard", "groups", "requests", "wall s", "util",
-             "straggler"], srows, title="per-shard"))
-    return "\n\n".join(blocks)
-
-
-def cmd_top(args: argparse.Namespace) -> int:
-    """Live/replayed service metrics table (`repro top`).
-
-    ``--once`` prints the final frame and exits (CI mode);
-    ``--follow`` polls the artifact (a serve run with
-    ``--metrics-out`` rewrites it on every window rollover) and
-    redraws; the default replays a saved artifact's windows as
-    animation frames.
-    """
-    import os
-    import time
-
-    def load():
-        with open(args.artifact, encoding="utf-8") as handle:
-            document = json.load(handle)
-        if not isinstance(document, dict):
-            raise SystemExit(f"{args.artifact}: not a JSON object")
-        shard_rows = (document.get("shards")
-                      if isinstance(document.get("shards"), list)
-                      and document.get("shards")
-                      and isinstance(document["shards"][0], dict)
-                      else None)
-        return _top_metrics_doc(document, args.artifact), shard_rows
-
-    try:
-        doc, shard_rows = load()
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(f"{args.artifact}: {exc}") from None
-    if args.json:
-        print(json.dumps(doc, indent=2))
-        return 0
-    is_tty = sys.stdout.isatty()
-    clear = "\x1b[2J\x1b[H" if is_tty else ""
-
-    def show(frame: str) -> None:
-        if clear:
-            sys.stdout.write(clear)
-        try:
-            print(frame)
-            sys.stdout.flush()
-        except BrokenPipeError:  # downstream pager/head closed early
-            sys.stderr.close()
-            raise SystemExit(0)
-
-    total = len(doc.get("windows", []))
-    if args.once or total == 0 or (not is_tty and not args.follow):
-        # Non-interactive stdout gets the final frame only.
-        show(_top_frame(doc, args.artifact, total, shard_rows))
-        return 0
-    if args.follow:
-        last_mtime = None
-        while True:
-            try:
-                mtime = os.path.getmtime(args.artifact)
-            except OSError:
-                break
-            if mtime != last_mtime:
-                last_mtime = mtime
-                try:
-                    doc, shard_rows = load()
-                except (OSError, json.JSONDecodeError, SystemExit):
-                    break
-                show(_top_frame(doc, args.artifact,
-                                len(doc.get("windows", [])),
-                                shard_rows))
-            try:
-                time.sleep(args.interval)
-            except KeyboardInterrupt:
-                break
-        return 0
-    for upto in range(1, total + 1):
-        show(_top_frame(doc, args.artifact, upto, shard_rows))
-        if upto < total:
-            try:
-                time.sleep(args.interval)
-            except KeyboardInterrupt:
-                return 0
-    return 0
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -934,7 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="a trace export, a --telemetry JSON "
                               "file, or a serve artifact "
                               "(service-telemetry/v1, "
-                              "service-spans/v1, service-metrics/v1)")
+                              "service-spans/v1, service-metrics/v1, "
+                              "or a --json-out report)")
     stats_p.add_argument("--derive", action="store_true",
                          help="re-derive spans from the records even "
                               "when the export embeds a live "
@@ -1036,11 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "service-spans/v1 artifact JSON")
     serve_p.add_argument("--metrics-out", default=None, metavar="FILE",
                          help="write the windowed service-metrics/v1 "
-                              "snapshot; .prom/.txt renders "
-                              "Prometheus text, anything else JSON "
-                              "(live-updated on window rollovers for "
-                              "single-shard runs -- point 'repro top "
-                              "--follow' at it)")
+                              "snapshot JSON for 'repro stats'")
     serve_p.add_argument("--metrics-window", type=float, default=None,
                          metavar="VT",
                          help="metrics window width in virtual time "
@@ -1052,28 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--progress", action="store_true",
                          help="heartbeat shard progress to stderr")
     serve_p.set_defaults(func=cmd_serve)
-
-    top_p = sub.add_parser(
-        "top", help="live (or replayed) per-group service metrics "
-                    "table from a serve artifact")
-    top_p.add_argument("artifact",
-                       help="a service-metrics/v1 snapshot "
-                            "(serve --metrics-out), a serve "
-                            "--json-out report, or a "
-                            "service-spans/v1 artifact")
-    top_p.add_argument("--once", action="store_true",
-                       help="print the final frame and exit "
-                            "(machine/CI mode)")
-    top_p.add_argument("--follow", action="store_true",
-                       help="poll the artifact and redraw as a "
-                            "running serve rewrites it")
-    top_p.add_argument("--interval", type=float, default=0.5,
-                       help="seconds between frames/polls "
-                            "(default: 0.5)")
-    top_p.add_argument("--json", action="store_true",
-                       help="print the resolved metrics snapshot as "
-                            "JSON instead of tables")
-    top_p.set_defaults(func=cmd_top)
 
     cache_p = sub.add_parser(
         "cache", help="inspect and maintain the scenario-hash result "
@@ -1102,7 +883,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:  # downstream pager/head closed early
+        sys.stderr.close()
+        return 0
 
 
 if __name__ == "__main__":

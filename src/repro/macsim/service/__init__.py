@@ -29,7 +29,7 @@ Layers (bottom up):
 * :mod:`.tracing` -- :class:`RequestTracer` span trees
   (``service-spans/v1``) and the windowed :class:`MetricsRegistry`
   (``service-metrics/v1``) behind ``repro serve --trace-requests`` /
-  ``--metrics-out`` / ``repro top``.
+  ``--metrics-out``, rendered by ``repro stats``.
 
 Importing the package loads no algorithm: the log's modules load when
 the first group's log is built.
@@ -42,7 +42,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "runtime": "GroupRun GroupRuntime",
     "frontend": "Request ServiceFrontend",
     "tracing": "METRICS_SCHEMA SPAN_SCHEMA SPAN_STAGES MetricsRegistry "
-               "RequestTracer prometheus_text",
+               "RequestTracer",
     "sharded": "ShardedService run_service",
     "workload": "WorkloadGenerator",
 })

@@ -14,8 +14,7 @@ span-per-request tracing applied to the service's virtual-time world:
   latency percentiles -- plus cumulative per-group series and free-form
   counters (frontend queue peaks, serve-heap churn, engine heap
   counters when telemetry rides along). Snapshots carry schema
-  ``service-metrics/v1`` and render to Prometheus text via
-  :func:`prometheus_text`.
+  ``service-metrics/v1``; ``repro stats`` renders them.
 
 Both observers follow the telemetry subsystem's design contract:
 
@@ -48,8 +47,7 @@ import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 __all__ = ["RequestTracer", "MetricsRegistry", "latency_summary",
-           "prometheus_text", "SPAN_SCHEMA", "METRICS_SCHEMA",
-           "SPAN_STAGES"]
+           "SPAN_SCHEMA", "METRICS_SCHEMA", "SPAN_STAGES"]
 
 #: Schema tag for span artifacts (``repro serve --trace-requests``).
 SPAN_SCHEMA = "service-spans/v1"
@@ -223,8 +221,8 @@ class MetricsRegistry:
     merge exactly: same-key windows add, per-group series union.
 
     When ``out_path`` is set, every window rollover rewrites the
-    snapshot atomically (tmp + rename), which is what makes
-    ``repro top --follow`` live against a running serve.
+    snapshot atomically (tmp + rename), so the file holds the series
+    so far while a serve runs.
     """
 
     __slots__ = ("window", "capacity", "shard", "out_path",
@@ -456,87 +454,3 @@ class MetricsRegistry:
             "totals": totals,
             "counters": dict(sorted(counters.items())),
         }
-
-
-# ----------------------------------------------------------------------
-# Prometheus-style text export
-# ----------------------------------------------------------------------
-_PROM_PREFIX = "macsim_service"
-
-
-def _prom_name(name: str) -> str:
-    return "".join(c if c.isalnum() or c == "_" else "_" for c in name)
-
-
-def prometheus_text(doc: Dict[str, Any]) -> str:
-    """Render a ``service-metrics/v1`` snapshot as Prometheus text.
-
-    Latencies are in virtual-time units (the engine's ``F_ack``
-    scale), not seconds -- the unit suffix says so.
-    """
-    if doc.get("schema") != METRICS_SCHEMA:
-        raise ValueError(f"expected {METRICS_SCHEMA} snapshot, "
-                         f"got {doc.get('schema')!r}")
-    lines: List[str] = []
-
-    def header(name: str, kind: str, help_text: str) -> None:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-
-    totals = doc.get("totals", {})
-    header(f"{_PROM_PREFIX}_requests_committed_total", "counter",
-           "Requests committed by the consensus service.")
-    lines.append(f"{_PROM_PREFIX}_requests_committed_total "
-                 f"{totals.get('commits', 0)}")
-    header(f"{_PROM_PREFIX}_requests_failed_total", "counter",
-           "Requests on slots that failed.")
-    lines.append(f"{_PROM_PREFIX}_requests_failed_total "
-                 f"{totals.get('failed', 0)}")
-    header(f"{_PROM_PREFIX}_in_flight", "gauge",
-           "Requests admitted but not yet committed.")
-    lines.append(f"{_PROM_PREFIX}_in_flight "
-                 f"{totals.get('in_flight_final', 0)}")
-
-    groups = doc.get("groups", {})
-    if groups:
-        header(f"{_PROM_PREFIX}_group_commits_total", "counter",
-               "Committed requests per consensus group.")
-        for gid, cell in groups.items():
-            lines.append(f"{_PROM_PREFIX}_group_commits_total"
-                         f'{{group="{gid}"}} {cell.get("commits", 0)}')
-        header(f"{_PROM_PREFIX}_group_queue_peak", "gauge",
-               "Peak frontend queue depth per group.")
-        for gid, cell in groups.items():
-            lines.append(f"{_PROM_PREFIX}_group_queue_peak"
-                         f'{{group="{gid}"}} {cell.get("queue_peak", 0)}')
-        header(f"{_PROM_PREFIX}_group_latency_vt", "summary",
-               "Request latency per group, virtual-time units.")
-        for gid, cell in groups.items():
-            latency = cell.get("latency", {})
-            for q, key in (("0.5", "p50"), ("0.95", "p95"),
-                           ("0.99", "p99")):
-                value = latency.get(key)
-                if value is not None:
-                    lines.append(
-                        f"{_PROM_PREFIX}_group_latency_vt"
-                        f'{{group="{gid}",quantile="{q}"}} {value}')
-
-    windows = doc.get("windows", ())
-    if windows:
-        last = windows[-1]
-        header(f"{_PROM_PREFIX}_window_rps", "gauge",
-               "Committed requests per virtual-time unit, last window.")
-        lines.append(f"{_PROM_PREFIX}_window_rps {last['rps']}")
-        header(f"{_PROM_PREFIX}_window_in_flight", "gauge",
-               "In-flight requests at last window close.")
-        lines.append(f"{_PROM_PREFIX}_window_in_flight "
-                     f"{last['in_flight']}")
-
-    counters = doc.get("counters", {})
-    if counters:
-        header(f"{_PROM_PREFIX}_counter_total", "counter",
-               "Free-form service counters.")
-        for name, value in counters.items():
-            lines.append(f"{_PROM_PREFIX}_counter_total"
-                         f'{{name="{_prom_name(name)}"}} {value}')
-    return "\n".join(lines) + "\n"

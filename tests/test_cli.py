@@ -244,11 +244,11 @@ UNKNOWN_E99 = ("unknown experiment ids: E99 (known: "
 
 
 class TestRegenCommand:
-    def test_runs_a_driver(self, capsys):
-        code = main(["regen", "E7", "--fresh"])
+    def test_runs_a_driver(self, stand_ins, capsys):
+        code = main(["regen", "FB", "--fresh"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "E7 PASSED" in out
+        assert "FB PASSED" in out
 
     def test_unknown_id_exits_naming_the_known_ones(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -256,11 +256,11 @@ class TestRegenCommand:
         assert str(exc.value) == UNKNOWN_E99
         assert capsys.readouterr().out == ""
 
-    def test_markdown_flag(self, capsys):
-        code = main(["regen", "E7", "--fresh", "--markdown"])
+    def test_markdown_flag(self, stand_ins, capsys):
+        code = main(["regen", "FB", "--fresh", "--markdown"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "### E7" in out
+        assert "### FB" in out
 
     def test_no_ids_runs_every_driver_in_table_order(self, stand_ins,
                                                      capsys):

@@ -12,18 +12,24 @@ The load-bearing contracts:
 * **No-op when off** -- ``repro serve --json-out`` reports are
   identical with tracing on vs off, wall-clock fields aside (the
   tracer only annotates).
-* **Surfaces agree** -- `repro stats` and `repro top` render spans,
-  metrics and service-telemetry artifacts; unsupported artifacts fail
-  naming the expected schemas.
+* **Surfaces agree** -- `repro stats` renders spans, metrics and
+  service-telemetry artifacts and serve reports, the windowed series
+  of each through one table; unsupported artifacts fail naming the
+  expected schemas.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.service_stats import (SERVICE_STATS_SCHEMA,
+                                          metrics_from_spans,
                                           reduce_metrics, reduce_spans,
                                           reduce_service_telemetry)
 from repro.analysis.sweeps import flag_stragglers
@@ -32,8 +38,7 @@ from repro.macsim.service import (METRICS_SCHEMA, SPAN_SCHEMA,
                                   SPAN_STAGES, ConsensusService,
                                   MetricsRegistry, RequestTracer,
                                   ShardedService, WorkloadGenerator,
-                                  latency_summary, prometheus_text,
-                                  run_service)
+                                  latency_summary, run_service)
 from repro.scenario import (AlgorithmSpec, Scenario, SchedulerSpec,
                             TopologySpec)
 
@@ -253,19 +258,9 @@ class TestMetricsRegistry:
             == _metrics_identity_view(whole.snapshot())
         assert merged["shards"] == [0, 1]
 
-    def test_prometheus_text(self):
-        reg = MetricsRegistry(window=10.0)
-        reg.record_arrival(0.0, 0)
-        reg.record_commit(4.0, 0, 4.0)
-        reg.add_counter("frontend_submitted", 1)
-        text = prometheus_text(reg.snapshot())
-        assert "macsim_service_requests_committed_total 1" in text
-        assert 'macsim_service_group_commits_total{group="0"} 1' in text
-        assert "# TYPE macsim_service_in_flight gauge" in text
-
 
 # ----------------------------------------------------------------------
-# Surfaces: repro stats / repro top / prometheus export
+# Surfaces: repro stats
 # ----------------------------------------------------------------------
 class TestStatsSurfaces:
     def _artifacts(self, tmp_path, capsys):
@@ -309,6 +304,9 @@ class TestStatsSurfaces:
             == report_doc["latency"]["p99"]
         totals = metrics_doc["totals"]
         assert totals["commits"] == report_doc["requests"]
+        metric_groups = reduce_metrics(metrics_doc)["groups"]
+        for gid, cell in reduced["per_group"].items():
+            assert metric_groups[gid]["commits"] == cell["requests"], gid
         tel_reduced = reduce_service_telemetry(
             json.loads(telemetry.read_text()))
         assert sorted(tel_reduced["groups"]) \
@@ -327,31 +325,44 @@ class TestStatsSurfaces:
         assert "service-metrics/v1" in message
         assert "service-telemetry/v1" in message
 
-    def test_top_once_on_each_artifact(self, tmp_path, capsys):
+    def test_stats_renders_windowed_series_of_each_artifact(
+            self, tmp_path, capsys):
         spans, metrics, _, report = self._artifacts(tmp_path, capsys)
         for path in (metrics, spans, report):
-            assert main(["top", str(path), "--once"]) == 0
+            assert main(["stats", str(path)]) == 0
             out = capsys.readouterr().out
-            assert "group" in out
-            assert "commits" in out
+            assert "time series" in out
+            assert "per-group totals" in out
+            assert ("per-shard" in out) == (path == report)
+        report_doc = json.loads(report.read_text())
+        for key in ("metrics", "tracing"):
+            report_doc.pop(key, None)
+        report.write_text(json.dumps(report_doc))
+        with pytest.raises(SystemExit, match="not a stats-able"):
+            main(["stats", str(report)])
 
-    def test_top_json_mode(self, tmp_path, capsys):
-        _, metrics, _, _ = self._artifacts(tmp_path, capsys)
-        assert main(["top", str(metrics), "--json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == METRICS_SCHEMA
-
-    def test_top_rejects_non_service_json(self, tmp_path):
-        bogus = tmp_path / "bogus.json"
-        bogus.write_text(json.dumps({"hello": 1}))
-        with pytest.raises(SystemExit):
-            main(["top", str(bogus), "--once"])
+    def test_closed_stdout_exits_quietly(self, tmp_path, capsys):
+        spans, _, _, _ = self._artifacts(tmp_path, capsys)
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before any write
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "repro", "stats", str(spans)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 0
+        assert b"Traceback" not in result.stderr
+        assert b"BrokenPipeError" not in result.stderr
 
     def test_spans_replay_through_registry(self, tmp_path, capsys):
         spans, _, _, report = self._artifacts(tmp_path, capsys)
-        from repro.cli import _top_metrics_doc
-        doc = _top_metrics_doc(json.loads(spans.read_text()),
-                               str(spans))
+        doc = metrics_from_spans(json.loads(spans.read_text()))
         report_doc = json.loads(report.read_text())
         assert doc["schema"] == METRICS_SCHEMA
         assert doc["totals"]["commits"] == report_doc["requests"]
