@@ -29,9 +29,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.service_stats import (SERVICE_STATS_SCHEMA,
+                                          is_serve_report,
                                           metrics_from_spans,
                                           reduce_metrics, reduce_spans,
-                                          reduce_service_telemetry)
+                                          reduce_service_telemetry,
+                                          render_service_stats,
+                                          service_doc)
 from repro.analysis.sweeps import flag_stragglers
 from repro.cli import main
 from repro.macsim.service import (METRICS_SCHEMA, SPAN_SCHEMA,
@@ -366,6 +369,59 @@ class TestStatsSurfaces:
         report_doc = json.loads(report.read_text())
         assert doc["schema"] == METRICS_SCHEMA
         assert doc["totals"]["commits"] == report_doc["requests"]
+
+    def test_spans_replay_windows_and_failures(self):
+        doc = metrics_from_spans({"schema": SPAN_SCHEMA, "requests": [
+            {"group": 0, "enqueue": 0.0, "reply": 4.0, "ok": True},
+            {"group": 1, "enqueue": 10.0, "reply": 60.0, "ok": False},
+            {"group": 0, "enqueue": 55.0, "reply": 70.0, "ok": True},
+        ]})
+        assert doc["window"] == 50.0
+        assert doc["totals"]["arrivals"] == 3
+        assert doc["totals"]["commits"] == 2
+        assert doc["totals"]["failed"] == 1
+        assert [(w["start"], w["arrivals"], w["commits"])
+                for w in doc["windows"]] == [(0.0, 2, 1), (50.0, 1, 1)]
+        assert doc["windows"][1]["latencies"] == [15.0]
+        assert doc["groups"]["0"]["commits"] == 2
+        assert doc["groups"]["1"]["commits"] == 0
+        assert doc["groups"]["1"]["failed"] == 1
+
+    def test_is_serve_report(self):
+        assert is_serve_report({"requests": 3, "metrics": {}})
+        assert not is_serve_report({"requests": 3})
+        assert not is_serve_report({"schema": METRICS_SCHEMA,
+                                    "metrics": {}})
+        assert not is_serve_report({"metrics": None})
+        assert not is_serve_report([{"metrics": {}}])
+
+    def test_report_doc_carries_shard_rows(self, tmp_path, capsys):
+        _, _, _, report = self._artifacts(tmp_path, capsys)
+        report_doc = json.loads(report.read_text())
+        doc = service_doc(report_doc, str(report))
+        assert doc["kind"] == "metrics"
+        assert doc["source"] == str(report)
+        assert doc["shards"] == [0, 1]
+        assert doc["shard_rows"] == report_doc["shards"]
+        assert sum(row["requests"] for row in doc["shard_rows"]) \
+            == report_doc["requests"]
+        assert doc["totals"]["commits"] == report_doc["requests"]
+        out = render_service_stats(doc)
+        assert "shards: 0,1" in out
+        for row in report_doc["shards"]:
+            assert str(row["requests"]) in out
+
+    def test_group_share_column(self):
+        reg = MetricsRegistry(window=10.0)
+        for t, group in ((1.0, 0), (2.0, 0), (3.0, 0), (4.0, 1)):
+            reg.record_arrival(t, group)
+            reg.record_commit(t + 1.0, group, 1.0)
+        doc = service_doc(reg.snapshot(), "m.json")
+        out = render_service_stats(doc)
+        assert "75.0%" in out
+        assert "25.0%" in out
+        empty = service_doc(MetricsRegistry(window=10.0).snapshot())
+        assert "commits: 0" in render_service_stats(empty)
 
 
 # ----------------------------------------------------------------------
